@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet dpr-vet test race fuzz bench bench-commit bench-scaling bench-scale scale-smoke chaos-elastic chaos-fastcommit
+.PHONY: check build vet dpr-vet test bench-module loc race fuzz bench bench-commit bench-scaling bench-scale scale-smoke chaos-elastic chaos-fastcommit
 
 # The full pre-commit gate, in the order CI runs it.
-check: build vet dpr-vet test
+check: build vet dpr-vet test bench-module
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,19 @@ dpr-vet:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is a module of its own (replace dpr => ../) that `go build ./...`
+# at the root never compiles; it links against the worker constructors, so
+# build and test it whenever they move.
+bench-module:
+	cd benchmark && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test -short .
+
+# Non-test Go lines outside benchmark/, per package and in total — ROADMAP's
+# "net line count is a reported metric".
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/?[^\/]*$$/, "", d); loc[d == "" ? "." : d] += $$1; sum += $$1 } \
+			END { for (d in loc) printf "%7d %s\n", loc[d], d; printf "%7d total\n", sum }' | sort -k2
 
 race:
 	$(GO) test -race ./...

@@ -8,12 +8,12 @@ import (
 )
 
 // GoroutineChecker enforces goroutine lifecycle discipline in the serving
-// stack: every `go` statement in the dfaster, dredis, libdpr, metadata and
-// migration packages must have a stop path reachable from its owner's
-// Stop/Close — otherwise the goroutine leaks past shutdown and can wedge
-// it (the PR 1 Worker.Stop hang class). Accepted evidence, gathered from
-// the spawned body and the functions it calls (through the unit call
-// graph):
+// stack: every `go` statement in the serve, listen, dfaster, dredis, libdpr,
+// metadata, migration and baseline packages must have a stop path reachable
+// from its owner's Stop/Close — otherwise the goroutine leaks past shutdown
+// and can wedge it (the PR 1 Worker.Stop hang class). Accepted evidence,
+// gathered from the spawned body and the functions it calls (through the
+// unit call graph):
 //
 //   - a joined WaitGroup: the body calls Done() on a WaitGroup that some
 //     function in the module Waits on;
@@ -36,7 +36,8 @@ func (*GoroutineChecker) Name() string { return "goroutine-lifecycle" }
 // goroutineScope lists the server packages under lifecycle discipline
 // (matched by package name, so fixtures can declare mini packages).
 var goroutineScope = map[string]bool{
-	"dfaster": true, "dredis": true, "libdpr": true, "metadata": true, "migration": true,
+	"serve": true, "listen": true, "dfaster": true, "dredis": true, "libdpr": true,
+	"metadata": true, "migration": true, "baseline": true,
 }
 
 // stopMethodNames are the owner entry points a stop path must hang off.

@@ -5,10 +5,12 @@ import (
 	"sync"
 	"time"
 
+	"dpr/internal/baseline"
 	"dpr/internal/core"
 	"dpr/internal/dfaster"
 	"dpr/internal/dredis"
 	"dpr/internal/metadata"
+	"dpr/internal/redisclone"
 	"dpr/internal/stats"
 	"dpr/internal/storage"
 	"dpr/internal/wire"
@@ -43,8 +45,8 @@ func buildPlainRedis(withProxy bool) func(int) (*metadata.Store, func(), error) 
 			}
 		}
 		for i := 0; i < shards; i++ {
-			srv, err := dredis.NewPlainServer("127.0.0.1:0", storage.NewSink("r", storage.NullProfile),
-				fmt.Sprintf("plain-%d", i))
+			srv, err := baseline.NewPlainServer("127.0.0.1:0", storage.NewSink("r", storage.NullProfile),
+				fmt.Sprintf("plain-%d", i), redisclone.AOFOff)
 			if err != nil {
 				stop()
 				return nil, nil, err
@@ -52,12 +54,13 @@ func buildPlainRedis(withProxy bool) func(int) (*metadata.Store, func(), error) 
 			closers = append(closers, srv.Stop)
 			addr := srv.Addr()
 			if withProxy {
-				px, err := dredis.NewProxy("127.0.0.1:0", addr)
+				// Fault-free: a plain byte-level pass-through hop.
+				px, err := wire.NewFaultProxy(addr)
 				if err != nil {
 					stop()
 					return nil, nil, err
 				}
-				closers = append(closers, px.Stop)
+				closers = append(closers, px.Close)
 				addr = px.Addr()
 			}
 			if err := meta.RegisterWorker(core.WorkerID(i+1), addr); err != nil {

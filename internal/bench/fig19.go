@@ -145,8 +145,8 @@ func runDRedisLevel(opt Options, level string) (float64, bool, error) {
 			case levelSync:
 				aof = redisclone.AOFAlways
 			}
-			var srv *dredis.PlainServer
-			srv, err = dredis.NewPlainServerAOF("127.0.0.1:0",
+			var srv *baseline.PlainServer
+			srv, err = baseline.NewPlainServer("127.0.0.1:0",
 				storage.NewSink("r", storage.LocalSSDProfile), fmt.Sprintf("p-%d", i), aof)
 			if err == nil {
 				closers = append(closers, srv.Stop)

@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"strconv"
 	"sync"
@@ -22,6 +21,7 @@ import (
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
+	"dpr/internal/serve"
 	"dpr/internal/storage"
 	"dpr/internal/wire"
 )
@@ -58,22 +58,10 @@ type WorkerConfig struct {
 	Device storage.Device
 	// KV configures the underlying FasterKV instance.
 	KV kv.Config
-	// LeaseDuration guards against outdated ownership information (§5.3):
-	// each claimed partition is a lease the worker renews against the
-	// metadata store; when renewal fails (ownership moved, metadata
-	// unreachable) the worker stops serving the partition after the lease
-	// expires. 0 disables leasing (claims never expire).
-	LeaseDuration time.Duration
 	// Obs selects the metrics registry (nil: obs.Default); TraceSize the
 	// lifecycle trace ring capacity (<= 0: obs.DefaultTraceSize).
 	Obs       *obs.Registry
 	TraceSize int
-	// Lanes is the number of serving lanes instruments are attributed to.
-	// Each connection is assigned a lane id round-robin; per-lane batch/op
-	// counters and the imbalance gauge make scaling regressions visible on
-	// /metrics without per-connection label cardinality. <= 0 selects a
-	// default sized to runtime.GOMAXPROCS, capped at 16.
-	Lanes int
 }
 
 // Worker is one D-FASTER shard server.
@@ -83,13 +71,13 @@ type Worker struct {
 	dpr   *libdpr.Worker
 	meta  metadata.Service
 
-	// owned is the authoritative ownership map, mutated only under ownedMu
-	// by the (rare) membership operations: claim, renounce, lease renewal.
-	// The batch hot path never takes the mutex; it reads ownedSnap, an
-	// immutable copy republished after every mutation.
+	// owned is the authoritative ownership set, mutated only under ownedMu
+	// by the (rare) membership operations: claim, renounce. The batch hot
+	// path never takes the mutex; it reads ownedSnap, an immutable copy
+	// republished after every mutation.
 	ownedMu   sync.Mutex
-	owned     map[uint64]time.Time // partition -> lease expiry (zero = no expiry)
-	ownedSnap atomic.Pointer[map[uint64]time.Time]
+	owned     map[uint64]struct{}
+	ownedSnap atomic.Pointer[map[uint64]struct{}]
 	// moved records partitions this worker donated and who owns them now, so
 	// ownership misses from sessions still routed here turn into
 	// ErrCodeMoved redirects (carrying the new owner) instead of blind
@@ -104,24 +92,8 @@ type Worker struct {
 	refusalMu sync.Mutex
 	refusals  map[refusalKey]*refusalLedger
 
-	ln       net.Listener
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	// conns tracks accepted connections so Stop can unblock their read
-	// loops; without this, Stop hangs until clients hang up on their own.
-	connsMu sync.Mutex
-	conns   map[net.Conn]struct{}
-
-	// push is the cut-advance subscriber set: every serving connection
-	// registers its locked writer so the worker can fan pushed FrameCutAdvance
-	// frames out when its cut snapshot changes (libdpr.Worker.OnCutAdvance) —
-	// idle sessions see commit progress in push latency instead of having to
-	// poll the finder. pushMu is never held across a socket write: the
-	// fan-out snapshots the set and writes lock-free of it.
-	pushMu sync.Mutex
-	push   map[*servedConn]struct{}
+	// srv is the serving frame: listener, frame loop, cut-advance pushes.
+	srv *serve.Server
 
 	// Serving-layer instruments (libDPR protocol instruments live on w.dpr).
 	batchesC  *obs.Counter
@@ -160,34 +132,25 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 	if cfg.Partitions <= 0 {
 		return nil, errors.New("dfaster: Partitions must be positive")
 	}
+	srv, err := serve.Listen(cfg.ListenAddr)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
 	w := &Worker{
 		cfg:      cfg,
 		store:    store,
 		meta:     meta,
-		owned:    make(map[uint64]time.Time),
+		owned:    make(map[uint64]struct{}),
 		moved:    make(map[uint64]core.WorkerID),
 		refusals: make(map[refusalKey]*refusalLedger),
-		conns:    make(map[net.Conn]struct{}),
-		push:     make(map[*servedConn]struct{}),
-		stop:     make(chan struct{}),
+		srv:      srv,
 	}
-	empty := make(map[uint64]time.Time)
-	w.ownedSnap.Store(&empty)
-	emptyMoved := make(map[uint64]core.WorkerID)
-	w.movedSnap.Store(&emptyMoved)
-	addr := cfg.ListenAddr
-	if addr != "" {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		w.ln = ln
-		addr = ln.Addr().String()
-	}
+	w.publishOwnedLocked()
+	w.publishMovedLocked()
 	dw, err := libdpr.NewWorker(libdpr.WorkerConfig{
 		ID:                 cfg.ID,
-		Addr:               addr,
+		Addr:               srv.Addr(),
 		CheckpointInterval: cfg.CheckpointInterval,
 		MinCommitInterval:  cfg.MinCommitInterval,
 		// Pre-encode the piggybacked cut once per refresh so replies splice
@@ -197,36 +160,40 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 		TraceSize: cfg.TraceSize,
 	}, store, meta)
 	if err != nil {
-		if w.ln != nil {
-			w.ln.Close()
-		}
+		srv.Stop()
 		store.Close()
 		return nil, err
 	}
 	w.dpr = dw
-	dw.OnCutAdvance(w.pushCutAdvance)
+	dw.OnCutAdvance(srv.PushCutAdvance)
 	w.registerObs()
-	if w.ln != nil {
-		w.wg.Add(1)
-		go w.acceptLoop()
-	}
-	if cfg.LeaseDuration > 0 {
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			t := time.NewTicker(cfg.LeaseDuration / 3)
-			defer t.Stop()
-			for {
-				select {
-				case <-w.stop:
-					return
-				case <-t.C:
-					w.renewLeases()
-				}
-			}
-		}()
-	}
+	srv.Start(w.openConn)
 	return w, nil
+}
+
+// openConn builds one connection's serving state: its own FasterKV session
+// (§5.2: "when a session operates on a worker, the worker creates a
+// corresponding FASTER session"), scratch and execution lane, so batches
+// execute allocation-free. A connection that opens with FrameMigrateBegin is
+// a migration stream, not a session.
+func (w *Worker) openConn() serve.Handler {
+	sess := w.store.NewSession()
+	sc := NewBatchScratch()
+	lane := w.NewLane()
+	return serve.Handler{
+		Execute: func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
+			return w.executeBatch(sess, req, sc, lane)
+		},
+		Takeover: func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer) {
+			if tag == wire.FrameMigrateBegin {
+				w.receiveMigration(fr, bw, sess, payload)
+			}
+		},
+		Close: func() {
+			sess.Close()
+			lane.Close()
+		},
+	}
 }
 
 // registerObs registers the serving-layer instruments. Get-or-create
@@ -253,11 +220,7 @@ func (w *Worker) registerObs() {
 	w.drainH = reg.Histogram("dpr_store_epoch_drain_seconds",
 		"Latency of store epoch drains (checkpoint boundaries, rollback fences, eviction).", lbls...)
 	w.store.OnDrain(w.drainH.Observe)
-	nlanes := w.cfg.Lanes
-	if nlanes <= 0 {
-		nlanes = defaultLanes()
-	}
-	w.laneStats = make([]laneInstruments, nlanes)
+	w.laneStats = make([]laneInstruments, defaultLanes())
 	for i := range w.laneStats {
 		laneLbls := append(append([]obs.Label(nil), lbls...),
 			obs.L("lane", strconv.Itoa(i)))
@@ -286,7 +249,9 @@ func (w *Worker) registerObs() {
 		}, lbls...)
 }
 
-// defaultLanes sizes the lane count to the machine, like the kv index's
+// defaultLanes sizes the number of serving lanes instruments are attributed
+// to (per-lane batch/op counters and the imbalance gauge, without
+// per-connection label cardinality) to the machine, like the kv index's
 // default shard count.
 func defaultLanes() int {
 	n := runtime.GOMAXPROCS(0)
@@ -339,12 +304,7 @@ func (w *Worker) DebugState() obs.DPRState {
 func (w *Worker) ID() core.WorkerID { return w.cfg.ID }
 
 // Addr returns the worker's listen address ("" if co-located only).
-func (w *Worker) Addr() string {
-	if w.ln == nil {
-		return ""
-	}
-	return w.ln.Addr().String()
-}
+func (w *Worker) Addr() string { return w.srv.Addr() }
 
 // Store exposes the underlying FasterKV (co-located applications and tests).
 func (w *Worker) Store() *kv.Store { return w.store }
@@ -360,9 +320,9 @@ func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
 // publishOwnedLocked republishes the ownership snapshot; ownedMu must be
 // held. The snapshot is immutable after publication.
 func (w *Worker) publishOwnedLocked() {
-	snap := make(map[uint64]time.Time, len(w.owned))
-	for p, e := range w.owned {
-		snap[p] = e
+	snap := make(map[uint64]struct{}, len(w.owned))
+	for p := range w.owned {
+		snap[p] = struct{}{}
 	}
 	w.ownedSnap.Store(&snap)
 }
@@ -395,33 +355,27 @@ func (w *Worker) markMoved(ps []uint64, to core.WorkerID) {
 // so stale sessions still get redirected.
 func (w *Worker) MarkMoved(ps []uint64, to core.WorkerID) { w.markMoved(ps, to) }
 
-// OwnedPartitions lists the partitions this worker currently owns (live
-// leases only, when leasing is enabled).
+// OwnedPartitions lists the partitions this worker currently owns.
 func (w *Worker) OwnedPartitions() []uint64 {
 	owned := *w.ownedSnap.Load()
-	now := time.Now()
 	ps := make([]uint64, 0, len(owned))
 	for p := range owned {
-		if ownsAt(owned, p, now) {
-			ps = append(ps, p)
-		}
+		ps = append(ps, p)
 	}
 	return ps
 }
 
 // ClaimPartitions registers this worker as the owner of the given virtual
-// partitions, both locally and in the metadata store. With leasing enabled,
-// the local claim is valid for LeaseDuration and renewed by the lease loop.
+// partitions, both locally and in the metadata store.
 func (w *Worker) ClaimPartitions(ps ...uint64) error {
 	for _, p := range ps {
 		if err := w.meta.SetOwner(p, w.cfg.ID); err != nil {
 			return err
 		}
 	}
-	expiry := w.leaseExpiry()
 	w.ownedMu.Lock()
 	for _, p := range ps {
-		w.owned[p] = expiry
+		w.owned[p] = struct{}{}
 		// A partition that migrated away and back is owned here again; stale
 		// redirects would bounce sessions to a worker that no longer owns it.
 		delete(w.moved, p)
@@ -430,15 +384,6 @@ func (w *Worker) ClaimPartitions(ps ...uint64) error {
 	w.publishMovedLocked()
 	w.ownedMu.Unlock()
 	return nil
-}
-
-// leaseExpiry returns the expiry for a fresh claim/renewal (zero time when
-// leasing is disabled).
-func (w *Worker) leaseExpiry() time.Time {
-	if w.cfg.LeaseDuration <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(w.cfg.LeaseDuration)
 }
 
 // Renounce drops local ownership of a partition immediately (the first step
@@ -451,216 +396,18 @@ func (w *Worker) Renounce(p uint64) {
 	w.ownedMu.Unlock()
 }
 
-// Owns reports whether the worker currently owns partition p (with a live
-// lease, if leasing is enabled).
+// Owns reports whether the worker currently owns partition p.
 func (w *Worker) Owns(p uint64) bool {
-	return ownsAt(*w.ownedSnap.Load(), p, time.Now())
+	_, ok := (*w.ownedSnap.Load())[p]
+	return ok
 }
 
-func ownsAt(owned map[uint64]time.Time, p uint64, now time.Time) bool {
-	expiry, ok := owned[p]
-	if !ok {
-		return false
-	}
-	return expiry.IsZero() || now.Before(expiry)
-}
-
-// renewLeases revalidates every claim against the metadata store, extending
-// leases the store still confirms and dropping partitions that moved.
-func (w *Worker) renewLeases() {
-	w.ownedMu.Lock()
-	ps := make([]uint64, 0, len(w.owned))
-	for p := range w.owned {
-		ps = append(ps, p)
-	}
-	w.ownedMu.Unlock()
-	type verdict struct {
-		p    uint64
-		ours bool
-	}
-	verdicts := make([]verdict, 0, len(ps))
-	for _, p := range ps {
-		owner, err := w.meta.OwnerOf(p)
-		if err != nil {
-			continue // metadata hiccup: lease runs out on its own
-		}
-		verdicts = append(verdicts, verdict{p: p, ours: owner == w.cfg.ID})
-	}
-	w.ownedMu.Lock()
-	for _, v := range verdicts {
-		if v.ours {
-			if _, still := w.owned[v.p]; still {
-				w.owned[v.p] = w.leaseExpiry()
-			}
-		} else {
-			delete(w.owned, v.p)
-		}
-	}
-	w.publishOwnedLocked()
-	w.ownedMu.Unlock()
-}
-
-// TransferPartition moves partition p from this worker to another worker:
-// the old owner renounces locally, defers to the next checkpoint boundary so
-// ownership is static within versions (§5.3), then updates the metadata
-// store; the destination claims last.
-func (w *Worker) TransferPartition(p uint64, to *Worker) error {
-	if !w.Owns(p) {
-		return fmt.Errorf("dfaster: worker %d does not own partition %d", w.cfg.ID, p)
-	}
-	w.Renounce(p)
-	// Flush batches still executing against the pre-renounce ownership
-	// snapshot before sealing the boundary (same freeze rule as
-	// DonatePartitions).
-	w.dpr.QuiesceExecution()
-	// Defer to a checkpoint boundary: force a version change so all
-	// operations this worker executed on the partition sit in versions
-	// strictly before the transfer.
-	boundary := w.store.CurrentVersion()
-	if err := w.store.BeginCommit(boundary); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for w.store.CurrentVersion() <= boundary {
-		if time.Now().After(deadline) {
-			return errors.New("dfaster: transfer checkpoint timed out")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return to.ClaimPartitions(p)
-}
-
-// Stop shuts the worker down (listener, live connections, libDPR loop,
-// store). Closing tracked connections unblocks serveConn read loops; before
-// this, Stop hung until every client disconnected on its own.
+// Stop shuts the worker down: the serving frame (listener, live connections
+// and their goroutines), then the libDPR loop, then the store.
 func (w *Worker) Stop() {
-	w.stopOnce.Do(func() {
-		close(w.stop)
-		if w.ln != nil {
-			w.ln.Close()
-		}
-		w.connsMu.Lock()
-		for c := range w.conns {
-			c.Close()
-		}
-		w.connsMu.Unlock()
-	})
-	w.wg.Wait()
+	w.srv.Stop()
 	w.dpr.Stop()
 	w.store.Close()
-}
-
-// trackConn registers an accepted connection for Stop to close. It refuses
-// the connection when the worker is already stopping: the check happens
-// under connsMu, the same lock Stop holds while draining, so a connection is
-// either in the map when Stop drains it or observes the closed stop channel
-// here.
-func (w *Worker) trackConn(conn net.Conn) bool {
-	w.connsMu.Lock()
-	defer w.connsMu.Unlock()
-	select {
-	case <-w.stop:
-		return false
-	default:
-	}
-	w.conns[conn] = struct{}{}
-	return true
-}
-
-func (w *Worker) untrackConn(conn net.Conn) {
-	w.connsMu.Lock()
-	delete(w.conns, conn)
-	w.connsMu.Unlock()
-}
-
-// servedConn pairs a serving connection's buffered writer with the mutex
-// that serializes reply writes (serveConn) against pushed cut-advance frames
-// (pushCutAdvance). Only the writer half is shared; the read loop stays
-// single-owner. detached (guarded by wmu) marks a connection whose writer
-// was handed to a dedicated stream (migration): unregistering alone cannot
-// stop a fan-out that already snapshotted the subscriber set, so pushes
-// re-check under the lock.
-type servedConn struct {
-	wmu      sync.Mutex
-	bw       *bufio.Writer
-	detached bool
-}
-
-// detach permanently excludes the connection from pushes, including fan-outs
-// already in flight: after detach returns, no push will touch bw again.
-func (pc *servedConn) detach() {
-	pc.wmu.Lock()
-	pc.detached = true
-	pc.wmu.Unlock()
-}
-
-func (w *Worker) registerPush(pc *servedConn) {
-	w.pushMu.Lock()
-	w.push[pc] = struct{}{}
-	w.pushMu.Unlock()
-}
-
-func (w *Worker) unregisterPush(pc *servedConn) {
-	w.pushMu.Lock()
-	delete(w.push, pc)
-	w.pushMu.Unlock()
-}
-
-// pushCutAdvance fans one cut-advance frame out to every subscribed
-// connection; it is the worker's libdpr OnCutAdvance observer, invoked
-// whenever the cut snapshot changes. The frame is encoded once from the
-// snapshot's pre-encoded cut section and spliced to each subscriber; each
-// write flushes immediately — push latency is the point, and an idle
-// connection has no upcoming reply to flush the frame out with it. A write
-// error is left for the connection's own serve loop to discover (bufio
-// errors are sticky).
-func (w *Worker) pushCutAdvance(wl core.WorldLine, encoded []byte) {
-	if len(encoded) == 0 {
-		return
-	}
-	w.pushMu.Lock()
-	if len(w.push) == 0 {
-		w.pushMu.Unlock()
-		return
-	}
-	targets := make([]*servedConn, 0, len(w.push))
-	for pc := range w.push {
-		targets = append(targets, pc)
-	}
-	w.pushMu.Unlock()
-	out := wire.GetBuffer()
-	*out = wire.AppendCutAdvanceEncoded((*out)[:0], wl, encoded)
-	for _, pc := range targets {
-		pc.wmu.Lock()
-		if !pc.detached {
-			if wire.WriteFrame(pc.bw, wire.FrameCutAdvance, *out) == nil {
-				pc.bw.Flush()
-			}
-		}
-		pc.wmu.Unlock()
-	}
-	wire.PutBuffer(out)
-}
-
-func (w *Worker) acceptLoop() {
-	defer w.wg.Done()
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			select {
-			case <-w.stop:
-				return
-			default:
-				continue
-			}
-		}
-		if !w.trackConn(conn) {
-			conn.Close()
-			return
-		}
-		w.wg.Add(1)
-		go w.serveConn(conn)
-	}
 }
 
 // BatchScratch holds the per-session reusable state of the batch execution
@@ -702,97 +449,6 @@ func growVersions(s []core.Version, n int) []core.Version {
 	return s[:n]
 }
 
-// serveConn handles one client connection: batches are processed in order;
-// each connection gets its own FasterKV session (§5.2: "when a session
-// operates on a worker, the worker creates a corresponding FASTER session")
-// and its own scratch, so the serving loop is allocation-free in steady
-// state: frames land in a pooled connection buffer, requests alias that
-// buffer, results are built in the scratch, and replies are encoded into a
-// pooled output buffer.
-func (w *Worker) serveConn(conn net.Conn) {
-	defer w.wg.Done()
-	defer w.untrackConn(conn)
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 1<<16))
-	defer fr.Close()
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	// Cut-advance subscription is lazy — only session connections (those
-	// that send batch requests) subscribe. A migration stream's dial would
-	// otherwise race its FrameMigrateBegin against a push: the source reads
-	// the ack with a plain frame reader that expects no interleaving.
-	pc := &servedConn{bw: bw}
-	registered := false
-	defer func() {
-		if registered {
-			w.unregisterPush(pc)
-		}
-	}()
-	out := wire.GetBuffer()
-	defer wire.PutBuffer(out)
-	sc := NewBatchScratch()
-	var req wire.BatchRequest
-	sess := w.store.NewSession()
-	defer sess.Close()
-	lane := w.NewLane()
-	defer lane.Close()
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		tag, payload, err := fr.Read()
-		if err != nil {
-			return
-		}
-		if tag == wire.FrameMigrateBegin {
-			// The connection becomes a dedicated migration stream: the peer
-			// is not a session, so pushes stop (including any fan-out already
-			// in flight) before the handover takes over the writer; then
-			// receive, ack, and close.
-			if registered {
-				w.unregisterPush(pc)
-				registered = false
-				pc.detach()
-			}
-			w.receiveMigration(fr, bw, sess, payload)
-			return
-		}
-		if tag != wire.FrameBatchRequest {
-			return
-		}
-		if !registered {
-			w.registerPush(pc)
-			registered = true
-		}
-		if err := wire.DecodeBatchRequestInto(&req, payload); err != nil {
-			return
-		}
-		reply, errReply := w.executeBatch(sess, &req, sc, lane)
-		var replyTag byte
-		if errReply != nil {
-			*out = wire.AppendError((*out)[:0], errReply)
-			replyTag = wire.FrameError
-		} else {
-			*out = wire.AppendBatchReply((*out)[:0], reply)
-			replyTag = wire.FrameBatchReply
-		}
-		pc.wmu.Lock()
-		werr := wire.WriteFrame(bw, replyTag, *out)
-		// Flush when no more batches are immediately available.
-		if werr == nil && fr.Buffered() == 0 {
-			werr = bw.Flush()
-		}
-		pc.wmu.Unlock()
-		if werr != nil {
-			return
-		}
-	}
-}
-
 // executeBatch runs the full server-side pipeline for one batch: libDPR
 // admission, ownership validation, execution (with PENDING resolution),
 // dependency recording, and reply assembly. Shared by the network path and
@@ -816,12 +472,11 @@ func (w *Worker) executeBatch(sess *kv.Session, req *wire.BatchRequest, sc *Batc
 	executed := false
 	defer func() { w.dpr.ReleaseBatch(req.Header, lane.exec, executed) }()
 	// Ownership validation against the local view (§5.3). The snapshot is
-	// immutable, so no lock is taken; one clock read covers the whole batch.
+	// immutable, so no lock is taken.
 	owned := *w.ownedSnap.Load()
-	now := time.Now()
 	for i := range req.Ops {
 		part := PartitionOf(req.Ops[i].Key, w.cfg.Partitions)
-		if !ownsAt(owned, part, now) {
+		if _, ok := owned[part]; !ok {
 			w.badOwnerC.Inc()
 			// A donated partition redirects with the new owner, so the
 			// session re-routes on its next transmit without a metadata

@@ -5,19 +5,12 @@
 // version. Restore restarts the underlying instance from the snapshot
 // matching the requested version — exactly the integration strategy the
 // paper describes for stock Redis.
-//
-// The package also provides the two baselines of Figures 17/18: a plain
-// server exposing redisclone over the same wire protocol without any DPR
-// work, and a pass-through proxy, which isolates the cost of the extra
-// network hop from the cost of the DPR algorithm itself.
 package dredis
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -28,6 +21,7 @@ import (
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
 	"dpr/internal/redisclone"
+	"dpr/internal/serve"
 	"dpr/internal/storage"
 	"dpr/internal/wire"
 )
@@ -249,63 +243,14 @@ type Worker struct {
 	dpr  *libdpr.Worker
 	meta metadata.Service
 
-	ln       net.Listener
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	// conns tracks accepted connections so Stop can unblock their read
-	// loops; without this, Stop hangs until clients hang up on their own.
-	tracker connTracker
-
-	// push is the cut-advance subscriber set (see dfaster: idle sessions see
-	// commit progress in push latency). pushMu is never held across a socket
-	// write: the fan-out snapshots the set and writes lock-free of it.
-	pushMu sync.Mutex
-	push   map[*servedConn]struct{}
+	// srv is the serving frame: listener, frame loop, cut-advance pushes.
+	srv *serve.Server
 
 	// Serving-layer instruments (libDPR protocol instruments live on w.dpr).
 	batchesC  *obs.Counter
 	opsC      *obs.Counter
 	batchLatH *obs.Histogram
 	batchOpsH *obs.Histogram
-}
-
-// connTracker registers live connections so Stop can close them. The
-// stop-check and map insert happen under one lock, so a connection is either
-// in the map when closeAll drains it or observes the closed stop channel.
-type connTracker struct {
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-func (t *connTracker) track(conn net.Conn, stop <-chan struct{}) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	select {
-	case <-stop:
-		return false
-	default:
-	}
-	if t.conns == nil {
-		t.conns = make(map[net.Conn]struct{})
-	}
-	t.conns[conn] = struct{}{}
-	return true
-}
-
-func (t *connTracker) untrack(conn net.Conn) {
-	t.mu.Lock()
-	delete(t.conns, conn)
-	t.mu.Unlock()
-}
-
-func (t *connTracker) closeAll() {
-	t.mu.Lock()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.mu.Unlock()
 }
 
 // batchScratch is the per-connection reusable state of batch execution.
@@ -330,22 +275,15 @@ func (sc *batchScratch) grow(n int) {
 
 // NewWorker starts a D-Redis worker.
 func NewWorker(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
-	so := newStateObject(cfg.Device, fmt.Sprintf("dredis-%d", cfg.ID), cfg.AOF)
-	w := &Worker{cfg: cfg, so: so, meta: meta, stop: make(chan struct{}),
-		push: make(map[*servedConn]struct{})}
-	addr := cfg.ListenAddr
-	if addr != "" {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			so.close()
-			return nil, err
-		}
-		w.ln = ln
-		addr = ln.Addr().String()
+	srv, err := serve.Listen(cfg.ListenAddr)
+	if err != nil {
+		return nil, err
 	}
+	so := newStateObject(cfg.Device, fmt.Sprintf("dredis-%d", cfg.ID), cfg.AOF)
+	w := &Worker{cfg: cfg, so: so, meta: meta, srv: srv}
 	dw, err := libdpr.NewWorker(libdpr.WorkerConfig{
 		ID:                 cfg.ID,
-		Addr:               addr,
+		Addr:               srv.Addr(),
 		CheckpointInterval: cfg.CheckpointInterval,
 		MinCommitInterval:  cfg.MinCommitInterval,
 		// Pre-encode the piggybacked cut once per refresh so replies splice
@@ -355,19 +293,23 @@ func NewWorker(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 		TraceSize: cfg.TraceSize,
 	}, so, meta)
 	if err != nil {
-		if w.ln != nil {
-			w.ln.Close()
-		}
+		srv.Stop()
 		so.close()
 		return nil, err
 	}
 	w.dpr = dw
-	dw.OnCutAdvance(w.pushCutAdvance)
+	dw.OnCutAdvance(srv.PushCutAdvance)
 	w.registerObs()
-	if w.ln != nil {
-		w.wg.Add(1)
-		go w.acceptLoop()
-	}
+	srv.Start(func() serve.Handler {
+		sc := &batchScratch{}
+		lane := dw.NewLane()
+		return serve.Handler{
+			Execute: func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
+				return w.executeBatch(req, sc, lane)
+			},
+			Close: lane.Close,
+		}
+	})
 	return w, nil
 }
 
@@ -405,12 +347,7 @@ func (w *Worker) DebugState() obs.DPRState {
 func (w *Worker) ID() core.WorkerID { return w.cfg.ID }
 
 // Addr returns the listen address.
-func (w *Worker) Addr() string {
-	if w.ln == nil {
-		return ""
-	}
-	return w.ln.Addr().String()
-}
+func (w *Worker) Addr() string { return w.srv.Addr() }
 
 // Rollback implements cluster.RollbackTarget.
 func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
@@ -420,144 +357,12 @@ func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
 // DPR exposes the libDPR worker.
 func (w *Worker) DPR() *libdpr.Worker { return w.dpr }
 
-// Stop shuts down the worker, closing live connections so serve loops
-// unblock instead of waiting for clients to hang up.
+// Stop shuts down the worker: the serving frame (listener, live connections
+// and their goroutines), then the libDPR loop, then the wrapped instance.
 func (w *Worker) Stop() {
-	w.stopOnce.Do(func() {
-		close(w.stop)
-		if w.ln != nil {
-			w.ln.Close()
-		}
-		w.tracker.closeAll()
-	})
-	w.wg.Wait()
+	w.srv.Stop()
 	w.dpr.Stop()
 	w.so.close()
-}
-
-func (w *Worker) acceptLoop() {
-	defer w.wg.Done()
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			select {
-			case <-w.stop:
-				return
-			default:
-				continue
-			}
-		}
-		if !w.tracker.track(conn, w.stop) {
-			conn.Close()
-			return
-		}
-		w.wg.Add(1)
-		go w.serveConn(conn)
-	}
-}
-
-// servedConn pairs a serving connection's buffered writer with the mutex
-// that serializes reply writes (serveConn) against pushed cut-advance frames
-// (pushCutAdvance); same shape as dfaster's.
-type servedConn struct {
-	wmu sync.Mutex
-	bw  *bufio.Writer
-}
-
-func (w *Worker) registerPush(pc *servedConn) {
-	w.pushMu.Lock()
-	w.push[pc] = struct{}{}
-	w.pushMu.Unlock()
-}
-
-func (w *Worker) unregisterPush(pc *servedConn) {
-	w.pushMu.Lock()
-	delete(w.push, pc)
-	w.pushMu.Unlock()
-}
-
-// pushCutAdvance fans one cut-advance frame out to every subscribed
-// connection; it is the worker's libdpr OnCutAdvance observer. Each write
-// flushes immediately — an idle connection has no upcoming reply to flush
-// the frame out with it. Write errors are left for the connection's own
-// serve loop to discover (bufio errors are sticky).
-func (w *Worker) pushCutAdvance(wl core.WorldLine, encoded []byte) {
-	if len(encoded) == 0 {
-		return
-	}
-	w.pushMu.Lock()
-	if len(w.push) == 0 {
-		w.pushMu.Unlock()
-		return
-	}
-	targets := make([]*servedConn, 0, len(w.push))
-	for pc := range w.push {
-		targets = append(targets, pc)
-	}
-	w.pushMu.Unlock()
-	out := wire.GetBuffer()
-	*out = wire.AppendCutAdvanceEncoded((*out)[:0], wl, encoded)
-	for _, pc := range targets {
-		pc.wmu.Lock()
-		if wire.WriteFrame(pc.bw, wire.FrameCutAdvance, *out) == nil {
-			pc.bw.Flush()
-		}
-		pc.wmu.Unlock()
-	}
-	wire.PutBuffer(out)
-}
-
-func (w *Worker) serveConn(conn net.Conn) {
-	defer w.wg.Done()
-	defer w.tracker.untrack(conn)
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 1<<16))
-	defer fr.Close()
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	pc := &servedConn{bw: bw}
-	w.registerPush(pc)
-	defer w.unregisterPush(pc)
-	out := wire.GetBuffer()
-	defer wire.PutBuffer(out)
-	var sc batchScratch
-	var req wire.BatchRequest
-	lane := w.dpr.NewLane()
-	defer lane.Close()
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		tag, payload, err := fr.Read()
-		if err != nil || tag != wire.FrameBatchRequest {
-			return
-		}
-		if err := wire.DecodeBatchRequestInto(&req, payload); err != nil {
-			return
-		}
-		reply, errReply := w.executeBatch(&req, &sc, lane)
-		var replyTag byte
-		if errReply != nil {
-			*out = wire.AppendError((*out)[:0], errReply)
-			replyTag = wire.FrameError
-		} else {
-			*out = wire.AppendBatchReply((*out)[:0], reply)
-			replyTag = wire.FrameBatchReply
-		}
-		pc.wmu.Lock()
-		werr := wire.WriteFrame(bw, replyTag, *out)
-		if werr == nil && fr.Buffered() == 0 {
-			werr = bw.Flush()
-		}
-		pc.wmu.Unlock()
-		if werr != nil {
-			return
-		}
-	}
 }
 
 // ExecuteBatch runs the server-side libDPR pipeline for one batch: admission,
@@ -655,230 +460,4 @@ func (w *Worker) executeBatch(req *wire.BatchRequest, sc *batchScratch, lane *li
 	w.batchOpsH.ObserveValue(uint64(len(req.Ops)))
 	w.batchLatH.Observe(time.Since(start))
 	return &sc.reply, nil
-}
-
-// ---- baselines for Figures 17/18 ----
-
-// PlainServer serves a redisclone instance over the wire protocol with no
-// DPR processing at all — the "Redis" baseline.
-type PlainServer struct {
-	srv      *redisclone.Server
-	ln       net.Listener
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	tracker  connTracker
-}
-
-// NewPlainServer starts a plain server on addr with persistence disabled.
-func NewPlainServer(addr string, device storage.Device, prefix string) (*PlainServer, error) {
-	return NewPlainServerAOF(addr, device, prefix, redisclone.AOFOff)
-}
-
-// NewPlainServerAOF starts a plain server with the given append-only-file
-// mode; AOFAlways yields Redis's synchronous recoverability, AOFEverySec the
-// eventual level (Figure 19 baselines).
-func NewPlainServerAOF(addr string, device storage.Device, prefix string, aof redisclone.AOFMode) (*PlainServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	p := &PlainServer{
-		srv:  redisclone.New(redisclone.Config{Device: device, Prefix: prefix, AOF: aof}),
-		ln:   ln,
-		stop: make(chan struct{}),
-	}
-	p.wg.Add(1)
-	go p.acceptLoop()
-	return p, nil
-}
-
-// Addr returns the listen address.
-func (p *PlainServer) Addr() string { return p.ln.Addr().String() }
-
-// Stop shuts the server down, closing live connections so serve loops
-// unblock instead of waiting for clients to hang up.
-func (p *PlainServer) Stop() {
-	p.stopOnce.Do(func() {
-		close(p.stop)
-		p.ln.Close()
-		p.tracker.closeAll()
-	})
-	p.wg.Wait()
-	p.srv.Stop()
-}
-
-func (p *PlainServer) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			select {
-			case <-p.stop:
-				return
-			default:
-				continue
-			}
-		}
-		if !p.tracker.track(conn, p.stop) {
-			conn.Close()
-			return
-		}
-		p.wg.Add(1)
-		go p.serveConn(conn)
-	}
-}
-
-func (p *PlainServer) serveConn(conn net.Conn) {
-	defer p.wg.Done()
-	defer p.tracker.untrack(conn)
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 1<<16))
-	defer fr.Close()
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	out := wire.GetBuffer()
-	defer wire.PutBuffer(out)
-	var sc batchScratch
-	var req wire.BatchRequest
-	for {
-		tag, payload, err := fr.Read()
-		if err != nil || tag != wire.FrameBatchRequest {
-			return
-		}
-		if err := wire.DecodeBatchRequestInto(&req, payload); err != nil {
-			return
-		}
-		sc.grow(len(req.Ops))
-		results := sc.results
-		for i, op := range req.Ops {
-			switch op.Kind {
-			case wire.OpUpsert:
-				p.srv.Set(string(op.Key), op.Value)
-				results[i] = wire.OpResult{Status: wire.StatusOK}
-			case wire.OpRead:
-				v, ok, _ := p.srv.Get(string(op.Key))
-				if ok {
-					results[i] = wire.OpResult{Status: wire.StatusOK, Value: v}
-				} else {
-					results[i] = wire.OpResult{Status: wire.StatusNotFound}
-				}
-			case wire.OpDelete:
-				p.srv.Del(string(op.Key))
-				results[i] = wire.OpResult{Status: wire.StatusOK}
-			case wire.OpRMW:
-				var delta int64
-				if len(op.Value) >= 8 {
-					delta = int64(binary.LittleEndian.Uint64(op.Value))
-				}
-				p.srv.Incr(string(op.Key), delta)
-				results[i] = wire.OpResult{Status: wire.StatusOK}
-			default:
-				results[i] = wire.OpResult{Status: wire.StatusError}
-			}
-		}
-		sc.reply = wire.BatchReply{Results: results}
-		*out = wire.AppendBatchReply((*out)[:0], &sc.reply)
-		if wire.WriteFrame(bw, wire.FrameBatchReply, *out) != nil {
-			return
-		}
-		if fr.Buffered() == 0 {
-			if bw.Flush() != nil {
-				return
-			}
-		}
-	}
-}
-
-// Proxy is a byte-level pass-through TCP proxy, the "Redis + Proxy" control
-// of §7.5 that isolates the extra network hop from the DPR algorithm.
-type Proxy struct {
-	ln       net.Listener
-	backend  string
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	tracker  connTracker
-}
-
-// NewProxy listens on addr and forwards every connection to backend.
-func NewProxy(addr, backend string) (*Proxy, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	p := &Proxy{ln: ln, backend: backend, stop: make(chan struct{})}
-	p.wg.Add(1)
-	go p.acceptLoop()
-	return p, nil
-}
-
-// Addr returns the proxy's listen address.
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// Stop shuts the proxy down, closing live connections so pipe loops unblock
-// instead of waiting for both ends to hang up.
-func (p *Proxy) Stop() {
-	p.stopOnce.Do(func() {
-		close(p.stop)
-		p.ln.Close()
-		p.tracker.closeAll()
-	})
-	p.wg.Wait()
-}
-
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			select {
-			case <-p.stop:
-				return
-			default:
-				continue
-			}
-		}
-		back, err := net.Dial("tcp", p.backend)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		if !p.tracker.track(conn, p.stop) || !p.tracker.track(back, p.stop) {
-			conn.Close()
-			back.Close()
-			return
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		if tc, ok := back.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		p.wg.Add(2)
-		go p.pipe(conn, back)
-		go p.pipe(back, conn)
-	}
-}
-
-func (p *Proxy) pipe(dst, src net.Conn) {
-	defer p.wg.Done()
-	defer p.tracker.untrack(dst)
-	defer p.tracker.untrack(src)
-	defer dst.Close()
-	defer src.Close()
-	buf := make([]byte, 1<<16)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
 }

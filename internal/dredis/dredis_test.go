@@ -166,38 +166,6 @@ func TestDRedisFailureRecovery(t *testing.T) {
 	}
 }
 
-func TestPlainServerAndProxy(t *testing.T) {
-	plain, err := dredis.NewPlainServer("127.0.0.1:0", storage.NewNull(), "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Stop()
-	proxy, err := dredis.NewProxy("127.0.0.1:0", plain.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Stop()
-
-	// Drive both through raw wire framing.
-	for _, target := range []string{plain.Addr(), proxy.Addr()} {
-		conn := dialWire(t, target)
-		req := &wire.BatchRequest{Ops: []wire.Op{
-			{Kind: wire.OpUpsert, Key: []byte("k"), Value: []byte("v")},
-			{Kind: wire.OpRead, Key: []byte("k")},
-			{Kind: wire.OpRead, Key: []byte("absent")},
-		}}
-		req.Header.NumOps = 3
-		reply := conn.roundTrip(t, req)
-		if len(reply.Results) != 3 ||
-			reply.Results[0].Status != wire.StatusOK ||
-			reply.Results[1].Status != wire.StatusOK || string(reply.Results[1].Value) != "v" ||
-			reply.Results[2].Status != wire.StatusNotFound {
-			t.Fatalf("target %s: bad reply %+v", target, reply.Results)
-		}
-		conn.close()
-	}
-}
-
 func TestDRedisVersionFastForward(t *testing.T) {
 	// The progress rule through the unmodified-store wrapper: a batch
 	// carrying a high Vs forces the D-Redis state object to BGSAVE until

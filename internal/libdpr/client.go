@@ -344,21 +344,24 @@ func (s *Session) ObserveCut(wl core.WorldLine, cut core.Cut) error {
 	return nil
 }
 
-// WaitCommit blocks until the session's committed prefix reaches seq, a
-// failure intervenes, or the timeout expires — the paper's "sessions may
-// wait for commit at any time" group-commit affordance (§2).
+// WaitCommit blocks until seq is committed — the prefix has reached it and,
+// under relaxed DPR, no exception at or below it remains (an operation inside
+// an exception hole is not committed, wherever the prefix stands) — or a
+// failure intervenes, or the timeout expires: the paper's "sessions may wait
+// for commit at any time" group-commit affordance (§2).
 func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		p, err := s.RefreshCommit()
-		if err != nil {
+		if _, err := s.RefreshCommit(); err != nil {
 			return err
 		}
-		if p >= seq {
+		// Exceptions are sorted, so the first one decides.
+		p, exc := s.tracker.Committed()
+		if p >= seq && (len(exc) == 0 || exc[0] > seq) {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("libdpr: commit of seq %d timed out (prefix at %d)", seq, p)
+			return fmt.Errorf("libdpr: commit of seq %d timed out (prefix at %d, %d exceptions)", seq, p, len(exc))
 		}
 		time.Sleep(time.Millisecond)
 	}

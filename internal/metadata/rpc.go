@@ -9,6 +9,7 @@ import (
 
 	"dpr/internal/core"
 	"dpr/internal/obs"
+	"dpr/internal/serve/listen"
 )
 
 // This file exposes the metadata Service over the network (net/rpc with gob
@@ -100,14 +101,9 @@ type RPCService struct {
 	hbMu       sync.Mutex
 	heartbeats map[core.WorkerID]time.Time
 
-	// Serving lifecycle: Serve tracks the listener, every accepted conn,
-	// and a WaitGroup joined by the accept and per-conn goroutines, so
-	// Stop can tear the whole serving stack down instead of leaking
-	// goroutines blocked in ServeConn reads.
-	ln     net.Listener
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	// ln is the serving side (set by Serve): accept loop, tracked
+	// connections, and the Stop that joins them.
+	ln *listen.Listener
 }
 
 // NewRPCService wraps a store.
@@ -115,26 +111,7 @@ func NewRPCService(store *Store) *RPCService {
 	return &RPCService{
 		store:      store,
 		heartbeats: make(map[core.WorkerID]time.Time),
-		conns:      make(map[net.Conn]struct{}),
 	}
-}
-
-// track registers an accepted conn; it reports false when the service is
-// already stopping (conns nil) and the caller should drop the conn.
-func (s *RPCService) track(conn net.Conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.conns == nil {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *RPCService) untrack(conn net.Conn) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	delete(s.conns, conn)
 }
 
 // Stop closes the listener and every live connection, then waits for the
@@ -142,16 +119,8 @@ func (s *RPCService) untrack(conn net.Conn) {
 // than once.
 func (s *RPCService) Stop() {
 	if s.ln != nil {
-		_ = s.ln.Close()
+		s.ln.Stop()
 	}
-	s.connMu.Lock()
-	conns := s.conns
-	s.conns = nil
-	s.connMu.Unlock()
-	for conn := range conns {
-		_ = conn.Close()
-	}
-	s.wg.Wait()
 }
 
 // RegisterWorker is the RPC for Service.RegisterWorker.
@@ -316,27 +285,8 @@ func Serve(store *Store, addr string) (*RPCService, net.Listener, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	svc.ln = ln
-	svc.wg.Add(1)
-	go func() {
-		defer svc.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if !svc.track(conn) {
-				_ = conn.Close()
-				continue
-			}
-			svc.wg.Add(1)
-			go func() {
-				defer svc.wg.Done()
-				defer svc.untrack(conn)
-				srv.ServeConn(conn)
-			}()
-		}
-	}()
+	svc.ln = listen.On(ln)
+	svc.ln.Serve(func(conn net.Conn) { srv.ServeConn(conn) })
 	return svc, ln, nil
 }
 

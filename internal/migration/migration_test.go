@@ -150,7 +150,31 @@ func TestMigrateMovesDataAndOwnership(t *testing.T) {
 	}
 
 	// The client's owner cache still points at the donor for the moved
-	// partitions: every read below exercises the ErrCodeMoved redirect.
+	// partitions. A write routed by it is refused there and lands on the new
+	// owner; every read below exercises the same ErrCodeMoved redirect.
+	moved := make(map[uint64]bool, len(parts))
+	for _, p := range parts {
+		moved[p] = true
+	}
+	var status atomic.Uint32
+	status.Store(99)
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("key-%d", i))
+		if !moved[dfaster.PartitionOf(key, testPartitions)] {
+			continue
+		}
+		err := c.Upsert(key, []byte(fmt.Sprintf("val-%d", i)), func(r wire.OpResult) { status.Store(uint32(r.Status)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if byte(status.Load()) != wire.StatusOK {
+		t.Fatalf("write through a stale owner cache: status %d", status.Load())
+	}
 	readAll(t, c, n)
 
 	// The session keeps committing across the flip.

@@ -19,8 +19,9 @@ import (
 // microseconds, 8 sub-buckets each.
 const NumBuckets = 512
 
-// Histogram is a concurrent log-bucketed latency histogram covering
-// [1µs, ~17min] with ~4% relative error.
+// Histogram is a concurrent log-bucketed latency histogram covering every
+// duration from 1µs up. A bucket spans 1/8 of its power of two and quantiles
+// report the bucket's lower bound, so they can read up to 12.5% low.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -28,7 +29,7 @@ type Histogram struct {
 	max     atomic.Uint64 // microseconds
 }
 
-// bucketOf maps a duration to a bucket: 64 sub-buckets per power of two of
+// bucketOf maps a duration to a bucket: 8 sub-buckets per power of two of
 // microseconds.
 func bucketOf(d time.Duration) int {
 	us := d.Microseconds()
