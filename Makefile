@@ -1,12 +1,19 @@
 GO ?= go
+# Seeds per chaos sweep (chaos-elastic, chaos-fastcommit); CI's PR job uses 5.
+CHAOS_SEEDS ?= 20
 
-.PHONY: check build vet dpr-vet test bench-module loc race fuzz bench bench-commit bench-scaling bench-scale scale-smoke chaos-elastic chaos-fastcommit
+.PHONY: check build fmt-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-commit bench-scaling bench-scale scale-smoke chaos-elastic chaos-fastcommit
 
 # The full pre-commit gate, in the order CI runs it.
-check: build vet dpr-vet test bench-module
+check: build fmt-check vet dpr-vet test bench-module
 
 build:
 	$(GO) build ./...
+
+# gofmt over every tracked Go file; any name printed is a failure.
+fmt-check:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +43,15 @@ loc:
 
 race:
 	$(GO) test -race ./...
+
+# The commit path's interleaving- and timing-sensitive tests — kv seals and
+# torn-seal recovery, the libdpr commit pump and CommitBoundary — twenty times
+# each under the race detector, on one processor and on two.
+commit-path-stress:
+	$(GO) test -race -count=20 -cpu 1,2 -timeout 20m \
+		-run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv
+	$(GO) test -race -count=20 -cpu 1,2 -timeout 20m \
+		-run 'TestPump|TestFailedSeal|TestCommitPump|TestCommitBoundary|TestWorkerEffectiveIntervals' ./internal/libdpr
 
 # Replay the checked-in decoder corpus and mutate for a few seconds per
 # target, mirroring the CI fuzz job.
@@ -81,7 +97,7 @@ bench-scale:
 # Reproduce one seed with: CHAOS_ELASTIC=1 CHAOS_SEED=<seed> \
 #   go test ./internal/chaos -race -run Chaos
 chaos-elastic:
-	CHAOS_ELASTIC=1 CHAOS_SEEDS=20 $(GO) test ./internal/chaos -race \
+	CHAOS_ELASTIC=1 CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
 		-run 'TestChaos$$' -timeout 40m -v
 
 # Fast-commit chaos sweep: the dirty-driven commit pump at a 500µs floor, so
@@ -89,7 +105,7 @@ chaos-elastic:
 # the seal→report window. Reproduce one seed with:
 #   CHAOS_FASTCOMMIT=1 CHAOS_SEED=<seed> go test ./internal/chaos -race -run Chaos
 chaos-fastcommit:
-	CHAOS_FASTCOMMIT=1 CHAOS_SEEDS=20 $(GO) test ./internal/chaos -race \
+	CHAOS_FASTCOMMIT=1 CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
 		-run 'TestChaos$$' -timeout 40m -v
 
 # The 100k-session harness under the race detector — the PR-triggered CI

@@ -71,7 +71,12 @@ func TestFacadeCounters(t *testing.T) {
 }
 
 func TestFacadeFailureSurfacesSurvival(t *testing.T) {
-	c, err := dpr.NewCluster(dpr.ClusterConfig{Shards: 2, CheckpointInterval: 5 * time.Millisecond})
+	// Cloud-SSD storage makes every seal a 2 ms device write, so the burst
+	// issued just before the failure is still uncommitted when it fires: the
+	// failure must erase something and a SurvivalError must say so.
+	c, err := dpr.NewCluster(dpr.ClusterConfig{
+		Shards: 2, CheckpointInterval: 5 * time.Millisecond, Storage: dpr.StorageCloudSSD,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +90,15 @@ func TestFacadeFailureSurfacesSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed, _ := s.Committed()
+	const volatile = 32
+	for i := 0; i < volatile; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("volatile%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := c.InjectFailure(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +126,10 @@ func TestFacadeFailureSurfacesSurvival(t *testing.T) {
 	}
 	if surv.SurvivingPrefix < committed {
 		t.Fatalf("committed prefix lost: %d < %d", surv.SurvivingPrefix, committed)
+	}
+	if surv.SurvivingPrefix >= committed+volatile && len(surv.Exceptions) == 0 {
+		t.Fatalf("nothing was erased (surviving prefix %d of %d issued): the burst committed before the failure",
+			surv.SurvivingPrefix, committed+volatile)
 	}
 	s.Acknowledge()
 	if err := s.Put([]byte("after"), []byte("y")); err != nil {

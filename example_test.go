@@ -52,6 +52,9 @@ func Example_failureHandling() {
 	cluster, err := dpr.NewCluster(dpr.ClusterConfig{
 		Shards:             1,
 		CheckpointInterval: 5 * time.Millisecond,
+		// A commit is one device write away: on storage with a 2 ms write,
+		// the failure below lands while "volatile" is still being sealed.
+		Storage: dpr.StorageCloudSSD,
 	})
 	if err != nil {
 		panic(err)

@@ -27,13 +27,13 @@ import (
 // attributed to their enclosing declaration.
 type callGraph struct {
 	u      *Unit
-	spanOf map[*types.Func]*funcSpan   // declared funcs with bodies
+	spanOf map[*types.Func]*funcSpan     // declared funcs with bodies
 	out    map[*types.Func][]*types.Func // deduped synchronous edges
 	// siteCallees resolves every call expression in the unit (including
 	// those inside go-spawned literals) to its declared in-unit targets.
 	siteCallees map[*ast.CallExpr][]*types.Func
 	goSites     []goSite
-	named       []*types.Named            // concrete named types in the unit
+	named       []*types.Named // concrete named types in the unit
 	implCache   map[*types.Func][]*types.Func
 	closures    map[*types.Func]map[*types.Func]bool
 }

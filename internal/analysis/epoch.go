@@ -23,16 +23,16 @@ import (
 //     deadlock. Inside an entered region the checker flags:
 //
 //     - channel sends, receives, range-over-channel, and selects without a
-//       default case;
+//     default case;
 //     - time.Sleep and sync.WaitGroup.Wait;
 //     - calls to epoch.Table.Drain/WaitObserved, directly or through any
-//       call chain in the module (the whole-program part: the call graph
-//       decides reachability);
+//     call chain in the module (the whole-program part: the call graph
+//     decides reachability);
 //     - acquiring a drain-coupled mutex — a lock some function holds across
-//       a transitive drain (e.g. kv's checkpoint state-machine lock): the
-//       drain the holder waits on cannot finish until this slot exits;
+//     a transitive drain (e.g. kv's checkpoint state-machine lock): the
+//     drain the holder waits on cannot finish until this slot exits;
 //     - blocking I/O (net.Conn/net.Listener/os.File reads, writes,
-//       accepts, and net dial/listen calls).
+//     accepts, and net dial/listen calls).
 //
 // The analysis is per-function over the same abstract-interpretation shape
 // as the mutex checker (intersection merges, deferred releases); slot types

@@ -61,8 +61,8 @@ func (c *GoroutineChecker) Run(u *Unit) []Diagnostic {
 			continue
 		}
 		diags = append(diags, Diagnostic{
-			Pos:   pos,
-			Check: c.Name(),
+			Pos:     pos,
+			Check:   c.Name(),
 			Message: "go statement has no stop path reachable from an owner Stop/Close: no joined WaitGroup (Done+Wait), no receive on a closed done channel, and no owner-closed conn/listener — the goroutine can leak past shutdown and wedge Stop",
 		})
 	}
@@ -71,8 +71,8 @@ func (c *GoroutineChecker) Run(u *Unit) []Diagnostic {
 
 // lifecycleEvidence holds the unit-wide facts the per-site scan consults.
 type lifecycleEvidence struct {
-	u     *Unit
-	g     *callGraph
+	u      *Unit
+	g      *callGraph
 	waited map[types.Object]bool // WaitGroups with a Wait() call somewhere
 	closed map[types.Object]bool // channels with a close() call somewhere
 	// netClosers: declared functions whose body closes a net.Conn/Listener.

@@ -459,8 +459,8 @@ func (f *migFlow) checkExit(st *migState, at token.Pos) {
 	}
 	for _, p := range st.pending {
 		f.diags = append(f.diags, Diagnostic{
-			Pos:   f.u.Position(at),
-			Check: f.check,
+			Pos:     f.u.Position(at),
+			Check:   f.check,
 			Message: fmt.Sprintf("BeginMigrate at %s is not resolved on this path: no CompleteMigrate or AbortMigrate (direct, transitive, or deferred) before this return — an unresolved migration record wedges the shard", f.u.Position(p.pos)),
 		})
 	}

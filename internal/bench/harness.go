@@ -90,8 +90,9 @@ type clusterSpec struct {
 	shards     int
 	partitions int
 	ckptEvery  time.Duration // 0 disables checkpoints ("No Chkpts")
-	// minCommit is the dirty-driven commit pump's rate limit (0: the libDPR
-	// default; < 0 disables the pump — the purely polled commit plane).
+	// minCommit is the dirty-driven commit pump's floor between seal starts
+	// (0: none, adaptive; < 0 disables the pump — the purely polled commit
+	// plane).
 	minCommit time.Duration
 	backend   StorageBackend
 	finder    metadata.FinderKind

@@ -44,9 +44,10 @@ type Config struct {
 	// Checkpoint is the per-worker commit cadence (small, so cuts advance
 	// fast enough for short scenarios).
 	Checkpoint time.Duration
-	// MinCommit is the dirty-driven commit pump's rate limit (0: the libDPR
-	// default; < 0 disables the pump). CHAOS_FASTCOMMIT drives it low so
-	// delta checkpoints seal constantly and crashes land inside the
+	// MinCommit is the dirty-driven commit pump's floor between seal starts
+	// (0: none, the pump adapts to the seal duration; < 0 disables the pump).
+	// CHAOS_FASTCOMMIT pins it at 500µs so the cadence does not depend on
+	// how fast the host's device model is and crashes land inside the
 	// seal→report window.
 	MinCommit time.Duration
 	// Finder selects the cut-finding algorithm under test.

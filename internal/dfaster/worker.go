@@ -48,9 +48,10 @@ type WorkerConfig struct {
 	ListenAddr string
 	// CheckpointInterval is the periodic commit cadence (paper: 100ms).
 	CheckpointInterval time.Duration
-	// MinCommitInterval rate-limits libDPR's dirty-driven commit pump, the
-	// event-driven fast path in front of the periodic cadence (0: the libDPR
-	// default; < 0 disables the pump — see libdpr.WorkerConfig).
+	// MinCommitInterval paces libDPR's dirty-driven commit pump, the
+	// event-driven fast path in front of the periodic cadence (0: adaptive,
+	// the gap after a seal is three times the seal's measured duration; > 0: also a floor
+	// between seal starts; < 0 disables the pump — see libdpr.WorkerConfig).
 	MinCommitInterval time.Duration
 	// Partitions is the cluster-wide virtual partition count.
 	Partitions int

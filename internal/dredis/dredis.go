@@ -222,8 +222,10 @@ type WorkerConfig struct {
 	ID                 core.WorkerID
 	ListenAddr         string
 	CheckpointInterval time.Duration
-	// MinCommitInterval rate-limits libDPR's dirty-driven commit pump (0:
-	// the libDPR default; < 0 disables the pump — see libdpr.WorkerConfig).
+	// MinCommitInterval paces libDPR's dirty-driven commit pump (0: adaptive
+	// — a snapshot is followed by a pause three times as long as it took,
+	// so snapshots never run back to back; > 0: also a floor between commit starts; < 0
+	// disables the pump — see libdpr.WorkerConfig).
 	MinCommitInterval time.Duration
 	Device            storage.Device
 	// AOF lets Figure 19 run the same worker in synchronous-recoverability

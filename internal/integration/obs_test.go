@@ -102,6 +102,7 @@ func TestObsEndpoints(t *testing.T) {
 		"# TYPE dpr_worker_cut_lag gauge",
 		"# TYPE dpr_server_batches_total counter",
 		"# TYPE dpr_server_batch_latency_seconds histogram",
+		"# TYPE dpr_seal_seconds histogram",
 	} {
 		if !strings.Contains(after, family) {
 			t.Fatalf("missing %q in worker exposition:\n%s", family, after)
@@ -135,6 +136,12 @@ func TestObsEndpoints(t *testing.T) {
 	}
 	if wst.CommittedVersion == 0 {
 		t.Fatalf("worker snapshot shows no committed progress: %+v", wst)
+	}
+	// The cadence explains itself: the default pump is adaptive, and after a
+	// committed workload the gap it yields is the last seal's duration.
+	if wst.CommitPump != "adaptive" || wst.MinCommitIntervalMS != 0 || wst.CommitGapMS <= 0 {
+		t.Fatalf("worker snapshot: commit_pump %q min_commit_interval_ms %v commit_gap_ms %v",
+			wst.CommitPump, wst.MinCommitIntervalMS, wst.CommitGapMS)
 	}
 	rst := scrapeDebug(t, dredisObsHTTP)
 	if rst.Kind != "dredis" || rst.Worker != 2 {

@@ -35,9 +35,9 @@ const (
 
 func deltaBlobName(v core.Version) string { return fmt.Sprintf("sdelta-%d", v) }
 
-// writeDelta serializes every record in versions (base, target] into the
-// delta blob and waits for durability. Called from the checkpoint state
-// machine after the version drain, like writeSnapshot: in-window records are
+// buildDelta serializes every record in versions (base, target] into the
+// delta blob's bytes. Called from the checkpoint state
+// machine after the version drain, like buildSnapshot: in-window records are
 // frozen, shards scan concurrently, and each bucket chain is walked under its
 // stripe lock (records are only chain-reachable once fully written, so the
 // walk never sees a half-built record).
@@ -52,7 +52,7 @@ func deltaBlobName(v core.Version) string { return fmt.Sprintf("sdelta-%d", v) }
 // bucket's visit is walked here (it sits at the chain top), re-marking the
 // bucket for the next window, and one written after the visit re-marks it
 // itself (its stamp was just cleared).
-func (s *Store) writeDelta(target, base core.Version, lowWater int64, ranges []versionRange) error {
+func (s *Store) buildDelta(target, base core.Version, lowWater int64, ranges []versionRange) []byte {
 	nshards := s.index.shardCount()
 	bufs := make([][]byte, nshards)
 	counts := make([]int, nshards)
@@ -127,7 +127,7 @@ func (s *Store) writeDelta(target, base core.Version, lowWater int64, ranges []v
 	for _, b := range bufs {
 		out = append(out, b...)
 	}
-	return s.writeBlobSync(deltaBlobName(target), out)
+	return out
 }
 
 // snapshotLayer is one blob of a snapshot chain.

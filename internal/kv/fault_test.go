@@ -147,7 +147,7 @@ func TestRecoverUnderReadFaults(t *testing.T) {
 }
 
 // failAfterReads passes through a bounded number of reads and then injects
-// failures: the mid-restore fault window (checkpoint metadata readable, log
+// failures: the mid-restore fault window (checkpoint record readable, log
 // body not).
 type failAfterReads struct {
 	storage.Device
@@ -162,8 +162,9 @@ func (d *failAfterReads) Read(blob string, offset int64, size int) ([]byte, erro
 }
 
 // TestRecoverReadFaultMidRestore: the device dies after recovery has already
-// read the checkpoint metadata — the log load must surface the device error
-// rather than return a half-populated store.
+// read the checkpoint record — the log load must surface the device error
+// rather than return a half-populated store or mistake the unreadable range
+// for a torn seal.
 func TestRecoverReadFaultMidRestore(t *testing.T) {
 	mem := storage.NewNull()
 	cfg := Config{BucketCount: 1 << 8}
@@ -180,10 +181,10 @@ func TestRecoverReadFaultMidRestore(t *testing.T) {
 	sess.Close()
 	s.Close()
 
-	// Allow the "-latest" pointer and the checkpoint metadata through, then
-	// fail: the first log-body read hits the injected fault.
+	// Allow the one record slot written so far through, then fail: the first
+	// log-body read hits the injected fault.
 	d := &failAfterReads{Device: mem}
-	d.left.Store(2)
+	d.left.Store(1)
 	_, err := Recover(d, cfg, target)
 	if err == nil {
 		t.Fatal("mid-restore read fault must fail recovery")

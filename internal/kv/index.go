@@ -32,7 +32,7 @@ type indexShard struct {
 
 	// Dirty-bucket tracking for delta checkpoints. Every chain mutation
 	// marks its bucket (stamp + one append on the first touch per window),
-	// and writeDelta harvests the accumulated list instead of walking the
+	// and buildDelta harvests the accumulated list instead of walking the
 	// whole bucket array — the scan that makes a delta seal O(dirty) rather
 	// than O(buckets), which is what lets the commit pump run every few ms.
 	// dirtyStamp[b] is only touched under bucket b's stripe lock (or by the

@@ -82,9 +82,6 @@ type hlog struct {
 
 	// allocMu serializes slab creation (not record allocation).
 	allocMu sync.Mutex
-
-	// flushMu serializes flushes so flushedUntil advances in order.
-	flushMu sync.Mutex
 }
 
 func newHlog(device storage.Device, blob string) *hlog {
@@ -228,25 +225,13 @@ func (l *hlog) writeRecord(prev int64, version uint64, tombstone bool, key, val 
 	return recordView{buf: buf, addr: addr}
 }
 
-// flushTo copies log bytes [flushedUntil, boundary) to the device and
-// invokes done once they are durable. Callers serialize via the checkpoint
-// state machine; flushMu guards against overlapping direct calls.
-func (l *hlog) flushTo(boundary int64, done func(error)) {
-	l.flushMu.Lock()
-	start := l.flushedUntil.Load()
-	if boundary <= start {
-		l.flushMu.Unlock()
-		done(nil)
-		return
-	}
-	// Copy out the range slab by slab so the device write never races with
-	// in-place updates above the boundary.
-	type chunk struct {
-		off  int64
-		data []byte
-	}
-	var chunks []chunk
-	for off := start; off < boundary; {
+// copyOut copies log bytes [flushedUntil, boundary) out of the slabs, one
+// write per slab touched, so the device writes never race with in-place
+// updates above the boundary. The caller (the checkpoint state machine)
+// issues the writes and calls advanceFlushed(boundary) once they are durable.
+func (l *hlog) copyOut(boundary int64) (from int64, chunks []blobWrite, err error) {
+	from = l.flushedUntil.Load()
+	for off := from; off < boundary; {
 		end := (off>>slabBits + 1) << slabBits
 		if end > boundary {
 			end = boundary
@@ -255,42 +240,14 @@ func (l *hlog) flushTo(boundary int64, done func(error)) {
 		if s == nil {
 			// Already evicted (can happen only below flushedUntil, which we
 			// exclude), so this indicates a bug.
-			l.flushMu.Unlock()
-			done(fmt.Errorf("kv: flush range [%d,%d) evicted", off, end))
-			return
+			return from, nil, fmt.Errorf("kv: flush range [%d,%d) evicted", off, end)
 		}
 		data := make([]byte, end-off)
 		copy(data, s[off&slabMask:(off&slabMask)+(end-off)])
-		chunks = append(chunks, chunk{off: off, data: data})
+		chunks = append(chunks, blobWrite{blob: l.blob, off: off, data: data})
 		off = end
 	}
-	l.flushMu.Unlock()
-
-	remaining := int64(len(chunks))
-	if remaining == 0 {
-		l.advanceFlushed(boundary)
-		done(nil)
-		return
-	}
-	var firstErr atomic.Value
-	var left atomic.Int64
-	left.Store(remaining)
-	for _, c := range chunks {
-		c := c
-		l.device.WriteAsync(l.blob, c.off, c.data, func(err error) {
-			if err != nil {
-				firstErr.CompareAndSwap(nil, err)
-			}
-			if left.Add(-1) == 0 {
-				if e := firstErr.Load(); e != nil {
-					done(e.(error))
-					return
-				}
-				l.advanceFlushed(boundary)
-				done(nil)
-			}
-		})
-	}
+	return from, chunks, nil
 }
 
 func (l *hlog) advanceFlushed(boundary int64) {

@@ -71,9 +71,7 @@ func TestLogFlushAndDiskRead(t *testing.T) {
 	r1 := l.writeRecord(nilAddress, 3, false, []byte("k1"), []byte("v1"), 0)
 	r2 := l.writeRecord(r1.addr, 4, true, []byte("k2"), nil, 0)
 	boundary := l.tail.Load()
-	done := make(chan error, 1)
-	l.flushTo(boundary, func(err error) { done <- err })
-	if err := <-done; err != nil {
+	if err := flushSync(l, boundary); err != nil {
 		t.Fatal(err)
 	}
 	if l.flushedUntil.Load() != boundary {
@@ -103,9 +101,9 @@ func TestLogEvictAndRelease(t *testing.T) {
 		l.writeRecord(nilAddress, 1, false, []byte{byte(i)}, big, 0)
 	}
 	boundary := l.tail.Load()
-	done := make(chan error, 1)
-	l.flushTo(boundary, func(err error) { done <- err })
-	<-done
+	if err := flushSync(l, boundary); err != nil {
+		t.Fatal(err)
+	}
 	old := l.advanceHead(2 * slabSize)
 	if old != 0 || l.head.Load() != 2*slabSize {
 		t.Fatalf("head advance: old=%d head=%d", old, l.head.Load())
@@ -196,9 +194,7 @@ func TestLogRecordRoundTripProperty(t *testing.T) {
 		}
 		// Flush and re-read from the device.
 		boundary := l.tail.Load()
-		done := make(chan error, 1)
-		l.flushTo(boundary, func(err error) { done <- err })
-		if err := <-done; err != nil {
+		if flushSync(l, boundary) != nil {
 			return false
 		}
 		for i, sp := range specs {
@@ -266,4 +262,17 @@ func TestStoreModelProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flushSync flushes [flushedUntil, boundary) the way a fold-over seal does,
+// minus the checkpoint record.
+func flushSync(l *hlog, boundary int64) error {
+	_, chunks, err := l.copyOut(boundary)
+	if err == nil {
+		err = writeAll(l.device, chunks)
+	}
+	if err == nil {
+		l.advanceFlushed(boundary)
+	}
+	return err
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Migration support: the donor side scans the frozen prefix of the moving
-// partitions (reusing the fold-over shard walk of writeSnapshot), and the
+// partitions (reusing the fold-over shard walk of buildSnapshot), and the
 // receive side relinks imported records at the head of the target's hash
 // chains without the in-place-update walk (the keys are new to the store).
 

@@ -37,14 +37,14 @@ func (k CheckpointKind) String() string {
 
 func snapBlobName(v core.Version) string { return fmt.Sprintf("snap-%d", v) }
 
-// writeSnapshot serializes every record live at versions <= target into the
-// snapshot blob and waits for durability. Called from the checkpoint state
+// buildSnapshot serializes every record live at versions <= target into the
+// snapshot blob's bytes. Called from the checkpoint state
 // machine after the version drain: records <= target are frozen, so the scan
 // is consistent. Index shards are scanned concurrently — each shard goroutine
 // serializes its own buckets into a private buffer under the stripe locks,
 // and the buffers are concatenated in shard order — so a snapshot's CPU cost
 // divides across cores instead of stalling serving behind one linear walk.
-func (s *Store) writeSnapshot(target core.Version, ranges []versionRange) error {
+func (s *Store) buildSnapshot(target core.Version, ranges []versionRange) []byte {
 	nshards := s.index.shardCount()
 	bufs := make([][]byte, nshards)
 	counts := make([]int, nshards)
@@ -102,10 +102,7 @@ func (s *Store) writeSnapshot(target core.Version, ranges []versionRange) error 
 	for _, b := range bufs {
 		out = append(out, b...)
 	}
-	if err := s.writeBlobSync(snapBlobName(target), out); err != nil {
-		return err
-	}
-	return nil
+	return out
 }
 
 // RecoverSnapshot reconstructs a store from a snapshot checkpoint at exactly
@@ -115,20 +112,30 @@ func RecoverSnapshot(device storage.Device, cfg Config, v core.Version) (*Store,
 	if cfg.Blob == "" {
 		cfg.Blob = "hlog"
 	}
+	m, err := latestValid(device, cfg.Blob)
+	if err != nil {
+		return nil, err
+	}
+	return recoverSnapshot(device, cfg, v, m)
+}
+
+// recoverSnapshot is RecoverSnapshot given the newest valid checkpoint record
+// (nil when the device holds none).
+func recoverSnapshot(device storage.Device, cfg Config, v core.Version, m *checkpointMeta) (*Store, error) {
 	chain, err := snapshotChain(device, v)
 	if err != nil {
 		return nil, err
 	}
 	// Visibility filter for delta layers, from the recovered checkpoint's
-	// metadata when present. Full snapshots and deltas already exclude
+	// record when it is the newest. Full snapshots and deltas already exclude
 	// rolled-back records at write time (and a rollback forces the next
 	// checkpoint to restart the chain with a full snapshot), so this is
 	// defense in depth, not load-bearing.
 	var ranges []versionRange
-	if meta, err := readCheckpointMeta(device, cfg.Blob, v); err == nil {
-		ranges = meta.Ranges
+	if m != nil && m.Version == v {
+		ranges = m.Ranges
 	}
-	s := NewStore(device, cfg)
+	s := newStore(device, cfg)
 	for _, layer := range chain {
 		if layer.delta {
 			err = s.applyDelta(layer.raw, ranges)
@@ -147,6 +154,9 @@ func RecoverSnapshot(device storage.Device, cfg Config, v core.Version) (*Store,
 	// records allocated from here on.
 	s.snapLowWater = s.log.tail.Load()
 	s.snapForceFull = false
+	if m != nil {
+		s.ckptSeq = m.Seq
+	}
 	return s, nil
 }
 

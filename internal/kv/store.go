@@ -1,9 +1,7 @@
 package kv
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,6 +124,9 @@ type Store struct {
 	maxRequestedCkpt atomic.Uint64
 	// ckptRunning marks an in-flight checkpoint state machine.
 	ckptRunning atomic.Bool
+	// ckptSeq is the sequence number of the newest durable checkpoint record
+	// (guarded by smMu); the next seal writes ckptSeq+1 into the other slot.
+	ckptSeq uint64
 
 	// Snapshot-mode delta bookkeeping, guarded by smMu. snapLowWater is the
 	// log tail captured just before the previous successful checkpoint's
@@ -163,8 +164,20 @@ type Store struct {
 	rollbackCount   atomic.Uint64
 }
 
-// NewStore creates an empty store at version 1 over the given device.
+// NewStore creates an empty store at version 1 over the given device. The
+// store owns its blob name from here on: checkpoint records an earlier store
+// left under it are deleted, because the new store's sequence numbers start
+// over and recovery would otherwise prefer the stranger's higher ones.
 func NewStore(device storage.Device, cfg Config) *Store {
+	s := newStore(device, cfg)
+	for slot := uint64(0); slot < 2; slot++ {
+		_ = device.Delete(ckptSlotName(s.cfg.Blob, slot)) // absent on a new device
+	}
+	return s
+}
+
+// newStore is NewStore without touching the device: what recovery builds on.
+func newStore(device storage.Device, cfg Config) *Store {
 	if cfg.PendingWorkers <= 0 {
 		cfg.PendingWorkers = 4
 	}
@@ -362,47 +375,69 @@ func (s *Store) runCheckpoint() core.Version {
 	s.st.Store(uint64(makeState(PhaseInProgress, target+1)))
 	s.waitDrain()
 
+	var err error
 	if s.cfg.Checkpoint == Snapshot {
-		// Snapshot checkpoint: serialize the records at <= target — all of
-		// them (full snapshot), or just those above the previous checkpoint's
-		// base (delta). The drain above froze those records; both scans lock
-		// each bucket.
-		s.st.Store(uint64(makeState(PhaseWaitFlush, target+1)))
-		ranges := s.RolledBackRanges()
-		base := core.Version(s.persisted.Load())
-		delta := s.cfg.SnapshotFullEvery > 1 && !s.snapForceFull && base > 0 &&
-			s.snapSinceFull+1 < s.cfg.SnapshotFullEvery
-		var err error
-		if delta {
-			err = s.writeDelta(target, base, s.snapLowWater, ranges)
-		} else {
-			err = s.writeSnapshot(target, ranges)
-		}
-		if err != nil {
-			s.st.Store(uint64(makeState(PhaseRest, target+1)))
-			return target
-		}
-		if err := s.writeCheckpointMeta(target, -1); err != nil {
-			s.st.Store(uint64(makeState(PhaseRest, target+1)))
-			return target
-		}
-		if delta {
-			s.snapSinceFull++
-		} else {
-			s.snapSinceFull = 0
-			s.snapForceFull = false
-		}
-		s.snapLowWater = lowWater
-		s.persisted.Store(uint64(target))
-		s.checkpointCount.Add(1)
+		err = s.sealSnapshot(target, lowWater)
+	} else {
+		err = s.sealFoldOver(target)
+	}
+	if err != nil {
+		// Storage failure: abandon this checkpoint; operations continue in
+		// target+1 and a later checkpoint retries with a wider range.
 		s.st.Store(uint64(makeState(PhaseRest, target+1)))
-		s.notifyPersist(target)
 		return target
 	}
+	s.persisted.Store(uint64(target))
+	s.checkpointCount.Add(1)
+	s.st.Store(uint64(makeState(PhaseRest, target+1)))
+	s.notifyPersist(target)
+	if s.cfg.Checkpoint == FoldOver {
+		s.maybeEvict()
+		s.maybeCompactLocked()
+	}
+	return target
+}
 
-	// Fold-over checkpoint: all version<=target operations have drained, so
-	// the log prefix up to the current tail contains every record of the
-	// checkpoint. Freeze it.
+// sealSnapshot serializes the records at <= target — all of them (full
+// snapshot), or just those above the previous checkpoint's base (delta) — and
+// seals the blob. The version drain froze those records; both scans lock each
+// bucket.
+func (s *Store) sealSnapshot(target core.Version, lowWater int64) error {
+	s.st.Store(uint64(makeState(PhaseWaitFlush, target+1)))
+	ranges := s.RolledBackRanges()
+	base := core.Version(s.persisted.Load())
+	m := checkpointMeta{Version: target}
+	m.Delta = s.cfg.SnapshotFullEvery > 1 && !s.snapForceFull && base > 0 &&
+		s.snapSinceFull+1 < s.cfg.SnapshotFullEvery
+	var out []byte
+	if m.Delta {
+		out = s.buildDelta(target, base, s.snapLowWater, ranges)
+	} else {
+		out = s.buildSnapshot(target, ranges)
+	}
+	m.Boundary = int64(len(out))
+	if err := s.seal(m, []blobWrite{{blob: m.dataBlob(), data: out}}); err != nil {
+		// A delta consumed its shards' dirty lists, so the retry cannot be a
+		// delta; and whatever part of the blob landed must not be found by a
+		// later recovery scanning for snapshots by name.
+		s.snapForceFull = true
+		_ = s.device.Delete(m.dataBlob()) // best effort: the device just failed a write
+		return err
+	}
+	if m.Delta {
+		s.snapSinceFull++
+	} else {
+		s.snapSinceFull = 0
+		s.snapForceFull = false
+	}
+	s.snapLowWater = lowWater
+	return nil
+}
+
+// sealFoldOver freezes the log prefix holding every record of the checkpoint
+// and seals the part of it not yet on the device. All version<=target
+// operations have drained, so the prefix up to the current tail is complete.
+func (s *Store) sealFoldOver(target core.Version) error {
 	boundary := s.log.tail.Load()
 	s.log.readOnly.Store(boundary)
 	// Drain again so no in-flight operation still performs in-place updates
@@ -414,26 +449,15 @@ func (s *Store) runCheckpoint() core.Version {
 	s.log.frozen.Store(boundary)
 
 	s.st.Store(uint64(makeState(PhaseWaitFlush, target+1)))
-	flushDone := make(chan error, 1)
-	s.log.flushTo(boundary, func(err error) { flushDone <- err })
-	if err := <-flushDone; err != nil {
-		// Storage failure: abandon this checkpoint; operations continue in
-		// target+1 and a later checkpoint retries the flush.
-		s.st.Store(uint64(makeState(PhaseRest, target+1)))
-		return target
+	from, chunks, err := s.log.copyOut(boundary)
+	if err != nil {
+		return err
 	}
-	if err := s.writeCheckpointMeta(target, boundary); err != nil {
-		s.st.Store(uint64(makeState(PhaseRest, target+1)))
-		return target
+	if err := s.seal(checkpointMeta{Version: target, From: from, Boundary: boundary}, chunks); err != nil {
+		return err
 	}
-	s.persisted.Store(uint64(target))
-	s.checkpointCount.Add(1)
-	s.st.Store(uint64(makeState(PhaseRest, target+1)))
-	s.notifyPersist(target)
-
-	s.maybeEvict()
-	s.maybeCompactLocked()
-	return target
+	s.log.advanceFlushed(boundary)
+	return nil
 }
 
 // maybeCompactLocked runs auto-compaction after a checkpoint when the live
@@ -552,198 +576,6 @@ func (s *Store) maybeEvict() {
 	}
 	s.waitDrain()
 	s.log.releaseSlabs(old, newHead)
-}
-
-// ---- checkpoint metadata ----
-
-const ckptMagic = 0xD9C4_0001
-
-func ckptBlobName(v core.Version) string { return fmt.Sprintf("ckpt-%d", v) }
-
-func (s *Store) writeCheckpointMeta(v core.Version, boundary int64) error {
-	ranges := s.RolledBackRanges()
-	buf := make([]byte, 0, 40+len(ranges)*16)
-	var tmp [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], x)
-		buf = append(buf, tmp[:]...)
-	}
-	put(ckptMagic)
-	put(uint64(v))
-	put(uint64(boundary))
-	put(uint64(s.cfg.Checkpoint))
-	put(uint64(s.log.begin.Load()))
-	put(uint64(len(ranges)))
-	for _, r := range ranges {
-		put(uint64(r.Lo))
-		put(uint64(r.Hi))
-	}
-	if err := s.writeBlobSync(ckptBlobName(v), buf); err != nil {
-		return err
-	}
-	// Publish as the latest checkpoint only after the metadata is durable.
-	var latest [8]byte
-	binary.LittleEndian.PutUint64(latest[:], uint64(v))
-	return s.writeBlobSync(s.cfg.Blob+"-latest", latest[:])
-}
-
-func (s *Store) writeBlobSync(name string, data []byte) error {
-	ch := make(chan error, 1)
-	s.device.WriteAsync(name, 0, data, func(err error) { ch <- err })
-	return <-ch
-}
-
-// checkpointMeta is the decoded metadata of one durable checkpoint.
-type checkpointMeta struct {
-	Version  core.Version
-	Boundary int64
-	Kind     CheckpointKind
-	Begin    int64
-	Ranges   []versionRange
-}
-
-func readCheckpointMeta(device storage.Device, blob string, v core.Version) (*checkpointMeta, error) {
-	name := fmt.Sprintf("ckpt-%d", v)
-	size := device.BlobSize(name)
-	if size < 48 {
-		return nil, fmt.Errorf("kv: checkpoint %d missing or truncated", v)
-	}
-	data, err := device.Read(name, 0, int(size))
-	if err != nil {
-		return nil, err
-	}
-	get := func(i int) uint64 { return binary.LittleEndian.Uint64(data[i*8:]) }
-	if get(0) != ckptMagic {
-		return nil, fmt.Errorf("kv: checkpoint %d bad magic", v)
-	}
-	m := &checkpointMeta{
-		Version:  core.Version(get(1)),
-		Boundary: int64(get(2)),
-		Kind:     CheckpointKind(get(3)),
-		Begin:    int64(get(4)),
-	}
-	n := int(get(5))
-	for i := 0; i < n; i++ {
-		m.Ranges = append(m.Ranges, versionRange{
-			Lo: core.Version(get(6 + 2*i)),
-			Hi: core.Version(get(7 + 2*i)),
-		})
-	}
-	_ = blob
-	return m, nil
-}
-
-// LatestCheckpoint returns the version of the newest durable checkpoint on
-// the device for the given log blob name, or 0 if none exists.
-func LatestCheckpoint(device storage.Device, blob string) core.Version {
-	name := blob + "-latest"
-	if device.BlobSize(name) < 8 {
-		return 0
-	}
-	data, err := device.Read(name, 0, 8)
-	if err != nil {
-		return 0
-	}
-	return core.Version(binary.LittleEndian.Uint64(data))
-}
-
-// Recover reconstructs a store from the device so that exactly the
-// operations in versions <= v (minus rolled-back ranges) survive — the
-// restart path for a failed worker. It requires a durable checkpoint at a
-// version >= v (DPR only asks workers to recover to positions at or below
-// their persisted version).
-func Recover(device storage.Device, cfg Config, v core.Version) (*Store, error) {
-	if cfg.Blob == "" {
-		cfg.Blob = "hlog"
-	}
-	latest := LatestCheckpoint(device, cfg.Blob)
-	if latest == 0 {
-		return nil, errors.New("kv: no checkpoint on device")
-	}
-	if latest < v {
-		return nil, fmt.Errorf("kv: newest checkpoint %d predates requested version %d", latest, v)
-	}
-	meta, err := readCheckpointMeta(device, cfg.Blob, latest)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Kind == Snapshot {
-		// Snapshot checkpoints recover at a checkpointed version: use the
-		// newest snapshot or delta at or below v. (Fold-over supports
-		// arbitrary positions; this is the documented trade-off of snapshot
-		// mode.)
-		for ver := v; ver > 0; ver-- {
-			if device.BlobSize(snapBlobName(ver)) >= 8 ||
-				device.BlobSize(deltaBlobName(ver)) >= deltaHeaderSize {
-				return RecoverSnapshot(device, cfg, ver)
-			}
-			if v-ver > 1024 {
-				break
-			}
-		}
-		return nil, fmt.Errorf("kv: no snapshot at or below version %d", v)
-	}
-	s := NewStore(device, cfg)
-	// Load the durable log prefix into memory (compacted region excluded).
-	for off := meta.Begin; off < meta.Boundary; {
-		end := (off>>slabBits + 1) << slabBits
-		if end > meta.Boundary {
-			end = meta.Boundary
-		}
-		data, err := device.Read(cfg.Blob, off, int(end-off))
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("kv: read log: %w", err)
-		}
-		slab := *s.log.ensureSlab(off >> slabBits)
-		copy(slab[off&slabMask:], data)
-		off = end
-	}
-	s.log.tail.Store(meta.Boundary)
-	s.log.readOnly.Store(meta.Boundary)
-	s.log.flushedUntil.Store(meta.Boundary)
-	s.log.begin.Store(meta.Begin)
-	// The recovered prefix is immutable (readOnly == tail), so lock-free
-	// reads may serve from all of it immediately.
-	s.log.frozen.Store(meta.Boundary)
-
-	// Visibility: checkpoint-recorded rollbacks plus everything after v.
-	ranges := append([]versionRange(nil), meta.Ranges...)
-	if latest > v {
-		ranges = append(ranges, versionRange{Lo: v, Hi: latest})
-	}
-	s.rolledBack.Store(&ranges)
-
-	// Rebuild the index with one forward scan per shard, in parallel: every
-	// scan walks the whole recovered prefix but links only the records that
-	// hash into its own shard, so the rebuild's pointer writes are disjoint
-	// (scans read the shared prev/meta words atomically; see recordView).
-	errs := make([]error, s.index.shardCount())
-	s.index.forEachShard(func(si int) {
-		errs[si] = s.log.scan(meta.Begin, meta.Boundary, func(addr int64, r recordView) bool {
-			ver := core.Version(r.version())
-			if ver > v || rangesContain(ranges, ver) || r.invalid() {
-				return true
-			}
-			b := s.index.bucketFor(r.key())
-			if int(b>>48) != si {
-				return true
-			}
-			r.setPrev(s.index.head(b))
-			s.index.setHead(b, addr)
-			return true
-		})
-	})
-	for _, e := range errs {
-		if e != nil {
-			s.Close()
-			return nil, e
-		}
-	}
-	s.persisted.Store(uint64(v))
-	s.st.Store(uint64(makeState(PhaseRest, latest+1)))
-	s.maxRequestedCkpt.Store(uint64(latest))
-	return s, nil
 }
 
 var _ core.StateObject = (*Store)(nil)

@@ -130,12 +130,15 @@ func (s *Session) Tracker() *core.SessionTracker { return s.tracker }
 // NextBatch reserves n sequence numbers and builds the batch header to send
 // with them. Returns an error if an unacknowledged failure is pending.
 func (s *Session) NextBatch(n int) (BatchHeader, error) {
+	// The failure check and the reservation are one critical section with
+	// handleFailure's: a failure digested on a completion thread in between
+	// would otherwise hand this batch sequence numbers of the new world-line
+	// — reissued ones — before the application has acknowledged the rollback.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if f := s.failure; f != nil {
-		s.mu.Unlock()
 		return BatchHeader{}, f
 	}
-	s.mu.Unlock()
 	h := BatchHeader{
 		SessionID: s.id,
 		WorldLine: s.tracker.WorldLine(),
@@ -147,14 +150,8 @@ func (s *Session) NextBatch(n int) (BatchHeader, error) {
 		h.Dep = dep
 	}
 	if n > 0 && s.probeSeq.Load() == 0 {
-		// Arm under s.mu so a concurrent issuer cannot clobber probeAt
-		// between the idle check and the claim.
-		s.mu.Lock()
-		if s.probeSeq.Load() == 0 {
-			s.probeAt.Store(time.Now().UnixNano())
-			s.probeSeq.Store(h.SeqStart + uint64(n) - 1)
-		}
-		s.mu.Unlock()
+		s.probeAt.Store(time.Now().UnixNano())
+		s.probeSeq.Store(h.SeqStart + uint64(n) - 1)
 	}
 	return h, nil
 }

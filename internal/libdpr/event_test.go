@@ -35,8 +35,9 @@ func newEventWorker(t *testing.T, meta metadata.Service, cfg libdpr.WorkerConfig
 
 // TestWorkerEffectiveIntervals pins the config default resolution that
 // /debug/dpr surfaces: RefreshInterval follows CheckpointInterval/2, the
-// commit pump defaults to 2ms, a negative MinCommitInterval disables it, and
-// manual-commit workers (no checkpoint timer) never pump.
+// commit pump is adaptive (no floor) by default, an explicit MinCommitInterval
+// is a floor, a negative one disables the pump, and manual-commit workers (no
+// checkpoint timer) never pump.
 func TestWorkerEffectiveIntervals(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -44,11 +45,12 @@ func TestWorkerEffectiveIntervals(t *testing.T) {
 		wantRefreshMS    float64
 		wantMinCommitMS  float64
 		wantCheckpointMS float64
+		wantPump         string
 	}{
 		{
 			name:             "defaults couple to checkpoint interval",
 			cfg:              libdpr.WorkerConfig{CheckpointInterval: 100 * time.Millisecond},
-			wantCheckpointMS: 100, wantRefreshMS: 50, wantMinCommitMS: 2,
+			wantCheckpointMS: 100, wantRefreshMS: 50, wantMinCommitMS: 0, wantPump: "adaptive",
 		},
 		{
 			name: "explicit values win",
@@ -57,7 +59,7 @@ func TestWorkerEffectiveIntervals(t *testing.T) {
 				RefreshInterval:    7 * time.Millisecond,
 				MinCommitInterval:  3 * time.Millisecond,
 			},
-			wantCheckpointMS: 100, wantRefreshMS: 7, wantMinCommitMS: 3,
+			wantCheckpointMS: 100, wantRefreshMS: 7, wantMinCommitMS: 3, wantPump: "floor",
 		},
 		{
 			name: "negative MinCommitInterval disables the pump",
@@ -65,12 +67,12 @@ func TestWorkerEffectiveIntervals(t *testing.T) {
 				CheckpointInterval: 100 * time.Millisecond,
 				MinCommitInterval:  -1,
 			},
-			wantCheckpointMS: 100, wantRefreshMS: 50, wantMinCommitMS: 0,
+			wantCheckpointMS: 100, wantRefreshMS: 50, wantMinCommitMS: 0, wantPump: "off",
 		},
 		{
 			name:             "manual-commit workers do not pump",
 			cfg:              libdpr.WorkerConfig{},
-			wantCheckpointMS: 0, wantRefreshMS: 50, wantMinCommitMS: 0,
+			wantCheckpointMS: 0, wantRefreshMS: 50, wantMinCommitMS: 0, wantPump: "off",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +87,12 @@ func TestWorkerEffectiveIntervals(t *testing.T) {
 			}
 			if st.MinCommitIntervalMS != tc.wantMinCommitMS {
 				t.Errorf("min_commit_interval_ms = %v, want %v", st.MinCommitIntervalMS, tc.wantMinCommitMS)
+			}
+			if st.CommitPump != tc.wantPump {
+				t.Errorf("commit_pump = %q, want %q", st.CommitPump, tc.wantPump)
+			}
+			if tc.wantPump == "floor" && st.CommitGapMS != tc.wantMinCommitMS {
+				t.Errorf("commit_gap_ms = %v before any seal, want the floor %v", st.CommitGapMS, tc.wantMinCommitMS)
 			}
 			if !st.MetaWatch {
 				t.Error("meta_watch should be true over an in-process metadata store")

@@ -1,0 +1,349 @@
+package libdpr_test
+
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dpr/internal/core"
+	"dpr/internal/libdpr"
+	"dpr/internal/metadata"
+	"dpr/internal/obs"
+)
+
+// timedStore is a StateObject whose commit takes a configurable time and
+// nothing else: single-flight like kv, it announces each seal through
+// PersistNotifier and records when every commit started and ended.
+type timedStore struct {
+	commit time.Duration
+	// silent makes the next n commits vanish: version shifted, nothing
+	// persisted, nobody told — a storage error as the worker sees it.
+	silent atomic.Int32
+
+	current   atomic.Uint64
+	persisted atomic.Uint64
+	notify    atomic.Pointer[func(core.Version)]
+
+	mu      sync.Mutex
+	running bool
+	folded  int // BeginCommit calls that found a commit in flight
+	seals   []sealSpan
+}
+
+type sealSpan struct{ start, end time.Time }
+
+func newTimedStore(commit time.Duration) *timedStore {
+	s := &timedStore{commit: commit}
+	s.current.Store(1)
+	return s
+}
+
+func (s *timedStore) CurrentVersion() core.Version   { return core.Version(s.current.Load()) }
+func (s *timedStore) PersistedVersion() core.Version { return core.Version(s.persisted.Load()) }
+func (s *timedStore) Restore(core.Version) error     { return nil }
+func (s *timedStore) OnPersist(fn func(core.Version)) {
+	s.notify.Store(&fn)
+}
+
+func (s *timedStore) BeginCommit(v core.Version) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.running {
+		s.folded++
+		return nil
+	}
+	s.running = true
+	s.current.Store(uint64(v) + 1)
+	start := time.Now()
+	go func() {
+		// Yield rather than sleep: a sub-millisecond runtime timer in an
+		// otherwise idle process fires a millisecond late.
+		for time.Since(start) < s.commit {
+			runtime.Gosched()
+		}
+		s.mu.Lock()
+		s.running = false
+		if s.silent.Add(-1) >= 0 {
+			s.mu.Unlock()
+			return
+		}
+		s.seals = append(s.seals, sealSpan{start, time.Now()})
+		s.persisted.Store(uint64(v))
+		s.mu.Unlock()
+		(*s.notify.Load())(v)
+	}()
+	return nil
+}
+
+func (s *timedStore) spans() (seals []sealSpan, folded int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]sealSpan(nil), s.seals...), s.folded
+}
+
+// pumpRig is one worker over a timedStore, with a heartbeat far enough out
+// that every seal in a test is the pump's.
+type pumpRig struct {
+	w    *libdpr.Worker
+	so   *timedStore
+	lane *libdpr.ExecLane
+	next uint64
+}
+
+func newPumpRig(t *testing.T, so *timedStore, cfg libdpr.WorkerConfig) *pumpRig {
+	t.Helper()
+	cfg.ID, cfg.Addr = 1, "inproc-1"
+	if cfg.CheckpointInterval == 0 {
+		cfg.CheckpointInterval = 10 * time.Second
+	}
+	w, err := libdpr.NewWorker(cfg, so, metadata.NewStore(metadata.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &pumpRig{w: w, so: so, lane: w.NewLane()}
+	t.Cleanup(func() {
+		r.lane.Close()
+		w.Stop()
+	})
+	return r
+}
+
+// execute runs one empty guarded batch standing for ops operations: the path
+// that marks the worker dirty.
+func (r *pumpRig) execute(t *testing.T, ops uint32) {
+	h := libdpr.BatchHeader{SessionID: 7, SeqStart: r.next, NumOps: ops}
+	r.next += uint64(ops)
+	if _, err := r.w.AdmitBatchGuarded(h, r.lane); err != nil {
+		t.Error(err)
+		return
+	}
+	r.w.ReleaseBatch(h, r.lane, true)
+}
+
+// keepDirty executes 64-operation batches back to back for d: a flood. It
+// yields between batches: that is what a serving goroutine does at every
+// socket read, and what keeps the runtime's timers on time.
+func (r *pumpRig) keepDirty(t *testing.T, d time.Duration) {
+	for end := time.Now().Add(d); time.Now().Before(end); {
+		r.execute(t, 64)
+		runtime.Gosched()
+	}
+}
+
+// withinBound runs a timing measurement up to three times and fails only if
+// every attempt breaks its upper bound: a bound on elapsed time measures the
+// host's load as much as the pump, and the rest of the suite runs alongside.
+// Lower bounds (a gap at least as long as a seal, a floor between starts) hold
+// under any load and are asserted outright inside the measurement.
+func withinBound(t *testing.T, measure func(t *testing.T) error) {
+	t.Helper()
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		if err = measure(t); err == nil {
+			return
+		}
+		t.Logf("attempt %d: %v", attempt+1, err)
+	}
+	t.Fatal(err)
+}
+
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}
+
+// TestPumpSealsIdleWorkerAtOnce: a write landing on a worker whose last seal
+// is older than the gap it earned starts a seal with no added wait — the
+// fixed 2 ms floor would hold it back.
+func TestPumpSealsIdleWorkerAtOnce(t *testing.T) {
+	const commit = 200 * time.Microsecond
+	withinBound(t, func(t *testing.T) error {
+		r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{})
+		var waits []time.Duration
+		for i := 0; i < 21; i++ {
+			n, _ := r.so.spans()
+			marked := time.Now()
+			r.execute(t, 1)
+			for {
+				seals, _ := r.so.spans()
+				if len(seals) > len(n) {
+					waits = append(waits, seals[len(seals)-1].start.Sub(marked))
+					break
+				}
+				runtime.Gosched()
+			}
+			// Idle for longer than the gap one 200 µs seal earns, well under 2 ms.
+			for idle := time.Now(); time.Since(idle) < (libdpr.PumpGapSeals+2)*commit; {
+				runtime.Gosched()
+			}
+		}
+		if first := waits[0]; first > time.Millisecond {
+			return fmt.Errorf("first write on a fresh worker waited %v for its seal to start", first)
+		}
+		if m := median(waits); m > 500*time.Microsecond {
+			return fmt.Errorf("median wait from write to seal start on an idle worker = %v, want no added wait", m)
+		}
+		return nil
+	})
+}
+
+// sealPeriod is the median distance between consecutive seal starts. It also
+// checks the duty cycle outright: no seal started sooner after its
+// predecessor ended than PumpGapSeals times what that one took.
+func sealPeriod(t *testing.T, seals []sealSpan) time.Duration {
+	t.Helper()
+	if len(seals) < 3 {
+		t.Fatalf("only %d seals", len(seals))
+	}
+	periods := make([]time.Duration, 0, len(seals)-1)
+	for i := 1; i < len(seals); i++ {
+		periods = append(periods, seals[i].start.Sub(seals[i-1].start))
+		// The worker times a seal from just before the store starts it to
+		// the store's announcement, so its measure is never the shorter one.
+		took := seals[i-1].end.Sub(seals[i-1].start)
+		if gap := seals[i].start.Sub(seals[i-1].end); gap < libdpr.PumpGapSeals*took {
+			t.Fatalf("seal %d started %v after a seal that took %v, want %d times that",
+				i, gap, took, libdpr.PumpGapSeals)
+		}
+	}
+	return median(periods)
+}
+
+// TestPumpNeverSealsBackToBack: with a 40 ms commit (dredis's snapshot) and
+// continuous writes, every seal is followed by a pause PumpGapSeals times as
+// long as the seal — never the back-to-back snapshots a fixed short interval
+// causes.
+func TestPumpNeverSealsBackToBack(t *testing.T) {
+	const commit = 40 * time.Millisecond
+	r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{})
+	r.keepDirty(t, 900*time.Millisecond)
+	seals, folded := r.so.spans()
+	if folded != 0 {
+		t.Fatalf("%d commits were requested while one was in flight", folded)
+	}
+	sealPeriod(t, seals)
+	if st := r.w.DebugState("test"); st.CommitPump != "adaptive" || st.CommitGapMS < 40 {
+		t.Fatalf("/debug/dpr: pump %q gap %v ms, want adaptive and at least the 40 ms a seal takes",
+			st.CommitPump, st.CommitGapMS)
+	}
+}
+
+// TestPumpFastCommitPeriod: a 200 µs commit is paced by its own duration, not
+// by a constant — one seal per 1+PumpGapSeals durations, well within a
+// millisecond, whether one write trails each seal or a flood does.
+func TestPumpFastCommitPeriod(t *testing.T) {
+	const commit = 200 * time.Microsecond
+	const want = (1 + libdpr.PumpGapSeals) * commit
+	withinBound(t, func(t *testing.T) error {
+		r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{})
+		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+			n, _ := r.so.spans()
+			r.execute(t, 1)
+			for seals, _ := r.so.spans(); len(seals) == len(n); seals, _ = r.so.spans() {
+				runtime.Gosched()
+			}
+		}
+		trickle, _ := r.so.spans()
+		slow := sealPeriod(t, trickle)
+		r.keepDirty(t, 200*time.Millisecond)
+		all, _ := r.so.spans()
+		fast := sealPeriod(t, all[len(trickle):])
+		t.Logf("at a %v commit: trickle %d seals, median period %v; flood %d seals, median period %v",
+			commit, len(trickle), slow, len(all)-len(trickle), fast)
+		for _, period := range []time.Duration{slow, fast} {
+			if period > want+want/2 || period > time.Millisecond {
+				return fmt.Errorf("median seal period %v, want about %v and <= 1ms", period, want)
+			}
+		}
+		return nil
+	})
+}
+
+// TestPumpExplicitFloor: a positive MinCommitInterval still spaces seal
+// starts, however cheap the commit.
+func TestPumpExplicitFloor(t *testing.T) {
+	const floor = 5 * time.Millisecond
+	r := newPumpRig(t, newTimedStore(200*time.Microsecond), libdpr.WorkerConfig{MinCommitInterval: floor})
+	r.keepDirty(t, 100*time.Millisecond)
+	seals, _ := r.so.spans()
+	if len(seals) < 3 {
+		t.Fatalf("only %d seals in 100 ms at a %v floor", len(seals), floor)
+	}
+	for i := 1; i < len(seals); i++ {
+		// The pump stamps its start just before the store records its own.
+		if d := seals[i].start.Sub(seals[i-1].start); d < floor-500*time.Microsecond {
+			t.Fatalf("seals %d and %d started %v apart under a %v floor", i-1, i, d, floor)
+		}
+	}
+}
+
+// TestPumpOutlivesSilentSealFailure: a commit that fails never announces
+// itself. The pump must give its slot up after a heartbeat at most, and seal
+// again once the store recovers.
+func TestPumpOutlivesSilentSealFailure(t *testing.T) {
+	so := newTimedStore(200 * time.Microsecond)
+	so.silent.Store(1)
+	r := newPumpRig(t, so, libdpr.WorkerConfig{CheckpointInterval: 30 * time.Millisecond})
+	r.keepDirty(t, 250*time.Millisecond)
+	if seals, _ := so.spans(); len(seals) < 2 {
+		t.Fatalf("%d seals in 250 ms after one silent failure: the pump is wedged", len(seals))
+	}
+}
+
+// TestCommitBoundaryWaitsForTheSeal: CommitBoundary returns once the boundary
+// is sealed — woken by the seal, not by a poll — and a seal that never lands
+// costs the caller its timeout, no more.
+func TestCommitBoundaryWaitsForTheSeal(t *testing.T) {
+	const commit = 5 * time.Millisecond
+	so := newTimedStore(commit)
+	r := newPumpRig(t, so, libdpr.WorkerConfig{})
+	start := time.Now()
+	boundary, err := r.w.CommitBoundary(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < commit {
+		t.Fatalf("CommitBoundary returned after %v, before a %v commit could finish", took, commit)
+	}
+	if so.PersistedVersion() < boundary || so.CurrentVersion() <= boundary {
+		t.Fatalf("boundary %d returned with persisted %d, current %d", boundary, so.PersistedVersion(), so.CurrentVersion())
+	}
+
+	const timeout = 30 * time.Millisecond
+	so.silent.Store(1)
+	start = time.Now()
+	if _, err := r.w.CommitBoundary(timeout); err == nil {
+		t.Fatal("CommitBoundary succeeded although its seal never landed")
+	}
+	if took := time.Since(start); took < timeout || took > time.Second {
+		t.Fatalf("CommitBoundary gave up after %v, want its %v timeout", took, timeout)
+	}
+}
+
+// TestFailedSealDoesNotTimeItsRetry: a commit that fails silently leaves its
+// start stamp behind, and with the pump off nothing but the heartbeat can
+// clear it. The heartbeat's retry must be timed from its own start:
+// dpr_seal_seconds holds one sample, of about one commit, not of a heartbeat
+// interval and a commit.
+func TestFailedSealDoesNotTimeItsRetry(t *testing.T) {
+	const commit, heartbeat = time.Millisecond, 40 * time.Millisecond
+	so := newTimedStore(commit)
+	so.silent.Store(1)
+	reg := obs.NewRegistry()
+	newPumpRig(t, so, libdpr.WorkerConfig{MinCommitInterval: -1, CheckpointInterval: heartbeat, Obs: reg})
+	for deadline := time.Now().Add(5 * time.Second); so.PersistedVersion() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the heartbeat never retried the failed commit")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond) // the notification follows the version
+	h := reg.Histogram("dpr_seal_seconds", "", obs.L("worker", "1")).Snapshot()
+	if max := time.Duration(h.Max) * time.Microsecond; h.Count != 1 || max >= heartbeat/2 {
+		t.Fatalf("dpr_seal_seconds: %d samples, max %v; want the retry alone, near %v", h.Count, max, commit)
+	}
+}

@@ -1,6 +1,8 @@
 package libdpr_test
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -78,5 +80,55 @@ func TestWaitCommitHonoursExceptionHoles(t *testing.T) {
 	}
 	if p, exc := s.Committed(); p != 64 || len(exc) != 0 {
 		t.Fatalf("prefix %d exceptions %v after the hole closed", p, exc)
+	}
+}
+
+// TestNextBatchNeverCrossesUnacknowledgedFailure: a failure digested on a
+// completion thread while the issuing thread is inside NextBatch must not
+// hand that batch a header of the new world-line. Until the application
+// acknowledges the SurvivalError, every successful NextBatch belongs to the
+// world-line the application knows about; sequence numbers of the new one
+// are reissued ones, and using them early makes two live operations share a
+// number.
+func TestNextBatchNeverCrossesUnacknowledgedFailure(t *testing.T) {
+	meta := metadata.NewStore(metadata.Config{})
+	if err := meta.RegisterWorker(1, "inproc-1"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := libdpr.NewSession(meta, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 300; round++ {
+		before := s.Tracker().WorldLine()
+		// One batch that never completes: the failure always loses something.
+		if _, err := s.NextBatch(1); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		issued := make(chan error, 1)
+		go func() {
+			for {
+				h, err := s.NextBatch(1)
+				if err != nil {
+					issued <- nil
+					return
+				}
+				if h.WorldLine != before {
+					issued <- fmt.Errorf("round %d: batch header on world-line %d before the failure of %d was acknowledged",
+						round, h.WorldLine, before)
+					return
+				}
+			}
+		}()
+		wl, _ := meta.BeginRecovery()
+		meta.CompleteRecovery()
+		var surv *core.SurvivalError
+		if err := s.NotifyWorldLine(wl); !errors.As(err, &surv) {
+			t.Fatalf("round %d: NotifyWorldLine(%d) = %v, want a SurvivalError", round, wl, err)
+		}
+		if err := <-issued; err != nil {
+			t.Fatal(err)
+		}
+		s.Acknowledge()
 	}
 }

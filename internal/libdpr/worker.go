@@ -106,15 +106,18 @@ type WorkerConfig struct {
 	// default resolution are surfaced in /debug/dpr
 	// (checkpoint_interval_ms / refresh_interval_ms).
 	RefreshInterval time.Duration
-	// MinCommitInterval rate-limits the dirty-driven commit pump. When a
-	// batch executes, the pump triggers a commit as soon as the previous
-	// one is at least this old, instead of waiting for the
-	// CheckpointInterval timer — with O(dirty) delta checkpoints underneath
-	// a millisecond cadence is affordable, and commit latency drops from
-	// O(CheckpointInterval) to O(MinCommitInterval + device sync). 0
-	// selects the default (2ms); < 0 disables the pump, restoring the
-	// purely periodic behavior. The pump only runs when CheckpointInterval
-	// > 0 (manual-commit workers stay manual).
+	// MinCommitInterval paces the dirty-driven commit pump. When a batch
+	// executes, the pump seals as soon as no seal is in flight and the last
+	// one has been over for pumpGapSeals times as long as it took — the
+	// store spends a fixed share of its time sealing, whatever a seal costs
+	// (see pumpGapSeals for the share and what it is paced at). Commit
+	// latency is then O(seal duration), not O(CheckpointInterval). 0 means
+	// exactly that adaptive rule; a positive value adds a floor between seal
+	// starts on top of it; < 0 disables the pump, restoring the purely
+	// periodic behavior. A state object without PersistNotifier gives the
+	// pump no duration to measure and is paced at pumpBlindInterval instead.
+	// The pump only runs when CheckpointInterval > 0 (manual-commit workers
+	// stay manual).
 	MinCommitInterval time.Duration
 	// AdmitTimeout bounds how long a batch from a future world-line waits
 	// for local recovery. Default 5s.
@@ -169,16 +172,32 @@ type Worker struct {
 	// dirty + dirtyCh drive the commit pump: ReleaseBatch marks the worker
 	// dirty after an executed batch (one atomic on the hot path; the
 	// channel send only happens on the false→true edge) and commitPump
-	// folds marks into MinCommitInterval-spaced TriggerCommit calls.
-	// persistCh carries checkpoint-seal notifications from the state
-	// object (registered through the optional PersistNotifier interface)
-	// to the maintenance loop, which reports the new version to the finder
-	// immediately instead of on the next tick. Both channels have capacity
-	// 1 and saturate; the signals are level-triggered.
+	// folds marks into paced TriggerCommit calls. persistCh carries
+	// checkpoint-seal notifications from the state object (registered
+	// through the optional PersistNotifier interface) to the maintenance
+	// loop, which reports the new version to the finder immediately instead
+	// of on the next tick. Both channels have capacity 1 and saturate; the
+	// signals are level-triggered.
 	dirty     atomic.Bool
 	pumping   bool
 	dirtyCh   chan struct{}
 	persistCh chan struct{}
+	// Seal tracking, the pump's pacing input and dpr_seal_seconds' source.
+	// sealStart is when the seal in flight began (unix nanos, 0 when none):
+	// beginCommit stamps it, the state object's persist notification clears
+	// it, records the seal's end and duration, and closes-and-replaces
+	// sealed, the broadcast the pump and CommitBoundary wait on. notified is
+	// whether the state object sends those notifications at all; without
+	// them sealDone runs from reportPersisted, at heartbeat cadence, nothing
+	// is measured, and pumpFloor — otherwise MinCommitInterval — defaults to
+	// pumpBlindInterval.
+	notified  bool
+	pumpFloor time.Duration
+	sealStart atomic.Int64
+	sealEnd   atomic.Int64
+	sealDur   atomic.Int64
+	sealed    atomic.Pointer[chan struct{}]
+	sealH     *obs.Histogram
 	// watching records that the metadata service implements StateWatcher
 	// and the long-poll watch loop is streaming cut changes; the persist
 	// handler then skips its own refresh (the report bumps the finder
@@ -287,9 +306,6 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 			cfg.RefreshInterval = 50 * time.Millisecond
 		}
 	}
-	if cfg.MinCommitInterval == 0 {
-		cfg.MinCommitInterval = 2 * time.Millisecond
-	}
 	if err := meta.RegisterWorker(cfg.ID, cfg.Addr); err != nil {
 		return nil, err
 	}
@@ -310,7 +326,15 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 		persistCh: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
-	w.pumping = cfg.CheckpointInterval > 0 && cfg.MinCommitInterval > 0
+	w.pumping = cfg.CheckpointInterval > 0 && cfg.MinCommitInterval >= 0
+	pn, notified := so.(PersistNotifier)
+	w.notified = notified
+	w.pumpFloor = cfg.MinCommitInterval
+	if !notified && w.pumpFloor == 0 {
+		w.pumpFloor = pumpBlindInterval
+	}
+	sealed := make(chan struct{})
+	w.sealed.Store(&sealed)
 	sw, watching := meta.(metadata.StateWatcher)
 	w.watching = watching
 	snap := &cutSnapshot{wl: wl, cut: make(core.Cut)}
@@ -320,10 +344,12 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	w.cutSnap.Store(snap)
 	w.reported = so.PersistedVersion()
 	w.registerObs()
-	if pn, ok := so.(PersistNotifier); ok {
-		// Runs on the store's checkpoint goroutine: hand off through the
-		// saturating channel, never block or call back into the store.
+	if notified {
+		// Runs on the store's checkpoint goroutine: stamp the seal, hand off
+		// through the saturating channel, never block or call back into the
+		// store.
 		pn.OnPersist(func(core.Version) {
+			w.sealDone()
 			select {
 			case w.persistCh <- struct{}{}:
 			default:
@@ -390,6 +416,8 @@ func (w *Worker) registerObs() {
 		"Admissions that forced a commit to satisfy the progress rule.", lbl)
 	w.rollbackDrainH = reg.Histogram("dpr_worker_rollback_drain_seconds",
 		"Time each rollback fence drain waited for in-flight batches.", lbl)
+	w.sealH = reg.Histogram("dpr_seal_seconds",
+		"Time from starting a commit to the state object reporting it durable.", lbl)
 }
 
 // cutPositions returns this worker's position in its cached cut and the
@@ -433,16 +461,22 @@ func (w *Worker) DebugState(kind string) obs.DPRState {
 		}
 		cutJSON[strconv.FormatUint(uint64(id), 10)] = uint64(v)
 	}
-	var minCommit time.Duration
+	pump, floor, gap := "off", time.Duration(0), time.Duration(0)
 	if w.pumping {
-		minCommit = w.cfg.MinCommitInterval
+		floor, gap = w.pumpFloor, w.commitGap()
+		pump = "adaptive"
+		if floor > 0 {
+			pump = "floor"
+		}
 	}
 	return obs.DPRState{
 		Worker:               uint64(w.cfg.ID),
 		Kind:                 kind,
 		CheckpointIntervalMS: float64(w.cfg.CheckpointInterval) / float64(time.Millisecond),
 		RefreshIntervalMS:    float64(w.cfg.RefreshInterval) / float64(time.Millisecond),
-		MinCommitIntervalMS:  float64(minCommit) / float64(time.Millisecond),
+		MinCommitIntervalMS:  float64(floor) / float64(time.Millisecond),
+		CommitPump:           pump,
+		CommitGapMS:          float64(gap) / float64(time.Millisecond),
 		MetaWatch:            w.watching,
 		WorldLine:            uint64(w.wl.Current()),
 		CurrentVersion:       uint64(w.so.CurrentVersion()),
@@ -567,7 +601,7 @@ func (w *Worker) AdmitBatch(h BatchHeader) (core.WorldLine, error) {
 	// committing until the version catches up.
 	if h.Vs > w.so.CurrentVersion() {
 		w.fastForwardsC.Inc()
-		if err := w.so.BeginCommit(h.Vs - 1); err != nil {
+		if err := w.beginCommit(h.Vs - 1); err != nil {
 			return w.wl.Current(), err
 		}
 		deadline := time.Now().Add(w.cfg.AdmitTimeout)
@@ -674,7 +708,7 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 
 // ReleaseBatch ends the execution pinned by a successful AdmitBatchGuarded.
 // An executed batch marks the worker dirty, arming the commit pump: the next
-// group commit starts as soon as MinCommitInterval allows, not on the next
+// group commit starts as soon as the pump's pacing allows, not on the next
 // CheckpointInterval tick.
 func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
 	g := w.gate(h.SessionID)
@@ -785,7 +819,64 @@ func (w *Worker) TriggerCommit() error {
 		target = vmax
 	}
 	w.trace.Record(obs.EvCheckpointBegin, uint64(w.wl.Current()), uint64(target), 0)
-	return w.so.BeginCommit(target)
+	return w.beginCommit(target)
+}
+
+// beginCommit starts a commit up to target on the state object and, unless a
+// seal is already in flight (the state object folds the request into it),
+// stamps the start the next persist notification is measured from. A target
+// that is already durable — a racing commit covered it — starts nothing and
+// will never be announced, so it leaves no stamp; once the stamp is set, any
+// later advance of the persisted version, this seal's or another's, clears it.
+// A seal that fails is never announced either; the heartbeat drops its stamp
+// (see maintenanceLoop).
+func (w *Worker) beginCommit(target core.Version) error {
+	now := time.Now().UnixNano()
+	stamped := w.notified && w.sealStart.CompareAndSwap(0, now) &&
+		w.so.PersistedVersion() < target
+	err := w.so.BeginCommit(target)
+	if !stamped || err != nil {
+		w.sealStart.CompareAndSwap(now, 0)
+	}
+	return err
+}
+
+// sealDone records that the state object's persisted version advanced: the
+// seal in flight, if this worker started one, is over. It runs on the state
+// object's checkpoint goroutine — one call at a time — so it only touches
+// atomics. The stamp is cleared last: whoever sees no seal in flight also
+// sees this seal's end and duration.
+func (w *Worker) sealDone() {
+	now := time.Now().UnixNano()
+	start := w.sealStart.Load()
+	if start != 0 {
+		w.sealDur.Store(now - start)
+		w.sealH.Observe(time.Duration(now - start))
+	}
+	w.sealEnd.Store(now)
+	w.sealStart.CompareAndSwap(start, 0)
+	next := make(chan struct{})
+	close(*w.sealed.Swap(&next))
+}
+
+// awaitSeal blocks until cond holds, re-evaluating it after every seal, and
+// reports whether it did before the timeout (or Stop).
+func (w *Worker) awaitSeal(timeout time.Duration, cond func() bool) bool {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for {
+		sealed := *w.sealed.Load() // before cond: a seal landing in between closes it
+		if cond() {
+			return true
+		}
+		select {
+		case <-sealed:
+		case <-t.C:
+			return cond()
+		case <-w.stop:
+			return false
+		}
+	}
 }
 
 // CommitBoundary seals a commit boundary for a partition handover: it
@@ -796,21 +887,14 @@ func (w *Worker) TriggerCommit() error {
 // the donor side of a migration streams exactly that prefix.
 func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 	boundary := w.so.CurrentVersion()
-	if err := w.so.BeginCommit(boundary); err != nil {
+	if err := w.beginCommit(boundary); err != nil {
 		return 0, err
 	}
-	deadline := time.Now().Add(timeout)
-	for w.so.CurrentVersion() <= boundary {
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("libdpr: version did not advance past boundary %d within %v", boundary, timeout)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	for w.so.PersistedVersion() < boundary {
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("libdpr: boundary %d not persisted within %v", boundary, timeout)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !w.awaitSeal(timeout, func() bool {
+		return w.so.CurrentVersion() > boundary && w.so.PersistedVersion() >= boundary
+	}) {
+		return 0, fmt.Errorf("libdpr: boundary %d not sealed within %v (current %d, persisted %d)",
+			boundary, timeout, w.so.CurrentVersion(), w.so.PersistedVersion())
 	}
 	w.reportPersisted()
 	return boundary, nil
@@ -925,12 +1009,20 @@ func (w *Worker) maintenanceLoop() {
 	}
 	refresh := time.NewTicker(w.cfg.RefreshInterval)
 	defer refresh.Stop()
+	var stale int64 // the seal stamp the previous heartbeat left in place
 	for {
 		select {
 		case <-w.stop:
 			return
 		case <-ckptC:
+			// A stamp that outlived a whole heartbeat belongs to a seal that
+			// failed — failures are not announced. Drop it, so that the retry
+			// is timed from its own start and not from the failed attempt's.
+			if s := w.sealStart.Load(); s != 0 && s == stale {
+				w.sealStart.CompareAndSwap(s, 0)
+			}
 			_ = w.TriggerCommit()
+			stale = w.sealStart.Load()
 			w.reportPersisted()
 		case <-w.persistCh:
 			// A checkpoint just sealed: report it now. The report bumps the
@@ -951,10 +1043,37 @@ func (w *Worker) maintenanceLoop() {
 	}
 }
 
-// commitPump converts dirty marks into MinCommitInterval-spaced group
-// commits. TriggerCommit folds into the store's single-flight checkpoint
-// machine, so a pump tick that lands while a checkpoint is in flight extends
-// the requested target instead of queueing a second device write.
+// pumpBlindInterval spaces the pump's seals for a state object that does not
+// announce them (no PersistNotifier): with no duration to adapt to, the pump
+// falls back to a fixed cadence.
+const pumpBlindInterval = 2 * time.Millisecond
+
+// pumpGapSeals is the pump's duty-cycle constant: after a seal ends, the pump
+// leaves pumpGapSeals times that seal's measured duration before it starts the
+// next, so the state object spends at most 1/(1+pumpGapSeals) of its time
+// sealing whatever a seal costs — a 0.25 ms kv flush recurs every ~1 ms, a
+// 40 ms snapshot every 160 ms. The value trades commit latency for the
+// throughput of a saturated worker, which pays for every commit round — the
+// seal's version shift, a report, a cut fan-out to every session and a fold
+// in each: at 1 (duty cycle 1/2) ycsb_a_batched lost a tenth of its
+// throughput, at 2 and 3 about 4 %, and commit_paced read 1.0, 1.4 and 1.4 ms
+// (sub-millisecond timers in a mostly idle process are late by more than the
+// difference between two and three seal durations). The sweep is in
+// EXPERIMENTS.md and BENCH_16.json.
+const pumpGapSeals = 3
+
+// commitGap is the pause the pump currently leaves after a seal ends before
+// it starts the next: pumpGapSeals times that seal's measured duration, never
+// less than the floor.
+func (w *Worker) commitGap() time.Duration {
+	return max(time.Duration(w.sealDur.Load())*pumpGapSeals, w.pumpFloor)
+}
+
+// commitPump converts dirty marks into group commits: at once when the
+// worker has been idle, otherwise as soon as the seal in flight is over and
+// has been for commitGap. The floor also spaces seal starts. TriggerCommit
+// folds into the state object's single-flight commit, so the heartbeat timer
+// or a version fast-forward landing in between costs no second device write.
 func (w *Worker) commitPump() {
 	defer w.wg.Done()
 	var last time.Time
@@ -964,7 +1083,22 @@ func (w *Worker) commitPump() {
 			return
 		case <-w.dirtyCh:
 		}
-		if wait := w.cfg.MinCommitInterval - time.Since(last); wait > 0 {
+		// A seal in flight: wait it out, but no longer than the heartbeat
+		// would — a seal that failed never announces itself, and must not
+		// hold the pump (or pass for a fast seal) once the device heals.
+		if start := w.sealStart.Load(); start != 0 {
+			left := w.cfg.CheckpointInterval - time.Since(time.Unix(0, start))
+			done := w.awaitSeal(left, func() bool { return w.sealStart.Load() != start })
+			if !done && w.sealStart.CompareAndSwap(start, 0) {
+				w.sealDur.Store(int64(w.cfg.CheckpointInterval))
+				w.sealEnd.Store(time.Now().UnixNano())
+			}
+		}
+		next := time.Unix(0, w.sealEnd.Load()).Add(w.commitGap())
+		if t := last.Add(w.pumpFloor); t.After(next) {
+			next = t
+		}
+		if wait := time.Until(next); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
 			case <-w.stop:
@@ -976,8 +1110,8 @@ func (w *Worker) commitPump() {
 		// Clear dirty before committing: work arriving mid-commit re-arms
 		// the pump for another round instead of being lost.
 		w.dirty.Store(false)
-		_ = w.TriggerCommit()
 		last = time.Now()
+		_ = w.TriggerCommit()
 	}
 }
 
@@ -1028,6 +1162,9 @@ func (w *Worker) reportPersisted() {
 	}
 	w.reported = persisted
 	w.cutMu.Unlock()
+	if !w.notified {
+		w.sealDone() // nobody announced this seal; the heartbeat found it
+	}
 	w.trace.Record(obs.EvCheckpointPersist, uint64(w.wl.Current()), uint64(persisted), 0)
 	for v := from + 1; v <= persisted; v++ {
 		w.depsMu.Lock()
