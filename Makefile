@@ -1,8 +1,8 @@
 GO ?= go
-# Seeds per chaos sweep (chaos-elastic, chaos-fastcommit); CI's PR job uses 5.
+# Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build fmt-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-commit bench-scaling bench-scale scale-smoke chaos-elastic chaos-fastcommit
+.PHONY: check build fmt-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-scale scale-smoke chaos chaos-elastic
 
 # The full pre-commit gate, in the order CI runs it.
 check: build fmt-check vet dpr-vet test bench-module
@@ -45,13 +45,18 @@ race:
 	$(GO) test -race ./...
 
 # The commit path's interleaving- and timing-sensitive tests — kv seals and
-# torn-seal recovery, the libdpr commit pump and CommitBoundary — twenty times
-# each under the race detector, on one processor and on two.
+# torn-seal recovery, the libdpr commit pump, heartbeat backstop, WaitCommit
+# and CommitBoundary — twenty times each under the race detector, on one
+# processor and on two. A -run list that matches nothing (a renamed test)
+# fails the target instead of passing vacuously.
 commit-path-stress:
-	$(GO) test -race -count=20 -cpu 1,2 -timeout 20m \
-		-run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv
-	$(GO) test -race -count=20 -cpu 1,2 -timeout 20m \
-		-run 'TestPump|TestFailedSeal|TestCommitPump|TestCommitBoundary|TestWorkerEffectiveIntervals' ./internal/libdpr
+	@set -e; run() { \
+		out=$$($(GO) test -race -count=20 -cpu 1,2 -timeout 20m -run "$$1" "$$2" 2>&1) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		if echo "$$out" | grep -q 'no tests to run'; then echo "commit-path-stress: -run '$$1' matched no test in $$2"; exit 1; fi; \
+	}; \
+	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals' ./internal/libdpr
 
 # Replay the checked-in decoder corpus and mutate for a few seconds per
 # target, mirroring the CI fuzz job.
@@ -62,16 +67,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-
-# Commit-latency table (Fig 12 companion): the same workload under the
-# polled commit plane (pump disabled, checkpoint timer only) and the pushed
-# pipeline (dirty-driven group commit, push reports, streamed cut advances),
-# reporting exact commit p50/p90/p99 from raw samples — the log-bucketed
-# histogram quantizes too coarsely at this range to show the difference.
-# EXPERIMENTS.md records the before/after table.
-bench-commit:
-	BENCH_COMMIT=1 $(GO) test ./internal/bench -run 'TestCommitLatencyAblationSmoke' \
-		-v -timeout 10m
 
 # The multi-core scaling curve: the full networked serve pipeline at 1, 2,
 # 4, and 8 cores. With the sharded epoch-protected index and per-lane
@@ -90,6 +85,16 @@ bench-scale:
 	$(GO) test -bench 'CutRound|RehydrateEvict' -benchtime 30x -run '^$$' \
 		-timeout 20m ./internal/scale
 
+# Default chaos sweep: the seed-derived fault schedules (worker kill/restart,
+# connection and storage faults, metadata latency) under the race detector.
+# On the Null device the commit pump seals every few hundred microseconds, so
+# nearly every checkpoint is an incremental one and worker kills land inside
+# the seal→report window. Reproduce one seed with:
+#   CHAOS_SEED=<seed> go test ./internal/chaos -race -run 'TestChaos$'
+chaos:
+	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
+		-run 'TestChaos$$' -timeout 40m -v
+
 # Elastic chaos sweep: the nightly fault schedules extended with live
 # membership events (join, drain-and-leave, targeted migrations) injected
 # mid-round, under the race detector. A crash can land while a migration
@@ -98,14 +103,6 @@ bench-scale:
 #   go test ./internal/chaos -race -run Chaos
 chaos-elastic:
 	CHAOS_ELASTIC=1 CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
-		-run 'TestChaos$$' -timeout 40m -v
-
-# Fast-commit chaos sweep: the dirty-driven commit pump at a 500µs floor, so
-# nearly every checkpoint is an incremental delta and worker kills land in
-# the seal→report window. Reproduce one seed with:
-#   CHAOS_FASTCOMMIT=1 CHAOS_SEED=<seed> go test ./internal/chaos -race -run Chaos
-chaos-fastcommit:
-	CHAOS_FASTCOMMIT=1 CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
 		-run 'TestChaos$$' -timeout 40m -v
 
 # The 100k-session harness under the race detector — the PR-triggered CI

@@ -40,7 +40,6 @@ var figures = []struct {
 	{"finders", "ablation: exact vs approximate vs hybrid finder", bench.AblationFinders},
 	{"strictrelaxed", "ablation: strict vs relaxed DPR", bench.AblationStrictVsRelaxed},
 	{"ckptkinds", "ablation: fold-over vs snapshot checkpoints", bench.AblationCheckpointKinds},
-	{"commit", "ablation: polled vs pushed commit plane (exact quantiles)", bench.CommitLatencyAblation},
 }
 
 func main() {

@@ -241,21 +241,14 @@ func obsView(args []string) error {
 	return nil
 }
 
-// pumpColumn says why a worker commits at the cadence it does: the rule that
-// paces its commit pump and the gap that rule currently yields after a seal
-// ("adaptive 0.63ms": the last seal took 0.21 ms; "floor 3ms/3ms": a 3 ms
-// MinCommitInterval, which is also the gap right now; "off": checkpoint
-// timer only).
+// pumpColumn says why a worker commits at the cadence it does: the gap its
+// commit pump currently leaves after a seal ("adaptive 0.63ms": the last seal
+// took 0.21 ms); "-" for the finder and for manual-commit workers.
 func pumpColumn(st *obs.DPRState) string {
-	switch st.CommitPump {
-	case "":
+	if st.CommitPump == "" {
 		return "-"
-	case "adaptive":
-		return fmt.Sprintf("adaptive %.3gms", st.CommitGapMS)
-	case "floor":
-		return fmt.Sprintf("floor %.3gms/%.3gms", st.MinCommitIntervalMS, st.CommitGapMS)
 	}
-	return st.CommitPump
+	return fmt.Sprintf("%s %.3gms", st.CommitPump, st.CommitGapMS)
 }
 
 // printElasticView renders the finder's membership table, the per-worker

@@ -44,7 +44,7 @@ func main() {
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory device)")
 	partitions := flag.Int("partitions", 64, "cluster-wide virtual partition count")
 	own := flag.String("own", "", "comma-separated partitions to claim (empty = id-strided)")
-	ckpt := flag.Duration("checkpoint", 100*time.Millisecond, "commit (checkpoint) interval")
+	ckpt := flag.Duration("checkpoint", 100*time.Millisecond, "heartbeat behind the commit pump (the pump starts commits as batches execute; the heartbeat catches what it cannot see)")
 	memBudget := flag.Int64("mem-budget", 0, "in-memory log budget in bytes (0 = unbounded)")
 	hbEvery := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval")
 	recover := flag.Bool("recover", false, "recover shard state from the data directory")

@@ -28,7 +28,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to serve clients on")
 	finderAddr := flag.String("finder", "127.0.0.1:7700", "dpr-finder RPC address")
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory device)")
-	ckpt := flag.Duration("checkpoint", 100*time.Millisecond, "commit (BGSAVE) interval")
+	ckpt := flag.Duration("checkpoint", 100*time.Millisecond, "heartbeat behind the commit pump (the pump starts a BGSAVE as batches execute; the heartbeat catches what it cannot see)")
 	aofMode := flag.String("aof", "off", "append-only file: off | always | everysec")
 	hbEvery := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval")
 	obsAddr := flag.String("obs-addr", "", "HTTP introspection address for /metrics, /debug/dpr, /debug/pprof (empty disables)")

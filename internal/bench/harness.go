@@ -90,13 +90,9 @@ type clusterSpec struct {
 	shards     int
 	partitions int
 	ckptEvery  time.Duration // 0 disables checkpoints ("No Chkpts")
-	// minCommit is the dirty-driven commit pump's floor between seal starts
-	// (0: none, adaptive; < 0 disables the pump — the purely polled commit
-	// plane).
-	minCommit time.Duration
-	backend   StorageBackend
-	finder    metadata.FinderKind
-	memBudget int64
+	backend    StorageBackend
+	finder     metadata.FinderKind
+	memBudget  int64
 	// eventual silences finder reporting: workers checkpoint on the timer
 	// but no DPR cuts ever form — the "eventual recoverability" level of
 	// §7.6 (persistence without coordinated guarantees).
@@ -108,6 +104,8 @@ type clusterSpec struct {
 type eventualMeta struct{ *metadata.Store }
 
 func (m eventualMeta) ReportVersion(core.WorkerID, core.Version, []core.Token) error { return nil }
+
+var _ metadata.Service = eventualMeta{}
 
 // benchCluster is a built cluster plus its control handles.
 type benchCluster struct {
@@ -135,7 +133,6 @@ func buildCluster(spec clusterSpec) (*benchCluster, error) {
 			ID:                 core.WorkerID(i + 1),
 			ListenAddr:         "127.0.0.1:0",
 			CheckpointInterval: spec.ckptEvery,
-			MinCommitInterval:  spec.minCommit,
 			Partitions:         spec.partitions,
 			Device:             spec.backend.device(),
 			KV:                 kv.Config{BucketCount: 1 << 16, MemoryBudget: spec.memBudget},
@@ -303,7 +300,6 @@ func (bc *benchCluster) run(spec runSpec) (runResult, error) {
 				seq uint64
 				at  time.Time
 			}
-			var commitMu sync.Mutex
 			var commitSamples []sample
 			lastCommitPoll := time.Now()
 
@@ -366,30 +362,25 @@ func (bc *benchCluster) run(spec runSpec) (runResult, error) {
 					return
 				}
 				if sampled && spec.sampleCommit {
-					commitMu.Lock()
 					commitSamples = append(commitSamples, sample{seq: client.LastSeq(), at: time.Now()})
-					commitMu.Unlock()
 				}
-				// Resolve commit samples periodically against the prefix.
+				// Resolve commit samples periodically against the prefix the
+				// piggybacked and pushed cuts have advanced; the loop neither
+				// flushes nor asks the finder, which would perturb the cell.
 				if spec.sampleCommit && time.Since(lastCommitPoll) > 2*time.Millisecond {
-					lastCommitPoll = time.Now()
-					client.Flush()
-					if _, err := client.Session().RefreshCommit(); err == nil {
-						p, _ := client.Committed()
-						now := time.Now()
-						commitMu.Lock()
-						keep := commitSamples[:0]
-						for _, s := range commitSamples {
-							if s.seq <= p {
-								res.CommitLat.Record(now.Sub(s.at))
-								res.CommitExact.Record(now.Sub(s.at))
-							} else {
-								keep = append(keep, s)
-							}
+					now := time.Now()
+					lastCommitPoll = now
+					p, _ := client.Committed()
+					keep := commitSamples[:0]
+					for _, s := range commitSamples {
+						if s.seq <= p {
+							res.CommitLat.Record(now.Sub(s.at))
+							res.CommitExact.Record(now.Sub(s.at))
+						} else {
+							keep = append(keep, s)
 						}
-						commitSamples = keep
-						commitMu.Unlock()
 					}
+					commitSamples = keep
 				}
 				i++
 			}

@@ -41,15 +41,10 @@ type Config struct {
 	DFaster, DRedis int
 	// Partitions is the cluster-wide virtual partition count.
 	Partitions int
-	// Checkpoint is the per-worker commit cadence (small, so cuts advance
-	// fast enough for short scenarios).
+	// Checkpoint is the per-worker heartbeat behind the commit pump (small,
+	// so an idle worker's Vmax catch-up does not hold short scenarios' cuts
+	// back).
 	Checkpoint time.Duration
-	// MinCommit is the dirty-driven commit pump's floor between seal starts
-	// (0: none, the pump adapts to the seal duration; < 0 disables the pump).
-	// CHAOS_FASTCOMMIT pins it at 500µs so the cadence does not depend on
-	// how fast the host's device model is and crashes land inside the
-	// seal→report window.
-	MinCommit time.Duration
 	// Finder selects the cut-finding algorithm under test.
 	Finder metadata.FinderKind
 	// IndexShards is the kv hash-index shard count per worker (0 = the kv
@@ -149,7 +144,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 			ID:                 slot.id,
 			ListenAddr:         "127.0.0.1:0",
 			CheckpointInterval: cfg.Checkpoint,
-			MinCommitInterval:  cfg.MinCommit,
 			Partitions:         cfg.Partitions,
 			Device:             slot.flaky,
 			KV:                 kv.Config{BucketCount: kvBuckets, IndexShards: cfg.IndexShards},
@@ -173,7 +167,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 			ID:                 slot.id,
 			ListenAddr:         "127.0.0.1:0",
 			CheckpointInterval: cfg.Checkpoint,
-			MinCommitInterval:  cfg.MinCommit,
 			Device:             storage.NewNull(),
 		}, h.svc)
 		if err != nil {
@@ -337,7 +330,6 @@ func (h *Harness) CrashRestart(slotIdx int) error {
 		ID:                 slot.id,
 		ListenAddr:         "127.0.0.1:0",
 		CheckpointInterval: h.cfg.Checkpoint,
-		MinCommitInterval:  h.cfg.MinCommit,
 		Partitions:         h.cfg.Partitions,
 		Device:             slot.flaky,
 		KV:                 kvcfg,

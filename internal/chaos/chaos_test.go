@@ -111,11 +111,6 @@ func runChaosScenario(t *testing.T, seed int64) {
 	// live migrations) into the fault schedule, and raises the sessions'
 	// BadOwner budget so they ride out handover freeze windows.
 	elastic := os.Getenv("CHAOS_ELASTIC") != ""
-	// CHAOS_FASTCOMMIT runs the event-driven commit plane flat out: the
-	// dirty-driven pump fires every 500µs, so nearly every checkpoint is an
-	// incremental delta and worker kills land inside the seal→report window
-	// (the crash-during-delta-checkpoint schedule of the commit-plane work).
-	fastcommit := os.Getenv("CHAOS_FASTCOMMIT") != ""
 	cfg := Config{
 		DFaster:     3,
 		DRedis:      1,
@@ -123,9 +118,6 @@ func runChaosScenario(t *testing.T, seed int64) {
 		Checkpoint:  5 * time.Millisecond,
 		Finder:      FinderFor(seed),
 		IndexShards: chaosShards(t),
-	}
-	if fastcommit {
-		cfg.MinCommit = 500 * time.Microsecond
 	}
 	if elastic {
 		cfg.RetryBadOwner = 256

@@ -119,7 +119,6 @@ func (h *Harness) joinSpare() {
 		ID:                 sp.id,
 		ListenAddr:         "127.0.0.1:0",
 		CheckpointInterval: h.cfg.Checkpoint,
-		MinCommitInterval:  h.cfg.MinCommit,
 		Partitions:         h.cfg.Partitions,
 		Device:             sp.flaky,
 		KV:                 kv.Config{BucketCount: kvBuckets, IndexShards: h.cfg.IndexShards},

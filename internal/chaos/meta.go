@@ -103,13 +103,11 @@ func (h *serviceHook) AckWorldLine(w core.WorkerID, wl core.WorldLine) error {
 	return h.inner.AckWorldLine(w, wl)
 }
 
-// WaitStateChange forwards the push path: without it the hook would hide the
-// inner store's StateWatcher and every chaos worker would silently degrade to
-// the heartbeat poll, leaving the event-driven refresh untested. The injected
-// latency models a slow notification channel.
+// WaitStateChange forwards the push path; the injected latency models a slow
+// notification channel.
 func (h *serviceHook) WaitStateChange(since uint64, timeout time.Duration) (uint64, error) {
 	h.pause()
-	return h.inner.(metadata.StateWatcher).WaitStateChange(since, timeout)
+	return h.inner.WaitStateChange(since, timeout)
 }
 
 // elastic exposes the inner store's membership/migration extension. The
@@ -153,4 +151,3 @@ func (h *serviceHook) Migrations() ([]metadata.Migration, error) {
 
 var _ metadata.Service = (*serviceHook)(nil)
 var _ metadata.ElasticService = (*serviceHook)(nil)
-var _ metadata.StateWatcher = (*serviceHook)(nil)

@@ -46,13 +46,10 @@ type WorkerConfig struct {
 	// ListenAddr is the TCP address to serve on ("" disables networking —
 	// co-located-only worker).
 	ListenAddr string
-	// CheckpointInterval is the periodic commit cadence (paper: 100ms).
+	// CheckpointInterval is the heartbeat behind libDPR's commit pump (paper:
+	// 100ms); the pump, not this timer, starts commits when batches execute.
+	// <= 0 makes a manual-commit worker (see libdpr.WorkerConfig).
 	CheckpointInterval time.Duration
-	// MinCommitInterval paces libDPR's dirty-driven commit pump, the
-	// event-driven fast path in front of the periodic cadence (0: adaptive,
-	// the gap after a seal is three times the seal's measured duration; > 0: also a floor
-	// between seal starts; < 0 disables the pump — see libdpr.WorkerConfig).
-	MinCommitInterval time.Duration
 	// Partitions is the cluster-wide virtual partition count.
 	Partitions int
 	// Device is the durable storage backend.
@@ -66,6 +63,10 @@ type WorkerConfig struct {
 }
 
 // Worker is one D-FASTER shard server.
+// Pinned here because kv cannot import libdpr (libdpr's tests import kv): a
+// kv.Store that lost OnPersist must fail the build.
+var _ libdpr.StateObject = (*kv.Store)(nil)
+
 type Worker struct {
 	cfg   WorkerConfig
 	store *kv.Store
@@ -153,7 +154,6 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 		ID:                 cfg.ID,
 		Addr:               srv.Addr(),
 		CheckpointInterval: cfg.CheckpointInterval,
-		MinCommitInterval:  cfg.MinCommitInterval,
 		// Pre-encode the piggybacked cut once per refresh so replies splice
 		// bytes instead of re-serializing the map per batch.
 		EncodeCut: func(c core.Cut) []byte { return wire.AppendCut(nil, c) },

@@ -44,10 +44,9 @@ type stateObject struct {
 	current   atomic.Uint64 // version new batches execute in
 	persisted atomic.Uint64
 
-	// persistObs is the registered persist observer (libdpr.PersistNotifier):
-	// watchSaves fires it when the persisted version advances, so the libDPR
-	// worker reports in LASTSAVE-poll latency instead of waiting for its next
-	// maintenance tick.
+	// persistObs is the registered persist observer (OnPersist): watchSaves
+	// fires it when the persisted version advances, so the libDPR worker
+	// reports in LASTSAVE-poll latency.
 	persistObs atomic.Pointer[func(core.Version)]
 
 	// saves maps version -> redisclone save id, durably mirrored so Restore
@@ -152,7 +151,7 @@ func (so *stateObject) watchSaves() {
 	}
 }
 
-// OnPersist implements libdpr.PersistNotifier: fn is invoked from the save
+// OnPersist implements libdpr.StateObject: fn is invoked from the save
 // watcher whenever the persisted version advances. At most one observer; nil
 // unregisters.
 func (so *stateObject) OnPersist(fn func(core.Version)) {
@@ -212,22 +211,18 @@ func (so *stateObject) close() {
 	so.latch.Unlock()
 }
 
-var (
-	_ libdpr.StateObject     = (*stateObject)(nil)
-	_ libdpr.PersistNotifier = (*stateObject)(nil)
-)
+var _ libdpr.StateObject = (*stateObject)(nil)
 
 // WorkerConfig parameterizes a D-Redis worker (proxy + instance).
 type WorkerConfig struct {
-	ID                 core.WorkerID
-	ListenAddr         string
+	ID         core.WorkerID
+	ListenAddr string
+	// CheckpointInterval is the heartbeat behind libDPR's commit pump, which
+	// starts a snapshot when batches execute and follows it with a pause
+	// three times as long as it took, so snapshots never run back to back
+	// (see libdpr.WorkerConfig).
 	CheckpointInterval time.Duration
-	// MinCommitInterval paces libDPR's dirty-driven commit pump (0: adaptive
-	// — a snapshot is followed by a pause three times as long as it took,
-	// so snapshots never run back to back; > 0: also a floor between commit starts; < 0
-	// disables the pump — see libdpr.WorkerConfig).
-	MinCommitInterval time.Duration
-	Device            storage.Device
+	Device             storage.Device
 	// AOF lets Figure 19 run the same worker in synchronous-recoverability
 	// mode (AOFAlways) or eventual mode; leave AOFOff for DPR.
 	AOF redisclone.AOFMode
@@ -287,7 +282,6 @@ func NewWorker(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 		ID:                 cfg.ID,
 		Addr:               srv.Addr(),
 		CheckpointInterval: cfg.CheckpointInterval,
-		MinCommitInterval:  cfg.MinCommitInterval,
 		// Pre-encode the piggybacked cut once per refresh so replies splice
 		// bytes instead of re-serializing the map per batch.
 		EncodeCut: func(c core.Cut) []byte { return wire.AppendCut(nil, c) },

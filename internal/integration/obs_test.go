@@ -137,11 +137,12 @@ func TestObsEndpoints(t *testing.T) {
 	if wst.CommittedVersion == 0 {
 		t.Fatalf("worker snapshot shows no committed progress: %+v", wst)
 	}
-	// The cadence explains itself: the default pump is adaptive, and after a
-	// committed workload the gap it yields is the last seal's duration.
-	if wst.CommitPump != "adaptive" || wst.MinCommitIntervalMS != 0 || wst.CommitGapMS <= 0 {
-		t.Fatalf("worker snapshot: commit_pump %q min_commit_interval_ms %v commit_gap_ms %v",
-			wst.CommitPump, wst.MinCommitIntervalMS, wst.CommitGapMS)
+	// The cadence explains itself: the pump is adaptive behind the heartbeat,
+	// after a committed workload the gap it yields follows the last seal's
+	// duration, and cut changes stream in from the finder.
+	if wst.CommitPump != "adaptive" || wst.CheckpointIntervalMS <= 0 || wst.CommitGapMS <= 0 || !wst.MetaWatch {
+		t.Fatalf("worker snapshot: commit_pump %q checkpoint_interval_ms %v commit_gap_ms %v meta_watch %v",
+			wst.CommitPump, wst.CheckpointIntervalMS, wst.CommitGapMS, wst.MetaWatch)
 	}
 	rst := scrapeDebug(t, dredisObsHTTP)
 	if rst.Kind != "dredis" || rst.Worker != 2 {

@@ -277,11 +277,11 @@ func (s *Store) OnDrain(fn func(time.Duration)) {
 	s.drainObs.Store(&fn)
 }
 
-// OnPersist installs an observer called with the new persisted version each
-// time a checkpoint seals. Pass nil to remove. The callback runs on the
-// checkpoint goroutine with the state-machine mutex held, so it must not
-// block and must not call back into the store; typical use is a non-blocking
-// channel send that wakes a persistence-report pump.
+// OnPersist installs the observer (libdpr.StateObject's) called with the new
+// persisted version each time a checkpoint seals. Pass nil to remove. The
+// callback runs on the checkpoint goroutine with the state-machine mutex
+// held, so it must not block and must not call back into the store; typical
+// use is a non-blocking channel send that wakes a persistence-report pump.
 func (s *Store) OnPersist(fn func(core.Version)) {
 	if fn == nil {
 		s.persistObs.Store(nil)

@@ -14,7 +14,7 @@ import (
 // TestWorkerHotPathZeroAlloc pins the per-batch server-side libDPR work to
 // zero allocations: Reply reads the shared cut snapshot, and
 // RecordDependency's duplicate cache skips the deps map when a session
-// repeats the same (version, dependency) pair. The intervals are set far
+// repeats the same (version, dependency) pair. The heartbeat is set far
 // beyond the test's runtime so background maintenance cannot pollute the
 // allocation counts.
 func TestWorkerHotPathZeroAlloc(t *testing.T) {
@@ -22,7 +22,7 @@ func TestWorkerHotPathZeroAlloc(t *testing.T) {
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	defer store.Close()
 	w, err := libdpr.NewWorker(libdpr.WorkerConfig{
-		ID: 1, CheckpointInterval: time.Hour, RefreshInterval: time.Hour,
+		ID: 1, CheckpointInterval: time.Hour,
 	}, store, meta)
 	if err != nil {
 		t.Fatal(err)

@@ -52,6 +52,9 @@ type Session struct {
 	// otherwise make high-throughput sessions quadratic between checkpoints.
 	lastCut   core.Cut
 	lastCutWL core.WorldLine
+	// folded is non-nil while a WaitCommit is parked; the next fold of a cut
+	// into the committed prefix, or the next failure, closes and clears it.
+	folded chan struct{}
 
 	// Commit-latency probe: at most one outstanding sample per session, so
 	// measuring the paper's Fig 12 metric (issue → covered by a committed
@@ -181,26 +184,55 @@ func (s *Session) CompleteBatch(worker core.WorkerID, h BatchHeader, r BatchRepl
 	}
 	s.tracker.CompleteBatch(r.WorldLine, h.SeqStart, worker, r.Versions)
 	if len(r.Cut) > 0 {
-		s.mu.Lock()
-		// While a SurvivalError is unacknowledged the committed prefix is
-		// frozen: advancing it would extend over the rollback's exception
-		// holes before the application has seen the exception list, making
-		// Committed() silently misclassify erased operations as committed.
-		changed := s.failure == nil &&
-			(r.WorldLine != s.lastCutWL || !s.lastCut.Equal(r.Cut))
-		if changed {
-			s.lastCut = r.Cut.Clone()
-			s.lastCutWL = r.WorldLine
-		}
-		s.mu.Unlock()
-		if changed {
-			// The cut was observed on the reply's world-line; the tracker
-			// ignores it unless it is still on that world-line.
-			p, _ := s.tracker.AdvanceCommitted(r.WorldLine, r.Cut)
-			s.resolveProbe(p)
-		}
+		// A pending SurvivalError is the next NextBatch's to report, not
+		// this reply's.
+		_ = s.foldNew(r.WorldLine, r.Cut)
 	}
 	return nil
+}
+
+// foldNew folds a cut a worker sent — piggybacked or pushed, observed on wl —
+// unless it is the one folded last (a repeated cut skips the O(uncommitted)
+// prefix scan) or a SurvivalError is unacknowledged, which it returns. The
+// prefix is frozen then: advancing it would extend over the rollback's
+// exception holes before the application has seen the exception list, making
+// Committed() silently misclassify erased operations as committed. cut is not
+// retained.
+func (s *Session) foldNew(wl core.WorldLine, cut core.Cut) error {
+	s.mu.Lock()
+	if f := s.failure; f != nil {
+		s.mu.Unlock()
+		return f
+	}
+	changed := wl != s.lastCutWL || !s.lastCut.Equal(cut)
+	if changed {
+		s.lastCut, s.lastCutWL = cut.Clone(), wl
+	}
+	s.mu.Unlock()
+	if changed {
+		// The tracker ignores the cut unless it is still on world-line wl.
+		s.fold(wl, cut)
+	}
+	return nil
+}
+
+// fold advances the committed prefix to a cut observed on wl, resolves the
+// commit-latency probe against it and wakes parked WaitCommit callers.
+func (s *Session) fold(wl core.WorldLine, cut core.Cut) uint64 {
+	p, _ := s.tracker.AdvanceCommitted(wl, cut)
+	s.resolveProbe(p)
+	s.mu.Lock()
+	s.wakeLocked()
+	s.mu.Unlock()
+	return p
+}
+
+// wakeLocked releases every parked WaitCommit; the caller holds mu.
+func (s *Session) wakeLocked() {
+	if s.folded != nil {
+		close(s.folded)
+		s.folded = nil
+	}
 }
 
 // NotifyWorldLine lets transports inject a world-line observation (e.g. from
@@ -234,6 +266,7 @@ func (s *Session) handleFailure(wl core.WorldLine) error {
 	surv := s.tracker.OnFailure(wl, cut)
 	if surv != nil {
 		s.failure = surv
+		s.wakeLocked()
 	}
 	s.mu.Unlock()
 	// Drop any outstanding probe: the rollback may have erased the probed
@@ -304,62 +337,64 @@ func (s *Session) RefreshCommit() (uint64, error) {
 		return 0, f
 	}
 	s.mu.Unlock()
-	p, _ := s.tracker.AdvanceCommitted(wl, cut)
-	s.resolveProbe(p)
-	return p, nil
+	return s.fold(wl, cut), nil
 }
 
 // ObserveCut folds an unsolicited cut observation — a pushed
 // wire.FrameCutAdvance, delivered to an idle session without a batch reply to
-// piggyback on — into the committed prefix. It mirrors CompleteBatch's cut
-// handling: world-line changes run the failure path, the prefix stays frozen
-// while a SurvivalError is unacknowledged, and the lastCut cache updates so a
-// later reply carrying the same cut skips its prefix scan. cut is not
-// retained; callers may reuse the map (connection read loops decode pushes
-// into a held wire.CutAdvance).
+// piggyback on — into the committed prefix, exactly as CompleteBatch folds a
+// piggybacked one (see foldNew); a world-line change runs the failure path.
+// cut is not retained; callers may reuse the map (connection read loops
+// decode pushes into a held wire.CutAdvance).
 func (s *Session) ObserveCut(wl core.WorldLine, cut core.Cut) error {
 	if wl > s.tracker.WorldLine() {
 		if err := s.handleFailure(wl); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	if f := s.failure; f != nil {
-		s.mu.Unlock()
-		return f
-	}
-	changed := wl != s.lastCutWL || !s.lastCut.Equal(cut)
-	if changed {
-		s.lastCut = cut.Clone()
-		s.lastCutWL = wl
-	}
-	s.mu.Unlock()
-	if changed {
-		p, _ := s.tracker.AdvanceCommitted(wl, cut)
-		s.resolveProbe(p)
-	}
-	return nil
+	return s.foldNew(wl, cut)
 }
 
 // WaitCommit blocks until seq is committed — the prefix has reached it and,
 // under relaxed DPR, no exception at or below it remains (an operation inside
 // an exception hole is not committed, wherever the prefix stands) — or a
 // failure intervenes, or the timeout expires: the paper's "sessions may wait
-// for commit at any time" group-commit affordance (§2).
+// for commit at any time" group-commit affordance (§2). It waits on the folds
+// the transport delivers (piggybacked and pushed cuts); behind them it asks
+// the finder itself, for a session with no transport (co-located only) or a
+// lost push: on entry, then at an interval doubling from 1 ms up to
+// manualHeartbeat.
 func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	backstop, every := time.NewTimer(0), time.Millisecond
+	defer backstop.Stop()
 	for {
-		if _, err := s.RefreshCommit(); err != nil {
-			return err
+		s.mu.Lock()
+		if f := s.failure; f != nil {
+			s.mu.Unlock()
+			return f
 		}
+		if s.folded == nil {
+			s.folded = make(chan struct{})
+		}
+		folded := s.folded // before the check: a fold landing in between closes it
+		s.mu.Unlock()
 		// Exceptions are sorted, so the first one decides.
 		p, exc := s.tracker.Committed()
 		if p >= seq && (len(exc) == 0 || exc[0] > seq) {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-folded:
+		case <-backstop.C:
+			if _, err := s.RefreshCommit(); err != nil {
+				return err
+			}
+			backstop.Reset(every)
+			every = min(2*every, manualHeartbeat)
+		case <-deadline.C:
 			return fmt.Errorf("libdpr: commit of seq %d timed out (prefix at %d, %d exceptions)", seq, p, len(exc))
 		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -33,47 +33,19 @@ func newEventWorker(t *testing.T, meta metadata.Service, cfg libdpr.WorkerConfig
 	return w, st
 }
 
-// TestWorkerEffectiveIntervals pins the config default resolution that
-// /debug/dpr surfaces: RefreshInterval follows CheckpointInterval/2, the
-// commit pump is adaptive (no floor) by default, an explicit MinCommitInterval
-// is a floor, a negative one disables the pump, and manual-commit workers (no
-// checkpoint timer) never pump.
+// TestWorkerEffectiveIntervals pins what /debug/dpr says about the one
+// cadence: a worker with a CheckpointInterval pumps adaptively behind that
+// heartbeat, a manual worker (no interval) does not pump at all, and both
+// watch the finder.
 func TestWorkerEffectiveIntervals(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		cfg              libdpr.WorkerConfig
-		wantRefreshMS    float64
-		wantMinCommitMS  float64
 		wantCheckpointMS float64
 		wantPump         string
 	}{
-		{
-			name:             "defaults couple to checkpoint interval",
-			cfg:              libdpr.WorkerConfig{CheckpointInterval: 100 * time.Millisecond},
-			wantCheckpointMS: 100, wantRefreshMS: 50, wantMinCommitMS: 0, wantPump: "adaptive",
-		},
-		{
-			name: "explicit values win",
-			cfg: libdpr.WorkerConfig{
-				CheckpointInterval: 100 * time.Millisecond,
-				RefreshInterval:    7 * time.Millisecond,
-				MinCommitInterval:  3 * time.Millisecond,
-			},
-			wantCheckpointMS: 100, wantRefreshMS: 7, wantMinCommitMS: 3, wantPump: "floor",
-		},
-		{
-			name: "negative MinCommitInterval disables the pump",
-			cfg: libdpr.WorkerConfig{
-				CheckpointInterval: 100 * time.Millisecond,
-				MinCommitInterval:  -1,
-			},
-			wantCheckpointMS: 100, wantRefreshMS: 50, wantMinCommitMS: 0, wantPump: "off",
-		},
-		{
-			name:             "manual-commit workers do not pump",
-			cfg:              libdpr.WorkerConfig{},
-			wantCheckpointMS: 0, wantRefreshMS: 50, wantMinCommitMS: 0, wantPump: "off",
-		},
+		{"heartbeat behind an adaptive pump", libdpr.WorkerConfig{CheckpointInterval: 100 * time.Millisecond}, 100, "adaptive"},
+		{"manual-commit workers do not pump", libdpr.WorkerConfig{}, 0, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			meta := metadata.NewStore(metadata.Config{})
@@ -82,20 +54,14 @@ func TestWorkerEffectiveIntervals(t *testing.T) {
 			if st.CheckpointIntervalMS != tc.wantCheckpointMS {
 				t.Errorf("checkpoint_interval_ms = %v, want %v", st.CheckpointIntervalMS, tc.wantCheckpointMS)
 			}
-			if st.RefreshIntervalMS != tc.wantRefreshMS {
-				t.Errorf("refresh_interval_ms = %v, want %v", st.RefreshIntervalMS, tc.wantRefreshMS)
-			}
-			if st.MinCommitIntervalMS != tc.wantMinCommitMS {
-				t.Errorf("min_commit_interval_ms = %v, want %v", st.MinCommitIntervalMS, tc.wantMinCommitMS)
-			}
 			if st.CommitPump != tc.wantPump {
 				t.Errorf("commit_pump = %q, want %q", st.CommitPump, tc.wantPump)
 			}
-			if tc.wantPump == "floor" && st.CommitGapMS != tc.wantMinCommitMS {
-				t.Errorf("commit_gap_ms = %v before any seal, want the floor %v", st.CommitGapMS, tc.wantMinCommitMS)
+			if st.CommitGapMS != 0 {
+				t.Errorf("commit_gap_ms = %v before any seal, want 0", st.CommitGapMS)
 			}
 			if !st.MetaWatch {
-				t.Error("meta_watch should be true over an in-process metadata store")
+				t.Error("meta_watch should be true: every metadata service is watched")
 			}
 		})
 	}
@@ -152,27 +118,27 @@ func TestCommitPumpBeatsCheckpointTimer(t *testing.T) {
 	}
 }
 
-// TestCommitPumpDisabled: with the pump off, the same batch waits for the
-// checkpoint timer — pinning that MinCommitInterval < 0 really restores the
-// periodic behavior rather than leaving a hidden fast path on.
-func TestCommitPumpDisabled(t *testing.T) {
-	const heartbeat = 300 * time.Millisecond
+// TestHeartbeatBackstopCommits is the bound behind the pump: with the pump's
+// dirty wake suppressed (the pump-off ablation), nothing but the heartbeat
+// can start the commit, and an executed batch still commits within two
+// CheckpointIntervals — and not before the first heartbeat, so the hook
+// really took the pump out.
+func TestHeartbeatBackstopCommits(t *testing.T) {
+	const heartbeat = 200 * time.Millisecond
 	meta := metadata.NewStore(metadata.Config{})
-	w, st := newEventWorker(t, meta, libdpr.WorkerConfig{
-		CheckpointInterval: heartbeat,
-		MinCommitInterval:  -1,
-	})
+	w, st := newEventWorker(t, meta, libdpr.WorkerConfig{CheckpointInterval: heartbeat})
+	w.SuppressDirtyWake()
 	s, err := libdpr.NewSession(meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	seq := execOne(t, w, st, s, "k", "v")
-	if err := s.WaitCommit(seq, 5*time.Second); err != nil {
-		t.Fatal(err)
+	if err := s.WaitCommit(seq, 2*heartbeat-time.Since(start)); err != nil {
+		t.Fatalf("not committed within two heartbeats of %v: %v", heartbeat, err)
 	}
 	if elapsed := time.Since(start); elapsed < heartbeat/2 {
-		t.Fatalf("commit took %v with the pump disabled: expected to wait for the %v timer", elapsed, heartbeat)
+		t.Fatalf("commit took %v with the pump's wake suppressed: expected to wait for the %v heartbeat", elapsed, heartbeat)
 	}
 }
 
@@ -211,5 +177,24 @@ func TestOnCutAdvanceStreams(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("OnCutAdvance never fired after an executed batch")
+	}
+}
+
+// TestWaitCutCoversGivesUpOnStop: a worker that is stopped while a migration
+// waits for its cut position releases the waiter at once, with an error, and
+// does not sleep out the timeout.
+func TestWaitCutCoversGivesUpOnStop(t *testing.T) {
+	w, _ := newEventWorker(t, metadata.NewStore(metadata.Config{}), libdpr.WorkerConfig{})
+	done := make(chan error, 1)
+	go func() { done <- w.WaitCutCovers(1000, time.Minute) }()
+	time.Sleep(20 * time.Millisecond) // let it park
+	w.Stop()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("WaitCutCovers reported version 1000 covered on a worker that never committed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitCutCovers still waiting 5s after Stop")
 	}
 }

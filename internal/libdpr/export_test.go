@@ -2,3 +2,12 @@ package libdpr
 
 // PumpGapSeals exposes the pump's duty-cycle constant to the external tests.
 const PumpGapSeals = pumpGapSeals
+
+// ManualHeartbeat exposes the session backstop period to the external tests.
+const ManualHeartbeat = manualHeartbeat
+
+// SuppressDirtyWake is the pump-off ablation: it pins the dirty mark, so no
+// executed batch ever produces the false→true edge that wakes the commit
+// pump, and commits are left to the heartbeat. Call it before any batch
+// executes.
+func (w *Worker) SuppressDirtyWake() { w.dirty.Store(true) }

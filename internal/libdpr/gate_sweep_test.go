@@ -10,17 +10,18 @@ import (
 	"dpr/internal/storage"
 )
 
-// newSweepWorker builds a worker whose background sweep will not fire on its
-// own (huge refresh interval), so tests drive sweepGates deterministically.
+// newSweepWorker builds a worker whose heartbeat never ticks (an hour's
+// interval): neither the era clock nor the sweep moves on its own, so tests
+// drive both deterministically.
 func newSweepWorker(t *testing.T) *Worker {
 	t.Helper()
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	t.Cleanup(func() { store.Close() })
 	w, err := NewWorker(WorkerConfig{
-		ID:              1,
-		RefreshInterval: time.Hour,
-		AdmitTimeout:    time.Second,
+		ID:                 1,
+		CheckpointInterval: time.Hour,
+		AdmitTimeout:       time.Second,
 	}, store, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +53,9 @@ func TestGateSweepPreservesFence(t *testing.T) {
 	}
 	w.ReleaseBatch(h, lane, true) // fence now at 4
 
-	// Age the gate out. The gate's era is the current tick; any now at
-	// least GateIdleIntervals past it qualifies.
-	w.sweepGates(w.gateEra.Load() + uint64(w.cfg.GateIdleIntervals))
+	// Age the gate out. The gate's era is the current tick; a cutoff at it
+	// qualifies.
+	w.sweepGates(w.gateEra.Load())
 	if _, live := w.gates.Load(uint64(session)); live {
 		t.Fatal("idle gate still in the live map after sweep")
 	}
@@ -86,18 +87,19 @@ func TestGateSweepPreservesFence(t *testing.T) {
 	w.ReleaseBatch(next, lane, true)
 
 	// A second ageing round archives the advanced fence.
-	w.sweepGates(w.gateEra.Load() + uint64(w.cfg.GateIdleIntervals))
+	w.sweepGates(w.gateEra.Load())
 	if rec, ok := w.archivedGate(session); !ok || rec.next != 5 {
 		t.Fatalf("re-archived fence = %+v (present=%v), want next 5", rec, ok)
 	}
 }
 
 // TestGateSweepSkipsActiveSessions: a session admitted this era is not aged
-// out by a sweep at the idle threshold measured from an older era.
+// out by a sweep whose cutoff is an older era.
 func TestGateSweepSkipsActiveSessions(t *testing.T) {
 	w := newSweepWorker(t)
 	lane := w.NewLane()
 	defer lane.Close()
+	w.gateEra.Add(1) // an era before the admission exists
 
 	h := BatchHeader{SessionID: 7, WorldLine: w.WorldLine(), SeqStart: 0, NumOps: 1}
 	if _, err := w.AdmitBatchGuarded(h, lane); err != nil {
@@ -105,8 +107,8 @@ func TestGateSweepSkipsActiveSessions(t *testing.T) {
 	}
 	w.ReleaseBatch(h, lane, true)
 
-	// One era short of the threshold: the gate stays live.
-	w.sweepGates(w.gateEra.Load() + uint64(w.cfg.GateIdleIntervals) - 1)
+	// A cutoff one era before the admission: the gate stays live.
+	w.sweepGates(w.gateEra.Load() - 1)
 	if _, live := w.gates.Load(uint64(7)); !live {
 		t.Fatal("sweep aged out a session inside the idle window")
 	}

@@ -34,7 +34,6 @@ func newHarness(t *testing.T, n int, finder metadata.FinderKind, ckptEvery time.
 			ID:                 core.WorkerID(i + 1),
 			Addr:               fmt.Sprintf("inproc-%d", i+1),
 			CheckpointInterval: ckptEvery,
-			RefreshInterval:    time.Millisecond,
 		}, st, h.meta)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +285,11 @@ func TestStaleClientRejected(t *testing.T) {
 }
 
 func TestNestedFailures(t *testing.T) {
-	h := newHarness(t, 2, metadata.FinderApproximate, 5*time.Millisecond)
+	// A heartbeat far apart: the pump commits each batch at once, the idle
+	// worker catches up at its next heartbeat, and none lands between the
+	// two failures below — a commit there would legitimately move the cut
+	// the second round freezes.
+	h := newHarness(t, 2, metadata.FinderApproximate, time.Second)
 	s, err := libdpr.NewSession(h.meta, true)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 
 // timedStore is a StateObject whose commit takes a configurable time and
 // nothing else: single-flight like kv, it announces each seal through
-// PersistNotifier and records when every commit started and ended.
+// OnPersist and records when every commit started and ended.
 type timedStore struct {
 	commit time.Duration
 	// silent makes the next n commits vanish: version shifted, nothing
@@ -263,27 +263,9 @@ func TestPumpFastCommitPeriod(t *testing.T) {
 	})
 }
 
-// TestPumpExplicitFloor: a positive MinCommitInterval still spaces seal
-// starts, however cheap the commit.
-func TestPumpExplicitFloor(t *testing.T) {
-	const floor = 5 * time.Millisecond
-	r := newPumpRig(t, newTimedStore(200*time.Microsecond), libdpr.WorkerConfig{MinCommitInterval: floor})
-	r.keepDirty(t, 100*time.Millisecond)
-	seals, _ := r.so.spans()
-	if len(seals) < 3 {
-		t.Fatalf("only %d seals in 100 ms at a %v floor", len(seals), floor)
-	}
-	for i := 1; i < len(seals); i++ {
-		// The pump stamps its start just before the store records its own.
-		if d := seals[i].start.Sub(seals[i-1].start); d < floor-500*time.Microsecond {
-			t.Fatalf("seals %d and %d started %v apart under a %v floor", i-1, i, d, floor)
-		}
-	}
-}
-
 // TestPumpOutlivesSilentSealFailure: a commit that fails never announces
-// itself. The pump must give its slot up after a heartbeat at most, and seal
-// again once the store recovers.
+// itself. The heartbeat declares it dead within two intervals and retries it,
+// and the pump seals again once the store recovers.
 func TestPumpOutlivesSilentSealFailure(t *testing.T) {
 	so := newTimedStore(200 * time.Microsecond)
 	so.silent.Store(1)
@@ -325,25 +307,62 @@ func TestCommitBoundaryWaitsForTheSeal(t *testing.T) {
 }
 
 // TestFailedSealDoesNotTimeItsRetry: a commit that fails silently leaves its
-// start stamp behind, and with the pump off nothing but the heartbeat can
-// clear it. The heartbeat's retry must be timed from its own start:
+// start stamp behind, and only the heartbeat retries it. The retry must be
+// timed from its own start, whoever started the failed attempt — an earlier
+// heartbeat (pump off), or the pump inside the same heartbeat interval:
 // dpr_seal_seconds holds one sample, of about one commit, not of a heartbeat
 // interval and a commit.
 func TestFailedSealDoesNotTimeItsRetry(t *testing.T) {
 	const commit, heartbeat = time.Millisecond, 40 * time.Millisecond
-	so := newTimedStore(commit)
-	so.silent.Store(1)
+	for _, pump := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pump=%v", pump), func(t *testing.T) {
+			so := newTimedStore(commit)
+			so.silent.Store(1)
+			reg := obs.NewRegistry()
+			r := newPumpRig(t, so, libdpr.WorkerConfig{CheckpointInterval: heartbeat, Obs: reg})
+			if pump {
+				r.execute(t, 1) // the pump starts the seal that fails
+			} else {
+				r.w.SuppressDirtyWake()
+			}
+			for deadline := time.Now().Add(5 * time.Second); so.PersistedVersion() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the heartbeat never retried the failed commit")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(5 * time.Millisecond) // the notification follows the version
+			h := reg.Histogram("dpr_seal_seconds", "", obs.L("worker", "1")).Snapshot()
+			if max := time.Duration(h.Max) * time.Microsecond; h.Count != 1 || max >= heartbeat/2 {
+				t.Fatalf("dpr_seal_seconds: %d samples, max %v; want the retry alone, near %v", h.Count, max, commit)
+			}
+		})
+	}
+}
+
+// TestSlowSealKeepsItsStamp is the other side of the dead-seal rule: a seal
+// that takes most of a heartbeat interval and has a heartbeat land inside it
+// is alive, and dpr_seal_seconds holds its whole duration, not the part after
+// the heartbeat.
+func TestSlowSealKeepsItsStamp(t *testing.T) {
+	const commit, heartbeat = 30 * time.Millisecond, 40 * time.Millisecond
 	reg := obs.NewRegistry()
-	newPumpRig(t, so, libdpr.WorkerConfig{MinCommitInterval: -1, CheckpointInterval: heartbeat, Obs: reg})
-	for deadline := time.Now().Add(5 * time.Second); so.PersistedVersion() == 0; {
+	r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{CheckpointInterval: heartbeat, Obs: reg})
+	r.w.SuppressDirtyWake()
+	time.Sleep(heartbeat / 2) // the seal spans the first heartbeat
+	if err := r.w.TriggerCommit(); err != nil {
+		t.Fatal(err)
+	}
+	seals := reg.Histogram("dpr_seal_seconds", "", obs.L("worker", "1"))
+	for deadline := time.Now().Add(5 * time.Second); seals.Count() == 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("the heartbeat never retried the failed commit")
+			t.Fatal("the commit never sealed")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(5 * time.Millisecond) // the notification follows the version
-	h := reg.Histogram("dpr_seal_seconds", "", obs.L("worker", "1")).Snapshot()
-	if max := time.Duration(h.Max) * time.Microsecond; h.Count != 1 || max >= heartbeat/2 {
-		t.Fatalf("dpr_seal_seconds: %d samples, max %v; want the retry alone, near %v", h.Count, max, commit)
+	// Later heartbeats may have sealed again by now: every sample is whole.
+	h := seals.Snapshot()
+	if mean := time.Duration(h.Sum/h.Count) * time.Microsecond; mean < commit {
+		t.Fatalf("dpr_seal_seconds: mean %v over %d samples; want the whole %v seal", mean, h.Count, commit)
 	}
 }

@@ -16,14 +16,22 @@ import (
 // on world-line 0; a session's commit tracking calls nothing else.
 type cutOnlyMeta struct {
 	metadata.Service
-	mu  sync.Mutex
-	cut core.Cut
+	mu     sync.Mutex
+	cut    core.Cut
+	states int // State calls answered
 }
 
 func (m *cutOnlyMeta) State() (core.Cut, core.Version, core.WorldLine, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.states++
 	return m.cut.Clone(), 0, 0, nil
+}
+
+func (m *cutOnlyMeta) stateCalls() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.states
 }
 
 func (m *cutOnlyMeta) setCut(c core.Cut) {
@@ -81,6 +89,75 @@ func TestWaitCommitHonoursExceptionHoles(t *testing.T) {
 	if p, exc := s.Committed(); p != 64 || len(exc) != 0 {
 		t.Fatalf("prefix %d exceptions %v after the hole closed", p, exc)
 	}
+}
+
+// TestWaitCommitWakesOnFold: WaitCommit is woken by the fold of a cut into the
+// session, not by polling the finder. A cut that arrives by ObserveCut (a
+// pushed frame) ends a long wait within a few milliseconds and after a handful
+// of finder calls — the backstop's, at an interval doubling from 1 ms up to
+// its period — where a 1 ms poll made one per millisecond. With no push at all
+// the backstop still finds the cut at the finder, within one of its periods.
+func TestWaitCommitWakesOnFold(t *testing.T) {
+	const slack = 25 * time.Millisecond
+	issue := func(t *testing.T) (*cutOnlyMeta, *libdpr.Session, uint64) {
+		meta := &cutOnlyMeta{}
+		s, err := libdpr.NewSession(meta, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := s.Tracker()
+		start := tr.BeginBatch(4)
+		tr.CompleteBatch(0, start, 1, []core.Version{1, 1, 1, 1})
+		return meta, s, start + 3
+	}
+	wait := func(s *libdpr.Session, seq uint64) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- s.WaitCommit(seq, 5*time.Second) }()
+		return done
+	}
+
+	t.Run("pushed cut", func(t *testing.T) {
+		const parked = 200 * time.Millisecond
+		meta, s, seq := issue(t)
+		before := meta.stateCalls()
+		done := wait(s, seq)
+		select {
+		case err := <-done:
+			t.Fatalf("WaitCommit returned %v before any cut covered seq %d", err, seq)
+		case <-time.After(parked):
+		}
+		folded := time.Now()
+		if err := s.ObserveCut(0, core.Cut{1: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if woke := time.Since(folded); woke > slack {
+			t.Errorf("WaitCommit returned %v after the fold, want a wake-up, not the next poll", woke)
+		}
+		calls := meta.stateCalls() - before
+		// 0, 1, 3, 7, 15, 31, 63 ms, then one per backstop period.
+		if most := 7 + int(parked/libdpr.ManualHeartbeat); calls > most {
+			t.Errorf("%d finder State calls during a %v wait, want at most %d (a doubling interval up to one per %v)",
+				calls, parked, most, libdpr.ManualHeartbeat)
+		}
+	})
+
+	t.Run("no push", func(t *testing.T) {
+		meta, s, seq := issue(t)
+		done := wait(s, seq)
+		time.Sleep(20 * time.Millisecond)
+		meta.setCut(core.Cut{1: 1})
+		published := time.Now()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(published); took > libdpr.ManualHeartbeat+slack {
+			t.Errorf("WaitCommit returned %v after the finder published the cut, want within one %v backstop",
+				took, libdpr.ManualHeartbeat)
+		}
+	})
 }
 
 // TestNextBatchNeverCrossesUnacknowledgedFailure: a failure digested on a

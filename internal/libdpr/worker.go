@@ -22,22 +22,18 @@ import (
 	"dpr/internal/obs"
 )
 
-// StateObject extends core.StateObject with the current-version accessor
-// libDPR needs to run the progress protocol.
+// StateObject extends core.StateObject with what libDPR needs to run the
+// progress protocol and the commit plane: the current version, and a callback
+// when a checkpoint is durable (§6).
 type StateObject interface {
 	core.StateObject
 	// CurrentVersion returns the version new operations execute in.
 	CurrentVersion() core.Version
-}
-
-// PersistNotifier is the optional StateObject extension behind the push-based
-// commit plane: the store invokes the registered function every time a
-// checkpoint seals (its persisted version advances), from its own checkpoint
-// goroutine, possibly holding internal locks. The worker's handler therefore
-// only pokes a saturating channel and never blocks or re-enters the store.
-// State objects without this interface are reported on the RefreshInterval
-// heartbeat only, exactly the pre-push behavior.
-type PersistNotifier interface {
+	// OnPersist registers the function the store invokes every time a
+	// checkpoint seals (its persisted version advances), from its own
+	// checkpoint goroutine, possibly holding internal locks. The worker's
+	// handler therefore only stamps atomics and pokes a saturating channel,
+	// and never blocks or re-enters the store.
 	OnPersist(func(core.Version))
 }
 
@@ -85,54 +81,20 @@ type WorkerConfig struct {
 	ID core.WorkerID
 	// Addr is advertised in the membership table.
 	Addr string
-	// CheckpointInterval is the periodic Commit() cadence (the paper uses
-	// 100ms by default in its evaluation). With the commit pump enabled
-	// (see MinCommitInterval) the timer is a heartbeat behind the pump,
-	// catching work the dirty signal cannot see (e.g. Vmax catch-up on an
-	// idle worker, §3.4). <= 0 disables both the timer and the pump
-	// (commits must then be triggered manually or by version fast-forward).
+	// CheckpointInterval is the heartbeat behind the commit pump (the paper
+	// commits every 100ms in its evaluation). Commits are started by the pump
+	// when batches execute, paced by the seal's measured duration (see
+	// pumpGapSeals), so commit latency is O(seal duration), not
+	// O(CheckpointInterval); the heartbeat does what the push signals cannot
+	// see (see maintenanceLoop). <= 0 makes a manual worker: no pump, a
+	// heartbeat (at manualHeartbeat) that commits nothing — commits are
+	// triggered by the caller or by version fast-forward.
 	CheckpointInterval time.Duration
-	// RefreshInterval is the finder polling cadence (cut, Vmax, world-line)
-	// when no event-driven path is available, and the heartbeat behind the
-	// push paths when they are. It is coupled to CheckpointInterval: the
-	// default is CheckpointInterval/2, because the refresh must outpace the
-	// checkpoint timer or every commit sits persisted-but-unobserved for up
-	// to a full extra interval before the worker's cut view (and therefore
-	// client-visible commit latency) catches up; with no checkpoint timer
-	// the default is 50ms. Lowering CheckpointInterval without setting
-	// RefreshInterval tightens both cadences together; explicitly raising
-	// RefreshInterval above CheckpointInterval reintroduces the stale-cut
-	// wait the default ratio exists to avoid. The effective values after
-	// default resolution are surfaced in /debug/dpr
-	// (checkpoint_interval_ms / refresh_interval_ms).
-	RefreshInterval time.Duration
-	// MinCommitInterval paces the dirty-driven commit pump. When a batch
-	// executes, the pump seals as soon as no seal is in flight and the last
-	// one has been over for pumpGapSeals times as long as it took — the
-	// store spends a fixed share of its time sealing, whatever a seal costs
-	// (see pumpGapSeals for the share and what it is paced at). Commit
-	// latency is then O(seal duration), not O(CheckpointInterval). 0 means
-	// exactly that adaptive rule; a positive value adds a floor between seal
-	// starts on top of it; < 0 disables the pump, restoring the purely
-	// periodic behavior. A state object without PersistNotifier gives the
-	// pump no duration to measure and is paced at pumpBlindInterval instead.
-	// The pump only runs when CheckpointInterval > 0 (manual-commit workers
-	// stay manual).
-	MinCommitInterval time.Duration
 	// AdmitTimeout bounds how long a batch from a future world-line waits
 	// for local recovery. Default 5s.
 	AdmitTimeout time.Duration
-	// GateIdleIntervals is the number of RefreshIntervals a session's
-	// execution gate may sit unused before its sequence fence is aged out of
-	// the live sync.Map into a compact archive table (two words per
-	// session). The fence survives the round trip exactly — a stale batch
-	// for an aged session is still rejected after rehydration — so ageing
-	// only bounds the metadata footprint of dormant sessions, it never
-	// weakens the fence. <= 0 selects the default (1200 intervals, ≈60s at
-	// the default 50ms refresh).
-	GateIdleIntervals int
 	// EncodeCut, when set, is called once per state refresh to pre-serialize
-	// the piggybacked cut (the cut only changes every RefreshInterval, while
+	// the piggybacked cut (the cut changes once per commit round, while
 	// replies go out per batch). The result is published via EncodedCut and
 	// spliced verbatim into reply frames by the serving layer. libdpr cannot
 	// import the wire format, so the encoder is injected.
@@ -146,6 +108,14 @@ type WorkerConfig struct {
 	// obs.DefaultTraceSize).
 	TraceSize int
 }
+
+// manualHeartbeat is the heartbeat of a worker with no CheckpointInterval,
+// and the backstop of a session waiting for a commit (it has no interval).
+const manualHeartbeat = 50 * time.Millisecond
+
+// gateIdleAge is how long a session's execution gate may sit unused before
+// its fence is aged into the archive table.
+const gateIdleAge = time.Minute
 
 // Worker is the server-side libDPR state for one StateObject shard.
 type Worker struct {
@@ -172,37 +142,24 @@ type Worker struct {
 	// dirty + dirtyCh drive the commit pump: ReleaseBatch marks the worker
 	// dirty after an executed batch (one atomic on the hot path; the
 	// channel send only happens on the false→true edge) and commitPump
-	// folds marks into paced TriggerCommit calls. persistCh carries
-	// checkpoint-seal notifications from the state object (registered
-	// through the optional PersistNotifier interface) to the maintenance
-	// loop, which reports the new version to the finder immediately instead
-	// of on the next tick. Both channels have capacity 1 and saturate; the
-	// signals are level-triggered.
+	// folds marks into paced TriggerCommit calls. persistCh carries the
+	// state object's OnPersist notifications to the maintenance loop, which
+	// reports the new version at once. Both channels have capacity 1 and
+	// saturate; the signals are level-triggered.
 	dirty     atomic.Bool
-	pumping   bool
 	dirtyCh   chan struct{}
 	persistCh chan struct{}
 	// Seal tracking, the pump's pacing input and dpr_seal_seconds' source.
 	// sealStart is when the seal in flight began (unix nanos, 0 when none):
-	// beginCommit stamps it, the state object's persist notification clears
-	// it, records the seal's end and duration, and closes-and-replaces
-	// sealed, the broadcast the pump and CommitBoundary wait on. notified is
-	// whether the state object sends those notifications at all; without
-	// them sealDone runs from reportPersisted, at heartbeat cadence, nothing
-	// is measured, and pumpFloor — otherwise MinCommitInterval — defaults to
-	// pumpBlindInterval.
-	notified  bool
-	pumpFloor time.Duration
+	// beginCommit stamps it; the state object's persist notification clears
+	// it and records the seal's end and duration.
 	sealStart atomic.Int64
 	sealEnd   atomic.Int64
 	sealDur   atomic.Int64
-	sealed    atomic.Pointer[chan struct{}]
 	sealH     *obs.Histogram
-	// watching records that the metadata service implements StateWatcher
-	// and the long-poll watch loop is streaming cut changes; the persist
-	// handler then skips its own refresh (the report bumps the finder
-	// generation, which wakes the watch loop).
-	watching bool
+	// moved is the broadcast await parks on: closed and replaced (see wake)
+	// whenever a seal lands or refreshState installs a cut view.
+	moved atomic.Pointer[chan struct{}]
 
 	// cutObs, when set, is invoked from refreshState whenever the
 	// piggybackable cut snapshot changes (new world-line or different cut),
@@ -215,7 +172,7 @@ type Worker struct {
 	// lastDep caches the most recent (version, dependency) recorded so the
 	// hot path skips the deps mutex when a session hammers one worker with
 	// the same dependency token — the common no-new-cross-shard-dependency
-	// case within a refresh interval.
+	// case between two cut refreshes.
 	lastDep atomic.Pointer[versionDep]
 
 	// exec + rbFence + rbMu fence rollbacks against in-flight batch
@@ -262,12 +219,13 @@ type Worker struct {
 	// the client already abandoned — cannot execute after newer operations
 	// of the same session already ran and reorder the session's history.
 	//
-	// Gates of sessions idle for GateIdleIntervals refresh ticks are aged
-	// out of the sync.Map into archivedGates, a plain map of two-word fence
-	// records, and rehydrated on the session's next batch — so a million
-	// dormant sessions cost a compact table, not a million live mutexes,
-	// while the fence itself is preserved exactly. gateEra is the coarse
-	// clock (one tick per refresh interval) gates stamp on use.
+	// Gates of sessions idle for gateIdleAge are aged out of the sync.Map
+	// into archived, a plain map of two-word fence records, and rehydrated on
+	// the session's next batch — so a million dormant sessions cost a compact
+	// table, not a million live mutexes. The fence survives the round trip
+	// exactly: a stale batch for an aged session is still rejected after
+	// rehydration. gateEra is the coarse clock (one tick per heartbeat) gates
+	// stamp on use.
 	gates   sync.Map // uint64 -> *sessionGate
 	gateEra atomic.Uint64
 	archMu  sync.Mutex
@@ -296,16 +254,6 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	if cfg.AdmitTimeout <= 0 {
 		cfg.AdmitTimeout = 5 * time.Second
 	}
-	if cfg.GateIdleIntervals <= 0 {
-		cfg.GateIdleIntervals = 1200
-	}
-	if cfg.RefreshInterval <= 0 {
-		if cfg.CheckpointInterval > 0 {
-			cfg.RefreshInterval = cfg.CheckpointInterval / 2
-		} else {
-			cfg.RefreshInterval = 50 * time.Millisecond
-		}
-	}
 	if err := meta.RegisterWorker(cfg.ID, cfg.Addr); err != nil {
 		return nil, err
 	}
@@ -326,17 +274,8 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 		persistCh: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
-	w.pumping = cfg.CheckpointInterval > 0 && cfg.MinCommitInterval >= 0
-	pn, notified := so.(PersistNotifier)
-	w.notified = notified
-	w.pumpFloor = cfg.MinCommitInterval
-	if !notified && w.pumpFloor == 0 {
-		w.pumpFloor = pumpBlindInterval
-	}
-	sealed := make(chan struct{})
-	w.sealed.Store(&sealed)
-	sw, watching := meta.(metadata.StateWatcher)
-	w.watching = watching
+	moved := make(chan struct{})
+	w.moved.Store(&moved)
 	snap := &cutSnapshot{wl: wl, cut: make(core.Cut)}
 	if cfg.EncodeCut != nil {
 		snap.encoded = cfg.EncodeCut(snap.cut)
@@ -344,27 +283,21 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	w.cutSnap.Store(snap)
 	w.reported = so.PersistedVersion()
 	w.registerObs()
-	if notified {
-		// Runs on the store's checkpoint goroutine: stamp the seal, hand off
-		// through the saturating channel, never block or call back into the
-		// store.
-		pn.OnPersist(func(core.Version) {
-			w.sealDone()
-			select {
-			case w.persistCh <- struct{}{}:
-			default:
-			}
-		})
-	}
-	w.wg.Add(1)
+	// Runs on the store's checkpoint goroutine: stamp the seal, hand off
+	// through the saturating channel, never block or call back into the store.
+	so.OnPersist(func(core.Version) {
+		w.sealDone()
+		select {
+		case w.persistCh <- struct{}{}:
+		default:
+		}
+	})
+	w.wg.Add(2)
 	go w.maintenanceLoop()
-	if w.pumping {
+	go w.watchLoop()
+	if cfg.CheckpointInterval > 0 {
 		w.wg.Add(1)
 		go w.commitPump()
-	}
-	if watching {
-		w.wg.Add(1)
-		go w.watchLoop(sw)
 	}
 	return w, nil
 }
@@ -461,23 +394,17 @@ func (w *Worker) DebugState(kind string) obs.DPRState {
 		}
 		cutJSON[strconv.FormatUint(uint64(id), 10)] = uint64(v)
 	}
-	pump, floor, gap := "off", time.Duration(0), time.Duration(0)
-	if w.pumping {
-		floor, gap = w.pumpFloor, w.commitGap()
+	var pump string
+	if w.cfg.CheckpointInterval > 0 {
 		pump = "adaptive"
-		if floor > 0 {
-			pump = "floor"
-		}
 	}
 	return obs.DPRState{
 		Worker:               uint64(w.cfg.ID),
 		Kind:                 kind,
 		CheckpointIntervalMS: float64(w.cfg.CheckpointInterval) / float64(time.Millisecond),
-		RefreshIntervalMS:    float64(w.cfg.RefreshInterval) / float64(time.Millisecond),
-		MinCommitIntervalMS:  float64(floor) / float64(time.Millisecond),
 		CommitPump:           pump,
-		CommitGapMS:          float64(gap) / float64(time.Millisecond),
-		MetaWatch:            w.watching,
+		CommitGapMS:          float64(w.commitGap()) / float64(time.Millisecond),
+		MetaWatch:            true,
 		WorldLine:            uint64(w.wl.Current()),
 		CurrentVersion:       uint64(w.so.CurrentVersion()),
 		PersistedVersion:     uint64(w.so.PersistedVersion()),
@@ -525,7 +452,7 @@ type sessionGate struct {
 	// highest executed batch).
 	next uint64
 	// era is the gateEra tick of the last admission; the sweep ages gates
-	// whose era is more than GateIdleIntervals ticks behind.
+	// whose era is at or below its cutoff.
 	era uint64
 	// dead marks a gate the sweep has archived and removed from the map;
 	// a goroutine that locked a dead gate must re-lookup (rehydrating from
@@ -561,21 +488,20 @@ func (w *Worker) gate(session uint64) *sessionGate {
 	return actual.(*sessionGate)
 }
 
-// sweepGates archives every gate idle for at least GateIdleIntervals era
-// ticks: the fence record moves into the compact archive table and the live
-// gate is removed from the map, atomically with respect to gate() under
-// archMu. Runs on the maintenance goroutine, off the batch path; busy gates
-// (TryLock failure) are skipped and revisited on the next sweep.
+// sweepGates archives every gate not used since era tick cutoff: the fence
+// record moves into the compact archive table and the live gate is removed
+// from the map, atomically with respect to gate() under archMu. Runs on the
+// maintenance goroutine, off the batch path; busy gates (TryLock failure) are
+// skipped and revisited on the next sweep.
 //
 //dpr:lockorder libdpr.sessionGate.mu < libdpr.Worker.archMu
-func (w *Worker) sweepGates(now uint64) {
-	idle := uint64(w.cfg.GateIdleIntervals)
+func (w *Worker) sweepGates(cutoff uint64) {
 	w.gates.Range(func(k, v any) bool {
 		g := v.(*sessionGate)
 		if !g.mu.TryLock() {
 			return true
 		}
-		if !g.dead && g.era+idle <= now {
+		if !g.dead && g.era <= cutoff {
 			g.dead = true
 			w.archMu.Lock()
 			w.archived[k.(uint64)] = gateRec{wl: g.wl, next: g.next}
@@ -709,7 +635,7 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 // ReleaseBatch ends the execution pinned by a successful AdmitBatchGuarded.
 // An executed batch marks the worker dirty, arming the commit pump: the next
 // group commit starts as soon as the pump's pacing allows, not on the next
-// CheckpointInterval tick.
+// heartbeat. (A manual worker has no pump to wake; the mark is harmless.)
 func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
 	g := w.gate(h.SessionID)
 	if executed {
@@ -719,7 +645,7 @@ func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
 	}
 	g.mu.Unlock()
 	lane.slot.Exit()
-	if executed && w.pumping && !w.dirty.Swap(true) {
+	if executed && !w.dirty.Swap(true) {
 		// False→true edge: wake the pump. The channel saturates at one
 		// token, so the steady-state hot-path cost is the Swap alone.
 		select {
@@ -785,8 +711,8 @@ func (w *Worker) Reply(versions []core.Version) BatchReply {
 	return r
 }
 
-// EncodedCut returns the pre-serialized piggybacked cut (refreshed once per
-// RefreshInterval), or nil when no WorkerConfig.EncodeCut is configured or
+// EncodedCut returns the pre-serialized piggybacked cut (refreshed with the
+// cut view), or nil when no WorkerConfig.EncodeCut is configured or
 // the cached cut belongs to a world-line other than the worker's current
 // one. The returned bytes are immutable and shared; callers must not modify
 // them.
@@ -832,8 +758,7 @@ func (w *Worker) TriggerCommit() error {
 // (see maintenanceLoop).
 func (w *Worker) beginCommit(target core.Version) error {
 	now := time.Now().UnixNano()
-	stamped := w.notified && w.sealStart.CompareAndSwap(0, now) &&
-		w.so.PersistedVersion() < target
+	stamped := w.sealStart.CompareAndSwap(0, now) && w.so.PersistedVersion() < target
 	err := w.so.BeginCommit(target)
 	if !stamped || err != nil {
 		w.sealStart.CompareAndSwap(now, 0)
@@ -855,22 +780,27 @@ func (w *Worker) sealDone() {
 	}
 	w.sealEnd.Store(now)
 	w.sealStart.CompareAndSwap(start, 0)
-	next := make(chan struct{})
-	close(*w.sealed.Swap(&next))
+	w.wake()
 }
 
-// awaitSeal blocks until cond holds, re-evaluating it after every seal, and
-// reports whether it did before the timeout (or Stop).
-func (w *Worker) awaitSeal(timeout time.Duration, cond func() bool) bool {
+// wake releases everyone parked in await to look at their condition again.
+func (w *Worker) wake() {
+	next := make(chan struct{})
+	close(*w.moved.Swap(&next))
+}
+
+// await blocks until cond holds, re-evaluating it after every seal and every
+// cut refresh, and reports whether it did before the timeout (or Stop).
+func (w *Worker) await(timeout time.Duration, cond func() bool) bool {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	for {
-		sealed := *w.sealed.Load() // before cond: a seal landing in between closes it
+		moved := *w.moved.Load() // before cond: a wake landing in between closes it
 		if cond() {
 			return true
 		}
 		select {
-		case <-sealed:
+		case <-moved:
 		case <-t.C:
 			return cond()
 		case <-w.stop:
@@ -890,7 +820,7 @@ func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 	if err := w.beginCommit(boundary); err != nil {
 		return 0, err
 	}
-	if !w.awaitSeal(timeout, func() bool {
+	if !w.await(timeout, func() bool {
 		return w.so.CurrentVersion() > boundary && w.so.PersistedVersion() >= boundary
 	}) {
 		return 0, fmt.Errorf("libdpr: boundary %d not sealed within %v (current %d, persisted %d)",
@@ -904,21 +834,15 @@ func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 // for this worker — i.e. until (w, v) is committed and can no longer be
 // rolled back on this world-line. The receive side of a migration calls this
 // before claiming ownership, so a post-handover crash of the target cannot
-// erase the imported state. Polls the finder directly (the worker's cached
-// cut refreshes on its own slower cadence) and nudges reporting along.
+// erase the imported state. It waits on the worker's own cut view, which the
+// watch loop refreshes on every finder generation and the heartbeat behind
+// it; a stopped worker gives up at once.
 func (w *Worker) WaitCutCovers(v core.Version, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		w.reportPersisted()
-		cut, _, _, err := w.meta.State()
-		if err == nil && cut.Get(w.cfg.ID) >= v {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("libdpr: DPR cut did not cover version %d within %v", v, timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
+	w.reportPersisted()
+	if !w.await(timeout, func() bool { self, _ := w.cutPositions(); return self >= v }) {
+		return fmt.Errorf("libdpr: DPR cut did not cover version %d within %v (or the worker stopped)", v, timeout)
 	}
+	return nil
 }
 
 // Rollback rolls the StateObject back to the cut position for this worker
@@ -991,62 +915,55 @@ func (w *Worker) Stop() {
 	w.wg.Wait()
 }
 
-// maintenanceLoop runs the periodic work: trigger checkpoints, report
-// persisted versions (with their dependency sets) to the finder, and refresh
-// the cached cut/Vmax/world-line. With the event-driven paths active (commit
-// pump, persist notifications, metadata watch) the tickers are pure
-// heartbeats — they catch whatever the push signals cannot see (Vmax
-// catch-up on idle workers, a dropped notification, a store without
-// PersistNotifier) — and the persistCh case carries the latency-critical
-// seal→report hop.
+// maintenanceLoop carries the latency-critical seal→report hop (persistCh)
+// and the one heartbeat behind the event-driven plane: commits are started by
+// the pump, reports by the persist notification, cut refreshes by the watch
+// loop, and the heartbeat does what those cannot see or may have lost — Vmax
+// catch-up on an idle worker (§3.4), the retry of a failed seal, a dropped
+// notification, a watch loop backing off an error, the session-gate sweep.
 func (w *Worker) maintenanceLoop() {
 	defer w.wg.Done()
-	var ckptC <-chan time.Time
-	if w.cfg.CheckpointInterval > 0 {
-		t := time.NewTicker(w.cfg.CheckpointInterval)
-		defer t.Stop()
-		ckptC = t.C
+	period := w.cfg.CheckpointInterval
+	if period <= 0 {
+		period = manualHeartbeat
 	}
-	refresh := time.NewTicker(w.cfg.RefreshInterval)
-	defer refresh.Stop()
-	var stale int64 // the seal stamp the previous heartbeat left in place
+	heartbeat := time.NewTicker(period)
+	defer heartbeat.Stop()
+	idleTicks := max(1, uint64(gateIdleAge/period))
+	var seen int64 // the seal stamp the previous heartbeat found or left in place
 	for {
 		select {
 		case <-w.stop:
 			return
-		case <-ckptC:
-			// A stamp that outlived a whole heartbeat belongs to a seal that
-			// failed — failures are not announced. Drop it, so that the retry
-			// is timed from its own start and not from the failed attempt's.
-			if s := w.sealStart.Load(); s != 0 && s == stale {
-				w.sealStart.CompareAndSwap(s, 0)
-			}
-			_ = w.TriggerCommit()
-			stale = w.sealStart.Load()
-			w.reportPersisted()
 		case <-w.persistCh:
 			// A checkpoint just sealed: report it now. The report bumps the
-			// finder generation; when the watch loop is streaming, it takes
-			// over from there, otherwise refresh the cut view directly so
-			// commit visibility does not wait for the next heartbeat.
+			// finder generation, which wakes the watch loop.
 			w.reportPersisted()
-			if !w.watching {
-				w.refreshState()
+		case <-heartbeat.C:
+			// Failures are not announced. This is the one place a seal is
+			// declared dead: its stamp outlived a whole heartbeat interval — two
+			// heartbeats in a row met it. Drop it, so the retry stamps its own
+			// start and is timed from there. A stamp met for the first time is a
+			// seal taken to be in flight, however long it has run: no commit is
+			// started on top of it, because if it did fail that commit would be
+			// its retry, timed from the failure.
+			s := w.sealStart.Load()
+			if s != 0 && s == seen {
+				w.sealStart.CompareAndSwap(s, 0)
+				s = 0
 			}
-		case <-refresh.C:
+			if s == 0 && w.cfg.CheckpointInterval > 0 {
+				_ = w.TriggerCommit() // a failed commit is retried by a later heartbeat
+			}
+			seen = w.sealStart.Load()
 			w.reportPersisted()
 			w.refreshState()
-			if era := w.gateEra.Add(1); era%uint64(w.cfg.GateIdleIntervals) == 0 {
-				w.sweepGates(era)
+			if era := w.gateEra.Add(1); era%idleTicks == 0 {
+				w.sweepGates(era - idleTicks)
 			}
 		}
 	}
 }
-
-// pumpBlindInterval spaces the pump's seals for a state object that does not
-// announce them (no PersistNotifier): with no duration to adapt to, the pump
-// falls back to a fixed cadence.
-const pumpBlindInterval = 2 * time.Millisecond
 
 // pumpGapSeals is the pump's duty-cycle constant: after a seal ends, the pump
 // leaves pumpGapSeals times that seal's measured duration before it starts the
@@ -1063,41 +980,31 @@ const pumpBlindInterval = 2 * time.Millisecond
 const pumpGapSeals = 3
 
 // commitGap is the pause the pump currently leaves after a seal ends before
-// it starts the next: pumpGapSeals times that seal's measured duration, never
-// less than the floor.
+// it starts the next: pumpGapSeals times that seal's measured duration.
 func (w *Worker) commitGap() time.Duration {
-	return max(time.Duration(w.sealDur.Load())*pumpGapSeals, w.pumpFloor)
+	return time.Duration(w.sealDur.Load()) * pumpGapSeals
 }
 
 // commitPump converts dirty marks into group commits: at once when the
 // worker has been idle, otherwise as soon as the seal in flight is over and
-// has been for commitGap. The floor also spaces seal starts. TriggerCommit
-// folds into the state object's single-flight commit, so the heartbeat timer
-// or a version fast-forward landing in between costs no second device write.
+// has been for commitGap. TriggerCommit folds into the state object's
+// single-flight commit, so the heartbeat or a version fast-forward landing
+// in between costs no second device write.
 func (w *Worker) commitPump() {
 	defer w.wg.Done()
-	var last time.Time
 	for {
 		select {
 		case <-w.stop:
 			return
 		case <-w.dirtyCh:
 		}
-		// A seal in flight: wait it out, but no longer than the heartbeat
-		// would — a seal that failed never announces itself, and must not
-		// hold the pump (or pass for a fast seal) once the device heals.
+		// A seal in flight: wait it out. One that failed never announces
+		// itself; the heartbeat declares it dead within two intervals, and its
+		// retry's seal is what wakes the pump (and paces it) again.
 		if start := w.sealStart.Load(); start != 0 {
-			left := w.cfg.CheckpointInterval - time.Since(time.Unix(0, start))
-			done := w.awaitSeal(left, func() bool { return w.sealStart.Load() != start })
-			if !done && w.sealStart.CompareAndSwap(start, 0) {
-				w.sealDur.Store(int64(w.cfg.CheckpointInterval))
-				w.sealEnd.Store(time.Now().UnixNano())
-			}
+			w.await(2*w.cfg.CheckpointInterval, func() bool { return w.sealStart.Load() != start })
 		}
 		next := time.Unix(0, w.sealEnd.Load()).Add(w.commitGap())
-		if t := last.Add(w.pumpFloor); t.After(next) {
-			next = t
-		}
 		if wait := time.Until(next); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
@@ -1110,8 +1017,7 @@ func (w *Worker) commitPump() {
 		// Clear dirty before committing: work arriving mid-commit re-arms
 		// the pump for another round instead of being lost.
 		w.dirty.Store(false)
-		last = time.Now()
-		_ = w.TriggerCommit()
+		_ = w.TriggerCommit() // a failed commit is retried by the heartbeat
 	}
 }
 
@@ -1120,12 +1026,10 @@ func (w *Worker) commitPump() {
 const watchLoopPollTimeout = 250 * time.Millisecond
 
 // watchLoop long-polls the finder for state-generation changes and refreshes
-// the cut view the moment one lands — the streamed replacement for learning
-// about cut advances on the RefreshInterval poll. A timeout with an
-// unchanged generation is the idle heartbeat, not an error; on RPC errors
-// the loop backs off one poll interval and the maintenance ticker carries
-// the refresh in the meantime.
-func (w *Worker) watchLoop(sw metadata.StateWatcher) {
+// the cut view the moment one lands. A timeout with an unchanged generation
+// is an idle leg, not an error; on RPC errors the loop backs off one poll
+// interval and the heartbeat carries the refresh in the meantime.
+func (w *Worker) watchLoop() {
 	defer w.wg.Done()
 	var since uint64
 	for {
@@ -1134,7 +1038,7 @@ func (w *Worker) watchLoop(sw metadata.StateWatcher) {
 			return
 		default:
 		}
-		gen, err := sw.WaitStateChange(since, watchLoopPollTimeout)
+		gen, err := w.meta.WaitStateChange(since, watchLoopPollTimeout)
 		if err != nil {
 			select {
 			case <-w.stop:
@@ -1162,9 +1066,6 @@ func (w *Worker) reportPersisted() {
 	}
 	w.reported = persisted
 	w.cutMu.Unlock()
-	if !w.notified {
-		w.sealDone() // nobody announced this seal; the heartbeat found it
-	}
 	w.trace.Record(obs.EvCheckpointPersist, uint64(w.wl.Current()), uint64(persisted), 0)
 	for v := from + 1; v <= persisted; v++ {
 		w.depsMu.Lock()
@@ -1201,6 +1102,7 @@ func (w *Worker) refreshState() {
 	w.cut = cut
 	w.vmax = vmax
 	w.cutMu.Unlock()
+	w.wake()
 	w.refreshedAt.Store(time.Now().UnixNano())
 	if self := cut.Get(w.cfg.ID); self > prevSelf {
 		var max core.Version

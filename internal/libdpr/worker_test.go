@@ -47,7 +47,7 @@ func TestReplySharedCutIsStable(t *testing.T) {
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	defer store.Close()
 	w, err := libdpr.NewWorker(libdpr.WorkerConfig{
-		ID: 1, CheckpointInterval: 2 * time.Millisecond, RefreshInterval: time.Millisecond,
+		ID: 1, CheckpointInterval: 2 * time.Millisecond,
 	}, store, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRecordDependencyIgnoresSelfAndZero(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderExact})
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	defer store.Close()
-	w, err := libdpr.NewWorker(libdpr.WorkerConfig{ID: 1, RefreshInterval: time.Millisecond}, store, meta)
+	w, err := libdpr.NewWorker(libdpr.WorkerConfig{ID: 1}, store, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestWorkerRollbackIdempotentPerWorldLine(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	defer store.Close()
-	w, err := libdpr.NewWorker(libdpr.WorkerConfig{ID: 1, RefreshInterval: time.Hour}, store, meta)
+	w, err := libdpr.NewWorker(libdpr.WorkerConfig{ID: 1}, store, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestWorkerStateObjectAccessor(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{})
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	defer store.Close()
-	w, err := libdpr.NewWorker(libdpr.WorkerConfig{ID: 1, RefreshInterval: time.Hour}, store, meta)
+	w, err := libdpr.NewWorker(libdpr.WorkerConfig{ID: 1}, store, meta)
 	if err != nil {
 		t.Fatal(err)
 	}

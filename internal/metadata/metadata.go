@@ -57,6 +57,9 @@ type Service interface {
 	// world-line wl; recovery coordinators wait for all members to ack
 	// before resuming DPR progress (§4.1).
 	AckWorldLine(w core.WorkerID, wl core.WorldLine) error
+	// StateWatcher is how workers learn that State changed: every service
+	// can wake its caller, so nothing falls back to polling State.
+	StateWatcher
 }
 
 // FinderKind selects the cut-finding algorithm (§3.3-3.4).
@@ -345,7 +348,7 @@ func (s *Store) Generation() uint64 { return s.gen.Load() }
 // It returns the generation current at wake-up: equal to since means the
 // timeout fired with no change — the caller's heartbeat case, not an error.
 // This is the push half of the event-driven commit plane: workers long-poll
-// it instead of sleeping a RefreshInterval between State calls.
+// it instead of sleeping between State calls.
 func (s *Store) WaitStateChange(since uint64, timeout time.Duration) (uint64, error) {
 	if g := s.gen.Load(); g != since {
 		return g, nil
@@ -370,16 +373,13 @@ func (s *Store) WaitStateChange(since uint64, timeout time.Duration) (uint64, er
 	return s.gen.Load(), nil
 }
 
-// StateWatcher is the optional push interface of a metadata service:
-// services that can wake a worker when the cut-bearing state changes
-// implement it, and the libDPR worker type-asserts for it to replace its
-// refresh poll with a long-poll (falling back to the RefreshInterval
-// heartbeat when absent). Implemented by *Store and the RPC client.
+// StateWatcher is the push half of a Service: WaitStateChange wakes a worker
+// when the cut-bearing state changes, so its watch loop long-polls instead of
+// polling State. It is part of Service; the name stays for decorators that
+// forward it separately.
 type StateWatcher interface {
 	WaitStateChange(since uint64, timeout time.Duration) (uint64, error)
 }
-
-var _ StateWatcher = (*Store)(nil)
 
 // view returns the current state view, rebuilding it first if mutations have
 // landed since the last publish. The fast path (no change since last read)

@@ -482,4 +482,3 @@ func (c *RPCClient) Migrations() ([]Migration, error) {
 
 var _ Service = (*RPCClient)(nil)
 var _ ElasticService = (*RPCClient)(nil)
-var _ StateWatcher = (*RPCClient)(nil)

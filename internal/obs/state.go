@@ -34,22 +34,14 @@ type DPRState struct {
 	// Migrations lists the in-flight partition handovers (finder only).
 	Migrations []MigrationState `json:"migrations,omitempty"`
 
-	// CheckpointIntervalMS and RefreshIntervalMS are the worker's effective
-	// maintenance cadences after default resolution (RefreshInterval
-	// defaults to CheckpointInterval/2 — see libdpr.WorkerConfig);
-	// MinCommitIntervalMS is the configured floor between the commit pump's
-	// seal starts, 0 when there is none. CommitPump says which rule paces the
-	// pump — "adaptive" (no floor: seal when dirty and idle, otherwise leave
-	// a gap after a seal of three times what the seal took), "floor" (the
-	// same plus MinCommitIntervalMS) or "off" (checkpoint timer only) — and
-	// CommitGapMS is the gap that rule currently yields, i.e. three times
-	// the last seal's measured duration, or the floor, whichever is larger:
-	// together with the dpr_seal_seconds histogram, why the commit cadence
-	// is what it is. MetaWatch reports whether cut changes stream in via the finder
-	// long-poll instead of the RefreshInterval poll alone.
+	// CheckpointIntervalMS is the worker's heartbeat behind the commit pump
+	// and CommitPump is "adaptive" — seal when dirty and idle, otherwise
+	// leave a gap after a seal of three times what it took; both are absent
+	// on a manual-commit worker. CommitGapMS is the gap that rule currently
+	// yields: with the dpr_seal_seconds histogram, why the commit cadence is
+	// what it is. MetaWatch says cut changes stream in via the finder
+	// long-poll: true on every worker, since there is no other way.
 	CheckpointIntervalMS float64 `json:"checkpoint_interval_ms,omitempty"`
-	RefreshIntervalMS    float64 `json:"refresh_interval_ms,omitempty"`
-	MinCommitIntervalMS  float64 `json:"min_commit_interval_ms,omitempty"`
 	CommitPump           string  `json:"commit_pump,omitempty"`
 	CommitGapMS          float64 `json:"commit_gap_ms,omitempty"`
 	MetaWatch            bool    `json:"meta_watch,omitempty"`
