@@ -72,35 +72,31 @@ func main() {
 	workerID := core.WorkerID(*id)
 	kvCfg := kv.Config{BucketCount: 1 << 18, MemoryBudget: *memBudget}
 
+	// A fresh shard, or the restart path (§4.1): the cluster manager restarts
+	// failed servers and restores them to their latest guaranteed checkpoint;
+	// the DPR cut tells us which version that is.
+	var store *kv.Store
 	if *recover {
-		// Restart path (§4.1): the cluster manager restarts failed servers
-		// and restores them to their latest guaranteed checkpoint; the DPR
-		// cut tells us which version that is.
 		cut, _, _, err := meta.State()
 		if err != nil {
 			log.Fatalf("fetch cut for recovery: %v", err)
 		}
 		target := cut.Get(workerID)
 		log.Printf("recovering worker %d to version %d", workerID, target)
-		store, err := kv.Recover(device, kvCfg, target)
-		if err != nil {
+		if store, err = kv.Recover(device, kvCfg, target); err != nil {
 			log.Fatalf("recover: %v", err)
 		}
-		// The recovered store is adopted by the worker below through the
-		// same code path; kv.Recover already positioned it. We wrap it
-		// manually since dfaster.NewWorker builds its own store.
-		runRecovered(store, workerID, *listen, *finderAddr, *own, *partitions, *ckpt, *hbEvery, device, *obsAddr)
-		return
+	} else {
+		store = kv.NewStore(device, kvCfg)
 	}
-
-	w, err := dfaster.NewWorker(dfaster.WorkerConfig{
+	w, err := dfaster.AdoptWorker(dfaster.WorkerConfig{
 		ID:                 workerID,
 		ListenAddr:         *listen,
 		CheckpointInterval: *ckpt,
 		Partitions:         *partitions,
 		Device:             device,
 		KV:                 kvCfg,
-	}, meta)
+	}, store, meta)
 	if err != nil {
 		log.Fatalf("start worker: %v", err)
 	}
@@ -151,30 +147,4 @@ func heartbeatLoop(meta *metadata.RPCClient, id core.WorkerID, every time.Durati
 			log.Printf("heartbeat: %v", err)
 		}
 	}
-}
-
-// runRecovered serves a pre-recovered store. It mirrors dfaster.NewWorker's
-// assembly but injects the recovered kv instance via the libDPR layer.
-func runRecovered(store *kv.Store, id core.WorkerID, listen, finderAddr, own string,
-	partitions int, ckpt, hbEvery time.Duration, device storage.Device, obsAddr string) {
-	meta, err := metadata.Dial(finderAddr)
-	if err != nil {
-		log.Fatalf("dial finder: %v", err)
-	}
-	defer meta.Close()
-	w, err := dfaster.AdoptWorker(dfaster.WorkerConfig{
-		ID:                 id,
-		ListenAddr:         listen,
-		CheckpointInterval: ckpt,
-		Partitions:         partitions,
-		Device:             device,
-	}, store, meta)
-	if err != nil {
-		log.Fatalf("adopt recovered store: %v", err)
-	}
-	defer w.Stop()
-	claim(w, own, partitions, int(id))
-	startObs(obsAddr, w)
-	log.Printf("dpr-server %d recovered and serving on %s", id, w.Addr())
-	heartbeatLoop(meta, id, hbEvery)
 }

@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"encoding/binary"
+	"slices"
 
 	"dpr/internal/redisclone"
 	"dpr/internal/serve"
@@ -35,7 +35,8 @@ func NewPlainServer(addr string, device storage.Device, prefix string, aof redis
 		var reply wire.BatchReply
 		return serve.Handler{
 			Execute: func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
-				results = p.execute(req.Ops, results[:0])
+				results = slices.Grow(results[:0], len(req.Ops))[:len(req.Ops)]
+				p.srv.Apply(req.Ops, results, 0)
 				reply = wire.BatchReply{Results: results}
 				return &reply, nil
 			},
@@ -51,34 +52,4 @@ func (p *PlainServer) Addr() string { return p.frame.Addr() }
 func (p *PlainServer) Stop() {
 	p.frame.Stop()
 	p.srv.Stop()
-}
-
-// execute applies ops to the store, appending one result per op. Store errors
-// are not reported: the baseline measures the serving cost, not fault handling.
-func (p *PlainServer) execute(ops []wire.Op, results []wire.OpResult) []wire.OpResult {
-	for _, op := range ops {
-		r := wire.OpResult{Status: wire.StatusOK}
-		switch op.Kind {
-		case wire.OpUpsert:
-			p.srv.Set(string(op.Key), op.Value)
-		case wire.OpRead:
-			if v, ok, _ := p.srv.Get(string(op.Key)); ok {
-				r.Value = v
-			} else {
-				r.Status = wire.StatusNotFound
-			}
-		case wire.OpDelete:
-			p.srv.Del(string(op.Key))
-		case wire.OpRMW:
-			var delta int64
-			if len(op.Value) >= 8 {
-				delta = int64(binary.LittleEndian.Uint64(op.Value))
-			}
-			p.srv.Incr(string(op.Key), delta)
-		default:
-			r.Status = wire.StatusError
-		}
-		results = append(results, r)
-	}
-	return results
 }

@@ -167,13 +167,7 @@ func (r *sessionRunner) composedCutMax(wl core.WorldLine) core.Version {
 		}
 	}
 	r.lastWL = wl
-	var max core.Version
-	for _, v := range cut {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return cut.Max()
 }
 
 // settle drives the session to a fully committed state: every sequence

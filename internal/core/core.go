@@ -61,6 +61,18 @@ func (c Cut) Get(w WorkerID) Version {
 	return c[w]
 }
 
+// Max returns the highest position in the cut (0 for an empty cut): the
+// fastest worker's.
+func (c Cut) Max() Version {
+	var max Version
+	for _, v := range c {
+		if v > max {
+			max = v
+		}
+	}
+	return max
+}
+
 // Includes reports whether token t is inside the cut.
 func (c Cut) Includes(t Token) bool { return t.Version <= c.Get(t.Worker) }
 

@@ -19,6 +19,9 @@ func TestCutBasics(t *testing.T) {
 	if !c.Includes(tok(9, 0)) {
 		t.Fatal("version 0 of any worker is always included")
 	}
+	if c.Max() != 3 || (Cut{}).Max() != 0 || Cut(nil).Max() != 0 {
+		t.Fatal("Max must be the highest position, 0 for an empty cut")
+	}
 	cl := c.Clone()
 	cl[1] = 10
 	if c[1] != 3 {

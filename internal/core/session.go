@@ -508,13 +508,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 	}
 	// Vs regresses to the recovered frontier: max cut position this session
 	// could have observed. Using the global max keeps monotonicity.
-	var maxCut Version
-	for _, v := range cut {
-		if v > maxCut {
-			maxCut = v
-		}
-	}
-	if s.vs > maxCut {
+	if maxCut := cut.Max(); s.vs > maxCut {
 		s.vs = maxCut
 	}
 	if !hadPending && len(exceptions) == 0 && surviving >= prevLatest {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -299,7 +300,7 @@ func (c *Client) executeLocal(op wire.Op, cb OpCallback) error {
 		}
 		return errReply
 	}
-	c.localVersions = growVersions(c.localVersions, len(reply.Results))
+	c.localVersions = slices.Grow(c.localVersions[:0], len(reply.Results))[:len(reply.Results)]
 	for i := range reply.Results {
 		c.localVersions[i] = reply.Results[i].Version
 	}
@@ -548,6 +549,10 @@ func (c *Client) transmitRouted(owner core.WorkerID, sb *sentBatch) error {
 // transmit sends sb to worker w on its connection. On failure the batch is
 // NOT resolved and is guaranteed off the connection's in-flight queue: the
 // caller still owns it and decides between re-routing and error resolution.
+// A batch has one owner at a time — this caller, a connection's in-flight
+// queue (its read loop), or the retry queue — so a failed write whose batch
+// the read loop's stranded-batch cleanup had already taken is that loop's to
+// settle, and is reported as sent.
 func (c *Client) transmit(w core.WorkerID, sb *sentBatch) error {
 	wc, err := c.connTo(w)
 	if err != nil {
@@ -568,23 +573,22 @@ func (c *Client) transmit(w core.WorkerID, sb *sentBatch) error {
 	if err != nil {
 		// The frame was not delivered (bufio errors are sticky from the
 		// first failed flush). Reclaim the batch before closing so the
-		// read loop's stranded-batch cleanup cannot also resolve it.
+		// read loop's stranded-batch cleanup cannot also resolve it — unless
+		// that loop, woken by the same sever, got to the queue first.
 		wc.inflightMu.Lock()
-		for i, q := range wc.inflight {
-			if q == sb {
-				wc.inflight = append(wc.inflight[:i], wc.inflight[i+1:]...)
-				break
-			}
+		i := slices.Index(wc.inflight, sb)
+		if i >= 0 {
+			wc.inflight = slices.Delete(wc.inflight, i, i+1)
 		}
 		wc.inflightMu.Unlock()
+		wc.close()
+		if i < 0 {
+			err = nil
+		}
 	}
 	wc.sendMu.Unlock()
 	wire.PutBuffer(out)
-	if err != nil {
-		wc.close()
-		return err
-	}
-	return nil
+	return err
 }
 
 // readLoop resolves replies for one connection in FIFO order. The loop is
@@ -630,7 +634,7 @@ func (c *Client) readLoop(wc *workerConn) {
 				c.retrySettle(sb, len(sb.ops))
 				continue
 			}
-			versions = growVersions(versions, len(reply.Results))
+			versions = slices.Grow(versions[:0], len(reply.Results))[:len(reply.Results)]
 			for i := range reply.Results {
 				versions[i] = reply.Results[i].Version
 			}

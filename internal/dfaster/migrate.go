@@ -63,7 +63,7 @@ func (w *Worker) DonatePartitions(id uint64, to core.WorkerID, addr string, part
 			return fmt.Errorf("dfaster: worker %d does not own partition %d", w.cfg.ID, p)
 		}
 	}
-	wl0 := w.dpr.WorldLine()
+	wl0 := w.DPR().WorldLine()
 	for _, p := range parts {
 		w.Renounce(p)
 	}
@@ -74,17 +74,17 @@ func (w *Worker) DonatePartitions(id uint64, to core.WorkerID, addr string, part
 	// Draining the execution epoch flushes those stragglers; every batch
 	// admitted after the drain observes the renounced snapshot and bounces
 	// with BadOwner. Other partitions keep serving throughout.
-	w.dpr.QuiesceExecution()
-	boundary, err := w.dpr.CommitBoundary(timeout)
+	w.DPR().QuiesceExecution()
+	boundary, err := w.DPR().CommitBoundary(timeout)
 	if err != nil {
 		return err
 	}
 	// Only committed state travels: once the boundary is inside the DPR cut,
 	// no donor rollback on this world-line can erase what we stream.
-	if err := w.dpr.WaitCutCovers(boundary, timeout); err != nil {
+	if err := w.DPR().WaitCutCovers(boundary, timeout); err != nil {
 		return err
 	}
-	if wl := w.dpr.WorldLine(); wl != wl0 {
+	if wl := w.DPR().WorldLine(); wl != wl0 {
 		return fmt.Errorf("dfaster: world-line moved %d -> %d during migration freeze", wl0, wl)
 	}
 
@@ -169,14 +169,14 @@ func (w *Worker) receiveMigration(fr *wire.FrameReader, bw *bufio.Writer, sess *
 	}
 	nack := func(msg string) {
 		w.sendMigrateAck(bw, &wire.MigrateAck{
-			Status: wire.MigrateAckRejected, WorldLine: w.dpr.WorldLine(), Message: msg,
+			Status: wire.MigrateAckRejected, WorldLine: w.DPR().WorldLine(), Message: msg,
 		})
 	}
 	if m.To != w.cfg.ID {
 		nack(fmt.Sprintf("stream addressed to worker %d, this is %d", m.To, w.cfg.ID))
 		return
 	}
-	if wl := w.dpr.WorldLine(); wl != m.WorldLine {
+	if wl := w.DPR().WorldLine(); wl != m.WorldLine {
 		nack(fmt.Sprintf("target on world-line %d, stream cut on %d", wl, m.WorldLine))
 		return
 	}
@@ -227,7 +227,7 @@ func (w *Worker) receiveMigration(fr *wire.FrameReader, bw *bufio.Writer, sess *
 				// Commit the imported prefix and pin it under the DPR cut: a
 				// crash of this worker after the flip must never roll back
 				// below the imported state.
-				boundary, err := w.dpr.CommitBoundary(migReceiveTimeout)
+				boundary, err := w.DPR().CommitBoundary(migReceiveTimeout)
 				if err != nil {
 					abort()
 					nack(err.Error())
@@ -236,13 +236,13 @@ func (w *Worker) receiveMigration(fr *wire.FrameReader, bw *bufio.Writer, sess *
 				if boundary > vt {
 					vt = boundary
 				}
-				if err := w.dpr.WaitCutCovers(vt, migReceiveTimeout); err != nil {
+				if err := w.DPR().WaitCutCovers(vt, migReceiveTimeout); err != nil {
 					abort()
 					nack(err.Error())
 					return
 				}
 			}
-			if wl := w.dpr.WorldLine(); wl != m.WorldLine {
+			if wl := w.DPR().WorldLine(); wl != m.WorldLine {
 				abort()
 				nack(fmt.Sprintf("world-line moved to %d during import", wl))
 				return

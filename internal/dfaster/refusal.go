@@ -64,7 +64,7 @@ type refusalLedger struct {
 // whole batch is delayed, so a later operation on any of its partitions
 // must not overtake it.
 func (w *Worker) recordRefusal(sess, seqStart uint64, ops []wire.Op) {
-	wl := uint64(w.dpr.WorldLine())
+	wl := uint64(w.DPR().WorldLine())
 	now := time.Now()
 	w.refusalMu.Lock()
 	for i := range ops {
@@ -106,7 +106,7 @@ func (w *Worker) recordRefusalLocked(k refusalKey, seq, wl uint64, now time.Time
 // false records the refusal (the caller answers BadOwner, and the client's
 // ordered retry re-drives the batch when its turn comes).
 func (w *Worker) refusalAdmit(sess, seqStart uint64, ops []wire.Op) bool {
-	wl := uint64(w.dpr.WorldLine())
+	wl := uint64(w.DPR().WorldLine())
 	now := time.Now()
 	w.refusalMu.Lock()
 	defer w.refusalMu.Unlock()

@@ -8,10 +8,7 @@
 package dredis
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,6 +210,17 @@ func (so *stateObject) close() {
 
 var _ libdpr.StateObject = (*stateObject)(nil)
 
+// Apply implements serve.Applier, and is the whole of D-Redis's batch path:
+// under the shared latch commits (exclusive) cannot interleave, so every
+// operation of the batch lands in one version. It never refuses a batch, and
+// one stateObject serves every connection: the latch is its only state.
+func (so *stateObject) Apply(req *wire.BatchRequest, results []wire.OpResult, _ *[]byte) *wire.ErrorReply {
+	so.latch.RLock()
+	so.srv.Apply(req.Ops, results, core.Version(so.current.Load()))
+	so.latch.RUnlock()
+	return nil
+}
+
 // WorkerConfig parameterizes a D-Redis worker (proxy + instance).
 type WorkerConfig struct {
 	ID         core.WorkerID
@@ -226,234 +234,45 @@ type WorkerConfig struct {
 	// AOF lets Figure 19 run the same worker in synchronous-recoverability
 	// mode (AOFAlways) or eventual mode; leave AOFOff for DPR.
 	AOF redisclone.AOFMode
-	// Obs selects the metrics registry (nil: obs.Default); TraceSize the
-	// lifecycle trace ring capacity (<= 0: obs.DefaultTraceSize).
-	Obs       *obs.Registry
-	TraceSize int
+	// Obs selects the metrics registry (nil: obs.Default).
+	Obs *obs.Registry
 }
 
-// Worker is one D-Redis shard: an unmodified redisclone instance fronted by
-// the libDPR proxy.
+// Worker is one D-Redis shard: an unmodified redisclone instance behind the
+// DPR worker frame (package serve), which is the libDPR proxy of §6.
 type Worker struct {
-	cfg  WorkerConfig
-	so   *stateObject
-	dpr  *libdpr.Worker
-	meta metadata.Service
-
-	// srv is the serving frame: listener, frame loop, cut-advance pushes.
-	srv *serve.Server
-
-	// Serving-layer instruments (libDPR protocol instruments live on w.dpr).
-	batchesC  *obs.Counter
-	opsC      *obs.Counter
-	batchLatH *obs.Histogram
-	batchOpsH *obs.Histogram
-}
-
-// batchScratch is the per-connection reusable state of batch execution.
-type batchScratch struct {
-	results  []wire.OpResult
-	versions []core.Version
-	reply    wire.BatchReply
-}
-
-func (sc *batchScratch) grow(n int) {
-	if cap(sc.results) < n {
-		sc.results = make([]wire.OpResult, n)
-	} else {
-		sc.results = sc.results[:n]
-	}
-	if cap(sc.versions) < n {
-		sc.versions = make([]core.Version, n)
-	} else {
-		sc.versions = sc.versions[:n]
-	}
+	*serve.Worker
+	so *stateObject
 }
 
 // NewWorker starts a D-Redis worker.
 func NewWorker(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
-	srv, err := serve.Listen(cfg.ListenAddr)
-	if err != nil {
-		return nil, err
-	}
 	so := newStateObject(cfg.Device, fmt.Sprintf("dredis-%d", cfg.ID), cfg.AOF)
-	w := &Worker{cfg: cfg, so: so, meta: meta, srv: srv}
-	dw, err := libdpr.NewWorker(libdpr.WorkerConfig{
+	frame, err := serve.NewWorker("dredis", libdpr.WorkerConfig{
 		ID:                 cfg.ID,
-		Addr:               srv.Addr(),
+		Addr:               cfg.ListenAddr,
 		CheckpointInterval: cfg.CheckpointInterval,
-		// Pre-encode the piggybacked cut once per refresh so replies splice
-		// bytes instead of re-serializing the map per batch.
-		EncodeCut: func(c core.Cut) []byte { return wire.AppendCut(nil, c) },
-		Obs:       cfg.Obs,
-		TraceSize: cfg.TraceSize,
+		Obs:                cfg.Obs,
 	}, so, meta)
 	if err != nil {
-		srv.Stop()
 		so.close()
 		return nil, err
 	}
-	w.dpr = dw
-	dw.OnCutAdvance(srv.PushCutAdvance)
-	w.registerObs()
-	srv.Start(func() serve.Handler {
-		sc := &batchScratch{}
-		lane := dw.NewLane()
-		return serve.Handler{
-			Execute: func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
-				return w.executeBatch(req, sc, lane)
-			},
-			Close: lane.Close,
-		}
-	})
-	return w, nil
+	frame.Start(func() serve.Conn { return serve.Conn{Apply: so} })
+	return &Worker{Worker: frame, so: so}, nil
 }
 
-// registerObs registers the serving-layer instruments. Get-or-create
-// semantics make this idempotent across worker restarts with the same id.
-func (w *Worker) registerObs() {
-	reg := w.cfg.Obs
-	if reg == nil {
-		reg = obs.Default
-	}
-	lbls := []obs.Label{
-		obs.L("worker", strconv.FormatUint(uint64(w.cfg.ID), 10)),
-		obs.L("store", "dredis"),
-	}
-	w.batchesC = reg.Counter("dpr_server_batches_total",
-		"Batches executed by the serving layer.", lbls...)
-	w.opsC = reg.Counter("dpr_server_ops_total",
-		"Operations executed by the serving layer.", lbls...)
-	w.batchLatH = reg.Histogram("dpr_server_batch_latency_seconds",
-		"Server-side batch execution latency (admission through reply assembly).", lbls...)
-	w.batchOpsH = reg.ValueHistogram("dpr_server_batch_ops",
-		"Operations per executed batch.", lbls...)
-}
-
-// DebugState assembles the /debug/dpr snapshot, layering serving-layer
-// counters onto the libDPR protocol view.
-func (w *Worker) DebugState() obs.DPRState {
-	st := w.dpr.DebugState("dredis")
-	st.Batches = w.batchesC.Value()
-	st.Ops = w.opsC.Value()
-	return st
-}
-
-// ID implements cluster.RollbackTarget.
-func (w *Worker) ID() core.WorkerID { return w.cfg.ID }
-
-// Addr returns the listen address.
-func (w *Worker) Addr() string { return w.srv.Addr() }
-
-// Rollback implements cluster.RollbackTarget.
-func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
-	return w.dpr.Rollback(wl, cut)
-}
-
-// DPR exposes the libDPR worker.
-func (w *Worker) DPR() *libdpr.Worker { return w.dpr }
-
-// Stop shuts down the worker: the serving frame (listener, live connections
-// and their goroutines), then the libDPR loop, then the wrapped instance.
+// Stop shuts down the worker: the frame (listener, live connections and their
+// goroutines, the libDPR loops), then the wrapped instance.
 func (w *Worker) Stop() {
-	w.srv.Stop()
-	w.dpr.Stop()
+	w.Worker.Stop()
 	w.so.close()
 }
 
-// ExecuteBatch runs the server-side libDPR pipeline for one batch: admission,
-// shared-latch execution on the unmodified store, dependency recording, and
-// reply assembly.
+// ExecuteBatch runs one batch through the worker's pipeline without a
+// connection, with a lane and scratch of its own.
 func (w *Worker) ExecuteBatch(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
-	lane := w.dpr.NewLane()
+	lane := w.NewLane()
 	defer lane.Close()
-	return w.executeBatch(req, &batchScratch{}, lane)
-}
-
-// executeBatch is ExecuteBatch with a caller-held scratch; the reply aliases
-// sc and is valid until the next execution with the same scratch.
-//
-// Deliberately NOT //dpr:noalloc: every operation crosses redisclone's
-// channel-based event loop, so the key must be copied into the command
-// struct (string(op.Key)) — it outlives this frame's wire buffer. The
-// alloc-free serving discipline applies to the framing/decode layers around
-// this call, not to the wrapped store (§6 wraps an unmodified cache-store).
-func (w *Worker) executeBatch(req *wire.BatchRequest, sc *batchScratch, lane *libdpr.ExecLane) (*wire.BatchReply, *wire.ErrorReply) {
-	start := time.Now()
-	if _, err := w.dpr.AdmitBatchGuarded(req.Header, lane); err != nil {
-		code := wire.ErrCodeRejected
-		if errors.Is(err, libdpr.ErrStaleBatch) {
-			code = wire.ErrCodeStale
-		}
-		return nil, &wire.ErrorReply{
-			Code:      code,
-			WorldLine: w.dpr.WorldLine(),
-			Message:   err.Error(),
-		}
-	}
-	defer w.dpr.ReleaseBatch(req.Header, lane, true)
-	// Shared latch: commits (exclusive) cannot interleave, so the whole
-	// batch executes in one version.
-	w.so.latch.RLock()
-	version := core.Version(w.so.current.Load())
-	sc.grow(len(req.Ops))
-	results := sc.results
-	for i, op := range req.Ops {
-		switch op.Kind {
-		case wire.OpUpsert:
-			if err := w.so.srv.Set(string(op.Key), op.Value); err != nil {
-				results[i] = wire.OpResult{Status: wire.StatusError, Version: version}
-			} else {
-				results[i] = wire.OpResult{Status: wire.StatusOK, Version: version}
-			}
-		case wire.OpRead:
-			v, ok, err := w.so.srv.Get(string(op.Key))
-			switch {
-			case err != nil:
-				results[i] = wire.OpResult{Status: wire.StatusError, Version: version}
-			case !ok:
-				results[i] = wire.OpResult{Status: wire.StatusNotFound, Version: version}
-			default:
-				results[i] = wire.OpResult{Status: wire.StatusOK, Version: version, Value: v}
-			}
-		case wire.OpDelete:
-			if _, err := w.so.srv.Del(string(op.Key)); err != nil {
-				results[i] = wire.OpResult{Status: wire.StatusError, Version: version}
-			} else {
-				results[i] = wire.OpResult{Status: wire.StatusOK, Version: version}
-			}
-		case wire.OpRMW:
-			var delta int64
-			if len(op.Value) >= 8 {
-				delta = int64(binary.LittleEndian.Uint64(op.Value))
-			}
-			if _, err := w.so.srv.Incr(string(op.Key), delta); err != nil {
-				results[i] = wire.OpResult{Status: wire.StatusError, Version: version}
-			} else {
-				results[i] = wire.OpResult{Status: wire.StatusOK, Version: version}
-			}
-		default:
-			results[i] = wire.OpResult{Status: wire.StatusError, Version: version}
-		}
-	}
-	w.so.latch.RUnlock()
-
-	w.dpr.RecordDependency(version, req.Header.Dep)
-	for i := range results {
-		sc.versions[i] = results[i].Version
-	}
-	dprReply := w.dpr.Reply(sc.versions)
-	sc.reply = wire.BatchReply{
-		WorldLine: dprReply.WorldLine,
-		Results:   results,
-		Cut:       dprReply.Cut,
-		// Spliced verbatim by AppendBatchReply, skipping per-batch map
-		// serialization.
-		EncodedCut: w.dpr.EncodedCut(),
-	}
-	w.batchesC.Inc()
-	w.opsC.Add(uint64(len(req.Ops)))
-	w.batchOpsH.ObserveValue(uint64(len(req.Ops)))
-	w.batchLatH.Observe(time.Since(start))
-	return &sc.reply, nil
+	return w.Execute(req, w.so, new(serve.Scratch), lane)
 }

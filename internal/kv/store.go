@@ -78,9 +78,6 @@ type Config struct {
 	// regions are evicted to the device and served via PENDING reads.
 	// 0 means unbounded (nothing is ever evicted).
 	MemoryBudget int64
-	// PendingWorkers sizes the background pool that completes PENDING
-	// operations (device reads). Default 4.
-	PendingWorkers int
 	// Blob names this store's log on the device (default "hlog").
 	Blob string
 	// Checkpoint selects the checkpoint strategy (default FoldOver).
@@ -176,11 +173,12 @@ func NewStore(device storage.Device, cfg Config) *Store {
 	return s
 }
 
+// pendingWorkers sizes the background pool that completes PENDING operations
+// (device reads).
+const pendingWorkers = 4
+
 // newStore is NewStore without touching the device: what recovery builds on.
 func newStore(device storage.Device, cfg Config) *Store {
-	if cfg.PendingWorkers <= 0 {
-		cfg.PendingWorkers = 4
-	}
 	if cfg.Blob == "" {
 		cfg.Blob = "hlog"
 	}
@@ -197,7 +195,7 @@ func newStore(device storage.Device, cfg Config) *Store {
 	s.rolledBack.Store(&empty)
 	s.snapForceFull = true
 	s.st.Store(uint64(makeState(PhaseRest, 1)))
-	for i := 0; i < cfg.PendingWorkers; i++ {
+	for i := 0; i < pendingWorkers; i++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

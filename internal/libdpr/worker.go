@@ -358,13 +358,7 @@ func (w *Worker) registerObs() {
 func (w *Worker) cutPositions() (self, max core.Version) {
 	w.cutMu.Lock()
 	defer w.cutMu.Unlock()
-	self = w.cut.Get(w.cfg.ID)
-	for _, v := range w.cut {
-		if v > max {
-			max = v
-		}
-	}
-	return self, max
+	return w.cut.Get(w.cfg.ID), w.cut.Max()
 }
 
 func (w *Worker) sessionCount() int {
@@ -385,13 +379,9 @@ func (w *Worker) DebugState(kind string) obs.DPRState {
 	w.cutMu.Lock()
 	cut := w.cut.Clone()
 	w.cutMu.Unlock()
-	self := cut.Get(w.cfg.ID)
-	var max core.Version
+	self, max := cut.Get(w.cfg.ID), cut.Max()
 	cutJSON := make(map[string]uint64, len(cut))
 	for id, v := range cut {
-		if v > max {
-			max = v
-		}
 		cutJSON[strconv.FormatUint(uint64(id), 10)] = uint64(v)
 	}
 	var pump string
@@ -1105,13 +1095,7 @@ func (w *Worker) refreshState() {
 	w.wake()
 	w.refreshedAt.Store(time.Now().UnixNano())
 	if self := cut.Get(w.cfg.ID); self > prevSelf {
-		var max core.Version
-		for _, v := range cut {
-			if v > max {
-				max = v
-			}
-		}
-		w.trace.Record(obs.EvCutAdvance, uint64(wl), uint64(self), uint64(max))
+		w.trace.Record(obs.EvCutAdvance, uint64(wl), uint64(self), uint64(cut.Max()))
 	}
 	if cur := w.wl.Current(); wl > cur {
 		// The worker may have missed more than one rollback message; like a

@@ -610,13 +610,7 @@ func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 	s.publishLocked()
 	s.persist()
 	s.recoveriesC.Inc()
-	var max core.Version
-	for _, v := range s.frozenCut {
-		if v > max {
-			max = v
-		}
-	}
-	s.trace.Record(obs.EvRecoveryBegin, uint64(s.worldLine), uint64(max), 0)
+	s.trace.Record(obs.EvRecoveryBegin, uint64(s.worldLine), uint64(s.frozenCut.Max()), 0)
 	return s.worldLine, s.frozenCut.Clone()
 }
 
