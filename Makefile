@@ -46,17 +46,21 @@ race:
 
 # The commit path's interleaving- and timing-sensitive tests — kv seals and
 # torn-seal recovery, the libdpr commit pump, heartbeat backstop, WaitCommit
-# and CommitBoundary — and the serving frame's (backend conformance, Stop, a
-# client's batches stranded on severed connections), twenty times each under
-# the race detector, on one processor and on two. A -run list that matches
-# nothing (a renamed test) fails the target instead of passing vacuously.
+# and CommitBoundary — log compaction (its liveness rule, a pass yielding to a
+# commit and to a rollback, the log staying bounded under load: -short runs
+# that one for 3 s instead of 30) and the serving frame's (backend conformance,
+# Stop, a client's batches stranded on severed connections), twenty times each
+# under the race detector, on one processor and on two. A -run list that
+# matches nothing (a renamed test) fails the target instead of passing
+# vacuously.
 commit-path-stress:
 	@set -e; run() { \
-		out=$$($(GO) test -race -count=20 -cpu 1,2 -timeout 20m -run "$$1" "$$2" 2>&1) || { echo "$$out"; exit 1; }; \
+		out=$$($(GO) test -race -count=20 -cpu 1,2 -timeout 20m $$3 -run "$$1" "$$2" 2>&1) || { echo "$$out"; exit 1; }; \
 		echo "$$out"; \
 		if echo "$$out" | grep -q 'no tests to run'; then echo "commit-path-stress: -run '$$1' matched no test in $$2"; exit 1; fi; \
 	}; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv; \
+	run 'Compact' ./internal/kv -short; \
 	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals' ./internal/libdpr; \
 	run 'TestConformance|TestStop' ./internal/serve; \
 	run 'TestStrandedReads' ./internal/dfaster

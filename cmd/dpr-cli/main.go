@@ -211,6 +211,7 @@ func obsView(args []string) error {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ADDR\tWORKER\tKIND\tWL\tCURRENT\tPERSISTED\tCOMMITTED\tCUT-LAG\tPUMP\tSESSIONS\tROLLBACKS\tBATCHES\tFROZEN")
 	var finder *obs.DPRState
+	var logs []*obs.DPRState
 	for _, addr := range addrs {
 		st, err := scrapeDebugDPR(client, addr)
 		if err != nil {
@@ -219,6 +220,9 @@ func obsView(args []string) error {
 		}
 		if st.Kind == "finder" && finder == nil {
 			finder = st
+		}
+		if st.Log != nil {
+			logs = append(logs, st)
 		}
 		worker := "-"
 		if st.Worker != 0 || st.Kind != "finder" {
@@ -235,11 +239,33 @@ func obsView(args []string) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
+	printLogView(logs)
 	if finder != nil {
 		printElasticView(finder)
 	}
 	return nil
 }
+
+// printLogView renders each store's HybridLog: where memory is (resident =
+// head to tail), how much of it is still updated in place, the committed
+// version compaction is held to (nothing above it is garbage yet), and the
+// resident size at which the store's compactor starts its next cycle.
+func printLogView(workers []*obs.DPRState) {
+	if len(workers) == 0 {
+		return
+	}
+	fmt.Println()
+	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "LOG\tBEGIN\tHEAD\tREAD-ONLY\tTAIL\tRESIDENT\tMUTABLE\tGARBAGE-BELOW\tNEXT-CYCLE-AT")
+	for _, st := range workers {
+		l := st.Log
+		fmt.Fprintf(tw, "worker %d\t%d\t%d\t%d\t%d\t%s\t%s\tv%d\t%s\n", st.Worker,
+			l.Begin, l.Head, l.ReadOnly, l.Tail, mib(l.Tail-l.Head), mib(l.Tail-l.ReadOnly), l.Committed, mib(l.CompactTrigger))
+	}
+	tw.Flush()
+}
+
+func mib(n int64) string { return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20)) }
 
 // pumpColumn says why a worker commits at the cadence it does: the gap its
 // commit pump currently leaves after a seal ("adaptive 0.63ms": the last seal

@@ -48,6 +48,11 @@ const (
 	// following EvCrashRestart on the same slot is the
 	// crash-the-donor-mid-stream scenario.
 	EvMigrate
+	// EvCompact runs log compaction on one D-FASTER worker's store, up to its
+	// read-only boundary and as far as the committed cut allows, so crashes
+	// and rollbacks land on stores whose log prefix has been rewritten — the
+	// store's own compactor would not start on logs this small.
+	EvCompact
 
 	evKinds
 )
@@ -76,6 +81,8 @@ func (k EventKind) String() string {
 		return "drain-leave"
 	case EvMigrate:
 		return "migrate"
+	case EvCompact:
+		return "compact"
 	}
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
@@ -162,6 +169,7 @@ func GenerateElastic(seed int64, events, dfasterSlots, totalSlots int) Schedule 
 
 func generate(seed int64, events, dfasterSlots, totalSlots int, elastic bool) Schedule {
 	rng := rand.New(rand.NewSource(seed))
+	compactions := rand.New(rand.NewSource(seed ^ 0x636f6d70616374)) // "compact"
 	sch := Schedule{Seed: seed, Finder: FinderFor(seed)}
 	ms := func(lo, hi int) time.Duration {
 		return time.Duration(lo+rng.Intn(hi-lo+1)) * time.Millisecond
@@ -218,6 +226,15 @@ func generate(seed int64, events, dfasterSlots, totalSlots int, elastic bool) Sc
 			ev.Slot = rng.Intn(dfasterSlots)
 		}
 		sch.Events = append(sch.Events, ev)
+		// Compactions come from a generator of their own, so the faults above
+		// are the ones this seed has always produced.
+		if compactions.Intn(2) == 0 {
+			sch.Events = append(sch.Events, Event{
+				Kind: EvCompact,
+				Slot: compactions.Intn(dfasterSlots),
+				Gap:  time.Duration(5+compactions.Intn(16)) * time.Millisecond,
+			})
+		}
 	}
 	return sch
 }
@@ -277,6 +294,16 @@ func (h *Harness) Execute(sch Schedule, logf func(format string, args ...any)) e
 			h.LeaveSpare()
 		case EvMigrate:
 			h.MigrateSlot(ev.Slot)
+		case EvCompact:
+			h.slotMu.Lock()
+			df := slot.df
+			h.slotMu.Unlock()
+			if df == nil {
+				continue
+			}
+			copied, reclaimed, err := df.Store().Compact(df.Store().TailAddress())
+			h.logdbg("chaos: compacted slot %d: %d records moved, %d bytes dropped, begin %d, held to version %d (%v)",
+				ev.Slot, copied, reclaimed, df.Store().BeginAddress(), df.Store().CommittedVersion(), err)
 		}
 	}
 	h.clearFaults()

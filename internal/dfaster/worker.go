@@ -140,8 +140,38 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 	// eviction, compaction.
 	store.OnDrain(reg.Histogram("dpr_store_epoch_drain_seconds",
 		"Latency of store epoch drains (checkpoint boundaries, rollback fences, eviction).", lbls...).Observe)
+	// Log garbage is whatever the committed cut has passed: the store compacts
+	// up to this worker's own position in it.
+	store.CommittedBy(frame.DPR().CommittedVersion)
+	w.registerLogObs(reg, lbls)
 	frame.Start(w.openConn)
 	return w, nil
+}
+
+// registerLogObs exports the store's log size and what its compactor does.
+func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
+	with := func(k, v string) []obs.Label { return append(lbls[:len(lbls):len(lbls)], obs.L(k, v)) }
+	const logHelp = "HybridLog bytes in memory: resident is head to tail, mutable the part still updated in place."
+	reg.GaugeFunc("dpr_store_log_bytes", logHelp, func() float64 {
+		ls := w.store.LogState()
+		return float64(ls.Tail - ls.Head)
+	}, with("region", "resident")...)
+	reg.GaugeFunc("dpr_store_log_bytes", logHelp, func() float64 {
+		ls := w.store.LogState()
+		return float64(ls.Tail - ls.ReadOnly)
+	}, with("region", "mutable")...)
+	const bytesHelp = "Log bytes compaction moved the begin address over (scanned), re-appended at the tail (copied), and dropped (reclaimed)."
+	scanned := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "scanned")...)
+	copied := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "copied")...)
+	reclaimed := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "reclaimed")...)
+	held := reg.Histogram("dpr_store_compaction_step_seconds",
+		"Time each compaction step held the store's state-machine mutex.", lbls...)
+	w.store.OnCompactStep(func(st kv.CompactStep) {
+		scanned.Add(uint64(st.Scanned))
+		copied.Add(uint64(st.Copied))
+		reclaimed.Add(uint64(st.Scanned - st.Copied))
+		held.Observe(st.Held)
+	})
 }
 
 // openConn builds one connection's backend state: its own FasterKV session
@@ -164,10 +194,16 @@ func (w *Worker) openConn() serve.Conn {
 // Lane is the frame's execution lane; each co-located caller holds one.
 type Lane = serve.Lane
 
-// DebugState adds the ownership count to the frame's /debug/dpr snapshot.
+// DebugState adds the ownership count and the store's log to the frame's
+// /debug/dpr snapshot.
 func (w *Worker) DebugState() obs.DPRState {
 	st := w.Worker.DebugState()
 	st.OwnedPartitions = len(*w.ownedSnap.Load())
+	ls := w.store.LogState()
+	st.Log = &obs.LogState{
+		Begin: ls.Begin, Head: ls.Head, ReadOnly: ls.ReadOnly, Tail: ls.Tail,
+		Committed: uint64(ls.Committed), CompactTrigger: ls.CompactTrigger,
+	}
 	return st
 }
 

@@ -103,6 +103,13 @@ func TestObsEndpoints(t *testing.T) {
 		"# TYPE dpr_server_batches_total counter",
 		"# TYPE dpr_server_batch_latency_seconds histogram",
 		"# TYPE dpr_seal_seconds histogram",
+		"# TYPE dpr_store_log_bytes gauge",
+		`dpr_store_log_bytes{region="resident"`,
+		`dpr_store_log_bytes{region="mutable"`,
+		`dpr_store_compaction_bytes_total{kind="scanned"`,
+		`dpr_store_compaction_bytes_total{kind="copied"`,
+		`dpr_store_compaction_bytes_total{kind="reclaimed"`,
+		"# TYPE dpr_store_compaction_step_seconds histogram",
 	} {
 		if !strings.Contains(after, family) {
 			t.Fatalf("missing %q in worker exposition:\n%s", family, after)
@@ -143,6 +150,12 @@ func TestObsEndpoints(t *testing.T) {
 	if wst.CommitPump != "adaptive" || wst.CheckpointIntervalMS <= 0 || wst.CommitGapMS <= 0 || !wst.MetaWatch {
 		t.Fatalf("worker snapshot: commit_pump %q checkpoint_interval_ms %v commit_gap_ms %v meta_watch %v",
 			wst.CommitPump, wst.CheckpointIntervalMS, wst.CommitGapMS, wst.MetaWatch)
+	}
+	// Why memory is where it is: the log's boundaries, in order, and the
+	// committed version compaction is held to.
+	if l := wst.Log; l == nil || l.Tail == 0 || l.Begin > l.Head || l.Head > l.ReadOnly || l.ReadOnly > l.Tail ||
+		l.Committed == 0 || l.CompactTrigger <= 0 {
+		t.Fatalf("worker snapshot: log %+v", l)
 	}
 	rst := scrapeDebug(t, dredisObsHTTP)
 	if rst.Kind != "dredis" || rst.Worker != 2 {

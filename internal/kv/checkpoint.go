@@ -345,6 +345,7 @@ func recoverFrom(device storage.Device, cfg Config, m *checkpointMeta, v core.Ve
 	s.log.readOnly.Store(m.Boundary)
 	s.log.flushedUntil.Store(m.Boundary)
 	s.log.begin.Store(m.Begin)
+	s.log.head.Store(m.Begin) // nothing below begin was loaded
 	// The recovered prefix is immutable (readOnly == tail), so lock-free
 	// reads may serve from all of it immediately.
 	s.log.frozen.Store(m.Boundary)

@@ -42,6 +42,12 @@ type indexShard struct {
 	dirty      []uint32
 	dirtySpare []uint32
 	dirtyStamp []uint8
+
+	// keep[b] is compaction's memo for bucket b: every record of the bucket
+	// at a lower address is droppable (see judgeBucket). Zero knows nothing.
+	// Only compaction steps touch it, one at a time under the store's
+	// state-machine mutex.
+	keep []int64
 }
 
 // markDirty records bucket b as mutated since the last delta harvest. The
@@ -141,6 +147,7 @@ func newIndex(bucketCount, shardCount int) *index {
 		sh.mask = uint64(perShard - 1)
 		sh.lockMask = uint64(nlocks - 1)
 		sh.dirtyStamp = make([]uint8, perShard)
+		sh.keep = make([]int64, perShard)
 		for i := range sh.buckets {
 			sh.buckets[i].Store(nilAddress)
 		}
@@ -194,6 +201,11 @@ func (ix *index) setHead(handle uint64, addr int64) {
 	sh.buckets[b].Store(addr)
 }
 
+// keep returns compaction's memo slot for a bucket.
+func (ix *index) keep(handle uint64) *int64 {
+	return &ix.shard(handle).keep[handle&handleBucketMask]
+}
+
 // shardCount returns the number of index shards.
 func (ix *index) shardCount() int { return len(ix.shards) }
 
@@ -222,22 +234,4 @@ func (ix *index) forEachShard(fn func(shard int)) {
 		}(si)
 	}
 	wg.Wait()
-}
-
-// reset clears every bucket (used by recovery before a rebuild scan). Dirty
-// tracking resets with it: the rebuild re-marks every live bucket through
-// setHead, so the first delta after a recovery scans the full live set.
-func (ix *index) reset() {
-	for si := range ix.shards {
-		sh := &ix.shards[si]
-		for i := range sh.buckets {
-			sh.buckets[i].Store(nilAddress)
-		}
-		sh.dirtyMu.Lock()
-		sh.dirty = sh.dirty[:0]
-		sh.dirtyMu.Unlock()
-		for i := range sh.dirtyStamp {
-			sh.dirtyStamp[i] = 0
-		}
-	}
 }

@@ -80,9 +80,29 @@ type hlog struct {
 	// path).
 	frozen atomic.Int64
 
-	// allocMu serializes slab creation (not record allocation).
+	// allocMu serializes slab creation (not record allocation) and guards free.
 	allocMu sync.Mutex
+	// free holds released slabs, already zeroed, for ensureSlab to draw from:
+	// what compaction reclaims at the begin address is what the tail grows
+	// into, so a log of steady size stops costing the garbage collector a
+	// fresh slab per MiB written. At most maxFreeSlabs are kept; the rest are
+	// left to the collector.
+	free []*[]byte
+
+	// flushBuf and flushChunks are copyOut's staging memory, reused by every
+	// seal (seals are single-flight and a device is done with the data once
+	// its callback has fired).
+	flushBuf    []byte
+	flushChunks []blobWrite
 }
+
+const (
+	// maxFreeSlabs bounds the free list (in slabs, i.e. MiB).
+	maxFreeSlabs = 16
+	// maxFlushBuf is the largest staging buffer copyOut keeps between seals;
+	// a larger flush (a bulk load sealed in one go) gets a one-off buffer.
+	maxFlushBuf = 4 << 20
+)
 
 func newHlog(device storage.Device, blob string) *hlog {
 	l := &hlog{device: device, blob: blob}
@@ -102,9 +122,15 @@ func (l *hlog) ensureSlab(idx int64) *[]byte {
 	if s := l.slabs[idx].Load(); s != nil {
 		return s
 	}
-	b := make([]byte, slabSize)
-	l.slabs[idx].Store(&b)
-	return &b
+	var b *[]byte
+	if n := len(l.free); n > 0 {
+		b, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		nb := make([]byte, slabSize)
+		b = &nb
+	}
+	l.slabs[idx].Store(b)
+	return b
 }
 
 // slab returns the in-memory bytes for an address, or nil if evicted.
@@ -225,12 +251,22 @@ func (l *hlog) writeRecord(prev int64, version uint64, tombstone bool, key, val 
 	return recordView{buf: buf, addr: addr}
 }
 
-// copyOut copies log bytes [flushedUntil, boundary) out of the slabs, one
-// write per slab touched, so the device writes never race with in-place
-// updates above the boundary. The caller (the checkpoint state machine)
-// issues the writes and calls advanceFlushed(boundary) once they are durable.
+// copyOut copies log bytes [flushedUntil, boundary) out of the slabs into the
+// reused staging buffer, one write per slab touched, so the device writes
+// never race with in-place updates above the boundary. The caller (the
+// checkpoint state machine) issues the writes and calls
+// advanceFlushed(boundary) once they are durable; the chunks are valid until
+// the next copyOut.
 func (l *hlog) copyOut(boundary int64) (from int64, chunks []blobWrite, err error) {
 	from = l.flushedUntil.Load()
+	buf := l.flushBuf[:0]
+	if need := boundary - from; need > int64(cap(buf)) {
+		buf = make([]byte, 0, need)
+		if need <= maxFlushBuf {
+			l.flushBuf = buf
+		}
+	}
+	chunks = l.flushChunks[:0]
 	for off := from; off < boundary; {
 		end := (off>>slabBits + 1) << slabBits
 		if end > boundary {
@@ -242,11 +278,12 @@ func (l *hlog) copyOut(boundary int64) (from int64, chunks []blobWrite, err erro
 			// exclude), so this indicates a bug.
 			return from, nil, fmt.Errorf("kv: flush range [%d,%d) evicted", off, end)
 		}
-		data := make([]byte, end-off)
-		copy(data, s[off&slabMask:(off&slabMask)+(end-off)])
-		chunks = append(chunks, blobWrite{blob: l.blob, off: off, data: data})
+		n := len(buf)
+		buf = append(buf, s[off&slabMask:(off&slabMask)+(end-off)]...)
+		chunks = append(chunks, blobWrite{blob: l.blob, off: off, data: buf[n:len(buf):len(buf)]})
 		off = end
 	}
+	l.flushChunks = chunks
 	return from, chunks, nil
 }
 
@@ -278,11 +315,22 @@ func (l *hlog) advanceHead(addr int64) (old int64) {
 	}
 }
 
-// releaseSlabs frees slabs wholly contained in [from, to). Call only after
-// an epoch drain following advanceHead(to).
+// releaseSlabs frees slabs wholly contained in [from, to): zeroed onto the
+// free list while it has room, to the garbage collector otherwise. Call only
+// after an epoch drain following advanceHead(to) — a recycled slab is written
+// again, so nothing may still hold a view into it.
 func (l *hlog) releaseSlabs(from, to int64) {
 	for idx := from >> slabBits; idx < to>>slabBits; idx++ {
-		l.slabs[idx].Store(nil)
+		b := l.slabs[idx].Swap(nil)
+		if b == nil {
+			continue
+		}
+		clear(*b)
+		l.allocMu.Lock()
+		if len(l.free) < maxFreeSlabs {
+			l.free = append(l.free, b)
+		}
+		l.allocMu.Unlock()
 	}
 }
 

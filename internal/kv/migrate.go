@@ -30,10 +30,15 @@ import (
 func (s *Store) ScanFrozen(boundary core.Version, pred func(key []byte) bool, emit func(key, val []byte, ver core.Version)) {
 	ranges := s.RolledBackRanges()
 	s.index.forEachShard(func(si int) {
+		// Epoch-protected per bucket, like an operation: compaction recycles
+		// the slabs below the head once everyone who saw the old head is out.
+		slot := s.epochs.Register()
+		defer s.epochs.Unregister(slot)
 		sh := &s.index.shards[si]
 		for b := range sh.buckets {
 			h := s.index.handle(si, b)
 			mu := s.index.lock(h)
+			slot.Enter()
 			mu.Lock()
 			head := s.index.head(h)
 			seen := map[string]bool{}
@@ -55,6 +60,7 @@ func (s *Store) ScanFrozen(boundary core.Version, pred func(key []byte) bool, em
 				addr = r.prev()
 			}
 			mu.Unlock()
+			slot.Exit()
 		}
 	})
 }

@@ -125,7 +125,9 @@ func TestShardedIndexConcurrentStress(t *testing.T) {
 		ckpts++
 		if ckpts == 3 {
 			// Mid-run compaction: relinks chains and releases slabs under
-			// the same traffic.
+			// the same traffic. Nothing here rolls back, so everything
+			// persisted counts as committed.
+			s.CommittedBy(s.PersistedVersion)
 			if _, _, err := s.Compact(s.log.readOnly.Load()); err != nil {
 				t.Fatal(err)
 			}

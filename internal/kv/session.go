@@ -209,9 +209,8 @@ func (sess *Session) ReadAppend(arena *[]byte, key []byte, serial uint64) ([]byt
 			}
 			return out, StatusOK, ver
 		}
-		if string(r.key()) == string(key) {
-			// Invisible (rolled back) — keep walking to an older version.
-		}
+		// No visible match here (another key, or a rolled-back version of this
+		// one): keep walking to older records.
 		addr = r.prev()
 	}
 	mu.Unlock()

@@ -76,7 +76,10 @@ type Config struct {
 	IndexShards int
 	// MemoryBudget caps the in-memory log size in bytes; older flushed
 	// regions are evicted to the device and served via PENDING reads.
-	// 0 means unbounded (nothing is ever evicted).
+	// 0 means nothing is ever evicted; the log is then bounded by the store's
+	// own compactor alone (compact.go), which paces itself and has no setting.
+	// Once eviction has moved the head past the begin address the compactor
+	// no longer runs: its scan needs the prefix resident.
 	MemoryBudget int64
 	// Blob names this store's log on the device (default "hlog").
 	Blob string
@@ -91,9 +94,6 @@ type Config struct {
 	// (the prior behavior). FoldOver ignores it: fold-over flushes are
 	// already incremental.
 	SnapshotFullEvery int
-	// CompactAt triggers automatic log compaction after a checkpoint once
-	// the live log exceeds this many bytes (0 disables auto-compaction).
-	CompactAt int64
 }
 
 // Store is the FasterKV instance: one StateObject shard.
@@ -111,8 +111,12 @@ type Store struct {
 	// any range were rolled back and must never be served.
 	rolledBack atomic.Pointer[[]versionRange]
 
-	// smMu serializes state machine runs (checkpoints, rollbacks).
-	smMu sync.Mutex
+	// smMu serializes state machine runs (checkpoints, rollbacks, compaction
+	// steps). smWaiting counts the checkpoints and rollbacks waiting for it:
+	// a compaction step in progress ends at its next record when it is
+	// non-zero.
+	smMu      sync.Mutex
+	smWaiting atomic.Int32
 	// purgeWG tracks the background PURGE pass of a rollback; the next
 	// state machine run waits for it so PURGE's invalid-bit writes never
 	// overlap a checkpoint flush reading the same log bytes.
@@ -144,6 +148,14 @@ type Store struct {
 	wg        sync.WaitGroup
 
 	evicting atomic.Bool
+
+	// Compaction (compact.go): the source of the committed version, the
+	// saturating wake-up a seal sends the compactor, the bytes its last full
+	// cycle copied forward, and the per-step observer.
+	committed   atomic.Pointer[func() core.Version]
+	compactKick chan struct{}
+	compactKept atomic.Int64
+	compactObs  atomic.Pointer[func(CompactStep)]
 
 	// drainObs, when set, observes the latency of every epoch drain (the
 	// store's only stall-like primitive); the serving layer wires it to a
@@ -190,11 +202,15 @@ func newStore(device storage.Device, cfg Config) *Store {
 		epochs:    epoch.NewTable(),
 		pendingCh: make(chan func(), 1024),
 		closed:    make(chan struct{}),
+
+		compactKick: make(chan struct{}, 1),
 	}
 	empty := []versionRange{}
 	s.rolledBack.Store(&empty)
 	s.snapForceFull = true
 	s.st.Store(uint64(makeState(PhaseRest, 1)))
+	s.wg.Add(1)
+	go s.compactLoop()
 	for i := 0; i < pendingWorkers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -350,7 +366,9 @@ func (s *Store) BeginCommit(v core.Version) error {
 // runCheckpoint executes one pass of the CPR checkpoint state machine,
 // returning the version it attempted to persist (0 if nothing to do).
 func (s *Store) runCheckpoint() core.Version {
+	s.smWaiting.Add(1) // a compaction step holding the mutex gives way
 	s.smMu.Lock()
+	s.smWaiting.Add(-1)
 	defer s.smMu.Unlock()
 	s.purgeWG.Wait() // at most one state machine at a time (§5.5)
 
@@ -391,7 +409,11 @@ func (s *Store) runCheckpoint() core.Version {
 	s.notifyPersist(target)
 	if s.cfg.Checkpoint == FoldOver {
 		s.maybeEvict()
-		s.maybeCompactLocked()
+		// The read-only boundary moved: there is more to compact.
+		select {
+		case s.compactKick <- struct{}{}:
+		default:
+		}
 	}
 	return target
 }
@@ -458,22 +480,15 @@ func (s *Store) sealFoldOver(target core.Version) error {
 	return nil
 }
 
-// maybeCompactLocked runs auto-compaction after a checkpoint when the live
-// log exceeds the configured threshold. Caller holds smMu.
-func (s *Store) maybeCompactLocked() {
-	if s.cfg.CompactAt <= 0 || s.LogSize() <= s.cfg.CompactAt {
-		return
-	}
-	s.compactLocked(s.log.readOnly.Load())
-}
-
 // Restore implements core.StateObject: the non-blocking rollback of §5.5.
 // All operations executed in versions (v, current] are discarded; operations
 // keep executing throughout in a fresh version. Restore returns once the
 // rollback is logically complete (THROW done; PURGE marking continues in the
 // background).
 func (s *Store) Restore(v core.Version) error {
+	s.smWaiting.Add(1) // a compaction step holding the mutex gives way
 	s.smMu.Lock()
+	s.smWaiting.Add(-1)
 	defer s.smMu.Unlock()
 	s.purgeWG.Wait() // serialize with a previous rollback's PURGE pass
 

@@ -722,6 +722,16 @@ func (w *Worker) CurrentCut() core.Cut {
 	return w.cut.Clone()
 }
 
+// CommittedVersion returns this worker's own position in the last DPR cut it
+// published: every version at or below it is committed, so no rollback or
+// recovery, on this world-line or a later one, restores the state object
+// below it. A kv store holds its log compaction to this version. It reads
+// the piggyback snapshot, which a worker that missed a rollback publishes
+// only after healing, and takes no lock.
+func (w *Worker) CommittedVersion() core.Version {
+	return w.cutSnap.Load().cut.Get(w.cfg.ID)
+}
+
 // TriggerCommit starts a commit of everything up to the current version
 // (the explicit group-commit-boundary API of §3).
 func (w *Worker) TriggerCommit() error {

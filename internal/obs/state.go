@@ -57,7 +57,24 @@ type DPRState struct {
 	// and world-line from the finder.
 	RefreshAgeSeconds float64 `json:"refresh_age_seconds,omitempty"`
 
+	// Log is the store's HybridLog, on workers whose store has one (dfaster).
+	Log *LogState `json:"log,omitempty"`
+
 	Trace []Event `json:"trace,omitempty"`
+}
+
+// LogState answers "why is memory growing": the HybridLog's four boundaries
+// (addresses below Begin are reclaimed, [Head, Tail) is resident, [ReadOnly,
+// Tail) is updated in place), the committed version compaction is held to —
+// nothing above it is garbage yet — and the resident size at which the
+// store's compactor starts its next cycle.
+type LogState struct {
+	Begin          int64  `json:"begin"`
+	Head           int64  `json:"head"`
+	ReadOnly       int64  `json:"read_only"`
+	Tail           int64  `json:"tail"`
+	Committed      uint64 `json:"committed"`
+	CompactTrigger int64  `json:"compact_trigger"`
 }
 
 // MigrationState is one in-flight migration in the finder's /debug/dpr view.
