@@ -48,9 +48,11 @@ race:
 # torn-seal recovery, the libdpr commit pump, heartbeat backstop, WaitCommit
 # and CommitBoundary — log compaction (its liveness rule, a pass yielding to a
 # commit and to a rollback, the log staying bounded under load: -short runs
-# that one for 3 s instead of 30) and the serving frame's (backend conformance,
-# Stop, a client's batches stranded on severed connections), twenty times each
-# under the race detector, on one processor and on two. A -run list that
+# that one for 3 s instead of 30), the serving frame's (backend conformance,
+# Stop) and the client's batch lifecycle (every transition against scripted
+# workers; operations lost to severed, blackholed, restarted and co-located
+# workers; the fault proxy those use), twenty times each under the race
+# detector, on one processor and on two. A -run list that
 # matches nothing (a renamed test) fails the target instead of passing
 # vacuously.
 commit-path-stress:
@@ -63,7 +65,8 @@ commit-path-stress:
 	run 'Compact' ./internal/kv -short; \
 	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals' ./internal/libdpr; \
 	run 'TestConformance|TestStop' ./internal/serve; \
-	run 'TestStrandedReads' ./internal/dfaster
+	run 'TestBatchLifecycle|TestStrandedReads|TestLostOp|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \
+	run 'TestFaultProxyBlackhole' ./internal/wire
 
 # Replay the checked-in decoder corpus and mutate for a few seconds per
 # target, mirroring the CI fuzz job.

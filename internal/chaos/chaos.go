@@ -382,8 +382,8 @@ func (h *Harness) currentParts(id core.WorkerID) []uint64 {
 	return parts
 }
 
-// clearFaults turns every injected fault off (schedule epilogue). Blackholes
-// end with a sever so no connection survives with desynchronized framing.
+// clearFaults turns every injected fault off (schedule epilogue). The sever
+// ends connections a blackhole left waiting for traffic it swallowed.
 func (h *Harness) clearFaults() {
 	h.svc.setLatency(0)
 	for _, slot := range h.slots {

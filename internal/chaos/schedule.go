@@ -240,11 +240,12 @@ func generate(seed int64, events, dfasterSlots, totalSlots int, elastic bool) Sc
 }
 
 // Execute replays a schedule over the cluster. After the last event it
-// clears every fault and runs one final recovery round: network faults
-// strand in-flight operations as permanent PENDING holes in their sessions,
-// and relaxed DPR resolves those holes only through a recovery (they become
-// commit exceptions, §5.4) — exactly how a real deployment reconciles
-// sessions after an outage.
+// clears every fault and runs one final recovery round, as a schedule event
+// in its own right: every run ends by checking a rollback of whatever the
+// faults left behind. Settling does not depend on it — an operation a network
+// fault stranded is abandoned by its client (a commit exception of unknown
+// fate, §5.4) the moment the connection dies, not held PENDING until the next
+// recovery.
 func (h *Harness) Execute(sch Schedule, logf func(format string, args ...any)) error {
 	h.logf = logf
 	for i, ev := range sch.Events {

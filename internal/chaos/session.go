@@ -189,7 +189,9 @@ func (r *sessionRunner) settle(timeout time.Duration) error {
 			r.handleErr(rerr)
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: session %d never settled: %w", r.sid, err)
+			abandoned, recent := r.client.Abandoned()
+			return fmt.Errorf("chaos: session %d never settled: %w (in flight %d, abandoned %d, last %q)",
+				r.sid, err, r.client.Session().Tracker().InFlight(), abandoned, recent)
 		}
 	}
 }

@@ -185,3 +185,12 @@ func (e *SurvivalError) Error() string {
 }
 
 func (e *SurvivalError) Unwrap() error { return ErrRolledBack }
+
+// AbandonedError fails a strict-DPR commit wait that reaches an abandoned
+// operation: Seq's fate is unknown, so neither it nor anything after it in the
+// session can be reported committed before a rollback resolves it.
+type AbandonedError struct{ Seq uint64 }
+
+func (e *AbandonedError) Error() string {
+	return fmt.Sprintf("dpr: operation %d was abandoned; a strict session cannot commit past it", e.Seq)
+}

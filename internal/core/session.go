@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -37,6 +38,9 @@ type SessionTracker struct {
 	runs []tokenRun
 	// pending holds started, not yet completed operation seqs.
 	pending map[uint64]bool
+	// abandoned holds, ascending, the seqs the transport gave up on (Abandon):
+	// no longer in flight, never committed.
+	abandoned []uint64
 
 	committed  uint64   // committed prefix point
 	exceptions []uint64 // seqs <= committed that are NOT committed (relaxed)
@@ -91,7 +95,7 @@ type SessionArchive struct {
 func (s *SessionTracker) Archive() (SessionArchive, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pending) != 0 || len(s.runs) != 0 || len(s.exceptions) != 0 {
+	if len(s.pending) != 0 || len(s.runs) != 0 || len(s.exceptions) != 0 || len(s.abandoned) != 0 {
 		return SessionArchive{}, false
 	}
 	return SessionArchive{
@@ -249,6 +253,37 @@ func (s *SessionTracker) CompleteBatch(wl WorldLine, seqStart uint64, w WorkerID
 	}
 }
 
+// Abandon resolves the still-pending operations among seqStart..seqStart+n-1
+// as of unknown fate: the transport lost their reply or could not deliver
+// them. An abandoned operation is never reported committed — under relaxed DPR
+// it stays in the exception list for as long as the prefix covers it, under
+// strict DPR the prefix stops below it — but it no longer counts as in flight
+// and no longer holds a commit wait (CommitStatus). A rollback resolves it
+// like a PENDING operation: an exception of the SurvivalError if the surviving
+// prefix covers it, forgotten either way. wl is the world-line the operations
+// were issued on, checked as in CompleteBatch: OnFailure reissues sequence
+// numbers, and an error that raced it must not abandon the new ones.
+func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if wl != s.worldLine {
+		return
+	}
+	for seq := seqStart; seq < seqStart+uint64(n); seq++ {
+		if !s.pending[seq] {
+			continue
+		}
+		delete(s.pending, seq)
+		i, _ := slices.BinarySearch(s.abandoned, seq)
+		s.abandoned = slices.Insert(s.abandoned, i, seq)
+	}
+}
+
+func (s *SessionTracker) isAbandoned(seq uint64) bool {
+	_, ok := slices.BinarySearch(s.abandoned, seq)
+	return ok
+}
+
 // ObserveVersion folds a worker-reported version into Vs
 // (Vs = max(Vs, v), §3.2).
 func (s *SessionTracker) ObserveVersion(v Version) {
@@ -313,7 +348,7 @@ func (s *SessionTracker) AdvanceCommitted(wl WorldLine, cut Cut) (uint64, []uint
 	} else {
 		// Strict mode stops at the first pending or uncovered operation.
 		for next := p + 1; next < s.nextSeq; next++ {
-			if s.pending[next] {
+			if s.pending[next] || s.isAbandoned(next) {
 				break
 			}
 			t, ok := s.lookupRun(next)
@@ -333,23 +368,7 @@ func (s *SessionTracker) AdvanceCommitted(wl WorldLine, cut Cut) (uint64, []uint
 	// Relaxed: recompute the exception list for the new point.
 	var exceptions []uint64
 	if s.relaxed {
-		for seq := range s.pending {
-			if seq <= p {
-				exceptions = append(exceptions, seq)
-			}
-		}
-		for i := range s.runs {
-			r := s.runs[i]
-			if r.start > p {
-				break
-			}
-			if !cut.Includes(r.tok) {
-				for seq := r.start; seq <= r.end && seq <= p; seq++ {
-					exceptions = append(exceptions, seq)
-				}
-			}
-		}
-		sort.Slice(exceptions, func(i, j int) bool { return exceptions[i] < exceptions[j] })
+		exceptions = s.exceptionsBelow(p, cut)
 	}
 	s.committed = p
 	s.exceptions = exceptions
@@ -375,6 +394,36 @@ func (s *SessionTracker) AdvanceCommitted(wl WorldLine, cut Cut) (uint64, []uint
 	return p, exceptions
 }
 
+// exceptionsBelow lists, ascending, the operations at or below p that are not
+// inside cut: pending, abandoned, or completed with a token beyond it. Caller
+// holds s.mu.
+func (s *SessionTracker) exceptionsBelow(p uint64, cut Cut) []uint64 {
+	var exceptions []uint64
+	for seq := range s.pending {
+		if seq <= p {
+			exceptions = append(exceptions, seq)
+		}
+	}
+	for _, seq := range s.abandoned {
+		if seq <= p {
+			exceptions = append(exceptions, seq)
+		}
+	}
+	for i := range s.runs {
+		r := s.runs[i]
+		if r.start > p {
+			break
+		}
+		if !cut.Includes(r.tok) {
+			for seq := r.start; seq <= r.end && seq <= p; seq++ {
+				exceptions = append(exceptions, seq)
+			}
+		}
+	}
+	slices.Sort(exceptions)
+	return exceptions
+}
+
 // extendUntracked advances x over consecutive seqs that are neither pending
 // nor tracked in a run — operations already committed or resolved as rolled
 // back. Such gaps appear only after failures, and commit on the first
@@ -398,6 +447,28 @@ func (s *SessionTracker) Committed() (uint64, []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.committed, append([]uint64(nil), s.exceptions...)
+}
+
+// CommitStatus is what a wait for seq's commit needs, under one lock: the
+// committed prefix; how many exceptions at or below seq can still resolve
+// (abandoned ones cannot, and are not counted); and, under strict DPR, the
+// first abandoned operation at or below seq (0 if none), which the prefix
+// will never pass.
+func (s *SessionTracker) CommitStatus(seq uint64) (prefix uint64, open int, hole uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.exceptions {
+		if e > seq {
+			break
+		}
+		if !s.isAbandoned(e) {
+			open++
+		}
+	}
+	if !s.relaxed && len(s.abandoned) > 0 && s.abandoned[0] <= seq {
+		hole = s.abandoned[0]
+	}
+	return s.committed, open, hole
 }
 
 // InFlight returns the number of started but uncompleted operations.
@@ -435,7 +506,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 		return nil // stale notification
 	}
 	s.worldLine = wl
-	hadPending := len(s.pending) != 0
+	hadPending := len(s.pending)+len(s.abandoned) != 0
 	prevLatest := s.latestSeq
 
 	surviving := s.committed
@@ -448,23 +519,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 				surviving = s.runs[i].end
 			}
 		}
-		for seq := range s.pending {
-			if seq <= surviving {
-				exceptions = append(exceptions, seq)
-			}
-		}
-		for i := range s.runs {
-			r := s.runs[i]
-			if r.start > surviving {
-				break
-			}
-			if !cut.Includes(r.tok) {
-				for seq := r.start; seq <= r.end && seq <= surviving; seq++ {
-					exceptions = append(exceptions, seq)
-				}
-			}
-		}
-		sort.Slice(exceptions, func(i, j int) bool { return exceptions[i] < exceptions[j] })
+		exceptions = s.exceptionsBelow(surviving, cut)
 	} else {
 		for next := surviving + 1; next < s.nextSeq; next++ {
 			t, ok := s.lookupRun(next)
@@ -480,7 +535,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 	// pending map is released outright (it is lazily reallocated on the next
 	// Begin) so a failed-over idle session does not retain its high-water
 	// footprint.
-	s.pending = nil
+	s.pending, s.abandoned = nil, nil
 	kept := s.runs[:0]
 	for _, r := range s.runs {
 		if !cut.Includes(r.tok) || r.start > surviving {

@@ -66,6 +66,100 @@ func TestSessionRelaxedSkipsPending(t *testing.T) {
 	}
 }
 
+// TestSessionAbandonRelaxed: an abandoned operation leaves InFlight, never
+// commits (it stays an exception for as long as the prefix covers it), and no
+// longer holds a commit wait — whether it is the session's last operation or
+// sits in the middle.
+func TestSessionAbandonRelaxed(t *testing.T) {
+	for _, lost := range []uint64{3, 2} {
+		s := NewSessionTracker(0, true)
+		for i := 0; i < 3; i++ {
+			s.Begin()
+		}
+		for seq := uint64(1); seq <= 3; seq++ {
+			if seq != lost {
+				s.Complete(seq, tok(1, 1))
+			}
+		}
+		s.AdvanceCommitted(0, Cut{1: 1})
+		if _, open, _ := s.CommitStatus(3); lost == 2 && open != 1 {
+			t.Fatalf("lost=%d: a pending exception must hold the wait, open=%d", lost, open)
+		}
+		s.Abandon(0, lost, 1)
+		if n := s.InFlight(); n != 0 {
+			t.Fatalf("lost=%d: InFlight %d after Abandon, want 0", lost, n)
+		}
+		p, exc := s.AdvanceCommitted(0, Cut{1: 1})
+		if p != 3 || len(exc) != 1 || exc[0] != lost {
+			t.Fatalf("lost=%d: prefix %d exceptions %v, want 3 and [%d]", lost, p, exc, lost)
+		}
+		if p, open, hole := s.CommitStatus(3); p != 3 || open != 0 || hole != 0 {
+			t.Fatalf("lost=%d: CommitStatus(3) = %d, %d, %d; an abandoned exception must not hold the wait", lost, p, open, hole)
+		}
+		// A late reply does not resurrect it, and later cuts keep listing it.
+		if s.Complete(lost, tok(1, 1)) {
+			t.Fatalf("lost=%d: Complete resolved an abandoned operation", lost)
+		}
+		if _, exc := s.AdvanceCommitted(0, Cut{1: 9}); len(exc) != 1 || exc[0] != lost {
+			t.Fatalf("lost=%d: exceptions %v after a later cut, want [%d]", lost, exc, lost)
+		}
+		if _, ok := s.Archive(); ok {
+			t.Fatalf("lost=%d: a session with an abandoned operation archived, dropping the exception", lost)
+		}
+	}
+}
+
+// TestSessionAbandonStrict: under strict DPR the prefix stops below an
+// abandoned operation, and a wait at or past it is told so.
+func TestSessionAbandonStrict(t *testing.T) {
+	s := NewSessionTracker(0, false)
+	for i := 0; i < 3; i++ {
+		s.Begin()
+	}
+	s.Complete(1, tok(1, 1))
+	s.Complete(3, tok(1, 1))
+	s.Abandon(0, 2, 1)
+	if p, _ := s.AdvanceCommitted(0, Cut{1: 1}); p != 1 {
+		t.Fatalf("strict prefix %d passed an abandoned operation", p)
+	}
+	if _, _, hole := s.CommitStatus(3); hole != 2 {
+		t.Fatalf("CommitStatus(3) hole %d, want 2", hole)
+	}
+	if _, _, hole := s.CommitStatus(1); hole != 0 {
+		t.Fatalf("CommitStatus(1) hole %d: seq 1 sits below the abandoned operation", hole)
+	}
+}
+
+// TestSessionAbandonAcrossRollback: Abandon is world-line-checked, because a
+// rollback reissues sequence numbers; and the rollback resolves an abandoned
+// operation like a pending one — an exception of the SurvivalError if the
+// surviving prefix covers it, forgotten (its number reissued) if not.
+func TestSessionAbandonAcrossRollback(t *testing.T) {
+	s := NewSessionTracker(0, true)
+	for i := 0; i < 4; i++ {
+		s.Begin()
+	}
+	s.Complete(1, tok(1, 1))
+	s.Complete(3, tok(1, 1))
+	s.Abandon(0, 2, 1)
+	s.Abandon(0, 4, 1)
+	surv := s.OnFailure(1, Cut{1: 1})
+	if surv == nil || surv.SurvivingPrefix != 3 || len(surv.Exceptions) != 1 || surv.Exceptions[0] != 2 {
+		t.Fatalf("survival %+v, want prefix 3 with exception [2]", surv)
+	}
+	if seq := s.Begin(); seq != 4 {
+		t.Fatalf("seq %d reissued after the rollback, want 4", seq)
+	}
+	s.Abandon(0, 4, 1) // an error from the old world-line, racing the rollback
+	if n := s.InFlight(); n != 1 {
+		t.Fatalf("a stale Abandon resolved the new world-line's seq 4 (InFlight %d)", n)
+	}
+	s.Complete(4, tok(1, 2))
+	if p, exc := s.AdvanceCommitted(1, Cut{1: 2}); p != 4 || len(exc) != 0 {
+		t.Fatalf("prefix %d exceptions %v on the new world-line, want 4 and none", p, exc)
+	}
+}
+
 func TestSessionVersionClock(t *testing.T) {
 	s := NewSessionTracker(0, false)
 	if s.VersionClock() != 0 {

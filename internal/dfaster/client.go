@@ -2,6 +2,7 @@ package dfaster
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"dpr/internal/kv"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
+	"dpr/internal/obs"
 	"dpr/internal/wire"
 )
 
@@ -40,7 +42,8 @@ type ClientConfig struct {
 	// LocalWorker, if set, enables co-located execution: operations on keys
 	// the local worker owns run synchronously on the calling thread (§5.2).
 	LocalWorker *Worker
-	// RetryBadOwner bounds ownership-miss retries (default 8).
+	// RetryBadOwner bounds how often a batch is re-driven after a worker
+	// refused it or its frame could not be delivered (default 8).
 	RetryBadOwner int
 	// OnSend, if set, is invoked on the enqueueing goroutine after sequence
 	// numbers are assigned to a batch and before it is transmitted (BadOwner
@@ -62,13 +65,12 @@ type Client struct {
 
 	ownersMu sync.RWMutex
 	owners   map[uint64]core.WorkerID
-	addrs    map[core.WorkerID]string
 
 	connsMu sync.Mutex
 	conns   map[core.WorkerID]*workerConn
 
 	// Local-path scratch: the co-located fast path runs on the session's
-	// single enqueueing goroutine, so one reusable request, scratch, and
+	// single enqueueing goroutine, so one reusable request, scratch, batch and
 	// callback slot make it allocation-free.
 	localSess     *kv.Session
 	localScratch  *BatchScratch
@@ -76,35 +78,27 @@ type Client struct {
 	localReq      wire.BatchRequest
 	localVersions []core.Version
 	localCbs      [1]OpCallback
+	localBatch    batch
 
+	// mu guards everything below and every batch's lifecycle fields (see the
+	// batch lifecycle section); a connection's sendMu is taken before it,
+	// never after.
 	mu          sync.Mutex
 	cond        *sync.Cond
-	outstanding int
+	outstanding int // window slots held: operations sent (or executing locally) and not settled
 	failure     error
-	lastSeq     uint64
-	// retryGateOn gates fresh sends while refused batches are being
-	// re-driven in sequence order (see the ordered-retry section below).
-	retryGateOn bool
+	buffers     map[core.WorkerID]*batch // the batch being filled for each owner
+	// retryQ holds parked batches in ascending sequence order; head is the
+	// one being re-driven, and fresh sends wait while there is one.
+	retryQ []*batch
+	head   *batch
+	// abandoned counts operations settled as errors; recent keeps the last few.
+	abandoned uint64
+	recent    []string
 
-	// Ordered retry of refused batches: retryQ holds parked batches in
-	// ascending sequence order, retryBusy marks the head in flight, and
-	// retryOutstanding counts its unsettled operations. retryMu is always
-	// taken before mu when both are needed.
-	retryMu          sync.Mutex
-	retryQ           []*sentBatch
-	retryBusy        bool
-	retryOutstanding int
-	retryWake        chan struct{}
-
-	closed    chan struct{}
-	closeOnce sync.Once
-
-	buffers map[core.WorkerID]*opBuffer
-}
-
-type opBuffer struct {
-	ops []wire.Op
-	cbs []OpCallback
+	// closed is cancelled by Close.
+	closed context.Context
+	close  context.CancelFunc
 }
 
 // NewClient builds a client session against the metadata service.
@@ -126,18 +120,15 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		cfg:       cfg,
-		meta:      meta,
-		session:   sess,
-		owners:    make(map[uint64]core.WorkerID),
-		addrs:     make(map[core.WorkerID]string),
-		conns:     make(map[core.WorkerID]*workerConn),
-		buffers:   make(map[core.WorkerID]*opBuffer),
-		retryWake: make(chan struct{}, 1),
-		closed:    make(chan struct{}),
+		cfg:     cfg,
+		meta:    meta,
+		session: sess,
+		owners:  make(map[uint64]core.WorkerID),
+		conns:   make(map[core.WorkerID]*workerConn),
+		buffers: make(map[core.WorkerID]*batch),
 	}
+	c.closed, c.close = context.WithCancel(context.Background())
 	c.cond = sync.NewCond(&c.mu)
-	go c.retryLoop()
 	if cfg.LocalWorker != nil {
 		c.localSess = cfg.LocalWorker.Store().NewSession()
 		c.localScratch = NewBatchScratch()
@@ -149,22 +140,22 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 // Session exposes the libDPR session (commit tracking, diagnostics).
 func (c *Client) Session() *libdpr.Session { return c.session }
 
-// Close tears down connections, the retry loop, and the local session.
-// Parked retries resolve as errors: nothing will re-drive them.
+// Close tears down connections and the local session. Parked batches settle
+// as errors here; in-flight and re-driving ones as their connections die and
+// their next step finds the client closed.
 func (c *Client) Close() {
-	c.closeOnce.Do(func() { close(c.closed) })
-	c.retryMu.Lock()
+	c.close()
+	c.mu.Lock()
 	parked := c.retryQ
 	c.retryQ = nil
-	c.retryMu.Unlock()
-	for _, sb := range parked {
-		c.resolveError(sb.ops, sb.cbs)
+	c.mu.Unlock()
+	for _, b := range parked {
+		c.settle(b, outcome{cause: causeClosed})
 	}
 	c.connsMu.Lock()
 	for _, wc := range c.conns {
 		wc.close()
 	}
-	c.conns = make(map[core.WorkerID]*workerConn)
 	c.connsMu.Unlock()
 	if c.localSess != nil {
 		c.localSess.Close()
@@ -188,19 +179,7 @@ func (c *Client) Acknowledge() *core.SurvivalError {
 	c.mu.Lock()
 	c.failure = nil
 	c.mu.Unlock()
-	surv := c.session.Acknowledge()
-	if surv != nil {
-		// Sequence numbers beyond the surviving prefix were dropped and
-		// will be reassigned; the high-water mark must regress with them or
-		// WaitCommitAll would wait for sequence numbers that no longer
-		// exist.
-		c.mu.Lock()
-		if c.lastSeq > surv.SurvivingPrefix {
-			c.lastSeq = surv.SurvivingPrefix
-		}
-		c.mu.Unlock()
-	}
-	return surv
+	return c.session.Acknowledge()
 }
 
 // ---- operation enqueueing ----
@@ -230,6 +209,10 @@ func (c *Client) RMW(key []byte, delta uint64, cb OpCallback) error {
 }
 
 func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
+	owner, err := c.ownerOf(op.Key)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	for c.failure == nil && c.outstanding >= c.cfg.Window {
 		c.cond.Wait()
@@ -238,100 +221,77 @@ func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
 		c.mu.Unlock()
 		return f
 	}
-	c.mu.Unlock()
-
-	owner, err := c.ownerOf(op.Key)
-	if err != nil {
-		return err
-	}
 	// Co-located fast path: execute immediately on the calling thread.
 	if c.cfg.LocalWorker != nil && owner == c.cfg.LocalWorker.ID() {
+		c.outstanding++
+		c.mu.Unlock()
 		return c.executeLocal(op, cb)
 	}
-	c.mu.Lock()
-	buf, ok := c.buffers[owner]
-	if !ok {
-		buf = &opBuffer{}
-		c.buffers[owner] = buf
+	b := c.buffers[owner]
+	if b == nil {
+		b = &batch{owner: owner}
+		c.buffers[owner] = b
 	}
-	buf.ops = append(buf.ops, op)
-	buf.cbs = append(buf.cbs, cb)
-	full := len(buf.ops) >= c.cfg.BatchSize
-	var ops []wire.Op
-	var cbs []OpCallback
+	b.ops = append(b.ops, op)
+	b.cbs = append(b.cbs, cb)
+	full := len(b.ops) >= c.cfg.BatchSize
 	if full {
-		ops, cbs = buf.ops, buf.cbs
-		buf.ops, buf.cbs = nil, nil
-		c.outstanding += len(ops)
+		c.takeLocked(b)
 	}
 	c.mu.Unlock()
 	if full {
-		return c.sendBatch(owner, ops, cbs)
+		return c.sendBatch(b)
 	}
 	return nil
 }
 
+// takeLocked takes a batch out of the buffers to be sent; from here on its
+// operations hold window slots. The caller holds c.mu.
+func (c *Client) takeLocked(b *batch) {
+	delete(c.buffers, b.owner)
+	c.outstanding += len(b.ops)
+}
+
 func (c *Client) executeLocal(op wire.Op, cb OpCallback) error {
+	c.localReq.Ops = append(c.localReq.Ops[:0], op)
+	c.localCbs[0] = cb
+	b := &c.localBatch
+	*b = batch{ops: c.localReq.Ops, cbs: c.localCbs[:]}
 	h, err := c.session.NextBatch(1)
 	if err != nil {
-		c.recordFailure(err)
-		return err
+		return c.settle(b, outcome{cause: causeRejected, err: err})
 	}
-	c.mu.Lock()
-	if h.SeqStart > c.lastSeq {
-		c.lastSeq = h.SeqStart
-	}
-	// completeBatch releases one window slot; claim it so the counter
-	// balances even though local ops never really occupy the window.
-	c.outstanding++
-	c.mu.Unlock()
+	b.header = h
 	if c.cfg.OnSend != nil {
 		c.cfg.OnSend(h.SeqStart, 1)
 	}
 	c.localReq.Header = h
-	c.localReq.Ops = append(c.localReq.Ops[:0], op)
 	reply, errReply := c.cfg.LocalWorker.ExecuteLocalScratch(c.localSess, &c.localReq, c.localScratch, c.localLane)
 	if errReply != nil {
+		out := outcome{cause: causeRefused}
 		if errReply.Code == wire.ErrCodeRejected {
-			if err := c.session.NotifyWorldLine(errReply.WorldLine); err != nil {
-				c.recordFailure(err)
-				return err
-			}
+			out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
+		}
+		if err := c.settle(b, out); err != nil {
+			return err
 		}
 		return errReply
 	}
-	c.localVersions = slices.Grow(c.localVersions[:0], len(reply.Results))[:len(reply.Results)]
-	for i := range reply.Results {
-		c.localVersions[i] = reply.Results[i].Version
-	}
-	c.localCbs[0] = cb
-	if err := c.completeBatch(c.cfg.LocalWorker.ID(), h, reply, c.localVersions, c.localCbs[:]); err != nil {
-		return err
-	}
-	return nil
+	return c.settle(b, outcome{worker: c.cfg.LocalWorker.ID(), reply: reply, versions: &c.localVersions})
 }
 
 // Flush sends all partially filled batches.
 func (c *Client) Flush() error {
+	var toSend []*batch
 	c.mu.Lock()
-	type pending struct {
-		w   core.WorkerID
-		ops []wire.Op
-		cbs []OpCallback
-	}
-	var toSend []pending
-	for wid, buf := range c.buffers {
-		if len(buf.ops) == 0 {
-			continue
-		}
-		toSend = append(toSend, pending{w: wid, ops: buf.ops, cbs: buf.cbs})
-		c.outstanding += len(buf.ops)
-		buf.ops, buf.cbs = nil, nil
+	for _, b := range c.buffers {
+		toSend = append(toSend, b)
+		c.takeLocked(b)
 	}
 	c.mu.Unlock()
 	var firstErr error
-	for _, p := range toSend {
-		if err := c.sendBatch(p.w, p.ops, p.cbs); err != nil && firstErr == nil {
+	for _, b := range toSend {
+		if err := c.sendBatch(b); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -352,18 +312,16 @@ func (c *Client) Drain() error {
 	return err
 }
 
-// LastSeq returns the highest sequence number assigned so far.
-func (c *Client) LastSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq
-}
+// LastSeq returns the highest sequence number assigned so far on the
+// session's current world-line (a rollback takes back the numbers beyond the
+// surviving prefix, and they will be assigned again).
+func (c *Client) LastSeq() uint64 { return c.session.Tracker().NextSeq() - 1 }
 
 // Committed returns the session's committed prefix and exceptions.
 func (c *Client) Committed() (uint64, []uint64) { return c.session.Committed() }
 
 // WaitCommitAll flushes, drains, and waits until everything issued so far is
-// committed.
+// committed or abandoned.
 func (c *Client) WaitCommitAll(timeout time.Duration) error {
 	if err := c.Drain(); err != nil {
 		return err
@@ -371,7 +329,7 @@ func (c *Client) WaitCommitAll(timeout time.Duration) error {
 	return c.session.WaitCommit(c.LastSeq(), timeout)
 }
 
-// ---- transport ----
+// ---- routing and connections ----
 
 func (c *Client) ownerOf(key []byte) (core.WorkerID, error) {
 	p := PartitionOf(key, c.cfg.Partitions)
@@ -397,48 +355,29 @@ func (c *Client) invalidateOwners() {
 	c.ownersMu.Unlock()
 }
 
+// addrOf asks metadata on every dial — dials are rare, and a worker restarted
+// elsewhere registers a new address that a cache here would never see.
 func (c *Client) addrOf(w core.WorkerID) (string, error) {
-	c.ownersMu.RLock()
-	a, ok := c.addrs[w]
-	c.ownersMu.RUnlock()
-	if ok {
-		return a, nil
-	}
 	members, err := c.meta.Members()
 	if err != nil {
 		return "", err
 	}
-	c.ownersMu.Lock()
-	for id, addr := range members {
-		c.addrs[id] = addr
-	}
-	a, ok = c.addrs[w]
-	c.ownersMu.Unlock()
-	if !ok || a == "" {
+	if members[w] == "" {
 		return "", fmt.Errorf("dfaster: no address for worker %d", w)
 	}
-	return a, nil
-}
-
-type sentBatch struct {
-	header libdpr.BatchHeader
-	ops    []wire.Op
-	cbs    []OpCallback
-	// retries counts BadOwner resends.
-	retries int
-	// viaRetry marks a batch dispatched by the retry loop; its settlement
-	// (completion, error, or re-park) releases the loop for the next head.
-	viaRetry bool
+	return members[w], nil
 }
 
 type workerConn struct {
-	id     core.WorkerID
-	conn   net.Conn
-	bw     *bufio.Writer
+	id   core.WorkerID
+	conn net.Conn
+	bw   *bufio.Writer
+	// sendMu serialises writers of bw, and with them the order batches enter
+	// inflight, so the FIFO matches the order frames reach the wire.
 	sendMu sync.Mutex
-
-	inflightMu sync.Mutex
-	inflight   []*sentBatch
+	// inflight holds the batches awaiting a reply, oldest first. Guarded by
+	// Client.mu.
+	inflight []*batch
 
 	closed chan struct{}
 	once   sync.Once
@@ -454,6 +393,9 @@ func (wc *workerConn) close() {
 func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 	c.connsMu.Lock()
 	defer c.connsMu.Unlock()
+	if err := c.closed.Err(); err != nil {
+		return nil, err
+	}
 	if wc, ok := c.conns[w]; ok {
 		select {
 		case <-wc.closed:
@@ -484,114 +426,317 @@ func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 	return wc, nil
 }
 
-// sendBatch assigns sequence numbers and transmits a batch; the reader loop
-// resolves it. On failure the ops are resolved with error callbacks.
-func (c *Client) sendBatch(w core.WorkerID, ops []wire.Op, cbs []OpCallback) error {
-	h, err := c.session.NextBatch(len(ops))
-	if err != nil {
-		c.resolveError(ops, cbs)
-		c.recordFailure(err)
-		return err
+// ---- batch lifecycle ----
+//
+//	queued → in-flight(conn) → { parked → re-driving }* → settled
+//
+// A batch has one owner at a time, every change of owner happens under c.mu,
+// and settle is the only way out (DESIGN.md "Client batch lifecycle"):
+//
+//   - queued: being filled in buffers, then on the enqueuing goroutine's
+//     stack until transmit.
+//   - in-flight: on one connection's FIFO, then with whoever took it off —
+//     the read loop popping a reply or sweeping its dead connection, or the
+//     sender whose write failed, whichever got there first.
+//   - parked: in retryQ, in sequence order — refused, a read stranded by a
+//     dead connection, or a frame that could not be delivered. It must not
+//     re-enter the wire behind the later batches the session has pipelined
+//     (an older write landing after a newer one to the same key silently
+//     loses the newer value), so it is re-driven alone and fresh sends wait.
+//     Workers hold back what was already in the pipe: refusal.go.
+//   - re-driving: the queue's head, with its redrive goroutine, forwarded as
+//     runs — batches of their own, counted in the head's unsettled until they
+//     settle or park again. The next head starts when the count reaches zero.
+
+type batchState uint8
+
+const (
+	stQueued batchState = iota
+	stInFlight
+	stParked
+	stRedriving
+	stSettled
+)
+
+// legalMoves[s] is the set of states a batch in state s may enter next.
+var legalMoves = [...]uint8{
+	stQueued:    1<<stInFlight | 1<<stParked | 1<<stSettled,
+	stInFlight:  1<<stParked | 1<<stSettled,
+	stParked:    1<<stRedriving | 1<<stSettled,
+	stRedriving: 1<<stInFlight | 1<<stParked | 1<<stSettled,
+	stSettled:   0,
+}
+
+type batch struct {
+	owner  core.WorkerID // where to send it: the owner of its keys when it was built
+	header libdpr.BatchHeader
+	ops    []wire.Op
+	cbs    []OpCallback
+
+	// Guarded by Client.mu. retries counts the times the batch has parked;
+	// head is the re-driving batch this run was split from, and unsettled, on
+	// a head, the operations its runs still carry.
+	state     batchState
+	retries   int
+	head      *batch
+	unsettled int
+}
+
+// move is the only writer of a batch's state. The caller holds c.mu.
+func (c *Client) move(b *batch, to batchState) bool {
+	if legalMoves[b.state]&(1<<to) == 0 {
+		lifecycleViolations.Inc()
+		return false
+	}
+	b.state = to
+	return true
+}
+
+var lifecycleViolations = obs.Default.Counter("dpr_client_lifecycle_violations_total",
+	"Batch state transitions the client's lifecycle does not allow (a bug in internal/dfaster/client.go).")
+
+// cause is why operations were abandoned, as dpr_client_abandoned_ops_total
+// labels it.
+type cause string
+
+const (
+	causeStranded cause = "stranded" // reply lost with its connection, or the frame could not be delivered
+	causeRefused  cause = "refused"  // no worker took ownership within RetryBadOwner attempts, or an error reply
+	causeRejected cause = "rejected" // issued on a world-line a rollback has ended
+	causeDecode   cause = "decode"   // the reply did not parse
+	causeClosed   cause = "closed"   // the client was closed first
+)
+
+// Abandoned returns how many operations this session has settled as errors
+// and the last few such batches ("seq 11+1 stranded"), oldest first.
+func (c *Client) Abandoned() (uint64, []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.abandoned, slices.Clone(c.recent)
+}
+
+// outcome is what became of a batch: a reply from worker (versions is the
+// caller's scratch for the results' versions), or the cause its operations
+// are abandoned for and the survival error that cause surfaced, if any.
+type outcome struct {
+	cause    cause
+	err      error
+	worker   core.WorkerID
+	reply    *wire.BatchReply
+	versions *[]core.Version
+}
+
+// settle ends the lifecycle of b, which the caller owns, and is the only code
+// that does: it tells the session what became of b's sequence numbers, fires
+// the callbacks, releases the window slots, and lets the next parked batch or
+// the fresh sends go. Returns the survival error the outcome surfaced, which
+// is also latched as the client's failure.
+func (c *Client) settle(b *batch, out outcome) error {
+	if out.reply != nil {
+		results := out.reply.Results
+		versions := slices.Grow((*out.versions)[:0], len(results))[:len(results)]
+		for i := range results {
+			versions[i] = results[i].Version
+		}
+		*out.versions = versions
+		out.err = c.session.CompleteBatch(out.worker, b.header, libdpr.BatchReply{
+			WorldLine: out.reply.WorldLine,
+			Versions:  versions,
+			Cut:       out.reply.Cut,
+		})
+		for i, cb := range b.cbs {
+			if cb != nil && i < len(results) {
+				cb(results[i])
+			}
+		}
+	} else {
+		if c.closed.Err() != nil {
+			out.cause = causeClosed
+		}
+		c.session.AbandonBatch(b.header)
+		obs.Default.Counter("dpr_client_abandoned_ops_total",
+			"Operations whose callback received StatusError and whose fate the session records as unknown.",
+			obs.L("cause", string(out.cause))).Add(uint64(len(b.ops)))
+		for _, cb := range b.cbs {
+			if cb != nil {
+				cb(wire.OpResult{Status: wire.StatusError})
+			}
+		}
 	}
 	c.mu.Lock()
-	if end := h.SeqStart + uint64(len(ops)) - 1; end > c.lastSeq {
-		c.lastSeq = end
+	if c.move(b, stSettled) {
+		c.outstanding -= len(b.ops)
+		if out.reply == nil {
+			c.abandoned += uint64(len(b.ops))
+			c.recent = append(c.recent[max(0, len(c.recent)-7):],
+				fmt.Sprintf("seq %d+%d %s", b.header.SeqStart, len(b.ops), out.cause))
+		}
+		c.leaveHeadLocked(b)
 	}
+	if out.err != nil && c.failure == nil {
+		c.failure = out.err
+	}
+	c.cond.Broadcast()
 	c.mu.Unlock()
-	if c.cfg.OnSend != nil {
-		c.cfg.OnSend(h.SeqStart, len(ops))
-	}
-	// Ordered-retry gate: while refused batches are parked or being
-	// re-driven, hold fresh transmissions back — a fresh (higher-sequence)
-	// batch that reached a worker first would execute ahead of the parked
-	// tail, breaking session order. Re-resolve the owner afterwards: the
-	// retries have updated the routing table.
+	return out.err
+}
+
+// parkOrSettle parks b, which the caller owns, for an ordered re-drive, or
+// settles it for why if its retries are spent or the client is closed.
+func (c *Client) parkOrSettle(b *batch, why cause) {
 	c.mu.Lock()
-	for c.retryGateOn && c.failure == nil {
+	if b.retries >= c.cfg.RetryBadOwner || c.closed.Err() != nil {
+		c.mu.Unlock()
+		c.settle(b, outcome{cause: why})
+		return
+	}
+	c.move(b, stParked)
+	b.retries++
+	i := sort.Search(len(c.retryQ), func(i int) bool {
+		return c.retryQ[i].header.SeqStart >= b.header.SeqStart
+	})
+	c.retryQ = slices.Insert(c.retryQ, i, b)
+	c.leaveHeadLocked(b)
+	c.mu.Unlock()
+}
+
+// leaveHeadLocked takes b, which has just settled or parked, out of the
+// re-driving head's count if it was one of its runs, and starts re-driving
+// the next parked batch if nothing is being re-driven now. The caller holds
+// c.mu.
+func (c *Client) leaveHeadLocked(b *batch) {
+	if h := b.head; h != nil {
+		b.head = nil
+		if h.unsettled -= len(b.ops); h.unsettled == 0 {
+			c.move(h, stSettled)
+			c.head = nil
+		}
+	}
+	if c.head == nil && len(c.retryQ) > 0 {
+		c.head, c.retryQ = c.retryQ[0], c.retryQ[1:]
+		c.move(c.head, stRedriving)
+		c.head.unsettled = len(c.head.ops)
+		go c.redrive(c.head)
+	}
+}
+
+// retryPause gives an ownership transfer in progress, or a restarting
+// worker's registration, a moment to land before a parked batch is re-routed.
+const retryPause = time.Millisecond
+
+// redrive forwards the retry queue's head after the pause. Migration moves
+// partitions independently, so a batch that had one owner when it was built
+// may now span several: it goes out as maximal runs of consecutive operations
+// with the same owner, each carrying its slice of the sequence range (the
+// session tracker resolves sequence numbers individually, so sub-range
+// completions compose). Every run is marked Redirected — its range was
+// refused, or never delivered, wherever it was sent — which admits it below
+// the new owner's session fence: the session striped lower sequence numbers
+// across the old ownership map, so the range is routinely below the fence of
+// a worker that already executed later batches.
+func (c *Client) redrive(h *batch) {
+	select {
+	case <-c.closed.Done(): // every run below fails to connect and settles as closed
+	case <-time.After(retryPause):
+	}
+	c.invalidateOwners()
+	for start := 0; start < len(h.ops); {
+		owner, err := c.ownerOf(h.ops[start].Key)
+		end := start + 1
+		for ; end < len(h.ops); end++ {
+			o, oerr := c.ownerOf(h.ops[end].Key)
+			if o != owner || (oerr == nil) != (err == nil) {
+				break
+			}
+		}
+		run := &batch{owner: owner, header: h.header, ops: h.ops[start:end], cbs: h.cbs[start:end],
+			state: stRedriving, retries: h.retries, head: h}
+		run.header.SeqStart += uint64(start)
+		run.header.NumOps = uint32(end - start)
+		run.header.Redirected = true
+		if err != nil {
+			c.settle(run, outcome{cause: causeRefused})
+		} else {
+			c.transmit(run)
+		}
+		start = end
+	}
+}
+
+// sendBatch assigns a queued batch its sequence numbers and transmits it; the
+// connection's read loop settles it.
+func (c *Client) sendBatch(b *batch) error {
+	h, err := c.session.NextBatch(len(b.ops))
+	if err != nil {
+		return c.settle(b, outcome{cause: causeRejected, err: err})
+	}
+	b.header = h
+	if c.cfg.OnSend != nil {
+		c.cfg.OnSend(h.SeqStart, len(b.ops))
+	}
+	// While a batch is parked or re-driving, hold fresh transmissions back — a
+	// fresh (higher-sequence) batch that reached a worker first would execute
+	// ahead of the parked tail, breaking session order — and re-resolve the
+	// owner afterwards: the re-drive has updated the routing table.
+	c.mu.Lock()
+	waited := false
+	for c.head != nil && c.failure == nil {
+		waited = true
 		c.cond.Wait()
 	}
-	ok := c.failure == nil
 	c.mu.Unlock()
-	if ok {
-		if owner, oerr := c.ownerOf(ops[0].Key); oerr == nil {
-			w = owner
+	if waited {
+		if owner, oerr := c.ownerOf(b.ops[0].Key); oerr == nil {
+			b.owner = owner
 		}
 	}
-	return c.transmitRouted(w, &sentBatch{header: h, ops: ops, cbs: cbs})
+	c.transmit(b)
+	return nil
 }
 
-// transmitRouted sends sb to owner, re-resolving the route on connection
-// failure: a member that drained out of the cluster leaves stale owner and
-// address caches behind, and its replacement is only discoverable through
-// metadata. A failed transmit never delivered the frame (the batch is pulled
-// back out of the in-flight queue), so the retransmission is marked
-// Redirected and admitted below the session fence at whichever worker the
-// metadata now names. Resolves the ops as errors once retries are exhausted.
-func (c *Client) transmitRouted(owner core.WorkerID, sb *sentBatch) error {
-	err := c.transmit(owner, sb)
-	for attempt := 0; err != nil && attempt < c.cfg.RetryBadOwner; attempt++ {
-		c.invalidateOwners()
-		time.Sleep(time.Millisecond)
-		o, oerr := c.ownerOf(sb.ops[0].Key)
-		if oerr != nil {
-			break
-		}
-		sb.header.Redirected = true
-		err = c.transmit(o, sb)
-	}
+// transmit hands b to its owner's connection and writes its frame. A frame
+// that cannot be delivered — no connection, or the write failed, which closes
+// it — parks b like a refusal, unless the read loop's sweep of the dead
+// connection took b off the FIFO first: then b is that loop's.
+func (c *Client) transmit(b *batch) {
+	wc, err := c.connTo(b.owner)
 	if err != nil {
-		c.resolveError(sb.ops, sb.cbs)
-		c.retrySettle(sb, len(sb.ops))
-	}
-	return err
-}
-
-// transmit sends sb to worker w on its connection. On failure the batch is
-// NOT resolved and is guaranteed off the connection's in-flight queue: the
-// caller still owns it and decides between re-routing and error resolution.
-// A batch has one owner at a time — this caller, a connection's in-flight
-// queue (its read loop), or the retry queue — so a failed write whose batch
-// the read loop's stranded-batch cleanup had already taken is that loop's to
-// settle, and is reported as sent.
-func (c *Client) transmit(w core.WorkerID, sb *sentBatch) error {
-	wc, err := c.connTo(w)
-	if err != nil {
-		return err
+		c.parkOrSettle(b, causeStranded)
+		return
 	}
 	// Encode into a pooled buffer; WriteFrame copies into the bufio.Writer,
 	// so the buffer can be returned as soon as the write call finishes.
 	out := wire.GetBuffer()
-	*out = wire.AppendBatchRequest(*out, &wire.BatchRequest{Header: sb.header, Ops: sb.ops})
+	*out = wire.AppendBatchRequest(*out, &wire.BatchRequest{Header: b.header, Ops: b.ops})
 	wc.sendMu.Lock()
-	wc.inflightMu.Lock()
-	wc.inflight = append(wc.inflight, sb)
-	wc.inflightMu.Unlock()
+	c.mu.Lock()
+	c.move(b, stInFlight)
+	wc.inflight = append(wc.inflight, b)
+	c.mu.Unlock()
 	err = wire.WriteFrame(wc.bw, wire.FrameBatchRequest, *out)
 	if err == nil {
 		err = wc.bw.Flush()
 	}
-	if err != nil {
-		// The frame was not delivered (bufio errors are sticky from the
-		// first failed flush). Reclaim the batch before closing so the
-		// read loop's stranded-batch cleanup cannot also resolve it — unless
-		// that loop, woken by the same sever, got to the queue first.
-		wc.inflightMu.Lock()
-		i := slices.Index(wc.inflight, sb)
-		if i >= 0 {
-			wc.inflight = slices.Delete(wc.inflight, i, i+1)
-		}
-		wc.inflightMu.Unlock()
-		wc.close()
-		if i < 0 {
-			err = nil
-		}
-	}
 	wc.sendMu.Unlock()
 	wire.PutBuffer(out)
-	return err
+	if err == nil {
+		return
+	}
+	// bufio errors are sticky from the first failed flush: no whole frame of
+	// b reached the worker.
+	wc.close()
+	c.mu.Lock()
+	i := slices.Index(wc.inflight, b)
+	if i >= 0 {
+		wc.inflight = slices.Delete(wc.inflight, i, i+1)
+	}
+	c.mu.Unlock()
+	if i >= 0 {
+		c.parkOrSettle(b, causeStranded)
+	}
 }
 
-// readLoop resolves replies for one connection in FIFO order. The loop is
+// readLoop settles replies for one connection in FIFO order. The loop is
 // allocation-free in steady state: frames land in the FrameReader's pooled
 // buffer, the reply shell and versions scratch are reused, and result values
 // alias the frame (callbacks fire before the next frame overwrites it).
@@ -618,289 +763,61 @@ func (c *Client) readLoop(wc *workerConn) {
 			}
 			continue
 		}
-		wc.inflightMu.Lock()
+		c.mu.Lock()
 		if len(wc.inflight) == 0 {
-			wc.inflightMu.Unlock()
+			c.mu.Unlock()
 			break // protocol violation
 		}
-		sb := wc.inflight[0]
+		b := wc.inflight[0]
 		wc.inflight = wc.inflight[1:]
-		wc.inflightMu.Unlock()
+		c.mu.Unlock()
 
 		switch tag {
 		case wire.FrameBatchReply:
-			if err := wire.DecodeBatchReplyInto(&reply, payload); err != nil {
-				c.resolveError(sb.ops, sb.cbs)
-				c.retrySettle(sb, len(sb.ops))
+			if wire.DecodeBatchReplyInto(&reply, payload) != nil {
+				c.settle(b, outcome{cause: causeDecode})
 				continue
 			}
-			versions = slices.Grow(versions[:0], len(reply.Results))[:len(reply.Results)]
-			for i := range reply.Results {
-				versions[i] = reply.Results[i].Version
-			}
-			c.completeBatch(wc.id, sb.header, &reply, versions, sb.cbs)
-			c.retrySettle(sb, len(sb.cbs))
+			c.settle(b, outcome{worker: wc.id, reply: &reply, versions: &versions})
 		case wire.FrameError:
-			er, err := wire.DecodeError(payload)
-			if err != nil {
-				c.resolveError(sb.ops, sb.cbs)
-				c.retrySettle(sb, len(sb.ops))
-				continue
-			}
-			c.handleErrorReply(sb, er)
+			c.handleErrorReply(b, payload)
 		default:
-			c.resolveError(sb.ops, sb.cbs)
-			c.retrySettle(sb, len(sb.ops))
+			c.settle(b, outcome{cause: causeDecode})
 		}
 	}
 	wc.close()
-	// Handle batches still in flight so Drain never hangs. A stranded batch
-	// may or may not have executed (the reply could simply be lost), so
-	// write batches resolve as errors — retransmitting them risks double
-	// execution. Read-only batches are side-effect-free: those park for an
-	// ordered re-drive through metadata, which keeps live sessions reading
-	// across a member draining out of the cluster.
-	wc.inflightMu.Lock()
+	// Batches still in flight may or may not have executed. Reads are
+	// side-effect-free and park for a re-drive through metadata, which keeps
+	// live sessions reading across a member draining out of the cluster;
+	// retransmitting a write risks a double execution, so it is abandoned.
+	c.mu.Lock()
 	stranded := wc.inflight
 	wc.inflight = nil
-	wc.inflightMu.Unlock()
-	for _, sb := range stranded {
-		if readOnly(sb.ops) && sb.retries < c.cfg.RetryBadOwner {
-			sb.retries++
-			c.parkRetry(sb)
-			continue
-		}
-		c.resolveError(sb.ops, sb.cbs)
-		c.retrySettle(sb, len(sb.ops))
-	}
-}
-
-func readOnly(ops []wire.Op) bool {
-	for i := range ops {
-		if ops[i].Kind != wire.OpRead {
-			return false
-		}
-	}
-	return true
-}
-
-// completeBatch feeds a reply into the session and fires callbacks. The
-// caller supplies the versions slice (typically its own reusable scratch);
-// libdpr.Session.CompleteBatch does not retain it.
-func (c *Client) completeBatch(w core.WorkerID, h libdpr.BatchHeader, reply *wire.BatchReply, versions []core.Version, cbs []OpCallback) error {
-	err := c.session.CompleteBatch(w, h, libdpr.BatchReply{
-		WorldLine: reply.WorldLine,
-		Versions:  versions,
-		Cut:       reply.Cut,
-	})
-	for i, cb := range cbs {
-		if cb != nil && i < len(reply.Results) {
-			cb(reply.Results[i])
-		}
-	}
-	c.mu.Lock()
-	c.outstanding -= len(cbs)
-	if err != nil && c.failure == nil {
-		c.failure = err
-	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
-	return err
+	for _, b := range stranded {
+		if !slices.ContainsFunc(b.ops, func(op wire.Op) bool { return op.Kind != wire.OpRead }) {
+			c.parkOrSettle(b, causeStranded)
+		} else {
+			c.settle(b, outcome{cause: causeStranded})
+		}
+	}
 }
 
-func (c *Client) handleErrorReply(sb *sentBatch, er *wire.ErrorReply) {
-	switch er.Code {
-	case wire.ErrCodeBadOwner, wire.ErrCodeMoved:
-		// The batch was refused — an ownership miss during a migration
-		// freeze (BadOwner) or a partition that migrated away (Moved; the
-		// target has claimed and metadata is authoritative). Either way the
-		// batch parks for an ordered re-drive: the same sequence numbers
-		// travel to the new owner(s), so the session's FIFO frontier and
-		// commit floor carry across the flip, and the Redirected header flag
-		// lets the retransmission under the new owner's session fence (the
-		// session striped lower sequence numbers across the old ownership
-		// map, so a redirected range is routinely below the fence of a
-		// worker that already executed later batches).
-		if sb.retries < c.cfg.RetryBadOwner {
-			sb.retries++
-			c.parkRetry(sb)
-			return
-		}
-		c.resolveError(sb.ops, sb.cbs)
-		c.retrySettle(sb, len(sb.ops))
-	case wire.ErrCodeRejected:
-		if err := c.session.NotifyWorldLine(er.WorldLine); err != nil {
-			c.recordFailure(err)
-		}
-		c.resolveError(sb.ops, sb.cbs)
-		c.retrySettle(sb, len(sb.ops))
+func (c *Client) handleErrorReply(b *batch, payload []byte) {
+	er, err := wire.DecodeError(payload)
+	switch {
+	case err != nil:
+		c.settle(b, outcome{cause: causeDecode})
+	case er.Code == wire.ErrCodeBadOwner || er.Code == wire.ErrCodeMoved:
+		// An ownership miss during a migration freeze, or a partition that
+		// has migrated away. The same sequence numbers travel to the new
+		// owner, so the session's FIFO frontier and commit floor carry over.
+		c.parkOrSettle(b, causeRefused)
+	case er.Code == wire.ErrCodeRejected:
+		c.settle(b, outcome{cause: causeRejected, err: c.session.NotifyWorldLine(er.WorldLine)})
 	default:
-		c.resolveError(sb.ops, sb.cbs)
-		c.retrySettle(sb, len(sb.ops))
+		c.settle(b, outcome{cause: causeRefused})
 	}
-}
-
-// redirectBatch retransmits a refused batch after re-resolving ownership per
-// operation. Migration moves partitions independently, so a batch that was
-// owner-homogeneous when it was enqueued may now span owners: it is split
-// into maximal runs of consecutive operations with the same owner, each
-// forwarded as its own sub-batch carrying its slice of the sequence range
-// (the session tracker resolves sequence numbers individually, so sub-range
-// completions compose). Every run is marked Redirected — its range was
-// refused, never executed, at each worker that answered it.
-func (c *Client) redirectBatch(sb *sentBatch) {
-	for start := 0; start < len(sb.ops); {
-		owner, err := c.ownerOf(sb.ops[start].Key)
-		if err != nil {
-			c.resolveError(sb.ops[start:start+1], sb.cbs[start:start+1])
-			c.retrySettle(sb, 1)
-			start++
-			continue
-		}
-		end := start + 1
-		for end < len(sb.ops) {
-			o, oerr := c.ownerOf(sb.ops[end].Key)
-			if oerr != nil || o != owner {
-				break
-			}
-			end++
-		}
-		run := &sentBatch{header: sb.header, ops: sb.ops[start:end], cbs: sb.cbs[start:end],
-			retries: sb.retries, viaRetry: sb.viaRetry}
-		run.header.SeqStart += uint64(start)
-		run.header.NumOps = uint32(end - start)
-		run.header.Redirected = true
-		c.transmitRouted(owner, run)
-		start = end
-	}
-}
-
-// ---- ordered retry of refused batches ----
-//
-// A refused batch (BadOwner during a migration freeze, Moved after a flip,
-// a read stranded by a dead connection) cannot simply be retransmitted from
-// the spot where the refusal was observed: the session has later batches
-// pipelined, and a refused batch that re-enters the wire behind them
-// executes out of session order — an older write landing after a newer one
-// to the same key silently loses the newer value. Refused batches park in a
-// sequence-ordered queue re-driven by a single goroutine, one batch at a
-// time: the head is retransmitted only when nothing else from the queue is
-// in flight, and fresh sends gate until the queue drains. Workers enforce
-// the same order for batches that were already in the pipe when the first
-// refusal happened (the refusal ledger, refusal.go).
-
-// parkRetry inserts sb into the retry queue in sequence order, engages the
-// fresh-send gate, and wakes the retry loop. A re-parked head (refused
-// again) releases the loop for the next attempt.
-func (c *Client) parkRetry(sb *sentBatch) {
-	c.retryMu.Lock()
-	if sb.viaRetry {
-		sb.viaRetry = false
-		c.retryOutstanding -= len(sb.ops)
-		if c.retryOutstanding <= 0 {
-			c.retryBusy = false
-		}
-	}
-	i := sort.Search(len(c.retryQ), func(i int) bool {
-		return c.retryQ[i].header.SeqStart >= sb.header.SeqStart
-	})
-	c.retryQ = append(c.retryQ, nil)
-	copy(c.retryQ[i+1:], c.retryQ[i:])
-	c.retryQ[i] = sb
-	dispatch := !c.retryBusy
-	c.mu.Lock()
-	if !c.retryGateOn {
-		c.retryGateOn = true
-	}
-	c.mu.Unlock()
-	c.retryMu.Unlock()
-	if dispatch {
-		select {
-		case c.retryWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// retrySettle accounts n settled operations of a retry-dispatched batch
-// (completed, error-resolved, or split-run finished). When the dispatched
-// head has fully settled, the loop is released; when the queue is empty and
-// idle, the fresh-send gate lifts. No-op for batches the loop did not
-// dispatch.
-func (c *Client) retrySettle(sb *sentBatch, n int) {
-	if !sb.viaRetry {
-		return
-	}
-	c.retryMu.Lock()
-	c.retryOutstanding -= n
-	if c.retryOutstanding <= 0 {
-		c.retryBusy = false
-	}
-	gate := c.retryBusy || len(c.retryQ) > 0
-	dispatch := !c.retryBusy && len(c.retryQ) > 0
-	c.mu.Lock()
-	if c.retryGateOn != gate {
-		c.retryGateOn = gate
-		if !gate {
-			c.cond.Broadcast()
-		}
-	}
-	c.mu.Unlock()
-	c.retryMu.Unlock()
-	if dispatch {
-		select {
-		case c.retryWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// retryLoop re-drives parked batches one at a time in ascending sequence
-// order. The pause before each attempt gives an in-progress ownership
-// transfer a moment to land; the owner cache is re-resolved per attempt.
-func (c *Client) retryLoop() {
-	for {
-		select {
-		case <-c.closed:
-			return
-		case <-c.retryWake:
-		}
-		for {
-			c.retryMu.Lock()
-			if c.retryBusy || len(c.retryQ) == 0 {
-				c.retryMu.Unlock()
-				break
-			}
-			sb := c.retryQ[0]
-			c.retryQ = c.retryQ[1:]
-			c.retryBusy = true
-			c.retryOutstanding = len(sb.ops)
-			sb.viaRetry = true
-			c.retryMu.Unlock()
-			select {
-			case <-c.closed:
-				c.resolveError(sb.ops, sb.cbs)
-				c.retrySettle(sb, len(sb.ops))
-				return
-			case <-time.After(time.Millisecond):
-			}
-			c.invalidateOwners()
-			c.redirectBatch(sb)
-		}
-	}
-}
-
-// resolveError fires error callbacks and releases window slots.
-func (c *Client) resolveError(ops []wire.Op, cbs []OpCallback) {
-	for _, cb := range cbs {
-		if cb != nil {
-			cb(wire.OpResult{Status: wire.StatusError})
-		}
-	}
-	c.mu.Lock()
-	c.outstanding -= len(cbs)
-	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 func (c *Client) recordFailure(err error) {

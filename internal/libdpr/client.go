@@ -191,6 +191,16 @@ func (s *Session) CompleteBatch(worker core.WorkerID, h BatchHeader, r BatchRepl
 	return nil
 }
 
+// AbandonBatch tells the session the transport has given up on h's operations
+// (core.SessionTracker.Abandon states what that means for Committed and
+// WaitCommit) and wakes commit waits they were holding.
+func (s *Session) AbandonBatch(h BatchHeader) {
+	s.tracker.Abandon(h.WorldLine, h.SeqStart, int(h.NumOps))
+	s.mu.Lock()
+	s.wakeLocked()
+	s.mu.Unlock()
+}
+
 // foldNew folds a cut a worker sent — piggybacked or pushed, observed on wl —
 // unless it is the one folded last (a repeated cut skips the O(uncommitted)
 // prefix scan) or a SurvivalError is unacknowledged, which it returns. The
@@ -355,15 +365,18 @@ func (s *Session) ObserveCut(wl core.WorldLine, cut core.Cut) error {
 	return s.foldNew(wl, cut)
 }
 
-// WaitCommit blocks until seq is committed — the prefix has reached it and,
-// under relaxed DPR, no exception at or below it remains (an operation inside
-// an exception hole is not committed, wherever the prefix stands) — or a
-// failure intervenes, or the timeout expires: the paper's "sessions may wait
-// for commit at any time" group-commit affordance (§2). It waits on the folds
-// the transport delivers (piggybacked and pushed cuts); behind them it asks
-// the finder itself, for a session with no transport (co-located only) or a
-// lost push: on entry, then at an interval doubling from 1 ms up to
-// manualHeartbeat.
+// WaitCommit blocks until every operation at or below seq is committed or
+// abandoned — the prefix has reached seq and, under relaxed DPR, no exception
+// at or below it can still resolve (an operation inside an exception hole is
+// not committed, wherever the prefix stands; an abandoned one never will be,
+// so it does not hold the wait) — or a failure intervenes, or the timeout
+// expires; under strict DPR, where the prefix cannot pass an abandoned
+// operation, one at or below seq fails the wait at once with a
+// *core.AbandonedError. This is the paper's "sessions may wait for commit at
+// any time" group-commit affordance (§2). It waits on the folds the transport
+// delivers (piggybacked and pushed cuts); behind them it asks the finder
+// itself, for a session with no transport (co-located only) or a lost push:
+// on entry, then at an interval doubling from 1 ms up to manualHeartbeat.
 func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -380,9 +393,11 @@ func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
 		}
 		folded := s.folded // before the check: a fold landing in between closes it
 		s.mu.Unlock()
-		// Exceptions are sorted, so the first one decides.
-		p, exc := s.tracker.Committed()
-		if p >= seq && (len(exc) == 0 || exc[0] > seq) {
+		p, open, hole := s.tracker.CommitStatus(seq)
+		if hole != 0 {
+			return &core.AbandonedError{Seq: hole}
+		}
+		if p >= seq && open == 0 {
 			return nil
 		}
 		select {
@@ -394,7 +409,7 @@ func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
 			backstop.Reset(every)
 			every = min(2*every, manualHeartbeat)
 		case <-deadline.C:
-			return fmt.Errorf("libdpr: commit of seq %d timed out (prefix at %d, %d exceptions)", seq, p, len(exc))
+			return fmt.Errorf("libdpr: commit of seq %d timed out (prefix at %d, %d exceptions)", seq, p, open)
 		}
 	}
 }

@@ -91,6 +91,70 @@ func TestWaitCommitHonoursExceptionHoles(t *testing.T) {
 	}
 }
 
+// TestWaitCommitPassesAbandoned: a batch the transport gave up on is a hole
+// that will never close. Under relaxed DPR WaitCommit waits for everything at
+// or below seq to be committed or abandoned — a parked wait is woken by the
+// abandon itself — and Committed keeps listing the hole; under strict DPR the
+// wait fails at once, naming it, instead of timing out.
+func TestWaitCommitPassesAbandoned(t *testing.T) {
+	issue := func(relaxed bool) (*libdpr.Session, libdpr.BatchHeader) {
+		meta := &cutOnlyMeta{}
+		s, err := libdpr.NewSession(meta, relaxed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lost libdpr.BatchHeader
+		for b := 0; b < 3; b++ {
+			h, err := s.NextBatch(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == 1 {
+				lost = h // seqs 5..8: no reply ever comes
+				continue
+			}
+			if err := s.CompleteBatch(1, h, libdpr.BatchReply{Versions: []core.Version{1, 1, 1, 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		meta.setCut(core.Cut{1: 1})
+		return s, lost
+	}
+
+	s, lost := issue(true)
+	if err := s.WaitCommit(12, 50*time.Millisecond); err == nil {
+		t.Fatal("WaitCommit(12) returned nil while seqs 5..8 are still in flight")
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.WaitCommit(12, 10*time.Second) }()
+	time.Sleep(20 * time.Millisecond) // let it park (harmless if it has not)
+	s.AbandonBatch(lost)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("WaitCommit(12) after the abandon: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitCommit(12) still parked after the hole was abandoned")
+	}
+	if p, exc := s.Committed(); p != 12 || len(exc) != 4 || exc[0] != 5 || exc[3] != 8 {
+		t.Fatalf("prefix %d exceptions %v, want 12 with 5..8 still listed: abandoned is not committed", p, exc)
+	}
+	if n := s.Tracker().InFlight(); n != 0 {
+		t.Fatalf("InFlight %d after the abandon, want 0", n)
+	}
+
+	s, lost = issue(false)
+	s.AbandonBatch(lost)
+	var hole *core.AbandonedError
+	if err := s.WaitCommit(12, 5*time.Second); !errors.As(err, &hole) || hole.Seq != 5 {
+		t.Fatalf("strict WaitCommit(12) = %v, want an AbandonedError at seq 5", err)
+	}
+	if err := s.WaitCommit(4, 5*time.Second); err != nil {
+		t.Fatalf("strict WaitCommit(4), below the hole: %v", err)
+	}
+}
+
 // TestWaitCommitWakesOnFold: WaitCommit is woken by the fold of a cut into the
 // session, not by polling the finder. A cut that arrives by ObserveCut (a
 // pushed frame) ends a long wait within a few milliseconds and after a handful

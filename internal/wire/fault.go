@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,11 +19,13 @@ import (
 //
 //   - SetDelay(d): every forwarded chunk waits d before delivery, in each
 //     direction (so one-way latency is d, round-trip 2d).
-//   - SetBlackhole(on): forwarded bytes are read and discarded. Because
-//     dropping part of a length-prefixed stream would desynchronize framing
-//     if forwarding resumed, a blackhole window must end with SeverAll —
-//     the endpoints then observe a dead connection that swallowed traffic,
-//     the classic lost-request/lost-reply fault.
+//   - SetBlackhole(on): forwarded bytes are read and discarded. Resuming a
+//     length-prefixed stream that lost bytes would desynchronize framing (a
+//     later reply read as the answer to the request whose own reply was
+//     swallowed), so a direction that has dropped bytes never forwards again:
+//     the first bytes to arrive after the window close the pair. The endpoints
+//     observe a dead connection that swallowed traffic, the classic lost-
+//     request/lost-reply fault; SeverAll delivers it without waiting for them.
 //   - SeverAll(): closes every live proxied connection pair. New dials
 //     continue to be accepted and forwarded.
 //
@@ -80,8 +81,8 @@ func (p *FaultProxy) SetDelay(d time.Duration) { p.delayNs.Store(int64(d)) }
 // Delay returns the current per-direction forwarding delay.
 func (p *FaultProxy) Delay() time.Duration { return time.Duration(p.delayNs.Load()) }
 
-// SetBlackhole toggles traffic discarding. End a blackhole window with
-// SeverAll (see the type comment for why).
+// SetBlackhole toggles traffic discarding. A connection that lost bytes to
+// the window does not outlive it (see the type comment).
 func (p *FaultProxy) SetBlackhole(on bool) { p.blackhole.Store(on) }
 
 // SeverAll closes every live proxied connection and reports how many
@@ -164,6 +165,7 @@ func (p *FaultProxy) pipe(dst, src net.Conn) {
 	defer src.Close()
 	defer dst.Close()
 	buf := make([]byte, 32<<10)
+	dropped := false // this direction has lost bytes to a blackhole
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
@@ -174,16 +176,15 @@ func (p *FaultProxy) pipe(dst, src net.Conn) {
 					return
 				}
 			}
-			if !p.blackhole.Load() {
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					return
-				}
+			if p.blackhole.Load() {
+				dropped = true
+			} else if dropped {
+				return
+			} else if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
 			}
 		}
 		if err != nil {
-			if err != io.EOF {
-				return
-			}
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -157,6 +158,48 @@ func TestFaultProxyBlackhole(t *testing.T) {
 	defer conn2.Close()
 	if got, err := roundTrip(t, conn2, "post"); err != nil || got != "post" {
 		t.Fatalf("post-blackhole round trip: %q, %v", got, err)
+	}
+}
+
+// TestFaultProxyBlackholeGap holds open the gap between lifting a blackhole
+// and severing: a connection that lost bytes to the window must not forward
+// what arrives next — on a length-prefixed stream that is a reply read as the
+// answer to a request whose own reply was swallowed — but close.
+func TestFaultProxyBlackholeGap(t *testing.T) {
+	p, err := NewFaultProxy(startEcho(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := roundTrip(t, conn, "pre"); err != nil {
+		t.Fatal(err)
+	}
+	p.SetBlackhole(true)
+	if _, err := conn.Write([]byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, _ := conn.Read(buf); n != 0 {
+		t.Fatalf("blackholed traffic delivered %d bytes", n)
+	}
+	p.SetBlackhole(false) // and no SeverAll
+	if _, err := conn.Write([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := conn.Read(buf)
+	if n != 0 {
+		t.Fatalf("a connection that lost bytes forwarded %q after the window", buf[:n])
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("a connection that lost bytes stayed open after the window: %v", err)
 	}
 }
 
