@@ -65,7 +65,7 @@ commit-path-stress:
 	run 'Compact' ./internal/kv -short; \
 	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals' ./internal/libdpr; \
 	run 'TestConformance|TestStop' ./internal/serve; \
-	run 'TestBatchLifecycle|TestStrandedReads|TestLostOp|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \
+	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \
 	run 'TestFaultProxyBlackhole' ./internal/wire
 
 # Replay the checked-in decoder corpus and mutate for a few seconds per

@@ -14,7 +14,7 @@
 //	del <key>             delete
 //	add <key> <n>         atomic uint64 add
 //	status                committed prefix / exceptions / last seq
-//	wait                  block until everything issued so far commits
+//	wait                  block until everything issued so far commits; names a lost write
 //	cut                   print the current DPR cut
 //	quit
 //
@@ -91,6 +91,15 @@ func main() {
 
 func execute(client *dfaster.Client, meta metadata.Service, fields []string) bool {
 	defer handleFailure(client)
+	failed := false // a write tells only its callback that it could not be delivered
+	cb := func(r wire.OpResult) { failed = r.Status == wire.StatusError }
+	written := func(ok string) {
+		check(client.Drain())
+		if failed {
+			ok = "error: not delivered; fate unknown (status lists it as an exception)"
+		}
+		fmt.Println(ok)
+	}
 	switch fields[0] {
 	case "quit", "exit":
 		return true
@@ -99,40 +108,31 @@ func execute(client *dfaster.Client, meta metadata.Service, fields []string) boo
 			fmt.Println("usage: put <key> <value>")
 			return false
 		}
-		check(client.Upsert([]byte(fields[1]), []byte(fields[2]), nil))
-		check(client.Drain())
-		fmt.Println("OK (completed; committing lazily)")
+		check(client.Upsert([]byte(fields[1]), []byte(fields[2]), cb))
+		written("OK (completed; committing lazily)")
 	case "get":
 		if len(fields) != 2 {
 			fmt.Println("usage: get <key>")
 			return false
 		}
-		done := make(chan string, 1)
+		msg := "(error)"
 		check(client.Read([]byte(fields[1]), func(r wire.OpResult) {
 			switch r.Status {
 			case wire.StatusOK:
-				done <- fmt.Sprintf("%q (raw: %s)", r.Value, decodeU64(r.Value))
+				msg = fmt.Sprintf("%q (raw: %s)", r.Value, decodeU64(r.Value))
 			case wire.StatusNotFound:
-				done <- "(not found)"
-			default:
-				done <- "(error)"
+				msg = "(not found)"
 			}
 		}))
-		check(client.Flush())
-		select {
-		case msg := <-done:
-			fmt.Println(msg)
-		case <-time.After(10 * time.Second):
-			fmt.Println("(timed out)")
-		}
+		check(client.Drain()) // every operation settles: answered, or abandoned once its retries are spent
+		fmt.Println(msg)
 	case "del":
 		if len(fields) != 2 {
 			fmt.Println("usage: del <key>")
 			return false
 		}
-		check(client.Delete([]byte(fields[1]), nil))
-		check(client.Drain())
-		fmt.Println("OK")
+		check(client.Delete([]byte(fields[1]), cb))
+		written("OK")
 	case "add":
 		if len(fields) != 3 {
 			fmt.Println("usage: add <key> <n>")
@@ -143,9 +143,8 @@ func execute(client *dfaster.Client, meta metadata.Service, fields []string) boo
 			fmt.Println("bad number:", err)
 			return false
 		}
-		check(client.RMW([]byte(fields[1]), n, nil))
-		check(client.Drain())
-		fmt.Println("OK")
+		check(client.RMW([]byte(fields[1]), n, cb))
+		written("OK")
 	case "status":
 		p, exc := client.Committed()
 		fmt.Printf("committed prefix: %d / %d issued; exceptions: %v\n", p, client.LastSeq(), exc)

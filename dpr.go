@@ -55,6 +55,8 @@ type (
 	// SurvivalError reports the exact prefix of a session that survived a
 	// failure.
 	SurvivalError = core.SurvivalError
+	// AbandonedError names a write WaitAllCommitted cannot call durable.
+	AbandonedError = core.AbandonedError
 )
 
 // ErrRolledBack matches errors caused by failure rollbacks
@@ -378,7 +380,8 @@ func (s *Session) Drain() error { return s.client.Drain() }
 // exception list (relaxed DPR).
 func (s *Session) Committed() (uint64, []uint64) { return s.client.Committed() }
 
-// WaitAllCommitted blocks until everything issued so far is durable.
+// WaitAllCommitted blocks until everything issued so far is durable. A write
+// that never reached a shard (Put does not say) fails it, once: *AbandonedError.
 func (s *Session) WaitAllCommitted(timeout time.Duration) error {
 	return s.client.WaitCommitAll(timeout)
 }

@@ -1,7 +1,9 @@
 package dpr_test
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -129,5 +131,52 @@ func TestFacadeMemoryBudget(t *testing.T) {
 		if err != nil || !found || len(val) != len(big) {
 			t.Fatalf("key %d: found=%v err=%v len=%d", i, found, err, len(val))
 		}
+	}
+}
+
+// TestUnreachableShardFailsWaitAllCommitted: a Put to a shard that cannot be
+// reached returns nil, like every Put — it is buffered, then re-driven in the
+// background. WaitAllCommitted must not call it durable.
+func TestUnreachableShardFailsWaitAllCommitted(t *testing.T) {
+	c, err := dpr.NewCluster(dpr.ClusterConfig{CheckpointInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.NewSession(dpr.SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close() // nobody listens here any more
+	if err := c.Metadata().RegisterWorker(1, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("k"), []byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var lost *dpr.AbandonedError
+	if err := s.WaitAllCommitted(10 * time.Second); !errors.As(err, &lost) || lost.Seq != 1 {
+		t.Fatalf("WaitAllCommitted = %v, want an AbandonedError at seq 1", err)
+	}
+	// The shard is back: the write is made again, and this time it is durable.
+	if err := c.Metadata().RegisterWorker(1, c.Worker(0).Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("k"), []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitAllCommitted(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if p, exc := s.Committed(); p != 2 || len(exc) != 1 || exc[0] != 1 {
+		t.Fatalf("prefix %d exceptions %v, want 2 and [1]", p, exc)
 	}
 }

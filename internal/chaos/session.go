@@ -172,8 +172,8 @@ func (r *sessionRunner) composedCutMax(wl core.WorldLine) core.Version {
 
 // settle drives the session to a fully committed state: every sequence
 // number issued so far either committed or resolved as a rollback exception.
-// With faults cleared this converges; survival errors encountered on the way
-// are acknowledged like during the run.
+// With faults cleared this converges: survival errors on the way are acknowledged
+// as during the run, the client's one report of abandoned operations passed over.
 func (r *sessionRunner) settle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

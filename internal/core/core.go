@@ -186,11 +186,11 @@ func (e *SurvivalError) Error() string {
 
 func (e *SurvivalError) Unwrap() error { return ErrRolledBack }
 
-// AbandonedError fails a strict-DPR commit wait that reaches an abandoned
-// operation: Seq's fate is unknown, so neither it nor anything after it in the
-// session can be reported committed before a rollback resolves it.
+// AbandonedError reports an operation of unknown fate (SessionTracker.Abandon)
+// to a commit wait: Seq will never be reported committed, and under strict DPR
+// neither will anything after it in the session before a rollback resolves it.
 type AbandonedError struct{ Seq uint64 }
 
 func (e *AbandonedError) Error() string {
-	return fmt.Sprintf("dpr: operation %d was abandoned; a strict session cannot commit past it", e.Seq)
+	return fmt.Sprintf("dpr: operation %d was abandoned (lost reply or undeliverable): it is not committed", e.Seq)
 }

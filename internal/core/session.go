@@ -254,20 +254,21 @@ func (s *SessionTracker) CompleteBatch(wl WorldLine, seqStart uint64, w WorkerID
 }
 
 // Abandon resolves the still-pending operations among seqStart..seqStart+n-1
-// as of unknown fate: the transport lost their reply or could not deliver
-// them. An abandoned operation is never reported committed — under relaxed DPR
-// it stays in the exception list for as long as the prefix covers it, under
-// strict DPR the prefix stops below it — but it no longer counts as in flight
-// and no longer holds a commit wait (CommitStatus). A rollback resolves it
-// like a PENDING operation: an exception of the SurvivalError if the surviving
-// prefix covers it, forgotten either way. wl is the world-line the operations
-// were issued on, checked as in CompleteBatch: OnFailure reissues sequence
-// numbers, and an error that raced it must not abandon the new ones.
-func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) {
+// as of unknown fate — the transport lost their reply or could not deliver
+// them — and returns how many there were. An abandoned operation is never
+// reported committed — under relaxed DPR it stays in the exception list for as
+// long as the prefix covers it, under strict DPR the prefix stops below it —
+// but it no longer counts as in flight and no longer holds a commit wait
+// (CommitStatus). A rollback resolves it like a PENDING operation: an
+// exception of the SurvivalError if the surviving prefix covers it, forgotten
+// either way. wl is the world-line the operations were issued on, checked as
+// in CompleteBatch: OnFailure reissues sequence numbers, and an error that
+// raced it must not abandon the new ones.
+func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) (abandoned int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wl != s.worldLine {
-		return
+		return 0
 	}
 	for seq := seqStart; seq < seqStart+uint64(n); seq++ {
 		if !s.pending[seq] {
@@ -276,7 +277,9 @@ func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) {
 		delete(s.pending, seq)
 		i, _ := slices.BinarySearch(s.abandoned, seq)
 		s.abandoned = slices.Insert(s.abandoned, i, seq)
+		abandoned++
 	}
+	return abandoned
 }
 
 func (s *SessionTracker) isAbandoned(seq uint64) bool {

@@ -2,7 +2,9 @@ package dfaster
 
 import (
 	"bufio"
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -92,9 +94,11 @@ type Client struct {
 	// one being re-driven, and fresh sends wait while there is one.
 	retryQ []*batch
 	head   *batch
-	// abandoned counts operations settled as errors; recent keeps the last few.
+	// abandoned counts operations settled as errors, recent keeps the last few
+	// such batches, lost is the lowest seq WaitCommitAll has yet to report.
 	abandoned uint64
-	recent    []string
+	recent    []abandonedOps
+	lost      uint64
 
 	// closed is cancelled by Close.
 	closed context.Context
@@ -157,16 +161,13 @@ func (c *Client) Close() {
 		wc.close()
 	}
 	c.connsMu.Unlock()
-	if c.localSess != nil {
+	if c.cfg.LocalWorker != nil {
 		c.localSess.Close()
-	}
-	if c.localLane != nil {
 		c.localLane.Close()
 	}
 }
 
-// Err returns the pending failure (a *core.SurvivalError after a rollback),
-// or nil.
+// Err returns the pending failure (a *core.SurvivalError after a rollback).
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,12 +175,17 @@ func (c *Client) Err() error {
 }
 
 // Acknowledge clears a pending SurvivalError so the session can continue on
-// the new world-line.
+// the new world-line. The error accounts for every operation issued before it,
+// so abandoned ones among them are not reported again.
 func (c *Client) Acknowledge() *core.SurvivalError {
+	ack := c.session.Acknowledge()
 	c.mu.Lock()
 	c.failure = nil
+	if ack != nil {
+		c.lost = 0
+	}
 	c.mu.Unlock()
-	return c.session.Acknowledge()
+	return ack
 }
 
 // ---- operation enqueueing ----
@@ -201,11 +207,7 @@ func (c *Client) Delete(key []byte, cb OpCallback) error {
 
 // RMW enqueues a read-modify-write (little-endian uint64 addition).
 func (c *Client) RMW(key []byte, delta uint64, cb OpCallback) error {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(delta >> (8 * i))
-	}
-	return c.enqueue(wire.Op{Kind: wire.OpRMW, Key: key, Value: buf[:]}, cb)
+	return c.enqueue(wire.Op{Kind: wire.OpRMW, Key: key, Value: binary.LittleEndian.AppendUint64(nil, delta)}, cb)
 }
 
 func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
@@ -235,21 +237,15 @@ func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
 	b.ops = append(b.ops, op)
 	b.cbs = append(b.cbs, cb)
 	full := len(b.ops) >= c.cfg.BatchSize
-	if full {
-		c.takeLocked(b)
+	if full { // taken out to be sent: from here on its operations hold window slots
+		delete(c.buffers, owner)
+		c.outstanding += len(b.ops)
 	}
 	c.mu.Unlock()
 	if full {
 		return c.sendBatch(b)
 	}
 	return nil
-}
-
-// takeLocked takes a batch out of the buffers to be sent; from here on its
-// operations hold window slots. The caller holds c.mu.
-func (c *Client) takeLocked(b *batch) {
-	delete(c.buffers, b.owner)
-	c.outstanding += len(b.ops)
 }
 
 func (c *Client) executeLocal(op wire.Op, cb OpCallback) error {
@@ -272,10 +268,7 @@ func (c *Client) executeLocal(op wire.Op, cb OpCallback) error {
 		if errReply.Code == wire.ErrCodeRejected {
 			out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
 		}
-		if err := c.settle(b, out); err != nil {
-			return err
-		}
-		return errReply
+		return cmp.Or(c.settle(b, out), error(errReply))
 	}
 	return c.settle(b, outcome{worker: c.cfg.LocalWorker.ID(), reply: reply, versions: &c.localVersions})
 }
@@ -286,8 +279,9 @@ func (c *Client) Flush() error {
 	c.mu.Lock()
 	for _, b := range c.buffers {
 		toSend = append(toSend, b)
-		c.takeLocked(b)
+		c.outstanding += len(b.ops)
 	}
+	clear(c.buffers)
 	c.mu.Unlock()
 	var firstErr error
 	for _, b := range toSend {
@@ -312,21 +306,32 @@ func (c *Client) Drain() error {
 	return err
 }
 
-// LastSeq returns the highest sequence number assigned so far on the
-// session's current world-line (a rollback takes back the numbers beyond the
-// surviving prefix, and they will be assigned again).
+// LastSeq returns the highest sequence number assigned on the session's
+// current world-line (a rollback takes back those beyond the surviving prefix).
 func (c *Client) LastSeq() uint64 { return c.session.Tracker().NextSeq() - 1 }
 
 // Committed returns the session's committed prefix and exceptions.
 func (c *Client) Committed() (uint64, []uint64) { return c.session.Committed() }
 
 // WaitCommitAll flushes, drains, and waits until everything issued so far is
-// committed or abandoned.
+// committed or abandoned. A send never returns a delivery failure — the batch
+// is re-driven first — so this is where one surfaces: a *core.AbandonedError
+// naming the first operation abandoned since the last report (Committed lists
+// them all as exceptions). Everything else issued so far is then committed.
 func (c *Client) WaitCommitAll(timeout time.Duration) error {
 	if err := c.Drain(); err != nil {
 		return err
 	}
-	return c.session.WaitCommit(c.LastSeq(), timeout)
+	if err := c.session.WaitCommit(c.LastSeq(), timeout); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if seq := c.lost; seq != 0 {
+		c.lost = 0
+		return &core.AbandonedError{Seq: seq}
+	}
+	return nil
 }
 
 // ---- routing and connections ----
@@ -349,35 +354,14 @@ func (c *Client) ownerOf(key []byte) (core.WorkerID, error) {
 	return w, nil
 }
 
-func (c *Client) invalidateOwners() {
-	c.ownersMu.Lock()
-	c.owners = make(map[uint64]core.WorkerID)
-	c.ownersMu.Unlock()
-}
-
-// addrOf asks metadata on every dial — dials are rare, and a worker restarted
-// elsewhere registers a new address that a cache here would never see.
-func (c *Client) addrOf(w core.WorkerID) (string, error) {
-	members, err := c.meta.Members()
-	if err != nil {
-		return "", err
-	}
-	if members[w] == "" {
-		return "", fmt.Errorf("dfaster: no address for worker %d", w)
-	}
-	return members[w], nil
-}
-
 type workerConn struct {
 	id   core.WorkerID
 	conn net.Conn
 	bw   *bufio.Writer
 	// sendMu serialises writers of bw, and with them the order batches enter
 	// inflight, so the FIFO matches the order frames reach the wire.
-	sendMu sync.Mutex
-	// inflight holds the batches awaiting a reply, oldest first. Guarded by
-	// Client.mu.
-	inflight []*batch
+	sendMu   sync.Mutex
+	inflight []*batch // awaiting a reply, oldest first; guarded by Client.mu
 
 	closed chan struct{}
 	once   sync.Once
@@ -404,11 +388,16 @@ func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 			return wc, nil
 		}
 	}
-	addr, err := c.addrOf(w)
+	// Metadata is asked on every dial — dials are rare, and a worker restarted
+	// elsewhere registers a new address that a cache here would never see.
+	members, err := c.meta.Members()
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.Dial("tcp", addr)
+	if members[w] == "" {
+		return nil, fmt.Errorf("dfaster: no address for worker %d", w)
+	}
+	conn, err := net.Dial("tcp", members[w])
 	if err != nil {
 		return nil, err
 	}
@@ -433,17 +422,15 @@ func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 // A batch has one owner at a time, every change of owner happens under c.mu,
 // and settle is the only way out (DESIGN.md "Client batch lifecycle"):
 //
-//   - queued: being filled in buffers, then on the enqueuing goroutine's
-//     stack until transmit.
+//   - queued: in buffers, then on the enqueuing goroutine's stack.
 //   - in-flight: on one connection's FIFO, then with whoever took it off —
 //     the read loop popping a reply or sweeping its dead connection, or the
 //     sender whose write failed, whichever got there first.
 //   - parked: in retryQ, in sequence order — refused, a read stranded by a
-//     dead connection, or a frame that could not be delivered. It must not
-//     re-enter the wire behind the later batches the session has pipelined
-//     (an older write landing after a newer one to the same key silently
-//     loses the newer value), so it is re-driven alone and fresh sends wait.
-//     Workers hold back what was already in the pipe: refusal.go.
+//     dead connection, or an undeliverable frame. An older write landing
+//     after a newer one to the same key silently loses the newer value, so
+//     it is re-driven alone and fresh sends wait (refusal.go: workers hold
+//     back what was already in the pipe).
 //   - re-driving: the queue's head, with its redrive goroutine, forwarded as
 //     runs — batches of their own, counted in the head's unsettled until they
 //     settle or park again. The next head starts when the count reaches zero.
@@ -495,8 +482,7 @@ func (c *Client) move(b *batch, to batchState) bool {
 var lifecycleViolations = obs.Default.Counter("dpr_client_lifecycle_violations_total",
 	"Batch state transitions the client's lifecycle does not allow (a bug in internal/dfaster/client.go).")
 
-// cause is why operations were abandoned, as dpr_client_abandoned_ops_total
-// labels it.
+// cause labels dpr_client_abandoned_ops_total: why operations were abandoned.
 type cause string
 
 const (
@@ -507,12 +493,22 @@ const (
 	causeClosed   cause = "closed"   // the client was closed first
 )
 
+// abandonedOps is one batch settled as an error.
+type abandonedOps struct {
+	seqStart, n uint64
+	why         cause
+}
+
 // Abandoned returns how many operations this session has settled as errors
 // and the last few such batches ("seq 11+1 stranded"), oldest first.
 func (c *Client) Abandoned() (uint64, []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.abandoned, slices.Clone(c.recent)
+	last := make([]string, len(c.recent))
+	for i, r := range c.recent {
+		last[i] = fmt.Sprintf("seq %d+%d %s", r.seqStart, r.n, r.why)
+	}
+	return c.abandoned, last
 }
 
 // outcome is what became of a batch: a reply from worker (versions is the
@@ -532,6 +528,13 @@ type outcome struct {
 // the fresh sends go. Returns the survival error the outcome surfaced, which
 // is also latched as the client's failure.
 func (c *Client) settle(b *batch, out outcome) error {
+	// b is the caller's alone, so its state is the caller's to read: settled
+	// twice, it tells the session and the callbacks nothing a second time.
+	if b.state == stSettled {
+		lifecycleViolations.Inc()
+		return nil
+	}
+	lost := false // operations of b became abandoned on the session's world-line
 	if out.reply != nil {
 		results := out.reply.Results
 		versions := slices.Grow((*out.versions)[:0], len(results))[:len(results)]
@@ -553,7 +556,7 @@ func (c *Client) settle(b *batch, out outcome) error {
 		if c.closed.Err() != nil {
 			out.cause = causeClosed
 		}
-		c.session.AbandonBatch(b.header)
+		lost = c.session.AbandonBatch(b.header) > 0
 		obs.Default.Counter("dpr_client_abandoned_ops_total",
 			"Operations whose callback received StatusError and whose fate the session records as unknown.",
 			obs.L("cause", string(out.cause))).Add(uint64(len(b.ops)))
@@ -568,14 +571,14 @@ func (c *Client) settle(b *batch, out outcome) error {
 		c.outstanding -= len(b.ops)
 		if out.reply == nil {
 			c.abandoned += uint64(len(b.ops))
-			c.recent = append(c.recent[max(0, len(c.recent)-7):],
-				fmt.Sprintf("seq %d+%d %s", b.header.SeqStart, len(b.ops), out.cause))
+			c.recent = append(c.recent[max(0, len(c.recent)-7):], abandonedOps{b.header.SeqStart, uint64(len(b.ops)), out.cause})
+			if lost && (c.lost == 0 || b.header.SeqStart < c.lost) {
+				c.lost = b.header.SeqStart
+			}
 		}
 		c.leaveHeadLocked(b)
 	}
-	if out.err != nil && c.failure == nil {
-		c.failure = out.err
-	}
+	c.failure = cmp.Or(c.failure, out.err)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return out.err
@@ -590,7 +593,10 @@ func (c *Client) parkOrSettle(b *batch, why cause) {
 		c.settle(b, outcome{cause: why})
 		return
 	}
-	c.move(b, stParked)
+	if !c.move(b, stParked) {
+		c.mu.Unlock()
+		return
+	}
 	b.retries++
 	i := sort.Search(len(c.retryQ), func(i int) bool {
 		return c.retryQ[i].header.SeqStart >= b.header.SeqStart
@@ -620,30 +626,26 @@ func (c *Client) leaveHeadLocked(b *batch) {
 	}
 }
 
-// retryPause gives an ownership transfer in progress, or a restarting
-// worker's registration, a moment to land before a parked batch is re-routed.
-const retryPause = time.Millisecond
-
-// redrive forwards the retry queue's head after the pause. Migration moves
-// partitions independently, so a batch that had one owner when it was built
-// may now span several: it goes out as maximal runs of consecutive operations
-// with the same owner, each carrying its slice of the sequence range (the
-// session tracker resolves sequence numbers individually, so sub-range
-// completions compose). Every run is marked Redirected — its range was
-// refused, or never delivered, wherever it was sent — which admits it below
-// the new owner's session fence: the session striped lower sequence numbers
-// across the old ownership map, so the range is routinely below the fence of
-// a worker that already executed later batches.
+// redrive forwards the retry queue's head, after a pause that lets an
+// ownership transfer or a restarting worker's registration land. Migration
+// moves partitions independently, so a batch built for one owner may now span
+// several: it goes out as maximal runs of consecutive operations with the same
+// owner, each carrying its slice of the sequence range (the session tracker
+// resolves sequence numbers individually). Every run is marked Redirected —
+// its range was refused, or never delivered, wherever it was sent — which
+// admits it below the session fence of a new owner that has already executed
+// later batches.
 func (c *Client) redrive(h *batch) {
 	select {
 	case <-c.closed.Done(): // every run below fails to connect and settles as closed
-	case <-time.After(retryPause):
+	case <-time.After(time.Millisecond):
 	}
-	c.invalidateOwners()
-	for start := 0; start < len(h.ops); {
+	c.ownersMu.Lock()
+	clear(c.owners) // re-route through metadata
+	c.ownersMu.Unlock()
+	for start, end := 0, 0; start < len(h.ops); start = end {
 		owner, err := c.ownerOf(h.ops[start].Key)
-		end := start + 1
-		for ; end < len(h.ops); end++ {
+		for end = start + 1; end < len(h.ops); end++ {
 			o, oerr := c.ownerOf(h.ops[end].Key)
 			if o != owner || (oerr == nil) != (err == nil) {
 				break
@@ -659,7 +661,6 @@ func (c *Client) redrive(h *batch) {
 		} else {
 			c.transmit(run)
 		}
-		start = end
 	}
 }
 
@@ -679,9 +680,8 @@ func (c *Client) sendBatch(b *batch) error {
 	// ahead of the parked tail, breaking session order — and re-resolve the
 	// owner afterwards: the re-drive has updated the routing table.
 	c.mu.Lock()
-	waited := false
+	waited := c.head != nil
 	for c.head != nil && c.failure == nil {
-		waited = true
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
@@ -772,14 +772,10 @@ func (c *Client) readLoop(wc *workerConn) {
 		wc.inflight = wc.inflight[1:]
 		c.mu.Unlock()
 
-		switch tag {
-		case wire.FrameBatchReply:
-			if wire.DecodeBatchReplyInto(&reply, payload) != nil {
-				c.settle(b, outcome{cause: causeDecode})
-				continue
-			}
+		switch {
+		case tag == wire.FrameBatchReply && wire.DecodeBatchReplyInto(&reply, payload) == nil:
 			c.settle(b, outcome{worker: wc.id, reply: &reply, versions: &versions})
-		case wire.FrameError:
+		case tag == wire.FrameError:
 			c.handleErrorReply(b, payload)
 		default:
 			c.settle(b, outcome{cause: causeDecode})
@@ -809,9 +805,8 @@ func (c *Client) handleErrorReply(b *batch, payload []byte) {
 	case err != nil:
 		c.settle(b, outcome{cause: causeDecode})
 	case er.Code == wire.ErrCodeBadOwner || er.Code == wire.ErrCodeMoved:
-		// An ownership miss during a migration freeze, or a partition that
-		// has migrated away. The same sequence numbers travel to the new
-		// owner, so the session's FIFO frontier and commit floor carry over.
+		// An ownership miss during a migration freeze, or a partition that has
+		// migrated away: the same sequence numbers travel to the new owner.
 		c.parkOrSettle(b, causeRefused)
 	case er.Code == wire.ErrCodeRejected:
 		c.settle(b, outcome{cause: causeRejected, err: c.session.NotifyWorldLine(er.WorldLine)})
@@ -822,9 +817,7 @@ func (c *Client) handleErrorReply(b *batch, payload []byte) {
 
 func (c *Client) recordFailure(err error) {
 	c.mu.Lock()
-	if c.failure == nil {
-		c.failure = err
-	}
+	c.failure = cmp.Or(c.failure, err)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }

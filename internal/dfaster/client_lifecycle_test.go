@@ -578,3 +578,29 @@ func TestBatchLifecycle(t *testing.T) {
 		})
 	}
 }
+
+// TestSettledBatchStaysSettled: nothing in the client lets go of a batch
+// twice, and if an edit ever does, the second settle — or a park after the
+// settle — must change nothing: no callback again, no slot released twice, no
+// settled batch queued for a re-drive. The violations are counted.
+func TestSettledBatchStaysSettled(t *testing.T) {
+	c, err := NewClient(ClientConfig{Partitions: testPartitions, Relaxed: true}, metadata.NewStore(metadata.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fired := 0
+	b := &batch{ops: make([]wire.Op, 1), cbs: []OpCallback{func(wire.OpResult) { fired++ }}}
+	c.outstanding = 1 // as when b was taken out of the buffers
+	c.settle(b, outcome{cause: causeRefused})
+	c.settle(b, outcome{cause: causeRefused})
+	c.parkOrSettle(b, causeRefused)
+	if n := lifecycleViolations.Value(); n != 2 {
+		t.Errorf("%d violations counted, want 2", n)
+	}
+	lifecycleViolations.Add(-lifecycleViolations.Value()) // wraps to zero: the other tests want none
+	if fired != 1 || c.outstanding != 0 || len(c.retryQ) != 0 || c.head != nil {
+		t.Fatalf("callback fired %d times, outstanding %d, %d parked, head %v; want 1, 0, 0, nil",
+			fired, c.outstanding, len(c.retryQ), c.head)
+	}
+}

@@ -1,6 +1,7 @@
 package dfaster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/core"
 	"dpr/internal/metadata"
 	"dpr/internal/wire"
 )
@@ -168,7 +170,16 @@ func TestLostOpDoesNotHoldTheSession(t *testing.T) {
 				t.Fatalf("the lost operation's status is %d, want %d", got, tc.wantState)
 			}
 			upserts(tc.after)
-			if err := c.WaitCommitAll(10 * time.Second); err != nil {
+			// The wait is not held by the lost write, and reports it: once.
+			err = c.WaitCommitAll(10 * time.Second)
+			var lost *core.AbandonedError
+			if len(tc.wantExc) > 0 && (!errors.As(err, &lost) || lost.Seq != tc.wantExc[0]) {
+				t.Fatalf("WaitCommitAll = %v, want an AbandonedError at seq %d", err, tc.wantExc[0])
+			}
+			if len(tc.wantExc) > 0 {
+				err = c.WaitCommitAll(10 * time.Second)
+			}
+			if err != nil {
 				t.Fatalf("WaitCommitAll: %v", err)
 			}
 			p, exc := c.Committed()
@@ -181,6 +192,51 @@ func TestLostOpDoesNotHoldTheSession(t *testing.T) {
 			checkQuiescent(t, c)
 		})
 	}
+}
+
+// TestUnreachableWorkerIsReported: a write to a worker nobody answers for
+// is re-driven until its retries are spent, then abandoned. Upsert and Flush
+// have long returned by then, so WaitCommitAll is what tells a caller that
+// passed no callback: it fails once, naming the write, and an acknowledged
+// rollback — which accounts for the write itself — clears the report.
+func TestUnreachableWorkerIsReported(t *testing.T) {
+	tc, proxy := proxiedCluster(t)
+	proxy.Close()
+	c := newTestClient(t, tc, 1, 8)
+	lose := func() {
+		t.Helper()
+		if err := c.Upsert([]byte("k"), []byte("v"), nil); err != nil {
+			t.Fatalf("Upsert: %v", err)
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+	}
+	lose()
+	lose()
+	var lost *core.AbandonedError
+	if err := c.WaitCommitAll(10 * time.Second); !errors.As(err, &lost) || lost.Seq != 1 {
+		t.Fatalf("WaitCommitAll = %v, want an AbandonedError at seq 1", err)
+	}
+	if err := c.WaitCommitAll(10 * time.Second); err != nil {
+		t.Fatalf("second WaitCommitAll: %v", err)
+	}
+	if p, exc := c.Committed(); p != 2 || !slices.Equal(exc, []uint64{1, 2}) {
+		t.Fatalf("prefix %d exceptions %v, want 2 and [1 2]", p, exc)
+	}
+	lose()
+	if _, _, err := tc.mgr.OnFailure(); err != nil {
+		t.Fatal(err)
+	}
+	var surv *core.SurvivalError
+	if err := c.WaitCommitAll(10 * time.Second); !errors.As(err, &surv) {
+		t.Fatalf("WaitCommitAll after a recovery = %v, want a SurvivalError", err)
+	}
+	c.Acknowledge()
+	if err := c.WaitCommitAll(10 * time.Second); err != nil {
+		t.Fatalf("WaitCommitAll after Acknowledge: %v", err)
+	}
+	checkQuiescent(t, c)
 }
 
 // TestColocatedRejectReleasesSlot: a co-located operation the local worker

@@ -192,13 +192,14 @@ func (s *Session) CompleteBatch(worker core.WorkerID, h BatchHeader, r BatchRepl
 }
 
 // AbandonBatch tells the session the transport has given up on h's operations
-// (core.SessionTracker.Abandon states what that means for Committed and
-// WaitCommit) and wakes commit waits they were holding.
-func (s *Session) AbandonBatch(h BatchHeader) {
-	s.tracker.Abandon(h.WorldLine, h.SeqStart, int(h.NumOps))
+// (core.SessionTracker.Abandon: what that means for Committed and WaitCommit,
+// and what is returned) and wakes commit waits they were holding.
+func (s *Session) AbandonBatch(h BatchHeader) int {
+	n := s.tracker.Abandon(h.WorldLine, h.SeqStart, int(h.NumOps))
 	s.mu.Lock()
 	s.wakeLocked()
 	s.mu.Unlock()
+	return n
 }
 
 // foldNew folds a cut a worker sent — piggybacked or pushed, observed on wl —

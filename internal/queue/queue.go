@@ -118,7 +118,8 @@ func (p *Producer) Enqueue(msg []byte) (uint64, error) {
 	return slot, nil
 }
 
-// WaitAllCommitted blocks until every message enqueued so far is durable.
+// WaitAllCommitted blocks until every message enqueued so far is durable. One
+// that never reached a worker fails it, once: a *core.AbandonedError to re-send.
 func (p *Producer) WaitAllCommitted(timeout time.Duration) error {
 	return p.client.WaitCommitAll(timeout)
 }

@@ -3,6 +3,7 @@ package queue_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -297,5 +298,40 @@ func TestConsumerPosition(t *testing.T) {
 	}
 	if cons.Position() != 2 {
 		t.Fatalf("position %d after poll", cons.Position())
+	}
+}
+
+// TestUndeliveredMessageFailsWaitAllCommitted: the slot claim lands on a
+// reachable shard, the message itself is for one that cannot be reached.
+// Enqueue returns its slot — the write is in the background by then — so
+// WaitAllCommitted is what must say the message is not in the queue.
+func TestUndeliveredMessageFailsWaitAllCommitted(t *testing.T) {
+	c := newQCluster(t, 2)
+	owner := func(key string) int { return int(dfaster.PartitionOf([]byte(key), qParts))%2 + 1 }
+	name := ""
+	for i := 0; name == ""; i++ { // head counter on shard 1, slot 0 on shard 2
+		if n := fmt.Sprintf("q%d", i); owner("q/"+n+"/head") == 1 && owner(fmt.Sprintf("q/%s/s/%016d", n, 0)) == 2 {
+			name = n
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close() // nobody listens here any more
+	if err := c.meta.RegisterWorker(2, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	prod, err := queue.NewProducer(name, queue.Config{Partitions: qParts}, c.meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prod.Close()
+	if slot, err := prod.Enqueue([]byte("undelivered")); err != nil || slot != 0 {
+		t.Fatalf("Enqueue = %d, %v", slot, err)
+	}
+	var lost *core.AbandonedError
+	if err := prod.WaitAllCommitted(10 * time.Second); !errors.As(err, &lost) || lost.Seq != 2 {
+		t.Fatalf("WaitAllCommitted = %v, want an AbandonedError at seq 2 (the message; seq 1 claimed the slot)", err)
 	}
 }
