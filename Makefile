@@ -2,7 +2,7 @@ GO ?= go
 # Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build fmt-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-scale scale-smoke chaos chaos-elastic
+.PHONY: check build fmt-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic
 
 # The full pre-commit gate, in the order CI runs it.
 check: build fmt-check vet dpr-vet test bench-module
@@ -85,6 +85,16 @@ bench:
 # (compare ops/s across the -cpu column; allocs/op must stay 0 throughout).
 bench-scaling:
 	$(GO) test -bench 'ServeBatch$$' -cpu 1,2,4,8 -benchmem -run '^$$' -benchtime 2s ./internal/dfaster
+
+# The operation path in three pieces, each small enough to resolve 100 ns: the
+# server half of a co-located operation (ExecuteLocalScratch, no TCP, no
+# session; commit pump on and off), the session's bookkeeping (NextBatch +
+# CompleteBatch at b = 1 and 64, the cut moving every 1 000 batches), and the
+# client's remote path (enqueue, transmit, settle against an in-process worker
+# that only answers). Every line must report 0 allocs/op.
+bench-serve-path:
+	$(GO) test -bench 'ExecuteLocal$$|ClientEnqueueSettle$$' -benchmem -run '^$$' ./internal/dfaster
+	$(GO) test -bench 'SessionBatch$$' -benchmem -run '^$$' ./internal/libdpr
 
 # Metadata-plane scale curve: one commit cycle (activation burst, checkpoint
 # reports, cut publication, fold, evict) at 10k, 100k, and 1M sessions with

@@ -2,6 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -401,4 +406,279 @@ func testModelCheckNoCrash(t *testing.T, newFinder func() Finder) {
 		t.Fatal("no terminal states checked")
 	}
 	t.Logf("checked full commitment in %d terminal states", checked)
+}
+
+// The session half of the model: the interval-based SessionTracker against the
+// map-based one it replaced (session_oracle_test.go), on seeded random
+// schedules rather than exhaustively — the state is a sequence space, not a
+// handful of versions. One schedule is a session talking to three workers over
+// "connections" that complete its batches out of order, in part, twice, with
+// several versions inside one batch, and lose some; cuts arrive advancing,
+// repeated and from a world-line the session has left; recoveries land with
+// operations in flight and restart the version numbers. After every step
+// everything a caller can see must be equal.
+
+// trackerPair is one schedule's state: the two trackers and the world the
+// schedule draws its steps from.
+type trackerPair struct {
+	t      *testing.T
+	rng    *rand.Rand
+	got    *SessionTracker
+	want   *oracleTracker
+	wl     WorldLine
+	vers   [3]Version // the version each worker executes in
+	cut    Cut        // the cut the finder would publish
+	folded Cut        // what the session layer above the oracle would remember as folded last
+	open   []mcBatch
+	trace  []string // the steps so far, for a failure's message
+}
+
+func (p *trackerPair) fatalf(format string, args ...any) {
+	p.t.Helper()
+	p.t.Fatalf("%s\nafter: %s", fmt.Sprintf(format, args...), strings.Join(p.trace[max(0, len(p.trace)-12):], "\n       "))
+}
+
+type mcBatch struct {
+	wl    WorldLine
+	start uint64
+	n     int
+}
+
+func (p *trackerPair) pick() (mcBatch, bool) {
+	if len(p.open) == 0 {
+		return mcBatch{}, false
+	}
+	i := p.rng.Intn(len(p.open))
+	b := p.open[i]
+	if p.rng.Intn(3) > 0 { // mostly resolved once; sometimes left to be resolved again
+		p.open = slices.Delete(p.open, i, i+1)
+	}
+	return b, true
+}
+
+// sub narrows b to a random part of itself, or, rarely, widens it past both ends.
+func (p *trackerPair) sub(b mcBatch) (uint64, int) {
+	switch p.rng.Intn(4) {
+	case 0:
+		lo := p.rng.Intn(b.n)
+		return b.start + uint64(lo), 1 + p.rng.Intn(b.n-lo)
+	case 1:
+		return max(b.start, 3) - 2, b.n + 4
+	}
+	return b.start, b.n
+}
+
+func (p *trackerPair) step() string {
+	rng := p.rng
+	switch k := rng.Intn(20); {
+	case k < 6:
+		n := []int{1, 1, 2, 5, 8, 64}[rng.Intn(6)]
+		first, vs, dep, ok := p.got.StartBatch(p.wl, n)
+		wantDep, _ := p.want.LatestToken()
+		if wantVs, want := p.want.VersionClock(), p.want.BeginBatch(n); !ok || first != want || vs != wantVs || dep != wantDep {
+			p.fatalf("StartBatch(%d) = %d, Vs %d, dep %v, %v; want %d, %d, %v", n, first, vs, dep, ok, want, wantVs, wantDep)
+		}
+		if _, _, _, ok := p.got.StartBatch(p.wl+1, n); ok {
+			p.t.Fatal("StartBatch on a world-line the session is not on assigned sequence numbers")
+		}
+		p.open = append(p.open, mcBatch{p.wl, first, n})
+		return fmt.Sprintf("begin %d+%d", first, n)
+	case k < 12:
+		b, ok := p.pick()
+		if !ok {
+			return "idle"
+		}
+		start, n := p.sub(b)
+		w := rng.Intn(3)
+		versions := make([]Version, n)
+		for i := range versions {
+			if rng.Intn(16) == 0 {
+				p.vers[w]++ // a checkpoint boundary inside the batch
+			}
+			versions[i] = p.vers[w]
+		}
+		if rng.Intn(3) == 0 { // the reply carries a cut
+			fold := p.folded == nil || !maps.Equal(p.folded, p.cut)
+			gotP, gotFolded := p.got.CompleteAndFold(b.wl, start, WorkerID(w+1), versions, p.cut, 0)
+			p.want.CompleteBatch(b.wl, start, WorkerID(w+1), versions)
+			if b.wl == p.wl && len(p.cut) > 0 && fold {
+				p.want.AdvanceCommitted(b.wl, p.cut)
+				p.folded = p.cut.Clone()
+			} else if gotFolded {
+				p.fatalf("folded cut %v again (world-lines %d, %d)", p.cut, b.wl, p.wl)
+			}
+			if wantP, _ := p.want.Committed(); gotP != wantP {
+				p.fatalf("CompleteAndFold: prefix %d, want %d", gotP, wantP)
+			}
+			return fmt.Sprintf("complete+fold %d+%d on %d at wl %d: %v, cut %v", start, n, w+1, b.wl, versions, p.cut)
+		}
+		if n == 1 && b.wl == p.wl {
+			tok := Token{WorkerID(w + 1), versions[0]}
+			if got, want := p.got.Complete(start, tok), p.want.Complete(start, tok); got != want {
+				p.fatalf("Complete(%d) = %v, want %v", start, got, want)
+			}
+		} else {
+			p.got.CompleteBatch(b.wl, start, WorkerID(w+1), versions)
+			p.want.CompleteBatch(b.wl, start, WorkerID(w+1), versions)
+		}
+		return fmt.Sprintf("complete %d+%d on %d at wl %d: %v", start, n, w+1, b.wl, versions)
+	case k < 14:
+		b, ok := p.pick()
+		if !ok {
+			return "idle"
+		}
+		start, n := p.sub(b)
+		if got, want := p.got.Abandon(b.wl, start, n), p.want.Abandon(b.wl, start, n); got != want {
+			p.fatalf("Abandon(%d, %d, %d) = %d, want %d", b.wl, start, n, got, want)
+		}
+		return fmt.Sprintf("abandon %d+%d at wl %d", start, n, b.wl)
+	case k < 19:
+		wl := p.wl
+		if rng.Intn(8) == 0 && wl > 0 {
+			wl-- // a cut that was in the pipe when the recovery landed
+		} else if rng.Intn(3) > 0 {
+			w := rng.Intn(3)
+			p.vers[w]++ // a checkpoint seals and the finder covers it
+			p.cut[WorkerID(w+1)] = p.vers[w] - Version(rng.Intn(2))
+		}
+		gotP, gotExc := p.got.AdvanceCommitted(wl, p.cut)
+		wantP, wantExc := p.want.AdvanceCommitted(wl, p.cut)
+		if gotP != wantP || !slices.Equal(gotExc, wantExc) {
+			p.fatalf("AdvanceCommitted(%d, %v) = %d %v, want %d %v", wl, p.cut, gotP, gotExc, wantP, wantExc)
+		}
+		if wl == p.wl {
+			p.folded = p.cut.Clone()
+		}
+		return fmt.Sprintf("advance at wl %d to %v", wl, p.cut)
+	default:
+		p.wl += WorldLine(1 + rng.Intn(2))
+		for w := range p.vers { // the recovered cut is at or below the published one, and versions restart above it
+			p.cut[WorkerID(w+1)] -= min(p.cut[WorkerID(w+1)], Version(rng.Intn(3)))
+			p.vers[w] = p.cut[WorkerID(w+1)] + 1
+		}
+		got, want := p.got.OnFailure(p.wl, p.cut), p.want.OnFailure(p.wl, p.cut)
+		if (got == nil) != (want == nil) || got != nil && (got.WorldLine != want.WorldLine ||
+			got.SurvivingPrefix != want.SurvivingPrefix || !slices.Equal(got.Exceptions, want.Exceptions)) {
+			p.fatalf("OnFailure(%d, %v) = %+v, want %+v", p.wl, p.cut, got, want)
+		}
+		p.folded = nil // remembered with its world-line
+		if rng.Intn(2) == 0 {
+			p.open = nil // the transport settles what was in flight; otherwise stale replies trickle in
+		}
+		return fmt.Sprintf("failure to wl %d, cut %v", p.wl, p.cut)
+	}
+}
+
+// check compares everything observable.
+func (p *trackerPair) check() {
+	p.t.Helper()
+	gotP, gotExc := p.got.Committed()
+	wantP, wantExc := p.want.Committed()
+	if gotP != wantP || !slices.Equal(gotExc, wantExc) {
+		p.fatalf("Committed() = %d %v, want %d %v", gotP, gotExc, wantP, wantExc)
+	}
+	gotTok, gotOK := p.got.LatestToken()
+	wantTok, wantOK := p.want.LatestToken()
+	if gotTok != wantTok || gotOK != wantOK || p.got.InFlight() != p.want.InFlight() || p.got.NextSeq() != p.want.NextSeq() ||
+		p.got.VersionClock() != p.want.VersionClock() || p.got.WorldLine() != p.want.WorldLine() {
+		p.fatalf("latest %v %v, in flight %d, next %d, Vs %d, wl %d; want %v %v, %d, %d, %d, %d",
+			gotTok, gotOK, p.got.InFlight(), p.got.NextSeq(), p.got.VersionClock(), p.got.WorldLine(),
+			wantTok, wantOK, p.want.InFlight(), p.want.NextSeq(), p.want.VersionClock(), p.want.WorldLine())
+	}
+	next := p.want.NextSeq()
+	for _, seq := range []uint64{1, wantP, wantP + 1, next - 1, next, 1 + uint64(p.rng.Int63n(int64(next)))} {
+		gp, gopen, ghole := p.got.CommitStatus(seq)
+		wp, wopen, whole := p.want.CommitStatus(seq)
+		if gp != wp || gopen != wopen || ghole != whole {
+			p.fatalf("CommitStatus(%d) = %d %d %d, want %d %d %d", seq, gp, gopen, ghole, wp, wopen, whole)
+		}
+	}
+	gotA, gotQuiet := p.got.Archive()
+	wantA, wantQuiet := p.want.Archive()
+	if gotQuiet != wantQuiet || gotA != wantA {
+		p.fatalf("Archive() = %+v %v, want %+v %v", gotA, gotQuiet, wantA, wantQuiet)
+	}
+	// The interval invariants: each set sorted, disjoint and non-adjacent, no
+	// sequence number in two of them, inFlight the size of pending.
+	var spans []tokenRun
+	inFlight := 0
+	for _, set := range []seqSet{p.got.pending, p.got.abandoned, p.got.runs} {
+		for i, r := range set {
+			if r.start > r.end || i > 0 && (set[i-1].end >= r.start || set[i-1].end+1 == r.start && set[i-1].tok == r.tok) {
+				p.fatalf("interval set %v is not sorted and disjoint, or two neighbours with one token are not joined", set)
+			}
+		}
+		spans = append(spans, set...)
+	}
+	for _, r := range p.got.pending {
+		inFlight += int(r.end - r.start + 1)
+	}
+	slices.SortFunc(spans, func(a, b tokenRun) int { return int(a.start) - int(b.start) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i-1].end >= spans[i].start {
+			p.fatalf("a sequence number is in two sets: pending %v, abandoned %v, runs %v", p.got.pending, p.got.abandoned, p.got.runs)
+		}
+	}
+	if inFlight != p.got.inFlight {
+		p.fatalf("inFlight %d, pending %v holds %d", p.got.inFlight, p.got.pending, inFlight)
+	}
+}
+
+// TestTrackerMatchesOracle drives the interval-based tracker and the map-based
+// one it replaced through the same random schedules, strict and relaxed.
+func TestTrackerMatchesOracle(t *testing.T) {
+	seeds, steps := 300, 400
+	if testing.Short() {
+		seeds = 40
+	}
+	for _, relaxed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "strict", true: "relaxed"}[relaxed], func(t *testing.T) {
+			for seed := 1; seed <= seeds; seed++ {
+				p := &trackerPair{t: t, rng: rand.New(rand.NewSource(int64(seed))),
+					got: NewSessionTracker(0, relaxed), want: newOracleTracker(0, relaxed),
+					vers: [3]Version{1, 1, 1}, cut: Cut{}}
+				for i := 0; i < steps; i++ {
+					p.trace = append(p.trace, fmt.Sprintf("seed %d: %s", seed, p.step()))
+					p.check()
+				}
+			}
+		})
+	}
+}
+
+// TestFoldRecognisesTheCut: a cut is advanced to once, whether it is recognised
+// by generation or by its entries, and again after anything about it changes.
+func TestFoldRecognisesTheCut(t *testing.T) {
+	s := NewSessionTracker(0, true)
+	s.BeginBatch(4)
+	s.CompleteBatch(0, 1, 1, []Version{1, 1, 2, 2})
+	cut := Cut{1: 1, 2: 0}
+	for _, tc := range []struct {
+		name   string
+		wl     WorldLine
+		cut    Cut
+		gen    uint64
+		folded bool
+		prefix uint64
+	}{
+		{"first", 0, cut, 7, true, 2},
+		{"same generation", 0, nil, 7, false, 2},
+		{"same entries, no generation", 0, cut.Clone(), 0, false, 2},
+		{"same entries, another generation", 0, cut, 8, false, 2},
+		{"an entry moved", 0, Cut{1: 2, 2: 0}, 0, true, 4},
+		{"another world-line", 1, Cut{1: 2, 2: 0}, 0, false, 4},
+		{"one key swapped for another", 0, Cut{1: 2, 3: 0}, 0, true, 4},
+		{"an empty cut", 0, Cut{}, 9, false, 4},
+	} {
+		c := tc.cut
+		if c == nil { // recognised by generation: the map is not looked at
+			c = Cut{9: 9}
+		}
+		if p, folded := s.CompleteAndFold(tc.wl, 0, 0, nil, c, tc.gen); folded != tc.folded || p != tc.prefix {
+			t.Errorf("%s: CompleteAndFold = %d, %v; want %d, %v", tc.name, p, folded, tc.prefix, tc.folded)
+		}
+	}
+	if reflect.DeepEqual(s.foldedCut, []cutEntry(nil)) {
+		t.Error("nothing remembered")
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -28,41 +29,123 @@ type SessionTracker struct {
 
 	nextSeq uint64 // next operation sequence number (first op gets 1)
 
-	// runs holds the capturing tokens of completed, not-yet-committed
-	// operations as sorted, non-overlapping sequence ranges. Operations
-	// complete in near-sequence order and a checkpoint interval's worth of
-	// batches share one (worker, version) token, so tens of thousands of
-	// uncommitted operations collapse into a handful of runs — this is what
-	// keeps AdvanceCommitted off the per-batch critical path. Committed
-	// entries are pruned.
-	runs []tokenRun
-	// pending holds started, not yet completed operation seqs.
-	pending map[uint64]bool
-	// abandoned holds, ascending, the seqs the transport gave up on (Abandon):
-	// no longer in flight, never committed.
-	abandoned []uint64
+	// A sequence number above the committed prefix that is not yet resolved is
+	// in exactly one of three sets, each sorted, disjoint intervals (DESIGN.md
+	// "Session bookkeeping"): pending — started, not completed, inFlight of
+	// them; abandoned — given up on by the transport (Abandon); runs —
+	// completed and not yet committed, with the capturing token. Sequence
+	// numbers are dense and resolve almost in order, and a checkpoint interval's
+	// batches share one (worker, version) token, so each set is a handful of
+	// entries however many operations are outstanding. Committed runs are
+	// pruned.
+	pending, abandoned, runs seqSet
+	inFlight                 int
 
 	committed  uint64   // committed prefix point
-	exceptions []uint64 // seqs <= committed that are NOT committed (relaxed)
+	exceptions []uint64 // seqs <= committed that are NOT committed (relaxed); refilled in place
 
-	// latestSeq/latestTok track the most recently completed operation so
-	// LatestToken is O(1) on the per-operation hot path.
+	// latestSeq/latestTok track the most recently completed operation so the
+	// next batch's dependency is O(1).
 	latestSeq uint64
 	latestTok Token
+
+	// The cut the prefix was last advanced to — entries, world-line and, if its
+	// sender named one, generation — so that a cut arriving again (every reply
+	// carries one) costs a comparison, not an advance (CompleteAndFold).
+	foldedCut []cutEntry
+	foldedWL  WorldLine
+	foldedGen uint64
 }
 
 // tokenRun records that operations start..end (inclusive) were all captured
-// by token tok.
+// by token tok; in pending and abandoned, which have no token yet, it is zero.
 type tokenRun struct {
 	start, end uint64
 	tok        Token
 }
 
+type cutEntry struct {
+	w WorkerID
+	v Version
+}
+
+// seqSet is a set of sequence numbers as sorted, disjoint intervals;
+// neighbours with one token are joined.
+type seqSet []tokenRun
+
+// search returns the index of the first interval ending at or after seq. The
+// oldest outstanding operations resolve first, so the front is tried first.
+func (s seqSet) search(seq uint64) int {
+	if len(s) == 0 || s[0].end >= seq {
+		return 0
+	}
+	return sort.Search(len(s), func(i int) bool { return s[i].end >= seq })
+}
+
+func (s seqSet) contains(seq uint64) bool {
+	i := s.search(seq)
+	return i < len(s) && s[i].start <= seq
+}
+
+// next returns the lowest member above x, or limit if none lies below it.
+func (s seqSet) next(x, limit uint64) uint64 {
+	if i := s.search(x + 1); i < len(s) {
+		return min(limit, max(s[i].start, x+1))
+	}
+	return limit
+}
+
+// add inserts start..end, none of which is a member, under token t.
+func (s *seqSet) add(start, end uint64, t Token) {
+	set := *s
+	i := len(set)
+	if i > 0 && set[i-1].end >= start { // out of order: concurrent connections
+		i = set.search(start)
+	}
+	left := i > 0 && set[i-1].end+1 == start && set[i-1].tok == t
+	right := i < len(set) && set[i].start == end+1 && set[i].tok == t
+	switch {
+	case left && right:
+		set[i-1].end = set[i].end
+		*s = slices.Delete(set, i, i+1)
+	case left:
+		set[i-1].end = end
+	case right:
+		set[i].start = start
+	default:
+		*s = slices.Insert(set, i, tokenRun{start, end, t})
+	}
+}
+
+// cut removes the lowest run of members inside start..end and returns it; ok
+// is false when the set has none there.
+func (s *seqSet) cut(start, end uint64) (lo, hi uint64, ok bool) {
+	set := *s
+	i := set.search(start)
+	if i == len(set) || set[i].start > end {
+		return 0, 0, false
+	}
+	r := set[i]
+	lo, hi = max(r.start, start), min(r.end, end)
+	switch {
+	case lo == r.start && hi == r.end:
+		*s = slices.Delete(set, i, i+1)
+	case lo == r.start:
+		set[i].start = hi + 1
+	case hi == r.end:
+		set[i].end = lo - 1
+	default: // taken from the middle: the interval splits
+		set[i].end = lo - 1
+		*s = slices.Insert(set, i+1, tokenRun{hi + 1, r.end, r.tok})
+	}
+	return lo, hi, true
+}
+
 // NewSessionTracker returns a tracker starting at world-line wl.
 // relaxed selects relaxed DPR semantics (the FASTER default).
-// The pending map is allocated lazily on the first Begin, so a tracker that
-// has not issued an operation (or has been rehydrated from an archive and
-// not yet used) costs only the struct itself.
+// Its slices are allocated on first use, so a tracker that has not issued an
+// operation (or has been rehydrated from an archive and not yet used) costs
+// only the struct itself.
 func NewSessionTracker(wl WorldLine, relaxed bool) *SessionTracker {
 	return &SessionTracker{
 		relaxed:   relaxed,
@@ -95,7 +178,7 @@ type SessionArchive struct {
 func (s *SessionTracker) Archive() (SessionArchive, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pending) != 0 || len(s.runs) != 0 || len(s.exceptions) != 0 || len(s.abandoned) != 0 {
+	if s.inFlight != 0 || len(s.runs) != 0 || len(s.exceptions) != 0 || len(s.abandoned) != 0 {
 		return SessionArchive{}, false
 	}
 	return SessionArchive{
@@ -122,49 +205,6 @@ func NewSessionTrackerFromArchive(a SessionArchive) *SessionTracker {
 	}
 }
 
-// insertRun records seq's capturing token, extending an adjacent run with
-// the same token when possible. The caller holds s.mu and has verified seq
-// was pending (so it cannot already be inside a run).
-func (s *SessionTracker) insertRun(seq uint64, t Token) {
-	n := len(s.runs)
-	// Fast path: completions arrive in sequence order.
-	if n == 0 || seq > s.runs[n-1].end {
-		if n > 0 && s.runs[n-1].end+1 == seq && s.runs[n-1].tok == t {
-			s.runs[n-1].end = seq
-			return
-		}
-		s.runs = append(s.runs, tokenRun{start: seq, end: seq, tok: t})
-		return
-	}
-	// Out of order (concurrent connections): find the first run ending at or
-	// after seq and stitch around it.
-	i := sort.Search(n, func(i int) bool { return s.runs[i].end >= seq })
-	if i > 0 && s.runs[i-1].end+1 == seq && s.runs[i-1].tok == t {
-		s.runs[i-1].end = seq
-		if i < n && s.runs[i].start == seq+1 && s.runs[i].tok == t {
-			s.runs[i-1].end = s.runs[i].end
-			s.runs = append(s.runs[:i], s.runs[i+1:]...)
-		}
-		return
-	}
-	if i < n && s.runs[i].start == seq+1 && s.runs[i].tok == t {
-		s.runs[i].start = seq
-		return
-	}
-	s.runs = append(s.runs, tokenRun{})
-	copy(s.runs[i+1:], s.runs[i:])
-	s.runs[i] = tokenRun{start: seq, end: seq, tok: t}
-}
-
-// lookupRun returns the capturing token of seq, if tracked. Caller holds s.mu.
-func (s *SessionTracker) lookupRun(seq uint64) (Token, bool) {
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].end >= seq })
-	if i < len(s.runs) && s.runs[i].start <= seq {
-		return s.runs[i].tok, true
-	}
-	return Token{}, false
-}
-
 // Relaxed reports whether the tracker uses relaxed DPR semantics.
 func (s *SessionTracker) Relaxed() bool { return s.relaxed }
 
@@ -184,31 +224,39 @@ func (s *SessionTracker) VersionClock() Version {
 
 // Begin assigns the next sequence number to a new operation and records it
 // as in flight.
-func (s *SessionTracker) Begin() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pending == nil {
-		s.pending = make(map[uint64]bool)
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	s.pending[seq] = true
-	return seq
-}
+func (s *SessionTracker) Begin() uint64 { return s.BeginBatch(1) }
 
 // BeginBatch assigns n consecutive sequence numbers, returning the first.
 func (s *SessionTracker) BeginBatch(n int) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pending == nil && n > 0 {
-		s.pending = make(map[uint64]bool, n)
-	}
+	return s.beginLocked(n)
+}
+
+func (s *SessionTracker) beginLocked(n int) uint64 {
 	first := s.nextSeq
-	for i := 0; i < n; i++ {
-		s.pending[s.nextSeq] = true
-		s.nextSeq++
+	if n > 0 {
+		s.nextSeq += uint64(n)
+		s.pending.add(first, s.nextSeq-1, Token{})
+		s.inFlight += n
 	}
 	return first
+}
+
+// StartBatch is everything a new batch's header takes from the session, under
+// one lock: n sequence numbers (the first is returned), the version clock and
+// the dependency — the token of the most recently completed operation, zero
+// when there is none. wl is the world-line the caller issues on; ok is false,
+// and nothing is assigned, if the session has left it (OnFailure reissues
+// sequence numbers, and a batch must not be handed the new world-line's
+// before its issuer has heard of the rollback).
+func (s *SessionTracker) StartBatch(wl WorldLine, n int) (first uint64, vs Version, dep Token, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if wl != s.worldLine {
+		return 0, 0, Token{}, false
+	}
+	return s.beginLocked(n), s.vs, s.latestTok, true
 }
 
 // Complete records that operation seq was executed and captured by token t,
@@ -217,22 +265,37 @@ func (s *SessionTracker) BeginBatch(n int) uint64 {
 func (s *SessionTracker) Complete(seq uint64, t Token) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.completeLocked(seq, t)
+	return s.completeLocked(seq, t.Worker, []Version{t.Version}) == 1
 }
 
-func (s *SessionTracker) completeLocked(seq uint64, t Token) bool {
-	if !s.pending[seq] {
-		return false
+// completeLocked resolves the still-pending operations among seqStart+i as
+// captured on worker w in versions[i] and returns how many there were: one
+// search for the range, one run per stretch of equal versions (the range was
+// pending, so it lies between two runs).
+func (s *SessionTracker) completeLocked(seqStart uint64, w WorkerID, versions []Version) (completed int) {
+	end := seqStart + uint64(len(versions)) - 1
+	for from := seqStart; from <= end; {
+		lo, hi, ok := s.pending.cut(from, end)
+		if !ok {
+			break
+		}
+		completed += int(hi - lo + 1)
+		for from = lo; from <= hi; {
+			v := versions[from-seqStart]
+			last := from
+			for last < hi && versions[last+1-seqStart] == v {
+				last++
+			}
+			s.runs.add(from, last, Token{Worker: w, Version: v})
+			s.vs = max(s.vs, v)
+			from = last + 1
+		}
+		if hi >= s.latestSeq {
+			s.latestSeq, s.latestTok = hi, Token{Worker: w, Version: versions[hi-seqStart]}
+		}
 	}
-	delete(s.pending, seq)
-	s.insertRun(seq, t)
-	if t.Version > s.vs {
-		s.vs = t.Version
-	}
-	if seq >= s.latestSeq {
-		s.latestSeq, s.latestTok = seq, t
-	}
-	return true
+	s.inFlight -= completed
+	return completed
 }
 
 // CompleteBatch records n consecutive completions — operations seqStart+i
@@ -243,14 +306,31 @@ func (s *SessionTracker) completeLocked(seq uint64, t Token) bool {
 // recording it here could resolve a reused sequence number with a dead token,
 // so it is dropped under the same lock that OnFailure reuses seqs under.
 func (s *SessionTracker) CompleteBatch(wl WorldLine, seqStart uint64, w WorkerID, versions []Version) {
+	s.CompleteAndFold(wl, seqStart, w, versions, nil, 0)
+}
+
+// CompleteAndFold is CompleteBatch and then, under the same lock,
+// AdvanceCommitted to the cut the reply carried (none if empty) — unless that
+// is the cut the prefix was advanced to last, which a worker's cut usually is;
+// folded reports whether it advanced. gen, when non-zero, names the sender's
+// immutable snapshot of (wl, cut): two cuts with one generation are the same
+// cut, and a co-located reply is recognised by it without touching the map;
+// with a zero generation the entries are compared. cut is not retained.
+// Without versions it folds a cut that came on its own (a push).
+func (s *SessionTracker) CompleteAndFold(wl WorldLine, seqStart uint64, w WorkerID, versions []Version, cut Cut, gen uint64) (prefix uint64, folded bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wl != s.worldLine {
-		return
+		return s.committed, false
 	}
-	for i, v := range versions {
-		s.completeLocked(seqStart+uint64(i), Token{Worker: w, Version: v})
+	if len(versions) > 0 {
+		s.completeLocked(seqStart, w, versions)
 	}
+	if len(cut) == 0 || s.isFolded(cut, gen) {
+		return s.committed, false
+	}
+	s.advanceLocked(cut)
+	return s.committed, true
 }
 
 // Abandon resolves the still-pending operations among seqStart..seqStart+n-1
@@ -267,24 +347,21 @@ func (s *SessionTracker) CompleteBatch(wl WorldLine, seqStart uint64, w WorkerID
 func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) (abandoned int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if wl != s.worldLine {
+	if wl != s.worldLine || n <= 0 {
 		return 0
 	}
-	for seq := seqStart; seq < seqStart+uint64(n); seq++ {
-		if !s.pending[seq] {
-			continue
+	end := seqStart + uint64(n) - 1
+	for from := seqStart; from <= end; {
+		lo, hi, ok := s.pending.cut(from, end)
+		if !ok {
+			break
 		}
-		delete(s.pending, seq)
-		i, _ := slices.BinarySearch(s.abandoned, seq)
-		s.abandoned = slices.Insert(s.abandoned, i, seq)
-		abandoned++
+		s.abandoned.add(lo, hi, Token{})
+		abandoned += int(hi - lo + 1)
+		from = hi + 1
 	}
+	s.inFlight -= abandoned
 	return abandoned
-}
-
-func (s *SessionTracker) isAbandoned(seq uint64) bool {
-	_, ok := slices.BinarySearch(s.abandoned, seq)
-	return ok
 }
 
 // ObserveVersion folds a worker-reported version into Vs
@@ -292,9 +369,7 @@ func (s *SessionTracker) isAbandoned(seq uint64) bool {
 func (s *SessionTracker) ObserveVersion(v Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v > s.vs {
-		s.vs = v
-	}
+	s.vs = max(s.vs, v)
 }
 
 // LatestToken returns the token of the most recently completed operation;
@@ -308,8 +383,9 @@ func (s *SessionTracker) LatestToken() (Token, bool) {
 // AdvanceCommitted folds a DPR-cut observed on world-line wl into the
 // session, advancing the committed prefix point. Returns the new prefix point
 // and, under relaxed DPR, the exception list of sequence numbers at or below
-// the point that are not yet committed (still pending, or captured in a
-// version beyond the cut).
+// the point that are not yet committed (still pending, abandoned, or captured
+// in a version beyond the cut); the list is the tracker's own, valid until the
+// prefix is next advanced.
 //
 // The cut is applied only if wl matches the session's current world-line,
 // checked under the same lock: version numbers restart across world-lines, so
@@ -326,55 +402,67 @@ func (s *SessionTracker) LatestToken() (Token, bool) {
 func (s *SessionTracker) AdvanceCommitted(wl WorldLine, cut Cut) (uint64, []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if wl != s.worldLine {
-		return s.committed, s.exceptions
+	if wl == s.worldLine {
+		s.isFolded(cut, 0) // remembers it
+		s.advanceLocked(cut)
 	}
+	return s.committed, s.exceptions
+}
+
+// isFolded reports whether cut, observed on the session's world-line, is the
+// one the prefix was last advanced to, and remembers it if not. Caller holds
+// s.mu.
+func (s *SessionTracker) isFolded(cut Cut, gen uint64) bool {
+	same := s.foldedWL == s.worldLine
+	if same && (gen == 0 || gen != s.foldedGen) {
+		same = len(cut) == len(s.foldedCut)
+		for i := 0; same && i < len(s.foldedCut); i++ {
+			v, has := cut[s.foldedCut[i].w]
+			same = has && v == s.foldedCut[i].v
+		}
+	}
+	if !same {
+		s.foldedCut = s.foldedCut[:0]
+		for w, v := range cut {
+			s.foldedCut = append(s.foldedCut, cutEntry{w, v})
+		}
+	}
+	s.foldedWL, s.foldedGen = s.worldLine, gen
+	return same
+}
+
+// advanceLocked advances the committed prefix to cut. Caller holds s.mu and
+// has checked the world-line.
+func (s *SessionTracker) advanceLocked(cut Cut) {
 	p := s.committed
 	if s.relaxed {
 		// The relaxed prefix point is the highest completed operation whose
 		// token is inside the cut (skipped operations become exceptions),
 		// extended over untracked seqs — already committed or resolved as
-		// rolled back by OnFailure — that sit directly after it. One pass
-		// over the runs replaces the per-sequence scan: a whole run is in or
-		// out of the cut.
+		// rolled back by OnFailure — that sit directly after it. A whole run
+		// is in or out of the cut.
 		var high uint64
 		for i := range s.runs {
 			if s.runs[i].end > p && cut.Includes(s.runs[i].tok) {
 				high = s.runs[i].end
 			}
 		}
-		p = s.extendUntracked(p)
-		if high > p {
-			p = high
-		}
-		p = s.extendUntracked(p)
+		p = s.extendUntracked(max(s.extendUntracked(p), high))
+		s.exceptions = s.exceptionsBelow(s.exceptions[:0], p, cut)
 	} else {
-		// Strict mode stops at the first pending or uncovered operation.
-		for next := p + 1; next < s.nextSeq; next++ {
-			if s.pending[next] || s.isAbandoned(next) {
-				break
+		// Strict mode stops below the first operation that is pending,
+		// abandoned or captured outside the cut; what is in none of the sets
+		// is already committed (rolled-back operations are resolved by
+		// OnFailure before any advance).
+		stop := s.abandoned.next(p, s.pending.next(p, s.nextSeq))
+		for i := s.runs.search(p + 1); i < len(s.runs) && s.runs[i].start < stop; i++ {
+			if !cut.Includes(s.runs[i].tok) {
+				stop = max(s.runs[i].start, p+1)
 			}
-			t, ok := s.lookupRun(next)
-			if !ok {
-				// Neither pending nor tracked: already committed or rolled
-				// back; rolled-back ops are resolved by OnFailure before any
-				// commit advancement, so treat as committed.
-				p = next
-				continue
-			}
-			if !cut.Includes(t) {
-				break
-			}
-			p = next
 		}
-	}
-	// Relaxed: recompute the exception list for the new point.
-	var exceptions []uint64
-	if s.relaxed {
-		exceptions = s.exceptionsBelow(p, cut)
+		p = max(stop, p+1) - 1
 	}
 	s.committed = p
-	s.exceptions = exceptions
 	// Prune committed tokens (they can never be needed again).
 	kept := s.runs[:0]
 	for _, r := range s.runs {
@@ -382,67 +470,56 @@ func (s *SessionTracker) AdvanceCommitted(wl WorldLine, cut Cut) (uint64, []uint
 			if r.end <= p {
 				continue
 			}
-			if r.start <= p {
-				r.start = p + 1
-			}
+			r.start = max(r.start, p+1)
 		}
 		kept = append(kept, r)
 	}
 	s.runs = kept
-	if len(s.runs) == 0 {
-		// Release the backing array: a quiescent session should cost a few
-		// words, not its historical high-water mark.
+	if len(kept) == 0 && cap(kept) > 64 {
+		// A session gone quiet should not hold a burst's array; what a steady
+		// one refills between two cuts stays, so a fold allocates nothing.
 		s.runs = nil
 	}
-	return p, exceptions
 }
 
-// exceptionsBelow lists, ascending, the operations at or below p that are not
-// inside cut: pending, abandoned, or completed with a token beyond it. Caller
-// holds s.mu.
-func (s *SessionTracker) exceptionsBelow(p uint64, cut Cut) []uint64 {
-	var exceptions []uint64
-	for seq := range s.pending {
-		if seq <= p {
-			exceptions = append(exceptions, seq)
+// exceptionsBelow appends to dst, ascending, the operations at or below p that
+// are not inside cut — pending, abandoned, or completed with a token beyond it
+// — merging the three sorted sets. Caller holds s.mu.
+func (s *SessionTracker) exceptionsBelow(dst []uint64, p uint64, cut Cut) []uint64 {
+	var pi, ai, ri int
+	for {
+		for ri < len(s.runs) && cut.Includes(s.runs[ri].tok) {
+			ri++
 		}
+		next, from := tokenRun{start: math.MaxUint64}, &pi
+		if pi < len(s.pending) {
+			next = s.pending[pi]
+		}
+		if ai < len(s.abandoned) && s.abandoned[ai].start < next.start {
+			next, from = s.abandoned[ai], &ai
+		}
+		if ri < len(s.runs) && s.runs[ri].start < next.start {
+			next, from = s.runs[ri], &ri
+		}
+		if next.start > p {
+			return dst
+		}
+		for seq := next.start; seq <= min(next.end, p); seq++ {
+			dst = append(dst, seq)
+		}
+		*from++
 	}
-	for _, seq := range s.abandoned {
-		if seq <= p {
-			exceptions = append(exceptions, seq)
-		}
-	}
-	for i := range s.runs {
-		r := s.runs[i]
-		if r.start > p {
-			break
-		}
-		if !cut.Includes(r.tok) {
-			for seq := r.start; seq <= r.end && seq <= p; seq++ {
-				exceptions = append(exceptions, seq)
-			}
-		}
-	}
-	slices.Sort(exceptions)
-	return exceptions
 }
 
-// extendUntracked advances x over consecutive seqs that are neither pending
-// nor tracked in a run — operations already committed or resolved as rolled
-// back. Such gaps appear only after failures, and commit on the first
-// advancement that reaches them, so the walk is short-lived. Caller holds
-// s.mu.
+// extendUntracked advances x over the seqs directly after it that are neither
+// pending nor tracked in a run — operations already committed, abandoned, or
+// resolved as rolled back. Caller holds s.mu.
 func (s *SessionTracker) extendUntracked(x uint64) uint64 {
-	for x+1 < s.nextSeq {
-		if s.pending[x+1] {
-			return x
-		}
-		if _, ok := s.lookupRun(x + 1); ok {
-			return x
-		}
-		x++
+	stop := s.pending.next(x, s.nextSeq)
+	if i := s.runs.search(x + 1); i < len(s.runs) {
+		stop = min(stop, max(s.runs[i].start, x+1))
 	}
-	return x
+	return max(stop, x+1) - 1
 }
 
 // Committed returns the last computed committed prefix point and exceptions.
@@ -464,12 +541,12 @@ func (s *SessionTracker) CommitStatus(seq uint64) (prefix uint64, open int, hole
 		if e > seq {
 			break
 		}
-		if !s.isAbandoned(e) {
+		if !s.abandoned.contains(e) {
 			open++
 		}
 	}
-	if !s.relaxed && len(s.abandoned) > 0 && s.abandoned[0] <= seq {
-		hole = s.abandoned[0]
+	if !s.relaxed && len(s.abandoned) > 0 && s.abandoned[0].start <= seq {
+		hole = s.abandoned[0].start
 	}
 	return s.committed, open, hole
 }
@@ -478,7 +555,7 @@ func (s *SessionTracker) CommitStatus(seq uint64) (prefix uint64, open int, hole
 func (s *SessionTracker) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.pending)
+	return s.inFlight
 }
 
 // NextSeq returns the sequence number the next Begin will assign.
@@ -509,7 +586,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 		return nil // stale notification
 	}
 	s.worldLine = wl
-	hadPending := len(s.pending)+len(s.abandoned) != 0
+	hadPending := s.inFlight != 0 || len(s.abandoned) != 0
 	prevLatest := s.latestSeq
 
 	surviving := s.committed
@@ -522,31 +599,24 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 				surviving = s.runs[i].end
 			}
 		}
-		exceptions = s.exceptionsBelow(surviving, cut)
+		exceptions = s.exceptionsBelow(nil, surviving, cut)
 	} else {
-		for next := surviving + 1; next < s.nextSeq; next++ {
-			t, ok := s.lookupRun(next)
-			if !ok || !cut.Includes(t) {
-				break
-			}
-			surviving = next
+		for i := s.runs.search(surviving + 1); i < len(s.runs) && s.runs[i].start <= surviving+1 && cut.Includes(s.runs[i].tok); i++ {
+			surviving = s.runs[i].end
 		}
 	}
 
 	// Drop everything not surviving; those operations are gone from the new
 	// world-line and the application must reissue them if desired. The
-	// pending map is released outright (it is lazily reallocated on the next
-	// Begin) so a failed-over idle session does not retain its high-water
-	// footprint.
-	s.pending, s.abandoned = nil, nil
+	// interval sets are released outright so a failed-over idle session does
+	// not retain its high-water footprint.
+	s.pending, s.abandoned, s.inFlight = nil, nil, 0
 	kept := s.runs[:0]
 	for _, r := range s.runs {
 		if !cut.Includes(r.tok) || r.start > surviving {
 			continue
 		}
-		if r.end > surviving {
-			r.end = surviving
-		}
+		r.end = min(r.end, surviving)
 		kept = append(kept, r)
 	}
 	s.runs = kept
@@ -554,9 +624,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 		s.runs = nil
 	}
 	s.nextSeq = surviving + 1
-	if s.committed > surviving {
-		s.committed = surviving
-	}
+	s.committed = min(s.committed, surviving)
 	// Recompute the latest-completed marker over the surviving tokens
 	// (rare path: failures only).
 	s.latestSeq, s.latestTok = 0, Token{}
@@ -566,9 +634,7 @@ func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 	}
 	// Vs regresses to the recovered frontier: max cut position this session
 	// could have observed. Using the global max keeps monotonicity.
-	if maxCut := cut.Max(); s.vs > maxCut {
-		s.vs = maxCut
-	}
+	s.vs = min(s.vs, cut.Max())
 	if !hadPending && len(exceptions) == 0 && surviving >= prevLatest {
 		return nil // lossless: every operation the session ever completed survives
 	}

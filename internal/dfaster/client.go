@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpr/internal/core"
@@ -65,8 +66,9 @@ type Client struct {
 	meta    metadata.Service
 	session *libdpr.Session
 
-	ownersMu sync.RWMutex
-	owners   map[uint64]core.WorkerID
+	// owners is the routing table: per partition, one plus its owner (zero: ask
+	// metadata). A re-drive drops it whole by publishing an empty one.
+	owners atomic.Pointer[[]atomic.Uint64]
 
 	connsMu sync.Mutex
 	conns   map[core.WorkerID]*workerConn
@@ -87,9 +89,12 @@ type Client struct {
 	// never after.
 	mu          sync.Mutex
 	cond        *sync.Cond
-	outstanding int // window slots held: operations sent (or executing locally) and not settled
+	outstanding int // window slots held: operations sent and not settled
 	failure     error
 	buffers     map[core.WorkerID]*batch // the batch being filled for each owner
+	// free holds settled batches for reuse, with their ops and cbs arrays
+	// (recycleLocked).
+	free []*batch
 	// retryQ holds parked batches in ascending sequence order; head is the
 	// one being re-driven, and fresh sends wait while there is one.
 	retryQ []*batch
@@ -127,10 +132,10 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 		cfg:     cfg,
 		meta:    meta,
 		session: sess,
-		owners:  make(map[uint64]core.WorkerID),
 		conns:   make(map[core.WorkerID]*workerConn),
 		buffers: make(map[core.WorkerID]*batch),
 	}
+	c.forgetOwners()
 	c.closed, c.close = context.WithCancel(context.Background())
 	c.cond = sync.NewCond(&c.mu)
 	if cfg.LocalWorker != nil {
@@ -223,15 +228,22 @@ func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
 		c.mu.Unlock()
 		return f
 	}
-	// Co-located fast path: execute immediately on the calling thread.
+	// Co-located fast path: execute immediately on the calling thread. Settled
+	// before this call returns, the operation holds no window slot, and unless
+	// it fails this is the one time it takes c.mu.
 	if c.cfg.LocalWorker != nil && owner == c.cfg.LocalWorker.ID() {
-		c.outstanding++
 		c.mu.Unlock()
 		return c.executeLocal(op, cb)
 	}
 	b := c.buffers[owner]
 	if b == nil {
-		b = &batch{owner: owner}
+		if n := len(c.free); n > 0 {
+			b, c.free = c.free[n-1], c.free[:n-1]
+			*b = batch{ops: b.ops[:0], cbs: b.cbs[:0]} // a new lifecycle, from stQueued
+		} else {
+			b = &batch{ops: make([]wire.Op, 0, c.cfg.BatchSize), cbs: make([]OpCallback, 0, c.cfg.BatchSize)}
+		}
+		b.owner = owner
 		c.buffers[owner] = b
 	}
 	b.ops = append(b.ops, op)
@@ -338,20 +350,22 @@ func (c *Client) WaitCommitAll(timeout time.Duration) error {
 
 func (c *Client) ownerOf(key []byte) (core.WorkerID, error) {
 	p := PartitionOf(key, c.cfg.Partitions)
-	c.ownersMu.RLock()
-	w, ok := c.owners[p]
-	c.ownersMu.RUnlock()
-	if ok {
-		return w, nil
+	slot := &(*c.owners.Load())[p]
+	if o := slot.Load(); o != 0 {
+		return core.WorkerID(o - 1), nil
 	}
 	w, err := c.meta.OwnerOf(p)
 	if err != nil {
 		return 0, err
 	}
-	c.ownersMu.Lock()
-	c.owners[p] = w
-	c.ownersMu.Unlock()
+	slot.Store(uint64(w) + 1)
 	return w, nil
+}
+
+// forgetOwners makes every partition's owner metadata's to answer again.
+func (c *Client) forgetOwners() {
+	owners := make([]atomic.Uint64, c.cfg.Partitions)
+	c.owners.Store(&owners)
 }
 
 type workerConn struct {
@@ -469,7 +483,8 @@ type batch struct {
 	unsettled int
 }
 
-// move is the only writer of a batch's state. The caller holds c.mu.
+// move is the only writer of a batch's state. The caller holds c.mu, or owns a
+// batch no other goroutine has seen (the co-located operation's).
 func (c *Client) move(b *batch, to batchState) bool {
 	if legalMoves[b.state]&(1<<to) == 0 {
 		lifecycleViolations.Inc()
@@ -546,6 +561,7 @@ func (c *Client) settle(b *batch, out outcome) error {
 			WorldLine: out.reply.WorldLine,
 			Versions:  versions,
 			Cut:       out.reply.Cut,
+			CutGen:    out.reply.CutGen,
 		})
 		for i, cb := range b.cbs {
 			if cb != nil && i < len(results) {
@@ -566,9 +582,18 @@ func (c *Client) settle(b *batch, out outcome) error {
 			}
 		}
 	}
+	local := b == &c.localBatch
+	if local && out.reply != nil && out.err == nil {
+		// Started and settled on this goroutine, never shared, holding no
+		// window slot: the transition is all there is, and nobody to tell.
+		c.move(b, stSettled)
+		return nil
+	}
 	c.mu.Lock()
 	if c.move(b, stSettled) {
-		c.outstanding -= len(b.ops)
+		if !local {
+			c.outstanding -= len(b.ops)
+		}
 		if out.reply == nil {
 			c.abandoned += uint64(len(b.ops))
 			c.recent = append(c.recent[max(0, len(c.recent)-7):], abandonedOps{b.header.SeqStart, uint64(len(b.ops)), out.cause})
@@ -577,11 +602,26 @@ func (c *Client) settle(b *batch, out outcome) error {
 			}
 		}
 		c.leaveHeadLocked(b)
+		c.recycleLocked(b)
 	}
 	c.failure = cmp.Or(c.failure, out.err)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return out.err
+}
+
+// recycleLocked puts a batch that has just settled on the free list, still
+// settled — letting go of it twice stays an illegal move — and without the
+// caller's keys, values and callbacks. A batch that was ever parked (its runs
+// share its arrays) and the co-located operation's (part of the client) are
+// not recycled. The list never outgrows what was once out together,
+// Window/BatchSize in flight and one filling per owner. The caller holds c.mu.
+func (c *Client) recycleLocked(b *batch) {
+	if b.retries == 0 && b != &c.localBatch {
+		clear(b.ops)
+		clear(b.cbs)
+		c.free = append(c.free, b)
+	}
 }
 
 // parkOrSettle parks b, which the caller owns, for an ordered re-drive, or
@@ -640,9 +680,7 @@ func (c *Client) redrive(h *batch) {
 	case <-c.closed.Done(): // every run below fails to connect and settles as closed
 	case <-time.After(time.Millisecond):
 	}
-	c.ownersMu.Lock()
-	clear(c.owners) // re-route through metadata
-	c.ownersMu.Unlock()
+	c.forgetOwners() // re-route through metadata
 	for start, end := 0, 0; start < len(h.ops); start = end {
 		owner, err := c.ownerOf(h.ops[start].Key)
 		for end = start + 1; end < len(h.ops); end++ {
@@ -746,6 +784,9 @@ func (c *Client) readLoop(wc *workerConn) {
 	var reply wire.BatchReply
 	var versions []core.Version
 	var adv wire.CutAdvance
+	// A worker sends the cut it pre-encoded last with every frame: the memo
+	// lets one through to the session when its bytes change (nil otherwise).
+	var memo wire.CutMemo
 	for {
 		tag, payload, err := fr.Read()
 		if err != nil {
@@ -756,7 +797,7 @@ func (c *Client) readLoop(wc *workerConn) {
 		// in-flight pop, or they would consume (and error out) a batch whose
 		// real reply is still in the pipe.
 		if tag == wire.FrameCutAdvance {
-			if wire.DecodeCutAdvanceInto(&adv, payload) == nil {
+			if memo.DecodeCutAdvance(&adv, payload) == nil && adv.Cut != nil {
 				if err := c.session.ObserveCut(adv.WorldLine, adv.Cut); err != nil {
 					c.recordFailure(err)
 				}
@@ -769,11 +810,11 @@ func (c *Client) readLoop(wc *workerConn) {
 			break // protocol violation
 		}
 		b := wc.inflight[0]
-		wc.inflight = wc.inflight[1:]
+		wc.inflight = slices.Delete(wc.inflight, 0, 1) // in place: the FIFO's array neither creeps nor regrows
 		c.mu.Unlock()
 
 		switch {
-		case tag == wire.FrameBatchReply && wire.DecodeBatchReplyInto(&reply, payload) == nil:
+		case tag == wire.FrameBatchReply && memo.DecodeBatchReply(&reply, payload) == nil:
 			c.settle(b, outcome{worker: wc.id, reply: &reply, versions: &versions})
 		case tag == wire.FrameError:
 			c.handleErrorReply(b, payload)

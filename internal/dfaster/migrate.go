@@ -154,7 +154,7 @@ func (w *Worker) DonatePartitions(id uint64, to core.WorkerID, addr string, part
 	if ack.Status != wire.MigrateAckOK {
 		return fmt.Errorf("dfaster: migration %d rejected by target: %s", id, ack.Message)
 	}
-	w.markMoved(parts, to)
+	w.MarkMoved(parts, to)
 	return nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,20 +75,18 @@ type Worker struct {
 	store *kv.Store
 	meta  metadata.Service
 
-	// owned is the authoritative ownership set, mutated only under ownedMu
-	// by the (rare) membership operations: claim, renounce. The batch hot
-	// path never takes the mutex; it reads ownedSnap, an immutable copy
-	// republished after every mutation.
+	// ownedSnap is the ownership set, one bit per virtual partition. The batch
+	// hot path loads it and tests a bit per operation; it is immutable once
+	// published, and the (rare) membership operations — claim, renounce —
+	// copy, edit and swap it under ownedMu (editOwnership).
 	ownedMu   sync.Mutex
-	owned     map[uint64]struct{}
-	ownedSnap atomic.Pointer[map[uint64]struct{}]
-	// moved records partitions this worker donated and who owns them now, so
-	// ownership misses from sessions still routed here turn into
-	// ErrCodeMoved redirects (carrying the new owner) instead of blind
-	// BadOwner retries. Mutated under ownedMu alongside owned; the hot path
-	// reads movedSnap, and only on an ownership miss.
-	moved     map[uint64]core.WorkerID
-	movedSnap atomic.Pointer[map[uint64]core.WorkerID]
+	ownedSnap atomic.Pointer[[]uint64]
+	// movedSnap records, per partition, one plus the worker this one donated
+	// it to (zero: not donated), so ownership misses from sessions still
+	// routed here turn into ErrCodeMoved redirects (carrying the new owner)
+	// instead of blind BadOwner retries. Published like ownedSnap; the hot
+	// path reads it only on an ownership miss.
+	movedSnap atomic.Pointer[[]uint64]
 
 	// Refused-batch ordering (refusal.go): refusalOn counts live ledgers so
 	// the hot path pays one atomic load when no refusals are outstanding.
@@ -127,12 +127,11 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 		cfg:      cfg,
 		store:    store,
 		meta:     meta,
-		owned:    make(map[uint64]struct{}),
-		moved:    make(map[uint64]core.WorkerID),
 		refusals: make(map[refusalKey]*refusalLedger),
 	}
-	w.publishOwnedLocked()
-	w.publishMovedLocked()
+	owned, moved := make([]uint64, (cfg.Partitions+63)/64), make([]uint64, cfg.Partitions)
+	w.ownedSnap.Store(&owned)
+	w.movedSnap.Store(&moved)
 	reg, lbls := frame.Instruments()
 	w.badOwnerC = reg.Counter("dpr_server_batches_not_owned_total",
 		"Batches refused because a key's partition is not owned here.", lbls...)
@@ -198,7 +197,7 @@ type Lane = serve.Lane
 // /debug/dpr snapshot.
 func (w *Worker) DebugState() obs.DPRState {
 	st := w.Worker.DebugState()
-	st.OwnedPartitions = len(*w.ownedSnap.Load())
+	st.OwnedPartitions = len(w.OwnedPartitions())
 	ls := w.store.LogState()
 	st.Log = &obs.LogState{
 		Begin: ls.Begin, Head: ls.Head, ReadOnly: ls.ReadOnly, Tail: ls.Tail,
@@ -210,50 +209,45 @@ func (w *Worker) DebugState() obs.DPRState {
 // Store exposes the underlying FasterKV (co-located applications and tests).
 func (w *Worker) Store() *kv.Store { return w.store }
 
-// publishOwnedLocked republishes the ownership snapshot; ownedMu must be
-// held. The snapshot is immutable after publication.
-func (w *Worker) publishOwnedLocked() {
-	snap := make(map[uint64]struct{}, len(w.owned))
-	for p := range w.owned {
-		snap[p] = struct{}{}
-	}
-	w.ownedSnap.Store(&snap)
+// hasBit reports whether bit p of the bitmap is set (false beyond its end).
+func hasBit(bits []uint64, p uint64) bool {
+	return p/64 < uint64(len(bits)) && bits[p/64]&(1<<(p%64)) != 0
 }
 
-// publishMovedLocked republishes the donated-partition snapshot; ownedMu
-// must be held.
-func (w *Worker) publishMovedLocked() {
-	snap := make(map[uint64]core.WorkerID, len(w.moved))
-	for p, o := range w.moved {
-		snap[p] = o
-	}
-	w.movedSnap.Store(&snap)
-}
-
-// markMoved records that partitions were donated to another worker, turning
-// subsequent ownership misses into ErrCodeMoved redirects.
-func (w *Worker) markMoved(ps []uint64, to core.WorkerID) {
+// editOwnership publishes the ownership bitmap and the donated-partition
+// table as fn leaves its private copies of them.
+func (w *Worker) editOwnership(fn func(owned, moved []uint64)) {
 	w.ownedMu.Lock()
-	for _, p := range ps {
-		w.moved[p] = to
-	}
-	w.publishMovedLocked()
-	w.ownedMu.Unlock()
+	defer w.ownedMu.Unlock()
+	owned, moved := slices.Clone(*w.ownedSnap.Load()), slices.Clone(*w.movedSnap.Load())
+	fn(owned, moved)
+	w.ownedSnap.Store(&owned)
+	w.movedSnap.Store(&moved)
+}
+
+// MarkMoved records that partitions were donated to another worker, turning
+// subsequent ownership misses into ErrCodeMoved redirects. It claims and
+// renounces nothing locally: the migration coordinator also uses it when a
+// handover completed on the target side but the donor missed the ack, so
+// stale sessions still get redirected.
+func (w *Worker) MarkMoved(ps []uint64, to core.WorkerID) {
+	w.editOwnership(func(_, moved []uint64) {
+		for _, p := range ps {
+			if p < uint64(len(moved)) {
+				moved[p] = uint64(to) + 1
+			}
+		}
+	})
 	w.dropRefusals(ps)
 }
 
-// MarkMoved records that partitions now live on another worker without
-// claiming or renouncing anything locally: the migration coordinator uses it
-// when a handover completed on the target side but the donor missed the ack,
-// so stale sessions still get redirected.
-func (w *Worker) MarkMoved(ps []uint64, to core.WorkerID) { w.markMoved(ps, to) }
-
 // OwnedPartitions lists the partitions this worker currently owns.
 func (w *Worker) OwnedPartitions() []uint64 {
-	owned := *w.ownedSnap.Load()
-	ps := make([]uint64, 0, len(owned))
-	for p := range owned {
-		ps = append(ps, p)
+	var ps []uint64
+	for i, word := range *w.ownedSnap.Load() {
+		for ; word != 0; word &= word - 1 {
+			ps = append(ps, uint64(i*64+bits.TrailingZeros64(word)))
+		}
 	}
 	return ps
 }
@@ -262,20 +256,21 @@ func (w *Worker) OwnedPartitions() []uint64 {
 // partitions, both locally and in the metadata store.
 func (w *Worker) ClaimPartitions(ps ...uint64) error {
 	for _, p := range ps {
+		if p >= uint64(w.cfg.Partitions) {
+			return fmt.Errorf("dfaster: partition %d out of range (%d partitions)", p, w.cfg.Partitions)
+		}
 		if err := w.meta.SetOwner(p, w.cfg.ID); err != nil {
 			return err
 		}
 	}
-	w.ownedMu.Lock()
-	for _, p := range ps {
-		w.owned[p] = struct{}{}
-		// A partition that migrated away and back is owned here again; stale
-		// redirects would bounce sessions to a worker that no longer owns it.
-		delete(w.moved, p)
-	}
-	w.publishOwnedLocked()
-	w.publishMovedLocked()
-	w.ownedMu.Unlock()
+	w.editOwnership(func(owned, moved []uint64) {
+		for _, p := range ps {
+			owned[p/64] |= 1 << (p % 64)
+			// A partition that migrated away and back is owned here again; stale
+			// redirects would bounce sessions to a worker that no longer owns it.
+			moved[p] = 0
+		}
+	})
 	return nil
 }
 
@@ -283,17 +278,15 @@ func (w *Worker) ClaimPartitions(ps ...uint64) error {
 // of an ownership transfer: the key is briefly unowned and clients retry,
 // §5.3).
 func (w *Worker) Renounce(p uint64) {
-	w.ownedMu.Lock()
-	delete(w.owned, p)
-	w.publishOwnedLocked()
-	w.ownedMu.Unlock()
+	w.editOwnership(func(owned, _ []uint64) {
+		if p/64 < uint64(len(owned)) {
+			owned[p/64] &^= 1 << (p % 64)
+		}
+	})
 }
 
 // Owns reports whether the worker currently owns partition p.
-func (w *Worker) Owns(p uint64) bool {
-	_, ok := (*w.ownedSnap.Load())[p]
-	return ok
-}
+func (w *Worker) Owns(p uint64) bool { return hasBit(*w.ownedSnap.Load(), p) }
 
 // Stop shuts the worker down: the frame (listener, live connections and their
 // goroutines, the libDPR loops), then the store.
@@ -307,7 +300,7 @@ func (w *Worker) Stop() {
 type kvApply struct {
 	w          *Worker
 	sess       *kv.Session
-	pendingIdx map[uint64]int // serial -> op index
+	pendingIdx map[uint64]int // serial -> op index; has entries only while a batch with PENDING operations runs
 }
 
 // BatchScratch is what a co-located caller holds between batches: the frame's
@@ -353,11 +346,12 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 	owned := *w.ownedSnap.Load()
 	for i := range req.Ops {
 		part := PartitionOf(req.Ops[i].Key, w.cfg.Partitions)
-		if _, ok := owned[part]; !ok {
+		if !hasBit(owned, part) {
 			// A donated partition redirects with the new owner, so the
 			// session re-routes on its next transmit without a metadata
 			// round trip; anything else is a plain ownership miss.
-			if newOwner, donated := (*w.movedSnap.Load())[part]; donated {
+			if to := (*w.movedSnap.Load())[part]; to != 0 {
+				newOwner := core.WorkerID(to - 1)
 				return w.refuse(wire.ErrCodeMoved, newOwner, "partition %d moved to worker %d", part, newOwner) //dpr:ignore hotpath-noalloc cold reject path: ownership misses only happen around migrations
 			}
 			// Record the refusal so later pipelined batches from this
@@ -375,7 +369,6 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 		return w.refuse(wire.ErrCodeBadOwner, 0, "held for session replay ordering") //dpr:ignore hotpath-noalloc cold reject path: only while refused batches are being re-driven
 	}
 
-	clear(a.pendingIdx)
 	for i := range req.Ops {
 		op := &req.Ops[i]
 		switch op.Kind {

@@ -42,16 +42,24 @@ type Session struct {
 	tracker *core.SessionTracker
 	meta    metadata.Service
 
+	// issueWL is the world-line the application issues on: the tracker's,
+	// except between a rollback that erased something and its Acknowledge.
+	// Batches are started and replies digested against it with one tracker
+	// call and no session lock: the tracker refuses both once it has left that
+	// world-line, which is what freezes sequence numbers and the committed
+	// prefix while a SurvivalError is unacknowledged — advancing the prefix
+	// then would extend it over the rollback's exception holes before the
+	// application has seen the exception list.
+	issueWL atomic.Uint64
+
+	// mu is taken off the batch path only: by the failure path, by commit
+	// waiters, and when a fold has moved the prefix.
+	//
+	//dpr:lockorder libdpr.Session.mu < core.SessionTracker.mu
 	mu sync.Mutex
 	// failure holds a pending SurvivalError the application has not yet
 	// consumed; further operations fail fast until Acknowledge.
 	failure *core.SurvivalError
-	// lastCut caches the newest piggybacked cut folded into the tracker
-	// (with the world-line it was observed on); replies carrying an
-	// unchanged cut skip the O(uncommitted) prefix scan, which would
-	// otherwise make high-throughput sessions quadratic between checkpoints.
-	lastCut   core.Cut
-	lastCutWL core.WorldLine
 	// folded is non-nil while a WaitCommit is parked; the next fold of a cut
 	// into the committed prefix, or the next failure, closes and clears it.
 	folded chan struct{}
@@ -71,12 +79,14 @@ func NewSession(meta metadata.Service, relaxed bool) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSession(sessionIDs.Add(1), core.NewSessionTracker(wl, relaxed), meta), nil
+}
+
+func newSession(id uint64, tracker *core.SessionTracker, meta metadata.Service) *Session {
 	registerClientObs()
-	return &Session{
-		id:      sessionIDs.Add(1),
-		tracker: core.NewSessionTracker(wl, relaxed),
-		meta:    meta,
-	}, nil
+	s := &Session{id: id, tracker: tracker, meta: meta}
+	s.issueWL.Store(uint64(tracker.WorldLine()))
+	return s
 }
 
 // SessionState is the compact evicted form of a Session: the id plus the
@@ -95,12 +105,9 @@ type SessionState struct {
 // (it is a metric sample, not session state). After a successful Evict the
 // Session must not be used again; keep only the returned state.
 func (s *Session) Evict() (SessionState, bool) {
-	s.mu.Lock()
-	if s.failure != nil {
-		s.mu.Unlock()
+	if s.pending() != nil {
 		return SessionState{}, false
 	}
-	s.mu.Unlock()
 	a, ok := s.tracker.Archive()
 	if !ok {
 		return SessionState{}, false
@@ -116,12 +123,7 @@ func (s *Session) Evict() (SessionState, bool) {
 // change and runs the ordinary failure path — with no uncommitted state, the
 // surviving prefix equals the committed floor, so nothing is lost.
 func ResumeSession(meta metadata.Service, st SessionState) *Session {
-	registerClientObs()
-	return &Session{
-		id:      st.ID,
-		tracker: core.NewSessionTrackerFromArchive(st.Archive),
-		meta:    meta,
-	}
+	return newSession(st.ID, core.NewSessionTrackerFromArchive(st.Archive), meta)
 }
 
 // ID returns the globally unique session id.
@@ -133,30 +135,30 @@ func (s *Session) Tracker() *core.SessionTracker { return s.tracker }
 // NextBatch reserves n sequence numbers and builds the batch header to send
 // with them. Returns an error if an unacknowledged failure is pending.
 func (s *Session) NextBatch(n int) (BatchHeader, error) {
-	// The failure check and the reservation are one critical section with
-	// handleFailure's: a failure digested on a completion thread in between
-	// would otherwise hand this batch sequence numbers of the new world-line
-	// — reissued ones — before the application has acknowledged the rollback.
+	for {
+		wl := core.WorldLine(s.issueWL.Load())
+		first, vs, dep, ok := s.tracker.StartBatch(wl, n)
+		if ok {
+			if n > 0 && s.probeSeq.Load() == 0 {
+				s.probeAt.Store(time.Now().UnixNano())
+				s.probeSeq.Store(first + uint64(n) - 1)
+			}
+			return BatchHeader{SessionID: s.id, WorldLine: wl, Vs: vs, SeqStart: first, NumOps: uint32(n), Dep: dep}, nil
+		}
+		// The tracker has left wl. handleFailure moves it under mu, together with
+		// the failure to report or (nothing erased) the world-line to issue on
+		// from now: after mu either the failure is there or the retry succeeds.
+		if f := s.pending(); f != nil {
+			return BatchHeader{}, f
+		}
+	}
+}
+
+// pending returns the unacknowledged SurvivalError, if any.
+func (s *Session) pending() *core.SurvivalError {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.failure; f != nil {
-		return BatchHeader{}, f
-	}
-	h := BatchHeader{
-		SessionID: s.id,
-		WorldLine: s.tracker.WorldLine(),
-		Vs:        s.tracker.VersionClock(),
-		SeqStart:  s.tracker.BeginBatch(n),
-		NumOps:    uint32(n),
-	}
-	if dep, ok := s.tracker.LatestToken(); ok {
-		h.Dep = dep
-	}
-	if n > 0 && s.probeSeq.Load() == 0 {
-		s.probeAt.Store(time.Now().UnixNano())
-		s.probeSeq.Store(h.SeqStart + uint64(n) - 1)
-	}
-	return h, nil
+	return s.failure
 }
 
 // resolveProbe completes the outstanding commit-latency probe if the
@@ -174,68 +176,45 @@ func (s *Session) resolveProbe(p uint64) {
 }
 
 // CompleteBatch digests a batch reply: it resolves each operation to its
-// token, folds the piggybacked cut into the committed prefix, and checks for
-// world-line changes. The returned error, if any, is a *core.SurvivalError
-// the application must handle (the next NextBatch also returns it until
-// Acknowledge is called).
+// token, folds the piggybacked cut into the committed prefix if it is not the
+// one folded last, and checks for world-line changes. The returned error, if
+// any, is a *core.SurvivalError the application must handle (the next
+// NextBatch also returns it until Acknowledge is called).
 func (s *Session) CompleteBatch(worker core.WorkerID, h BatchHeader, r BatchReply) error {
-	if r.WorldLine > s.tracker.WorldLine() {
-		return s.handleFailure(r.WorldLine)
+	if r.WorldLine != core.WorldLine(s.issueWL.Load()) {
+		// A rollback to digest, or a reply that describes erased executions.
+		return s.NotifyWorldLine(r.WorldLine)
 	}
-	s.tracker.CompleteBatch(r.WorldLine, h.SeqStart, worker, r.Versions)
-	if len(r.Cut) > 0 {
-		// A pending SurvivalError is the next NextBatch's to report, not
-		// this reply's.
-		_ = s.foldNew(r.WorldLine, r.Cut)
+	if p, folded := s.tracker.CompleteAndFold(r.WorldLine, h.SeqStart, worker, r.Versions, r.Cut, r.CutGen); folded {
+		s.landed(p)
 	}
 	return nil
 }
 
 // AbandonBatch tells the session the transport has given up on h's operations
 // (core.SessionTracker.Abandon: what that means for Committed and WaitCommit,
-// and what is returned) and wakes commit waits they were holding.
+// and what is returned), drops a commit-latency probe aimed at one of them —
+// it would never resolve under strict DPR, and under relaxed DPR would time an
+// operation that never committed — and wakes the commit waits they were
+// holding.
 func (s *Session) AbandonBatch(h BatchHeader) int {
 	n := s.tracker.Abandon(h.WorldLine, h.SeqStart, int(h.NumOps))
+	if target := s.probeSeq.Load(); target >= h.SeqStart && target-h.SeqStart < uint64(h.NumOps) {
+		s.probeSeq.CompareAndSwap(target, 0)
+	}
 	s.mu.Lock()
 	s.wakeLocked()
 	s.mu.Unlock()
 	return n
 }
 
-// foldNew folds a cut a worker sent — piggybacked or pushed, observed on wl —
-// unless it is the one folded last (a repeated cut skips the O(uncommitted)
-// prefix scan) or a SurvivalError is unacknowledged, which it returns. The
-// prefix is frozen then: advancing it would extend over the rollback's
-// exception holes before the application has seen the exception list, making
-// Committed() silently misclassify erased operations as committed. cut is not
-// retained.
-func (s *Session) foldNew(wl core.WorldLine, cut core.Cut) error {
-	s.mu.Lock()
-	if f := s.failure; f != nil {
-		s.mu.Unlock()
-		return f
-	}
-	changed := wl != s.lastCutWL || !s.lastCut.Equal(cut)
-	if changed {
-		s.lastCut, s.lastCutWL = cut.Clone(), wl
-	}
-	s.mu.Unlock()
-	if changed {
-		// The tracker ignores the cut unless it is still on world-line wl.
-		s.fold(wl, cut)
-	}
-	return nil
-}
-
-// fold advances the committed prefix to a cut observed on wl, resolves the
-// commit-latency probe against it and wakes parked WaitCommit callers.
-func (s *Session) fold(wl core.WorldLine, cut core.Cut) uint64 {
-	p, _ := s.tracker.AdvanceCommitted(wl, cut)
+// landed follows a fold that moved the committed prefix to p: it resolves the
+// commit-latency probe and wakes parked WaitCommit callers.
+func (s *Session) landed(p uint64) {
 	s.resolveProbe(p)
 	s.mu.Lock()
 	s.wakeLocked()
 	s.mu.Unlock()
-	return p
 }
 
 // wakeLocked releases every parked WaitCommit; the caller holds mu.
@@ -278,6 +257,10 @@ func (s *Session) handleFailure(wl core.WorldLine) error {
 	if surv != nil {
 		s.failure = surv
 		s.wakeLocked()
+	} else if s.failure == nil {
+		// Stale, or nothing was erased: the application has nothing to
+		// acknowledge and issues on the tracker's world-line.
+		s.issueWL.Store(uint64(s.tracker.WorldLine()))
 	}
 	s.mu.Unlock()
 	// Drop any outstanding probe: the rollback may have erased the probed
@@ -321,6 +304,7 @@ func (s *Session) Acknowledge() *core.SurvivalError {
 	defer s.mu.Unlock()
 	f := s.failure
 	s.failure = nil
+	s.issueWL.Store(uint64(s.tracker.WorldLine()))
 	return f
 }
 
@@ -337,33 +321,38 @@ func (s *Session) RefreshCommit() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if wl > s.tracker.WorldLine() {
-		if err := s.handleFailure(wl); err != nil {
-			return 0, err
-		}
+	if err := s.NotifyWorldLine(wl); err != nil {
+		return 0, err
 	}
-	s.mu.Lock()
-	if f := s.failure; f != nil {
-		s.mu.Unlock()
+	if f := s.pending(); f != nil {
 		return 0, f
 	}
-	s.mu.Unlock()
-	return s.fold(wl, cut), nil
+	// The tracker ignores the cut unless it is still on world-line wl.
+	p, _ := s.tracker.AdvanceCommitted(wl, cut)
+	s.landed(p)
+	return p, nil
 }
 
 // ObserveCut folds an unsolicited cut observation — a pushed
 // wire.FrameCutAdvance, delivered to an idle session without a batch reply to
 // piggyback on — into the committed prefix, exactly as CompleteBatch folds a
-// piggybacked one (see foldNew); a world-line change runs the failure path.
-// cut is not retained; callers may reuse the map (connection read loops
-// decode pushes into a held wire.CutAdvance).
+// piggybacked one; a world-line change runs the failure path, and an
+// unacknowledged SurvivalError is returned. cut is not retained; callers may
+// reuse the map (connection read loops decode pushes into a held
+// wire.CutAdvance).
 func (s *Session) ObserveCut(wl core.WorldLine, cut core.Cut) error {
-	if wl > s.tracker.WorldLine() {
-		if err := s.handleFailure(wl); err != nil {
+	if wl != core.WorldLine(s.issueWL.Load()) {
+		if err := s.NotifyWorldLine(wl); err != nil {
 			return err
 		}
+		if f := s.pending(); f != nil {
+			return f
+		}
 	}
-	return s.foldNew(wl, cut)
+	if p, folded := s.tracker.CompleteAndFold(wl, 0, 0, nil, cut, 0); folded {
+		s.landed(p)
+	}
+	return nil
 }
 
 // WaitCommit blocks until every operation at or below seq is committed or

@@ -11,3 +11,7 @@ const ManualHeartbeat = manualHeartbeat
 // pump, and commits are left to the heartbeat. Call it before any batch
 // executes.
 func (w *Worker) SuppressDirtyWake() { w.dirty.Store(true) }
+
+// ProbeTarget is the sequence number the session's outstanding commit-latency
+// probe waits for (0: none).
+func (s *Session) ProbeTarget() uint64 { return s.probeSeq.Load() }

@@ -10,6 +10,7 @@ import (
 	"dpr/internal/core"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
+	"dpr/internal/obs"
 )
 
 // cutOnlyMeta is a metadata service that answers State with a settable cut
@@ -152,6 +153,54 @@ func TestWaitCommitPassesAbandoned(t *testing.T) {
 	}
 	if err := s.WaitCommit(4, 5*time.Second); err != nil {
 		t.Fatalf("strict WaitCommit(4), below the hole: %v", err)
+	}
+}
+
+// TestAbandonDropsTheCommitProbe: the commit-latency probe of a batch the
+// transport gave up on is dropped with it. Left armed it never resolves under
+// strict DPR — the prefix stops below the batch, and with one probe a session
+// the metric went silent until the next failure — and under relaxed DPR it
+// resolves when the prefix passes the hole, timing as a commit an operation
+// that never committed.
+func TestAbandonDropsTheCommitProbe(t *testing.T) {
+	latency := obs.Default.Histogram("dpr_client_commit_latency_seconds", "")
+	for _, relaxed := range []bool{false, true} {
+		meta := &cutOnlyMeta{}
+		s, err := libdpr.NewSession(meta, relaxed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lost, err := s.NextBatch(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ProbeTarget(); got != 4 {
+			t.Fatalf("relaxed=%v: probe at %d after the first batch, want 4", relaxed, got)
+		}
+		// An abandon of other operations leaves the probe alone.
+		s.AbandonBatch(libdpr.BatchHeader{SeqStart: 5, NumOps: 4})
+		if got := s.ProbeTarget(); got != 4 {
+			t.Fatalf("relaxed=%v: probe at %d after an abandon of seqs 5..8, want 4", relaxed, got)
+		}
+		s.AbandonBatch(lost)
+		if got := s.ProbeTarget(); got != 0 {
+			t.Fatalf("relaxed=%v: probe still at %d after its batch was abandoned", relaxed, got)
+		}
+		before := latency.Count()
+		meta.setCut(core.Cut{1: 1})
+		if _, err := s.RefreshCommit(); err != nil { // relaxed: the prefix passes the hole
+			t.Fatal(err)
+		}
+		if n := latency.Count() - before; n != 0 {
+			t.Fatalf("relaxed=%v: %d commit latencies recorded for an abandoned batch", relaxed, n)
+		}
+		// The next batch is probed again: the metric is not silent.
+		if _, err := s.NextBatch(4); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ProbeTarget(); got != 8 {
+			t.Fatalf("relaxed=%v: probe at %d after the next batch, want 8", relaxed, got)
+		}
 	}
 }
 

@@ -74,6 +74,10 @@ type BatchReply struct {
 	// Cut piggybacks the worker's latest view of the DPR cut so clients
 	// learn commit progress without polling the finder.
 	Cut core.Cut
+	// CutGen, when non-zero, names the immutable snapshot Cut was taken from,
+	// uniquely in this process: a co-located session recognises the cut it
+	// folded last by it. It is not sent on the wire; zero means compare entries.
+	CutGen uint64
 }
 
 // WorkerConfig parameterizes a Worker.
@@ -168,12 +172,6 @@ type Worker struct {
 	// sessions. Runs on the maintenance/watch goroutine: keep it fast and
 	// never call back into the worker.
 	cutObs atomic.Pointer[func(core.WorldLine, []byte)]
-
-	// lastDep caches the most recent (version, dependency) recorded so the
-	// hot path skips the deps mutex when a session hammers one worker with
-	// the same dependency token — the common no-new-cross-shard-dependency
-	// case between two cut refreshes.
-	lastDep atomic.Pointer[versionDep]
 
 	// exec + rbFence + rbMu fence rollbacks against in-flight batch
 	// execution without a shared mutex on the hot path. Every execution lane
@@ -276,7 +274,7 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	}
 	moved := make(chan struct{})
 	w.moved.Store(&moved)
-	snap := &cutSnapshot{wl: wl, cut: make(core.Cut)}
+	snap := &cutSnapshot{wl: wl, cut: make(core.Cut), gen: cutGens.Add(1)}
 	if cfg.EncodeCut != nil {
 		snap.encoded = cfg.EncodeCut(snap.cut)
 	}
@@ -540,6 +538,11 @@ func (w *Worker) AdmitBatch(h BatchHeader) (core.WorldLine, error) {
 type ExecLane struct {
 	w    *Worker
 	slot *epoch.Slot
+	// gate is the gate of session, the lane's last: locked from a successful
+	// AdmitBatchGuarded to its ReleaseBatch, and where the session's next batch
+	// finds it without the worker's map (unless the sweep has aged it out).
+	gate    *sessionGate
+	session uint64
 }
 
 // NewLane registers an execution lane. Close it when the connection ends.
@@ -595,16 +598,20 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 		w.trace.Record(obs.EvBatchRejected, uint64(cur), uint64(h.WorldLine), 0)
 		return cur, fmt.Errorf("%w (worker at %d, batch at %d)", ErrBatchRejected, cur, h.WorldLine)
 	}
-	g := w.gate(h.SessionID)
+	g := lane.gate
+	if g == nil || lane.session != h.SessionID {
+		g = w.gate(h.SessionID)
+	}
 	g.mu.Lock()
 	for g.dead {
-		// The sweep archived this gate between our lookup and the lock;
-		// its fence now lives in the archive table. Re-look-up: gate()
-		// rehydrates from the record the sweep just wrote.
+		// The sweep archived this gate since it was looked up; its fence now
+		// lives in the archive table. Re-look-up: gate() rehydrates from the
+		// record the sweep wrote.
 		g.mu.Unlock()
 		g = w.gate(h.SessionID)
 		g.mu.Lock()
 	}
+	lane.gate, lane.session = g, h.SessionID
 	g.era = w.gateEra.Load()
 	if h.WorldLine > g.wl {
 		// The session crossed a rollback; its sequence space restarted.
@@ -627,7 +634,7 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 // group commit starts as soon as the pump's pacing allows, not on the next
 // heartbeat. (A manual worker has no pump to wake; the mark is harmless.)
 func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
-	g := w.gate(h.SessionID)
+	g := lane.gate // locked by the admission this call pairs with
 	if executed {
 		if end := h.SeqStart + uint64(h.NumOps); end > g.next {
 			g.next = end
@@ -635,9 +642,9 @@ func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
 	}
 	g.mu.Unlock()
 	lane.slot.Exit()
-	if executed && !w.dirty.Swap(true) {
+	if executed && !w.dirty.Load() && !w.dirty.Swap(true) {
 		// False→true edge: wake the pump. The channel saturates at one
-		// token, so the steady-state hot-path cost is the Swap alone.
+		// token, so the steady-state hot-path cost is the Load alone.
 		select {
 		case w.dirtyCh <- struct{}{}:
 		default:
@@ -647,30 +654,24 @@ func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
 
 // cutSnapshot is an immutable (world-line, cut, pre-encoded cut) triple. It
 // is built and swapped in whole so readers always see a consistent pair of
-// cut and originating world-line.
+// cut and originating world-line; gen is its number among all the snapshots
+// this process has published (BatchReply.CutGen).
 type cutSnapshot struct {
 	wl      core.WorldLine
 	cut     core.Cut
 	encoded []byte
+	gen     uint64
 }
 
-// versionDep is a (version, dependency) pair for the RecordDependency
-// duplicate cache.
-type versionDep struct {
-	v   core.Version
-	dep core.Token
-}
+var cutGens atomic.Uint64
 
 // RecordDependency attributes the batch's dependency token to a version the
 // batch's operations executed in. Call once per distinct version in the
-// batch after execution; self-dependencies are ignored. Allocation-free and
-// mutex-free when (v, dep) matches the previous call — the steady-state
-// single-worker session pattern.
+// batch after execution; self-dependencies are ignored. A set insert, and
+// idempotent: the serving frame skips the call when a lane repeats the pair it
+// recorded last, which is the steady state between two cut refreshes.
 func (w *Worker) RecordDependency(v core.Version, dep core.Token) {
 	if dep.Version == 0 || dep.Worker == w.cfg.ID {
-		return
-	}
-	if last := w.lastDep.Load(); last != nil && last.v == v && last.dep == dep {
 		return
 	}
 	w.depsMu.Lock()
@@ -681,7 +682,6 @@ func (w *Worker) RecordDependency(v core.Version, dep core.Token) {
 	}
 	set[dep] = struct{}{}
 	w.depsMu.Unlock()
-	w.lastDep.Store(&versionDep{v: v, dep: dep})
 }
 
 // Reply assembles the DPR reply header for a batch whose operations executed
@@ -696,7 +696,7 @@ func (w *Worker) RecordDependency(v core.Version, dep core.Token) {
 func (w *Worker) Reply(versions []core.Version) BatchReply {
 	r := BatchReply{WorldLine: w.wl.Current(), Versions: versions}
 	if snap := w.cutSnap.Load(); snap.wl == r.WorldLine {
-		r.Cut = snap.cut
+		r.Cut, r.CutGen = snap.cut, snap.gen
 	}
 	return r
 }
@@ -881,7 +881,6 @@ func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
 		}
 	}
 	w.depsMu.Unlock()
-	w.lastDep.Store(nil) // the cache may name a rolled-back version
 	w.cutMu.Lock()
 	if w.reported > cut.Get(w.cfg.ID) {
 		w.reported = cut.Get(w.cfg.ID)
@@ -1119,13 +1118,15 @@ func (w *Worker) refreshState() {
 			return
 		}
 	}
-	snap := &cutSnapshot{wl: wl, cut: cut.Clone()}
+	if prev := w.cutSnap.Load(); prev.wl == wl && prev.cut.Equal(cut) {
+		return // the published snapshot, its generation and its encoding stand
+	}
+	snap := &cutSnapshot{wl: wl, cut: cut.Clone(), gen: cutGens.Add(1)}
 	if w.cfg.EncodeCut != nil {
 		snap.encoded = w.cfg.EncodeCut(snap.cut)
 	}
-	prev := w.cutSnap.Load()
 	w.cutSnap.Store(snap)
-	if f := w.cutObs.Load(); f != nil && (prev.wl != snap.wl || !prev.cut.Equal(snap.cut)) {
+	if f := w.cutObs.Load(); f != nil {
 		(*f)(snap.wl, snap.encoded)
 	}
 }

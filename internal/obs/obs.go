@@ -90,6 +90,13 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+// CounterFunc is a counter read at scrape time from a callback — a total the
+// component already keeps in pieces (per-lane counters), so the hot path pays
+// for the pieces only. The callback must be monotone.
+type CounterFunc struct {
+	fn atomic.Pointer[func() uint64]
+}
+
 // Gauge is a settable instantaneous value. Set/Add are a single atomic op.
 type Gauge struct {
 	v atomic.Int64
@@ -174,7 +181,7 @@ func (k Kind) String() string {
 // series is one labeled instrument within a family.
 type series struct {
 	labels string // pre-rendered `{...}` suffix
-	inst   any    // *Counter | *Gauge | *GaugeFunc | *Histogram
+	inst   any    // *Counter | *CounterFunc | *Gauge | *GaugeFunc | *Histogram
 }
 
 // family groups series sharing a metric name.
@@ -235,6 +242,14 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.getOrCreate(name, help, KindCounter, labels, func() any { return &Counter{} }).(*Counter)
 }
 
+// CounterFunc registers a callback-backed counter; like GaugeFunc, registering
+// an existing series rebinds it.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	c := &CounterFunc{} // bound before a scrape can find it
+	c.fn.Store(&fn)
+	r.getOrCreate(name, help, KindCounter, labels, func() any { return c }).(*CounterFunc).fn.Store(&fn)
+}
+
 // Gauge registers (or finds) a settable gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.getOrCreate(name, help, KindGauge, labels, func() any { return &Gauge{} }).(*Gauge)
@@ -293,6 +308,9 @@ func writeSeries(w io.Writer, name string, s *series) error {
 	switch inst := s.inst.(type) {
 	case *Counter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, inst.Value())
+		return err
+	case *CounterFunc:
+		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, (*inst.fn.Load())())
 		return err
 	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, inst.Value())

@@ -57,18 +57,21 @@ type Worker struct {
 
 	reg       *obs.Registry
 	lbls      []obs.Label
-	batchesC  *obs.Counter
-	opsC      *obs.Counter
 	batchLatH *obs.Histogram
 	batchOpsH *obs.Histogram
 	// Connections and co-located callers are assigned lanes round-robin and
 	// bump their lane's counters on the hot path, so load attribution needs
-	// no per-connection label cardinality.
+	// no per-connection label cardinality; the worker's totals are their sums,
+	// taken at scrape.
 	lanes   []laneCounters
 	laneSeq atomic.Uint64
 }
 
 type laneCounters struct{ batches, ops *obs.Counter }
+
+// time.Since(clockBase) is one monotonic clock read; time.Now is that and a
+// wall-clock one.
+var clockBase = time.Now()
 
 // NewWorker binds cfg.Addr ("" = no network side: co-located callers only),
 // wraps so in a libdpr.Worker advertising the bound address and registers the
@@ -110,10 +113,10 @@ func (w *Worker) Instruments() (*obs.Registry, []obs.Label) { return w.reg, w.lb
 // worker with the same id.
 func (w *Worker) registerObs() {
 	reg, lbls := w.reg, w.lbls
-	w.batchesC = reg.Counter("dpr_server_batches_total",
-		"Batches executed by the serving layer.", lbls...)
-	w.opsC = reg.Counter("dpr_server_ops_total",
-		"Operations executed by the serving layer.", lbls...)
+	reg.CounterFunc("dpr_server_batches_total",
+		"Batches executed by the serving layer.", func() uint64 { b, _ := w.totals(); return b }, lbls...)
+	reg.CounterFunc("dpr_server_ops_total",
+		"Operations executed by the serving layer.", func() uint64 { _, o := w.totals(); return o }, lbls...)
 	w.batchLatH = reg.Histogram("dpr_server_batch_latency_seconds",
 		"Server-side batch execution latency (admission through reply assembly).", lbls...)
 	w.batchOpsH = reg.ValueHistogram("dpr_server_batch_ops",
@@ -145,6 +148,15 @@ func (w *Worker) registerObs() {
 		}, lbls...)
 }
 
+// totals sums the lane counters.
+func (w *Worker) totals() (batches, ops uint64) {
+	for i := range w.lanes {
+		batches += w.lanes[i].batches.Value()
+		ops += w.lanes[i].ops.Value()
+	}
+	return batches, ops
+}
+
 // Start begins accepting; open builds each connection's backend state. The
 // frame adds the connection's scratch and lane, so batches execute
 // allocation-free.
@@ -173,6 +185,13 @@ func (w *Worker) Start(open func() Conn) {
 type Lane struct {
 	exec *libdpr.ExecLane
 	laneCounters
+	// The dependency the lane recorded last and where; a session repeats it
+	// until its other worker's version moves, so most batches skip the call.
+	// The world-line is part of the key: a rollback forgets what was recorded
+	// under the versions it erased, and they come round again.
+	depWL  core.WorldLine
+	depVer core.Version
+	dep    core.Token
 }
 
 // NewLane registers an execution lane under the next lane id (round-robin).
@@ -206,7 +225,7 @@ type Scratch struct {
 //
 //dpr:noalloc
 func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane *Lane) (*wire.BatchReply, *wire.ErrorReply) {
-	start := time.Now()
+	start := time.Since(clockBase)
 	if _, err := w.dpr.AdmitBatchGuarded(req.Header, lane.exec); err != nil {
 		code := wire.ErrCodeRejected
 		if errors.Is(err, libdpr.ErrStaleBatch) {
@@ -227,33 +246,33 @@ func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane 
 		w.dpr.ReleaseBatch(req.Header, lane.exec, false)
 		return nil, refusal
 	}
-	// RecordDependency is idempotent (a set insert behind a last-pair fast
-	// path), so recording whenever the version differs from the previous
-	// operation's covers every distinct version without a dedup set.
+	// The fence is held: the reply's world-line is the one the batch executed on.
+	dprReply := w.dpr.Reply(sc.versions)
+	// RecordDependency is idempotent, so calling it whenever the version differs
+	// from the previous operation's covers every distinct one without a set.
 	var prev core.Version
 	for i := range sc.results {
 		v := sc.results[i].Version
 		sc.versions[i] = v
-		if v != prev && v != 0 {
+		if v != prev && v != 0 && (v != lane.depVer || req.Header.Dep != lane.dep || dprReply.WorldLine != lane.depWL) {
 			w.dpr.RecordDependency(v, req.Header.Dep)
+			lane.depWL, lane.depVer, lane.dep = dprReply.WorldLine, v, req.Header.Dep
 		}
 		prev = v
 	}
-	dprReply := w.dpr.Reply(sc.versions)
 	sc.reply = wire.BatchReply{
 		WorldLine: dprReply.WorldLine,
 		Results:   sc.results,
 		Cut:       dprReply.Cut,
+		CutGen:    dprReply.CutGen,
 		// The pre-encoded cut is spliced verbatim by AppendBatchReply,
 		// skipping per-batch map serialization.
 		EncodedCut: w.dpr.EncodedCut(),
 	}
-	w.batchesC.Inc()
-	w.opsC.Add(uint64(n))
 	lane.batches.Inc()
 	lane.ops.Add(uint64(n))
 	w.batchOpsH.ObserveValue(uint64(n))
-	w.batchLatH.Observe(time.Since(start))
+	w.batchLatH.Observe(time.Since(clockBase) - start)
 	w.dpr.ReleaseBatch(req.Header, lane.exec, true)
 	return &sc.reply, nil
 }
@@ -262,8 +281,7 @@ func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane 
 // counters onto the libDPR protocol view.
 func (w *Worker) DebugState() obs.DPRState {
 	st := w.dpr.DebugState(w.store)
-	st.Batches = w.batchesC.Value()
-	st.Ops = w.opsC.Value()
+	st.Batches, st.Ops = w.totals()
 	return st
 }
 

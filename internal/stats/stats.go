@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +37,7 @@ func bucketOf(d time.Duration) int {
 	if us < 1 {
 		us = 1
 	}
-	exp := 63 - leadingZeros(uint64(us))
+	exp := 63 - bits.LeadingZeros64(uint64(us))
 	frac := 0
 	if exp >= 3 {
 		frac = int((us >> (uint(exp) - 3)) & 7)
@@ -46,17 +47,6 @@ func bucketOf(d time.Duration) int {
 		b = len((&Histogram{}).buckets) - 1
 	}
 	return b
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 func bucketLower(b int) time.Duration {

@@ -272,3 +272,49 @@ func TestSortDurations(t *testing.T) {
 		t.Fatalf("%v", ds)
 	}
 }
+
+// TestBucketOfBoundaries pins bucketOf at 0, 1 ns, the largest duration, and on
+// both sides of every bucket boundary, against the bit-by-bit scan for the
+// leading one that it used before math/bits.
+func TestBucketOfBoundaries(t *testing.T) {
+	ref := func(d time.Duration) int {
+		us := max(d.Microseconds(), 1)
+		exp := 0
+		for i := 63; i >= 0; i-- {
+			if uint64(us)&(1<<uint(i)) != 0 {
+				exp = i
+				break
+			}
+		}
+		b := exp * 8
+		if exp >= 3 {
+			b += int(us>>(uint(exp)-3)) & 7
+		}
+		return min(b, NumBuckets-1)
+	}
+	for d, want := range map[time.Duration]int{
+		0: 0, 1: 0, time.Microsecond: 0, 2 * time.Microsecond: 8, 7 * time.Microsecond: 16,
+		8 * time.Microsecond: 24, 9 * time.Microsecond: 25, 15 * time.Microsecond: 31, 16 * time.Microsecond: 32,
+		17 * time.Microsecond: 32, 18 * time.Microsecond: 33, time.Second: 159, math.MaxInt64: 424,
+	} {
+		if got := bucketOf(d); got != want || ref(d) != want {
+			t.Errorf("bucketOf(%v) = %d (bit scan: %d), want %d", d, got, ref(d), want)
+		}
+	}
+	for b := 0; b < NumBuckets; b++ {
+		lower := bucketLower(b)
+		if lower <= 0 {
+			break // wrapped: beyond what a Duration holds
+		}
+		for _, d := range []time.Duration{lower - time.Microsecond, lower - 1, lower, lower + 1, lower + time.Microsecond} {
+			if got, want := bucketOf(d), ref(d); got != want {
+				t.Fatalf("bucketOf(%v) = %d at the boundary of bucket %d, want %d", d, got, b, want)
+			}
+		}
+		if b%8 == 0 || b >= 24 { // below 8 µs a power of two has one bucket, the first of its eight
+			if got := bucketOf(lower); got != b {
+				t.Fatalf("bucketOf(%v) = %d, want %d: it is that bucket's lower bound", lower, got, b)
+			}
+		}
+	}
+}

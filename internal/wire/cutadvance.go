@@ -49,6 +49,17 @@ func AppendCutAdvanceEncoded(dst []byte, wl core.WorldLine, encodedCut []byte) [
 	return append(dst, encodedCut...)
 }
 
+// DecodeCutAdvance is DecodeCutAdvanceInto through the connection's memo:
+// a.Cut is nil when the pushed cut repeats the last cut section decoded on this
+// connection, reply or push, and the memo's map when it does not.
+//
+//dpr:noalloc
+func (m *CutMemo) DecodeCutAdvance(a *CutAdvance, p []byte) error {
+	d := &decoder{buf: p}
+	a.WorldLine = core.WorldLine(d.u64())
+	return m.decodeCut(d, a.WorldLine, &a.Cut)
+}
+
 // DecodeCutAdvanceInto parses a cut-advance payload into a, reusing a.Cut.
 // Nothing in the decoded form aliases p (cuts are small and copied into the
 // map), but the count is still validated against the payload size before any
@@ -56,32 +67,7 @@ func AppendCutAdvanceEncoded(dst []byte, wl core.WorldLine, encodedCut []byte) [
 //
 //dpr:noalloc
 func DecodeCutAdvanceInto(a *CutAdvance, p []byte) error {
-	d := &decoder{buf: p}
-	a.WorldLine = core.WorldLine(d.u64())
-	cn := int(d.u32())
-	if d.err == nil && cn > len(p) { // each cut entry needs 12 bytes
-		clear(a.Cut) // keep the reject contract: no stale entries on error
-		return errCutCount
-	}
-	if a.Cut == nil {
-		a.Cut = make(core.Cut, cn) //dpr:ignore hotpath-noalloc first decode only; later decodes clear and refill the map
-	} else {
-		clear(a.Cut)
-	}
-	if d.err == nil && cn > 0 {
-		for i := 0; i < cn; i++ {
-			w := core.WorkerID(d.u32())
-			v := core.Version(d.u64())
-			if d.err == nil {
-				a.Cut[w] = v
-			}
-		}
-	}
-	if err := d.finish(); err != nil {
-		clear(a.Cut)
-		return err
-	}
-	return nil
+	return (*CutMemo)(nil).DecodeCutAdvance(a, p)
 }
 
 // DecodeCutAdvance parses a cut-advance payload into a fresh value.

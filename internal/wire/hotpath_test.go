@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -289,5 +290,77 @@ func TestFrameIOZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("WriteFrame allocates %.1f/op, want 0", a)
+	}
+}
+
+// TestCutMemo: a connection's memo hands over a frame's cut the first time its
+// bytes are seen and nil until they change — by one byte, by the
+// world-line they ride on, or because another frame's cut came in between —
+// whether the cut arrives in a batch reply or in a pushed cut advance; a frame
+// that does not decode is not remembered.
+func TestCutMemo(t *testing.T) {
+	section := AppendCut(nil, core.Cut{1: 5, 2: 7})
+	reply := func(wl core.WorldLine, encodedCut []byte) []byte {
+		return EncodeBatchReply(&BatchReply{WorldLine: wl, EncodedCut: encodedCut,
+			Results: []OpResult{{Status: StatusOK, Version: 3, Value: []byte("v")}}})
+	}
+	moved := bytes.Clone(section)
+	moved[len(moved)-8]++ // the low byte of the last entry's version
+	var want core.Cut
+	if a, err := DecodeCutAdvance(AppendCutAdvanceEncoded(nil, 0, moved)); err != nil {
+		t.Fatal(err)
+	} else {
+		want = a.Cut
+	}
+
+	var memo CutMemo
+	var r BatchReply
+	var a CutAdvance
+	for i, step := range []struct {
+		name  string
+		push  bool
+		wl    core.WorldLine
+		cut   []byte
+		fresh bool
+		bad   bool
+	}{
+		{"first reply", false, 0, section, true, false},
+		{"the same reply", false, 0, section, false, false},
+		{"a push of the same cut", true, 0, section, false, false},
+		{"a push, one byte moved", true, 0, moved, true, false},
+		{"a reply repeating the push", false, 0, moved, false, false},
+		{"a truncated reply", false, 0, moved[:len(moved)-1], false, true},
+		{"the reply again", false, 0, moved, false, false},
+		{"the same bytes on another world-line", false, 1, moved, true, false},
+		{"back to the first cut", false, 1, section, true, false},
+	} {
+		var err error
+		got := &r.Cut
+		if step.push {
+			got = &a.Cut
+			err = memo.DecodeCutAdvance(&a, AppendCutAdvanceEncoded(nil, step.wl, step.cut))
+		} else {
+			err = memo.DecodeBatchReply(&r, reply(step.wl, step.cut))
+		}
+		if fresh := err == nil && *got != nil; fresh != step.fresh || (err != nil) != step.bad {
+			t.Fatalf("step %d (%s): cut %v, err %v; want a fresh cut %v, an error %v", i, step.name, *got, err, step.fresh, step.bad)
+		}
+		if err == nil && !step.push && (len(r.Results) != 1 || string(r.Results[0].Value) != "v" || r.WorldLine != step.wl) {
+			t.Fatalf("step %d (%s): results %+v on world-line %d", i, step.name, r.Results, r.WorldLine)
+		}
+		if step.fresh && bytes.Equal(step.cut, moved) && !maps.Equal(*got, want) {
+			t.Fatalf("step %d (%s): decoded %v, want %v", i, step.name, *got, want)
+		}
+	}
+	// Without a memo every frame is decoded.
+	for i := 0; i < 2; i++ {
+		if err := DecodeBatchReplyInto(&r, reply(0, section)); err != nil || !maps.Equal(r.Cut, core.Cut{1: 5, 2: 7}) {
+			t.Fatalf("no memo, decode %d: err %v, cut %v", i, err, r.Cut)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		memo.DecodeBatchReply(&r, reply(1, section))
+	}); n > 1 { // the test's own encode
+		t.Fatalf("a repeated cut section costs %.0f allocations to recognise", n)
 	}
 }

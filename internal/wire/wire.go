@@ -26,6 +26,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -104,6 +105,9 @@ type BatchReply struct {
 	// re-serializing the map on every reply. Encode-side only; decoding
 	// always populates Cut.
 	EncodedCut []byte
+	// CutGen is libdpr.BatchReply.CutGen for a reply handed over in process
+	// (co-located execution); it is not encoded, and decodes as zero.
+	CutGen uint64
 }
 
 // ErrorReply is a worker→client error frame. NewOwner is meaningful only for
@@ -463,18 +467,73 @@ func EncodeBatchReply(r *BatchReply) []byte {
 	return AppendBatchReply(make([]byte, 0, 32+len(r.Results)*24), r)
 }
 
-// DecodeBatchReplyInto parses a reply payload into r, reusing r.Results and
-// r.Cut. Values alias p (zero copy): the caller owns p and must not reuse it
-// until the decoded reply has been fully consumed. Absent values decode as
-// nil; present zero-length values decode as non-nil empty slices.
+// CutMemo is one connection's memory of the cut section it decoded last,
+// batch reply or cut advance. A worker splices the same pre-encoded bytes into
+// every frame of a commit round, so a reader that compares the raw section
+// first decodes a cut — and lets its session fold one — once per round, not
+// once per frame. The zero value is ready; a nil *CutMemo decodes every frame.
+type CutMemo struct {
+	wl      core.WorldLine
+	section []byte // empty until a cut has decoded: no valid section is
+	cut     core.Cut
+}
+
+// decodeCut decodes the cut section that ends d's buffer into *cut, reusing
+// the map. Through a memo the map is the memo's own (valid until its next
+// decode), and *cut is nil instead when the section repeats, byte for byte and
+// on world-line wl, the last one that decoded cleanly. On error the map is
+// left empty.
 //
 //dpr:noalloc
-func DecodeBatchReplyInto(r *BatchReply, p []byte) error {
+func (m *CutMemo) decodeCut(d *decoder, wl core.WorldLine, cut *core.Cut) error {
+	section := d.buf[min(d.off, len(d.buf)):]
+	if m != nil {
+		if *cut = m.cut; len(m.section) > 0 && d.err == nil && wl == m.wl && bytes.Equal(section, m.section) {
+			*cut = nil
+			return nil
+		}
+	}
+	n := int(d.u32())
+	if d.err == nil && n > len(d.buf) { // each entry needs 12 bytes
+		// Validate before sizing the map: a corrupt count must not drive a
+		// gigantic pre-allocation.
+		clear(*cut)
+		return errCutCount
+	}
+	if *cut == nil {
+		*cut = make(core.Cut, n) //dpr:ignore hotpath-noalloc first decode only; later decodes clear and refill the map
+	} else {
+		clear(*cut)
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		w := core.WorkerID(d.u32())
+		v := core.Version(d.u64())
+		if d.err == nil {
+			(*cut)[w] = v
+		}
+	}
+	if err := d.finish(); err != nil {
+		clear(*cut)
+		return err
+	}
+	if m != nil {
+		m.wl, m.cut = wl, *cut
+		m.section = append(m.section[:0], section...) //dpr:ignore hotpath-noalloc grows once to the cut's size; a section is a few entries
+	}
+	return nil
+}
+
+// DecodeBatchReply is DecodeBatchReplyInto through the connection's memo:
+// r.Cut is nil when the frame's cut section repeats the last one decoded on
+// this connection, and the memo's map, not r's, when it does not.
+//
+//dpr:noalloc
+func (m *CutMemo) DecodeBatchReply(r *BatchReply, p []byte) error {
 	d := &decoder{buf: p}
 	r.WorldLine = core.WorldLine(d.u64())
 	n := int(d.u32())
 	r.Results = r.Results[:0]
-	r.EncodedCut = nil
+	r.EncodedCut, r.CutGen = nil, 0
 	if d.err == nil && n > 0 {
 		if n > len(p) {
 			return errResultCount
@@ -493,32 +552,21 @@ func DecodeBatchReplyInto(r *BatchReply, p []byte) error {
 			}
 		}
 	}
-	cn := int(d.u32())
-	if d.err == nil && cn > len(p) {
-		// Validate before sizing the map: a corrupt count must not drive a
-		// gigantic pre-allocation.
+	err := m.decodeCut(d, r.WorldLine, &r.Cut)
+	if err != nil {
 		r.Results = r.Results[:0]
-		return errCutCount
 	}
-	if r.Cut == nil {
-		r.Cut = make(core.Cut, cn) //dpr:ignore hotpath-noalloc first decode only; later decodes clear and refill the map
-	} else {
-		clear(r.Cut)
-	}
-	if d.err == nil && cn > 0 {
-		for i := 0; i < cn; i++ {
-			w := core.WorkerID(d.u32())
-			v := core.Version(d.u64())
-			if d.err == nil {
-				r.Cut[w] = v
-			}
-		}
-	}
-	if err := d.finish(); err != nil {
-		r.Results = r.Results[:0]
-		return err
-	}
-	return nil
+	return err
+}
+
+// DecodeBatchReplyInto parses a reply payload into r, reusing r.Results and
+// r.Cut. Values alias p (zero copy): the caller owns p and must not reuse it
+// until the decoded reply has been fully consumed. Absent values decode as
+// nil; present zero-length values decode as non-nil empty slices.
+//
+//dpr:noalloc
+func DecodeBatchReplyInto(r *BatchReply, p []byte) error {
+	return (*CutMemo)(nil).DecodeBatchReply(r, p)
 }
 
 // DecodeBatchReply parses a reply payload. Values alias p (zero copy); see
