@@ -45,8 +45,9 @@ race:
 	$(GO) test -race ./...
 
 # The commit path's interleaving- and timing-sensitive tests — kv seals and
-# torn-seal recovery, the libdpr commit pump, heartbeat backstop, WaitCommit
-# and CommitBoundary — log compaction (its liveness rule, a pass yielding to a
+# torn-seal recovery, the libdpr commit pump and commit rounds (two workers
+# closing a version together; the finder's announced version), heartbeat
+# backstop, WaitCommit and CommitBoundary — log compaction (its liveness rule, a pass yielding to a
 # commit and to a rollback, the log staying bounded under load: -short runs
 # that one for 3 s instead of 30), the serving frame's (backend conformance,
 # Stop) and the client's batch lifecycle (every transition against scripted
@@ -63,7 +64,8 @@ commit-path-stress:
 	}; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
-	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals' ./internal/libdpr; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline' ./internal/libdpr; \
+	run 'TestAnnouncement' ./internal/metadata; \
 	run 'TestConformance|TestStop' ./internal/serve; \
 	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \
 	run 'TestFaultProxyBlackhole' ./internal/wire

@@ -267,13 +267,16 @@ func printLogView(workers []*obs.DPRState) {
 func mib(n int64) string { return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20)) }
 
 // pumpColumn says why a worker commits at the cadence it does: the gap its
-// commit pump currently leaves after a seal ("adaptive 0.63ms": the last seal
-// took 0.21 ms); "-" for the finder and for manual-commit workers.
+// commit pump currently leaves after a seal before it opens a round of its own
+// and how many commits it has started that opened one or joined a peer's
+// ("adaptive 0.63ms 5210/4876": the last seal took 0.21 ms, and the worker
+// opens about as many rounds as it joins); "-" for the finder and for
+// manual-commit workers.
 func pumpColumn(st *obs.DPRState) string {
 	if st.CommitPump == "" {
 		return "-"
 	}
-	return fmt.Sprintf("%s %.3gms", st.CommitPump, st.CommitGapMS)
+	return fmt.Sprintf("%s %.3gms %d/%d", st.CommitPump, st.CommitGapMS, st.RoundsInitiated, st.RoundsJoined)
 }
 
 // printElasticView renders the finder's membership table, the per-worker

@@ -11,7 +11,8 @@ import (
 
 // serviceHook wraps the real metadata store with two chaos controls:
 //
-//   - an adjustable extra latency applied to every call, modeling metadata
+//   - an adjustable extra latency applied to every call a caller waits for
+//     (the one-way AnnounceCommit is lost instead), modeling metadata
 //     access spikes (the paper prices every DPR design decision in metadata
 //     round-trips, §3.1, so the harness must survive them being slow);
 //   - a per-worker address override, so Members() hands clients the worker's
@@ -101,6 +102,18 @@ func (h *serviceHook) RecoveredCut(wl core.WorldLine) (core.Cut, error) {
 func (h *serviceHook) AckWorldLine(w core.WorkerID, wl core.WorldLine) error {
 	h.pause()
 	return h.inner.AckWorldLine(w, wl)
+}
+
+// AnnounceCommit is one-way — no caller waits for it — so a latency spike
+// cannot delay it from the caller's side: while one is injected the hook loses
+// the announcement instead, which is the other thing a slow channel does to a
+// message nobody retries, and puts the join-on-persisted-Vmax path under the
+// same fault schedules as the announced one.
+func (h *serviceHook) AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Version) {
+	if h.latency.Load() > 0 {
+		return
+	}
+	h.inner.AnnounceCommit(w, wl, v)
 }
 
 // WaitStateChange forwards the push path; the injected latency models a slow

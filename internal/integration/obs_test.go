@@ -103,6 +103,8 @@ func TestObsEndpoints(t *testing.T) {
 		"# TYPE dpr_server_batches_total counter",
 		"# TYPE dpr_server_batch_latency_seconds histogram",
 		"# TYPE dpr_seal_seconds histogram",
+		`dpr_worker_commit_rounds_total{role="initiated",worker="1"`,
+		`dpr_worker_commit_rounds_total{role="joined",worker="1"`,
 		"# TYPE dpr_store_log_bytes gauge",
 		`dpr_store_log_bytes{region="resident"`,
 		`dpr_store_log_bytes{region="mutable"`,
@@ -151,6 +153,11 @@ func TestObsEndpoints(t *testing.T) {
 		t.Fatalf("worker snapshot: commit_pump %q checkpoint_interval_ms %v commit_gap_ms %v meta_watch %v",
 			wst.CommitPump, wst.CheckpointIntervalMS, wst.CommitGapMS, wst.MetaWatch)
 	}
+	// Every commit the worker started either opened a round or joined one.
+	if wst.RoundsInitiated+wst.RoundsJoined == 0 {
+		t.Fatalf("worker snapshot: rounds_initiated %d rounds_joined %d after a committed workload",
+			wst.RoundsInitiated, wst.RoundsJoined)
+	}
 	// Why memory is where it is: the log's boundaries, in order, and the
 	// committed version compaction is held to.
 	if l := wst.Log; l == nil || l.Tail == 0 || l.Begin > l.Head || l.Head > l.ReadOnly || l.ReadOnly > l.Tail ||
@@ -169,6 +176,15 @@ func TestObsEndpoints(t *testing.T) {
 	}
 	if v, ok := findMetric(fm, "dpr_finder_version_reports_total"); !ok || v < 1 {
 		t.Fatalf("dpr_finder_version_reports_total = %v", v)
+	}
+	// Announcements crossed the wire: the finder holds a closing version, and
+	// its Vmax is never below it.
+	closing, ok := findMetric(fm, "dpr_finder_closing_version")
+	if vmax, _ := findMetric(fm, "dpr_finder_vmax"); !ok || closing < 1 || vmax < closing {
+		t.Fatalf("dpr_finder_closing_version = %v, dpr_finder_vmax = %v", closing, vmax)
+	}
+	if fst := scrapeDebug(t, finderObsHTTP); fst.Kind != "finder" || fst.Closing == 0 || fst.Vmax < fst.Closing {
+		t.Fatalf("finder snapshot: closing_version %d vmax %d", fst.Closing, fst.Vmax)
 	}
 
 	// The in-process client resolved at least one commit-latency probe: the

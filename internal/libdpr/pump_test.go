@@ -34,7 +34,10 @@ type timedStore struct {
 	seals   []sealSpan
 }
 
-type sealSpan struct{ start, end time.Time }
+type sealSpan struct {
+	v          core.Version
+	start, end time.Time
+}
 
 func newTimedStore(commit time.Duration) *timedStore {
 	s := &timedStore{commit: commit}
@@ -71,7 +74,7 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 			s.mu.Unlock()
 			return
 		}
-		s.seals = append(s.seals, sealSpan{start, time.Now()})
+		s.seals = append(s.seals, sealSpan{v, start, time.Now()})
 		s.persisted.Store(uint64(v))
 		s.mu.Unlock()
 		(*s.notify.Load())(v)
@@ -96,11 +99,20 @@ type pumpRig struct {
 
 func newPumpRig(t *testing.T, so *timedStore, cfg libdpr.WorkerConfig) *pumpRig {
 	t.Helper()
-	cfg.ID, cfg.Addr = 1, "inproc-1"
+	return newPumpRigOn(t, so, cfg, 1, metadata.NewStore(metadata.Config{}))
+}
+
+// newPumpRigOn is newPumpRig as worker id of a metadata service it shares.
+func newPumpRigOn(t *testing.T, so *timedStore, cfg libdpr.WorkerConfig, id core.WorkerID, meta metadata.Service) *pumpRig {
+	t.Helper()
+	cfg.ID, cfg.Addr = id, fmt.Sprintf("inproc-%d", id)
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = 10 * time.Second
 	}
-	w, err := libdpr.NewWorker(cfg, so, metadata.NewStore(metadata.Config{}))
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
+	w, err := libdpr.NewWorker(cfg, so, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +208,13 @@ func TestPumpSealsIdleWorkerAtOnce(t *testing.T) {
 // predecessor ended than PumpGapSeals times what that one took.
 func sealPeriod(t *testing.T, seals []sealSpan) time.Duration {
 	t.Helper()
+	return sealPeriodRested(t, seals, libdpr.PumpGapSeals)
+}
+
+// sealPeriodRested is sealPeriod for a worker that owes every seal a rest of
+// restSeals times its duration.
+func sealPeriodRested(t *testing.T, seals []sealSpan, restSeals time.Duration) time.Duration {
+	t.Helper()
 	if len(seals) < 3 {
 		t.Fatalf("only %d seals", len(seals))
 	}
@@ -205,9 +224,9 @@ func sealPeriod(t *testing.T, seals []sealSpan) time.Duration {
 		// The worker times a seal from just before the store starts it to
 		// the store's announcement, so its measure is never the shorter one.
 		took := seals[i-1].end.Sub(seals[i-1].start)
-		if gap := seals[i].start.Sub(seals[i-1].end); gap < libdpr.PumpGapSeals*took {
+		if gap := seals[i].start.Sub(seals[i-1].end); gap < restSeals*took {
 			t.Fatalf("seal %d started %v after a seal that took %v, want %d times that",
-				i, gap, took, libdpr.PumpGapSeals)
+				i, gap, took, restSeals)
 		}
 	}
 	return median(periods)

@@ -131,9 +131,14 @@ type Worker struct {
 	depsMu sync.Mutex
 	deps   map[core.Version]map[core.Token]struct{}
 
-	cutMu    sync.Mutex
-	cut      core.Cut
+	cutMu sync.Mutex
+	cut   core.Cut
+	// vmax is the finder's Vmax — the highest version any worker has closed
+	// or persisted — as of the last refresh, and vmaxWL the world-line it was
+	// read on: a version announced before a rollback is nobody's target after
+	// it (see knownVmax).
 	vmax     core.Version
+	vmaxWL   core.WorldLine
 	reported core.Version
 	// cutSnap is the latest piggybackable cut as an immutable snapshot,
 	// published atomically so the per-operation Reply path is allocation-free.
@@ -240,6 +245,10 @@ type Worker struct {
 	rejectedC     *obs.Counter
 	staleC        *obs.Counter
 	fastForwardsC *obs.Counter
+	// Commit rounds this worker opened (closed a version above Vmax, and said
+	// so) and joined (closed a version a peer had closed already).
+	initiatedC *obs.Counter
+	joinedC    *obs.Counter
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -345,6 +354,9 @@ func (w *Worker) registerObs() {
 		"Batches rejected by the session sequence fence (late redelivery).", lbl)
 	w.fastForwardsC = reg.Counter("dpr_worker_version_fast_forwards_total",
 		"Admissions that forced a commit to satisfy the progress rule.", lbl)
+	const roundsHelp = "Commits started by this worker: initiated closed a version above Vmax, joined one a peer had closed."
+	w.initiatedC = reg.Counter("dpr_worker_commit_rounds_total", roundsHelp, lbl, obs.L("role", "initiated"))
+	w.joinedC = reg.Counter("dpr_worker_commit_rounds_total", roundsHelp, lbl, obs.L("role", "joined"))
 	w.rollbackDrainH = reg.Histogram("dpr_worker_rollback_drain_seconds",
 		"Time each rollback fence drain waited for in-flight batches.", lbl)
 	w.sealH = reg.Histogram("dpr_seal_seconds",
@@ -392,6 +404,8 @@ func (w *Worker) DebugState(kind string) obs.DPRState {
 		CheckpointIntervalMS: float64(w.cfg.CheckpointInterval) / float64(time.Millisecond),
 		CommitPump:           pump,
 		CommitGapMS:          float64(w.commitGap()) / float64(time.Millisecond),
+		RoundsInitiated:      w.initiatedC.Value(),
+		RoundsJoined:         w.joinedC.Value(),
 		MetaWatch:            true,
 		WorldLine:            uint64(w.wl.Current()),
 		CurrentVersion:       uint64(w.so.CurrentVersion()),
@@ -732,20 +746,43 @@ func (w *Worker) CommittedVersion() core.Version {
 	return w.cutSnap.Load().cut.Get(w.cfg.ID)
 }
 
-// TriggerCommit starts a commit of everything up to the current version
-// (the explicit group-commit-boundary API of §3).
-func (w *Worker) TriggerCommit() error {
+// knownVmax returns the finder's Vmax as of the last refresh, or 0 when that
+// refresh read another world-line than wl: the versions closed before a
+// rollback are not targets after it.
+func (w *Worker) knownVmax(wl core.WorldLine) core.Version {
 	w.cutMu.Lock()
-	vmax := w.vmax
-	w.cutMu.Unlock()
+	defer w.cutMu.Unlock()
+	if w.vmaxWL != wl {
+		return 0
+	}
+	return w.vmax
+}
+
+// TriggerCommit starts a commit of everything up to the current version
+// (the explicit group-commit-boundary API of §3). A target above Vmax opens a
+// commit round: once the seal is under way the worker announces the version,
+// and every busy peer closes it too (see commitPump). A target at Vmax joins
+// the round of whoever closed it first.
+func (w *Worker) TriggerCommit() error {
+	wl := w.wl.Current()
+	vmax := w.knownVmax(wl)
 	target := w.so.CurrentVersion()
 	// Fast-forward to Vmax so a lagging worker catches up in bounded time
 	// (§3.4).
 	if vmax > target {
 		target = vmax
 	}
-	w.trace.Record(obs.EvCheckpointBegin, uint64(w.wl.Current()), uint64(target), 0)
-	return w.beginCommit(target)
+	w.trace.Record(obs.EvCheckpointBegin, uint64(wl), uint64(target), 0)
+	if err := w.beginCommit(target); err != nil {
+		return err
+	}
+	if target > vmax {
+		w.initiatedC.Inc()
+		w.meta.AnnounceCommit(w.cfg.ID, wl, target)
+	} else {
+		w.joinedC.Inc()
+	}
+	return nil
 }
 
 // beginCommit starts a commit up to target on the state object and, unless a
@@ -966,9 +1003,16 @@ func (w *Worker) maintenanceLoop() {
 
 // pumpGapSeals is the pump's duty-cycle constant: after a seal ends, the pump
 // leaves pumpGapSeals times that seal's measured duration before it starts the
-// next, so the state object spends at most 1/(1+pumpGapSeals) of its time
-// sealing whatever a seal costs — a 0.25 ms kv flush recurs every ~1 ms, a
-// 40 ms snapshot every 160 ms. The value trades commit latency for the
+// next on its own, so a state object left to itself spends at most
+// 1/(1+pumpGapSeals) of its time sealing whatever a seal costs — a 0.25 ms kv
+// flush recurs every ~1 ms, a 40 ms snapshot every 160 ms. The gap paces the
+// rounds a worker initiates. Joining a round a peer opened (see pumpDeadline)
+// is not a second pacing rule: a join adds no round, it moves this worker's
+// seal for a round that exists to where that round can complete, and the
+// cluster's round rate stays that of its fastest pump. What a join may cost
+// the joiner is bounded by the rest it keeps, one seal's duration — a duty
+// cycle of at most 1/2, and only for a worker whose seals are slower than a
+// peer's whole period. The value trades commit latency for the
 // throughput of a saturated worker, which pays for every commit round — the
 // seal's version shift, a report, a cut fan-out to every session and a fold
 // in each: at 1 (duty cycle 1/2) ycsb_a_batched lost a tenth of its
@@ -984,11 +1028,33 @@ func (w *Worker) commitGap() time.Duration {
 	return time.Duration(w.sealDur.Load()) * pumpGapSeals
 }
 
+// pumpDeadline is when (unix nanos) a dirty worker's pump may start its next
+// seal, from what is known now. While a seal is in flight, whoever started
+// it: when that seal is presumed dead — one that failed never announces
+// itself, the heartbeat drops its stamp within two intervals, and the retry's
+// seal is what paces the pump again. Otherwise, if a peer has closed a version
+// this worker has not (Vmax is at or above the version still open here), the
+// round exists and this worker is what it waits for: the deadline is one
+// seal's duration after the last seal ended. Otherwise a seal would open a
+// round, and those are commitGap apart.
+func (w *Worker) pumpDeadline() int64 {
+	if start := w.sealStart.Load(); start != 0 {
+		return start + int64(2*w.cfg.CheckpointInterval)
+	}
+	rest := w.commitGap()
+	if w.so.CurrentVersion() <= w.knownVmax(w.wl.Current()) {
+		rest = time.Duration(w.sealDur.Load())
+	}
+	return w.sealEnd.Load() + int64(rest)
+}
+
 // commitPump converts dirty marks into group commits: at once when the
-// worker has been idle, otherwise as soon as the seal in flight is over and
-// has been for commitGap. TriggerCommit folds into the state object's
-// single-flight commit, so the heartbeat or a version fast-forward landing
-// in between costs no second device write.
+// worker has been idle, otherwise at pumpDeadline — which moves whenever a
+// seal starts or lands (the pump's own, or one forced by a version
+// fast-forward, the heartbeat or CommitBoundary) and whenever a refresh brings
+// a Vmax this worker has not closed, all of which wake await.
+// TriggerCommit folds into the state object's single-flight commit, so a
+// commit landing in between costs no second device write.
 func (w *Worker) commitPump() {
 	defer w.wg.Done()
 	for {
@@ -997,20 +1063,17 @@ func (w *Worker) commitPump() {
 			return
 		case <-w.dirtyCh:
 		}
-		// A seal in flight: wait it out. One that failed never announces
-		// itself; the heartbeat declares it dead within two intervals, and its
-		// retry's seal is what wakes the pump (and paces it) again.
-		if start := w.sealStart.Load(); start != 0 {
-			w.await(2*w.cfg.CheckpointInterval, func() bool { return w.sealStart.Load() != start })
-		}
-		next := time.Unix(0, w.sealEnd.Load()).Add(w.commitGap())
-		if wait := time.Until(next); wait > 0 {
-			t := time.NewTimer(wait)
+		for {
+			at := w.pumpDeadline()
+			wait := time.Until(time.Unix(0, at))
+			if wait <= 0 {
+				break
+			}
+			w.await(wait, func() bool { return w.pumpDeadline() != at })
 			select {
 			case <-w.stop:
-				t.Stop()
 				return
-			case <-t.C:
+			default:
 			}
 		}
 		// Clear dirty before committing: work arriving mid-commit re-arms
@@ -1099,7 +1162,7 @@ func (w *Worker) refreshState() {
 	w.cutMu.Lock()
 	prevSelf := w.cut.Get(w.cfg.ID)
 	w.cut = cut
-	w.vmax = vmax
+	w.vmax, w.vmaxWL = vmax, wl
 	w.cutMu.Unlock()
 	w.wake()
 	w.refreshedAt.Store(time.Now().UnixNano())

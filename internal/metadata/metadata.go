@@ -57,6 +57,13 @@ type Service interface {
 	// world-line wl; recovery coordinators wait for all members to ack
 	// before resuming DPR progress (§4.1).
 	AckWorldLine(w core.WorkerID, wl core.WorldLine) error
+	// AnnounceCommit says that worker w, on world-line wl, has closed version
+	// v — started its seal — so that busy peers close v with it instead of
+	// each on its own clock (a commit round). It is one-way and advisory:
+	// nothing is returned, an announcement from another world-line or below
+	// the known Vmax is dropped, and a lost one costs the peers one seal of
+	// latency (they see v in Vmax once w has persisted it).
+	AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Version)
 	// StateWatcher is how workers learn that State changed: every service
 	// can wake its caller, so nothing falls back to polling State.
 	StateWatcher
@@ -141,12 +148,13 @@ type ownerStripe struct {
 // contending with reporters. gen records which mutation generation the view
 // reflects; readers rebuild lazily when it falls behind.
 type stateView struct {
-	gen    uint64
-	wl     core.WorldLine
-	cut    core.Cut // effective cut (the frozen cut while frozen); never mutated after publish
-	vmax   core.Version
-	frozen bool
-	migs   []Migration // in-flight migrations; never mutated after publish
+	gen     uint64
+	wl      core.WorldLine
+	cut     core.Cut     // effective cut (the frozen cut while frozen); never mutated after publish
+	vmax    core.Version // highest version any worker has closed or persisted
+	closing core.Version // highest announced version (0: none on this world-line)
+	frozen  bool
+	migs    []Migration // in-flight migrations; never mutated after publish
 }
 
 // Store is the in-process metadata service.
@@ -171,6 +179,12 @@ type Store struct {
 	// boundary belongs to the world-line it was taken on.
 	migrations map[uint64]Migration
 	migSeq     uint64
+	// closing is the highest version a worker has announced closing on the
+	// current world-line (AnnounceCommit); Vmax is the larger of it and the
+	// finder's persisted maximum. It may name a version nobody has persisted
+	// yet. Like the migrations it belongs to a world-line: BeginRecovery
+	// clears it, and it is never written into the snapshot.
+	closing core.Version
 
 	// gen counts cut-affecting mutations (bumped under stateMu); state is
 	// the latest published view. Readers that observe view.gen == gen are
@@ -231,8 +245,11 @@ func (s *Store) registerObs() {
 		"Current world-line assigned by the finder.",
 		func() float64 { return float64(s.WorldLine()) })
 	reg.GaugeFunc("dpr_finder_vmax",
-		"Largest version reported to the finder.",
+		"Largest version any worker has closed or persisted.",
 		func() float64 { return float64(s.view().vmax) })
+	reg.GaugeFunc("dpr_finder_closing_version",
+		"Largest version announced as closing on this world-line (0: none).",
+		func() float64 { return float64(s.view().closing) })
 	reg.GaugeFunc("dpr_finder_frozen",
 		"1 while DPR progress is frozen for recovery, else 0.",
 		func() float64 {
@@ -298,6 +315,7 @@ func (s *Store) DebugState() obs.DPRState {
 		CutMax:     uint64(max),
 		Cut:        cutJSON,
 		Vmax:       uint64(v.vmax),
+		Closing:    uint64(v.closing),
 		Frozen:     v.frozen,
 		Members:    members,
 		Owners:     owners,
@@ -412,7 +430,8 @@ func (s *Store) publishLocked() *stateView {
 			migs = append(migs, m)
 		}
 	}
-	v := &stateView{gen: gen, wl: s.worldLine, cut: cut, vmax: s.finder.MaxVersion(), frozen: s.frozen, migs: migs}
+	v := &stateView{gen: gen, wl: s.worldLine, cut: cut, vmax: max(s.finder.MaxVersion(), s.closing),
+		closing: s.closing, frozen: s.frozen, migs: migs}
 	s.state.Store(v)
 	return v
 }
@@ -571,6 +590,22 @@ func (s *Store) AckWorldLine(w core.WorkerID, wl core.WorldLine) error {
 	return nil
 }
 
+// AnnounceCommit implements Service. Only an announcement that raises Vmax
+// bumps the generation: the second worker to close a version wakes nobody.
+func (s *Store) AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Version) {
+	s.simulateLatency()
+	if !s.hasMember(w) {
+		return
+	}
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	if wl != s.worldLine || v <= s.closing || v <= s.finder.MaxVersion() {
+		return
+	}
+	s.closing = v
+	s.bumpLocked()
+}
+
 // AllAcked reports whether every registered member has confirmed rollback
 // into world-line wl.
 func (s *Store) AllAcked(wl core.WorldLine) bool {
@@ -606,6 +641,8 @@ func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 	// Dropping them here makes CompleteMigrate fail and the coordinator
 	// abort (the donor keeps ownership — SetOwner never flipped).
 	clear(s.migrations)
+	// So was every announced version: a worker that rolls back never closes it.
+	s.closing = 0
 	s.bumpLocked()
 	s.publishLocked()
 	s.persist()

@@ -63,6 +63,13 @@ type (
 		Worker    core.WorkerID
 		WorldLine core.WorldLine
 	}
+	// AnnounceArgs announces a closing version, tagged with the world-line it
+	// was closed on.
+	AnnounceArgs struct {
+		Worker    core.WorkerID
+		WorldLine core.WorldLine
+		Version   core.Version
+	}
 	// HeartbeatArgs signals liveness.
 	HeartbeatArgs struct{ Worker core.WorkerID }
 	// MigrateArgs registers an in-flight migration.
@@ -204,6 +211,12 @@ func (s *RPCService) AckWorldLine(args *AckArgs, _ *Empty) error {
 	return s.store.AckWorldLine(args.Worker, args.WorldLine)
 }
 
+// AnnounceCommit is the RPC for Service.AnnounceCommit.
+func (s *RPCService) AnnounceCommit(args *AnnounceArgs, _ *Empty) error {
+	s.store.AnnounceCommit(args.Worker, args.WorldLine, args.Version)
+	return nil
+}
+
 // Join is the RPC for ElasticService.Join.
 func (s *RPCService) Join(args *RegisterArgs, _ *Empty) error {
 	return s.store.Join(args.Worker, args.Addr)
@@ -321,12 +334,17 @@ func (c *RPCClient) Close() error {
 var metaRTT = obs.Default.Histogram("dpr_meta_rtt_seconds",
 	"Round-trip time of metadata RPC calls (reports, state polls, ownership).")
 
+// client returns the connection in use (call replaces it when it redials).
+func (c *RPCClient) client() *rpc.Client {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.c
+}
+
 func (c *RPCClient) call(method string, args, reply any) error {
 	start := time.Now()
 	defer func() { metaRTT.Observe(time.Since(start)) }()
-	c.mu.Lock()
-	cl := c.c
-	c.mu.Unlock()
+	cl := c.client()
 	err := cl.Call(method, args, reply)
 	if err == rpc.ErrShutdown {
 		// One reconnect attempt: metadata hiccups must not kill workers.
@@ -370,9 +388,7 @@ func (c *RPCClient) State() (core.Cut, core.Version, core.WorldLine, error) {
 // routed through call(): the round trip is dominated by the server-side park,
 // which would drown the metaRTT histogram's real signal.
 func (c *RPCClient) WaitStateChange(since uint64, timeout time.Duration) (uint64, error) {
-	c.mu.Lock()
-	cl := c.c
-	c.mu.Unlock()
+	cl := c.client()
 	args := &WaitStateArgs{SinceGen: since, TimeoutMS: int64(timeout / time.Millisecond)}
 	var reply WaitStateReply
 	err := cl.Call("Metadata.WaitState", args, &reply)
@@ -430,6 +446,15 @@ func (c *RPCClient) RecoveredCut(wl core.WorldLine) (core.Cut, error) {
 // AckWorldLine implements Service.
 func (c *RPCClient) AckWorldLine(w core.WorkerID, wl core.WorldLine) error {
 	return c.call("Metadata.AckWorldLine", &AckArgs{Worker: w, WorldLine: wl}, &Empty{})
+}
+
+// AnnounceCommit implements Service: the call is sent and not waited for, so
+// a commit never takes a metadata round trip longer to start. A connection
+// that is down loses the announcement; the next waited-for call redials.
+func (c *RPCClient) AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Version) {
+	cl := c.client()
+	cl.Go("Metadata.AnnounceCommit", &AnnounceArgs{Worker: w, WorldLine: wl, Version: v},
+		&Empty{}, make(chan *rpc.Call, 1))
 }
 
 // Heartbeat signals liveness for worker w.

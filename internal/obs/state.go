@@ -22,8 +22,11 @@ type DPRState struct {
 	CutLag uint64 `json:"cut_lag,omitempty"`
 	// Cut is the full cut view, keyed by decimal worker id.
 	Cut map[string]uint64 `json:"cut,omitempty"`
-	// Vmax is the finder's largest reported version (finder only).
-	Vmax uint64 `json:"vmax,omitempty"`
+	// Vmax is the largest version any worker has closed or persisted, and
+	// Closing the largest one announced as closing on this world-line — above
+	// the persisted maximum while a commit round is under way (finder only).
+	Vmax    uint64 `json:"vmax,omitempty"`
+	Closing uint64 `json:"closing_version,omitempty"`
 	// Frozen reports whether DPR progress is halted for recovery (finder).
 	Frozen bool `json:"frozen,omitempty"`
 	// Members is the membership table (finder only).
@@ -39,11 +42,16 @@ type DPRState struct {
 	// leave a gap after a seal of three times what it took; both are absent
 	// on a manual-commit worker. CommitGapMS is the gap that rule currently
 	// yields: with the dpr_seal_seconds histogram, why the commit cadence is
-	// what it is. MetaWatch says cut changes stream in via the finder
-	// long-poll: true on every worker, since there is no other way.
+	// what it is. RoundsInitiated counts the commits this worker started that
+	// closed a version no worker had closed before, RoundsJoined the ones that
+	// closed a version a peer already had. MetaWatch says cut changes stream
+	// in via the finder long-poll: true on every worker, since there is no
+	// other way.
 	CheckpointIntervalMS float64 `json:"checkpoint_interval_ms,omitempty"`
 	CommitPump           string  `json:"commit_pump,omitempty"`
 	CommitGapMS          float64 `json:"commit_gap_ms,omitempty"`
+	RoundsInitiated      uint64  `json:"rounds_initiated,omitempty"`
+	RoundsJoined         uint64  `json:"rounds_joined,omitempty"`
 	MetaWatch            bool    `json:"meta_watch,omitempty"`
 
 	Sessions        int    `json:"sessions,omitempty"`
