@@ -2,10 +2,10 @@ GO ?= go
 # Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build fmt-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic
+.PHONY: check build fmt-check wait-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic
 
 # The full pre-commit gate, in the order CI runs it.
-check: build fmt-check vet dpr-vet test bench-module
+check: build fmt-check wait-check vet dpr-vet test bench-module
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,18 @@ build:
 fmt-check:
 	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
 		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# A sub-millisecond wait goes through internal/hrtimer: a runtime timer that
+# short fires at the runtime's next unrelated wake-up, up to a millisecond
+# late in an idle process (DESIGN.md "Commit rounds", Waits). A grep, not a
+# dpr-vet checker: it looks for a Microsecond or Nanosecond constant handed to
+# package time's waits, outside tests, the fault harnesses (chaos, integration,
+# scale), the baselines and dpr-vet's fixtures.
+wait-check:
+	@out=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' \
+			-e '^internal/\(analysis\|chaos\|integration\|scale\|baseline\)/' \
+		| xargs grep -nE 'time\.(Sleep|After|AfterFunc|NewTimer)\(.*(Microsecond|Nanosecond)'); \
+		if [ -n "$$out" ]; then echo "sub-millisecond wait on package time (use internal/hrtimer):"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -52,7 +64,8 @@ race:
 # that one for 3 s instead of 30), the serving frame's (backend conformance,
 # Stop) and the client's batch lifecycle (every transition against scripted
 # workers; operations lost to severed, blackholed, restarted and co-located
-# workers; the fault proxy those use), twenty times each under the race
+# workers; the fault proxy those use), hrtimer's two legs and the device model's
+# completion path, twenty times each under the race
 # detector, on one processor and on two. A -run list that
 # matches nothing (a renamed test) fails the target instead of passing
 # vacuously.
@@ -62,6 +75,8 @@ commit-path-stress:
 		echo "$$out"; \
 		if echo "$$out" | grep -q 'no tests to run'; then echo "commit-path-stress: -run '$$1' matched no test in $$2"; exit 1; fi; \
 	}; \
+	run '.' ./internal/hrtimer; \
+	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
 	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline' ./internal/libdpr; \

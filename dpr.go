@@ -200,7 +200,7 @@ func (c *Cluster) Metadata() *metadata.Store { return c.meta }
 // cached without its world-line can silently cross a recovery boundary.
 func (c *Cluster) CurrentCut() (Cut, WorldLine) {
 	cut, _, wl, _ := c.meta.State()
-	return cut, wl
+	return cut.Clone(), wl // the finder's published cut is shared; the caller's copy is its own
 }
 
 // InjectFailure simulates a worker failure (as §7.4 does): the cluster

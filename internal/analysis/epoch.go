@@ -24,7 +24,7 @@ import (
 //
 //     - channel sends, receives, range-over-channel, and selects without a
 //     default case;
-//     - time.Sleep and sync.WaitGroup.Wait;
+//     - time.Sleep, hrtimer.Sleep and sync.WaitGroup.Wait;
 //     - calls to epoch.Table.Drain/WaitObserved, directly or through any
 //     call chain in the module (the whole-program part: the call graph
 //     decides reachability);
@@ -521,8 +521,9 @@ func (a *epochFlow) blockingCall(call *ast.CallExpr, inst string, epos token.Pos
 		}
 	}
 	if fn := calledFunc(a.pkg, call); fn != nil {
-		if fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
-			a.blockDiag(call.Pos(), "time.Sleep", inst, epos)
+		// hrtimer by last path segment, like the epoch package itself.
+		if short := pkgShortName(fn.Pkg()); fn.Name() == "Sleep" && (short == "time" || short == "hrtimer") {
+			a.blockDiag(call.Pos(), short+".Sleep", inst, epos)
 			return
 		}
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {

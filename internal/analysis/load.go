@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -218,6 +219,13 @@ func (l *loader) parseDir(dir string) ([]*ast.File, string, error) {
 			continue
 		}
 		if strings.HasSuffix(fn, "_test.go") && !l.cfg.IncludeTests {
+			continue
+		}
+		// Files for another platform (name suffix or //go:build line) are
+		// not part of the package being checked.
+		if match, err := build.Default.MatchFile(dir, fn); err != nil {
+			return nil, "", err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, fn), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fixture/epoch"
+	"fixture/hrtimer"
 )
 
 // LeakOnError returns with the slot still entered on the failure path.
@@ -52,6 +53,13 @@ func SendWhileEntered(s *epoch.Slot, ch chan int) {
 func SleepWhileEntered(s *epoch.Slot) {
 	s.Enter()
 	time.Sleep(time.Millisecond) // want "time.Sleep while epoch slot s is entered"
+	s.Exit()
+}
+
+// ShortSleepWhileEntered stalls it no less for sleeping through hrtimer.
+func ShortSleepWhileEntered(s *epoch.Slot) {
+	s.Enter()
+	hrtimer.Sleep(time.Microsecond) // want "hrtimer.Sleep while epoch slot s is entered"
 	s.Exit()
 }
 

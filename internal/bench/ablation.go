@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dpr/internal/core"
+	"dpr/internal/hrtimer"
 	"dpr/internal/kv"
 	"dpr/internal/metadata"
 	"dpr/internal/storage"
@@ -152,7 +153,7 @@ func AblationCheckpointKinds(opt Options) error {
 					return err
 				}
 				for store.PersistedVersion() < target {
-					time.Sleep(50 * time.Microsecond)
+					hrtimer.Sleep(50 * time.Microsecond)
 				}
 				ckptTime = time.Since(start) // last round's checkpoint
 			}

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dpr/internal/hrtimer"
 )
 
 // Slot is one participant's registration in a Table. A participant Enters a
@@ -121,7 +123,7 @@ func (t *Table) WaitObserved(target uint64) {
 			runtime.Gosched()
 			continue
 		}
-		time.Sleep(10 * time.Microsecond)
+		hrtimer.Sleep(10 * time.Microsecond)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dpr/internal/core"
+	"dpr/internal/hrtimer"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
@@ -20,6 +21,11 @@ import (
 // OnPersist and records when every commit started and ended.
 type timedStore struct {
 	commit time.Duration
+	// parked makes a commit a wait the process can go idle in, on hrtimer as a
+	// device's completion is. Otherwise the commit's goroutine yields until
+	// the time is up: one more runnable goroutine for as long as a seal lasts,
+	// which the flood tests' timings were taken with.
+	parked bool
 	// silent makes the next n commits vanish: version shifted, nothing
 	// persisted, nobody told — a storage error as the worker sees it.
 	silent atomic.Int32
@@ -29,6 +35,7 @@ type timedStore struct {
 	notify    atomic.Pointer[func(core.Version)]
 
 	mu      sync.Mutex
+	landed  *sync.Cond // on mu: a seal was appended to seals
 	running bool
 	folded  int // BeginCommit calls that found a commit in flight
 	seals   []sealSpan
@@ -41,6 +48,7 @@ type sealSpan struct {
 
 func newTimedStore(commit time.Duration) *timedStore {
 	s := &timedStore{commit: commit}
+	s.landed = sync.NewCond(&s.mu)
 	s.current.Store(1)
 	return s
 }
@@ -62,12 +70,7 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 	s.running = true
 	s.current.Store(uint64(v) + 1)
 	start := time.Now()
-	go func() {
-		// Yield rather than sleep: a sub-millisecond runtime timer in an
-		// otherwise idle process fires a millisecond late.
-		for time.Since(start) < s.commit {
-			runtime.Gosched()
-		}
+	finish := func() {
 		s.mu.Lock()
 		s.running = false
 		if s.silent.Add(-1) >= 0 {
@@ -78,8 +81,38 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 		s.persisted.Store(uint64(v))
 		s.mu.Unlock()
 		(*s.notify.Load())(v)
+		s.landed.Broadcast() // the worker hears first, as from a device
+	}
+	if s.parked {
+		hrtimer.AfterFunc(s.commit, finish)
+		return nil
+	}
+	go func() {
+		for time.Since(start) < s.commit {
+			runtime.Gosched()
+		}
+		finish()
 	}()
 	return nil
+}
+
+// sealed is the number of seals that have landed. A loop that yields until
+// the next one polls this and not spans: copying the list at every yield keeps
+// the collector running, and its workers take a processor from the pump.
+func (s *timedStore) sealed() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.seals)
+}
+
+// awaitSeal parks until more than n seals have landed: the caller leaves the
+// process idle while it waits, as a paced session does.
+func (s *timedStore) awaitSeal(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.seals) <= n {
+		s.landed.Wait()
+	}
 }
 
 func (s *timedStore) spans() (seals []sealSpan, folded int) {
@@ -260,9 +293,9 @@ func TestPumpFastCommitPeriod(t *testing.T) {
 	withinBound(t, func(t *testing.T) error {
 		r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{})
 		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
-			n, _ := r.so.spans()
+			n := r.so.sealed()
 			r.execute(t, 1)
-			for seals, _ := r.so.spans(); len(seals) == len(n); seals, _ = r.so.spans() {
+			for r.so.sealed() == n {
 				runtime.Gosched()
 			}
 		}
@@ -277,6 +310,43 @@ func TestPumpFastCommitPeriod(t *testing.T) {
 			if period > want+want/2 || period > time.Millisecond {
 				return fmt.Errorf("median seal period %v, want about %v and <= 1ms", period, want)
 			}
+		}
+		return nil
+	})
+}
+
+// wakeUp is how late a wait in an idle process may end: a thread woken from
+// the poller and a goroutine or two made runnable. Doubled under the race
+// detector (race_test.go).
+var wakeUp = 100 * time.Microsecond
+
+// TestPumpIdleTricklePeriod is the trickle of TestPumpFastCommitPeriod in a
+// process that goes idle, as a paced server's does: the commit is a wait on
+// hrtimer and the writer parks until the seal lands. Every wait then ends a
+// thread's wake-up late (35-55 µs on a quiet two-core host), and a period
+// holds five of them: the seal, which the pump measures and multiplies by
+// PumpGapSeals, and the deadline's own. So the period is 1.00-1.20 ms here,
+// not within the millisecond; the bound allows each wait wakeUp. With the
+// deadline alone on a bare runtime timer, which an idle process rounds up to
+// the poller's whole milliseconds, the period is 1.39-1.40 ms.
+func TestPumpIdleTricklePeriod(t *testing.T) {
+	const commit = 200 * time.Microsecond
+	const want = (1 + libdpr.PumpGapSeals) * commit
+	bound := want + (2+libdpr.PumpGapSeals)*wakeUp
+	withinBound(t, func(t *testing.T) error {
+		so := newTimedStore(commit)
+		so.parked = true
+		r := newPumpRig(t, so, libdpr.WorkerConfig{})
+		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+			n := so.sealed()
+			r.execute(t, 1)
+			so.awaitSeal(n)
+		}
+		seals, _ := so.spans()
+		period := sealPeriod(t, seals)
+		t.Logf("at a %v commit, idle: %d seals, median period %v", commit, len(seals), period)
+		if period > bound {
+			return fmt.Errorf("median seal period %v, want %v and a wake-up per wait, <= %v", period, want, bound)
 		}
 		return nil
 	})

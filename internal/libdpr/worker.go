@@ -18,6 +18,7 @@ import (
 
 	"dpr/internal/core"
 	"dpr/internal/epoch"
+	"dpr/internal/hrtimer"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
 )
@@ -537,7 +538,7 @@ func (w *Worker) AdmitBatch(h BatchHeader) (core.WorldLine, error) {
 			if time.Now().After(deadline) {
 				return w.wl.Current(), fmt.Errorf("libdpr: version fast-forward to %d timed out", h.Vs)
 			}
-			time.Sleep(50 * time.Microsecond)
+			hrtimer.Sleep(50 * time.Microsecond)
 		}
 	}
 	return w.wl.Current(), nil
@@ -601,7 +602,7 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 			w.trace.Record(obs.EvBatchRejected, uint64(cur), uint64(h.WorldLine), 0)
 			return cur, fmt.Errorf("%w (rollback fence held past admit timeout)", ErrBatchRejected)
 		}
-		time.Sleep(20 * time.Microsecond)
+		hrtimer.Sleep(20 * time.Microsecond)
 	}
 	// Recheck under the guard: a rollback may have completed between
 	// admission and the slot entry, and this batch would execute against
@@ -827,10 +828,12 @@ func (w *Worker) wake() {
 }
 
 // await blocks until cond holds, re-evaluating it after every seal and every
-// cut refresh, and reports whether it did before the timeout (or Stop).
+// cut refresh, and reports whether it did before the timeout (or Stop). The
+// timeout is the pump's deadline, a few hundred microseconds out: it runs on
+// hrtimer, whose pooled timer also costs a wait no allocation.
 func (w *Worker) await(timeout time.Duration, cond func() bool) bool {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := hrtimer.NewTimer(timeout)
+	defer t.Release()
 	for {
 		moved := *w.moved.Load() // before cond: a wake landing in between closes it
 		if cond() {
@@ -1016,10 +1019,13 @@ func (w *Worker) maintenanceLoop() {
 // throughput of a saturated worker, which pays for every commit round — the
 // seal's version shift, a report, a cut fan-out to every session and a fold
 // in each: at 1 (duty cycle 1/2) ycsb_a_batched lost a tenth of its
-// throughput, at 2 and 3 about 4 %, and commit_paced read 1.0, 1.4 and 1.4 ms
-// (sub-millisecond timers in a mostly idle process are late by more than the
-// difference between two and three seal durations). The sweep is in
-// EXPERIMENTS.md and BENCH_16.json.
+// throughput, at 2 and 3 about 4 % (the sweep is in EXPERIMENTS.md and
+// BENCH_16.json). commit_paced read 1.0, 1.4 and 1.4 ms then, because a
+// sub-millisecond runtime timer in a mostly idle process was late by more than
+// the difference between two and three seal durations; with the seal and the
+// deadline on hrtimer it reads 0.64-0.72, 0.81-0.85 and 0.98-0.99 ms
+// (EXPERIMENTS.md "Waits that end on time"): a step of one seal per unit, as
+// the rule says, and the throughput side of the trade has not moved.
 const pumpGapSeals = 3
 
 // commitGap is the pause the pump currently leaves after a seal ends before
@@ -1184,7 +1190,7 @@ func (w *Worker) refreshState() {
 	if prev := w.cutSnap.Load(); prev.wl == wl && prev.cut.Equal(cut) {
 		return // the published snapshot, its generation and its encoding stand
 	}
-	snap := &cutSnapshot{wl: wl, cut: cut.Clone(), gen: cutGens.Add(1)}
+	snap := &cutSnapshot{wl: wl, cut: cut, gen: cutGens.Add(1)} // State's cut is immutable: no copy
 	if w.cfg.EncodeCut != nil {
 		snap.encoded = w.cfg.EncodeCut(snap.cut)
 	}

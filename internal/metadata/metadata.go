@@ -42,7 +42,8 @@ type Service interface {
 	// ReportVersion records that worker w persisted version v with deps.
 	ReportVersion(w core.WorkerID, v core.Version, deps []core.Token) error
 	// State returns the current DPR cut, Vmax (for checkpoint fast-forward),
-	// and the current world-line.
+	// and the current world-line. The cut is shared with every other caller
+	// and is read-only: whoever wants to change it clones it first.
 	State() (core.Cut, core.Version, core.WorldLine, error)
 	// Members lists registered workers and their addresses.
 	Members() (map[core.WorkerID]string, error)
@@ -382,14 +383,29 @@ func (s *Store) WaitStateChange(since uint64, timeout time.Duration) (uint64, er
 		<-ch
 		return s.gen.Load(), nil
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := legTimers.Get().(*time.Timer) // recycled: a leg allocates no timer
+	t.Reset(timeout)
 	select {
 	case <-ch:
+		if !t.Stop() {
+			<-t.C // it ran out as the state changed: the next leg must not find this
+		}
 	case <-t.C:
 	}
+	legTimers.Put(t)
 	return s.gen.Load(), nil
 }
+
+// legTimers holds the long-poll legs' timeouts, stopped and drained. A leg
+// ends with every state change — thousands of times a second on a busy finder
+// — and lasts a quarter of a second if nothing changes: a runtime timer's
+// business, not hrtimer's, whose descriptor every far deadline would have to
+// be set to and set back from.
+var legTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // StateWatcher is the push half of a Service: WaitStateChange wakes a worker
 // when the cut-bearing state changes, so its watch loop long-polls instead of
@@ -498,20 +514,12 @@ func (s *Store) ReportVersion(w core.WorkerID, v core.Version, deps []core.Token
 
 // State implements Service. While recovery is in progress the cut is frozen
 // at its pre-failure value. Readers consume the published view: concurrent
-// State calls share one snapshot and do not serialize against reporters.
+// State calls share one immutable snapshot, allocate nothing and do not
+// serialize against reporters.
 func (s *Store) State() (core.Cut, core.Version, core.WorldLine, error) {
 	s.simulateLatency()
 	v := s.view()
-	return v.cut.Clone(), v.vmax, v.wl, nil
-}
-
-// StateShared is State without the defensive clone: the returned cut is the
-// published snapshot itself and MUST be treated as read-only. In-process
-// hot callers (the scale harness folding one cut into many thousands of
-// session trackers per round) use it to keep cut publication O(1).
-func (s *Store) StateShared() (core.Cut, core.Version, core.WorldLine) {
-	v := s.view()
-	return v.cut, v.vmax, v.wl
+	return v.cut, v.vmax, v.wl, nil
 }
 
 // Members implements Service.

@@ -38,6 +38,51 @@ func TestRegisterReportState(t *testing.T) {
 	}
 }
 
+// State hands out the published cut itself: between two mutations every call
+// returns the same map and allocates nothing, and a mutation publishes a new
+// map instead of changing the one earlier callers hold.
+func TestStateSharesThePublishedCut(t *testing.T) {
+	s := NewStore(Config{Finder: FinderApproximate})
+	for w := core.WorkerID(1); w <= 2; w++ {
+		if err := s.RegisterWorker(w, "addr"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReportVersion(w, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _, _, _ := s.State()
+	if allocs := testing.AllocsPerRun(100, func() { s.State() }); allocs != 0 {
+		t.Fatalf("State allocates %v times per call", allocs)
+	}
+	if err := s.ReportVersion(1, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReportVersion(2, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	after, _, _, _ := s.State()
+	if before.Get(1) != 1 || after.Get(1) != 2 {
+		t.Fatalf("cut held from before the reports %v, after them %v; want 1 and 2 for worker 1", before, after)
+	}
+}
+
+// raceDetector is set by race_test.go: under the detector sync.Pool drops a
+// share of what it is given, on purpose.
+var raceDetector bool
+
+// A long-poll leg takes its timeout from a pool: no timer or channel per call.
+func TestWaitStateChangeLegAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	s := NewStore(Config{})
+	gen := s.Generation()
+	if allocs := testing.AllocsPerRun(100, func() { s.WaitStateChange(gen, 50*time.Microsecond) }); allocs != 0 {
+		t.Fatalf("a timed-out WaitStateChange leg allocates %v times", allocs)
+	}
+}
+
 func TestReportUnknownWorker(t *testing.T) {
 	s := NewStore(Config{})
 	if err := s.ReportVersion(9, 1, nil); err == nil {

@@ -42,7 +42,7 @@ func IdleFootprint(n int) (Footprint, error) {
 	if err := store.ReportVersion(0, 1, nil); err != nil {
 		return Footprint{}, err
 	}
-	cut, _, wl := store.StateShared()
+	cut, _, wl, _ := store.State()
 
 	var fp Footprint
 	base := heapInUse()

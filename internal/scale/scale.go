@@ -194,7 +194,7 @@ func (h *Harness) Step() error {
 		}
 		h.versions[w] = v + 1
 	}
-	cut, _, wl := h.store.StateShared()
+	cut, _, wl, _ := h.store.State()
 	for i, s := range h.live {
 		id := h.ids[i]
 		prevFloor := h.archived[id].Committed

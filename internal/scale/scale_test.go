@@ -191,7 +191,7 @@ func TestRehydrateCycleAllocs(t *testing.T) {
 	if err := store.ReportVersion(1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	cut, _, wl := store.StateShared()
+	cut, _, wl, _ := store.State()
 
 	arch := core.SessionArchive{NextSeq: 1, Relaxed: true}
 	vbuf := [1]core.Version{1}

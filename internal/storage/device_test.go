@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -107,13 +108,52 @@ func TestMemDeviceConcurrentWriters(t *testing.T) {
 	}
 }
 
+// A write to a closed device fails like any other completion: on a goroutine
+// that is not the caller's. The channel is unbuffered, so a done called on
+// the caller's stack would block the test on itself.
 func TestWriteAfterClose(t *testing.T) {
-	d := NewNull()
-	d.Close()
-	ch := make(chan error, 1)
-	d.WriteAsync("x", 0, []byte("y"), func(err error) { ch <- err })
-	if err := <-ch; err == nil {
-		t.Fatal("write after close must fail")
+	file, err := NewFileDevice(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Device{NewNull(), NewLocalSSD(), NewSink("s", LocalSSDProfile), file} {
+		d.Close()
+		ch := make(chan error)
+		d.WriteAsync("x", 0, []byte("y"), func(err error) { ch <- err })
+		if err := <-ch; err == nil {
+			t.Fatalf("%s: write after close must fail", d.Name())
+		}
+	}
+}
+
+// The local-SSD model on an idle process: a completion never arrives before
+// the profile's 100 µs (strict), and the median arrives within 180 µs — a
+// bare runtime timer reads 0.2-1.1 ms here.
+func TestLocalSSDCompletesOnTime(t *testing.T) {
+	for _, d := range []Device{NewLocalSSD(), NewSink("local-ssd", LocalSSDProfile)} {
+		d := d
+		t.Run(d.Name(), func(t *testing.T) {
+			defer d.Close()
+			floor := LocalSSDProfile.writeDelay(8)
+			var median time.Duration
+			for attempt := 0; attempt < 3; attempt++ { // the upper bound may retry, as in libdpr's pump tests
+				took := make([]time.Duration, 200)
+				done := make(chan time.Time)
+				for i := range took {
+					start := time.Now()
+					d.WriteAsync("b", int64(i)*8, make([]byte, 8), func(error) { done <- time.Now() })
+					if took[i] = (<-done).Sub(start); took[i] < floor {
+						t.Fatalf("write %d completed after %v, before the profile's %v", i, took[i], floor)
+					}
+				}
+				sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+				if median = took[len(took)/2]; median <= 180*time.Microsecond {
+					t.Logf("median completion %v", median)
+					return
+				}
+			}
+			t.Errorf("median completion %v in the best of three attempts, want <= 180µs", median)
+		})
 	}
 }
 

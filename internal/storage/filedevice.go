@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,12 +13,11 @@ import (
 // and is used by the standalone server binaries; benchmarks favour MemDevice
 // for deterministic latency models.
 type FileDevice struct {
-	dir string
+	dir       string
+	completer // no modeled delay: the disk supplies its own
 
-	mu     sync.Mutex
-	files  map[string]*os.File
-	wg     sync.WaitGroup
-	closed bool
+	mu    sync.Mutex
+	files map[string]*os.File
 }
 
 // NewFileDevice creates (if needed) dir and returns a device over it.
@@ -68,29 +66,18 @@ func (d *FileDevice) fileLocked(blob string, create bool) (*os.File, error) {
 // WriteAsync implements Device: the write and fsync run on a background
 // goroutine, after which done fires.
 func (d *FileDevice) WriteAsync(blob string, offset int64, data []byte, done func(error)) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		done(errors.New("storage: device closed"))
-		return
-	}
-	d.wg.Add(1)
-	d.mu.Unlock()
-	go func() {
-		defer d.wg.Done()
+	d.complete(len(data), func() error {
 		d.mu.Lock()
 		f, err := d.fileLocked(blob, true)
 		d.mu.Unlock()
 		if err != nil {
-			done(err)
-			return
+			return err
 		}
 		if _, err := f.WriteAt(data, offset); err != nil {
-			done(err)
-			return
+			return err
 		}
-		done(f.Sync())
-	}()
+		return f.Sync()
+	}, done)
 }
 
 // Read implements Device.
@@ -141,10 +128,7 @@ func (d *FileDevice) Delete(blob string) error {
 
 // Close waits for in-flight writes and closes all files.
 func (d *FileDevice) Close() error {
-	d.mu.Lock()
-	d.closed = true
-	d.mu.Unlock()
-	d.wg.Wait()
+	_ = d.completer.Close() // never fails
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var first error

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -14,46 +13,33 @@ import (
 // still work. Never use it where recovery must re-read data (MemDevice or
 // FileDevice there).
 type SinkDevice struct {
-	name    string
-	profile LatencyProfile
+	name string
+	completer
 
-	mu     sync.Mutex
-	sizes  map[string]int64
-	closed bool
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	sizes map[string]int64
 }
 
 // NewSink creates a data-discarding device with the given latency profile.
 func NewSink(name string, profile LatencyProfile) *SinkDevice {
-	return &SinkDevice{name: name, profile: profile, sizes: make(map[string]int64)}
+	return &SinkDevice{name: name, completer: completer{profile: profile}, sizes: make(map[string]int64)}
 }
 
 // Name implements Device.
 func (d *SinkDevice) Name() string { return "sink:" + d.name }
 
-// WriteAsync implements Device: delay, then discard.
+// WriteAsync implements Device: delay, then discard. Like a MemDevice's, the
+// blob's size grows when the write completes.
 func (d *SinkDevice) WriteAsync(blob string, offset int64, data []byte, done func(error)) {
-	d.mu.Lock()
-	if d.closed {
+	end := offset + int64(len(data))
+	d.complete(len(data), func() error {
+		d.mu.Lock()
+		if end > d.sizes[blob] {
+			d.sizes[blob] = end
+		}
 		d.mu.Unlock()
-		done(errors.New("storage: device closed"))
-		return
-	}
-	if end := offset + int64(len(data)); end > d.sizes[blob] {
-		d.sizes[blob] = end
-	}
-	d.wg.Add(1)
-	d.mu.Unlock()
-	delay := d.profile.writeDelay(len(data))
-	complete := func() {
-		defer d.wg.Done()
-		done(nil)
-	}
-	if delay == 0 {
-		go complete()
-		return
-	}
-	timeAfterFunc(delay, complete)
+		return nil
+	}, done)
 }
 
 // Read implements Device; sinks cannot be read back.
@@ -73,15 +59,6 @@ func (d *SinkDevice) Delete(blob string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.sizes, blob)
-	return nil
-}
-
-// Close waits for in-flight writes.
-func (d *SinkDevice) Close() error {
-	d.mu.Lock()
-	d.closed = true
-	d.mu.Unlock()
-	d.wg.Wait()
 	return nil
 }
 
