@@ -2,10 +2,10 @@ GO ?= go
 # Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build fmt-check wait-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic
+.PHONY: check build fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic
 
 # The full pre-commit gate, in the order CI runs it.
-check: build fmt-check wait-check vet dpr-vet test bench-module
+check: build fmt-check wait-check atomic-check vet dpr-vet test bench-module
 
 build:
 	$(GO) build ./...
@@ -27,13 +27,27 @@ wait-check:
 		| xargs grep -nE 'time\.(Sleep|After|AfterFunc|NewTimer)\(.*(Microsecond|Nanosecond)'); \
 		if [ -n "$$out" ]; then echo "sub-millisecond wait on package time (use internal/hrtimer):"; echo "$$out"; exit 1; fi
 
+# A value accessed atomically has a sync/atomic type (atomic.Uint64,
+# atomic.Pointer[T], ...), so the compiler refuses a plain access and `go vet`
+# (copylocks) a copy. Two shapes get past both, and the tree has none of
+# either: a free function on an address (atomic.AddUint64(&x.n, 1) — the
+# field's type no longer says it is atomic, so a plain x.n elsewhere compiles)
+# and a wrapper overwritten with a zero literal (x.n = atomic.Uint64{} — vet
+# exempts composite literals). internal/analysis's TestAtomicGrepRules holds
+# these two patterns to its atomicbad fixture.
+atomic-check:
+	@out=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '^internal/analysis/testdata/' \
+		| xargs grep -nE -e 'atomic\.(Load|Store|Add|Swap|CompareAndSwap|And|Or)[A-Z][A-Za-z0-9]*\(&' \
+			-e '[^:]= *atomic\.(Bool|Int32|Int64|Uint32|Uint64|Uintptr|Value|Pointer\[.*\])\{\}'); \
+		if [ -n "$$out" ]; then echo "sync/atomic free function or zero-literal overwrite (use the typed wrappers' methods):"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
-# The repo's own static-analysis suite: atomic/mutex discipline,
-# //dpr:noalloc escape gating, cut/world-line tagging, decoder bounds, plus
-# the whole-program checkers — epoch discipline, global lock ordering,
-# goroutine lifecycle, migration protocol.
+# The repo's own static-analysis suite, six checkers: mutex-discipline
+# (release and order, per function), hotpath-noalloc (//dpr:noalloc escape
+# gating), cut-worldline, decode-bounds, epoch-discipline (Enter/Exit pairing,
+# no blocking while entered) and lock-order-global (whole program).
 dpr-vet:
 	$(GO) run ./cmd/dpr-vet ./...
 

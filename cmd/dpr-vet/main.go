@@ -1,16 +1,17 @@
 // Command dpr-vet runs the DPR static-analysis suite (internal/analysis)
-// over the module: atomic access discipline, per-function and whole-program
-// mutex ordering, //dpr:noalloc hot-path escape gating, cut/world-line
-// pairing, alias decoder bounds checks, epoch-protection discipline,
-// goroutine lifecycle, and the migration protocol. It exits non-zero when
-// any diagnostic survives the //dpr:ignore suppressions, so it can gate CI
-// exactly like the compiler.
+// over the module, six checkers: mutex-discipline (release and order within a
+// function), hotpath-noalloc (//dpr:noalloc escape gating), cut-worldline
+// (a cut travels with its world-line), decode-bounds (alias decoders),
+// epoch-discipline (Enter/Exit pairing, no blocking while entered) and
+// lock-order-global (lock ordering across the call graph). It exits non-zero
+// when any diagnostic survives the //dpr:ignore suppressions, so it can gate
+// CI exactly like the compiler.
 //
 // Usage:
 //
 //	go run ./cmd/dpr-vet ./...            # whole module
 //	go run ./cmd/dpr-vet ./internal/wire  # restrict reporting to a subtree
-//	go run ./cmd/dpr-vet -checks mutex-discipline,decode-bounds ./...
+//	go run ./cmd/dpr-vet -checks mutex-discipline,epoch-discipline ./...
 //	go run ./cmd/dpr-vet -tests ./...     # include in-package _test.go files
 //	go run ./cmd/dpr-vet -json ./...      # machine-readable diagnostics
 package main

@@ -2,9 +2,11 @@
 // codebase, built on the standard library's go/parser + go/ast + go/types
 // only (no x/tools). It type-checks the whole module and runs a suite of
 // DPR-specific checkers that turn the repo's hand-enforced invariants —
-// atomic access discipline, mutex release and ordering, allocation-free hot
-// paths, world-line-tagged cuts, bounds-checked alias decoders — into a
-// mechanical gate (cmd/dpr-vet).
+// mutex release and ordering, epoch-slot pairing and no blocking while
+// entered, allocation-free hot paths, world-line-tagged cuts, bounds-checked
+// alias decoders — into a mechanical gate (cmd/dpr-vet). An invariant that a
+// type, `go vet`, a grep or a test at teardown can state is not checked here
+// (DESIGN.md "Static analysis" has the table).
 //
 // Checkers report Diagnostics; suppressions are written in the source as
 //
@@ -76,6 +78,11 @@ type Unit struct {
 // Position resolves a token.Pos against the unit's FileSet.
 func (u *Unit) Position(p token.Pos) token.Position { return u.Fset.Position(p) }
 
+// diagf builds one checker's diagnostic at a position.
+func (u *Unit) diagf(check string, at token.Pos, format string, args ...any) Diagnostic {
+	return Diagnostic{Pos: u.Position(at), Check: check, Message: fmt.Sprintf(format, args...)}
+}
+
 // EachFile invokes fn for every file of every package.
 func (u *Unit) EachFile(fn func(p *Package, f *ast.File)) {
 	for _, p := range u.Packages {
@@ -88,15 +95,12 @@ func (u *Unit) EachFile(fn func(p *Package, f *ast.File)) {
 // DefaultCheckers returns the full DPR checker suite.
 func DefaultCheckers() []Checker {
 	return []Checker{
-		&AtomicChecker{},
 		&MutexChecker{},
 		&NoAllocChecker{},
 		&CutWorldLineChecker{},
 		&DecodeBoundsChecker{},
 		&EpochChecker{},
 		&LockOrderGlobalChecker{},
-		&GoroutineChecker{},
-		&MigrationProtocolChecker{},
 	}
 }
 

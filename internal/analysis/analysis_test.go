@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -66,8 +69,9 @@ type want struct {
 var wantQuoted = regexp.MustCompile(`"([^"]*)"`)
 
 // collectWants parses `// want "regex" ["regex" ...]` comments from every
-// fixture file in pkg.
-func collectWants(t *testing.T, pkg string) []*want {
+// fixture file in pkg. marker is "want" for dpr-vet's own diagnostics and
+// "want-vet" for the lines `go vet` must reject instead.
+func collectWants(t *testing.T, pkg, marker string) []*want {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", pkg)
 	entries, err := os.ReadDir(dir)
@@ -89,7 +93,7 @@ func collectWants(t *testing.T, pkg string) []*want {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			_, rest, ok := strings.Cut(line, "// want ")
+			_, rest, ok := strings.Cut(line, "// "+marker+" ")
 			if !ok {
 				continue
 			}
@@ -138,15 +142,12 @@ func TestCheckerFixtures(t *testing.T) {
 	cases := []struct {
 		check, bad, ok string
 	}{
-		{"atomic-discipline", "atomicbad", "atomicok"},
 		{"mutex-discipline", "mutexbad", "mutexok"},
 		{"hotpath-noalloc", "noallocbad", "noallocok"},
 		{"cut-worldline", "cutwlbad", "cutwlok"},
 		{"decode-bounds", "boundsbad", "boundsok"},
 		{"epoch-discipline", "epochbad", "epochok"},
 		{"lock-order-global", "lockglobalbad", "lockglobalok"},
-		{"goroutine-lifecycle", "golifebad", "golifeok"},
-		{"migration-protocol", "migbad", "migok"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.check, func(t *testing.T) {
@@ -161,11 +162,92 @@ func TestCheckerFixtures(t *testing.T) {
 			if n == 0 {
 				t.Errorf("checker %s produced no diagnostics on %s", tc.check, tc.bad)
 			}
-			assertMatches(t, bad, collectWants(t, tc.bad))
+			assertMatches(t, bad, collectWants(t, tc.bad, "want"))
 			for _, d := range pkgDiags(t, diags, tc.ok) {
 				t.Errorf("clean fixture %s: %s", tc.ok, d.String())
 			}
 		})
+	}
+}
+
+// vetLine is one finding in `go vet`'s output, path relative to the module.
+var vetLine = regexp.MustCompile(`^(\S+\.go):(\d+):\d+: (.*)$`)
+
+// TestFixturesRejectedByVet: the by-value copies of a lock or of a typed
+// atomic wrapper are copylocks findings, so no dpr-vet checker repeats them;
+// this keeps that true. `go vet` over the two fixture packages that hold the
+// copy shapes must report every `// want-vet` line and nothing else.
+func TestFixturesRejectedByVet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet")
+	}
+	src, err := filepath.Abs(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", "./mutexbad", "./atomicbad")
+	cmd.Dir = src
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet accepted the copy fixtures:\n%s", out)
+	}
+	var diags []Diagnostic
+	for _, line := range strings.Split(string(out), "\n") {
+		if m := vetLine.FindStringSubmatch(line); m != nil {
+			n, _ := strconv.Atoi(m[2])
+			diags = append(diags, Diagnostic{Check: "vet", Message: m[3],
+				Pos: token.Position{Filename: filepath.Join(src, m[1]), Line: n}})
+		}
+	}
+	wants := append(collectWants(t, "mutexbad", "want-vet"), collectWants(t, "atomicbad", "want-vet")...)
+	if len(wants) == 0 {
+		t.Fatal("no // want-vet lines found")
+	}
+	assertMatches(t, diags, wants)
+}
+
+// atomicGrepRules are `make atomic-check`'s two patterns: a sync/atomic free
+// function applied to an address, and a typed wrapper overwritten with a zero
+// literal (the one copy shape copylocks exempts).
+var atomicGrepRules = []string{
+	`atomic\.(Load|Store|Add|Swap|CompareAndSwap|And|Or)[A-Z][A-Za-z0-9]*\(&`,
+	`[^:]= *atomic\.(Bool|Int32|Int64|Uint32|Uint64|Uintptr|Value|Pointer\[.*\])\{\}`,
+}
+
+// TestAtomicGrepRules holds the Makefile to those patterns and the patterns
+// to the fixture: they match exactly the `// want-grep` lines of atomicbad.
+func TestAtomicGrepRules(t *testing.T) {
+	makefile, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res []*regexp.Regexp
+	for _, rule := range atomicGrepRules {
+		if !strings.Contains(string(makefile), "'"+rule+"'") {
+			t.Errorf("Makefile's atomic-check does not carry the pattern %s", rule)
+		}
+		res = append(res, regexp.MustCompile(rule))
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "src", "atomicbad", "atomicbad.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wanted := 0
+	for i, line := range strings.Split(string(data), "\n") {
+		want := strings.Contains(line, "// want-grep")
+		got := false
+		for _, re := range res {
+			got = got || re.MatchString(line)
+		}
+		if want {
+			wanted++
+		}
+		if got != want {
+			t.Errorf("atomicbad.go:%d: matched by atomic-check = %v, want %v: %s", i+1, got, want, line)
+		}
+	}
+	if wanted == 0 {
+		t.Error("no // want-grep lines found")
 	}
 }
 
@@ -210,10 +292,9 @@ func TestJustifiedIgnoreSuppresses(t *testing.T) {
 func TestFixtureCleanPackagesSilent(t *testing.T) {
 	_, diags := fixture(t)
 	failing := map[string]bool{
-		"atomicbad": true, "mutexbad": true, "noallocbad": true,
+		"mutexbad": true, "noallocbad": true,
 		"cutwlbad": true, "boundsbad": true, "ignorebad": true,
-		"epochbad": true, "lockglobalbad": true, "golifebad": true,
-		"migbad": true,
+		"epochbad": true, "lockglobalbad": true,
 	}
 	for _, d := range diags {
 		if base := filepath.Base(filepath.Dir(d.Pos.Filename)); !failing[base] {

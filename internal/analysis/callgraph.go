@@ -21,10 +21,9 @@ import (
 //
 // A `go` statement is not a synchronous edge — the spawned work does not run
 // on the caller's stack, so held locks and entered epoch slots do not flow
-// into it. Go statements are recorded separately as the goroutine-lifecycle
-// checker's roots. Deferred calls are synchronous (they run before the
-// caller returns) and function-literal bodies that are not go-spawned are
-// attributed to their enclosing declaration.
+// into it. Deferred calls are synchronous (they run before the caller
+// returns) and function-literal bodies that are not go-spawned are attributed
+// to their enclosing declaration.
 type callGraph struct {
 	u      *Unit
 	spanOf map[*types.Func]*funcSpan     // declared funcs with bodies
@@ -32,16 +31,9 @@ type callGraph struct {
 	// siteCallees resolves every call expression in the unit (including
 	// those inside go-spawned literals) to its declared in-unit targets.
 	siteCallees map[*ast.CallExpr][]*types.Func
-	goSites     []goSite
 	named       []*types.Named // concrete named types in the unit
 	implCache   map[*types.Func][]*types.Func
 	closures    map[*types.Func]map[*types.Func]bool
-}
-
-// goSite is one `go` statement, with the declaration it appears in.
-type goSite struct {
-	fs   *funcSpan
-	stmt *ast.GoStmt
 }
 
 // unitGraph builds (once) and returns the unit's call graph.
@@ -93,15 +85,14 @@ func unitGraph(u *Unit) *callGraph {
 	return g
 }
 
-// walkBody collects call edges and go sites from one body. async marks a
-// go-spawned subtree: its calls are resolved into siteCallees (the
-// goroutine checker follows them) but do not become synchronous edges of
-// the enclosing declaration.
+// walkBody collects call edges from one body. async marks a go-spawned
+// subtree: its calls are resolved into siteCallees (the lock summaries of the
+// spawned literal look them up) but do not become synchronous edges of the
+// enclosing declaration.
 func (g *callGraph) walkBody(fs *funcSpan, from *types.Func, body ast.Node, async bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.GoStmt:
-			g.goSites = append(g.goSites, goSite{fs: fs, stmt: node})
 			g.walkBody(fs, from, node.Call, true)
 			return false
 		case *ast.CallExpr:
@@ -202,12 +193,6 @@ func (g *callGraph) closure(fn *types.Func) map[*types.Func]bool {
 	}
 	g.closures[fn] = c
 	return c
-}
-
-// reaches reports whether target is reachable from fn over synchronous call
-// edges (fn == target counts).
-func (g *callGraph) reaches(fn, target *types.Func) bool {
-	return g.closure(fn)[target]
 }
 
 // reachesAny reports the first of targets reachable from fn.

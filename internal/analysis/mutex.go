@@ -1,38 +1,31 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
-// MutexChecker enforces the repo's locking discipline:
+// MutexChecker enforces the repo's locking discipline, per function, over
+// the held-resource walker of flow.go:
 //
-//  1. copy rule — values of types that (transitively) contain a sync.Mutex,
-//     sync.RWMutex, sync.Once, sync.WaitGroup or sync.Cond must not be
-//     copied: by-value parameters/receivers/results and lock-copying
-//     assignments are flagged.
+//  1. release rule — every Lock()/RLock() must be released on every return
+//     path, either by a dominating defer or by an explicit Unlock on the
+//     path. Functions that intentionally hand a held lock to their caller
+//     (guarded admission) document it with //dpr:ignore. Acquiring an
+//     exclusive lock already held is reported as a self-deadlock.
 //
-//  2. release rule — within a function, every Lock()/RLock() must be
-//     released on every return path, either by a dominating defer or by an
-//     explicit Unlock on the path. Functions that intentionally hand a held
-//     lock to their caller (guarded admission) document it with
-//     //dpr:ignore.
-//
-//  3. order rule — a declared lock-order graph, written in source as
+//  2. order rule — a declared lock-order graph, written in source as
 //
 //     //dpr:lockorder pkg.Type.field < pkg.Type.field
 //
 //     ("left is acquired before right, never the reverse"). Acquiring a
 //     lock while holding one that the graph says must come after it is
-//     flagged. The analysis is per-function over the same abstract state as
-//     the release rule.
+//     flagged.
 //
-// The release/order analysis is deliberately conservative: branch states
-// merge by intersection, so a lock provably held on every path to a return
-// is reported and a lock held on only some paths is not.
+// Copying a lock-containing value is `go vet -copylocks`'s finding, not this
+// checker's.
 type MutexChecker struct{}
 
 func (*MutexChecker) Name() string { return "mutex-discipline" }
@@ -41,12 +34,36 @@ const lockOrderDirective = "dpr:lockorder"
 
 func (c *MutexChecker) Run(u *Unit) []Diagnostic {
 	order, diags := parseLockOrder(u)
-	for _, fs := range declaredFuncs(u) {
-		diags = append(diags, checkCopyRuleSignature(u, fs)...)
-		a := &lockFlow{u: u, pkg: fs.pkg, check: c.Name(), order: order}
-		diags = append(diags, a.analyzeFunc(fs.decl.Body)...)
+	report := func(at token.Pos, format string, args ...any) {
+		diags = append(diags, u.diagf(c.Name(), at, format, args...))
 	}
-	diags = append(diags, checkCopyRuleBodies(u)...)
+	for _, fs := range declaredFuncs(u) {
+		flow := &heldFlow{pkg: fs.pkg, classify: classifyLockCall}
+		flow.onAcquire = func(call *ast.CallExpr, op flowOp, st *flowState) {
+			if prev, dup := st.held[op.instance]; dup && !prev.op.shared && !op.shared {
+				report(call.Pos(), "%s.Lock() while already held since %s: self-deadlock",
+					op.instance, u.Position(prev.pos))
+			}
+			for _, h := range st.held {
+				if h.op.typeKey == op.typeKey {
+					continue
+				}
+				if declPos, bad := order.mustPrecede(op.typeKey, h.op.typeKey); bad {
+					report(call.Pos(), "%s acquired while holding %s, violating //dpr:lockorder %s < %s (declared at %s)",
+						op.typeKey, h.op.typeKey, op.typeKey, h.op.typeKey, u.Position(declPos))
+				}
+			}
+		}
+		flow.onLeak = func(h *heldRes, at token.Pos, where string) {
+			verb := "Lock()"
+			if h.op.shared {
+				verb = "RLock()"
+			}
+			report(at, "%s.%s acquired at %s is still held at %s (no Unlock or defer on this path)",
+				h.op.instance, verb, u.Position(h.pos), where)
+		}
+		flow.walkDecl(fs.decl.Body)
+	}
 	return diags
 }
 
@@ -122,23 +139,15 @@ func parseLockOrder(u *Unit) (*lockOrder, []Diagnostic) {
 
 // ---- lock identification ----
 
-type lockOp struct {
-	instance string // per-function instance key, e.g. "w.cutMu"
-	typeKey  string // module-wide key, e.g. "libdpr.Worker.cutMu"
-	keyed    bool   // typeKey is owner-qualified (field or package-level lock)
-	acquire  bool
-	shared   bool // RLock/RUnlock
-}
-
 // classifyLockCall recognizes x.Lock / x.Unlock / x.RLock / x.RUnlock calls
 // on sync.Mutex / sync.RWMutex (including promoted methods of embedded
 // locks).
-func classifyLockCall(pkg *Package, call *ast.CallExpr) (lockOp, bool) {
+func classifyLockCall(pkg *Package, call *ast.CallExpr) (flowOp, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return lockOp{}, false
+		return flowOp{}, false
 	}
-	var op lockOp
+	var op flowOp
 	switch sel.Sel.Name {
 	case "Lock":
 		op.acquire = true
@@ -148,20 +157,20 @@ func classifyLockCall(pkg *Package, call *ast.CallExpr) (lockOp, bool) {
 	case "RUnlock":
 		op.shared = true
 	default:
-		return lockOp{}, false
+		return flowOp{}, false
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return lockOp{}, false
+		return flowOp{}, false
 	}
 	recv := namedType(fn.Type().(*types.Signature).Recv().Type())
 	if recv == nil {
-		return lockOp{}, false
+		return flowOp{}, false
 	}
 	switch recv.Obj().Name() {
 	case "Mutex", "RWMutex":
 	default:
-		return lockOp{}, false
+		return flowOp{}, false
 	}
 	op.instance = exprString(sel.X)
 	op.typeKey, op.keyed = lockTypeKey(pkg, sel.X)
@@ -199,539 +208,4 @@ func lockTypeKey(pkg *Package, x ast.Expr) (key string, keyed bool) {
 	default:
 		return exprString(x), false
 	}
-}
-
-// ---- abstract interpretation for release + order rules ----
-
-type heldLock struct {
-	op       lockOp
-	pos      token.Pos
-	deferred bool
-}
-
-type lockState struct {
-	held map[string]*heldLock // instance key -> lock
-	// deferredRelease records instance keys covered by a defer that has
-	// already been sequenced (defer before a re-acquire in a loop).
-	deferredRelease map[string]bool
-	terminated      bool // path ended in return/panic
-}
-
-func newLockState() *lockState {
-	return &lockState{held: map[string]*heldLock{}, deferredRelease: map[string]bool{}}
-}
-
-func (s *lockState) clone() *lockState {
-	n := newLockState()
-	for k, v := range s.held {
-		cp := *v
-		n.held[k] = &cp
-	}
-	for k := range s.deferredRelease {
-		n.deferredRelease[k] = true
-	}
-	return n
-}
-
-// merge intersects branch exit states: a lock is definitely held after the
-// branch only if every non-terminated branch holds it.
-func mergeStates(states []*lockState) *lockState {
-	var live []*lockState
-	for _, s := range states {
-		if s != nil && !s.terminated {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		s := newLockState()
-		s.terminated = true
-		return s
-	}
-	out := live[0].clone()
-	for k, h := range out.held {
-		for _, s := range live[1:] {
-			other, ok := s.held[k]
-			if !ok {
-				delete(out.held, k)
-				break
-			}
-			if other.deferred {
-				h.deferred = true
-			}
-		}
-	}
-	for _, s := range live[1:] {
-		for k := range s.deferredRelease {
-			out.deferredRelease[k] = true
-		}
-	}
-	return out
-}
-
-type lockFlow struct {
-	u     *Unit
-	pkg   *Package
-	check string
-	order *lockOrder
-	diags []Diagnostic
-	// onCall, when set, observes every call expression reached by the
-	// interpreter together with the abstract lock state in force just before
-	// the call. The whole-program pass (lock summaries) uses it to record
-	// held-at-call and held-at-acquire sets; the mutex checker leaves it nil.
-	onCall func(call *ast.CallExpr, st *lockState)
-}
-
-// noteEmbedded feeds the onCall hook the call expressions embedded in a
-// statement (conditions, assignments, returns) with the current state.
-// Function-literal subtrees are skipped: they run on their own activation.
-func (a *lockFlow) noteEmbedded(s ast.Stmt, st *lockState) {
-	if a.onCall == nil {
-		return
-	}
-	var roots []ast.Node
-	add := func(e ast.Expr) {
-		if e != nil {
-			roots = append(roots, e)
-		}
-	}
-	switch n := s.(type) {
-	case *ast.ExprStmt:
-		add(n.X)
-	case *ast.AssignStmt:
-		for _, e := range n.Rhs {
-			add(e)
-		}
-		for _, e := range n.Lhs {
-			add(e)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range n.Results {
-			add(e)
-		}
-	case *ast.SendStmt:
-		add(n.Chan)
-		add(n.Value)
-	case *ast.IncDecStmt:
-		add(n.X)
-	case *ast.DeclStmt:
-		roots = append(roots, n)
-	case *ast.IfStmt:
-		add(n.Cond)
-	case *ast.ForStmt:
-		add(n.Cond)
-	case *ast.SwitchStmt:
-		add(n.Tag)
-	case *ast.RangeStmt:
-		add(n.X)
-	}
-	for _, root := range roots {
-		ast.Inspect(root, func(n ast.Node) bool {
-			if _, isLit := n.(*ast.FuncLit); isLit {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				a.onCall(call, st)
-			}
-			return true
-		})
-	}
-}
-
-func (a *lockFlow) analyzeFunc(body *ast.BlockStmt) []Diagnostic {
-	st := newLockState()
-	a.block(body.List, st)
-	if !st.terminated {
-		a.reportHeld(st, body.Rbrace, "function end")
-	}
-	// Nested function literals run on their own goroutine/callstack: analyze
-	// each independently.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			inner := &lockFlow{u: a.u, pkg: a.pkg, check: a.check, order: a.order}
-			st := newLockState()
-			inner.block(fl.Body.List, st)
-			if !st.terminated {
-				inner.reportHeld(st, fl.Body.Rbrace, "function end")
-			}
-			a.diags = append(a.diags, inner.diags...)
-			return false
-		}
-		return true
-	})
-	return a.diags
-}
-
-func (a *lockFlow) reportHeld(st *lockState, at token.Pos, where string) {
-	for _, h := range st.held {
-		if h.deferred {
-			continue
-		}
-		a.diags = append(a.diags, Diagnostic{
-			Pos:   a.u.Position(at),
-			Check: a.check,
-			Message: fmt.Sprintf("%s.%s acquired at %s is still held at %s (no Unlock or defer on this path)",
-				h.op.instance, lockVerb(h.op), a.u.Position(h.pos), where),
-		})
-	}
-}
-
-func lockVerb(op lockOp) string {
-	if op.shared {
-		return "RLock()"
-	}
-	return "Lock()"
-}
-
-func (a *lockFlow) block(list []ast.Stmt, st *lockState) {
-	for _, s := range list {
-		if st.terminated {
-			return
-		}
-		a.stmt(s, st)
-	}
-}
-
-func (a *lockFlow) stmt(s ast.Stmt, st *lockState) {
-	a.noteEmbedded(s, st)
-	switch n := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := n.X.(*ast.CallExpr); ok {
-			a.call(call, st)
-		}
-	case *ast.DeferStmt:
-		a.deferStmt(n, st)
-	case *ast.ReturnStmt:
-		a.reportHeld(st, n.Pos(), "this return")
-		st.terminated = true
-	case *ast.BlockStmt:
-		a.block(n.List, st)
-	case *ast.IfStmt:
-		if n.Init != nil {
-			a.stmt(n.Init, st)
-		}
-		thenSt := st.clone()
-		a.block(n.Body.List, thenSt)
-		elseSt := st.clone()
-		if n.Else != nil {
-			a.stmt(n.Else, elseSt)
-		}
-		*st = *mergeStates([]*lockState{thenSt, elseSt})
-	case *ast.ForStmt:
-		if n.Init != nil {
-			a.stmt(n.Init, st)
-		}
-		bodySt := st.clone()
-		a.block(n.Body.List, bodySt)
-		// A loop body may run zero times; keep the pre-loop state and only
-		// propagate terminated loops that cannot be entered-and-exited.
-		if n.Cond == nil && bodyAlwaysTerminates(n.Body) && !hasBreak(n.Body) {
-			st.terminated = true
-		}
-	case *ast.RangeStmt:
-		bodySt := st.clone()
-		a.block(n.Body.List, bodySt)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		a.switchLike(n, st)
-	case *ast.LabeledStmt:
-		a.stmt(n.Stmt, st)
-	case *ast.GoStmt:
-		// Runs elsewhere; its FuncLit body is analyzed independently.
-	case *ast.AssignStmt:
-		// Lock calls very rarely appear in assignments (TryLock); scan for
-		// calls anyway so `ok := mu.TryLock()` does not confuse the state —
-		// TryLock is not tracked, plain Lock in an assignment is.
-		for _, rhs := range n.Rhs {
-			if call, ok := rhs.(*ast.CallExpr); ok {
-				a.call(call, st)
-			}
-		}
-	case *ast.BranchStmt:
-		if n.Tok == token.BREAK || n.Tok == token.CONTINUE || n.Tok == token.GOTO {
-			// Leaving the linear path: stop interpreting this branch rather
-			// than misattribute later releases.
-			st.terminated = true
-		}
-	}
-}
-
-func (a *lockFlow) switchLike(s ast.Stmt, st *lockState) {
-	var bodies [][]ast.Stmt
-	hasDefault := false
-	collect := func(body *ast.BlockStmt) {
-		for _, cl := range body.List {
-			switch c := cl.(type) {
-			case *ast.CaseClause:
-				bodies = append(bodies, c.Body)
-				if c.List == nil {
-					hasDefault = true
-				}
-			case *ast.CommClause:
-				bodies = append(bodies, c.Body)
-				if c.Comm == nil {
-					hasDefault = true
-				}
-			}
-		}
-	}
-	switch n := s.(type) {
-	case *ast.SwitchStmt:
-		if n.Init != nil {
-			a.stmt(n.Init, st)
-		}
-		collect(n.Body)
-	case *ast.TypeSwitchStmt:
-		if n.Init != nil {
-			a.stmt(n.Init, st)
-		}
-		collect(n.Body)
-	case *ast.SelectStmt:
-		collect(n.Body)
-		hasDefault = hasDefault || len(bodies) > 0 // select blocks until a case runs
-	}
-	states := make([]*lockState, 0, len(bodies)+1)
-	for _, b := range bodies {
-		cs := st.clone()
-		a.block(b, cs)
-		states = append(states, cs)
-	}
-	if !hasDefault || len(bodies) == 0 {
-		states = append(states, st.clone()) // fall-through without matching
-	}
-	*st = *mergeStates(states)
-}
-
-func (a *lockFlow) call(call *ast.CallExpr, st *lockState) {
-	op, ok := classifyLockCall(a.pkg, call)
-	if !ok {
-		return
-	}
-	if op.acquire {
-		if prev, dup := st.held[op.instance]; dup && !prev.op.shared && !op.shared {
-			a.diags = append(a.diags, Diagnostic{
-				Pos:   a.u.Position(call.Pos()),
-				Check: a.check,
-				Message: fmt.Sprintf("%s.Lock() while already held since %s: self-deadlock",
-					op.instance, a.u.Position(prev.pos)),
-			})
-		}
-		// Order rule: acquiring op while holding a lock the graph says op
-		// must precede.
-		for _, h := range st.held {
-			if h.op.typeKey == op.typeKey {
-				continue
-			}
-			if declPos, bad := a.order.mustPrecede(op.typeKey, h.op.typeKey); bad {
-				a.diags = append(a.diags, Diagnostic{
-					Pos:   a.u.Position(call.Pos()),
-					Check: a.check,
-					Message: fmt.Sprintf("%s acquired while holding %s, violating //dpr:lockorder %s < %s (declared at %s)",
-						op.typeKey, h.op.typeKey, op.typeKey, h.op.typeKey, a.u.Position(declPos)),
-				})
-			}
-		}
-		st.held[op.instance] = &heldLock{op: op, pos: call.Pos(), deferred: st.deferredRelease[op.instance]}
-		return
-	}
-	delete(st.held, op.instance)
-}
-
-func (a *lockFlow) deferStmt(d *ast.DeferStmt, st *lockState) {
-	markReleased := func(call *ast.CallExpr) {
-		op, ok := classifyLockCall(a.pkg, call)
-		if !ok || op.acquire {
-			return
-		}
-		if h, held := st.held[op.instance]; held {
-			h.deferred = true
-		}
-		st.deferredRelease[op.instance] = true
-	}
-	if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		// defer func() { ... mu.Unlock() ... }()
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				markReleased(c)
-			}
-			return true
-		})
-		return
-	}
-	markReleased(d.Call)
-}
-
-func bodyAlwaysTerminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func hasBreak(b *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(b, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit, *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			return false // break would bind to the inner statement
-		case *ast.BranchStmt:
-			if n.(*ast.BranchStmt).Tok == token.BREAK {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// ---- copy rule ----
-
-// syncNoCopyTypes are the sync types whose values must not be copied.
-func isNoCopySyncType(t types.Type) bool {
-	n := namedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	switch n.Obj().Pkg().Path() {
-	case "sync":
-		switch n.Obj().Name() {
-		case "Mutex", "RWMutex", "Once", "WaitGroup", "Cond", "Map", "Pool":
-			return true
-		}
-	case "sync/atomic":
-		return isTypedAtomic(t)
-	}
-	return false
-}
-
-// containsLock reports whether a value of type t embeds a no-copy sync
-// value (not behind a pointer/slice/map/chan/interface indirection).
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isNoCopySyncType(t) {
-		return true
-	}
-	switch tt := types.Unalias(t).(type) {
-	case *types.Named:
-		return containsLockRec(tt.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < tt.NumFields(); i++ {
-			if containsLockRec(tt.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(tt.Elem(), seen)
-	}
-	return false
-}
-
-// checkCopyRuleSignature flags by-value lock-containing receivers, params
-// and results.
-func checkCopyRuleSignature(u *Unit, fs funcSpan) []Diagnostic {
-	var diags []Diagnostic
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := fs.pkg.Info.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(t) {
-				diags = append(diags, Diagnostic{
-					Pos:   u.Position(f.Pos()),
-					Check: "mutex-discipline",
-					Message: fmt.Sprintf("%s of %s passes lock-containing type %s by value; use a pointer",
-						what, fs.name, t),
-				})
-			}
-		}
-	}
-	check(fs.decl.Recv, "receiver")
-	if fs.decl.Type.Params != nil {
-		check(fs.decl.Type.Params, "parameter")
-	}
-	if fs.decl.Type.Results != nil {
-		check(fs.decl.Type.Results, "result")
-	}
-	return diags
-}
-
-// checkCopyRuleBodies flags assignments and call arguments that copy
-// lock-containing values. Composite literals and call results are exempt
-// (construction sites).
-func checkCopyRuleBodies(u *Unit) []Diagnostic {
-	var diags []Diagnostic
-	copyish := func(p *Package, e ast.Expr) (types.Type, bool) {
-		switch e.(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		default:
-			return nil, false
-		}
-		t := p.Info.TypeOf(e)
-		if t == nil {
-			return nil, false
-		}
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return nil, false
-		}
-		if !containsLock(t) {
-			return nil, false
-		}
-		return t, true
-	}
-	u.EachFile(func(p *Package, f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range st.Rhs {
-					if t, bad := copyish(p, rhs); bad {
-						diags = append(diags, Diagnostic{
-							Pos:     u.Position(rhs.Pos()),
-							Check:   "mutex-discipline",
-							Message: fmt.Sprintf("assignment copies lock-containing value of type %s", t),
-						})
-					}
-				}
-			case *ast.CallExpr:
-				fnT := p.Info.TypeOf(st.Fun)
-				sig, ok := fnT.(*types.Signature)
-				if !ok {
-					return true // conversion or builtin
-				}
-				_ = sig
-				for _, arg := range st.Args {
-					if t, bad := copyish(p, arg); bad {
-						diags = append(diags, Diagnostic{
-							Pos:     u.Position(arg.Pos()),
-							Check:   "mutex-discipline",
-							Message: fmt.Sprintf("call passes lock-containing value of type %s; pass a pointer", t),
-						})
-					}
-				}
-			}
-			return true
-		})
-	})
-	return diags
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,7 +19,7 @@ var wireFuzzTargets = []string{
 	"FuzzDecodeError",
 }
 
-// repoSuiteBudget bounds the full nine-checker run (load, type-check, call
+// repoSuiteBudget bounds the full six-checker run (load, type-check, call
 // graph, summaries, all checkers) over the module. The suite gates CI on
 // every push; if whole-program analysis cost creeps past this, the shared
 // Unit caching has regressed (each checker rebuilding the call graph or the
@@ -32,6 +33,11 @@ const repoSuiteBudget = 60 * time.Second
 // decode-bounds/fuzz pact (the wire decoder corpora must stay populated, and
 // any decode-bounds finding demands a new seed) and the suite's runtime
 // budget.
+//
+// One invariant it states directly instead of by checker: a migration record
+// is registered at exactly one place, migration.Migrate, whose deferred
+// resolver is what retires it on every path (TestMigrateLeavesNoRecord). A
+// second caller of BeginMigrate would need a resolver of its own.
 func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks and compiles the whole module")
@@ -50,6 +56,23 @@ func TestRepoTreeClean(t *testing.T) {
 		if d.Check == "decode-bounds" {
 			t.Errorf("decode-bounds fired: add a truncated-frame seed under internal/wire/testdata/fuzz/ reproducing the unguarded access, then guard or justify it")
 		}
+	}
+	var begins []string
+	for _, fs := range declaredFuncs(u) {
+		if fs.decl.Name.Name == "BeginMigrate" || fs.pkg.Name == "metadata" {
+			continue // the store, its RPC pair and the forwarders that wrap it
+		}
+		ast.Inspect(fs.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "BeginMigrate" {
+					begins = append(begins, fs.pkg.Path+"."+fs.name)
+				}
+			}
+			return true
+		})
+	}
+	if len(begins) != 1 || begins[0] != "dpr/internal/migration.Migrate" {
+		t.Errorf("BeginMigrate is called from %v; its one caller is migration.Migrate, which defers the record's resolver", begins)
 	}
 	for _, target := range wireFuzzTargets {
 		dir := filepath.Join(u.ModuleDir, "internal", "wire", "testdata", "fuzz", target)

@@ -10,8 +10,8 @@ import (
 // This file builds the unit's held-lock summaries: for every declared
 // function, the lock acquisitions it performs and the calls it makes with
 // the abstract held-lock set in force at that point (computed by the same
-// lockFlow interpreter the mutex checker uses, so branch merges intersect
-// and the sets are must-hold). The summaries plus the call graph are what
+// flow.go walker the mutex checker uses, so branch merges intersect and the
+// sets are must-hold). The summaries plus the call graph are what
 // make the lock-order-global and epoch-discipline checkers whole-program:
 // held sets propagate across call edges instead of dying at function
 // boundaries.
@@ -25,7 +25,7 @@ type heldRef struct {
 
 // acquireSite is a lock acquisition with the locks already held there.
 type acquireSite struct {
-	op   lockOp
+	op   flowOp
 	pos  token.Pos
 	held []heldRef
 }
@@ -69,21 +69,37 @@ func unitLockSummaries(u *Unit) *lockSummaries {
 		}
 		sum := &funcLockSummary{fs: fs, fn: fn}
 		asyncSum := &funcLockSummary{fs: fs, async: true}
-		lits := collectFuncLits(fs.decl.Body)
-		run := func(body *ast.BlockStmt, target *funcLockSummary) {
-			flow := &lockFlow{u: u, pkg: fs.pkg, check: "summary"}
-			flow.onCall = func(call *ast.CallExpr, st *lockState) {
-				recordCall(fs.pkg, call, st, target)
+		target := sum
+		flow := &heldFlow{pkg: fs.pkg, classify: classifyLockCall}
+		flow.onAcquire = func(call *ast.CallExpr, op flowOp, st *flowState) {
+			var others []heldRef
+			for _, h := range snapshotHeld(st) {
+				if h.typeKey != op.typeKey {
+					others = append(others, h)
+				}
 			}
-			flow.block(body.List, newLockState())
+			target.acquires = append(target.acquires, acquireSite{op: op, pos: call.Pos(), held: others})
 		}
-		run(fs.decl.Body, sum)
-		for _, lit := range lits {
-			if lit.async {
-				run(lit.lit.Body, asyncSum)
-			} else {
-				run(lit.lit.Body, sum)
+		flow.onStmt = func(s ast.Stmt, st *flowState) {
+			held := snapshotHeld(st)
+			if len(held) == 0 {
+				return
 			}
+			embedded(s, func(n ast.Node) {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if _, isLock := classifyLockCall(fs.pkg, call); !isLock {
+						target.calls = append(target.calls, callHeld{call: call, pos: call.Pos(), held: held})
+					}
+				}
+			})
+		}
+		flow.walk(fs.decl.Body)
+		for _, lit := range collectFuncLits(fs.decl.Body) {
+			target = sum
+			if lit.async {
+				target = asyncSum
+			}
+			flow.walk(lit.lit.Body)
 		}
 		ls.byFunc[fn] = sum
 		ls.all = append(ls.all, sum)
@@ -128,29 +144,8 @@ func collectFuncLits(body *ast.BlockStmt) []litAt {
 	return out
 }
 
-// recordCall classifies one observed call under the abstract state st and
-// folds it into the summary.
-func recordCall(pkg *Package, call *ast.CallExpr, st *lockState, sum *funcLockSummary) {
-	held := snapshotHeld(st)
-	if op, ok := classifyLockCall(pkg, call); ok {
-		if op.acquire {
-			var others []heldRef
-			for _, h := range held {
-				if h.typeKey != op.typeKey {
-					others = append(others, h)
-				}
-			}
-			sum.acquires = append(sum.acquires, acquireSite{op: op, pos: call.Pos(), held: others})
-		}
-		return
-	}
-	if len(held) > 0 {
-		sum.calls = append(sum.calls, callHeld{call: call, pos: call.Pos(), held: held})
-	}
-}
-
 // snapshotHeld renders the held map as a deduped, deterministic slice.
-func snapshotHeld(st *lockState) []heldRef {
+func snapshotHeld(st *flowState) []heldRef {
 	if len(st.held) == 0 {
 		return nil
 	}

@@ -1,6 +1,8 @@
 // Package mutexbad is the failing fixture for the mutex-discipline checker:
-// a leaked lock, a self-deadlock, an inverted acquisition order, and the
-// three by-value copy shapes.
+// a leaked lock (past a return, and out of a loop by a break), a
+// self-deadlock and an inverted acquisition order. The by-value copy shapes
+// at the end are `go vet`'s (copylocks), not dpr-vet's: their `// want-vet`
+// lines are matched by TestFixturesRejectedByVet.
 package mutexbad
 
 import "sync"
@@ -14,6 +16,18 @@ type Box struct {
 func Leak(b *Box) int {
 	b.mu.Lock()
 	return b.n // want "is still held at this return"
+}
+
+// LoopLeak leaves the retry loop by the break with mu held, and returns.
+func LoopLeak(b *Box, ready func() bool) {
+	for {
+		b.mu.Lock()
+		if ready() {
+			break
+		}
+		b.mu.Unlock()
+	}
+	return // want "b.mu.Lock.. acquired at .* is still held at this return"
 }
 
 // Double acquires the same exclusive lock twice.
@@ -43,13 +57,13 @@ func Inverted(p *Pair) {
 }
 
 // ByValue copies the lock in through its parameter.
-func ByValue(b Box) int { // want "parameter of ByValue passes lock-containing type"
+func ByValue(b Box) int { // want-vet "ByValue passes lock by value: fixture/mutexbad.Box contains sync.Mutex"
 	return b.n
 }
 
 // CopyOut copies the lock through a dereferencing assignment.
 func CopyOut(b *Box) int {
-	c := *b // want "assignment copies lock-containing value"
+	c := *b // want-vet "assignment copies lock value to c: fixture/mutexbad.Box contains sync.Mutex"
 	return c.n
 }
 
@@ -57,5 +71,15 @@ func use(v any) { _ = v }
 
 // CallCopy copies the lock into a call argument.
 func CallCopy(b *Box) {
-	use(*b) // want "call passes lock-containing value"
+	use(*b) // want-vet "call of use copies lock value: fixture/mutexbad.Box contains sync.Mutex"
+}
+
+// Get copies the lock in through its receiver.
+func (b Box) Get() int { // want-vet "Get passes lock by value: fixture/mutexbad.Box contains sync.Mutex"
+	return b.n
+}
+
+// Clone copies the lock out through its result.
+func Clone(b *Box) Box {
+	return *b // want-vet "return copies lock value: fixture/mutexbad.Box contains sync.Mutex"
 }

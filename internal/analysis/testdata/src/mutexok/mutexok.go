@@ -29,6 +29,20 @@ func Branchy(b *Box, fast bool) int {
 	return 0
 }
 
+// RetryLoop leaves the loop by the break with mu held and releases it after.
+func RetryLoop(b *Box, ready func() bool) int {
+	for {
+		b.mu.Lock()
+		if ready() {
+			break
+		}
+		b.mu.Unlock()
+	}
+	n := b.n
+	b.mu.Unlock()
+	return n
+}
+
 // Pair's locks nest a-then-b, as declared.
 //
 //dpr:lockorder mutexok.Pair.a < mutexok.Pair.b

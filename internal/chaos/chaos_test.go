@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
 	"dpr/internal/wire"
@@ -135,6 +136,10 @@ func runChaosScenario(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
+	// Deferred first, so it runs last: after the sessions and the harness
+	// have closed, nothing the schedule started — workers killed and
+	// restarted, severed connections, migrations — may still be running.
+	defer leakcheck.Check(t)
 	defer h.Close()
 	monitor := newCutMonitor(h.Store())
 
@@ -205,6 +210,7 @@ func TestChaosElasticLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
+	defer leakcheck.Check(t) // runs last, after the sessions and the harness closed
 	defer h.Close()
 	h.logf = t.Logf
 	monitor := newCutMonitor(h.Store())

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dpr/internal/core"
+	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
 	"dpr/internal/wire"
 )
@@ -59,6 +60,7 @@ func severingServer(t *testing.T) string {
 // the sender and parked by the read loop — which settled it twice and raced on
 // its retry count. Every operation must settle exactly once.
 func TestStrandedReadsSettleOnce(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	if err := meta.RegisterWorker(1, severingServer(t)); err != nil {
 		t.Fatal(err)
@@ -122,6 +124,7 @@ func proxiedCluster(t *testing.T) (*testCluster, *wire.FaultProxy) {
 // abandoned: never committed, no longer waited for. A lost read is re-driven
 // and answered, so nothing is abandoned at all.
 func TestLostOpDoesNotHoldTheSession(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	for _, tc := range []struct {
 		name      string
 		read      bool
@@ -200,6 +203,7 @@ func TestLostOpDoesNotHoldTheSession(t *testing.T) {
 // passed no callback: it fails once, naming the write, and an acknowledged
 // rollback — which accounts for the write itself — clears the report.
 func TestUnreachableWorkerIsReported(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	tc, proxy := proxiedCluster(t)
 	proxy.Close()
 	c := newTestClient(t, tc, 1, 8)
@@ -245,6 +249,7 @@ func TestUnreachableWorkerIsReported(t *testing.T) {
 // are released. The local path used to return from the rejection holding
 // both, so a session wedged after Window recoveries.
 func TestColocatedRejectReleasesSlot(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	tc := newTestCluster(t, 1, 2*time.Millisecond)
 	c, err := NewClient(ClientConfig{Partitions: testPartitions, Window: 4, Relaxed: true, LocalWorker: tc.workers[0]}, tc.meta)
 	if err != nil {
@@ -290,6 +295,7 @@ func TestColocatedRejectReleasesSlot(t *testing.T) {
 // registers it with metadata, and the client must ask again after the old
 // one stops answering instead of dialling it until its retries are spent.
 func TestRestartedWorkerNewAddress(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	tc, old := proxiedCluster(t)
 	c := newTestClient(t, tc, 1, 8)
 	if err := c.Upsert([]byte("k"), []byte("v"), nil); err != nil {

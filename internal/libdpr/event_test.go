@@ -6,6 +6,7 @@ import (
 
 	"dpr/internal/core"
 	"dpr/internal/kv"
+	"dpr/internal/leakcheck"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/storage"
@@ -29,6 +30,7 @@ func newEventWorker(t *testing.T, meta metadata.Service, cfg libdpr.WorkerConfig
 	t.Cleanup(func() {
 		w.Stop()
 		st.Close()
+		leakcheck.Check(t)
 	})
 	return w, st
 }

@@ -9,6 +9,7 @@ import (
 	"dpr/internal/cluster"
 	"dpr/internal/core"
 	"dpr/internal/kv"
+	"dpr/internal/leakcheck"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/storage"
@@ -49,6 +50,7 @@ func newHarness(t *testing.T, n int, finder metadata.FinderKind, ckptEvery time.
 			h.kvSess[i].Close()
 			h.stores[i].Close()
 		}
+		leakcheck.Check(t)
 	})
 	return h
 }

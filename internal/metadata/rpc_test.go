@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dpr/internal/core"
+	"dpr/internal/leakcheck"
 )
 
 func TestRPCRoundTrip(t *testing.T) {
@@ -182,4 +183,5 @@ func TestServeStopJoinsGoroutines(t *testing.T) {
 	}
 	// Stop is idempotent.
 	svc.Stop()
+	leakcheck.Check(t)
 }

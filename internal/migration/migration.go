@@ -50,25 +50,29 @@ const ownerGrace = 500 * time.Millisecond
 // covered by the DPR cut, and stale sessions are being redirected; on
 // failure donor ownership is restored for every partition the target did
 // not manage to claim, and the error explains the aborted handover.
-func Migrate(meta metadata.ElasticService, donor *dfaster.Worker, to core.WorkerID, parts []uint64, timeout time.Duration) error {
+func Migrate(meta metadata.ElasticService, donor *dfaster.Worker, to core.WorkerID, parts []uint64, timeout time.Duration) (err error) {
 	id, err := meta.BeginMigrate(parts, donor.ID(), to)
 	if err != nil {
 		return err
 	}
+	// From here the record exists, and this is the one place it is resolved
+	// from the coordinator's side: every way out with an error aborts it and
+	// restores the donor. The only way out without one is DonatePartitions
+	// returning nil, which it does after the target's CompleteMigrate won the
+	// record and its ack arrived (dfaster/migrate.go) — nothing is left then.
+	defer func() {
+		if err != nil {
+			err = abortAndRestore(meta, donor, id, to, parts, err)
+		}
+	}()
 	members, err := meta.Members()
-	if err == nil && members[to] == "" {
-		err = fmt.Errorf("migration: no address for target worker %d", to)
-	}
 	if err != nil {
-		return abortAndRestore(meta, donor, id, to, parts, err)
+		return err
 	}
-	if err := donor.DonatePartitions(id, to, members[to], parts, timeout); err != nil {
-		return abortAndRestore(meta, donor, id, to, parts, err)
+	if members[to] == "" {
+		return fmt.Errorf("migration: no address for target worker %d", to)
 	}
-	// The target retired the migration record (CompleteMigrate) before
-	// claiming, so there is nothing left to clean up here.
-	//dpr:ignore migration-protocol the target side resolved the record: DonatePartitions only returns nil after the target's CompleteMigrate won the claim (dfaster/migrate.go)
-	return nil
+	return donor.DonatePartitions(id, to, members[to], parts, timeout)
 }
 
 // abortAndRestore undoes a failed handover. AbortMigrate and the target's

@@ -1,7 +1,9 @@
 package migration_test
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ const testPartitions = 64
 
 type testCluster struct {
 	meta    *metadata.Store
+	hook    *hookedMeta // what the workers are built on: meta, with two injection points
 	mgr     *cluster.Manager
 	workers []*dfaster.Worker
 	stopped map[core.WorkerID]bool
@@ -31,6 +34,7 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		meta:    metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate}),
 		stopped: make(map[core.WorkerID]bool),
 	}
+	tc.hook = &hookedMeta{Store: tc.meta}
 	tc.mgr = cluster.NewManager(tc.meta)
 	for i := 0; i < n; i++ {
 		tc.addWorker(t, core.WorkerID(i+1))
@@ -59,13 +63,52 @@ func (tc *testCluster) addWorker(t *testing.T, id core.WorkerID) *dfaster.Worker
 		Partitions:         testPartitions,
 		Device:             storage.NewNull(),
 		KV:                 kv.Config{BucketCount: 1 << 10},
-	}, tc.meta)
+	}, tc.hook)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc.workers = append(tc.workers, w)
 	tc.mgr.Attach(w)
 	return w
+}
+
+// hookedMeta is the metadata store with the two calls of a migration a test
+// can fail: the coordinator's Members and the target's CompleteMigrate. Both
+// hooks are nil unless a test arms them.
+type hookedMeta struct {
+	*metadata.Store
+	mu       sync.Mutex
+	members  func(map[core.WorkerID]string) (map[core.WorkerID]string, error)
+	complete func() error // runs before the store's CompleteMigrate; an error replaces it
+}
+
+func (h *hookedMeta) arm(members func(map[core.WorkerID]string) (map[core.WorkerID]string, error), complete func() error) {
+	h.mu.Lock()
+	h.members, h.complete = members, complete
+	h.mu.Unlock()
+}
+
+func (h *hookedMeta) Members() (map[core.WorkerID]string, error) {
+	m, err := h.Store.Members()
+	h.mu.Lock()
+	hook := h.members
+	h.mu.Unlock()
+	if err != nil || hook == nil {
+		return m, err
+	}
+	return hook(m)
+}
+
+func (h *hookedMeta) CompleteMigrate(id uint64) error {
+	h.mu.Lock()
+	hook := h.complete
+	h.mu.Unlock()
+	if hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
+	return h.Store.CompleteMigrate(id)
 }
 
 func newTestClient(t *testing.T, tc *testCluster) *dfaster.Client {
@@ -215,6 +258,96 @@ func TestMigrateAbortRestoresDonor(t *testing.T) {
 		t.Fatalf("aborted migration leaked a record: %v", migs)
 	}
 	readAll(t, c, 100)
+}
+
+// TestMigrateLeavesNoRecord: whatever step of a handover fails, Migrate's one
+// deferred resolver leaves no migration record behind (a record left
+// Preparing wedges its partitions: nothing serves them and no later
+// BeginMigrate can supersede it), every partition has exactly one owner, and
+// the donor serves what it re-claimed.
+func TestMigrateLeavesNoRecord(t *testing.T) {
+	injected := errors.New("injected")
+	readdress := func(to core.WorkerID, addr string) func(map[core.WorkerID]string) (map[core.WorkerID]string, error) {
+		return func(m map[core.WorkerID]string) (map[core.WorkerID]string, error) {
+			out := make(map[core.WorkerID]string, len(m))
+			for w, a := range m {
+				out[w] = a
+			}
+			out[to] = addr
+			return out, nil
+		}
+	}
+	cases := []struct {
+		name string
+		arm  func(tc *testCluster, to core.WorkerID)
+	}{
+		{"Members errors", func(tc *testCluster, to core.WorkerID) {
+			tc.hook.arm(func(map[core.WorkerID]string) (map[core.WorkerID]string, error) { return nil, injected }, nil)
+		}},
+		{"target has no address", func(tc *testCluster, to core.WorkerID) {
+			tc.hook.arm(readdress(to, ""), nil)
+		}},
+		{"handover fails before the stream", func(tc *testCluster, to core.WorkerID) {
+			tc.hook.arm(readdress(to, "127.0.0.1:1"), nil) // nothing listens there: the dial fails
+		}},
+		{"handover fails after the target imported", func(tc *testCluster, to core.WorkerID) {
+			// The target has ingested and sealed the stream and fails at its
+			// commit point: it tombstones the import and rejects.
+			tc.hook.arm(nil, func() error { return injected })
+		}},
+		{"world-line bump mid-handover", func(tc *testCluster, to core.WorkerID) {
+			// A recovery round between the import and the commit point clears
+			// the registry, so the target's CompleteMigrate finds no record and
+			// the coordinator's abort removes nothing: ownership decides.
+			tc.hook.arm(nil, func() error {
+				_, _, err := tc.mgr.OnFailure()
+				return err
+			})
+		}},
+	}
+	for _, tcase := range cases {
+		t.Run(tcase.name, func(t *testing.T) {
+			tc := newTestCluster(t, 2)
+			const n = 100
+			writeAndCommit(t, newTestClient(t, tc), n)
+			donor, target := tc.workers[0], tc.workers[1]
+			parts := donor.OwnedPartitions()
+
+			tcase.arm(tc, target.ID())
+			err := migration.Migrate(tc.hook, donor, target.ID(), parts, 5*time.Second)
+			tc.hook.arm(nil, nil)
+			if err == nil {
+				t.Fatal("the injected failure did not fail the migration")
+			}
+			t.Logf("migrate: %v", err)
+
+			if migs, _ := tc.meta.Migrations(); len(migs) != 0 {
+				t.Fatalf("failed migration left a record: %v", migs)
+			}
+			for p := uint64(0); p < testPartitions; p++ {
+				owner, err := tc.meta.OwnerOf(p)
+				if err != nil {
+					t.Fatalf("partition %d: %v", p, err)
+				}
+				for _, w := range tc.workers {
+					if w.Owns(p) != (w.ID() == owner) {
+						t.Errorf("partition %d: metadata says worker %d owns it, worker %d says Owns = %v", p, owner, w.ID(), w.Owns(p))
+					}
+				}
+			}
+			for _, p := range parts {
+				if !donor.Owns(p) {
+					t.Errorf("donor did not re-claim partition %d", p)
+				}
+			}
+			// A session opened after the failure (the bump case rolled the
+			// first one's world-line back) reads every key, the donor's
+			// re-claimed partitions included, and commits.
+			c := newTestClient(t, tc)
+			readAll(t, c, n)
+			writeAndCommit(t, c, n)
+		})
+	}
 }
 
 // TestJoinRebalanceDrain: a worker joins a live 2-node cluster under a

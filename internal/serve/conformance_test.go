@@ -12,6 +12,7 @@ import (
 	"dpr/internal/dfaster"
 	"dpr/internal/dredis"
 	"dpr/internal/kv"
+	"dpr/internal/leakcheck"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/serve"
@@ -272,6 +273,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // whatever the store: each case builds a fresh backend on a fresh finder.
 func runConformance(t *testing.T, newBackend func(*testing.T, metadata.Service) backend) {
 	start := func(t *testing.T) (backend, *reportLog, *peer) {
+		t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after the connection and the backend are down
 		meta := &reportLog{
 			Store: metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate}),
 			deps:  make(map[core.Version][]core.Token),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dpr/internal/baseline"
+	"dpr/internal/leakcheck"
 	"dpr/internal/redisclone"
 	"dpr/internal/storage"
 	"dpr/internal/wire"
@@ -21,6 +22,7 @@ func TestStopClosesIdleConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { leakcheck.Check(t) })
 	t.Cleanup(p.Stop) // Stop is idempotent
 	stopClosesIdleConnections(t, p.Addr(), p.Stop)
 }
