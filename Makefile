@@ -79,7 +79,9 @@ race:
 # Stop) and the client's batch lifecycle (every transition against scripted
 # workers; operations lost to severed, blackholed, restarted and co-located
 # workers; the fault proxy those use), hrtimer's two legs and the device model's
-# completion path, twenty times each under the race
+# completion path, the epoch table (drains against stragglers, beside busy
+# neighbours and on one processor) and world-line admission waking on Advance
+# (internal/core TestWorldLine*), twenty times each under the race
 # detector, on one processor and on two. A -run list that
 # matches nothing (a renamed test) fails the target instead of passing
 # vacuously.
@@ -90,6 +92,8 @@ commit-path-stress:
 		if echo "$$out" | grep -q 'no tests to run'; then echo "commit-path-stress: -run '$$1' matched no test in $$2"; exit 1; fi; \
 	}; \
 	run '.' ./internal/hrtimer; \
+	run '.' ./internal/epoch; \
+	run 'TestWorldLine' ./internal/core; \
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \

@@ -17,6 +17,9 @@ type WorldLineTracker struct {
 	mu sync.Mutex
 	// current is read lock-free on the per-operation admission fast path.
 	current atomic.Uint64
+	// advanced is closed and replaced, under mu, by every Advance: what a
+	// request from a newer world-line waits on.
+	advanced chan struct{}
 	// recovered maps world-line -> cut the system rolled back to when that
 	// world-line was spawned; clients ask for it to compute survival.
 	recovered map[WorldLine]Cut
@@ -24,7 +27,7 @@ type WorldLineTracker struct {
 
 // NewWorldLineTracker starts at world-line wl (0 for a fresh cluster).
 func NewWorldLineTracker(wl WorldLine) *WorldLineTracker {
-	t := &WorldLineTracker{recovered: make(map[WorldLine]Cut)}
+	t := &WorldLineTracker{advanced: make(chan struct{}), recovered: make(map[WorldLine]Cut)}
 	t.current.Store(uint64(wl))
 	return t
 }
@@ -45,6 +48,8 @@ func (t *WorldLineTracker) Advance(wl WorldLine, restoredTo Cut) {
 	}
 	t.recovered[wl] = restoredTo.Clone()
 	t.current.Store(uint64(wl))
+	close(t.advanced)
+	t.advanced = make(chan struct{})
 }
 
 // RecoveredCut returns the cut the system restored to when entering wl.
@@ -70,18 +75,24 @@ func (t *WorldLineTracker) Admit(wl WorldLine, timeout time.Duration) error {
 	if wl < cur {
 		return ErrWorldLineMismatch
 	}
-	// Slow path: the request is from a future world-line; wait for local
-	// recovery (bounded). Recovery completes in hundreds of ms (§7.4), so
-	// a 1ms poll adds negligible delay.
-	deadline := time.Now().Add(timeout)
-	for wl > WorldLine(t.current.Load()) {
-		if time.Now().After(deadline) {
+	// Slow path: the request is from a future world-line; wait (bounded) for
+	// the Advance that local recovery ends with.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		t.mu.Lock()
+		cur, advanced := WorldLine(t.current.Load()), t.advanced
+		t.mu.Unlock()
+		if wl == cur {
+			return nil
+		}
+		if wl < cur {
 			return ErrWorldLineMismatch
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-advanced:
+		case <-deadline.C:
+			return ErrWorldLineMismatch
+		}
 	}
-	if wl < WorldLine(t.current.Load()) {
-		return ErrWorldLineMismatch
-	}
-	return nil
 }

@@ -139,6 +139,9 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 	// eviction, compaction.
 	store.OnDrain(reg.Histogram("dpr_store_epoch_drain_seconds",
 		"Latency of store epoch drains (checkpoint boundaries, rollback fences, eviction).", lbls...).Observe)
+	reg.CounterFunc("dpr_store_epoch_drain_yields_total",
+		"Store epoch drains that outlasted their spin and yielded the processor: on more than one, sections that block or are preempted.",
+		store.DrainYields, lbls...)
 	// Log garbage is whatever the committed cut has passed: the store compacts
 	// up to this worker's own position in it.
 	store.CommittedBy(frame.DPR().CommittedVersion)

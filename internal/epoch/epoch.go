@@ -34,6 +34,7 @@ type Table struct {
 	global atomic.Uint64
 	mu     sync.Mutex
 	head   atomic.Pointer[Slot]
+	yields atomic.Uint64
 }
 
 // NewTable returns a table at era 1.
@@ -114,10 +115,18 @@ func (t *Table) Drain() uint64 {
 	return target
 }
 
-// WaitObserved blocks until AllObserved(target) holds. The wait starts with
-// a spin (drains are usually bounded by one in-flight operation) and falls
-// back to short sleeps so a long-running straggler does not burn a core.
+// WaitObserved blocks until AllObserved(target) holds. A protected section
+// never blocks (dpr-vet's epoch-discipline), so a straggler is running or
+// runnable and exits within about one section: the wait first spins on its
+// own processor for hrtimer.SpinBudget, where a yield would queue it behind
+// whatever else is runnable. Past the budget — or at once on one processor,
+// where the straggler runs only once the waiter yields — it yields, then
+// sleeps in short steps so a straggler that was preempted does not burn a core.
 func (t *Table) WaitObserved(target uint64) {
+	if hrtimer.Spin(func() bool { return t.AllObserved(target) }) {
+		return
+	}
+	t.yields.Add(1)
 	for spin := 0; !t.AllObserved(target); spin++ {
 		if spin < 64 {
 			runtime.Gosched()
@@ -126,6 +135,11 @@ func (t *Table) WaitObserved(target uint64) {
 		hrtimer.Sleep(10 * time.Microsecond)
 	}
 }
+
+// Yields returns how many waits outlasted the spin and gave up their
+// processor. On more than one processor a rising count means protected
+// sections that block or are preempted.
+func (t *Table) Yields() uint64 { return t.yields.Load() }
 
 // AllObserved reports whether every active, registered slot has observed an
 // era >= target. Inactive slots are safe by definition: whenever they next

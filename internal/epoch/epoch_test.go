@@ -1,10 +1,15 @@
 package epoch
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dpr/internal/hrtimer"
 )
 
 func TestEnterExitBasics(t *testing.T) {
@@ -177,15 +182,20 @@ func TestDrainWaitsForStraggler(t *testing.T) {
 }
 
 // TestDrainConcurrentAdvance hammers Drain from several goroutines while
-// worker slots keep entering and exiting: every Drain must return, every
-// returned era must be fully observed at return time, and eras from
-// concurrent drains must be distinct (each Drain bumps exactly once).
+// worker slots keep entering and exiting: every Drain must return, no section
+// entered under an older era may still run when it does, and eras from
+// concurrent drains must be distinct (each Drain bumps exactly once). What
+// runs is read from the era Enter returned, not from AllObserved: an Enter
+// that loaded the era just before a bump publishes it one store later, then
+// re-publishes the newer one, so AllObserved can be false for that moment
+// after a Drain has returned with nothing of the older era running.
 func TestDrainConcurrentAdvance(t *testing.T) {
 	tb := NewTable()
 	const workers = 6
 	const drainers = 4
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var running [workers]atomic.Uint64 // era of the section in progress, 0 between
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -193,10 +203,11 @@ func TestDrainConcurrentAdvance(t *testing.T) {
 			slot := tb.Register()
 			defer tb.Unregister(slot)
 			for !stop.Load() {
-				slot.Enter()
+				running[i].Store(slot.Enter())
 				for j := 0; j < 50; j++ {
 					_ = j
 				}
+				running[i].Store(0)
 				slot.Exit()
 			}
 		}()
@@ -210,9 +221,11 @@ func TestDrainConcurrentAdvance(t *testing.T) {
 			deadline := time.Now().Add(100 * time.Millisecond)
 			for time.Now().Before(deadline) {
 				target := tb.Drain()
-				if !tb.AllObserved(target) {
-					t.Errorf("drainer %d: era %d not observed at Drain return", d, target)
-					return
+				for i := range running {
+					if e := running[i].Load(); e != 0 && e < target {
+						t.Errorf("drainer %d: a section of era %d still runs after Drain returned era %d", d, e, target)
+						return
+					}
 				}
 				eras[d] = append(eras[d], target)
 			}
@@ -239,10 +252,13 @@ func TestDrainConcurrentAdvance(t *testing.T) {
 
 // TestDrainPublishesState checks the memory-ordering contract Drain is used
 // for: a value atomically published before Drain is visible to every
-// protected section that begins after the drain completes.
+// protected section that enters at or after the drained era. Each round
+// publishes a larger value and drains; a section that entered at or after the
+// last drain's era must read at least that drain's value.
 func TestDrainPublishesState(t *testing.T) {
 	tb := NewTable()
 	var fence atomic.Uint64
+	var drained atomic.Pointer[[2]uint64] // the last drain's era and the value published before it
 	var violations atomic.Int64
 	var wg sync.WaitGroup
 	var stop atomic.Bool
@@ -254,25 +270,146 @@ func TestDrainPublishesState(t *testing.T) {
 			defer tb.Unregister(slot)
 			for !stop.Load() {
 				era := slot.Enter()
-				// Entering at era e > the era current when fence was set
-				// implies the fence store is visible (Drain bumped after it).
-				if f := fence.Load(); f != 0 && era > f && fence.Load() == 0 {
+				if d := drained.Load(); d != nil && era >= d[0] && fence.Load() < d[1] {
 					violations.Add(1)
 				}
 				slot.Exit()
 			}
 		}()
 	}
-	for round := 0; round < 50; round++ {
-		fence.Store(tb.Global())
-		tb.Drain()
-		fence.Store(0)
-		tb.Drain()
+	for round := uint64(1); round <= 100; round++ {
+		fence.Store(round)
+		drained.Store(&[2]uint64{tb.Drain(), round})
 	}
 	stop.Store(true)
 	wg.Wait()
 	if v := violations.Load(); v > 0 {
 		t.Fatalf("%d fence visibility violations", v)
+	}
+}
+
+// TestDrainBesideBusyNeighbour is a co-located commit in miniature: two
+// sessions keep both processors busy with 1-2 µs sections and yield only
+// every 2 ms, and a drainer wakes every 300 µs. The straggler a drain finds
+// is running on the other processor and exits within microseconds; a drain
+// that yields instead queues behind the neighbour that just yielded to it, for
+// up to that neighbour's 2 ms. Drain p99 is held to 200 µs over the drains
+// during which the host took no processor away. A shared host does that every
+// few hundred drains, and no spin outlasts it: a drain is not judged when a
+// section that began before it ended ran past the spin budget, or when the
+// drain itself ran past it without yielding, which only a drainer that lost
+// its processor does.
+func TestDrainBesideBusyNeighbour(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tb := NewTable()
+	base := time.Now()
+	var stop atomic.Bool
+	var firstStall atomic.Int64 // start of the earliest section past the budget since the drainer reset it
+	var laps [2]atomic.Uint64   // sections each user has finished and timed
+	var wg sync.WaitGroup
+	for i := range laps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slot := tb.Register()
+			defer tb.Unregister(slot)
+			yielded := time.Now()
+			for !stop.Load() {
+				start := time.Now()
+				slot.Enter()
+				for end := start.Add(1500 * time.Nanosecond); time.Now().Before(end); {
+				}
+				slot.Exit()
+				if time.Since(start) > hrtimer.SpinBudget {
+					for at := int64(start.Sub(base)); ; {
+						if cur := firstStall.Load(); at >= cur || firstStall.CompareAndSwap(cur, at) {
+							break
+						}
+					}
+				}
+				laps[i].Add(1)
+				if time.Since(yielded) > 2*time.Millisecond {
+					runtime.Gosched()
+					yielded = time.Now()
+				}
+			}
+		}()
+	}
+	drains := make([]time.Duration, 0, 200)
+	excused := 0
+	for deadline := time.Now().Add(5 * time.Second); len(drains) < cap(drains) && time.Now().Before(deadline); {
+		firstStall.Store(math.MaxInt64)
+		yields := tb.Yields()
+		start := time.Now()
+		tb.Drain()
+		d := time.Since(start)
+		ended := int64(time.Since(base))
+		yielded := tb.Yields() != yields
+		lap0, lap1 := laps[0].Load(), laps[1].Load()
+		time.Sleep(300 * time.Microsecond)
+		// Judged once each user has timed a section that began after the drain.
+		if firstStall.Load() < ended || laps[0].Load() == lap0 || laps[1].Load() == lap1 ||
+			!yielded && d > 2*hrtimer.SpinBudget {
+			excused++
+			continue
+		}
+		drains = append(drains, d)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if len(drains) < cap(drains)/2 {
+		t.Skipf("the host took a processor away during %d drains of %d", excused, excused+len(drains))
+	}
+	slices.Sort(drains)
+	p50, p99 := drains[len(drains)/2], drains[len(drains)*99/100-1]
+	t.Logf("%d drains (%d the host interrupted, not judged): p50 %v, p99 %v, max %v",
+		len(drains), excused, p50, p99, drains[len(drains)-1])
+	if p99 >= 200*time.Microsecond {
+		t.Fatalf("drain p99 %v beside two busy sessions; want < 200µs", p99)
+	}
+}
+
+// TestDrainOnOneProcessor is the one-processor twin: there a straggler runs
+// only once the drainer gives the processor up, so the drain yields at once
+// rather than spinning out its budget first, and it returns once a straggler
+// parked inside its section (what epoch-discipline forbids, here to force
+// the yield) exits. The goroutine that releases the straggler is runnable
+// before the drain starts and runs at the drainer's first yield: its start is
+// the drain's time on the processor, at least the whole budget had it spun.
+func TestDrainOnOneProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tb := NewTable()
+	slot := tb.Register()
+	best := time.Hour
+	for i := 0; i < 10; i++ {
+		inSection, release := make(chan struct{}), make(chan struct{})
+		var exited atomic.Bool
+		go func() {
+			slot.Enter()
+			close(inSection)
+			<-release
+			exited.Store(true)
+			slot.Exit()
+		}()
+		<-inSection
+		var ran atomic.Int64
+		start := time.Now()
+		go func() {
+			ran.Store(int64(time.Since(start)))
+			close(release)
+		}()
+		yields := tb.Yields()
+		tb.Drain()
+		if !exited.Load() {
+			t.Fatal("Drain returned before the straggler exited")
+		}
+		if got := tb.Yields(); got != yields+1 {
+			t.Fatalf("Yields moved %d → %d over one drain that yielded", yields, got)
+		}
+		best = min(best, time.Duration(ran.Load()))
+	}
+	if best >= hrtimer.SpinBudget {
+		t.Fatalf("drain held the only processor %v (best of 10) before yielding; want under the %v spin budget", best, hrtimer.SpinBudget)
 	}
 }
 

@@ -165,8 +165,11 @@ func (t *Timer) Stop() bool {
 // caller must not touch it afterwards.
 func (t *Timer) Release() {
 	if !t.Stop() {
-		for t.state.Load()%3 != idle {
-			runtime.Gosched() // a leg is between its claim and its send
+		// A leg is between its claim and its send, running elsewhere.
+		if !Spin(t.idle) {
+			for !t.idle() {
+				runtime.Gosched()
+			}
 		}
 		select {
 		case <-t.c:
@@ -174,4 +177,34 @@ func (t *Timer) Release() {
 		}
 	}
 	timers.Put(t)
+}
+
+func (t *Timer) idle() bool { return t.state.Load()%3 == idle }
+
+// SpinBudget is how long Spin keeps its processor: about the longest section
+// an epoch drain waits out (one 64-operation batch on libdpr's lane table), and
+// a twelfth of the ~250 µs turn a yield loses behind a goroutine that rarely
+// yields (DESIGN.md "Commit rounds", Waits).
+const SpinBudget = 20 * time.Microsecond
+
+// Spin calls done without giving up the processor until it reports true or
+// SpinBudget has passed, and returns its last answer. It is for a wait whose
+// producer is running on another processor and is about to finish: yielding
+// instead puts the waiter at the back of the global run queue, behind
+// whatever is runnable, for as long as that takes to yield in turn. With one
+// processor the producer can only run once the waiter yields, so Spin
+// returns done's first answer without spinning.
+func Spin(done func() bool) bool {
+	if done() {
+		return true
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		return false
+	}
+	for end := nanos() + int64(SpinBudget); nanos() < end; {
+		if done() {
+			return true
+		}
+	}
+	return done()
 }

@@ -112,6 +112,9 @@ func TestObsEndpoints(t *testing.T) {
 		`dpr_store_compaction_bytes_total{kind="copied"`,
 		`dpr_store_compaction_bytes_total{kind="reclaimed"`,
 		"# TYPE dpr_store_compaction_step_seconds histogram",
+		"# TYPE dpr_store_epoch_drain_seconds histogram",
+		"# TYPE dpr_store_epoch_drain_yields_total counter",
+		`dpr_store_epoch_drain_yields_total{store="dfaster",worker="1"}`,
 	} {
 		if !strings.Contains(after, family) {
 			t.Fatalf("missing %q in worker exposition:\n%s", family, after)

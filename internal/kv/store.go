@@ -280,6 +280,10 @@ func (s *Store) waitDrain() {
 	}
 }
 
+// DrainYields returns how many epoch drains outlasted their spin and yielded
+// the processor (epoch.Table.Yields).
+func (s *Store) DrainYields() uint64 { return s.epochs.Yields() }
+
 // OnDrain installs an observer called with the duration of every epoch drain
 // (checkpoint boundaries, rollback fences, eviction, compaction). Pass nil to
 // remove. Used by the serving layer to export drain latency on /metrics.
