@@ -71,9 +71,12 @@ race:
 	$(GO) test -race ./...
 
 # The commit path's interleaving- and timing-sensitive tests — kv seals and
-# torn-seal recovery, the libdpr commit pump and commit rounds (two workers
-# closing a version together; the finder's announced version), heartbeat
-# backstop, WaitCommit and CommitBoundary — log compaction (its liveness rule, a pass yielding to a
+# torn-seal recovery, single-flight group commit and the persist observer, the
+# pinned checkpoint-record layout and the device holding only the log and its
+# two record slots after seals, a failed seal and a rollback; the libdpr
+# commit pump and commit rounds (two workers closing a version together; the
+# finder's announced version), heartbeat backstop, WaitCommit and
+# CommitBoundary; log compaction (its liveness rule, a pass yielding to a
 # commit and to a rollback, the log staying bounded under load: -short runs
 # that one for 3 s instead of 30), the serving frame's (backend conformance,
 # Stop) and the client's batch lifecycle (every transition against scripted
@@ -95,7 +98,7 @@ commit-path-stress:
 	run '.' ./internal/epoch; \
 	run 'TestWorldLine' ./internal/core; \
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
-	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure' ./internal/kv; \
+	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
 	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline' ./internal/libdpr; \
 	run 'TestAnnouncement' ./internal/metadata; \
@@ -103,11 +106,16 @@ commit-path-stress:
 	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \
 	run 'TestFaultProxyBlackhole' ./internal/wire
 
-# Replay the checked-in decoder corpus and mutate for a few seconds per
-# target, mirroring the CI fuzz job.
+# The decoders of bytes a worker takes from outside: the wire frames and the
+# kv checkpoint record read back from the device. Each target replays its seed
+# corpus (internal/wire's checked-in one too) and mutates for a few seconds.
+# CI's fuzz job runs this target, so this list is the only one.
 fuzz:
-	for target in FuzzDecodeBatchRequest FuzzDecodeBatchReply FuzzDecodeError FuzzDecodeCutAdvance; do \
-		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	@set -e; for t in ./internal/wire:FuzzDecodeBatchRequest ./internal/wire:FuzzDecodeBatchReply \
+			./internal/wire:FuzzDecodeError ./internal/wire:FuzzDecodeCutAdvance \
+			./internal/kv:FuzzDecodeCheckpoint; do \
+		echo "fuzz $$t"; \
+		$(GO) test "$${t%%:*}" -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 10s; \
 	done
 
 bench:

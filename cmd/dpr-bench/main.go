@@ -39,7 +39,6 @@ var figures = []struct {
 	{"fig19", "recoverability levels across systems", bench.Fig19},
 	{"finders", "ablation: exact vs approximate vs hybrid finder", bench.AblationFinders},
 	{"strictrelaxed", "ablation: strict vs relaxed DPR", bench.AblationStrictVsRelaxed},
-	{"ckptkinds", "ablation: fold-over vs snapshot checkpoints", bench.AblationCheckpointKinds},
 }
 
 func main() {

@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"dpr/internal/core"
-	"dpr/internal/hrtimer"
-	"dpr/internal/kv"
 	"dpr/internal/metadata"
-	"dpr/internal/storage"
 	"dpr/internal/workload"
 )
 
@@ -110,67 +107,6 @@ func AblationStrictVsRelaxed(opt Options) error {
 		fmt.Fprintf(opt.Out, "%-10s %14.2f %16v %16v\n", name, res.MopsPerSec(),
 			res.CommitExact.Quantile(50).Truncate(time.Microsecond),
 			res.CommitExact.Quantile(99).Truncate(time.Microsecond))
-	}
-	return nil
-}
-
-// AblationCheckpointKinds compares FASTER's two checkpoint flavours
-// (fold-over vs full snapshot) on the same store: checkpoint completion
-// time and recovery time as a function of update volume since the last
-// checkpoint. Fold-over writes the delta; snapshot writes the live set.
-func AblationCheckpointKinds(opt Options) error {
-	opt = opt.withDefaults()
-	header(opt.Out, "Ablation: fold-over vs snapshot checkpoints")
-	fmt.Fprintf(opt.Out, "%-12s %10s %8s %14s %14s\n", "kind", "liveKeys", "churn", "ckpt-time", "recover-time")
-	type cell struct{ live, churn int }
-	cells := []cell{{10000, 1}, {10000, 20}, {100000, 1}}
-	if opt.Short {
-		cells = []cell{{5000, 1}, {5000, 10}}
-	}
-	for _, kind := range []kv.CheckpointKind{kv.FoldOver, kv.Snapshot} {
-		for _, c := range cells {
-			live, churn := c.live, c.churn
-			dev := storage.NewNull()
-			store := kv.NewStore(dev, kv.Config{BucketCount: 1 << 14, Checkpoint: kind})
-			sess := store.NewSession()
-			// Churn rounds separated by checkpoints: every round's updates
-			// land in a fresh version (RCU), so the fold-over log holds
-			// churn×live records while the live set stays at live. The
-			// trade-off under test: fold-over recovery replays the whole
-			// log, snapshot recovery loads only the live set.
-			var ckptTime time.Duration
-			for r := 0; r < churn; r++ {
-				for i := 0; i < live; i++ {
-					k := workload.KeyAt(int64(i))
-					v := workload.Value8(k)
-					if _, err := sess.Upsert(k[:], v[:]); err != nil {
-						return err
-					}
-				}
-				target := store.CurrentVersion()
-				start := time.Now()
-				if err := store.BeginCommit(target); err != nil {
-					return err
-				}
-				for store.PersistedVersion() < target {
-					hrtimer.Sleep(50 * time.Microsecond)
-				}
-				ckptTime = time.Since(start) // last round's checkpoint
-			}
-			target := store.PersistedVersion()
-			sess.Close()
-			store.Close()
-
-			start := time.Now()
-			rec, err := kv.Recover(dev, kv.Config{BucketCount: 1 << 14, Checkpoint: kind}, target)
-			if err != nil {
-				return err
-			}
-			recoverTime := time.Since(start)
-			rec.Close()
-			fmt.Fprintf(opt.Out, "%-12s %10d %8d %14v %14v\n",
-				kind, live, churn, ckptTime.Truncate(time.Microsecond), recoverTime.Truncate(time.Microsecond))
-		}
 	}
 	return nil
 }

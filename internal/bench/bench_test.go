@@ -190,16 +190,3 @@ func TestRunReportsErrors(t *testing.T) {
 		t.Fatalf("too many errors: %d of %d", res.ErrorCount, res.Ops)
 	}
 }
-
-func TestAblationCheckpointKindsSmoke(t *testing.T) {
-	opt, buf := tinyOpts()
-	if err := AblationCheckpointKinds(opt); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"fold-over", "snapshot", "recover-time"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}

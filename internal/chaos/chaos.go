@@ -422,6 +422,6 @@ func (h *Harness) InjectSkippedRollback(victim int) (core.WorldLine, core.Cut, c
 			return wl, cut, bad, err
 		}
 	}
-	h.store.CompleteRecovery()
+	h.store.CompleteRecoveryFor(wl)
 	return wl, cut, bad, nil
 }

@@ -548,8 +548,8 @@ func TestBatchLifecycle(t *testing.T) {
 			all := make(chan struct{})
 			e.script(1, 1, step{then: func() { <-all }})
 			e.script(1, 3, step{then: func() {
-				e.meta.BeginRecovery()
-				e.meta.CompleteRecovery()
+				wl, _ := e.meta.BeginRecovery()
+				e.meta.CompleteRecoveryFor(wl)
 			}})
 			for i := 0; i < 6; i++ {
 				e.upsert(0)

@@ -10,8 +10,8 @@ import (
 	"dpr/internal/storage"
 )
 
-// Checkpoint records. A seal writes its data (the flushed log range, or the
-// snapshot/delta blob) and one record describing it, concurrently, and waits
+// Checkpoint records. Every seal is a CPR fold-over: it writes the log range
+// not yet on the device and one record describing it, concurrently, and waits
 // for both: one device wait per seal. Nothing on the device says which
 // record is the latest; recovery decides by validating what it finds.
 //
@@ -26,16 +26,15 @@ import (
 // other slot, which is always complete: seals are single-flight, so the
 // previous seal finished both of its writes before this one started.
 //
-// Layout, little-endian 8-byte words: magic, sequence, version, kind (bit 8:
-// the data is a delta blob), begin address, data range [from, boundary),
-// data CRC32C, rolled-back range count, the ranges as (lo, hi) pairs, CRC32C
-// of everything before it. Fold-over data is log bytes [from, boundary);
-// snapshot data is bytes [0, boundary) of snap-<version> or sdelta-<version>.
+// Layout, little-endian 8-byte words: magic, sequence, version, kind (always
+// 0), begin address, data range [from, boundary), data CRC32C, rolled-back
+// range count, the ranges as (lo, hi) pairs, CRC32C of everything before it.
+// The data is log bytes [from, boundary). A record with a non-zero kind word
+// does not decode: it names no log range, so recovery skips its slot as torn.
 
 const (
 	ckptMagic      = 0xD9C4_0003
 	ckptFixedWords = 9
-	ckptDeltaBit   = 1 << 8
 )
 
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
@@ -48,8 +47,6 @@ var errTornCheckpoint = errors.New("kv: checkpoint data does not match its recor
 type checkpointMeta struct {
 	Seq      uint64
 	Version  core.Version
-	Kind     CheckpointKind
-	Delta    bool
 	Begin    int64
 	From     int64
 	Boundary int64
@@ -64,14 +61,10 @@ func ckptSlotName(blob string, seq uint64) string {
 func (m *checkpointMeta) encode() []byte {
 	buf := make([]byte, 0, (ckptFixedWords+2*len(m.Ranges)+1)*8)
 	put := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
-	kind := uint64(m.Kind)
-	if m.Delta {
-		kind |= ckptDeltaBit
-	}
 	put(ckptMagic)
 	put(m.Seq)
 	put(uint64(m.Version))
-	put(kind)
+	put(0) // kind
 	put(uint64(m.Begin))
 	put(uint64(m.From))
 	put(uint64(m.Boundary))
@@ -98,14 +91,13 @@ func decodeCheckpoint(data []byte) (m *checkpointMeta, ok bool) {
 		return nil, false
 	}
 	body := (ckptFixedWords + 2*int(n)) * 8
-	if len(data) < body+8 || get(body/8) != uint64(crc32.Checksum(data[:body], crc32c)) {
+	if len(data) < body+8 || get(body/8) != uint64(crc32.Checksum(data[:body], crc32c)) ||
+		get(3) != 0 || get(7)>>32 != 0 {
 		return nil, false
 	}
 	m = &checkpointMeta{
 		Seq:      get(1),
 		Version:  core.Version(get(2)),
-		Kind:     CheckpointKind(get(3) &^ ckptDeltaBit),
-		Delta:    get(3)&ckptDeltaBit != 0,
 		Begin:    int64(get(4)),
 		From:     int64(get(5)),
 		Boundary: int64(get(6)),
@@ -148,16 +140,9 @@ func readCheckpoints(device storage.Device, blob string) ([]*checkpointMeta, err
 	return recs, nil
 }
 
-// tornIfMissing classifies a data read error: bytes that are not there mean
-// the seal never finished; anything else is the device's problem.
-func tornIfMissing(err error) error {
-	if errors.Is(err, storage.ErrBlobNotFound) || errors.Is(err, storage.ErrOutOfRange) {
-		return errTornCheckpoint
-	}
-	return err
-}
-
-// readLog reads log bytes [from, to) from the device a slab at a time.
+// readLog reads log bytes [from, to) from the device a slab at a time. Bytes
+// that are not there mean the seal that named them never finished
+// (errTornCheckpoint); any other read error is the device's problem.
 func readLog(device storage.Device, blob string, from, to int64, fn func(off int64, data []byte)) error {
 	for off := from; off < to; {
 		end := (off>>slabBits + 1) << slabBits
@@ -165,8 +150,11 @@ func readLog(device storage.Device, blob string, from, to int64, fn func(off int
 			end = to
 		}
 		data, err := device.Read(blob, off, int(end-off))
+		if errors.Is(err, storage.ErrBlobNotFound) || errors.Is(err, storage.ErrOutOfRange) {
+			err = errTornCheckpoint
+		}
 		if err != nil {
-			return fmt.Errorf("kv: read log: %w", tornIfMissing(err))
+			return fmt.Errorf("kv: read log: %w", err)
 		}
 		fn(off, data)
 		off = end
@@ -174,63 +162,27 @@ func readLog(device storage.Device, blob string, from, to int64, fn func(off int
 	return nil
 }
 
-// dataBlob names the blob a snapshot-kind record points at.
-func (m *checkpointMeta) dataBlob() string {
-	if m.Delta {
-		return deltaBlobName(m.Version)
-	}
-	return snapBlobName(m.Version)
-}
-
-// verifyData re-reads the data a record names and checks it against the
-// record's CRC, returning errTornCheckpoint when it does not match.
-func verifyData(device storage.Device, blob string, m *checkpointMeta) error {
-	var crc uint32
-	if m.Kind == Snapshot {
-		data, err := device.Read(m.dataBlob(), 0, int(m.Boundary))
-		if err != nil {
-			return fmt.Errorf("kv: read %s: %w", m.dataBlob(), tornIfMissing(err))
-		}
-		crc = crc32.Checksum(data, crc32c)
-	} else if err := readLog(device, blob, m.From, m.Boundary, func(_ int64, data []byte) {
-		crc = crc32.Update(crc, crc32c, data)
-	}); err != nil {
-		return err
-	}
-	if crc != m.DataCRC {
-		return errTornCheckpoint
-	}
-	return nil
-}
-
-// latestValid returns the newest record whose data verifies, nil when the
-// device holds none.
-func latestValid(device storage.Device, blob string) (*checkpointMeta, error) {
-	recs, err := readCheckpoints(device, blob)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range recs {
-		err := verifyData(device, blob, m)
-		if err == nil {
-			return m, nil
-		}
-		if !errors.Is(err, errTornCheckpoint) {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
 // LatestCheckpoint returns the version of the newest durable checkpoint on
 // the device for the given log blob name, or 0 if none exists (or the device
-// cannot be read).
+// cannot be read): the newest record whose log range matches its CRC.
 func LatestCheckpoint(device storage.Device, blob string) core.Version {
-	m, err := latestValid(device, blob)
-	if err != nil || m == nil {
+	recs, err := readCheckpoints(device, blob)
+	if err != nil {
 		return 0
 	}
-	return m.Version
+	for _, m := range recs {
+		var crc uint32
+		err := readLog(device, blob, m.From, m.Boundary, func(_ int64, data []byte) {
+			crc = crc32.Update(crc, crc32c, data)
+		})
+		if err == nil && crc == m.DataCRC {
+			return m.Version
+		}
+		if err != nil && !errors.Is(err, errTornCheckpoint) {
+			return 0
+		}
+	}
+	return 0
 }
 
 // blobWrite is one device write of a seal.
@@ -261,7 +213,6 @@ func writeAll(device storage.Device, writes []blobWrite) error {
 // considered durable and the same slot is reused by the retry.
 func (s *Store) seal(m checkpointMeta, data []blobWrite) error {
 	m.Seq = s.ckptSeq + 1
-	m.Kind = s.cfg.Checkpoint
 	m.Begin = s.log.begin.Load()
 	m.Ranges = *s.rolledBack.Load()
 	for _, w := range data {
@@ -303,25 +254,6 @@ func recoverFrom(device storage.Device, cfg Config, m *checkpointMeta, v core.Ve
 	latest := m.Version
 	if latest < v {
 		return nil, fmt.Errorf("kv: newest checkpoint %d predates requested version %d", latest, v)
-	}
-	if m.Kind == Snapshot {
-		if err := verifyData(device, cfg.Blob, m); err != nil {
-			return nil, err
-		}
-		// Snapshot checkpoints recover at a checkpointed version: use the
-		// newest snapshot or delta at or below v. (Fold-over supports
-		// arbitrary positions; this is the documented trade-off of snapshot
-		// mode.)
-		for ver := v; ver > 0; ver-- {
-			if device.BlobSize(snapBlobName(ver)) >= 8 ||
-				device.BlobSize(deltaBlobName(ver)) >= deltaHeaderSize {
-				return recoverSnapshot(device, cfg, ver, m)
-			}
-			if v-ver > 1024 {
-				break
-			}
-		}
-		return nil, fmt.Errorf("kv: no snapshot at or below version %d", v)
 	}
 	s := newStore(device, cfg)
 	// Load the durable log prefix into memory (compacted region excluded),

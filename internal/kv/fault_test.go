@@ -207,22 +207,3 @@ func TestRecoverReadFaultMidRestore(t *testing.T) {
 		t.Fatalf("recovered %q", got)
 	}
 }
-
-func TestSnapshotCheckpointStorageFailure(t *testing.T) {
-	flaky := storage.NewFlaky(storage.NewNull())
-	s := NewStore(flaky, Config{Checkpoint: Snapshot})
-	defer s.Close()
-	sess := s.NewSession()
-	defer sess.Close()
-	sess.Upsert([]byte("k"), []byte("v"))
-	flaky.FailNextWrites(1)
-	s.BeginCommit(1)
-	time.Sleep(30 * time.Millisecond)
-	if s.PersistedVersion() != 0 {
-		t.Fatal("snapshot persisted despite injected failure")
-	}
-	// Healed retry.
-	target := s.CurrentVersion()
-	s.BeginCommit(target)
-	waitPersisted(t, s, target)
-}

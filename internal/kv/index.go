@@ -9,8 +9,8 @@ import (
 // index is the sharded, latch-striped hash index. The bucket space is split
 // into independent shards — each with its own bucket array and stripe-lock
 // array — selected by disjoint hash bits, so concurrent execution lanes
-// contend only within a shard and whole-index passes (checkpoint snapshot
-// scans, rollback PURGE, recovery rebuild) parallelize shard-by-shard.
+// contend only within a shard and whole-index passes (rollback PURGE,
+// recovery rebuild, migration scans) parallelize shard-by-shard.
 //
 // Each bucket holds the log address of the newest record in its chain (-1
 // when empty). Chain mutations happen under the bucket's stripe lock; chain
@@ -30,59 +30,11 @@ type indexShard struct {
 	mask     uint64
 	lockMask uint64
 
-	// Dirty-bucket tracking for delta checkpoints. Every chain mutation
-	// marks its bucket (stamp + one append on the first touch per window),
-	// and buildDelta harvests the accumulated list instead of walking the
-	// whole bucket array — the scan that makes a delta seal O(dirty) rather
-	// than O(buckets), which is what lets the commit pump run every few ms.
-	// dirtyStamp[b] is only touched under bucket b's stripe lock (or by the
-	// single-goroutine-per-shard recovery rebuild); dirtyMu guards the list
-	// itself, which stripes share. Lock order: stripe lock < dirtyMu.
-	dirtyMu    sync.Mutex
-	dirty      []uint32
-	dirtySpare []uint32
-	dirtyStamp []uint8
-
 	// keep[b] is compaction's memo for bucket b: every record of the bucket
 	// at a lower address is droppable (see judgeBucket). Zero knows nothing.
 	// Only compaction steps touch it, one at a time under the store's
 	// state-machine mutex.
 	keep []int64
-}
-
-// markDirty records bucket b as mutated since the last delta harvest. The
-// caller must hold b's stripe lock (the same condition as setHead).
-func (sh *indexShard) markDirty(b uint64) {
-	if sh.dirtyStamp[b] != 0 {
-		return
-	}
-	sh.dirtyStamp[b] = 1
-	sh.dirtyMu.Lock()
-	sh.dirty = append(sh.dirty, uint32(b))
-	sh.dirtyMu.Unlock()
-}
-
-// harvestDirty swaps out the accumulated dirty-bucket list. Stamps stay set;
-// the delta scan clears each bucket's stamp under its stripe lock as it
-// visits it, so writes racing the harvest are never lost (they either land
-// on the chain before the visit — and the scan re-marks the bucket when it
-// sees a record above its target — or they re-mark it themselves afterwards).
-func (sh *indexShard) harvestDirty() []uint32 {
-	sh.dirtyMu.Lock()
-	list := sh.dirty
-	sh.dirty = sh.dirtySpare[:0]
-	sh.dirtySpare = nil
-	sh.dirtyMu.Unlock()
-	return list
-}
-
-// recycleDirty returns a harvested list's backing array for reuse.
-func (sh *indexShard) recycleDirty(list []uint32) {
-	sh.dirtyMu.Lock()
-	if sh.dirtySpare == nil {
-		sh.dirtySpare = list[:0]
-	}
-	sh.dirtyMu.Unlock()
 }
 
 const nilAddress = int64(-1)
@@ -146,7 +98,6 @@ func newIndex(bucketCount, shardCount int) *index {
 		sh.locks = make([]sync.Mutex, nlocks)
 		sh.mask = uint64(perShard - 1)
 		sh.lockMask = uint64(nlocks - 1)
-		sh.dirtyStamp = make([]uint8, perShard)
 		sh.keep = make([]int64, perShard)
 		for i := range sh.buckets {
 			sh.buckets[i].Store(nilAddress)
@@ -195,10 +146,7 @@ func (ix *index) head(handle uint64) int64 {
 
 // setHead publishes a new chain head. Callers must hold the stripe lock.
 func (ix *index) setHead(handle uint64, addr int64) {
-	sh := ix.shard(handle)
-	b := handle & handleBucketMask
-	sh.markDirty(b)
-	sh.buckets[b].Store(addr)
+	ix.shard(handle).buckets[handle&handleBucketMask].Store(addr)
 }
 
 // keep returns compaction's memo slot for a bucket.
@@ -218,7 +166,7 @@ func (ix *index) handle(shard, bucket int) uint64 {
 // forEachShard runs fn(shard index) for every shard, concurrently when the
 // index has more than one shard. fn must confine itself to its shard's
 // buckets; the log is append-only shared state. Used by the whole-index
-// maintenance passes (PURGE, snapshot scans, recovery rebuild) so their cost
+// maintenance passes (PURGE, migration scans, recovery rebuild) so their cost
 // divides across cores instead of stalling serving behind one linear walk.
 func (ix *index) forEachShard(fn func(shard int)) {
 	if len(ix.shards) == 1 {

@@ -7,23 +7,22 @@ import (
 )
 
 // Migration support: the donor side scans the frozen prefix of the moving
-// partitions (reusing the fold-over shard walk of buildSnapshot), and the
-// receive side relinks imported records at the head of the target's hash
-// chains without the in-place-update walk (the keys are new to the store).
+// partitions shard by shard, and the receive side relinks imported records at
+// the head of the target's hash chains without the in-place-update walk (the
+// keys are new to the store).
 
 // ScanFrozen walks every record live at versions ≤ boundary whose key the
 // predicate selects, calling emit once per key with the newest surviving
-// record (tombstoned and rolled-back records are skipped, like a snapshot
-// checkpoint). The caller must have sealed the boundary first (commit past
-// it), so records ≤ boundary are immutable and the scan is consistent.
+// record (tombstoned and rolled-back records are skipped). The caller must
+// have sealed the boundary first (commit past it), so records ≤ boundary are
+// immutable and the scan is consistent.
 //
 // Index shards are walked concurrently (index.forEachShard), so emit may be
 // invoked from multiple goroutines at once and must synchronize internally.
 // The key and value slices alias log memory under the bucket lock and are
 // valid only for the duration of the call: emit must copy what it keeps.
 //
-// Like a fold-over checkpoint scan, only the in-memory region of the log is
-// walked; callers migrate partitions out of stores whose working set is
+// Only the in-memory region of the log is walked; callers migrate partitions out of stores whose working set is
 // resident (the chaos and integration configurations never evict).
 //
 //dpr:ignore cut-worldline the kv layer is deliberately world-line-agnostic: erasure is modeled as rolled-back version ranges (RolledBackRanges below), and the (world-line, boundary) pairing is pinned by the caller (dfaster migrateOut) which seals the boundary on its own tracked world-line before scanning

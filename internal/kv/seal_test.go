@@ -1,12 +1,18 @@
 package kv
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dpr/internal/core"
 	"dpr/internal/storage"
@@ -78,27 +84,46 @@ var sealDevices = []sealEnv{
 	}},
 }
 
-var sealModes = []struct {
-	name string
-	cfg  Config
-}{
-	{"fold-over", Config{BucketCount: 1 << 8}},
-	{"snapshot", Config{BucketCount: 1 << 8, Checkpoint: Snapshot}},
-	{"delta", deltaConfig()},
-}
-
-// forEachSealSetup runs fn once per device kind and checkpoint mode, over a
-// lossy(flaky(device)) stack.
+// forEachSealSetup runs fn once per device kind, over a lossy(flaky(device))
+// stack, with a fold-over store's configuration.
 func forEachSealSetup(t *testing.T, fn func(t *testing.T, lossy *lossyDevice, flaky *storage.FlakyDevice, cfg Config)) {
 	for _, env := range sealDevices {
-		for _, mode := range sealModes {
-			t.Run(env.name+"/"+mode.name, func(t *testing.T) {
-				inner := env.open(t)
-				defer inner.Close()
-				flaky := storage.NewFlaky(inner)
-				fn(t, &lossyDevice{Device: flaky}, flaky, mode.cfg)
-			})
-		}
+		t.Run(env.name+"/fold-over", func(t *testing.T) {
+			inner := env.open(t)
+			defer inner.Close()
+			flaky := storage.NewFlaky(inner)
+			fn(t, &lossyDevice{Device: flaky}, flaky, Config{BucketCount: 1 << 8})
+		})
+	}
+}
+
+// commitAll checkpoints everything written so far and waits for durability,
+// returning the persisted version.
+func commitAll(t *testing.T, s *Store) core.Version {
+	t.Helper()
+	target := s.CurrentVersion()
+	if err := s.BeginCommit(target); err != nil {
+		t.Fatal(err)
+	}
+	waitPersisted(t, s, target)
+	return target
+}
+
+// failSeal runs one checkpoint whose first device write fails, and waits for
+// the store to give it up.
+func failSeal(t *testing.T, s *Store, flaky *storage.FlakyDevice) {
+	t.Helper()
+	persisted := s.PersistedVersion()
+	flaky.FailNextWrites(1) // one of the seal's concurrent writes
+	target := s.CurrentVersion()
+	if err := s.BeginCommit(target); err != nil {
+		t.Fatal(err)
+	}
+	for s.CurrentVersion() == target || s.CurrentPhase() != PhaseRest {
+		runtime.Gosched() // the failed checkpoint still shifts the version; wait it out
+	}
+	if s.PersistedVersion() != persisted {
+		t.Fatalf("persisted %d after a failed seal, want %d", s.PersistedVersion(), persisted)
 	}
 }
 
@@ -148,11 +173,7 @@ func TestTornSealFallsBackToPreviousSlot(t *testing.T) {
 		{
 			name: "data corrupted",
 			damage: func(t *testing.T, dev storage.Device, m *checkpointMeta) {
-				if m.Kind == Snapshot {
-					flipByte(t, dev, m.dataBlob(), m.Boundary-1)
-				} else {
-					flipByte(t, dev, "hlog", m.Boundary-1)
-				}
+				flipByte(t, dev, "hlog", m.Boundary-1)
 			},
 		},
 		{
@@ -262,17 +283,7 @@ func TestFailedSealRetryCoversWiderRange(t *testing.T) {
 		first := newestRecord(t, dev)
 
 		writeGen(sess, 2)
-		flaky.FailNextWrites(1) // one of the seal's concurrent writes
-		target := s.CurrentVersion()
-		if err := s.BeginCommit(target); err != nil {
-			t.Fatal(err)
-		}
-		for s.CurrentVersion() == target || s.CurrentPhase() != PhaseRest {
-			runtime.Gosched() // the failed checkpoint still shifts the version; wait it out
-		}
-		if s.PersistedVersion() != v1 {
-			t.Fatalf("persisted %d after a failed seal, want %d", s.PersistedVersion(), v1)
-		}
+		failSeal(t, s, flaky)
 		if got := LatestCheckpoint(dev, "hlog"); got != v1 {
 			t.Fatalf("LatestCheckpoint = %d after a failed seal, want %d", got, v1)
 		}
@@ -285,11 +296,8 @@ func TestFailedSealRetryCoversWiderRange(t *testing.T) {
 		if m.Seq != first.Seq+1 || m.Version != v3 {
 			t.Fatalf("retry record %+v, want seq %d version %d", m, first.Seq+1, v3)
 		}
-		if cfg.Checkpoint == FoldOver && m.From != first.Boundary {
+		if m.From != first.Boundary {
 			t.Fatalf("retry flushed from %d, want the last durable boundary %d", m.From, first.Boundary)
-		}
-		if cfg.Checkpoint == Snapshot && m.Delta {
-			t.Fatal("the retry after a failed snapshot-mode seal must be a full snapshot")
 		}
 		r, err := Recover(dev, cfg, v3)
 		if err != nil {
@@ -355,6 +363,137 @@ func TestRecordSurvivesLongerPredecessor(t *testing.T) {
 	}
 }
 
+// TestSealLeavesOnlyLogAndSlots: every seal is a fold-over of the log, so
+// whatever the seals go through — a failed write, a rollback — the device
+// holds the log and the two record slots and nothing else.
+func TestSealLeavesOnlyLogAndSlots(t *testing.T) {
+	mem := storage.NewNull()
+	flaky := storage.NewFlaky(mem)
+	s := NewStore(flaky, Config{BucketCount: 1 << 8})
+	defer s.Close()
+	sess := s.NewSession()
+	defer sess.Close()
+	sealed := make(chan core.Version, 1) // seals are awaited one at a time
+	s.OnPersist(func(v core.Version) { sealed <- v })
+	// seal drives n seals the way the commit pump does: one BeginCommit of the
+	// current version per persist notification.
+	seal := func(n int) {
+		for i := 0; i < n; i++ {
+			writeGen(sess, i)
+			if err := s.BeginCommit(s.CurrentVersion()); err != nil {
+				t.Fatal(err)
+			}
+			<-sealed
+		}
+	}
+	seal(8)
+	v := s.PersistedVersion()
+	writeGen(sess, 100)
+	failSeal(t, s, flaky)
+	if err := s.Restore(v); err != nil {
+		t.Fatal(err)
+	}
+	seal(8)
+	got := mem.Blobs()
+	sort.Strings(got)
+	if want := []string{"hlog", "hlog-ckpt-0", "hlog-ckpt-1"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("blobs %v, want %v", got, want)
+	}
+}
+
+// checkpointGolden is the encoding of checkpointRecordFixture, byte for byte:
+// the on-device layout every checkpoint record on a device was written in.
+const checkpointGolden = "0300c4d90000000005000000000000002a0000000000000000000000000000008000000000000000" +
+	"00100000000000000020000000000000efbeadde00000000020000000000000003000000000000000700000000000000" +
+	"0a000000000000000c00000000000000bcf9bb9400000000"
+
+var checkpointRecordFixture = checkpointMeta{Seq: 5, Version: 42, Begin: 128, From: 4096, Boundary: 8192,
+	DataCRC: 0xDEADBEEF, Ranges: []versionRange{{3, 7}, {10, 12}}}
+
+// withKindWord returns a copy of an encoded record with its kind word set
+// and its CRC recomputed, so the kind word is the only thing wrong with it.
+func withKindWord(rec []byte, kind uint64) []byte {
+	out := append([]byte(nil), rec...)
+	binary.LittleEndian.PutUint64(out[3*8:], kind)
+	body := len(out) - 8
+	binary.LittleEndian.PutUint64(out[body:], uint64(crc32.Checksum(out[:body], crc32c)))
+	return out
+}
+
+// TestCheckpointRecordLayout pins the record format: encode writes the golden
+// bytes, and a record whose kind word is not 0 (1 and 1|1<<8 named snapshot
+// and delta-snapshot blobs, a format the store no longer has) does not
+// decode, so recovery skips its slot like a torn one and never replays it as
+// a log range.
+func TestCheckpointRecordLayout(t *testing.T) {
+	golden, err := hex.DecodeString(checkpointGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checkpointRecordFixture.encode(); !bytes.Equal(got, golden) {
+		t.Fatalf("encode:\n got %x\nwant %x", got, golden)
+	}
+	for _, kind := range []uint64{1, 1 << 8, 1<<8 | 1} {
+		if _, ok := decodeCheckpoint(withKindWord(golden, kind)); ok {
+			t.Fatalf("a record with kind word %#x decoded", kind)
+		}
+	}
+
+	dev := storage.NewNull()
+	cfg := Config{BucketCount: 1 << 8}
+	s := NewStore(dev, cfg)
+	sess := s.NewSession()
+	writeGen(sess, 1)
+	v1 := commitAll(t, s)
+	writeGen(sess, 2)
+	v2 := commitAll(t, s)
+	sess.Close()
+	s.Close()
+	newest := ckptSlotName("hlog", newestRecord(t, dev).Seq)
+	rec, err := dev.Read(newest, 0, int(dev.BlobSize(newest)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAll(dev, []blobWrite{{blob: newest, data: withKindWord(rec, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := LatestCheckpoint(dev, "hlog"); got != v1 {
+		t.Fatalf("LatestCheckpoint = %d, want %d from the other slot", got, v1)
+	}
+	if _, err := Recover(dev, cfg, v2); err == nil {
+		t.Fatalf("recovered version %d from a non-zero-kind record", v2)
+	}
+	r, err := Recover(dev, cfg, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	expectGen(t, r, 1)
+}
+
+// FuzzDecodeCheckpoint: decodeCheckpoint parses whatever a slot holds, so no
+// input may panic it, and a record it accepts encodes back to the bytes it
+// was decoded from (bytes past the record are ignored).
+func FuzzDecodeCheckpoint(f *testing.F) {
+	golden, err := hex.DecodeString(checkpointGolden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)-1])
+	f.Add(withKindWord(golden, 1))
+	f.Add((&checkpointMeta{Seq: 1, Boundary: 64}).encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, ok := decodeCheckpoint(data)
+		if !ok {
+			return
+		}
+		if enc := m.encode(); !bytes.HasPrefix(data, enc) {
+			t.Fatalf("decoded %+v re-encodes to\n%x\nfrom\n%x", m, enc, data)
+		}
+	})
+}
+
 // TestNewStoreDiscardsOlderIncarnation: a store started fresh on a device an
 // earlier store sealed to numbers its records from 1 again; the stranger's
 // records, with their higher sequence numbers and still-valid data, must not
@@ -389,4 +528,86 @@ func TestNewStoreDiscardsOlderIncarnation(t *testing.T) {
 		defer r.Close()
 		expectGen(t, r, 1)
 	})
+}
+
+// TestGroupCommitCoalesces: many concurrent BeginCommit calls fold into far
+// fewer checkpoint state machine runs (single-flight group commit), while
+// every requested version still becomes durable.
+func TestGroupCommitCoalesces(t *testing.T) {
+	// A device with real write latency, so requests actually overlap an
+	// in-flight checkpoint instead of each finding the machine idle.
+	dev := storage.NewMemDevice("ssd", storage.LatencyProfile{WriteLatency: time.Millisecond})
+	s := NewStore(dev, Config{BucketCount: 1 << 8})
+	defer s.Close()
+
+	const requests = 64
+	var wg sync.WaitGroup
+	var maxTarget atomic.Uint64
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := s.NewSession() // a session is not safe for concurrent use
+			defer sess.Close()
+			v, err := sess.Upsert([]byte("k"), []byte("v"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				cur := maxTarget.Load()
+				if uint64(v) <= cur || maxTarget.CompareAndSwap(cur, uint64(v)) {
+					break
+				}
+			}
+			if err := s.BeginCommit(v); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	waitPersisted(t, s, core.Version(maxTarget.Load()))
+	if got := s.Checkpoints(); got >= requests/2 {
+		t.Fatalf("%d checkpoints for %d concurrent commits: not coalescing", got, requests)
+	}
+}
+
+// TestOnPersistFires: the observer sees every checkpoint seal, with the
+// persisted version, and is not invoked by a rollback's regression.
+func TestOnPersistFires(t *testing.T) {
+	s := NewStore(storage.NewNull(), Config{BucketCount: 1 << 8})
+	defer s.Close()
+	sess := s.NewSession()
+	defer sess.Close()
+
+	var mu sync.Mutex
+	var seen []core.Version
+	s.OnPersist(func(v core.Version) {
+		mu.Lock()
+		seen = append(seen, v)
+		mu.Unlock()
+	})
+
+	sess.Upsert([]byte("k"), []byte("v"))
+	v0 := commitAll(t, s)
+	sess.Upsert([]byte("k"), []byte("v2"))
+	v1 := commitAll(t, s)
+
+	mu.Lock()
+	got := append([]core.Version(nil), seen...)
+	mu.Unlock()
+	if len(got) != 2 || got[0] != v0 || got[1] != v1 {
+		t.Fatalf("persist notifications %v, want [%d %d]", got, v0, v1)
+	}
+
+	if err := s.Restore(v0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	mu.Lock()
+	n := len(seen)
+	mu.Unlock()
+	if n != 2 {
+		t.Fatalf("rollback fired a persist notification (%d total)", n)
+	}
 }

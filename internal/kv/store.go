@@ -70,9 +70,9 @@ type Config struct {
 	BucketCount int
 	// IndexShards splits the hash index into independent partitions (rounded
 	// up to a power of two) so concurrent execution lanes contend only within
-	// a shard and whole-index passes (PURGE, snapshot scans, recovery
-	// rebuild) parallelize shard-by-shard. 0 selects a default sized to
-	// runtime.GOMAXPROCS, capped at 16.
+	// a shard and whole-index passes (PURGE, recovery rebuild) parallelize
+	// shard-by-shard. 0 selects a default sized to runtime.GOMAXPROCS,
+	// capped at 16.
 	IndexShards int
 	// MemoryBudget caps the in-memory log size in bytes; older flushed
 	// regions are evicted to the device and served via PENDING reads.
@@ -83,17 +83,6 @@ type Config struct {
 	MemoryBudget int64
 	// Blob names this store's log on the device (default "hlog").
 	Blob string
-	// Checkpoint selects the checkpoint strategy (default FoldOver).
-	Checkpoint CheckpointKind
-	// SnapshotFullEvery, in Snapshot mode, writes a full snapshot only on
-	// every Nth checkpoint and an incremental delta in between: just the
-	// records written since the previous checkpoint, found by walking bucket
-	// chains no deeper than the previous checkpoint's log boundary. A
-	// steady-state checkpoint then costs O(dirty) instead of O(live) and can
-	// run every few milliseconds. <= 1 writes a full snapshot every time
-	// (the prior behavior). FoldOver ignores it: fold-over flushes are
-	// already incremental.
-	SnapshotFullEvery int
 }
 
 // Store is the FasterKV instance: one StateObject shard.
@@ -128,19 +117,6 @@ type Store struct {
 	// ckptSeq is the sequence number of the newest durable checkpoint record
 	// (guarded by smMu); the next seal writes ckptSeq+1 into the other slot.
 	ckptSeq uint64
-
-	// Snapshot-mode delta bookkeeping, guarded by smMu. snapLowWater is the
-	// log tail captured just before the previous successful checkpoint's
-	// version shift: every record stamped with a later version is allocated
-	// at or above it, so it bounds the next delta's bucket-chain walks.
-	// snapSinceFull counts deltas since the last full snapshot;
-	// snapForceFull makes the next checkpoint write a full snapshot — set
-	// initially (a fresh or fold-over-recovered store has no chain to extend)
-	// and by Restore (a rollback regresses the persisted version below any
-	// delta base); cleared by a full snapshot or a snapshot-chain recovery.
-	snapLowWater  int64
-	snapSinceFull int
-	snapForceFull bool
 
 	pendingCh chan func()
 	closeOnce sync.Once
@@ -207,7 +183,6 @@ func newStore(device storage.Device, cfg Config) *Store {
 	}
 	empty := []versionRange{}
 	s.rolledBack.Store(&empty)
-	s.snapForceFull = true
 	s.st.Store(uint64(makeState(PhaseRest, 1)))
 	s.wg.Add(1)
 	go s.compactLoop()
@@ -384,24 +359,13 @@ func (s *Store) runCheckpoint() core.Version {
 	if cur := s.loadState().version(); target < cur {
 		target = cur
 	}
-	// Low-water capture, before the version shift: any record stamped with a
-	// version above target is allocated after this load, so its address is at
-	// or above lowWater. The next delta checkpoint's bucket-chain walks stop
-	// there instead of descending through the whole live set.
-	lowWater := s.log.tail.Load()
 	// IN_PROGRESS: operations shift to version target+1. Records written in
 	// versions <= target are frozen for in-place updates once their writers
 	// drain.
 	s.st.Store(uint64(makeState(PhaseInProgress, target+1)))
 	s.waitDrain()
 
-	var err error
-	if s.cfg.Checkpoint == Snapshot {
-		err = s.sealSnapshot(target, lowWater)
-	} else {
-		err = s.sealFoldOver(target)
-	}
-	if err != nil {
+	if err := s.sealFoldOver(target); err != nil {
 		// Storage failure: abandon this checkpoint; operations continue in
 		// target+1 and a later checkpoint retries with a wider range.
 		s.st.Store(uint64(makeState(PhaseRest, target+1)))
@@ -411,51 +375,13 @@ func (s *Store) runCheckpoint() core.Version {
 	s.checkpointCount.Add(1)
 	s.st.Store(uint64(makeState(PhaseRest, target+1)))
 	s.notifyPersist(target)
-	if s.cfg.Checkpoint == FoldOver {
-		s.maybeEvict()
-		// The read-only boundary moved: there is more to compact.
-		select {
-		case s.compactKick <- struct{}{}:
-		default:
-		}
+	s.maybeEvict()
+	// The read-only boundary moved: there is more to compact.
+	select {
+	case s.compactKick <- struct{}{}:
+	default:
 	}
 	return target
-}
-
-// sealSnapshot serializes the records at <= target — all of them (full
-// snapshot), or just those above the previous checkpoint's base (delta) — and
-// seals the blob. The version drain froze those records; both scans lock each
-// bucket.
-func (s *Store) sealSnapshot(target core.Version, lowWater int64) error {
-	s.st.Store(uint64(makeState(PhaseWaitFlush, target+1)))
-	ranges := s.RolledBackRanges()
-	base := core.Version(s.persisted.Load())
-	m := checkpointMeta{Version: target}
-	m.Delta = s.cfg.SnapshotFullEvery > 1 && !s.snapForceFull && base > 0 &&
-		s.snapSinceFull+1 < s.cfg.SnapshotFullEvery
-	var out []byte
-	if m.Delta {
-		out = s.buildDelta(target, base, s.snapLowWater, ranges)
-	} else {
-		out = s.buildSnapshot(target, ranges)
-	}
-	m.Boundary = int64(len(out))
-	if err := s.seal(m, []blobWrite{{blob: m.dataBlob(), data: out}}); err != nil {
-		// A delta consumed its shards' dirty lists, so the retry cannot be a
-		// delta; and whatever part of the blob landed must not be found by a
-		// later recovery scanning for snapshots by name.
-		s.snapForceFull = true
-		_ = s.device.Delete(m.dataBlob()) // best effort: the device just failed a write
-		return err
-	}
-	if m.Delta {
-		s.snapSinceFull++
-	} else {
-		s.snapSinceFull = 0
-		s.snapForceFull = false
-	}
-	s.snapLowWater = lowWater
-	return nil
 }
 
 // sealFoldOver freezes the log prefix holding every record of the checkpoint
@@ -533,10 +459,6 @@ func (s *Store) Restore(v core.Version) error {
 	if p := core.Version(s.persisted.Load()); p > v {
 		s.persisted.Store(uint64(v))
 	}
-	// The rollback regressed the persisted version below any delta base and
-	// invalidated records that durable deltas may contain: start a fresh
-	// snapshot chain.
-	s.snapForceFull = true
 	s.rollbackCount.Add(1)
 	return nil
 }

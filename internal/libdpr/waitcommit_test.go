@@ -311,7 +311,7 @@ func TestNextBatchNeverCrossesUnacknowledgedFailure(t *testing.T) {
 			}
 		}()
 		wl, _ := meta.BeginRecovery()
-		meta.CompleteRecovery()
+		meta.CompleteRecoveryFor(wl)
 		var surv *core.SurvivalError
 		if err := s.NotifyWorldLine(wl); !errors.As(err, &surv) {
 			t.Fatalf("round %d: NotifyWorldLine(%d) = %v, want a SurvivalError", round, wl, err)

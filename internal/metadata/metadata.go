@@ -659,20 +659,6 @@ func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 	return s.worldLine, s.frozenCut.Clone()
 }
 
-// CompleteRecovery resumes DPR progress after all workers rolled back.
-// Prefer CompleteRecoveryFor: this unconditional form unfreezes even when a
-// newer recovery round is still in flight.
-func (s *Store) CompleteRecovery() {
-	s.simulateLatency()
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	s.frozen = false
-	s.bumpLocked()
-	s.publishLocked()
-	s.persist()
-	s.trace.Record(obs.EvRecoveryEnd, uint64(s.worldLine), 0, 0)
-}
-
 // CompleteRecoveryFor resumes DPR progress only if wl is still the current
 // world-line. When a second failure arrives while a rollback round is in
 // flight, BeginRecovery hands out a newer world-line; the older round's
@@ -818,29 +804,42 @@ func LoadSnapshot(dev storage.Device, blob string) (core.WorldLine, core.Cut, ma
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
-	off := 0
+	// A short blob (a torn write) or a length word past its end fails the
+	// load: short is sticky, and every read after it yields zero.
+	off, short := 0, false
 	get := func() uint64 {
+		if short || len(raw)-off < 8 {
+			short = true
+			return 0
+		}
 		v := binary.LittleEndian.Uint64(raw[off:])
 		off += 8
 		return v
 	}
 	wl := core.WorldLine(get())
 	cut := make(core.Cut)
-	for n := get(); n > 0; n-- {
+	for n := get(); n > 0 && !short; n-- {
 		w := core.WorkerID(get())
 		cut[w] = core.Version(get())
 	}
 	members := make(map[core.WorkerID]string)
-	for n := get(); n > 0; n-- {
+	for n := get(); n > 0 && !short; n-- {
 		w := core.WorkerID(get())
-		l := int(get())
-		members[w] = string(raw[off : off+l])
-		off += l
+		l := get()
+		if l > uint64(len(raw)-off) {
+			short = true
+			break
+		}
+		members[w] = string(raw[off : off+int(l)])
+		off += int(l)
 	}
 	ownership := make(map[uint64]core.WorkerID)
-	for n := get(); n > 0; n-- {
+	for n := get(); n > 0 && !short; n-- {
 		p := get()
 		ownership[p] = core.WorkerID(get())
+	}
+	if short {
+		return 0, nil, nil, nil, fmt.Errorf("metadata: snapshot %q truncated at byte %d of %d", blob, off, len(raw))
 	}
 	return wl, cut, members, ownership, nil
 }

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -150,7 +151,7 @@ func TestRecoveryFreezesCut(t *testing.T) {
 	if wl3 != 2 || !cut3.Equal(cut) {
 		t.Fatalf("nested recovery: wl=%d cut=%v", wl3, cut3)
 	}
-	s.CompleteRecovery()
+	s.CompleteRecoveryFor(wl3)
 	if s.Frozen() {
 		t.Fatal("store must unfreeze")
 	}
@@ -186,8 +187,8 @@ func TestPersistAndLoadSnapshot(t *testing.T) {
 	s.RegisterWorker(1, "addr1")
 	s.ReportVersion(1, 4, nil)
 	s.SetOwner(7, 1)
-	s.BeginRecovery()
-	s.CompleteRecovery()
+	rwl, _ := s.BeginRecovery()
+	s.CompleteRecoveryFor(rwl)
 	s.Sync() // wait for the serialized flusher to land the final snapshot
 	wl, cut, members, ownership, err := LoadSnapshot(dev, "")
 	if err != nil {
@@ -195,6 +196,60 @@ func TestPersistAndLoadSnapshot(t *testing.T) {
 	}
 	if wl != 1 || cut.Get(1) != 4 || members[1] != "addr1" || ownership[7] != 1 {
 		t.Fatalf("snapshot: wl=%d cut=%v members=%v own=%v", wl, cut, members, ownership)
+	}
+}
+
+// TestLoadSnapshotRejectsDamage: a blob cut short inside any of its sections,
+// or whose address length runs past its end, fails the load instead of
+// panicking on the device's bytes.
+func TestLoadSnapshotRejectsDamage(t *testing.T) {
+	dev := storage.NewNull()
+	s := NewStore(Config{Finder: FinderApproximate, Device: dev})
+	s.RegisterWorker(1, "addr1")
+	s.ReportVersion(1, 4, nil)
+	s.SetOwner(7, 1)
+	wl, _ := s.BeginRecovery()
+	s.CompleteRecoveryFor(wl)
+	s.Sync()
+	raw, err := dev.Read("dpr-metadata", 0, int(dev.BlobSize("dpr-metadata")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// world-line | cut: count, (worker, version) | members: count, (worker,
+	// address length, address) | owners: count, (partition, worker)
+	const cutAt, membersAt = 8, 8 + 8 + 16
+	ownersAt := membersAt + 8 + 16 + len("addr1")
+	if len(raw) != ownersAt+8+16 {
+		t.Fatalf("snapshot is %d bytes, want %d", len(raw), ownersAt+8+16)
+	}
+	inflated := func(l uint64) []byte {
+		b := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(b[membersAt+8+8:], l)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"world-line", raw[:4]},
+		{"cut", raw[:cutAt+8+12]},
+		{"members", raw[:ownersAt-2]},
+		{"owners", raw[:ownersAt+8+12]},
+		{"address length past the end", inflated(uint64(len(raw)))},
+		{"address length overflows", inflated(1 << 63)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := storage.NewNull()
+			if err := d.Write("dpr-metadata", 0, tc.blob); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, _, err := LoadSnapshot(d, ""); err == nil {
+				t.Fatalf("loaded a damaged snapshot (%d bytes)", len(tc.blob))
+			}
+		})
+	}
+	if _, _, _, _, err := LoadSnapshot(dev, ""); err != nil {
+		t.Fatalf("the undamaged snapshot: %v", err)
 	}
 }
 
