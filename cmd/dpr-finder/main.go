@@ -4,9 +4,10 @@
 // (dpr-server) and clients (dpr-cli) connect over net/rpc.
 //
 // Failure handling: workers heartbeat periodically; when one goes silent the
-// coordinator deregisters it, freezes DPR progress, assigns the next
-// world-line, waits for all surviving workers to acknowledge their
-// rollbacks, and resumes progress.
+// finder runs cluster.Manager's recovery round with it named down: freeze DPR
+// progress, assign the next world-line, wait until every other registered
+// worker has rolled itself back and acknowledged, and resume progress. The
+// failed worker comes back with dpr-server -recover.
 //
 // Usage:
 //
@@ -20,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"dpr/internal/cluster"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
 	"dpr/internal/storage"
@@ -32,7 +34,6 @@ func main() {
 	dataDir := flag.String("data", "", "directory for durable metadata snapshots (empty = memory only)")
 	hbCheck := flag.Duration("hb-check", 500*time.Millisecond, "heartbeat scan interval")
 	hbTimeout := flag.Duration("hb-timeout", 2*time.Second, "heartbeat timeout before a worker is declared failed")
-	ackTimeout := flag.Duration("ack-timeout", 10*time.Second, "how long recovery waits for rollback acks")
 	obsAddr := flag.String("obs-addr", "", "HTTP introspection address for /metrics, /debug/dpr, /debug/pprof (empty disables)")
 	flag.Parse()
 
@@ -72,7 +73,11 @@ func main() {
 		log.Printf("obs endpoint on http://%s/metrics (also /debug/dpr, /debug/pprof)", osrv.Addr())
 	}
 
-	// Failure detection + recovery coordination loop.
+	// Failure detection: the heartbeat table names the workers that went
+	// silent, and the cluster manager's round recovers the rest of the cluster
+	// around them (nothing is attached here: every live dpr-server rolls itself
+	// back from the finder's world-line and acks).
+	mgr := cluster.NewManager(store)
 	ticker := time.NewTicker(*hbCheck)
 	defer ticker.Stop()
 	for range ticker.C {
@@ -81,22 +86,13 @@ func main() {
 			continue
 		}
 		log.Printf("workers failed (no heartbeat): %v — beginning recovery", silent)
-		for _, w := range silent {
-			if err := store.DeregisterWorker(w); err != nil {
-				log.Printf("deregister %d: %v", w, err)
-			}
+		start := time.Now()
+		wl, cut, err := mgr.OnFailure(silent...)
+		if err != nil {
+			log.Printf("recovery into world-line %d: %v", wl, err)
+			continue
 		}
-		wl, cut := store.BeginRecovery()
-		log.Printf("world-line %d, rolling cluster back to cut %v", wl, cut)
-		deadline := time.Now().Add(*ackTimeout)
-		for !store.AllAcked(wl) {
-			if time.Now().After(deadline) {
-				log.Printf("recovery ack timeout; resuming anyway (laggards self-heal)")
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		store.CompleteRecoveryFor(wl)
-		log.Printf("recovery into world-line %d complete; DPR progress resumed", wl)
+		log.Printf("recovery into world-line %d (cut %v) complete after %v; DPR progress resumed",
+			wl, cut, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -1,8 +1,9 @@
 // dpr-server runs one D-FASTER worker process (paper §5): a FasterKV shard
 // wrapped with libDPR, serving the batched wire protocol on a TCP port and
-// coordinating through a dpr-finder metadata service. On restart after a
-// crash it recovers the shard from its on-disk checkpoint at the position
-// the DPR cut dictates.
+// coordinating through a dpr-finder metadata service. Restarted with -recover
+// after a crash (once the finder has begun the recovery round), it recovers
+// the shard from its on-disk checkpoint at its position in the recovered cut
+// and takes back the partitions the finder still assigns it.
 //
 // Usage:
 //
@@ -43,11 +44,11 @@ func main() {
 	finderAddr := flag.String("finder", "127.0.0.1:7700", "dpr-finder RPC address")
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory device)")
 	partitions := flag.Int("partitions", 64, "cluster-wide virtual partition count")
-	own := flag.String("own", "", "comma-separated partitions to claim (empty = id-strided)")
+	own := flag.String("own", "", "comma-separated partitions to claim on a fresh start (empty = all); -recover takes back what the finder assigns")
 	ckpt := flag.Duration("checkpoint", 100*time.Millisecond, "heartbeat behind the commit pump (the pump starts commits as batches execute; the heartbeat catches what it cannot see)")
 	memBudget := flag.Int64("mem-budget", 0, "in-memory log budget in bytes (0 = unbounded)")
 	hbEvery := flag.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval")
-	recover := flag.Bool("recover", false, "recover shard state from the data directory")
+	recover := flag.Bool("recover", false, "restart after a crash, once the finder has logged its recovery round: recover shard state from the data directory at the recovered cut")
 	obsAddr := flag.String("obs-addr", "", "HTTP introspection address for /metrics, /debug/dpr, /debug/pprof (empty disables)")
 	flag.Parse()
 
@@ -70,46 +71,40 @@ func main() {
 	}
 
 	workerID := core.WorkerID(*id)
-	kvCfg := kv.Config{BucketCount: 1 << 18, MemoryBudget: *memBudget}
-
-	// A fresh shard, or the restart path (§4.1): the cluster manager restarts
-	// failed servers and restores them to their latest guaranteed checkpoint;
-	// the DPR cut tells us which version that is.
-	var store *kv.Store
-	if *recover {
-		cut, _, _, err := meta.State()
-		if err != nil {
-			log.Fatalf("fetch cut for recovery: %v", err)
-		}
-		target := cut.Get(workerID)
-		log.Printf("recovering worker %d to version %d", workerID, target)
-		if store, err = kv.Recover(device, kvCfg, target); err != nil {
-			log.Fatalf("recover: %v", err)
-		}
-	} else {
-		store = kv.NewStore(device, kvCfg)
-	}
-	w, err := dfaster.AdoptWorker(dfaster.WorkerConfig{
+	cfg := dfaster.WorkerConfig{
 		ID:                 workerID,
 		ListenAddr:         *listen,
 		CheckpointInterval: *ckpt,
 		Partitions:         *partitions,
 		Device:             device,
-		KV:                 kvCfg,
-	}, store, meta)
+		KV:                 kv.Config{BucketCount: 1 << 18, MemoryBudget: *memBudget},
+	}
+	// A fresh shard claims -own; the restart path (§4.1) recovers the shard at
+	// its position in the cut the finder's recovery round froze, and takes
+	// back what the ownership stripes still assign it.
+	var w *dfaster.Worker
+	if *recover {
+		w, err = dfaster.Restart(cfg, meta)
+	} else {
+		w, err = dfaster.NewWorker(cfg, meta)
+	}
 	if err != nil {
 		log.Fatalf("start worker: %v", err)
 	}
 	defer w.Stop()
-	claim(w, *own, *partitions, int(*id))
+	if *recover {
+		log.Printf("worker %d recovered on world-line %d, owning %d partitions",
+			workerID, w.DPR().WorldLine(), len(w.OwnedPartitions()))
+	} else {
+		claim(w, *own, *partitions)
+	}
 	startObs(*obsAddr, w)
 	log.Printf("dpr-server %d serving on %s", workerID, w.Addr())
 	heartbeatLoop(meta, workerID, *hbEvery)
 }
 
-// claim registers partition ownership: an explicit list, or every partition
-// congruent to id-1 modulo the worker count heuristic (strided default).
-func claim(w *dfaster.Worker, own string, partitions, id int) {
+// claim registers partition ownership: an explicit list, or every partition.
+func claim(w *dfaster.Worker, own string, partitions int) {
 	var ps []uint64
 	if own != "" {
 		for _, s := range strings.Split(own, ",") {
@@ -120,9 +115,6 @@ func claim(w *dfaster.Worker, own string, partitions, id int) {
 			ps = append(ps, p)
 		}
 	} else {
-		// Strided default for homogeneous launches: worker k of n claims
-		// partitions ≡ k-1 (mod n) once all workers have registered. With
-		// a single worker this claims everything.
 		for p := 0; p < partitions; p++ {
 			ps = append(ps, uint64(p))
 		}

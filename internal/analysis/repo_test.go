@@ -34,10 +34,13 @@ const repoSuiteBudget = 60 * time.Second
 // any decode-bounds finding demands a new seed) and the suite's runtime
 // budget.
 //
-// One invariant it states directly instead of by checker: a migration record
+// Two invariants it states directly instead of by checker. A migration record
 // is registered at exactly one place, migration.Migrate, whose deferred
 // resolver is what retires it on every path (TestMigrateLeavesNoRecord). A
-// second caller of BeginMigrate would need a resolver of its own.
+// second caller of BeginMigrate would need a resolver of its own. And a
+// recovery round is run in one place, cluster.Manager.OnFailure, with its one
+// resume rule: outside the metadata package only it (and chaos's deliberately
+// broken InjectSkippedRollback) may call BeginRecovery or CompleteRecoveryFor.
 func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks and compiles the whole module")
@@ -58,14 +61,32 @@ func TestRepoTreeClean(t *testing.T) {
 		}
 	}
 	var begins []string
+	rounds := map[string]bool{
+		"dpr/internal/cluster.(*Manager).OnFailure":           true,
+		"dpr/internal/chaos.(*Harness).InjectSkippedRollback": true,
+	}
 	for _, fs := range declaredFuncs(u) {
-		if fs.decl.Name.Name == "BeginMigrate" || fs.pkg.Name == "metadata" {
-			continue // the store, its RPC pair and the forwarders that wrap it
+		if fs.pkg.Name == "metadata" {
+			continue // the store and its RPC pair
 		}
+		caller := fs.pkg.Path + "." + fs.name
 		ast.Inspect(fs.decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "BeginMigrate" {
-					begins = append(begins, fs.pkg.Path+"."+fs.name)
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "BeginMigrate":
+				if fs.decl.Name.Name != "BeginMigrate" { // not a forwarder that wraps the store
+					begins = append(begins, caller)
+				}
+			case "BeginRecovery", "CompleteRecoveryFor":
+				if !rounds[caller] {
+					t.Errorf("%s calls %s: a recovery round is cluster.Manager.OnFailure's (chaos.InjectSkippedRollback's is the deliberately broken one)", caller, sel.Sel.Name)
 				}
 			}
 			return true

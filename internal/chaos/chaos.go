@@ -68,14 +68,13 @@ type workerSlot struct {
 
 	// D-FASTER only: the flaky device survives restarts (it is the durable
 	// medium); the worker process is replaced on each restart.
-	inner *storage.MemDevice
 	flaky *storage.FlakyDevice
 	df    *dfaster.Worker
 
 	dr *dredis.Worker
 }
 
-func (s *workerSlot) dfaster() bool { return s.inner != nil }
+func (s *workerSlot) dfaster() bool { return s.flaky != nil }
 
 // Harness owns a running chaos cluster.
 type Harness struct {
@@ -138,8 +137,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 	}
 
 	for _, slot := range h.slots[:cfg.DFaster] {
-		slot.inner = storage.NewNull()
-		slot.flaky = storage.NewFlaky(slot.inner)
+		slot.flaky = storage.NewFlaky(storage.NewNull())
 		w, err := dfaster.NewWorker(dfaster.WorkerConfig{
 			ID:                 slot.id,
 			ListenAddr:         "127.0.0.1:0",
@@ -274,9 +272,10 @@ func (h *Harness) Recover() (core.WorldLine, core.Cut, error) {
 
 // CrashRestart kills a D-FASTER worker process, runs the cluster recovery
 // round (survivors roll back to the frozen cut), and restarts the worker
-// from its durable checkpoint at the recovery cut — the full §4.1 failure
-// story over real components. The restart retries while the storage device
-// read-faults, modeling a recovery racing a sick disk.
+// from its durable checkpoint at the recovery cut through dfaster.Restart,
+// as dpr-server -recover does — the full §4.1 failure story over real
+// components. The restart retries while the storage device read-faults,
+// modeling a recovery racing a sick disk.
 func (h *Harness) CrashRestart(slotIdx int) error {
 	slot := h.slots[slotIdx]
 	h.slotMu.Lock()
@@ -299,87 +298,32 @@ func (h *Harness) CrashRestart(slotIdx int) error {
 		return err
 	}
 
-	// Restart: rebuild the store at exactly the recovery cut position. DPR
-	// guarantees the cut position is at or below the worker's persisted
-	// version, so a checkpoint covering it exists on the device.
-	pos := cut.Get(slot.id)
-	h.logdbg("chaos: recovery wl=%d cut=%v; restoring worker %d at pos=%d (latest ckpt %d)",
-		wl, cut, slot.id, pos, kv.LatestCheckpoint(slot.inner, "hlog"))
-	kvcfg := kv.Config{BucketCount: kvBuckets, IndexShards: h.cfg.IndexShards}
-	var st *kv.Store
+	h.logdbg("chaos: recovery wl=%d cut=%v; restoring worker %d at pos=%d", wl, cut, slot.id, cut.Get(slot.id))
+	var w2 *dfaster.Worker
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		// The existence decision consults the raw device: an injected read
-		// fault must surface as a retried restore, never as silently
-		// starting empty and losing the durable prefix.
-		if kv.LatestCheckpoint(slot.inner, "hlog") == 0 {
-			st = kv.NewStore(slot.flaky, kvcfg)
-			break
-		}
-		st, err = kv.Recover(slot.flaky, kvcfg, pos)
+		w2, err = dfaster.Restart(dfaster.WorkerConfig{
+			ID:                 slot.id,
+			ListenAddr:         "127.0.0.1:0",
+			CheckpointInterval: h.cfg.Checkpoint,
+			Partitions:         h.cfg.Partitions,
+			Device:             slot.flaky,
+			KV:                 kv.Config{BucketCount: kvBuckets, IndexShards: h.cfg.IndexShards},
+		}, h.svc)
 		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: worker %d restore at %d never succeeded: %w", slot.id, pos, err)
+			return fmt.Errorf("chaos: worker %d restart never succeeded: %w", slot.id, err)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-
-	w2, err := dfaster.AdoptWorker(dfaster.WorkerConfig{
-		ID:                 slot.id,
-		ListenAddr:         "127.0.0.1:0",
-		CheckpointInterval: h.cfg.Checkpoint,
-		Partitions:         h.cfg.Partitions,
-		Device:             slot.flaky,
-		KV:                 kvcfg,
-	}, st, h.svc)
-	if err != nil {
-		return fmt.Errorf("chaos: worker %d restart: %w", slot.id, err)
-	}
-	// Reclaim what the metadata store assigns this seat NOW, not the seat's
-	// seed-time partition set: a live migration may have moved partitions
-	// away (stealing them back would strand committed post-flip writes at
-	// the new owner) or handed this seat extra partitions it must keep
-	// serving. Partitions frozen mid-donation still stripe to this seat —
-	// the recovery round invalidated the migration record, so the target's
-	// CompleteMigrate loses and the restarted donor rightfully serves them.
-	parts := h.currentParts(slot.id)
-	if len(parts) > 0 {
-		if err := w2.ClaimPartitions(parts...); err != nil {
-			return fmt.Errorf("chaos: worker %d reclaim: %w", slot.id, err)
-		}
-	}
-	// Reconcile: a migration target that won its record just before the
-	// recovery round may still be flipping ownership; renounce anything the
-	// stripes meanwhile assigned elsewhere so two workers never both serve a
-	// partition. (A stripe write that lands after this pass is a known
-	// μs-scale gap, documented in DESIGN.md; the strict Leave path and the
-	// checker bound the damage.)
-	for _, p := range parts {
-		if owner, oerr := h.store.OwnerOf(p); oerr == nil && owner != slot.id {
-			w2.Renounce(p)
-		}
 	}
 	slot.proxy.SetBackend(w2.Addr())
 	h.mgr.Attach(w2)
 	h.slotMu.Lock()
 	slot.df = w2
 	h.slotMu.Unlock()
-	_ = h.store.AckWorldLine(slot.id, wl)
 	return nil
-}
-
-// currentParts lists the partitions the metadata ownership stripes assign to
-// worker id right now.
-func (h *Harness) currentParts(id core.WorkerID) []uint64 {
-	var parts []uint64
-	for p := uint64(0); p < uint64(h.cfg.Partitions); p++ {
-		if owner, err := h.store.OwnerOf(p); err == nil && owner == id {
-			parts = append(parts, p)
-		}
-	}
-	return parts
 }
 
 // clearFaults turns every injected fault off (schedule epilogue). The sever

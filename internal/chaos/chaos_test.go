@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/core"
+	"dpr/internal/kv"
 	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
@@ -350,6 +352,13 @@ func TestChaosCheckerCatchesViolation(t *testing.T) {
 		t.Fatalf("inject: %v", err)
 	}
 	t.Logf("injected skipped rollback on world-line %d: good cut %v, applied cut %v", wl, good, bad)
+	// The checker can only be judged on a loss that happened: straight from
+	// the stores, the injection must have erased some committed write.
+	if n := h.erasedCommitted(r); n == 0 {
+		t.Fatalf("the injection erased no committed write (good cut %v, applied %v): nothing for the checker to catch", good, bad)
+	} else {
+		t.Logf("the injection erased %d committed keys", n)
+	}
 
 	// Let the session learn about the new world-line. A fully-settled
 	// session loses nothing to the (advertised, correct) recovered cut, so
@@ -378,4 +387,49 @@ func TestChaosCheckerCatchesViolation(t *testing.T) {
 		t.Fatalf("checker missed a rollback below the committed frontier (good cut %v, applied %v)", good, bad)
 	}
 	t.Logf("checker caught the injected violation:\n  %s", strings.Join(violations, "\n  "))
+}
+
+// currentParts lists the partitions the metadata ownership stripes assign to
+// worker id right now.
+func (h *Harness) currentParts(id core.WorkerID) []uint64 {
+	var parts []uint64
+	for p := uint64(0); p < uint64(h.cfg.Partitions); p++ {
+		if owner, err := h.store.OwnerOf(p); err == nil && owner == id {
+			parts = append(parts, p)
+		}
+	}
+	return parts
+}
+
+// erasedCommitted counts the keys of r's session whose newest committed
+// write no worker's store holds any more, read straight from the stores: the
+// checker's answer key for a loss it must flag.
+func (h *Harness) erasedCommitted(r *sessionRunner) int {
+	var sessions []*kv.Session
+	for _, slot := range h.slots {
+		if slot.df != nil {
+			sess := slot.df.Store().NewSession()
+			defer sess.Close()
+			sessions = append(sessions, sess)
+		}
+	}
+	r.chk.mu.Lock()
+	defer r.chk.mu.Unlock()
+	erased := 0
+	for key, kh := range r.chk.keys {
+		if kh.floorIdx < 0 {
+			continue
+		}
+		held := false
+		for _, sess := range sessions {
+			val, status, _ := sess.Read([]byte(key), 0)
+			if wr, ok := kh.byValue[string(val)]; status == kv.StatusOK && ok && wr.idx >= kh.floorIdx {
+				held = true
+			}
+		}
+		if !held {
+			erased++
+		}
+	}
+	return erased
 }

@@ -113,8 +113,7 @@ func (h *Harness) joinSpare() {
 	}
 	// A (re-)joining seat starts from an empty durable device: its previous
 	// incarnation drained everything away before leaving.
-	sp.inner = storage.NewNull()
-	sp.flaky = storage.NewFlaky(sp.inner)
+	sp.flaky = storage.NewFlaky(storage.NewNull())
 	w, err := dfaster.NewWorker(dfaster.WorkerConfig{
 		ID:                 sp.id,
 		ListenAddr:         "127.0.0.1:0",

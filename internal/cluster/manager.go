@@ -1,9 +1,10 @@
-// Package cluster implements the cluster manager of paper §4.1: the external
-// entity (Kubernetes / Service Fabric in the paper) that detects failures,
-// assigns world-line serial numbers, restarts failed workers in bounded
-// time, and orchestrates the cluster-wide rollback — temporarily halting DPR
-// progress, telling every worker to roll back to the last DPR cut, and
-// resuming progress after all workers report back.
+// Package cluster implements the recovery round of paper §4.1's cluster
+// manager (Kubernetes / Service Fabric in the paper): assign the next
+// world-line, temporarily halt DPR progress, tell every worker to roll back to
+// the last DPR cut, and resume progress once all of them report back. Failure
+// detection and restarts belong to the deployment: an in-process cluster
+// injects failures directly, dpr-finder names the workers whose heartbeats
+// stopped, and dfaster.Restart brings a failed worker back.
 package cluster
 
 import (
@@ -24,7 +25,15 @@ var (
 		"Recovery rounds completed by the cluster manager.")
 	recoveryDurH = obs.Default.Histogram("dpr_cluster_recovery_duration_seconds",
 		"Wall-clock duration of a recovery round (freeze through resume).")
+	ackTimeoutsC = obs.Default.Counter("dpr_cluster_recovery_ack_timeouts_total",
+		"Recovery rounds that resumed DPR progress at the ack bound, without every live member's acknowledgement.")
 )
+
+// ackBound is how long a recovery round waits for live members to acknowledge
+// the new world-line before it resumes DPR progress anyway: a member that
+// never answers must not keep the cluster frozen, and one that comes back late
+// rolls itself back from the finder's world-line when it does.
+const ackBound = 10 * time.Second
 
 // RollbackTarget is a worker the manager can command to roll back; both
 // in-process libdpr.Workers and network worker frontends implement it.
@@ -35,10 +44,12 @@ type RollbackTarget interface {
 
 // Manager coordinates failure recovery across workers.
 type Manager struct {
-	meta *metadata.Store
+	meta     *metadata.Store
+	ackBound time.Duration // ackBound; tests shorten it
 
-	mu      sync.Mutex
-	targets map[core.WorkerID]RollbackTarget
+	mu       sync.Mutex
+	targets  map[core.WorkerID]RollbackTarget
+	detached map[core.WorkerID]bool
 
 	// Recoveries counts completed recovery rounds (diagnostics).
 	recoveries int
@@ -46,7 +57,12 @@ type Manager struct {
 
 // NewManager builds a manager over the metadata store.
 func NewManager(meta *metadata.Store) *Manager {
-	return &Manager{meta: meta, targets: make(map[core.WorkerID]RollbackTarget)}
+	return &Manager{
+		meta:     meta,
+		ackBound: ackBound,
+		targets:  make(map[core.WorkerID]RollbackTarget),
+		detached: make(map[core.WorkerID]bool),
+	}
 }
 
 // Attach registers a worker for rollback orchestration.
@@ -54,14 +70,17 @@ func (m *Manager) Attach(t RollbackTarget) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.targets[t.ID()] = t
+	delete(m.detached, t.ID())
 }
 
 // Detach removes a worker (it left the cluster or crashed; a crashed
-// worker's restarted incarnation re-Attaches).
+// worker's restarted incarnation re-Attaches). Until then recovery rounds
+// neither roll it back nor wait for its acknowledgement.
 func (m *Manager) Detach(id core.WorkerID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.targets, id)
+	m.detached[id] = true
 }
 
 // Recoveries returns the number of completed recovery rounds.
@@ -71,26 +90,40 @@ func (m *Manager) Recoveries() int {
 	return m.recoveries
 }
 
-// OnFailure runs one recovery round in response to a detected failure:
+// OnFailure runs one recovery round in response to a detected failure; down
+// names the workers known to have failed:
 //
 //  1. Halt DPR progress and assign the next world-line (metadata store).
-//  2. Command every attached worker to roll back to the recovery cut.
-//  3. Resume DPR progress once all workers confirm.
+//  2. Command every attached worker not down to roll back to the recovery cut.
+//  3. Resume DPR progress once every registered member has acknowledged the
+//     new world-line, except those down or detached: attached workers ack
+//     inside their rollback, the rest when they roll themselves back from
+//     the finder. After ackBound the round resumes anyway and counts a
+//     timeout.
 //
 // Failed workers are expected to be restarted (by the caller / environment)
-// to their checkpoint at the recovery cut before or while survivors roll
-// back; the manager proceeds with whoever is attached. Returns the new
-// world-line and the cut the system recovered to. Safe to call again while
-// a previous recovery is still in flight (nested failures, §7.4): the
-// world-line advances again and workers re-roll to the same frozen cut.
-func (m *Manager) OnFailure() (core.WorldLine, core.Cut, error) {
+// to their checkpoint at the recovery cut (dfaster.Restart) before or while
+// survivors roll back. Returns the new world-line and the cut the system
+// recovered to. Safe to call again while a previous recovery is still in
+// flight (nested failures, §7.4): the world-line advances again and workers
+// re-roll to the same frozen cut.
+func (m *Manager) OnFailure(down ...core.WorkerID) (core.WorldLine, core.Cut, error) {
 	start := time.Now()
 	wl, cut := m.meta.BeginRecovery()
 
 	m.mu.Lock()
+	skip := make(map[core.WorkerID]bool, len(down)+len(m.detached))
+	for id := range m.detached {
+		skip[id] = true
+	}
+	for _, id := range down {
+		skip[id] = true
+	}
 	targets := make([]RollbackTarget, 0, len(m.targets))
-	for _, t := range m.targets {
-		targets = append(targets, t)
+	for id, t := range m.targets {
+		if !skip[id] {
+			targets = append(targets, t)
+		}
 	}
 	m.mu.Unlock()
 
@@ -109,6 +142,9 @@ func (m *Manager) OnFailure() (core.WorldLine, core.Cut, error) {
 			return wl, cut, fmt.Errorf("cluster: worker %d rollback: %w", targets[i].ID(), err)
 		}
 	}
+	if !m.meta.AwaitAcks(wl, skip, m.ackBound) {
+		ackTimeoutsC.Inc()
+	}
 	// Unfreeze only if no newer round began while this one's rollbacks ran:
 	// otherwise the nested round still needs the cut pinned.
 	m.meta.CompleteRecoveryFor(wl)
@@ -118,90 +154,6 @@ func (m *Manager) OnFailure() (core.WorldLine, core.Cut, error) {
 	recoveriesC.Inc()
 	recoveryDurH.Observe(time.Since(start))
 	return wl, cut, nil
-}
-
-// Detector polls worker liveness and triggers OnFailure automatically. Tests
-// and benchmarks usually inject failures directly; Detector exists for the
-// standalone server deployment.
-type Detector struct {
-	mgr      *Manager
-	interval time.Duration
-
-	mu        sync.Mutex
-	heartbeat map[core.WorkerID]time.Time
-	timeout   time.Duration
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-}
-
-// NewDetector builds a detector that declares a worker failed after timeout
-// without a heartbeat and checks every interval.
-func NewDetector(mgr *Manager, interval, timeout time.Duration) *Detector {
-	d := &Detector{
-		mgr:       mgr,
-		interval:  interval,
-		timeout:   timeout,
-		heartbeat: make(map[core.WorkerID]time.Time),
-		stop:      make(chan struct{}),
-	}
-	d.wg.Add(1)
-	go d.loop()
-	return d
-}
-
-// Heartbeat records a liveness signal from worker w.
-func (d *Detector) Heartbeat(w core.WorkerID) {
-	d.mu.Lock()
-	d.heartbeat[w] = time.Now()
-	d.mu.Unlock()
-}
-
-// Forget stops tracking worker w (clean departure).
-func (d *Detector) Forget(w core.WorkerID) {
-	d.mu.Lock()
-	delete(d.heartbeat, w)
-	d.mu.Unlock()
-}
-
-func (d *Detector) loop() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.check()
-		}
-	}
-}
-
-func (d *Detector) check() {
-	now := time.Now()
-	var failed []core.WorkerID
-	d.mu.Lock()
-	for w, hb := range d.heartbeat {
-		if now.Sub(hb) > d.timeout {
-			failed = append(failed, w)
-			delete(d.heartbeat, w)
-		}
-	}
-	d.mu.Unlock()
-	if len(failed) > 0 {
-		for _, w := range failed {
-			d.mgr.Detach(w)
-		}
-		_, _, _ = d.mgr.OnFailure()
-	}
-}
-
-// Stop halts the detector.
-func (d *Detector) Stop() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.wg.Wait()
 }
 
 var _ RollbackTarget = (*libdpr.Worker)(nil)

@@ -9,9 +9,11 @@ import (
 	"dpr/internal/metadata"
 )
 
-// fakeTarget records rollback commands.
+// fakeTarget records rollback commands and acknowledges each one, as a
+// worker does at the end of its rollback.
 type fakeTarget struct {
-	id core.WorkerID
+	id   core.WorkerID
+	meta *metadata.Store
 
 	mu    sync.Mutex
 	calls []core.WorldLine
@@ -25,6 +27,9 @@ func (f *fakeTarget) Rollback(wl core.WorldLine, cut core.Cut) error {
 	defer f.mu.Unlock()
 	f.calls = append(f.calls, wl)
 	f.cuts = append(f.cuts, cut.Clone())
+	if f.fail == nil {
+		f.meta.AckWorldLine(f.id, wl)
+	}
 	return f.fail
 }
 func (f *fakeTarget) callCount() int {
@@ -40,8 +45,8 @@ func TestOnFailureRollsBackAll(t *testing.T) {
 	meta.ReportVersion(1, 3, nil)
 	meta.ReportVersion(2, 3, nil)
 	mgr := NewManager(meta)
-	a := &fakeTarget{id: 1}
-	b := &fakeTarget{id: 2}
+	a := &fakeTarget{id: 1, meta: meta}
+	b := &fakeTarget{id: 2, meta: meta}
 	mgr.Attach(a)
 	mgr.Attach(b)
 	wl, cut, err := mgr.OnFailure()
@@ -67,15 +72,17 @@ func TestOnFailureRollsBackAll(t *testing.T) {
 // then complete the rounds in a chosen order.
 type blockingTarget struct {
 	id      core.WorkerID
+	meta    *metadata.Store
 	entered chan core.WorldLine
 
 	mu      sync.Mutex
 	release map[core.WorldLine]chan struct{}
 }
 
-func newBlockingTarget(id core.WorkerID) *blockingTarget {
+func newBlockingTarget(id core.WorkerID, meta *metadata.Store) *blockingTarget {
 	return &blockingTarget{
 		id:      id,
+		meta:    meta,
 		entered: make(chan core.WorldLine, 8),
 		release: make(map[core.WorldLine]chan struct{}),
 	}
@@ -96,7 +103,7 @@ func (b *blockingTarget) ID() core.WorkerID { return b.id }
 func (b *blockingTarget) Rollback(wl core.WorldLine, cut core.Cut) error {
 	b.entered <- wl
 	<-b.gate(wl)
-	return nil
+	return b.meta.AckWorldLine(b.id, wl)
 }
 
 // TestSecondFailureDuringRollback: a crash while a recovery round's rollbacks
@@ -110,7 +117,7 @@ func TestSecondFailureDuringRollback(t *testing.T) {
 	meta.RegisterWorker(1, "a")
 	meta.ReportVersion(1, 5, nil)
 	mgr := NewManager(meta)
-	bt := newBlockingTarget(1)
+	bt := newBlockingTarget(1, meta)
 	mgr.Attach(bt)
 
 	type result struct {
@@ -163,7 +170,7 @@ func TestSecondFailureDuringRollback(t *testing.T) {
 func TestOnFailureDetachedTargetSkipped(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{})
 	mgr := NewManager(meta)
-	a := &fakeTarget{id: 1}
+	a := &fakeTarget{id: 1, meta: meta}
 	mgr.Attach(a)
 	mgr.Detach(1)
 	if _, _, err := mgr.OnFailure(); err != nil {
@@ -174,53 +181,110 @@ func TestOnFailureDetachedTargetSkipped(t *testing.T) {
 	}
 }
 
-func TestDetectorTriggersRecovery(t *testing.T) {
+// roundResult is what an OnFailure running on its own goroutine returns.
+type roundResult struct {
+	wl  core.WorldLine
+	err error
+}
+
+func startRound(mgr *Manager, down ...core.WorkerID) chan roundResult {
+	done := make(chan roundResult, 1)
+	go func() {
+		wl, _, err := mgr.OnFailure(down...)
+		done <- roundResult{wl, err}
+	}()
+	return done
+}
+
+// TestRoundWaitsForUnattachedMember: a registered, live member the manager
+// does not hold — a dpr-server seen from the finder — rolls itself back from
+// the finder's world-line. The round keeps DPR progress frozen until that
+// member's acknowledgement arrives, and resumes as soon as it does.
+func TestRoundWaitsForUnattachedMember(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	meta.RegisterWorker(1, "a")
 	meta.RegisterWorker(2, "b")
 	mgr := NewManager(meta)
-	a := &fakeTarget{id: 1}
-	b := &fakeTarget{id: 2}
-	mgr.Attach(a)
-	mgr.Attach(b)
-	det := NewDetector(mgr, 5*time.Millisecond, 20*time.Millisecond)
-	defer det.Stop()
-	// Both heartbeat for a while...
-	for i := 0; i < 3; i++ {
-		det.Heartbeat(1)
-		det.Heartbeat(2)
-		time.Sleep(5 * time.Millisecond)
+	mgr.Attach(&fakeTarget{id: 1, meta: meta})
+	done := startRound(mgr)
+
+	for meta.WorldLine() != 1 {
+		time.Sleep(time.Millisecond)
 	}
-	if mgr.Recoveries() != 0 {
-		t.Fatal("no recovery while everyone heartbeats")
+	select {
+	case r := <-done:
+		t.Fatalf("round on world-line %d resumed before member 2 acknowledged (err %v)", r.wl, r.err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	// ...then worker 2 goes silent.
-	deadline := time.Now().Add(2 * time.Second)
-	for mgr.Recoveries() == 0 {
-		det.Heartbeat(1)
-		if time.Now().After(deadline) {
-			t.Fatal("detector never declared the silent worker failed")
+	if !meta.Frozen() {
+		t.Fatal("DPR progress resumed while member 2 has not rolled back")
+	}
+	meta.AckWorldLine(2, 1) // member 2's self-heal
+	select {
+	case r := <-done:
+		if r.err != nil || r.wl != 1 {
+			t.Fatalf("round: wl %d err %v", r.wl, r.err)
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(2 * time.Second):
+		t.Fatal("round did not resume after the last acknowledgement")
 	}
-	// The failed worker was detached; the survivor was rolled back.
-	if a.callCount() == 0 {
-		t.Fatal("survivor must be rolled back")
-	}
-	if b.callCount() != 0 {
-		t.Fatal("failed worker must be detached, not rolled back")
+	if meta.Frozen() {
+		t.Fatal("DPR progress must resume once every member acknowledged")
 	}
 }
 
-func TestDetectorForget(t *testing.T) {
-	meta := metadata.NewStore(metadata.Config{})
+// TestRoundSkipsDownAndDetached: a member the caller names down and one it
+// detached will not acknowledge (they are dead, or being restarted); neither
+// holds the round, and neither is commanded to roll back.
+func TestRoundSkipsDownAndDetached(t *testing.T) {
+	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
+	for id := core.WorkerID(1); id <= 3; id++ {
+		meta.RegisterWorker(id, "w")
+	}
 	mgr := NewManager(meta)
-	det := NewDetector(mgr, 5*time.Millisecond, 15*time.Millisecond)
-	defer det.Stop()
-	det.Heartbeat(1)
-	det.Forget(1) // clean departure: silence must not trigger recovery
-	time.Sleep(40 * time.Millisecond)
-	if mgr.Recoveries() != 0 {
-		t.Fatal("forgotten worker must not trigger recovery")
+	live, detached := &fakeTarget{id: 1, meta: meta}, &fakeTarget{id: 2, meta: meta}
+	mgr.Attach(live)
+	mgr.Attach(detached)
+	mgr.Detach(2)
+	timeouts := ackTimeoutsC.Value()
+	select {
+	case r := <-startRound(mgr, 3):
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a down or detached member held the round")
+	}
+	if meta.Frozen() || ackTimeoutsC.Value() != timeouts {
+		t.Fatalf("frozen %v, ack timeouts %d -> %d", meta.Frozen(), timeouts, ackTimeoutsC.Value())
+	}
+	if live.callCount() != 1 || detached.callCount() != 0 {
+		t.Fatalf("rollbacks: live %d, detached %d", live.callCount(), detached.callCount())
+	}
+}
+
+// TestRoundResumesAtAckBound: a member that never acknowledges ends the round
+// at the bound — DPR progress resumes (it rolls itself back whenever it
+// returns) and the timeout is counted, never a silent stall.
+func TestRoundResumesAtAckBound(t *testing.T) {
+	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
+	meta.RegisterWorker(1, "a")
+	meta.RegisterWorker(2, "mute")
+	mgr := NewManager(meta)
+	mgr.ackBound = 50 * time.Millisecond
+	mgr.Attach(&fakeTarget{id: 1, meta: meta})
+	timeouts := ackTimeoutsC.Value()
+	start := time.Now()
+	if _, _, err := mgr.OnFailure(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < mgr.ackBound {
+		t.Fatalf("round resumed after %v, before the %v bound", d, mgr.ackBound)
+	}
+	if got := ackTimeoutsC.Value(); got != timeouts+1 {
+		t.Fatalf("ack timeouts %d -> %d, want one more", timeouts, got)
+	}
+	if meta.Frozen() {
+		t.Fatal("DPR progress must resume at the bound")
 	}
 }

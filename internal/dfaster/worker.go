@@ -150,6 +150,59 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 	return w, nil
 }
 
+// Restart brings a failed worker back (paper §4.1), the one restart every
+// deployment uses: it recovers the store from cfg.Device at the worker's
+// position in the cut the current world-line was recovered to, adopts it,
+// and claims what the ownership stripes assign the worker now, renouncing any
+// partition that has meanwhile moved elsewhere. The worker acks the
+// world-line it starts on as it registers. A device that cannot be read is an
+// error, so the caller may retry; nothing is left running then. Call it once
+// the recovery round for the worker's failure has begun: before that, the
+// current world-line's cut belongs to an older round.
+func Restart(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
+	_, _, wl, err := meta.State()
+	if err != nil {
+		return nil, err
+	}
+	cut, err := meta.RecoveredCut(wl)
+	if err != nil {
+		return nil, fmt.Errorf("dfaster: restart worker %d on world-line %d: %w", cfg.ID, wl, err)
+	}
+	store, err := kv.Recover(cfg.Device, cfg.KV, cut.Get(cfg.ID))
+	if err != nil {
+		return nil, fmt.Errorf("dfaster: restart worker %d at %d: %w", cfg.ID, cut.Get(cfg.ID), err)
+	}
+	w, err := AdoptWorker(cfg, store, meta)
+	if err != nil {
+		return nil, err
+	}
+	// The stripes, not a launch-time list, name what this seat serves now: a
+	// completed migration may have moved partitions away (stealing them back
+	// would strand the new owner's committed writes) or handed this seat more.
+	// Partitions frozen mid-donation still stripe here: the recovery round
+	// invalidated the migration record, so the restarted donor serves them.
+	var parts []uint64
+	for p := uint64(0); p < uint64(cfg.Partitions); p++ {
+		if owner, err := meta.OwnerOf(p); err == nil && owner == cfg.ID {
+			parts = append(parts, p)
+		}
+	}
+	if err := w.ClaimPartitions(parts...); err != nil {
+		w.Stop()
+		return nil, err
+	}
+	// A migration target that won its record just before the recovery round
+	// may still be flipping stripes: renounce what moved during the claim so
+	// two workers never both serve a partition. (A stripe write landing after
+	// this pass is the μs-scale gap DESIGN.md documents.)
+	for _, p := range parts {
+		if owner, err := meta.OwnerOf(p); err == nil && owner != cfg.ID {
+			w.Renounce(p)
+		}
+	}
+	return w, nil
+}
+
 // registerLogObs exports the store's log size and what its compactor does.
 func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 	with := func(k, v string) []obs.Label { return append(lbls[:len(lbls):len(lbls)], obs.L(k, v)) }

@@ -74,6 +74,7 @@ func startProc(t *testing.T, logName, bin string, args ...string) *exec.Cmd {
 
 const (
 	finderAddr = "127.0.0.1:17700"
+	finderObs  = "127.0.0.1:17701"
 	w1Addr     = "127.0.0.1:17801"
 	w2Addr     = "127.0.0.1:17802"
 	partitions = 16
@@ -93,7 +94,7 @@ func TestMultiProcessCrashRecovery(t *testing.T) {
 	// test runs alongside other packages a healthy worker can be starved
 	// past a short timeout, triggering a spurious failure detection.
 	startProc(t, "finder.log", finderBin,
-		"-listen", finderAddr, "-hb-timeout", "4s", "-hb-check", "200ms")
+		"-listen", finderAddr, "-hb-timeout", "4s", "-hb-check", "200ms", "-obs-addr", finderObs)
 	waitDialable(t, finderAddr)
 
 	evens, odds := stridedPartitions()
@@ -146,8 +147,19 @@ func TestMultiProcessCrashRecovery(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("finder never advanced the world-line after worker death")
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
+	// The round waits for the survivor's rollback alone (the dead worker is
+	// named down), and the survivor rolls itself back within milliseconds:
+	// progress resumes long before the round's 10 s ack bound.
+	bumped := time.Now()
+	for scrapeDebug(t, finderObs).Frozen {
+		if time.Since(bumped) > 2*time.Second {
+			t.Fatal("finder still frozen 2 s after the world-line bump")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Logf("DPR progress resumed %v after the world-line bump was seen", time.Since(bumped).Round(time.Millisecond))
 
 	// Restart worker 2 with -recover.
 	startProc(t, "w2b.log", serverBin,

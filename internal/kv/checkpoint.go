@@ -162,29 +162,6 @@ func readLog(device storage.Device, blob string, from, to int64, fn func(off int
 	return nil
 }
 
-// LatestCheckpoint returns the version of the newest durable checkpoint on
-// the device for the given log blob name, or 0 if none exists (or the device
-// cannot be read): the newest record whose log range matches its CRC.
-func LatestCheckpoint(device storage.Device, blob string) core.Version {
-	recs, err := readCheckpoints(device, blob)
-	if err != nil {
-		return 0
-	}
-	for _, m := range recs {
-		var crc uint32
-		err := readLog(device, blob, m.From, m.Boundary, func(_ int64, data []byte) {
-			crc = crc32.Update(crc, crc32c, data)
-		})
-		if err == nil && crc == m.DataCRC {
-			return m.Version
-		}
-		if err != nil && !errors.Is(err, errTornCheckpoint) {
-			return 0
-		}
-	}
-	return 0
-}
-
 // blobWrite is one device write of a seal.
 type blobWrite struct {
 	blob string
@@ -230,8 +207,10 @@ func (s *Store) seal(m checkpointMeta, data []blobWrite) error {
 // operations in versions <= v (minus rolled-back ranges) survive — the
 // restart path for a failed worker. It requires a durable checkpoint at a
 // version >= v (DPR only asks workers to recover to positions at or below
-// their persisted version). A newest record that is torn — the crash landed
-// mid-seal — is skipped in favour of the other slot.
+// their persisted version), except at v = 0: a device with no checkpoint on
+// it yields an empty store there. A newest record that is torn — the crash
+// landed mid-seal — is skipped in favour of the other slot. A device that
+// cannot be read is an error, never taken for an empty one.
 func Recover(device storage.Device, cfg Config, v core.Version) (*Store, error) {
 	if cfg.Blob == "" {
 		cfg.Blob = "hlog"
@@ -246,6 +225,9 @@ func Recover(device storage.Device, cfg Config, v core.Version) (*Store, error) 
 			continue
 		}
 		return s, err
+	}
+	if v == 0 {
+		return NewStore(device, cfg), nil
 	}
 	return nil, errors.New("kv: no checkpoint on device")
 }

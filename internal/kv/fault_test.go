@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/core"
 	"dpr/internal/storage"
 )
 
@@ -126,8 +127,10 @@ func TestRecoverUnderReadFaults(t *testing.T) {
 	s.Close()
 
 	flaky.FailReads(true)
-	if _, err := Recover(flaky, cfg, target); err == nil {
-		t.Fatal("recovery over a read-failing device must error")
+	for _, v := range []core.Version{target, 0} {
+		if _, err := Recover(flaky, cfg, v); err == nil {
+			t.Fatalf("recovery to %d over a read-failing device must error, not start empty", v)
+		}
 	}
 
 	flaky.FailReads(false)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"runtime"
@@ -17,6 +18,30 @@ import (
 	"dpr/internal/core"
 	"dpr/internal/storage"
 )
+
+// latestCheckpoint returns the version of the newest durable checkpoint on
+// the device's "hlog" log — the newest record whose log range matches its
+// CRC — or 0 if none is intact. A device that cannot be read fails the test.
+func latestCheckpoint(t *testing.T, device storage.Device) core.Version {
+	t.Helper()
+	recs, err := readCheckpoints(device, "hlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range recs {
+		var crc uint32
+		err := readLog(device, "hlog", m.From, m.Boundary, func(_ int64, data []byte) {
+			crc = crc32.Update(crc, crc32c, data)
+		})
+		if err == nil && crc == m.DataCRC {
+			return m.Version
+		}
+		if err != nil && !errors.Is(err, errTornCheckpoint) {
+			t.Fatal(err)
+		}
+	}
+	return 0
+}
 
 // lossyDevice acknowledges the writes its predicate selects without
 // performing them: what a crash between a seal's two concurrent writes leaves
@@ -200,8 +225,8 @@ func TestTornSealFallsBackToPreviousSlot(t *testing.T) {
 					tc.damage(t, dev, newestRecord(t, dev))
 				}
 
-				if got := LatestCheckpoint(dev, "hlog"); got != v1 {
-					t.Fatalf("LatestCheckpoint = %d, want the previous seal %d", got, v1)
+				if got := latestCheckpoint(t, dev); got != v1 {
+					t.Fatalf("latest checkpoint = %d, want the previous seal %d", got, v1)
 				}
 				if _, err := Recover(dev, cfg, v2); err == nil {
 					t.Fatalf("recovered version %d from a torn seal", v2)
@@ -226,8 +251,8 @@ func TestTornSealFallsBackToPreviousSlot(t *testing.T) {
 				if recs[0].Seq != 2 || recs[0].Version != v3 || recs[1].Seq != 1 || recs[1].Version != v1 {
 					t.Fatalf("slots after repair: %+v / %+v", recs[0], recs[1])
 				}
-				if got := LatestCheckpoint(dev, "hlog"); got != v3 {
-					t.Fatalf("LatestCheckpoint after repair = %d, want %d", got, v3)
+				if got := latestCheckpoint(t, dev); got != v3 {
+					t.Fatalf("latest checkpoint after repair = %d, want %d", got, v3)
 				}
 				r2, err := Recover(dev, cfg, v3)
 				if err != nil {
@@ -261,8 +286,8 @@ func TestSingleSlotRecovery(t *testing.T) {
 		r.Close()
 
 		flipByte(t, dev, ckptSlotName("hlog", 1), 20)
-		if got := LatestCheckpoint(dev, "hlog"); got != 0 {
-			t.Fatalf("LatestCheckpoint = %d over a torn only slot", got)
+		if got := latestCheckpoint(t, dev); got != 0 {
+			t.Fatalf("latest checkpoint = %d over a torn only slot", got)
 		}
 		if _, err := Recover(dev, cfg, v1); err == nil {
 			t.Fatal("recovered from a torn only slot")
@@ -284,8 +309,8 @@ func TestFailedSealRetryCoversWiderRange(t *testing.T) {
 
 		writeGen(sess, 2)
 		failSeal(t, s, flaky)
-		if got := LatestCheckpoint(dev, "hlog"); got != v1 {
-			t.Fatalf("LatestCheckpoint = %d after a failed seal, want %d", got, v1)
+		if got := latestCheckpoint(t, dev); got != v1 {
+			t.Fatalf("latest checkpoint = %d after a failed seal, want %d", got, v1)
 		}
 
 		writeGen(sess, 3)
@@ -341,8 +366,8 @@ func TestSealsDoNotLeakBlobs(t *testing.T) {
 	if len(want) != 3 {
 		t.Fatalf("blobs %v, want the log and two record slots", want)
 	}
-	if got, wantV := LatestCheckpoint(dev, "hlog"), s.PersistedVersion(); got != wantV {
-		t.Fatalf("LatestCheckpoint = %d, want %d", got, wantV)
+	if got, wantV := latestCheckpoint(t, dev), s.PersistedVersion(); got != wantV {
+		t.Fatalf("latest checkpoint = %d, want %d", got, wantV)
 	}
 }
 
@@ -457,8 +482,8 @@ func TestCheckpointRecordLayout(t *testing.T) {
 	if err := writeAll(dev, []blobWrite{{blob: newest, data: withKindWord(rec, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := LatestCheckpoint(dev, "hlog"); got != v1 {
-		t.Fatalf("LatestCheckpoint = %d, want %d from the other slot", got, v1)
+	if got := latestCheckpoint(t, dev); got != v1 {
+		t.Fatalf("latest checkpoint = %d, want %d from the other slot", got, v1)
 	}
 	if _, err := Recover(dev, cfg, v2); err == nil {
 		t.Fatalf("recovered version %d from a non-zero-kind record", v2)
@@ -510,8 +535,8 @@ func TestNewStoreDiscardsOlderIncarnation(t *testing.T) {
 		old.Close()
 
 		s := NewStore(dev, cfg)
-		if got := LatestCheckpoint(dev, "hlog"); got != 0 {
-			t.Fatalf("LatestCheckpoint = %d on a device a new store took over", got)
+		if got := latestCheckpoint(t, dev); got != 0 {
+			t.Fatalf("latest checkpoint = %d on a device a new store took over", got)
 		}
 		sess = s.NewSession()
 		writeGen(sess, 1)

@@ -389,9 +389,22 @@ func TestRecoverToLatest(t *testing.T) {
 	}
 }
 
+// TestRecoverNoCheckpoint: a device nothing was sealed to holds no version
+// above 0, so recovery to a later one fails, and recovery to 0 — a worker
+// that crashed before its first commit — starts an empty store.
 func TestRecoverNoCheckpoint(t *testing.T) {
 	if _, err := Recover(storage.NewNull(), Config{}, 1); err == nil {
 		t.Fatal("recover without checkpoint must fail")
+	}
+	s, err := Recover(storage.NewNull(), Config{}, 0)
+	if err != nil {
+		t.Fatalf("recover to 0 on an empty device: %v", err)
+	}
+	defer s.Close()
+	sess := s.NewSession()
+	defer sess.Close()
+	if _, status, _ := sess.Read([]byte("a"), 0); status != StatusNotFound {
+		t.Fatalf("read on the recovered empty store: status %v", status)
 	}
 }
 

@@ -27,7 +27,16 @@ import (
 // Because session sequence numbering resumes at the surviving prefix after
 // a failure (§4.2), sequence numbers are reused across world-lines; the
 // ledger therefore tracks operation *instances*, each writing a unique key,
-// so the store itself witnesses which instances survived.
+// so the store itself witnesses which instances survived. Batches go through
+// the serving path's guarded admission, AdmitBatchGuarded … ReleaseBatch.
+//
+// Its old reds ("committed op … missing from store", about 1 trial run in
+// 200 under -race) were a product bug, not the test: a recovered cut left
+// out the workers that had committed nothing, and a session that skipped the
+// round composed its cut with the next round's (core.Cut.Lower), which reads
+// an absent worker as one that did not exist then — so the next round's
+// wider cut re-covered operations the skipped round had erased, and the
+// session reported them committed. Recovered cuts now name every member.
 func TestDPRCorrectnessUnderRandomFailures(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		trial := trial
@@ -141,7 +150,7 @@ func runRandomFailureTrial(t *testing.T, seed int64) {
 			worker: widx,
 		}
 		w := h.workers[widx]
-		if _, err := w.AdmitBatch(hdr); err != nil {
+		if _, err := w.AdmitBatchGuarded(hdr, h.lanes[widx]); err != nil {
 			if errors.Is(err, libdpr.ErrBatchRejected) {
 				refresh()
 				continue
@@ -150,13 +159,18 @@ func runRandomFailureTrial(t *testing.T, seed int64) {
 		}
 		ver, err := h.kvSess[widx].Upsert([]byte(inst.key), []byte("x"))
 		if err != nil {
+			w.ReleaseBatch(hdr, h.lanes[widx], false)
 			t.Fatal(err)
 		}
+		// As the serving frame does: record and reply while the guard holds
+		// the world-line the batch executed on.
 		w.RecordDependency(ver, hdr.Dep)
+		reply := w.Reply([]core.Version{ver})
+		w.ReleaseBatch(hdr, h.lanes[widx], true)
 		inst.version = ver
 		instances[inst.seq] = append(instances[inst.seq], inst)
 		all = append(all, inst)
-		if err := s.CompleteBatch(w.ID(), hdr, w.Reply([]core.Version{ver})); err != nil {
+		if err := s.CompleteBatch(w.ID(), hdr, reply); err != nil {
 			var surv *core.SurvivalError
 			if errors.As(err, &surv) {
 				handleFailure(surv)

@@ -23,6 +23,7 @@ type harness struct {
 	stores  []*kv.Store
 	workers []*libdpr.Worker
 	kvSess  []*kv.Session
+	lanes   []*libdpr.ExecLane // one execution lane per worker, as a connection holds
 }
 
 func newHarness(t *testing.T, n int, finder metadata.FinderKind, ckptEvery time.Duration) *harness {
@@ -43,9 +44,11 @@ func newHarness(t *testing.T, n int, finder metadata.FinderKind, ckptEvery time.
 		h.stores = append(h.stores, st)
 		h.workers = append(h.workers, w)
 		h.kvSess = append(h.kvSess, st.NewSession())
+		h.lanes = append(h.lanes, w.NewLane())
 	}
 	t.Cleanup(func() {
 		for i, w := range h.workers {
+			h.lanes[i].Close()
 			w.Stop()
 			h.kvSess[i].Close()
 			h.stores[i].Close()
@@ -63,20 +66,20 @@ func (h *harness) do(t *testing.T, s *libdpr.Session, widx int, key, val string)
 		t.Fatalf("NextBatch: %v", err)
 	}
 	w := h.workers[widx]
-	if _, err := w.AdmitBatch(hdr); err != nil {
-		t.Fatalf("AdmitBatch: %v", err)
+	if _, err := w.AdmitBatchGuarded(hdr, h.lanes[widx]); err != nil {
+		t.Fatalf("AdmitBatchGuarded: %v", err)
 	}
 	var ver core.Version
 	if val == "" {
 		_, _, ver = h.kvSess[widx].Read([]byte(key), 0)
-	} else {
-		ver, err = h.kvSess[widx].Upsert([]byte(key), []byte(val))
-		if err != nil {
-			t.Fatal(err)
-		}
+	} else if ver, err = h.kvSess[widx].Upsert([]byte(key), []byte(val)); err != nil {
+		w.ReleaseBatch(hdr, h.lanes[widx], false)
+		t.Fatal(err)
 	}
 	w.RecordDependency(ver, hdr.Dep)
-	if err := s.CompleteBatch(w.ID(), hdr, w.Reply([]core.Version{ver})); err != nil {
+	reply := w.Reply([]core.Version{ver})
+	w.ReleaseBatch(hdr, h.lanes[widx], true)
+	if err := s.CompleteBatch(w.ID(), hdr, reply); err != nil {
 		t.Fatalf("CompleteBatch: %v", err)
 	}
 	return hdr.SeqStart
@@ -281,7 +284,7 @@ func TestStaleClientRejected(t *testing.T) {
 		// Session already learned about the failure via RefreshCommit etc.
 		t.Skip("session already recovered")
 	}
-	if _, err := h.workers[0].AdmitBatch(hdr); !errors.Is(err, libdpr.ErrBatchRejected) {
+	if _, err := h.workers[0].AdmitBatchGuarded(hdr, h.lanes[0]); !errors.Is(err, libdpr.ErrBatchRejected) {
 		t.Fatalf("stale batch must be rejected, got %v", err)
 	}
 }

@@ -269,6 +269,10 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	if err != nil {
 		return nil, err
 	}
+	// A worker starts in wl with nothing to roll back: a fresh store, or one a
+	// restart recovered at wl's cut. Say so, or a recovery round in flight
+	// would wait out its bound for a rollback this worker never runs.
+	_ = meta.AckWorldLine(cfg.ID, wl)
 	w := &Worker{
 		cfg:       cfg,
 		so:        so,
@@ -516,10 +520,11 @@ func (w *Worker) sweepGates(cutoff uint64) {
 	})
 }
 
-// AdmitBatch performs the server-side libDPR work before a batch executes
+// admitBatch performs the server-side libDPR work before a batch executes
 // (§6): world-line admission and version fast-forward. On success it returns
-// the world-line the batch executes in.
-func (w *Worker) AdmitBatch(h BatchHeader) (core.WorldLine, error) {
+// the world-line the batch executes in. It guards nothing: AdmitBatchGuarded
+// is the one way in.
+func (w *Worker) admitBatch(h BatchHeader) (core.WorldLine, error) {
 	if err := w.wl.Admit(h.WorldLine, w.cfg.AdmitTimeout); err != nil {
 		w.rejectedC.Inc()
 		w.trace.Record(obs.EvBatchRejected, uint64(w.wl.Current()), uint64(h.WorldLine), 0)
@@ -568,7 +573,7 @@ func (w *Worker) NewLane() *ExecLane {
 // Close unregisters the lane from rollback-fence accounting.
 func (l *ExecLane) Close() { l.w.exec.Unregister(l.slot) }
 
-// AdmitBatchGuarded is AdmitBatch plus the execution guard: on success the
+// AdmitBatchGuarded is admitBatch plus the execution guard: on success the
 // admission is pinned until ReleaseBatch — rollbacks are held off (the
 // lane's epoch slot is entered, and the rollback fence drains all lanes) and
 // the session's gate is held, so same-session batches execute strictly in
@@ -578,7 +583,7 @@ func (l *ExecLane) Close() { l.w.exec.Unregister(l.slot) }
 // advances the session fence; pass false when the batch was refused after
 // admission (e.g. ownership) so the client can retransmit the same numbers.
 func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLine, error) {
-	wl, err := w.AdmitBatch(h)
+	wl, err := w.admitBatch(h)
 	if err != nil {
 		return wl, err
 	}
@@ -930,7 +935,7 @@ func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
 	w.rollbacksC.Inc()
 	w.trace.Record(obs.EvWorldLineBump, uint64(wl), 0, 0)
 	w.trace.Record(obs.EvRollbackEnd, uint64(wl), uint64(cut.Get(w.cfg.ID)), 0)
-	// Confirm the rollback so recovery coordinators (possibly in another
+	// Confirm the rollback so the recovery round (possibly in another
 	// process) can resume DPR progress once everyone has reported (§4.1).
 	_ = w.meta.AckWorldLine(w.cfg.ID, wl)
 	return nil

@@ -25,18 +25,24 @@ func TestAdmitBatchFastForwardTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Stop()
+	lane := w.NewLane()
+	defer lane.Close()
 	// Version bump happens quickly even on slow storage (the version
 	// advances at checkpoint *start*), so Vs fast-forward usually succeeds;
 	// verify both the success path and the already-current path.
-	if _, err := w.AdmitBatch(libdpr.BatchHeader{Vs: 3}); err != nil {
+	hdr := libdpr.BatchHeader{Vs: 3}
+	if _, err := w.AdmitBatchGuarded(hdr, lane); err != nil {
 		t.Fatalf("fast-forward should succeed (version advances at checkpoint start): %v", err)
 	}
+	w.ReleaseBatch(hdr, lane, false)
 	if store.CurrentVersion() < 3 {
 		t.Fatalf("version did not fast-forward: %d", store.CurrentVersion())
 	}
-	if _, err := w.AdmitBatch(libdpr.BatchHeader{Vs: 1}); err != nil {
+	hdr = libdpr.BatchHeader{Vs: 1}
+	if _, err := w.AdmitBatchGuarded(hdr, lane); err != nil {
 		t.Fatalf("past Vs must admit immediately: %v", err)
 	}
+	w.ReleaseBatch(hdr, lane, false)
 }
 
 func TestReplySharedCutIsStable(t *testing.T) {

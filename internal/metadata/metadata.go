@@ -55,8 +55,8 @@ type Service interface {
 	// world-line was spawned (clients use it to compute survival).
 	RecoveredCut(wl core.WorldLine) (core.Cut, error)
 	// AckWorldLine records that worker w has completed its rollback into
-	// world-line wl; recovery coordinators wait for all members to ack
-	// before resuming DPR progress (§4.1).
+	// world-line wl, or started on it; the recovery round waits for every
+	// live member's ack before resuming DPR progress (§4.1).
 	AckWorldLine(w core.WorkerID, wl core.WorldLine) error
 	// AnnounceCommit says that worker w, on world-line wl, has closed version
 	// v — started its seal — so that busy peers close v with it instead of
@@ -587,13 +587,15 @@ func (s *Store) RecoveredCut(wl core.WorldLine) (core.Cut, error) {
 	return c.Clone(), nil
 }
 
-// AckWorldLine implements Service.
+// AckWorldLine implements Service. An ack that raises the worker's world-line
+// advances the generation, which is what a recovery round's AwaitAcks parks on.
 func (s *Store) AckWorldLine(w core.WorkerID, wl core.WorldLine) error {
 	s.simulateLatency()
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if wl > s.acked[w] {
 		s.acked[w] = wl
+		s.bumpLocked()
 	}
 	return nil
 }
@@ -614,14 +616,34 @@ func (s *Store) AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Versio
 	s.bumpLocked()
 }
 
-// AllAcked reports whether every registered member has confirmed rollback
-// into world-line wl.
-func (s *Store) AllAcked(wl core.WorldLine) bool {
+// AwaitAcks parks until every registered member outside down has confirmed
+// its rollback into world-line wl, or a newer round has taken over (its own
+// wait governs then), and reports false if timeout ran out first. It waits on
+// the generation: acks, departures and new rounds all advance it.
+func (s *Store) AwaitAcks(wl core.WorldLine, down map[core.WorkerID]bool, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for {
+		since := s.gen.Load()
+		if s.ackedAll(wl, down) {
+			return true
+		}
+		left := time.Until(deadline)
+		if left <= 0 {
+			return false
+		}
+		s.WaitStateChange(since, left)
+	}
+}
+
+func (s *Store) ackedAll(wl core.WorldLine, down map[core.WorkerID]bool) bool {
 	ids := s.memberIDs()
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
+	if s.worldLine != wl {
+		return true
+	}
 	for _, w := range ids {
-		if s.acked[w] < wl {
+		if !down[w] && s.acked[w] < wl {
 			return false
 		}
 	}
@@ -636,11 +658,22 @@ func (s *Store) AllAcked(wl core.WorldLine) bool {
 // recovery cut (no operations committed in between).
 func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 	s.simulateLatency()
+	members := s.memberIDs()
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if !s.frozen {
 		s.frozen = true
 		s.frozenCut = s.finder.CurrentCut()
+		// Name every member, at 0 if it has committed nothing (a finder leaves
+		// those out): a session that skips this round composes its cut with
+		// later ones (core.Cut.Lower), which reads an absent worker as one that
+		// did not exist then, and a later cut would re-cover what this round
+		// erased on it.
+		for _, w := range members {
+			if _, ok := s.frozenCut[w]; !ok {
+				s.frozenCut[w] = 0
+			}
+		}
 	}
 	s.worldLine++
 	s.recovered[s.worldLine] = s.frozenCut.Clone()

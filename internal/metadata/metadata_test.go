@@ -272,3 +272,30 @@ func TestFinderKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredCutNamesEveryMember: a recovered cut lists every member, at 0
+// if it has committed nothing, so composed with a later round's wider cut
+// (what a session that skipped this round does) such a member stays at 0.
+// Left out, it read as a worker that did not exist at this round, and the
+// later cut re-covered what the round had erased on it: libdpr's
+// random-failure trial then found committed operations missing.
+func TestRecoveredCutNamesEveryMember(t *testing.T) {
+	s := NewStore(Config{Finder: FinderApproximate})
+	s.RegisterWorker(1, "a")
+	s.RegisterWorker(2, "b")
+	s.ReportVersion(1, 2, nil)
+	wl, cut := s.BeginRecovery()
+	rc, err := s.RecoveredCut(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []core.Cut{cut, rc} {
+		if _, ok := c[2]; !ok {
+			t.Fatalf("recovered cut %v leaves out member 2", c)
+		}
+	}
+	rc.Lower(core.Cut{1: 5, 2: 5})
+	if rc.Get(2) != 0 {
+		t.Fatalf("composed cut %v: member 2 committed nothing, so it must stay at 0", rc)
+	}
+}

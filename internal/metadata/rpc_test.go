@@ -67,7 +67,7 @@ func TestRPCRoundTrip(t *testing.T) {
 	if err := client.AckWorldLine(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !store.AllAcked(1) {
+	if !store.AwaitAcks(1, nil, time.Second) {
 		t.Fatal("acks must arrive via RPC")
 	}
 
