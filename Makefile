@@ -2,7 +2,7 @@ GO ?= go
 # Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic
+.PHONY: check build fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic figures
 
 # The full pre-commit gate, in the order CI runs it.
 check: build fmt-check wait-check atomic-check vet dpr-vet test bench-module
@@ -59,6 +59,14 @@ test:
 # build and test it whenever they move.
 bench-module:
 	cd benchmark && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test -short .
+
+# The paper's figures and ablations (§7), each printed as the table
+# EXPERIMENTS.md quotes; every figure table there names this target. The
+# default is the quick pass; e.g. FIGS='-duration 2s fig17 fig18' for two
+# figures at full length. `go run ./cmd/dpr-bench -h` lists the figures.
+FIGS ?= -short all
+figures:
+	$(GO) run ./cmd/dpr-bench $(FIGS)
 
 # Non-test Go lines outside benchmark/, per package and in total — ROADMAP's
 # "net line count is a reported metric".

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
 	"dpr/internal/workload"
 )
@@ -23,6 +24,7 @@ func tinyOpts() (Options, *bytes.Buffer) {
 }
 
 func TestFig10Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig10(opt); err != nil {
 		t.Fatal(err)
@@ -36,6 +38,7 @@ func TestFig10Smoke(t *testing.T) {
 }
 
 func TestFig11Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig11(opt); err != nil {
 		t.Fatal(err)
@@ -46,6 +49,7 @@ func TestFig11Smoke(t *testing.T) {
 }
 
 func TestFig12Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	opt.Duration = 400 * time.Millisecond // needs a checkpoint to commit
 	if err := Fig12(opt); err != nil {
@@ -58,6 +62,7 @@ func TestFig12Smoke(t *testing.T) {
 }
 
 func TestFig13Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig13(opt); err != nil {
 		t.Fatal(err)
@@ -68,6 +73,7 @@ func TestFig13Smoke(t *testing.T) {
 }
 
 func TestFig14Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig14(opt); err != nil {
 		t.Fatal(err)
@@ -78,6 +84,7 @@ func TestFig14Smoke(t *testing.T) {
 }
 
 func TestFig15Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig15(opt); err != nil {
 		t.Fatal(err)
@@ -88,6 +95,7 @@ func TestFig15Smoke(t *testing.T) {
 }
 
 func TestFig16Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	opt.Duration = 500 * time.Millisecond
 	if err := Fig16(opt); err != nil {
@@ -102,6 +110,7 @@ func TestFig16Smoke(t *testing.T) {
 }
 
 func TestFig17Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig17(opt); err != nil {
 		t.Fatal(err)
@@ -115,6 +124,7 @@ func TestFig17Smoke(t *testing.T) {
 }
 
 func TestFig18Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig18(opt); err != nil {
 		t.Fatal(err)
@@ -125,6 +135,7 @@ func TestFig18Smoke(t *testing.T) {
 }
 
 func TestFig19Smoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := Fig19(opt); err != nil {
 		t.Fatal(err)
@@ -138,6 +149,7 @@ func TestFig19Smoke(t *testing.T) {
 }
 
 func TestAblationsSmoke(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	opt, buf := tinyOpts()
 	if err := AblationFinders(opt); err != nil {
 		t.Fatal(err)
@@ -154,6 +166,7 @@ func TestAblationsSmoke(t *testing.T) {
 }
 
 func TestPreload(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	bc, err := buildCluster(clusterSpec{
 		shards: 1, ckptEvery: 0, backend: BackendNull, finder: metadata.FinderApproximate,
 	})
@@ -167,6 +180,7 @@ func TestPreload(t *testing.T) {
 }
 
 func TestRunReportsErrors(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	// Sanity: run must count completions, not enqueues.
 	bc, err := buildCluster(clusterSpec{
 		shards: 1, ckptEvery: 20 * time.Millisecond, backend: BackendNull,
@@ -188,5 +202,27 @@ func TestRunReportsErrors(t *testing.T) {
 	}
 	if res.ErrorCount > res.Ops/100 {
 		t.Fatalf("too many errors: %d of %d", res.ErrorCount, res.Ops)
+	}
+}
+
+// TestFailedOpsAreNotThroughput: a cell against a plain Redis server that is
+// registered in metadata and then stopped completes nothing; every
+// operation it issues fails, and is counted as failed.
+func TestFailedOpsAreNotThroughput(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
+	tgt, err := buildRedis(redisSpec{shards: 1, kind: redisPlain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt.close() // the server stays registered
+	res, err := tgt.run(runSpec{
+		clients: 2, batch: 8, dist: workload.Uniform, readFrac: 0.5,
+		keys: 1 << 10, duration: 200 * time.Millisecond, seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 0 || res.ErrorCount == 0 {
+		t.Fatalf("against a stopped server: %d operations completed, %d failed; want 0 and > 0", res.Ops, res.ErrorCount)
 	}
 }

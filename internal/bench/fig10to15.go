@@ -2,9 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
+	"dpr/internal/dfaster"
 	"dpr/internal/kv"
 	"dpr/internal/metadata"
 	"dpr/internal/storage"
@@ -44,18 +45,13 @@ func Fig10(opt Options) error {
 		for _, n := range shardCounts {
 			fmt.Fprintf(opt.Out, "%-12d", n)
 			for _, c := range configs {
-				bc, err := buildCluster(clusterSpec{
+				res, err := runCluster(clusterSpec{
 					shards: n, ckptEvery: c.ckpt, backend: c.backend,
 					finder: metadata.FinderApproximate,
-				})
-				if err != nil {
-					return err
-				}
-				res, err := bc.run(runSpec{
+				}, runSpec{
 					clients: n * 2, batch: 512, dist: dist, readFrac: 0.5,
 					keys: opt.Keys, duration: opt.Duration, seed: 1,
 				})
-				bc.close()
 				if err != nil {
 					return err
 				}
@@ -88,19 +84,14 @@ func Fig11(opt Options) error {
 			return err
 		}
 		// Full DPR: co-located clients, 100% local ops.
-		bc, err := buildCluster(clusterSpec{
+		res, err := runCluster(clusterSpec{
 			shards: 1, ckptEvery: 100 * time.Millisecond,
 			backend: BackendLocalSSD, finder: metadata.FinderApproximate,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := bc.run(runSpec{
+		}, runSpec{
 			clients: T, batch: 1, dist: workload.Zipfian, readFrac: 0.5,
 			keys: opt.Keys, duration: opt.Duration,
 			colocate: true, colocatePct: 1.0, seed: 2,
 		})
-		bc.close()
 		if err != nil {
 			return err
 		}
@@ -115,9 +106,12 @@ func runRawKV(opt Options, threads int, ckpt time.Duration) (float64, error) {
 	dev := storage.NewSink("bench", storage.LocalSSDProfile)
 	store := kv.NewStore(dev, kv.Config{BucketCount: 1 << 16})
 	defer store.Close()
-	stop := make(chan struct{})
 	if ckpt > 0 {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			t := time.NewTicker(ckpt)
 			defer t.Stop()
 			for {
@@ -129,54 +123,30 @@ func runRawKV(opt Options, threads int, ckpt time.Duration) (float64, error) {
 				}
 			}
 		}()
+		defer func() { close(stop); wg.Wait() }()
 	}
-	var completed atomic.Uint64
-	done := make(chan struct{})
-	for g := 0; g < threads; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
+	res, err := measure(cell{threads: threads, duration: opt.Duration,
+		newThread: func(g int, done dfaster.OpCallback) (thread, error) {
 			sess := store.NewSession()
-			defer sess.Close()
 			gen := workload.NewGenerator(workload.Config{
 				Keys: opt.Keys, ReadFraction: 0.5, Dist: workload.Zipfian,
 				Theta: 0.99, Seed: int64(g) * 31,
 			})
-			n := uint64(0)
-			for {
-				select {
-				case <-stop:
-					completed.Add(n)
-					return
-				default:
-				}
+			step := func(int) error {
 				op := gen.Next()
 				if op.Kind == workload.OpRead {
-					sess.Read(op.Key[:], 0)
+					_, st, _ := sess.Read(op.Key[:], 0)
+					done(result(st == kv.StatusError))
 				} else {
 					v := workload.Value8(op.Key)
-					sess.Upsert(op.Key[:], v[:])
+					_, err := sess.Upsert(op.Key[:], v[:])
+					done(result(err != nil))
 				}
-				n++
-				if n%256 == 0 {
-					completed.Add(256)
-					n = 0
-				}
+				return nil
 			}
-		}(g)
-	}
-	warmup := opt.Duration / 5
-	if warmup > 300*time.Millisecond {
-		warmup = 300 * time.Millisecond
-	}
-	time.Sleep(warmup)
-	start := completed.Load()
-	time.Sleep(opt.Duration)
-	total := completed.Load() - start
-	close(stop)
-	for g := 0; g < threads; g++ {
-		<-done
-	}
-	return float64(total) / opt.Duration.Seconds() / 1e6, nil
+			return thread{step: step, finish: func() error { sess.Close(); return nil }}, nil
+		}})
+	return res.MopsPerSec(), err
 }
 
 // Fig12 regenerates Figure 12 (latency distributions): operation-completion
@@ -188,28 +158,20 @@ func Fig12(opt Options) error {
 		shards = 2
 	}
 	for _, b := range []int{1024, 64} {
-		bc, err := buildCluster(clusterSpec{
+		res, err := runCluster(clusterSpec{
 			shards: shards, ckptEvery: 100 * time.Millisecond,
 			backend: BackendLocalSSD, finder: metadata.FinderApproximate,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := bc.run(runSpec{
+		}, runSpec{
 			clients: shards, batch: b, dist: workload.Zipfian, readFrac: 0.5,
 			keys: opt.Keys, duration: opt.Duration,
 			sampleEvery: 256, sampleCommit: true, seed: 3,
 		})
-		bc.close()
 		if err != nil {
 			return err
 		}
 		header(opt.Out, fmt.Sprintf("Figure 12: latency distribution, b=%d", b))
 		fmt.Fprintf(opt.Out, "operation latency: %s\n", res.OpLat.Summary())
-		fmt.Fprintf(opt.Out, "commit    latency: %s\n", res.CommitLat.Summary())
-		// The bucketed summary above quantizes in ~12.5% steps; commit
-		// latency comparisons need the exact sample quantiles.
-		fmt.Fprintf(opt.Out, "commit    exact:   %s\n", res.CommitExact)
+		fmt.Fprintf(opt.Out, "commit    latency: %s\n", res.CommitLat)
 	}
 	return nil
 }
@@ -229,18 +191,13 @@ func Fig13(opt Options) error {
 	header(opt.Out, "Figure 13: throughput-latency trade-off (100ms checkpoints)")
 	fmt.Fprintf(opt.Out, "%-8s %14s %14s %14s\n", "b", "Mops/s", "mean-lat", "p99-lat")
 	for _, b := range batches {
-		bc, err := buildCluster(clusterSpec{
+		res, err := runCluster(clusterSpec{
 			shards: shards, ckptEvery: 100 * time.Millisecond,
 			backend: BackendLocalSSD, finder: metadata.FinderApproximate,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := bc.run(runSpec{
+		}, runSpec{
 			clients: shards * 2, batch: b, dist: workload.Zipfian, readFrac: 0.5,
 			keys: opt.Keys, duration: opt.Duration, sampleEvery: 64, seed: 4,
 		})
-		bc.close()
 		if err != nil {
 			return err
 		}
@@ -273,18 +230,13 @@ func Fig14(opt Options) error {
 		iv := ivms * time.Millisecond
 		fmt.Fprintf(opt.Out, "%-12v", iv)
 		for _, b := range backends {
-			bc, err := buildCluster(clusterSpec{
+			res, err := runCluster(clusterSpec{
 				shards: shards, ckptEvery: iv, backend: b,
 				finder: metadata.FinderApproximate,
-			})
-			if err != nil {
-				return err
-			}
-			res, err := bc.run(runSpec{
+			}, runSpec{
 				clients: shards * 2, batch: 512, dist: workload.Zipfian, readFrac: 0.5,
 				keys: opt.Keys, duration: opt.Duration, seed: 5,
 			})
-			bc.close()
 			if err != nil {
 				return err
 			}
@@ -315,19 +267,14 @@ func Fig15(opt Options) error {
 	for _, p := range pcts {
 		fmt.Fprintf(opt.Out, "%-12.0f", p*100)
 		for _, b := range batches {
-			bc, err := buildCluster(clusterSpec{
+			res, err := runCluster(clusterSpec{
 				shards: shards, ckptEvery: 100 * time.Millisecond,
 				backend: BackendLocalSSD, finder: metadata.FinderApproximate,
-			})
-			if err != nil {
-				return err
-			}
-			res, err := bc.run(runSpec{
+			}, runSpec{
 				clients: shards * 2, batch: b, dist: workload.Uniform, readFrac: 0.5,
 				keys: opt.Keys, duration: opt.Duration,
 				colocate: true, colocatePct: p, seed: 6,
 			})
-			bc.close()
 			if err != nil {
 				return err
 			}

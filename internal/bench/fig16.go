@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"dpr/internal/core"
@@ -23,13 +22,9 @@ import (
 func Fig16(opt Options) error {
 	opt = opt.withDefaults()
 	total := 3 * opt.Duration // three phases
-	tick := total / 40
-	if tick < 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	shards := 2
+	tick := max(total/40, 50*time.Millisecond)
 	bc, err := buildCluster(clusterSpec{
-		shards: shards, ckptEvery: 50 * time.Millisecond,
+		shards: 2, ckptEvery: 50 * time.Millisecond,
 		backend: BackendLocalSSD, finder: metadata.FinderApproximate,
 	})
 	if err != nil {
@@ -38,116 +33,108 @@ func Fig16(opt Options) error {
 	defer bc.close()
 
 	var completedC, committedC, abortedC stats.Counter
-	series := stats.NewTimeSeries(tick,
-		[]string{"completed/s", "committed/s", "aborted/s"},
-		[]*stats.Counter{&completedC, &committedC, &abortedC})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	clients := shards * 2
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			gen := workload.NewGenerator(workload.Config{
-				Keys: opt.Keys, ReadFraction: 0.5, Dist: workload.Zipfian,
-				Theta: 0.99, Seed: int64(ci) * 13,
-			})
-			newClient := func() *dfaster.Client {
-				c, err := dfaster.NewClient(dfaster.ClientConfig{
-					Partitions: bc.spec.partitions, BatchSize: 64, Window: 1024, Relaxed: true,
-				}, bc.meta)
-				if err != nil {
-					return nil
-				}
-				return c
-			}
-			client := newClient()
-			if client == nil {
-				return
-			}
-			defer func() { client.Close() }()
-			lastPrefix := uint64(0)
-			lastPoll := time.Now()
-			cb := func(r wire.OpResult) {
+	var series *stats.TimeSeries
+	_, err = measure(cell{threads: 4, duration: total,
+		newThread: func(ci int, done dfaster.OpCallback) (thread, error) {
+			return bc.recoveringSession(opt, ci, func(r wire.OpResult) {
+				done(r)
 				if r.Status != wire.StatusError {
 					completedC.Add(1)
 				}
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			}, &committedC, &abortedC)
+		},
+		// Failure schedule: one failure at 1/3, two nested at 2/3.
+		window: func(wait func(time.Duration) error) error {
+			series = stats.NewTimeSeries(tick,
+				[]string{"completed/s", "committed/s", "aborted/s"},
+				[]*stats.Counter{&completedC, &committedC, &abortedC})
+			defer series.Stop()
+			for _, d := range []time.Duration{total / 3, total / 3, 2 * tick} { // the last: mid-recovery
+				if err := wait(d); err != nil {
+					return err
 				}
-				op := gen.Next()
-				var err error
-				if op.Kind == workload.OpRead {
-					err = client.Read(op.Key[:], cb)
-				} else {
-					v := workload.Value8(op.Key)
-					err = client.Upsert(op.Key[:], v[:], cb)
-				}
-				if err == nil && time.Since(lastPoll) > 3*time.Millisecond {
-					lastPoll = time.Now()
-					_, err = client.Session().RefreshCommit()
-					if err == nil {
-						p, _ := client.Committed()
-						if p > lastPrefix {
-							committedC.Add(p - lastPrefix)
-							lastPrefix = p
-						}
-					}
-				}
-				if err != nil {
-					var surv *core.SurvivalError
-					if errors.As(err, &surv) {
-						// Everything past the surviving prefix aborted.
-						if last := client.LastSeq(); last > surv.SurvivingPrefix {
-							abortedC.Add(last - surv.SurvivingPrefix)
-						}
-						if surv.SurvivingPrefix > lastPrefix {
-							committedC.Add(surv.SurvivingPrefix - lastPrefix)
-						}
-						client.Acknowledge()
-						lastPrefix = surv.SurvivingPrefix
-						continue
-					}
-					// Transport or transient error: rebuild the client.
-					client.Close()
-					client = newClient()
-					if client == nil {
-						return
-					}
-					lastPrefix = 0
+				if _, _, err := bc.mgr.OnFailure(); err != nil {
+					return err
 				}
 			}
-		}(ci)
-	}
-
-	// Failure schedule: one failure at 1/3, two nested at 2/3.
-	time.Sleep(total / 3)
-	if _, _, err := bc.mgr.OnFailure(); err != nil {
+			return wait(total / 3)
+		}})
+	if err != nil {
 		return err
 	}
-	time.Sleep(total / 3)
-	if _, _, err := bc.mgr.OnFailure(); err != nil {
-		return err
-	}
-	time.Sleep(2 * tick)
-	if _, _, err := bc.mgr.OnFailure(); err != nil { // nested: mid-recovery window
-		return err
-	}
-	time.Sleep(total / 3)
-
-	close(stop)
-	wg.Wait()
-	series.Stop()
-
 	header(opt.Out, fmt.Sprintf(
 		"Figure 16: recovery timeline (failures at %v and %v/%v; tick %v)",
 		total/3, 2*total/3, 2*total/3+2*tick, tick))
 	fmt.Fprint(opt.Out, series.Render())
 	fmt.Fprintf(opt.Out, "recoveries completed: %d\n", bc.mgr.Recoveries())
 	return nil
+}
+
+// recoveringSession is one Fig 16 client: it counts the operations the
+// committed prefix covers and those a rollback aborts, acknowledges each
+// rollback and carries on, and replaces its client after any other error.
+func (bc *benchCluster) recoveringSession(opt Options, ci int, done dfaster.OpCallback, committedC, abortedC *stats.Counter) (thread, error) {
+	gen := workload.NewGenerator(workload.Config{
+		Keys: opt.Keys, ReadFraction: 0.5, Dist: workload.Zipfian,
+		Theta: 0.99, Seed: int64(ci) * 13,
+	})
+	newClient := func() (*dfaster.Client, error) {
+		return dfaster.NewClient(dfaster.ClientConfig{
+			Partitions: bc.partitions, BatchSize: 64, Window: 1024, Relaxed: true,
+		}, bc.meta)
+	}
+	client, err := newClient()
+	if err != nil {
+		return thread{}, err
+	}
+	lastPrefix := uint64(0)
+	lastPoll := time.Now()
+	step := func(int) error {
+		op := gen.Next()
+		var err error
+		if op.Kind == workload.OpRead {
+			err = client.Read(op.Key[:], done)
+		} else {
+			v := workload.Value8(op.Key)
+			err = client.Upsert(op.Key[:], v[:], done)
+		}
+		if err == nil && time.Since(lastPoll) > 3*time.Millisecond {
+			lastPoll = time.Now()
+			_, err = client.Session().RefreshCommit()
+			if err == nil {
+				p, _ := client.Committed()
+				if p > lastPrefix {
+					committedC.Add(p - lastPrefix)
+					lastPrefix = p
+				}
+			}
+		}
+		if err == nil {
+			return nil
+		}
+		var surv *core.SurvivalError
+		if errors.As(err, &surv) {
+			// Everything past the surviving prefix aborted.
+			if last := client.LastSeq(); last > surv.SurvivingPrefix {
+				abortedC.Add(last - surv.SurvivingPrefix)
+			}
+			if surv.SurvivingPrefix > lastPrefix {
+				committedC.Add(surv.SurvivingPrefix - lastPrefix)
+			}
+			client.Acknowledge()
+			lastPrefix = surv.SurvivingPrefix
+			return nil
+		}
+		// Transport or transient error: rebuild the client.
+		client.Close()
+		lastPrefix = 0
+		client, err = newClient()
+		return err
+	}
+	return thread{step: step, finish: func() error {
+		if client != nil {
+			client.Close()
+		}
+		return nil
+	}}, nil
 }

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dpr/internal/baseline"
-	"dpr/internal/core"
-	"dpr/internal/dredis"
+	"dpr/internal/dfaster"
 	"dpr/internal/metadata"
 	"dpr/internal/redisclone"
 	"dpr/internal/storage"
@@ -74,97 +72,42 @@ func runCassandraLevel(opt Options, level string) (float64, bool, error) {
 	if opt.Short {
 		threads = 4
 	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	counts := make([]uint64, threads)
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+	res, err := measure(cell{threads: threads, duration: opt.Duration,
+		newThread: func(g int, done dfaster.OpCallback) (thread, error) {
 			gen := workload.NewGenerator(workload.Config{
 				Keys: opt.Keys, ReadFraction: 0.5, Dist: workload.Uniform, Seed: int64(g) * 3,
 			})
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			step := func(int) error {
 				op := gen.Next()
 				if op.Kind == workload.OpRead {
 					store.Get(op.Key[:])
+					done(result(false))
 				} else {
 					v := workload.Value8(op.Key)
-					store.Put(op.Key[:], v[:])
+					done(result(store.Put(op.Key[:], v[:]) != nil))
 				}
-				counts[g]++
+				return nil
 			}
-		}(g)
-	}
-	time.Sleep(opt.Duration)
-	close(stop)
-	wg.Wait()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return float64(total) / opt.Duration.Seconds() / 1e6, true, nil
+			return thread{step: step, finish: func() error { return nil }}, nil
+		}})
+	return res.MopsPerSec(), true, err
 }
 
 // runDRedisLevel drives redisclone over the network at each level:
 // None = no persistence, Eventual = background AOF, DPR = full D-Redis,
 // Sync = AOF with fsync-per-write (Redis appendfsync always).
 func runDRedisLevel(opt Options, level string) (float64, bool, error) {
-	shards := 2
-	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	var closers []func()
-	stopAll := func() {
-		for _, c := range closers {
-			c()
-		}
+	spec := redisSpec{shards: 2, kind: redisPlain, backend: BackendLocalSSD}
+	switch level {
+	case levelDPR:
+		spec.kind, spec.ckptEvery = redisDPR, 100*time.Millisecond
+	case levelEventual:
+		spec.aof = redisclone.AOFEverySec
+	case levelSync:
+		spec.aof = redisclone.AOFAlways
 	}
-	for i := 0; i < shards; i++ {
-		var err error
-		switch level {
-		case levelDPR:
-			var w *dredis.Worker
-			w, err = dredis.NewWorker(dredis.WorkerConfig{
-				ID:                 core.WorkerID(i + 1),
-				ListenAddr:         "127.0.0.1:0",
-				CheckpointInterval: 100 * time.Millisecond,
-				Device:             storage.NewSink("dr", storage.LocalSSDProfile),
-			}, meta)
-			if err == nil {
-				closers = append(closers, w.Stop)
-			}
-		default:
-			aof := redisclone.AOFOff
-			switch level {
-			case levelEventual:
-				aof = redisclone.AOFEverySec
-			case levelSync:
-				aof = redisclone.AOFAlways
-			}
-			var srv *baseline.PlainServer
-			srv, err = baseline.NewPlainServer("127.0.0.1:0",
-				storage.NewSink("r", storage.LocalSSDProfile), fmt.Sprintf("p-%d", i), aof)
-			if err == nil {
-				closers = append(closers, srv.Stop)
-				err = meta.RegisterWorker(core.WorkerID(i+1), srv.Addr())
-			}
-		}
-		if err != nil {
-			stopAll()
-			return 0, true, err
-		}
-	}
-	assignPartitions(meta, shards)
-	res, err := runRedisCell(opt, meta, shards*2, 64, 1024, 0)
-	stopAll()
-	if err != nil {
-		return 0, true, err
-	}
-	return res.MopsPerSec(), true, nil
+	res, err := runRedis(spec, runSpec{clients: 4, batch: 64, window: 1024, keys: opt.Keys, duration: opt.Duration})
+	return res.MopsPerSec(), true, err
 }
 
 // runDFasterLevel drives D-FASTER at each level: None = no checkpoints,
@@ -187,17 +130,9 @@ func runDFasterLevel(opt Options, level string) (float64, bool, error) {
 	default:
 		spec.ckptEvery = 100 * time.Millisecond
 	}
-	bc, err := buildCluster(spec)
-	if err != nil {
-		return 0, true, err
-	}
-	defer bc.close()
-	res, err := bc.run(runSpec{
+	res, err := runCluster(spec, runSpec{
 		clients: 4, batch: 512, dist: workload.Uniform, readFrac: 0.5,
 		keys: opt.Keys, duration: opt.Duration, seed: 9,
 	})
-	if err != nil {
-		return 0, true, err
-	}
-	return res.MopsPerSec(), true, nil
+	return res.MopsPerSec(), true, err
 }

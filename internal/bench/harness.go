@@ -9,10 +9,11 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpr/internal/cluster"
@@ -87,12 +88,10 @@ func (b StorageBackend) device() storage.Device {
 
 // clusterSpec describes a D-FASTER cluster under test.
 type clusterSpec struct {
-	shards     int
-	partitions int
-	ckptEvery  time.Duration // 0 disables checkpoints ("No Chkpts")
-	backend    StorageBackend
-	finder     metadata.FinderKind
-	memBudget  int64
+	shards    int
+	ckptEvery time.Duration // 0 disables checkpoints ("No Chkpts")
+	backend   StorageBackend
+	finder    metadata.FinderKind
 	// eventual silences finder reporting: workers checkpoint on the timer
 	// but no DPR cuts ever form — the "eventual recoverability" level of
 	// §7.6 (persistence without coordinated guarantees).
@@ -105,46 +104,55 @@ type eventualMeta struct{ *metadata.Store }
 
 func (m eventualMeta) ReportVersion(core.WorkerID, core.Version, []core.Token) error { return nil }
 
-var _ metadata.Service = eventualMeta{}
+// target is what a cell's client sessions run against: the metadata store
+// that routes them to workers, the partition count, the D-FASTER workers a
+// co-located session may attach to (none for Redis), and what stops it all.
+type target struct {
+	meta       *metadata.Store
+	partitions int
+	workers    []*dfaster.Worker
+	stops      []func()
+}
 
-// benchCluster is a built cluster plus its control handles.
+func (t *target) close() {
+	for _, stop := range t.stops {
+		stop()
+	}
+	t.stops = nil
+}
+
+// benchCluster is a built D-FASTER cluster plus its recovery manager.
 type benchCluster struct {
-	spec    clusterSpec
-	meta    *metadata.Store
-	mgr     *cluster.Manager
-	workers []*dfaster.Worker
+	target
+	mgr *cluster.Manager
 }
 
 func buildCluster(spec clusterSpec) (*benchCluster, error) {
-	if spec.partitions == 0 {
-		spec.partitions = 64 * spec.shards
-	}
-	bc := &benchCluster{
-		spec: spec,
-		meta: metadata.NewStore(metadata.Config{Finder: spec.finder}),
-	}
-	bc.mgr = cluster.NewManager(bc.meta)
-	var svc metadata.Service = bc.meta
+	partitions := 64 * spec.shards
+	meta := metadata.NewStore(metadata.Config{Finder: spec.finder})
+	bc := &benchCluster{target: target{meta: meta, partitions: partitions}, mgr: cluster.NewManager(meta)}
+	var svc metadata.Service = meta
 	if spec.eventual {
-		svc = eventualMeta{bc.meta}
+		svc = eventualMeta{meta}
 	}
 	for i := 0; i < spec.shards; i++ {
 		w, err := dfaster.NewWorker(dfaster.WorkerConfig{
 			ID:                 core.WorkerID(i + 1),
 			ListenAddr:         "127.0.0.1:0",
 			CheckpointInterval: spec.ckptEvery,
-			Partitions:         spec.partitions,
+			Partitions:         partitions,
 			Device:             spec.backend.device(),
-			KV:                 kv.Config{BucketCount: 1 << 16, MemoryBudget: spec.memBudget},
+			KV:                 kv.Config{BucketCount: 1 << 16},
 		}, svc)
 		if err != nil {
 			bc.close()
 			return nil, err
 		}
 		bc.workers = append(bc.workers, w)
+		bc.stops = append(bc.stops, w.Stop)
 		bc.mgr.Attach(w)
 	}
-	for p := 0; p < spec.partitions; p++ {
+	for p := 0; p < partitions; p++ {
 		if err := bc.workers[p%spec.shards].ClaimPartitions(uint64(p)); err != nil {
 			bc.close()
 			return nil, err
@@ -153,14 +161,17 @@ func buildCluster(spec clusterSpec) (*benchCluster, error) {
 	return bc, nil
 }
 
-func (bc *benchCluster) close() {
-	for _, w := range bc.workers {
-		w.Stop()
+// runCluster runs a cell of run against a fresh D-FASTER cluster of spec.
+func runCluster(spec clusterSpec, run runSpec) (runResult, error) {
+	bc, err := buildCluster(spec)
+	if err != nil {
+		return runResult{}, err
 	}
-	bc.workers = nil
+	defer bc.close()
+	return bc.run(run)
 }
 
-// runSpec describes one workload cell.
+// runSpec describes one cell of D-FASTER client sessions.
 type runSpec struct {
 	clients  int
 	batch    int
@@ -182,72 +193,14 @@ type runSpec struct {
 	seed   int64
 }
 
-// exactSamples collects raw duration samples for exact quantiles. The
-// log-bucketed stats.Histogram steps ~12.5% per bucket, which is fine for
-// operation latencies but useless for commit latency: every cadence-dominated
-// run lands in the same bucket and two configurations that differ by 10x in
-// reality print the identical bucket floor (the 57.344ms p50 artifact).
-// Commit samples are sparse (1 in sampleEvery ops), so keeping them raw is
-// cheap and the quantiles come out exact.
-type exactSamples struct {
-	mu sync.Mutex
-	ds []time.Duration
-}
-
-// Record appends one sample.
-func (s *exactSamples) Record(d time.Duration) {
-	s.mu.Lock()
-	s.ds = append(s.ds, d)
-	s.mu.Unlock()
-}
-
-// N returns the sample count.
-func (s *exactSamples) N() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ds)
-}
-
-// Quantile returns the exact p-quantile (p in [0,100], nearest rank) of the
-// recorded samples, or 0 with no samples.
-func (s *exactSamples) Quantile(p float64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ds) == 0 {
-		return 0
-	}
-	if !sort.SliceIsSorted(s.ds, func(i, j int) bool { return s.ds[i] < s.ds[j] }) {
-		sort.Slice(s.ds, func(i, j int) bool { return s.ds[i] < s.ds[j] })
-	}
-	idx := int(p / 100 * float64(len(s.ds)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.ds) {
-		idx = len(s.ds) - 1
-	}
-	return s.ds[idx]
-}
-
-// String renders the exact quantile summary line.
-func (s *exactSamples) String() string {
-	return fmt.Sprintf("p50=%v p90=%v p99=%v max=%v (n=%d)",
-		s.Quantile(50).Truncate(time.Microsecond),
-		s.Quantile(90).Truncate(time.Microsecond),
-		s.Quantile(99).Truncate(time.Microsecond),
-		s.Quantile(100).Truncate(time.Microsecond), s.N())
-}
-
-// runResult aggregates one cell's measurements.
+// runResult aggregates one cell's measurements: the operations that
+// completed and failed in the measured window, and the latency samples.
 type runResult struct {
-	Ops       uint64
-	Elapsed   time.Duration
-	OpLat     *stats.Histogram
-	CommitLat *stats.Histogram
-	// CommitExact holds the raw commit-latency samples behind CommitLat;
-	// report quantiles from here, not from the bucketed histogram.
-	CommitExact *exactSamples
-	ErrorCount  uint64
+	Ops        uint64
+	ErrorCount uint64
+	Elapsed    time.Duration
+	OpLat      *stats.Histogram
+	CommitLat  *stats.Samples
 }
 
 // MopsPerSec returns throughput in million operations per second.
@@ -255,189 +208,239 @@ func (r runResult) MopsPerSec() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds() / 1e6
 }
 
-// run drives spec.clients concurrent sessions against the cluster for the
-// configured duration and aggregates completed-operation throughput plus
-// optional latency samples.
-func (bc *benchCluster) run(spec runSpec) (runResult, error) {
-	if spec.window <= 0 {
-		spec.window = 16 * spec.batch // the paper's default w = 16b
+// thread is one client thread of a closed-loop cell. step issues the
+// thread's i'th operation, whose outcome goes to the done callback the
+// thread was built with, before step returns or later from another
+// goroutine; finish waits for what is still in flight and releases the
+// thread's session.
+type thread struct {
+	step   func(i int) error
+	finish func() error
+}
+
+// cell is one closed-loop measurement.
+type cell struct {
+	threads int
+	// duration is the measured window; a warm-up of a fifth of it, at most
+	// 300 ms, runs first (connections, caches, version fast-forwards).
+	duration  time.Duration
+	newThread func(ci int, done dfaster.OpCallback) (thread, error)
+	// window, if set, runs in place of waiting out duration (Fig 16's
+	// failure schedule); wait sleeps, or returns a thread's error early.
+	window func(wait func(time.Duration) error) error
+}
+
+// tally counts one thread's outcomes. Each thread has its own, on its own
+// cache line, so threads that run an operation in ~100 ns do not contend on
+// the count; measure sums them at the window's edges.
+type tally struct {
+	ok, failed atomic.Uint64
+	_          [48]byte
+}
+
+func (t *tally) done(r wire.OpResult) {
+	if r.Status == wire.StatusError {
+		t.failed.Add(1)
+	} else {
+		t.ok.Add(1)
 	}
-	res := runResult{OpLat: &stats.Histogram{}, CommitLat: &stats.Histogram{}, CommitExact: &exactSamples{}}
-	var completed, errs stats.Counter
-	var wg sync.WaitGroup
+}
+
+// result is a synchronous operation's outcome as a done callback takes it.
+func result(failed bool) wire.OpResult {
+	if failed {
+		return wire.OpResult{Status: wire.StatusError}
+	}
+	return wire.OpResult{}
+}
+
+func sum(ts []tally) (ok, failed uint64) {
+	for i := range ts {
+		ok += ts[i].ok.Load()
+		failed += ts[i].failed.Load()
+	}
+	return ok, failed
+}
+
+// measure runs c: every thread issues operations back to back on its own
+// goroutine through warm-up, the measured window, stop and drain. It is the
+// one loop of the harness: it alone decides what is measured, and it joins
+// every thread on every path. It returns the operations that completed and
+// failed in the window and the first error a thread met.
+func measure(c cell) (runResult, error) {
+	tallies := make([]tally, c.threads)
 	stop := make(chan struct{})
-	errCh := make(chan error, spec.clients)
-
-	for ci := 0; ci < spec.clients; ci++ {
+	errs := make(chan error, c.threads) // at most one per thread
+	var wg sync.WaitGroup
+	for ci := range tallies {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			var local *dfaster.Worker
-			if spec.colocate {
-				local = bc.workers[ci%len(bc.workers)]
+			if err := c.drive(ci, tallies[ci].done, stop); err != nil {
+				errs <- err
 			}
-			client, err := dfaster.NewClient(dfaster.ClientConfig{
-				Partitions:  bc.spec.partitions,
-				BatchSize:   spec.batch,
-				Window:      spec.window,
-				Relaxed:     !spec.strict,
-				LocalWorker: local,
-			}, bc.meta)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer client.Close()
-			gen := workload.NewGenerator(workload.Config{
-				Keys:         spec.keys,
-				ReadFraction: spec.readFrac,
-				Dist:         spec.dist,
-				Theta:        0.99,
-				Seed:         spec.seed + int64(ci)*7919,
-			})
-			// Commit-latency bookkeeping: sampled (seq -> issue time).
-			type sample struct {
-				seq uint64
-				at  time.Time
-			}
-			var commitSamples []sample
-			lastCommitPoll := time.Now()
-
-			var localKeys [][8]byte
-			if spec.colocate {
-				localKeys = localKeyset(local, bc.spec.partitions, spec.keys)
-			}
-			i := 0
-			for {
-				select {
-				case <-stop:
-					client.Drain()
-					return
-				default:
-				}
-				op := gen.Next()
-				key := op.Key
-				if spec.colocate {
-					// Reclassify: with probability colocatePct the op
-					// targets the co-located shard's keyspace (§7.3).
-					if float64(i%100) < spec.colocatePct*100 && len(localKeys) > 0 {
-						key = localKeys[int(keyIndex(op.Key))%len(localKeys)]
-					}
-				}
-				kb := make([]byte, 8)
-				copy(kb, key[:])
-				var cb dfaster.OpCallback
-				sampled := spec.sampleEvery > 0 && i%spec.sampleEvery == 0
-				if sampled {
-					start := time.Now()
-					cb = func(r wire.OpResult) {
-						if r.Status == wire.StatusError {
-							errs.Add(1)
-							return
-						}
-						completed.Add(1)
-						res.OpLat.Record(time.Since(start))
-					}
-				} else {
-					cb = func(r wire.OpResult) {
-						if r.Status == wire.StatusError {
-							errs.Add(1)
-							return
-						}
-						completed.Add(1)
-					}
-				}
-				var err error
-				switch op.Kind {
-				case workload.OpRead:
-					err = client.Read(kb, cb)
-				case workload.OpRMW:
-					err = client.RMW(kb, 1, cb)
-				default:
-					v := workload.Value8(op.Key)
-					err = client.Upsert(kb, v[:], cb)
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if sampled && spec.sampleCommit {
-					commitSamples = append(commitSamples, sample{seq: client.LastSeq(), at: time.Now()})
-				}
-				// Resolve commit samples periodically against the prefix the
-				// piggybacked and pushed cuts have advanced; the loop neither
-				// flushes nor asks the finder, which would perturb the cell.
-				if spec.sampleCommit && time.Since(lastCommitPoll) > 2*time.Millisecond {
-					now := time.Now()
-					lastCommitPoll = now
-					p, _ := client.Committed()
-					keep := commitSamples[:0]
-					for _, s := range commitSamples {
-						if s.seq <= p {
-							res.CommitLat.Record(now.Sub(s.at))
-							res.CommitExact.Record(now.Sub(s.at))
-						} else {
-							keep = append(keep, s)
-						}
-					}
-					commitSamples = keep
-				}
-				i++
-			}
-		}(ci)
-	}
-
-	// Warm up (connections, caches, version fast-forwards), then measure a
-	// steady-state window.
-	warmup := spec.duration / 5
-	if warmup > 300*time.Millisecond {
-		warmup = 300 * time.Millisecond
+		}()
 	}
 	wait := func(d time.Duration) error {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		select {
-		case err := <-errCh:
-			close(stop)
-			wg.Wait()
+		case err := <-errs:
 			return err
 		case <-timer.C:
 			return nil
 		}
 	}
-	if err := wait(warmup); err != nil {
-		return res, err
-	}
-	startOps := completed.Load()
-	startErrs := errs.Load()
-	if err := wait(spec.duration); err != nil {
-		return res, err
+	var res runResult
+	err := wait(min(c.duration/5, 300*time.Millisecond))
+	if err == nil {
+		ok0, failed0 := sum(tallies)
+		start := time.Now()
+		if c.window != nil {
+			err = c.window(wait)
+		} else {
+			err = wait(c.duration)
+		}
+		res.Elapsed = time.Since(start)
+		ok, failed := sum(tallies)
+		res.Ops, res.ErrorCount = ok-ok0, failed-failed0
 	}
 	close(stop)
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return res, err
-	default:
+	if err == nil {
+		select {
+		case err = <-errs:
+		default:
+		}
 	}
-	res.Ops = completed.Load() - startOps
-	res.ErrorCount = errs.Load() - startErrs
-	res.Elapsed = spec.duration
-	return res, nil
+	return res, err
 }
 
-// runWithMode runs the spec under relaxed or strict DPR.
-func (bc *benchCluster) runWithMode(spec runSpec, relaxed bool) (runResult, error) {
-	spec.strict = !relaxed
-	return bc.run(spec)
+// drive runs thread ci until stop, or until one of its steps fails.
+func (c cell) drive(ci int, done dfaster.OpCallback, stop <-chan struct{}) error {
+	th, err := c.newThread(ci, done)
+	if err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		select {
+		case <-stop:
+			return th.finish()
+		default:
+		}
+		if err := th.step(i); err != nil {
+			th.finish() // the step's error is the one to report
+			return err
+		}
+	}
 }
 
-func keyIndex(k [8]byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(k[i]) << (8 * i)
+// run drives spec.clients D-FASTER client sessions against t.
+func (t *target) run(spec runSpec) (runResult, error) {
+	if spec.window <= 0 {
+		spec.window = 16 * spec.batch // the paper's default w = 16b
 	}
-	return v
+	opLat, commitLat := &stats.Histogram{}, &stats.Samples{}
+	res, err := measure(cell{threads: spec.clients, duration: spec.duration,
+		newThread: func(ci int, done dfaster.OpCallback) (thread, error) {
+			return t.session(spec, ci, done, opLat, commitLat)
+		}})
+	res.OpLat, res.CommitLat = opLat, commitLat
+	return res, err
+}
+
+// session is client ci of a run: one D-FASTER client issuing spec's
+// workload, sampling operation and commit latency into opLat and commitLat.
+func (t *target) session(spec runSpec, ci int, done dfaster.OpCallback, opLat *stats.Histogram, commitLat *stats.Samples) (thread, error) {
+	var local *dfaster.Worker
+	var localKeys [][8]byte
+	if spec.colocate {
+		local = t.workers[ci%len(t.workers)]
+		localKeys = localKeyset(local, t.partitions, spec.keys)
+	}
+	client, err := dfaster.NewClient(dfaster.ClientConfig{
+		Partitions:  t.partitions,
+		BatchSize:   spec.batch,
+		Window:      spec.window,
+		Relaxed:     !spec.strict,
+		LocalWorker: local,
+	}, t.meta)
+	if err != nil {
+		return thread{}, err
+	}
+	gen := workload.NewGenerator(workload.Config{
+		Keys:         spec.keys,
+		ReadFraction: spec.readFrac,
+		Dist:         spec.dist,
+		Theta:        0.99,
+		Seed:         spec.seed + int64(ci)*7919,
+	})
+	// Commit-latency bookkeeping: sampled (seq -> issue time).
+	type sample struct {
+		seq uint64
+		at  time.Time
+	}
+	var commitSamples []sample
+	lastCommitPoll := time.Now()
+	step := func(i int) error {
+		op := gen.Next()
+		key := op.Key
+		// Reclassify: with probability colocatePct the op targets the
+		// co-located shard's keyspace (§7.3).
+		if spec.colocate && float64(i%100) < spec.colocatePct*100 && len(localKeys) > 0 {
+			key = localKeys[binary.LittleEndian.Uint64(op.Key[:])%uint64(len(localKeys))]
+		}
+		kb := key[:] // key is this call's own: the client keeps kb until the batch is sent
+		cb := done
+		sampled := spec.sampleEvery > 0 && i%spec.sampleEvery == 0
+		if sampled {
+			start := time.Now()
+			cb = func(r wire.OpResult) {
+				done(r)
+				if r.Status != wire.StatusError {
+					opLat.Record(time.Since(start))
+				}
+			}
+		}
+		var err error
+		switch op.Kind {
+		case workload.OpRead:
+			err = client.Read(kb, cb)
+		case workload.OpRMW:
+			err = client.RMW(kb, 1, cb)
+		default:
+			v := workload.Value8(op.Key)
+			err = client.Upsert(kb, v[:], cb)
+		}
+		if err != nil {
+			return err
+		}
+		if sampled && spec.sampleCommit {
+			commitSamples = append(commitSamples, sample{seq: client.LastSeq(), at: time.Now()})
+		}
+		// Resolve commit samples periodically against the prefix the
+		// piggybacked and pushed cuts have advanced; the loop neither
+		// flushes nor asks the finder, which would perturb the cell.
+		if spec.sampleCommit && time.Since(lastCommitPoll) > 2*time.Millisecond {
+			now := time.Now()
+			lastCommitPoll = now
+			p, _ := client.Committed()
+			keep := commitSamples[:0]
+			for _, s := range commitSamples {
+				if s.seq <= p {
+					commitLat.Record(now.Sub(s.at))
+				} else {
+					keep = append(keep, s)
+				}
+			}
+			commitSamples = keep
+		}
+		return nil
+	}
+	return thread{step: step, finish: func() error {
+		defer client.Close()
+		return client.Drain()
+	}}, nil
 }
 
 // localKeyset enumerates up to 4096 keys owned by the given worker, used by
@@ -456,7 +459,7 @@ func localKeyset(w *dfaster.Worker, partitions int, keys int64) [][8]byte {
 // preload inserts every key once so reads hit (the YCSB load phase).
 func (bc *benchCluster) preload(keys int64, batch int) error {
 	client, err := dfaster.NewClient(dfaster.ClientConfig{
-		Partitions: bc.spec.partitions,
+		Partitions: bc.partitions,
 		BatchSize:  batch,
 		Window:     batch * 64,
 		Relaxed:    true,

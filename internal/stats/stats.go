@@ -1,15 +1,15 @@
 // Package stats provides the measurement primitives the benchmark harness
 // uses to regenerate the paper's figures: a fixed-memory log-bucketed
-// latency histogram (percentiles for Figures 12/13/18) and a time-series
-// throughput recorder (the 250ms-granularity recovery timeline of
-// Figure 16).
+// latency histogram (percentiles for Figures 12/13/18), an exact-quantile
+// sample recorder (commit latency), and a time-series throughput recorder
+// (the recovery timeline of Figure 16).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,9 +59,6 @@ func bucketLower(b int) time.Duration {
 	return time.Duration(us) * time.Microsecond
 }
 
-// BucketLower returns the inclusive lower bound of bucket i.
-func BucketLower(i int) time.Duration { return bucketLower(i) }
-
 // BucketUpper returns the exclusive upper bound of bucket i (the lower bound
 // of bucket i+1); the last bucket is unbounded and reported as the lower
 // bound of a hypothetical next bucket.
@@ -99,9 +96,9 @@ func (h *Histogram) Max() time.Duration {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram's state, the
-// shared currency of the bench harness (percentiles, CDFs) and the obs
-// exposition path (Prometheus histograms, merged per-worker views). Sum and
-// Max are in microseconds, like the histogram's internal accounting.
+// shared currency of the bench harness (percentiles) and the obs exposition
+// path (Prometheus histograms). Sum and Max are in microseconds, like the
+// histogram's internal accounting.
 type HistogramSnapshot struct {
 	Buckets [NumBuckets]uint64
 	Count   uint64
@@ -124,33 +121,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge folds a snapshot into h (per-bucket addition, max of maxes), so
-// per-client or per-worker histograms can be aggregated into one view.
-func (h *Histogram) Merge(s *HistogramSnapshot) {
-	for b := range s.Buckets {
-		if s.Buckets[b] > 0 {
-			h.buckets[b].Add(s.Buckets[b])
-		}
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
-			break
-		}
-	}
-}
-
 // Percentile returns the p'th percentile of the snapshot (0 < p <= 100).
 func (s *HistogramSnapshot) Percentile(p float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	target := uint64(math.Ceil(float64(s.Count) * p / 100))
-	if target == 0 {
-		target = 1
-	}
+	target := rank(s.Count, p)
 	var cum uint64
 	for b := range s.Buckets {
 		cum += s.Buckets[b]
@@ -174,47 +150,55 @@ func (h *Histogram) Summary() string {
 		h.Percentile(99), h.Percentile(99.9), h.Max())
 }
 
-// Distribution returns (lowerBound, count) pairs for non-empty buckets, for
-// rendering latency CDFs like Figures 12 and 18.
-func (h *Histogram) Distribution() []BucketCount {
-	s := h.Snapshot()
-	return s.Distribution()
+// rank is the nearest-rank rule both quantile recorders use: the 1-based rank
+// of the p'th percentile among n samples, at least 1.
+func rank(n uint64, p float64) uint64 {
+	return max(1, uint64(math.Ceil(float64(n)*p/100)))
 }
 
-// Distribution returns (lowerBound, count) pairs for non-empty buckets.
-func (s *HistogramSnapshot) Distribution() []BucketCount {
-	var out []BucketCount
-	for b := range s.Buckets {
-		if c := s.Buckets[b]; c > 0 {
-			out = append(out, BucketCount{Lower: bucketLower(b), Count: c})
-		}
+// Samples keeps every recorded duration, for exact quantiles where the
+// histogram's ~12.5% buckets are too coarse: commit latencies dominated by
+// one cadence all land in one bucket, so two configurations 10x apart would
+// print the same bucket floor. Keep it for sparse samples; memory grows with
+// each one.
+type Samples struct {
+	mu sync.Mutex
+	ds []time.Duration
+}
+
+// Record appends one sample.
+func (s *Samples) Record(d time.Duration) {
+	s.mu.Lock()
+	s.ds = append(s.ds, d)
+	s.mu.Unlock()
+}
+
+// N returns the sample count.
+func (s *Samples) N() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ds)
+}
+
+// Quantile returns the nearest-rank p'th percentile (0 < p <= 100) of the
+// recorded samples, or 0 with none.
+func (s *Samples) Quantile(p float64) time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.ds) == 0 {
+		return 0
 	}
-	return out
+	slices.Sort(s.ds)
+	return s.ds[min(rank(uint64(len(s.ds)), p), uint64(len(s.ds)))-1]
 }
 
-// BucketCount is one histogram bucket.
-type BucketCount struct {
-	Lower time.Duration
-	Count uint64
-}
-
-// CDF returns (latency, cumulative fraction) points.
-func (h *Histogram) CDF() []CDFPoint {
-	dist := h.Distribution()
-	total := h.Count()
-	var out []CDFPoint
-	var cum uint64
-	for _, b := range dist {
-		cum += b.Count
-		out = append(out, CDFPoint{Latency: b.Lower, Fraction: float64(cum) / float64(total)})
-	}
-	return out
-}
-
-// CDFPoint is one point of a latency CDF.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
+// String renders the quantile summary on one line.
+func (s *Samples) String() string {
+	return fmt.Sprintf("p50=%v p90=%v p99=%v max=%v (n=%d)",
+		s.Quantile(50).Truncate(time.Microsecond),
+		s.Quantile(90).Truncate(time.Microsecond),
+		s.Quantile(99).Truncate(time.Microsecond),
+		s.Quantile(100).Truncate(time.Microsecond), s.N())
 }
 
 // Counter is a concurrent event counter with snapshot support.
@@ -234,23 +218,23 @@ type TimeSeries struct {
 	sources  []*Counter
 
 	mu      sync.Mutex
-	samples [][]uint64 // per tick, per source: cumulative value
-	start   time.Time
+	samples [][]uint64 // at the start and per tick, per source: cumulative value
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// NewTimeSeries starts sampling the named counters every interval.
+// NewTimeSeries starts sampling the named counters every interval. What
+// they counted before it started is in no tick.
 func NewTimeSeries(interval time.Duration, names []string, sources []*Counter) *TimeSeries {
 	ts := &TimeSeries{
 		interval: interval,
 		names:    names,
 		sources:  sources,
-		start:    time.Now(),
 		stop:     make(chan struct{}),
 	}
+	ts.samples = [][]uint64{ts.read()}
 	ts.wg.Add(1)
 	go ts.loop()
 	return ts
@@ -265,15 +249,20 @@ func (ts *TimeSeries) loop() {
 		case <-ts.stop:
 			return
 		case <-t.C:
-			row := make([]uint64, len(ts.sources))
-			for i, c := range ts.sources {
-				row[i] = c.Load()
-			}
+			row := ts.read()
 			ts.mu.Lock()
 			ts.samples = append(ts.samples, row)
 			ts.mu.Unlock()
 		}
 	}
+}
+
+func (ts *TimeSeries) read() []uint64 {
+	row := make([]uint64, len(ts.sources))
+	for i, c := range ts.sources {
+		row[i] = c.Load()
+	}
+	return row
 }
 
 // Stop halts sampling.
@@ -292,10 +281,10 @@ type Row struct {
 func (ts *TimeSeries) Rates() []Row {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	out := make([]Row, 0, len(ts.samples))
-	prev := make([]uint64, len(ts.sources))
+	out := make([]Row, 0, len(ts.samples)-1)
+	prev := slices.Clone(ts.samples[0])
 	secs := ts.interval.Seconds()
-	for i, row := range ts.samples {
+	for i, row := range ts.samples[1:] {
 		rates := make([]float64, len(row))
 		for j, v := range row {
 			rates[j] = float64(v-prev[j]) / secs
@@ -322,9 +311,4 @@ func (ts *TimeSeries) Render() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortDurations is a helper for exact small-sample percentiles in tests.
-func SortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

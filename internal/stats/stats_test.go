@@ -69,25 +69,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramCDF(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 1000; i++ {
-		h.Record(time.Millisecond)
-	}
-	h.Record(time.Second)
-	cdf := h.CDF()
-	if len(cdf) < 2 {
-		t.Fatalf("cdf too short: %v", cdf)
-	}
-	last := cdf[len(cdf)-1]
-	if last.Fraction != 1.0 {
-		t.Fatalf("cdf must end at 1.0, got %f", last.Fraction)
-	}
-	if cdf[0].Fraction < 0.99 {
-		t.Fatalf("first bucket should hold ~all samples, got %f", cdf[0].Fraction)
-	}
-}
-
 func TestBucketMonotonic(t *testing.T) {
 	prev := -1
 	for us := int64(1); us < 1e9; us *= 3 {
@@ -138,12 +119,6 @@ func TestSnapshotEmpty(t *testing.T) {
 	if s.Percentile(50) != 0 {
 		t.Fatal("empty snapshot percentile must be 0")
 	}
-	// Merging an empty snapshot into an empty histogram stays empty.
-	var h2 Histogram
-	h2.Merge(&s)
-	if h2.Count() != 0 || h2.Max() != 0 {
-		t.Fatalf("merge of empty snapshot mutated histogram: n=%d max=%v", h2.Count(), h2.Max())
-	}
 }
 
 func TestSnapshotMatchesHistogram(t *testing.T) {
@@ -170,12 +145,12 @@ func TestSnapshotMatchesHistogram(t *testing.T) {
 }
 
 // Bucket boundaries: a sample exactly on a bucket's lower bound lands in that
-// bucket, and BucketLower/BucketUpper tile the range with no gaps.
+// bucket, and bucketLower/BucketUpper tile the range with no gaps.
 func TestSnapshotBucketBoundaries(t *testing.T) {
 	for b := 0; b < NumBuckets-1; b++ {
-		if BucketUpper(b) != BucketLower(b+1) {
+		if BucketUpper(b) != bucketLower(b+1) {
 			t.Fatalf("gap between bucket %d upper (%v) and %d lower (%v)",
-				b, BucketUpper(b), b+1, BucketLower(b+1))
+				b, BucketUpper(b), b+1, bucketLower(b+1))
 		}
 	}
 	// Sub-buckets only become distinct at exp >= 3 (8µs); below that the
@@ -183,7 +158,7 @@ func TestSnapshotBucketBoundaries(t *testing.T) {
 	// 0 and distinct buckets from 8µs upward.
 	for _, b := range []int{0, 24, 31, 32, 100, 255} {
 		var h Histogram
-		h.Record(BucketLower(b))
+		h.Record(bucketLower(b))
 		s := h.Snapshot()
 		if s.Buckets[b] != 1 {
 			got := -1
@@ -193,56 +168,35 @@ func TestSnapshotBucketBoundaries(t *testing.T) {
 				}
 			}
 			t.Fatalf("sample at lower bound of bucket %d (%v) landed in bucket %d",
-				b, BucketLower(b), got)
+				b, bucketLower(b), got)
 		}
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Record(time.Millisecond)
+// TestSamplesQuantile pins the nearest-rank rule, the one the histogram's
+// Percentile uses: the p'th percentile of n samples is the ceil(p/100·n)'th
+// smallest.
+func TestSamplesQuantile(t *testing.T) {
+	var s Samples
+	if s.Quantile(50) != 0 {
+		t.Fatal("no samples must report 0")
 	}
-	for i := 0; i < 50; i++ {
-		b.Record(time.Second)
+	for i := 10; i >= 1; i-- {
+		s.Record(time.Duration(i))
 	}
-	sb := b.Snapshot()
-	a.Merge(&sb)
-	if a.Count() != 150 {
-		t.Fatalf("merged count %d", a.Count())
+	for p, want := range map[float64]time.Duration{1: 1, 10: 1, 11: 2, 50: 5, 90: 9, 95: 10, 99: 10, 100: 10} {
+		if got := s.Quantile(p); got != want {
+			t.Errorf("p%g of 1..10 = %d, want %d", p, got, want)
+		}
 	}
-	if a.Max() != time.Second {
-		t.Fatalf("merged max %v", a.Max())
-	}
-	m := a.Snapshot()
-	var total uint64
-	for _, c := range m.Buckets {
-		total += c
-	}
-	if total != 150 {
-		t.Fatalf("merged bucket total %d", total)
-	}
-	// Merge keeps the larger max when the receiver already dominates.
-	var c Histogram
-	c.Record(time.Minute)
-	sa := a.Snapshot()
-	c.Merge(&sa)
-	if c.Max() != time.Minute {
-		t.Fatalf("max regressed on merge: %v", c.Max())
-	}
-	// Percentiles of the merged histogram reflect both populations.
-	p30 := m.Percentile(30)
-	if p30 > 2*time.Millisecond {
-		t.Fatalf("p30 %v, want ~1ms (100 of 150 samples)", p30)
-	}
-	p90 := m.Percentile(90)
-	if p90 < 500*time.Millisecond {
-		t.Fatalf("p90 %v, want ~1s (top 50 samples)", p90)
+	if s.N() != 10 {
+		t.Fatalf("n = %d", s.N())
 	}
 }
 
 func TestTimeSeries(t *testing.T) {
 	var ops Counter
+	ops.Add(1000) // before the series starts: in no tick
 	ts := NewTimeSeries(10*time.Millisecond, []string{"ops"}, []*Counter{&ops})
 	for i := 0; i < 5; i++ {
 		ops.Add(100)
@@ -262,14 +216,6 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if !strings.Contains(ts.Render(), "ops") {
 		t.Fatal("render must include series name")
-	}
-}
-
-func TestSortDurations(t *testing.T) {
-	ds := []time.Duration{3, 1, 2}
-	SortDurations(ds)
-	if ds[0] != 1 || ds[2] != 3 {
-		t.Fatalf("%v", ds)
 	}
 }
 
