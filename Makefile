@@ -137,14 +137,17 @@ bench:
 bench-scaling:
 	$(GO) test -bench 'ServeBatch$$' -cpu 1,2,4,8 -benchmem -run '^$$' -benchtime 2s ./internal/dfaster
 
-# The operation path in three pieces, each small enough to resolve 100 ns: the
+# The operation path in pieces, each small enough to resolve 100 ns: the
 # server half of a co-located operation (ExecuteLocalScratch, no TCP, no
-# session; commit pump on and off), the session's bookkeeping (NextBatch +
-# CompleteBatch at b = 1 and 64, the cut moving every 1 000 batches), and the
-# client's remote path (enqueue, transmit, settle against an in-process worker
-# that only answers). Every line must report 0 allocs/op.
+# session; commit pump on and off: ~140-330 ns on the 2-core reference host,
+# with its phase), the whole co-located operation through the client
+# (ClientLocal: one Client.Read, the server half plus routing, session and
+# callback), the session's bookkeeping (NextBatch + CompleteBatch at b = 1
+# and 64, the cut moving every 1 000 batches), and the client's remote path
+# (enqueue, transmit, settle against an in-process worker that only
+# answers). Every line must report 0 allocs/op.
 bench-serve-path:
-	$(GO) test -bench 'ExecuteLocal$$|ClientEnqueueSettle$$' -benchmem -run '^$$' ./internal/dfaster
+	$(GO) test -bench 'ExecuteLocal$$|ClientLocal$$|ClientEnqueueSettle$$' -benchmem -run '^$$' ./internal/dfaster
 	$(GO) test -bench 'SessionBatch$$' -benchmem -run '^$$' ./internal/libdpr
 
 # Metadata-plane scale curve: one commit cycle (activation burst, checkpoint

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"dpr/internal/core"
 	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
 	"dpr/internal/workload"
@@ -105,6 +107,36 @@ func TestFig16Smoke(t *testing.T) {
 	for _, want := range []string{"committed/s", "aborted/s", "recoveries completed: 3"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	// Three rollbacks under a 1 024-operation window each take back what the
+	// sessions had in flight.
+	var aborted uint64
+	_, count, _ := strings.Cut(out, "operations aborted:")
+	if _, err := fmt.Sscan(count, &aborted); err != nil || aborted == 0 {
+		t.Fatalf("aborted operations: %d (%v):\n%s", aborted, err, out)
+	}
+}
+
+// TestRollbackCounts: an exception inside the surviving prefix aborted, so it
+// counts once, as aborted, and not also in the prefix's committed span; an
+// exception at or below what was already counted committed counts nowhere.
+func TestRollbackCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		lastPrefix, high   uint64
+		surv               core.SurvivalError
+		committed, aborted uint64
+	}{
+		{"tail aborted", 10, 25, core.SurvivalError{SurvivingPrefix: 20}, 10, 5},
+		{"exceptions in the new span", 10, 25, core.SurvivalError{SurvivingPrefix: 20, Exceptions: []uint64{12, 20}}, 8, 7},
+		{"exception already counted", 10, 25, core.SurvivalError{SurvivingPrefix: 20, Exceptions: []uint64{7, 15}}, 9, 6},
+		{"prefix behind the count", 30, 40, core.SurvivalError{SurvivingPrefix: 20}, 0, 20},
+		{"nothing past the prefix", 10, 20, core.SurvivalError{SurvivingPrefix: 20, Exceptions: []uint64{20}}, 9, 1},
+	} {
+		c, a := rollbackCounts(tc.lastPrefix, tc.high, &tc.surv)
+		if c != tc.committed || a != tc.aborted {
+			t.Errorf("%s: committed %d aborted %d, want %d %d", tc.name, c, a, tc.committed, tc.aborted)
 		}
 	}
 }

@@ -67,6 +67,7 @@ func Fig16(opt Options) error {
 		total/3, 2*total/3, 2*total/3+2*tick, tick))
 	fmt.Fprint(opt.Out, series.Render())
 	fmt.Fprintf(opt.Out, "recoveries completed: %d\n", bc.mgr.Recoveries())
+	fmt.Fprintf(opt.Out, "operations aborted: %d\n", abortedC.Load())
 	return nil
 }
 
@@ -78,9 +79,15 @@ func (bc *benchCluster) recoveringSession(opt Options, ci int, done dfaster.OpCa
 		Keys: opt.Keys, ReadFraction: 0.5, Dist: workload.Zipfian,
 		Theta: 0.99, Seed: int64(ci) * 13,
 	})
+	// high is the highest sequence number the session has issued. LastSeq
+	// cannot stand in for it: by the time a SurvivalError surfaces, the
+	// session has already taken back the numbers past the surviving prefix.
+	var high uint64
 	newClient := func() (*dfaster.Client, error) {
+		high = 0
 		return dfaster.NewClient(dfaster.ClientConfig{
 			Partitions: bc.partitions, BatchSize: 64, Window: 1024, Relaxed: true,
+			OnSend: func(seqStart uint64, n int) { high = seqStart + uint64(n) - 1 },
 		}, bc.meta)
 	}
 	client, err := newClient()
@@ -114,15 +121,11 @@ func (bc *benchCluster) recoveringSession(opt Options, ci int, done dfaster.OpCa
 		}
 		var surv *core.SurvivalError
 		if errors.As(err, &surv) {
-			// Everything past the surviving prefix aborted.
-			if last := client.LastSeq(); last > surv.SurvivingPrefix {
-				abortedC.Add(last - surv.SurvivingPrefix)
-			}
-			if surv.SurvivingPrefix > lastPrefix {
-				committedC.Add(surv.SurvivingPrefix - lastPrefix)
-			}
+			committed, aborted := rollbackCounts(lastPrefix, high, surv)
+			committedC.Add(committed)
+			abortedC.Add(aborted)
 			client.Acknowledge()
-			lastPrefix = surv.SurvivingPrefix
+			lastPrefix, high = surv.SurvivingPrefix, surv.SurvivingPrefix
 			return nil
 		}
 		// Transport or transient error: rebuild the client.
@@ -137,4 +140,24 @@ func (bc *benchCluster) recoveringSession(opt Options, ci int, done dfaster.OpCa
 		}
 		return nil
 	}}, nil
+}
+
+// rollbackCounts splits what a rollback decided for a session that had counted
+// its operations up to lastPrefix committed and had issued up to high: the
+// surviving prefix's new operations committed, except its exceptions, which
+// aborted like everything issued past it.
+func rollbackCounts(lastPrefix, high uint64, surv *core.SurvivalError) (committed, aborted uint64) {
+	if surv.SurvivingPrefix > lastPrefix {
+		committed = surv.SurvivingPrefix - lastPrefix
+	}
+	for _, seq := range surv.Exceptions {
+		if seq > lastPrefix {
+			committed--
+			aborted++
+		}
+	}
+	if high > surv.SurvivingPrefix {
+		aborted += high - surv.SurvivingPrefix
+	}
+	return committed, aborted
 }

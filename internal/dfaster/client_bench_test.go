@@ -9,46 +9,57 @@ import (
 
 	"dpr/internal/core"
 	"dpr/internal/kv"
+	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
 	"dpr/internal/storage"
 	"dpr/internal/wire"
 )
 
+// localWorker is a worker owning every partition, with 1 024 keys written, for
+// the co-located path. With the pump on it seals every few hundred
+// microseconds under load, as it would under a client; off (a manual worker),
+// nothing runs beside the caller.
+func localWorker(tb testing.TB, pump bool) (*Worker, metadata.Service, [][]byte) {
+	cfg := WorkerConfig{ID: 1, Partitions: testPartitions, Device: storage.NewNull(),
+		KV: kv.Config{BucketCount: 1 << 12, IndexShards: 8}}
+	if pump {
+		cfg.CheckpointInterval = 25 * time.Millisecond
+	}
+	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
+	w, err := NewWorker(cfg, meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(w.Stop)
+	for p := uint64(0); p < testPartitions; p++ {
+		if err := w.ClaimPartitions(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sess := w.Store().NewSession()
+	defer sess.Close()
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("local-key-%04d", i))
+		if _, err := sess.Upsert(keys[i], []byte("local-value")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return w, meta, keys
+}
+
 // BenchmarkExecuteLocal is the server half of a co-located operation alone: no
 // TCP, no session, one single-read batch through ExecuteLocalScratch per
-// iteration. With the pump on the worker seals every few hundred microseconds
-// as it would under a client; off (a manual worker), nothing runs beside the
-// loop.
+// iteration, with the pump on and off.
 func BenchmarkExecuteLocal(b *testing.B) {
 	for _, pump := range []bool{true, false} {
 		b.Run(fmt.Sprintf("pump=%v", pump), func(b *testing.B) {
-			cfg := WorkerConfig{ID: 1, Partitions: testPartitions, Device: storage.NewNull(),
-				KV: kv.Config{BucketCount: 1 << 12, IndexShards: 8}}
-			if pump {
-				cfg.CheckpointInterval = 25 * time.Millisecond
-			}
-			w, err := NewWorker(cfg, metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Stop()
-			for p := uint64(0); p < testPartitions; p++ {
-				if err := w.ClaimPartitions(p); err != nil {
-					b.Fatal(err)
-				}
-			}
+			w, _, keys := localWorker(b, pump)
 			sess := w.Store().NewSession()
 			defer sess.Close()
 			lane := w.NewLane()
 			defer lane.Close()
 			sc := NewBatchScratch()
-			keys := make([][]byte, 1024)
-			for i := range keys {
-				keys[i] = []byte(fmt.Sprintf("local-key-%04d", i))
-				if _, err := sess.Upsert(keys[i], []byte("local-value")); err != nil {
-					b.Fatal(err)
-				}
-			}
 			req := wire.BatchRequest{Ops: make([]wire.Op, 1)}
 			req.Header.SessionID, req.Header.NumOps = 1, 1
 			b.ReportAllocs()
@@ -61,6 +72,76 @@ func BenchmarkExecuteLocal(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// localClient is a b = 1 client session co-located with w.
+func localClient(tb testing.TB, w *Worker, meta metadata.Service) *Client {
+	c, err := NewClient(ClientConfig{Partitions: testPartitions, BatchSize: 1, Relaxed: true, LocalWorker: w}, meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	return c
+}
+
+// BenchmarkClientLocal is a whole co-located operation, one Client.Read per
+// iteration: routing, the session's NextBatch, the server half
+// (BenchmarkExecuteLocal's), the session's CompleteBatch and the callback.
+// The pump is on, so the cut the session folds moves as under load.
+func BenchmarkClientLocal(b *testing.B) {
+	w, meta, keys := localWorker(b, true)
+	c := localClient(b, w, meta)
+	done := 0
+	cb := func(wire.OpResult) { done++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Read(keys[i%len(keys)], cb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if done != b.N {
+		b.Fatalf("%d callbacks for %d reads", done, b.N)
+	}
+}
+
+// TestColocatedClientZeroAlloc pins a whole co-located operation — enqueue,
+// executeLocal, the session's completion, the callback — at no allocation in
+// steady state, reads and upserts alike, with callbacks bound beforehand. The
+// worker is a manual one, so that no commit round allocates in the
+// background of the count.
+func TestColocatedClientZeroAlloc(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after the client and the worker are down
+	w, meta, keys := localWorker(t, false)
+	c := localClient(t, w, meta)
+	value := []byte("colocated-value")
+	failed := 0
+	cb := func(r wire.OpResult) {
+		if r.Status == wire.StatusError {
+			failed++
+		}
+	}
+	i := 0
+	step := func() {
+		k := keys[i%len(keys)]
+		i++
+		err := c.Read(k, cb)
+		if err == nil {
+			err = c.Upsert(k, value, cb)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 2000; j++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Fatalf("a co-located read and upsert allocate %.2f/op, want 0", n)
+	}
+	if failed != 0 {
+		t.Fatalf("%d co-located operations failed", failed)
 	}
 }
 

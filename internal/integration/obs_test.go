@@ -101,7 +101,9 @@ func TestObsEndpoints(t *testing.T) {
 		"# TYPE dpr_worker_committed_version gauge",
 		"# TYPE dpr_worker_cut_lag gauge",
 		"# TYPE dpr_server_batches_total counter",
-		"# TYPE dpr_server_batch_latency_seconds histogram",
+		// Sampled, so that nobody reads a histogram's _count as a batch rate.
+		"sampled: one batch in 64 per lane.\n# TYPE dpr_server_batch_latency_seconds histogram",
+		"sampled: one batch in 64 per lane.\n# TYPE dpr_server_batch_ops histogram",
 		"# TYPE dpr_seal_seconds histogram",
 		`dpr_worker_commit_rounds_total{role="initiated",worker="1"`,
 		`dpr_worker_commit_rounds_total{role="joined",worker="1"`,

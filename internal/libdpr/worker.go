@@ -79,6 +79,10 @@ type BatchReply struct {
 	// uniquely in this process: a co-located session recognises the cut it
 	// folded last by it. It is not sent on the wire; zero means compare entries.
 	CutGen uint64
+	// EncodedCut is Cut as WorkerConfig.EncodeCut serialized it, set by Reply
+	// from the same snapshot (nil without an encoder). The serving layer
+	// splices it into the reply frame; a session does not read it.
+	EncodedCut []byte
 }
 
 // WorkerConfig parameterizes a Worker.
@@ -100,9 +104,10 @@ type WorkerConfig struct {
 	AdmitTimeout time.Duration
 	// EncodeCut, when set, is called once per state refresh to pre-serialize
 	// the piggybacked cut (the cut changes once per commit round, while
-	// replies go out per batch). The result is published via EncodedCut and
-	// spliced verbatim into reply frames by the serving layer. libdpr cannot
-	// import the wire format, so the encoder is injected.
+	// replies go out per batch). Reply returns the result as
+	// BatchReply.EncodedCut, which the serving layer splices verbatim into
+	// reply frames. libdpr cannot import the wire format, so the encoder is
+	// injected.
 	EncodeCut func(core.Cut) []byte
 	// Obs is the metric registry DPR instruments register into (nil selects
 	// obs.Default). Observability is always on; the instruments are atomic
@@ -709,30 +714,16 @@ func (w *Worker) RecordDependency(v core.Version, dep core.Token) {
 // world-line matches the worker's current one (they diverge transiently
 // around rollbacks); callers holding the execution guard see a frozen
 // world-line, making the pairing exact. The returned cut is a shared
-// immutable snapshot: callers must treat it as read-only. Reply performs no
-// allocation.
+// immutable snapshot, and so is its encoding: callers must treat both as
+// read-only. Reply performs no allocation.
 //
 //dpr:noalloc
 func (w *Worker) Reply(versions []core.Version) BatchReply {
 	r := BatchReply{WorldLine: w.wl.Current(), Versions: versions}
 	if snap := w.cutSnap.Load(); snap.wl == r.WorldLine {
-		r.Cut, r.CutGen = snap.cut, snap.gen
+		r.Cut, r.CutGen, r.EncodedCut = snap.cut, snap.gen, snap.encoded
 	}
 	return r
-}
-
-// EncodedCut returns the pre-serialized piggybacked cut (refreshed with the
-// cut view), or nil when no WorkerConfig.EncodeCut is configured or
-// the cached cut belongs to a world-line other than the worker's current
-// one. The returned bytes are immutable and shared; callers must not modify
-// them.
-//
-//dpr:noalloc
-func (w *Worker) EncodedCut() []byte {
-	if snap := w.cutSnap.Load(); snap.wl == w.wl.Current() {
-		return snap.encoded
-	}
-	return nil
 }
 
 // CurrentCut returns the worker's cached view of the DPR cut.
