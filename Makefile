@@ -92,8 +92,13 @@ race:
 # workers; the fault proxy those use), hrtimer's two legs and the device model's
 # completion path, the epoch table (drains against stragglers, beside busy
 # neighbours and on one processor) and world-line admission waking on Advance
-# (internal/core TestWorldLine*), twenty times each under the race
-# detector, on one processor and on two. A -run list that
+# (internal/core TestWorldLine*), and the recovery round — an interleaving
+# between BeginRecovery's generation bump and each worker's watch loop, which
+# is the only thing that rolls a worker back: internal/cluster's round tests
+# (one resumes at its ack bound past a worker that cannot restore), libdpr's
+# heal tests (a restore that fails, a second rollback into one world-line) and
+# the chaos checker's injected skipped rollback — twenty times each
+# under the race detector, on one processor and on two. A -run list that
 # matches nothing (a renamed test) fails the target instead of passing
 # vacuously.
 commit-path-stress:
@@ -108,7 +113,9 @@ commit-path-stress:
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
-	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline' ./internal/libdpr; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback' ./internal/libdpr; \
+	run '.' ./internal/cluster; \
+	run 'TestChaosCheckerCatchesViolation$$' ./internal/chaos; \
 	run 'TestAnnouncement' ./internal/metadata; \
 	run 'TestConformance|TestStop' ./internal/serve; \
 	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \

@@ -75,8 +75,8 @@ func main() {
 
 	// Failure detection: the heartbeat table names the workers that went
 	// silent, and the cluster manager's round recovers the rest of the cluster
-	// around them (nothing is attached here: every live dpr-server rolls itself
-	// back from the finder's world-line and acks).
+	// around them (every live dpr-server rolls itself back from the finder's
+	// world-line and acks).
 	mgr := cluster.NewManager(store)
 	ticker := time.NewTicker(*hbCheck)
 	defer ticker.Stop()

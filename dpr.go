@@ -166,7 +166,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.workers = append(c.workers, w)
 		c.devices = append(c.devices, dev)
-		c.mgr.Attach(w)
 	}
 	for p := 0; p < cfg.Partitions; p++ {
 		if err := c.workers[p%cfg.Shards].ClaimPartitions(uint64(p)); err != nil {
@@ -204,8 +203,9 @@ func (c *Cluster) CurrentCut() (Cut, WorldLine) {
 }
 
 // InjectFailure simulates a worker failure (as §7.4 does): the cluster
-// manager assigns a new world-line and rolls every shard back to the last
-// DPR cut. Returns the new world-line and the cut.
+// manager assigns a new world-line, and returns once every shard has rolled
+// itself back to the last DPR cut, or at the round's ack bound if one cannot.
+// Returns the new world-line and the cut.
 func (c *Cluster) InjectFailure() (WorldLine, Cut, error) {
 	return c.mgr.OnFailure()
 }

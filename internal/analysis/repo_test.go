@@ -39,8 +39,8 @@ const repoSuiteBudget = 60 * time.Second
 // resolver is what retires it on every path (TestMigrateLeavesNoRecord). A
 // second caller of BeginMigrate would need a resolver of its own. And a
 // recovery round is run in one place, cluster.Manager.OnFailure, with its one
-// resume rule: outside the metadata package only it (and chaos's deliberately
-// broken InjectSkippedRollback) may call BeginRecovery or CompleteRecoveryFor.
+// resume rule: outside the metadata package only it may call BeginRecovery or
+// CompleteRecoveryFor.
 func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks and compiles the whole module")
@@ -61,10 +61,7 @@ func TestRepoTreeClean(t *testing.T) {
 		}
 	}
 	var begins []string
-	rounds := map[string]bool{
-		"dpr/internal/cluster.(*Manager).OnFailure":           true,
-		"dpr/internal/chaos.(*Harness).InjectSkippedRollback": true,
-	}
+	const round = "dpr/internal/cluster.(*Manager).OnFailure"
 	for _, fs := range declaredFuncs(u) {
 		if fs.pkg.Name == "metadata" {
 			continue // the store and its RPC pair
@@ -85,8 +82,8 @@ func TestRepoTreeClean(t *testing.T) {
 					begins = append(begins, caller)
 				}
 			case "BeginRecovery", "CompleteRecoveryFor":
-				if !rounds[caller] {
-					t.Errorf("%s calls %s: a recovery round is cluster.Manager.OnFailure's (chaos.InjectSkippedRollback's is the deliberately broken one)", caller, sel.Sel.Name)
+				if caller != round {
+					t.Errorf("%s calls %s: a recovery round is cluster.Manager.OnFailure's", caller, sel.Sel.Name)
 				}
 			}
 			return true

@@ -19,7 +19,7 @@ func roundTrip(t *testing.T, addr string, req *wire.BatchRequest) *wire.BatchRep
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := wire.WriteFrame(bw, wire.FrameBatchRequest, wire.EncodeBatchRequest(req)); err != nil {
+	if err := wire.WriteFrame(bw, wire.FrameBatchRequest, wire.AppendBatchRequest(nil, req)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -32,8 +32,8 @@ func roundTrip(t *testing.T, addr string, req *wire.BatchRequest) *wire.BatchRep
 	if tag != wire.FrameBatchReply {
 		t.Fatalf("unexpected frame tag %d", tag)
 	}
-	reply, err := wire.DecodeBatchReply(payload)
-	if err != nil {
+	reply := new(wire.BatchReply)
+	if err := wire.DecodeBatchReplyInto(reply, payload); err != nil {
 		t.Fatal(err)
 	}
 	return reply

@@ -150,7 +150,6 @@ func buildCluster(spec clusterSpec) (*benchCluster, error) {
 		}
 		bc.workers = append(bc.workers, w)
 		bc.stops = append(bc.stops, w.Stop)
-		bc.mgr.Attach(w)
 	}
 	for p := 0; p < partitions; p++ {
 		if err := bc.workers[p%spec.shards].ClaimPartitions(uint64(p)); err != nil {

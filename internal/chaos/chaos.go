@@ -145,7 +145,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 			Partitions:         cfg.Partitions,
 			Device:             slot.flaky,
 			KV:                 kv.Config{BucketCount: kvBuckets, IndexShards: cfg.IndexShards},
-		}, h.svc)
+		}, h.svc.worker(slot.id))
 		if err != nil {
 			h.Close()
 			return nil, err
@@ -158,7 +158,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 		if err := h.attachProxy(slot, w.Addr()); err != nil {
 			return nil, err
 		}
-		h.mgr.Attach(w)
 	}
 	for _, slot := range h.slots[cfg.DFaster:] {
 		w, err := dredis.NewWorker(dredis.WorkerConfig{
@@ -166,7 +165,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 			ListenAddr:         "127.0.0.1:0",
 			CheckpointInterval: cfg.Checkpoint,
 			Device:             storage.NewNull(),
-		}, h.svc)
+		}, h.svc.worker(slot.id))
 		if err != nil {
 			h.Close()
 			return nil, err
@@ -183,7 +182,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 		if err := h.attachProxy(slot, w.Addr()); err != nil {
 			return nil, err
 		}
-		h.mgr.Attach(w)
 	}
 	return h, nil
 }
@@ -254,22 +252,6 @@ func (h *Harness) Service() metadata.Service { return h.svc }
 // Store returns the raw metadata store (no fault hooks) for samplers.
 func (h *Harness) Store() *metadata.Store { return h.store }
 
-// Recover drives one cluster recovery round, retrying while worker rollbacks
-// fail transiently (e.g. colliding with an injected storage fault).
-func (h *Harness) Recover() (core.WorldLine, core.Cut, error) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		wl, cut, err := h.mgr.OnFailure()
-		if err == nil {
-			return wl, cut, nil
-		}
-		if time.Now().After(deadline) {
-			return wl, cut, fmt.Errorf("chaos: recovery never completed: %w", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // CrashRestart kills a D-FASTER worker process, runs the cluster recovery
 // round (survivors roll back to the frozen cut), and restarts the worker
 // from its durable checkpoint at the recovery cut through dfaster.Restart,
@@ -293,7 +275,7 @@ func (h *Harness) CrashRestart(slotIdx int) error {
 	w.Stop()
 	slot.proxy.SeverAll()
 
-	wl, cut, err := h.Recover()
+	wl, cut, err := h.mgr.OnFailure()
 	if err != nil {
 		return err
 	}
@@ -309,7 +291,7 @@ func (h *Harness) CrashRestart(slotIdx int) error {
 			Partitions:         h.cfg.Partitions,
 			Device:             slot.flaky,
 			KV:                 kv.Config{BucketCount: kvBuckets, IndexShards: h.cfg.IndexShards},
-		}, h.svc)
+		}, h.svc.worker(slot.id))
 		if err == nil {
 			break
 		}
@@ -342,30 +324,22 @@ func (h *Harness) clearFaults() {
 }
 
 // InjectSkippedRollback deliberately breaks invariant 1: it runs a recovery
-// round in which every worker is commanded to roll back to a cut where the
-// victim's position has been deflated below the committed frontier — the
-// victim erases committed data, exactly the bug a broken cluster manager or
-// a worker that "recovered" from the wrong checkpoint would introduce. The
-// checker must flag it. Test-only by nature; exported so the self-test in
-// this package documents the checker's detection power. Returns the
-// world-line of the injected recovery round alongside the good and applied
-// cuts so the caller can correlate them with session observations.
+// round in which the victim restores itself below its position in the
+// recovered cut — half of it, below the committed frontier — and so erases
+// committed data, exactly the bug a worker that "recovered" from the wrong
+// checkpoint would introduce. The lie is told to the victim alone, in the
+// recovered cut its own refresh reads for the round's world-line; the round
+// and every other reader see the true cut. The checker must flag it.
+// Test-only by nature; exported so the self-test in this package documents
+// the checker's detection power. Returns the world-line of the injected
+// round alongside the good and applied cuts so the caller can correlate them
+// with session observations.
 func (h *Harness) InjectSkippedRollback(victim int) (core.WorldLine, core.Cut, core.Cut, error) {
-	wl, cut := h.store.BeginRecovery()
+	id := h.slots[victim].id
+	h.svc.deflated.Store(&deflation{worker: id, wl: h.store.WorldLine() + 1})
+	defer h.svc.deflated.Store(nil)
+	wl, cut, err := h.mgr.OnFailure()
 	bad := cut.Clone()
-	bad[h.slots[victim].id] = cut.Get(h.slots[victim].id) / 2
-	for _, slot := range h.slots {
-		var err error
-		switch {
-		case slot.df != nil:
-			err = slot.df.Rollback(wl, bad)
-		case slot.dr != nil:
-			err = slot.dr.Rollback(wl, bad)
-		}
-		if err != nil {
-			return wl, cut, bad, err
-		}
-	}
-	h.store.CompleteRecoveryFor(wl)
-	return wl, cut, bad, nil
+	bad[id] = cut.Get(id) / 2
+	return wl, cut, bad, err
 }

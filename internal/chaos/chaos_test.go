@@ -270,7 +270,7 @@ func TestChaosElasticLifecycle(t *testing.T) {
 	// Quiesce on the new topology: final recovery round resolves anything
 	// the crash stranded, then every session settles and reads back.
 	h.clearFaults()
-	if _, _, err := h.Recover(); err != nil {
+	if _, _, err := h.mgr.OnFailure(); err != nil {
 		t.Fatalf("final recovery round: %v", err)
 	}
 	for _, r := range runners {

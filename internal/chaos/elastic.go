@@ -139,7 +139,7 @@ func (h *Harness) joinSpare() {
 		sp.proxy.SetBackend(w.Addr())
 	}
 	h.svc.setAddr(sp.id, sp.proxy.Addr())
-	h.mgr.Attach(w)
+	h.mgr.Attach(w) // a re-joining seat was detached when it left
 	h.slotMu.Lock()
 	sp.df = w
 	h.slotMu.Unlock()

@@ -20,11 +20,15 @@ import (
 //     their real addresses; all client traffic then flows through the fault
 //     taps, and a restarted worker keeps its (stable) proxy address.
 //
-// Both workers and client sessions talk to the hook; the cluster manager and
-// the invariant samplers talk to the raw store underneath.
+// Both workers and client sessions talk to the hook, a worker through its own
+// view (see worker); the cluster manager and the invariant samplers talk to
+// the raw store underneath.
 type serviceHook struct {
 	inner   metadata.Service
 	latency atomic.Int64 // extra ns per call
+	// deflated, when set, names the one worker and world-line whose
+	// recovered cut the worker's view halves (InjectSkippedRollback).
+	deflated atomic.Pointer[deflation]
 
 	mu    sync.Mutex
 	addrs map[core.WorkerID]string
@@ -35,6 +39,29 @@ func newServiceHook(inner metadata.Service) *serviceHook {
 }
 
 func (h *serviceHook) setLatency(d time.Duration) { h.latency.Store(int64(d)) }
+
+type deflation struct {
+	worker core.WorkerID
+	wl     core.WorldLine
+}
+
+// workerView is the hook as one worker sees it: every call answered as any
+// caller's, except the recovered cut of a deflated round.
+type workerView struct {
+	*serviceHook
+	id core.WorkerID
+}
+
+// worker returns worker id's view of the hook.
+func (h *serviceHook) worker(id core.WorkerID) *workerView { return &workerView{h, id} }
+
+func (v *workerView) RecoveredCut(wl core.WorldLine) (core.Cut, error) {
+	c, err := v.serviceHook.RecoveredCut(wl)
+	if d := v.deflated.Load(); err == nil && d != nil && d.worker == v.id && d.wl == wl {
+		c[v.id] = c.Get(v.id) / 2 // the store hands out a copy
+	}
+	return c, err
+}
 
 func (h *serviceHook) setAddr(w core.WorkerID, addr string) {
 	h.mu.Lock()

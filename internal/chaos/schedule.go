@@ -269,7 +269,7 @@ func (h *Harness) Execute(sch Schedule, logf func(format string, args ...any)) e
 				return fmt.Errorf("event %d (%s): %w", i, ev, err)
 			}
 		case EvRollback:
-			if _, _, err := h.Recover(); err != nil {
+			if _, _, err := h.mgr.OnFailure(); err != nil {
 				return fmt.Errorf("event %d (%s): %w", i, ev, err)
 			}
 		case EvSever:
@@ -316,7 +316,7 @@ func (h *Harness) Execute(sch Schedule, logf func(format string, args ...any)) e
 	if errs := h.takeElasticErrs(); len(errs) > 0 {
 		return fmt.Errorf("elastic membership: %s", strings.Join(errs, "; "))
 	}
-	wl, cut, err := h.Recover()
+	wl, cut, err := h.mgr.OnFailure()
 	if err != nil {
 		return fmt.Errorf("final recovery round: %w", err)
 	}

@@ -1,19 +1,19 @@
 // Package cluster implements the recovery round of paper §4.1's cluster
-// manager (Kubernetes / Service Fabric in the paper): assign the next
-// world-line, temporarily halt DPR progress, tell every worker to roll back to
-// the last DPR cut, and resume progress once all of them report back. Failure
-// detection and restarts belong to the deployment: an in-process cluster
-// injects failures directly, dpr-finder names the workers whose heartbeats
-// stopped, and dfaster.Restart brings a failed worker back.
+// manager (Kubernetes / Service Fabric in the paper): temporarily halt DPR
+// progress and assign the next world-line, wait until every live worker has
+// rolled itself back to the last DPR cut and said so, and resume progress.
+// The round commands no worker: each one sees the world-line move on its next
+// refresh from the finder, restores itself and acks. Failure detection and
+// restarts belong to the deployment: an in-process cluster injects failures
+// directly, dpr-finder names the workers whose heartbeats stopped, and
+// dfaster.Restart brings a failed worker back.
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"dpr/internal/core"
-	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
 )
@@ -32,23 +32,22 @@ var (
 // ackBound is how long a recovery round waits for live members to acknowledge
 // the new world-line before it resumes DPR progress anyway: a member that
 // never answers must not keep the cluster frozen, and one that comes back late
-// rolls itself back from the finder's world-line when it does.
+// rolls itself back from the finder's world-line when it does. Until then the
+// finder refuses its reports (metadata.Store.ReportVersion), so what it
+// commits on the old world-line stays out of the new one's cut.
 const ackBound = 10 * time.Second
 
-// RollbackTarget is a worker the manager can command to roll back; both
-// in-process libdpr.Workers and network worker frontends implement it.
-type RollbackTarget interface {
+// Member is a worker as the manager knows it: by its id.
+type Member interface {
 	ID() core.WorkerID
-	Rollback(wl core.WorldLine, cut core.Cut) error
 }
 
-// Manager coordinates failure recovery across workers.
+// Manager runs recovery rounds over the metadata store.
 type Manager struct {
 	meta     *metadata.Store
 	ackBound time.Duration // ackBound; tests shorten it
 
 	mu       sync.Mutex
-	targets  map[core.WorkerID]RollbackTarget
 	detached map[core.WorkerID]bool
 
 	// Recoveries counts completed recovery rounds (diagnostics).
@@ -60,26 +59,24 @@ func NewManager(meta *metadata.Store) *Manager {
 	return &Manager{
 		meta:     meta,
 		ackBound: ackBound,
-		targets:  make(map[core.WorkerID]RollbackTarget),
 		detached: make(map[core.WorkerID]bool),
 	}
 }
 
-// Attach registers a worker for rollback orchestration.
-func (m *Manager) Attach(t RollbackTarget) {
+// Attach undoes Detach: recovery rounds wait for the member's
+// acknowledgement again (a crashed worker's restarted incarnation).
+func (m *Manager) Attach(t Member) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.targets[t.ID()] = t
 	delete(m.detached, t.ID())
 }
 
-// Detach removes a worker (it left the cluster or crashed; a crashed
-// worker's restarted incarnation re-Attaches). Until then recovery rounds
-// neither roll it back nor wait for its acknowledgement.
+// Detach marks a worker as gone (it left the cluster or crashed): until it is
+// attached again, recovery rounds do not wait for its acknowledgement. A
+// stopped worker rolls nothing back, so it must be detached before a round.
 func (m *Manager) Detach(id core.WorkerID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.targets, id)
 	m.detached[id] = true
 }
 
@@ -94,19 +91,22 @@ func (m *Manager) Recoveries() int {
 // names the workers known to have failed:
 //
 //  1. Halt DPR progress and assign the next world-line (metadata store).
-//  2. Command every attached worker not down to roll back to the recovery cut.
-//  3. Resume DPR progress once every registered member has acknowledged the
-//     new world-line, except those down or detached: attached workers ack
-//     inside their rollback, the rest when they roll themselves back from
-//     the finder. After ackBound the round resumes anyway and counts a
-//     timeout.
+//  2. Wait until every registered member has acknowledged the new
+//     world-line, except those down or detached. A live worker rolls itself
+//     back to its position in the recovery cut when its refresh sees the
+//     world-line move, and acks; one whose restore fails retries on its next
+//     refresh. After ackBound the round goes on anyway and counts a timeout.
+//  3. Resume DPR progress.
 //
 // Failed workers are expected to be restarted (by the caller / environment)
 // to their checkpoint at the recovery cut (dfaster.Restart) before or while
 // survivors roll back. Returns the new world-line and the cut the system
-// recovered to. Safe to call again while a previous recovery is still in
-// flight (nested failures, §7.4): the world-line advances again and workers
-// re-roll to the same frozen cut.
+// recovered to; it never returns with the cut frozen by this round, and its
+// error is always nil: a member that cannot roll back costs the round its ack
+// bound, not a failure. Safe to
+// call again while a previous recovery is still in flight (nested failures,
+// §7.4): the world-line advances again and workers re-roll to the same
+// frozen cut.
 func (m *Manager) OnFailure(down ...core.WorkerID) (core.WorldLine, core.Cut, error) {
 	start := time.Now()
 	wl, cut := m.meta.BeginRecovery()
@@ -116,37 +116,15 @@ func (m *Manager) OnFailure(down ...core.WorkerID) (core.WorldLine, core.Cut, er
 	for id := range m.detached {
 		skip[id] = true
 	}
+	m.mu.Unlock()
 	for _, id := range down {
 		skip[id] = true
-	}
-	targets := make([]RollbackTarget, 0, len(m.targets))
-	for id, t := range m.targets {
-		if !skip[id] {
-			targets = append(targets, t)
-		}
-	}
-	m.mu.Unlock()
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(targets))
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t RollbackTarget) {
-			defer wg.Done()
-			errs[i] = t.Rollback(wl, cut)
-		}(i, t)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return wl, cut, fmt.Errorf("cluster: worker %d rollback: %w", targets[i].ID(), err)
-		}
 	}
 	if !m.meta.AwaitAcks(wl, skip, m.ackBound) {
 		ackTimeoutsC.Inc()
 	}
-	// Unfreeze only if no newer round began while this one's rollbacks ran:
-	// otherwise the nested round still needs the cut pinned.
+	// Unfreeze only if no newer round began meanwhile: otherwise the nested
+	// round still needs the cut pinned.
 	m.meta.CompleteRecoveryFor(wl)
 	m.mu.Lock()
 	m.recoveries++
@@ -155,5 +133,3 @@ func (m *Manager) OnFailure(down ...core.WorkerID) (core.WorldLine, core.Cut, er
 	recoveryDurH.Observe(time.Since(start))
 	return wl, cut, nil
 }
-
-var _ RollbackTarget = (*libdpr.Worker)(nil)

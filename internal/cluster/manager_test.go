@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,46 +10,57 @@ import (
 	"dpr/internal/metadata"
 )
 
-// fakeTarget records rollback commands and acknowledges each one, as a
-// worker does at the end of its rollback.
-type fakeTarget struct {
-	id   core.WorkerID
-	meta *metadata.Store
-
-	mu    sync.Mutex
-	calls []core.WorldLine
-	cuts  []core.Cut
-	fail  error
+// member stands in for a live worker the way the round sees one: nothing
+// commands it; it watches the finder, and when the world-line moves past the
+// one it last joined it restores itself and acks. A restore that fails is
+// tried again on the next change or heartbeat.
+type member struct {
+	id      core.WorkerID
+	meta    *metadata.Store
+	restore func(wl core.WorldLine) error // nil: every restore succeeds at once
+	joined  atomic.Uint64                 // the world-line it last joined
 }
 
-func (f *fakeTarget) ID() core.WorkerID { return f.id }
-func (f *fakeTarget) Rollback(wl core.WorldLine, cut core.Cut) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls = append(f.calls, wl)
-	f.cuts = append(f.cuts, cut.Clone())
-	if f.fail == nil {
-		f.meta.AckWorldLine(f.id, wl)
-	}
-	return f.fail
-}
-func (f *fakeTarget) callCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
+func (m *member) ID() core.WorkerID { return m.id }
+
+// startMember registers id and runs its watch loop until the test ends.
+func startMember(t *testing.T, meta *metadata.Store, id core.WorkerID, restore func(core.WorldLine) error) *member {
+	t.Helper()
+	meta.RegisterWorker(id, "w")
+	m := &member{id: id, meta: meta, restore: restore}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var since uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			since, _ = meta.WaitStateChange(since, 5*time.Millisecond) // the heartbeat bounds a missed change
+			wl := meta.WorldLine()
+			if uint64(wl) <= m.joined.Load() || (m.restore != nil && m.restore(wl) != nil) {
+				continue
+			}
+			m.joined.Store(uint64(wl)) // before the ack, as a worker advances before it acks
+			meta.AckWorldLine(id, wl)
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	return m
 }
 
 func TestOnFailureRollsBackAll(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	meta.RegisterWorker(1, "a")
-	meta.RegisterWorker(2, "b")
+	mgr := NewManager(meta)
+	a := startMember(t, meta, 1, nil)
+	b := startMember(t, meta, 2, nil)
 	meta.ReportVersion(1, 3, nil)
 	meta.ReportVersion(2, 3, nil)
-	mgr := NewManager(meta)
-	a := &fakeTarget{id: 1, meta: meta}
-	b := &fakeTarget{id: 2, meta: meta}
-	mgr.Attach(a)
-	mgr.Attach(b)
 	wl, cut, err := mgr.OnFailure()
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +68,8 @@ func TestOnFailureRollsBackAll(t *testing.T) {
 	if wl != 1 || cut.Get(1) != 3 {
 		t.Fatalf("wl=%d cut=%v", wl, cut)
 	}
-	if a.callCount() != 1 || b.callCount() != 1 {
-		t.Fatal("all targets must receive a rollback")
+	if a.joined.Load() != 1 || b.joined.Load() != 1 {
+		t.Fatalf("round resumed before every member rolled back: joined %d and %d", a.joined.Load(), b.joined.Load())
 	}
 	if meta.Frozen() {
 		t.Fatal("DPR progress must resume after recovery")
@@ -67,97 +79,78 @@ func TestOnFailureRollsBackAll(t *testing.T) {
 	}
 }
 
-// blockingTarget parks each Rollback call until its world-line is released,
-// so tests can hold a recovery round open while a second failure arrives and
-// then complete the rounds in a chosen order.
-type blockingTarget struct {
-	id      core.WorkerID
-	meta    *metadata.Store
+// gatedRestore parks each restore until its world-line is released, so tests
+// can hold a recovery round open while a second failure arrives and then let
+// the rounds finish in a chosen order.
+type gatedRestore struct {
 	entered chan core.WorldLine
 
 	mu      sync.Mutex
 	release map[core.WorldLine]chan struct{}
 }
 
-func newBlockingTarget(id core.WorkerID, meta *metadata.Store) *blockingTarget {
-	return &blockingTarget{
-		id:      id,
-		meta:    meta,
-		entered: make(chan core.WorldLine, 8),
-		release: make(map[core.WorldLine]chan struct{}),
-	}
+func newGatedRestore() *gatedRestore {
+	return &gatedRestore{entered: make(chan core.WorldLine, 8), release: make(map[core.WorldLine]chan struct{})}
 }
 
-func (b *blockingTarget) gate(wl core.WorldLine) chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ch, ok := b.release[wl]
+func (g *gatedRestore) gate(wl core.WorldLine) chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ch, ok := g.release[wl]
 	if !ok {
 		ch = make(chan struct{}, 1)
-		b.release[wl] = ch
+		g.release[wl] = ch
 	}
 	return ch
 }
 
-func (b *blockingTarget) ID() core.WorkerID { return b.id }
-func (b *blockingTarget) Rollback(wl core.WorldLine, cut core.Cut) error {
-	b.entered <- wl
-	<-b.gate(wl)
-	return b.meta.AckWorldLine(b.id, wl)
+func (g *gatedRestore) restore(wl core.WorldLine) error {
+	g.entered <- wl
+	<-g.gate(wl)
+	return nil
 }
 
 // TestSecondFailureDuringRollback: a crash while a recovery round's rollbacks
-// are still in flight starts a nested round on the next world-line. When the
-// OLDER round completes first, DPR progress must stay frozen — the newer
-// round's rollbacks are still running, and unfreezing would commit new
-// operations they are about to erase. Only the newest round's completion
-// resumes progress.
+// are still in flight starts a nested round on the next world-line. The
+// overtaken round ends without resuming DPR progress — the newer round's
+// rollbacks are still running, and unfreezing would commit new operations
+// they are about to erase. Only the newest round's completion resumes
+// progress.
 func TestSecondFailureDuringRollback(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	meta.RegisterWorker(1, "a")
+	g := newGatedRestore()
+	startMember(t, meta, 1, g.restore)
 	meta.ReportVersion(1, 5, nil)
 	mgr := NewManager(meta)
-	bt := newBlockingTarget(1, meta)
-	mgr.Attach(bt)
 
-	type result struct {
-		wl  core.WorldLine
-		err error
+	resA := startRound(mgr)
+	wlA := <-g.entered // the member is restoring into round A's world-line
+	resB := startRound(mgr)
+	var a roundResult
+	select {
+	case a = <-resA: // round B took over the wait
+	case <-time.After(2 * time.Second):
+		t.Fatal("the overtaken round did not end")
 	}
-	resA := make(chan result, 1)
-	go func() {
-		wl, _, err := mgr.OnFailure()
-		resA <- result{wl, err}
-	}()
-	wlA := <-bt.entered // round A's rollback is in flight
-
-	resB := make(chan result, 1)
-	go func() {
-		wl, _, err := mgr.OnFailure()
-		resB <- result{wl, err}
-	}()
-	wlB := <-bt.entered // round B's rollback is in flight on the next wl
-	if wlB <= wlA {
-		t.Fatalf("nested failure must advance the world-line: %d then %d", wlA, wlB)
-	}
-
-	// Finish round A first; round B is still rolling back.
-	bt.gate(wlA) <- struct{}{}
-	a := <-resA
-	if a.err != nil {
-		t.Fatalf("round A: %v", a.err)
+	if a.err != nil || a.wl != wlA {
+		t.Fatalf("round A: wl %d err %v, want wl %d", a.wl, a.err, wlA)
 	}
 	if !meta.Frozen() {
 		t.Fatal("completing an overtaken recovery round must not resume DPR progress")
 	}
 
-	bt.gate(wlB) <- struct{}{}
-	b := <-resB
-	if b.err != nil {
-		t.Fatalf("round B: %v", b.err)
+	g.gate(wlA) <- struct{}{}
+	wlB := <-g.entered // the member moves on into round B's world-line
+	if wlB <= wlA {
+		t.Fatalf("nested failure must advance the world-line: %d then %d", wlA, wlB)
 	}
-	if a.wl >= b.wl {
-		t.Fatalf("rounds must get distinct, increasing world-lines: %d then %d", a.wl, b.wl)
+	if !meta.Frozen() {
+		t.Fatal("DPR progress resumed while the member still rolls back into the newest world-line")
+	}
+	g.gate(wlB) <- struct{}{}
+	b := <-resB
+	if b.err != nil || b.wl != wlB {
+		t.Fatalf("round B: wl %d err %v, want wl %d", b.wl, b.err, wlB)
 	}
 	if meta.Frozen() {
 		t.Fatal("completing the newest round must resume DPR progress")
@@ -167,17 +160,29 @@ func TestSecondFailureDuringRollback(t *testing.T) {
 	}
 }
 
+// TestOnFailureDetachedTargetSkipped: a detached member (stopped, so it rolls
+// nothing back) does not hold a round; attaching it again makes rounds wait
+// for it once more.
 func TestOnFailureDetachedTargetSkipped(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{})
+	meta.RegisterWorker(1, "stopped")
 	mgr := NewManager(meta)
-	a := &fakeTarget{id: 1, meta: meta}
-	mgr.Attach(a)
+	mgr.ackBound = 50 * time.Millisecond
+	stopped := &member{id: 1}
 	mgr.Detach(1)
+	timeouts := ackTimeoutsC.Value()
 	if _, _, err := mgr.OnFailure(); err != nil {
 		t.Fatal(err)
 	}
-	if a.callCount() != 0 {
-		t.Fatal("detached target must not be called")
+	if got := ackTimeoutsC.Value(); got != timeouts {
+		t.Fatalf("a detached member held the round to its bound: ack timeouts %d -> %d", timeouts, got)
+	}
+	mgr.Attach(stopped)
+	if _, _, err := mgr.OnFailure(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ackTimeoutsC.Value(); got != timeouts+1 {
+		t.Fatalf("the re-attached member was not waited for: ack timeouts %d -> %d", timeouts, got)
 	}
 }
 
@@ -197,15 +202,14 @@ func startRound(mgr *Manager, down ...core.WorkerID) chan roundResult {
 }
 
 // TestRoundWaitsForUnattachedMember: a registered, live member the manager
-// does not hold — a dpr-server seen from the finder — rolls itself back from
-// the finder's world-line. The round keeps DPR progress frozen until that
-// member's acknowledgement arrives, and resumes as soon as it does.
+// was never told about — a dpr-server seen from the finder — is waited for
+// like any other. The round keeps DPR progress frozen until that member's
+// acknowledgement arrives, and resumes as soon as it does.
 func TestRoundWaitsForUnattachedMember(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	meta.RegisterWorker(1, "a")
 	meta.RegisterWorker(2, "b")
+	startMember(t, meta, 1, nil)
 	mgr := NewManager(meta)
-	mgr.Attach(&fakeTarget{id: 1, meta: meta})
 	done := startRound(mgr)
 
 	for meta.WorldLine() != 1 {
@@ -235,16 +239,13 @@ func TestRoundWaitsForUnattachedMember(t *testing.T) {
 
 // TestRoundSkipsDownAndDetached: a member the caller names down and one it
 // detached will not acknowledge (they are dead, or being restarted); neither
-// holds the round, and neither is commanded to roll back.
+// holds the round.
 func TestRoundSkipsDownAndDetached(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	for id := core.WorkerID(1); id <= 3; id++ {
-		meta.RegisterWorker(id, "w")
-	}
+	live := startMember(t, meta, 1, nil)
+	meta.RegisterWorker(2, "detached")
+	meta.RegisterWorker(3, "down")
 	mgr := NewManager(meta)
-	live, detached := &fakeTarget{id: 1, meta: meta}, &fakeTarget{id: 2, meta: meta}
-	mgr.Attach(live)
-	mgr.Attach(detached)
 	mgr.Detach(2)
 	timeouts := ackTimeoutsC.Value()
 	select {
@@ -258,8 +259,8 @@ func TestRoundSkipsDownAndDetached(t *testing.T) {
 	if meta.Frozen() || ackTimeoutsC.Value() != timeouts {
 		t.Fatalf("frozen %v, ack timeouts %d -> %d", meta.Frozen(), timeouts, ackTimeoutsC.Value())
 	}
-	if live.callCount() != 1 || detached.callCount() != 0 {
-		t.Fatalf("rollbacks: live %d, detached %d", live.callCount(), detached.callCount())
+	if live.joined.Load() != 1 {
+		t.Fatalf("live member joined world-line %d, want 1", live.joined.Load())
 	}
 }
 
@@ -268,11 +269,10 @@ func TestRoundSkipsDownAndDetached(t *testing.T) {
 // returns) and the timeout is counted, never a silent stall.
 func TestRoundResumesAtAckBound(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	meta.RegisterWorker(1, "a")
+	startMember(t, meta, 1, nil)
 	meta.RegisterWorker(2, "mute")
 	mgr := NewManager(meta)
 	mgr.ackBound = 50 * time.Millisecond
-	mgr.Attach(&fakeTarget{id: 1, meta: meta})
 	timeouts := ackTimeoutsC.Value()
 	start := time.Now()
 	if _, _, err := mgr.OnFailure(); err != nil {

@@ -153,7 +153,7 @@ func (w *scriptedWorker) handle(conn net.Conn) {
 				reply.Results = append(reply.Results, wire.OpResult{Status: wire.StatusOK, Version: 1})
 			}
 			w.env.log(executed{w.id, h.WorldLine, h.SeqStart, len(req.Ops), h.Redirected})
-			out, frame = wire.EncodeBatchReply(&reply), wire.FrameBatchReply
+			out, frame = wire.AppendBatchReply(nil, &reply), wire.FrameBatchReply
 		case actGarbageReply:
 			out, frame = []byte{0xff}, wire.FrameBatchReply
 		case actGarbageError:
@@ -166,7 +166,7 @@ func (w *scriptedWorker) handle(conn net.Conn) {
 			<-w.stop
 			return
 		default:
-			out = wire.EncodeError(&wire.ErrorReply{Code: actCodes[st.act], WorldLine: wl, Message: "scripted"})
+			out = wire.AppendError(nil, &wire.ErrorReply{Code: actCodes[st.act], WorldLine: wl, Message: "scripted"})
 		}
 		if wire.WriteFrame(bw, frame, out) != nil || bw.Flush() != nil {
 			return

@@ -40,7 +40,6 @@ func newTestCluster(t *testing.T, n int, ckpt time.Duration) *testCluster {
 			t.Fatal(err)
 		}
 		tc.workers = append(tc.workers, w)
-		tc.mgr.Attach(w)
 	}
 	// Round-robin partition assignment.
 	for p := 0; p < testPartitions; p++ {

@@ -39,7 +39,6 @@ func newDRCluster(t *testing.T, n int, ckpt time.Duration) *drCluster {
 			t.Fatal(err)
 		}
 		c.workers = append(c.workers, w)
-		c.mgr.Attach(w)
 	}
 	for p := 0; p < parts; p++ {
 		if err := c.meta.SetOwner(uint64(p), c.workers[p%n].ID()); err != nil {

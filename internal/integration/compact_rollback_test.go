@@ -43,7 +43,6 @@ func TestCompactThenCrossShardRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Stop()
-		mgr.Attach(w)
 		workers = append(workers, w)
 	}
 	a := workers[0]

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dpr/internal/cluster"
 	"dpr/internal/core"
 	"dpr/internal/dfaster"
 	"dpr/internal/kv"
@@ -26,7 +25,6 @@ import (
 func TestLiveMigrationUnderLoad(t *testing.T) {
 	const parts = 32
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
-	mgr := cluster.NewManager(meta)
 	var workers []*dfaster.Worker
 	for i := 1; i <= 2; i++ {
 		w, err := dfaster.NewWorker(dfaster.WorkerConfig{
@@ -41,7 +39,6 @@ func TestLiveMigrationUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Stop()
-		mgr.Attach(w)
 		workers = append(workers, w)
 	}
 	for p := 0; p < parts; p++ {

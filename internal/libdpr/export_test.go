@@ -1,5 +1,11 @@
 package libdpr
 
+import (
+	"time"
+
+	"dpr/internal/core"
+)
+
 // PumpGapSeals exposes the pump's duty-cycle constant to the external tests.
 const PumpGapSeals = pumpGapSeals
 
@@ -15,3 +21,11 @@ func (w *Worker) SuppressDirtyWake() { w.dirty.Store(true) }
 // ProbeTarget is the sequence number the session's outstanding commit-latency
 // probe waits for (0: none).
 func (s *Session) ProbeTarget() uint64 { return s.probeSeq.Load() }
+
+// SetAdmitTimeout shortens the admission bound for a test. Call it before any
+// batch is admitted.
+func (w *Worker) SetAdmitTimeout(d time.Duration) { w.admitTimeout = d }
+
+// RollbackForTest runs the worker's rollback step directly, as the watch loop
+// and the heartbeat do when both see the same new world-line.
+func (w *Worker) RollbackForTest(wl core.WorldLine, cut core.Cut) error { return w.rollback(wl, cut) }

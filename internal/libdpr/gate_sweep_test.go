@@ -18,14 +18,11 @@ func newSweepWorker(t *testing.T) *Worker {
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	store := kv.NewStore(storage.NewNull(), kv.Config{})
 	t.Cleanup(func() { store.Close() })
-	w, err := NewWorker(WorkerConfig{
-		ID:                 1,
-		CheckpointInterval: time.Hour,
-		AdmitTimeout:       time.Second,
-	}, store, meta)
+	w, err := NewWorker(WorkerConfig{ID: 1, CheckpointInterval: time.Hour}, store, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.SetAdmitTimeout(time.Second)
 	t.Cleanup(w.Stop)
 	return w
 }

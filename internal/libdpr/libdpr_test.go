@@ -40,7 +40,6 @@ func newHarness(t *testing.T, n int, finder metadata.FinderKind, ckptEvery time.
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.mgr.Attach(w)
 		h.stores = append(h.stores, st)
 		h.workers = append(h.workers, w)
 		h.kvSess = append(h.kvSess, st.NewSession())

@@ -3,9 +3,10 @@
 // Worker wraps a StateObject, admitting request batches (world-line checks,
 // version fast-forward per the §3.2 progress rule), tracking cross-shard
 // dependencies from batch headers, triggering periodic commits, reporting
-// persisted versions to the DPR finder, and executing rollbacks. The
-// client-side Session assigns sequence numbers, computes dependency headers,
-// tracks committed prefixes, and detects rollbacks.
+// persisted versions to the DPR finder, and rolling itself back when the
+// finder's world-line moves past its own. The client-side Session assigns
+// sequence numbers, computes dependency headers, tracks committed prefixes,
+// and detects rollbacks.
 package libdpr
 
 import (
@@ -99,9 +100,6 @@ type WorkerConfig struct {
 	// heartbeat (at manualHeartbeat) that commits nothing — commits are
 	// triggered by the caller or by version fast-forward.
 	CheckpointInterval time.Duration
-	// AdmitTimeout bounds how long a batch from a future world-line waits
-	// for local recovery. Default 5s.
-	AdmitTimeout time.Duration
 	// EncodeCut, when set, is called once per state refresh to pre-serialize
 	// the piggybacked cut (the cut changes once per commit round, while
 	// replies go out per batch). Reply returns the result as
@@ -114,10 +112,12 @@ type WorkerConfig struct {
 	// counters and scrape-time gauges, so the cost off the scrape path is a
 	// few atomic ops on rare events and zero on the batch hot path.
 	Obs *obs.Registry
-	// TraceSize caps the version-lifecycle trace ring (<= 0 selects
-	// obs.DefaultTraceSize).
-	TraceSize int
 }
+
+// admitTimeout bounds how long a batch waits at admission: for this worker to
+// reach the batch's (future) world-line, for a version fast-forward, or for a
+// rollback fence to drop.
+const admitTimeout = 5 * time.Second
 
 // manualHeartbeat is the heartbeat of a worker with no CheckpointInterval,
 // and the backstop of a session waiting for a commit (it has no interval).
@@ -133,12 +133,13 @@ type Worker struct {
 	so   StateObject
 	meta metadata.Service
 	wl   *core.WorldLineTracker
+	// admitTimeout is the package constant; tests shorten it.
+	admitTimeout time.Duration
 
 	depsMu sync.Mutex
 	deps   map[core.Version]map[core.Token]struct{}
 
 	cutMu sync.Mutex
-	cut   core.Cut
 	// vmax is the finder's Vmax — the highest version any worker has closed
 	// or persisted — as of the last refresh, and vmaxWL the world-line it was
 	// read on: a version announced before a rollback is nobody's target after
@@ -146,12 +147,15 @@ type Worker struct {
 	vmax     core.Version
 	vmaxWL   core.WorldLine
 	reported core.Version
-	// cutSnap is the latest piggybackable cut as an immutable snapshot,
-	// published atomically so the per-operation Reply path is allocation-free.
-	// The snapshot is tagged with the world-line it was observed on: version
-	// numbers restart across world-lines, so a reply must never pair one
-	// world-line with another world-line's cut — a client session could
-	// commit erased operations whose tokens merely collide numerically.
+	// cutSnap is the worker's one view of the DPR cut, an immutable snapshot
+	// published atomically so the per-operation Reply path is allocation-free;
+	// every reader (Reply, CommittedVersion, WaitCutCovers, the gauges and
+	// DebugState) loads it. The snapshot is tagged with the world-line it was
+	// observed on: version numbers restart across world-lines, so a reply must
+	// never pair one world-line with another world-line's cut — a client
+	// session could commit erased operations whose tokens merely collide
+	// numerically. A refresh publishes a world-line's cut only once this
+	// worker has rolled back into that world-line.
 	cutSnap atomic.Pointer[cutSnapshot]
 
 	// dirty + dirtyCh drive the commit pump: ReleaseBatch marks the worker
@@ -187,7 +191,7 @@ type Worker struct {
 	// exec + rbFence + rbMu fence rollbacks against in-flight batch
 	// execution without a shared mutex on the hot path. Every execution lane
 	// (one per serving connection/core) owns an epoch slot in exec; a batch
-	// pins its lane's slot from guarded admission to release. Rollback
+	// pins its lane's slot from guarded admission to release. rollback
 	// publishes the target world-line in rbFence and then drains exec:
 	// because the fence store precedes the drain's era bump and a batch
 	// loads rbFence after entering its slot, any batch that misses the fence
@@ -199,15 +203,15 @@ type Worker struct {
 	// reader count was the last cross-core serialization point on the batch
 	// path.
 	//
-	// rbMu serializes Rollback itself: the cluster manager's rollback
-	// message and the worker's metadata-poll self-heal can race for the same
-	// world-line, and a duplicate Restore would silently erase operations
-	// executed between the two calls. rbMu is the outermost worker lock —
+	// rbMu serializes rollback itself: the watch loop and the heartbeat both
+	// refresh from the finder and can race into the same world-line, and a
+	// duplicate Restore would silently erase operations executed between the
+	// two calls. rbMu is the outermost worker lock —
 	// the bookkeeping locks are only ever taken under it during rollback,
 	// never the other way around. The session gate is never held together
 	// with rbMu; admission pins a lane slot (not a lock) around it.
 	//
-	// Rollback also calls so.Restore while holding rbMu, so the state
+	// rollback also calls so.Restore while holding rbMu, so the state
 	// object's internal locks nest under it too (the store never calls
 	// back into the worker, so the inverse nesting cannot form).
 	//
@@ -264,9 +268,6 @@ type Worker struct {
 // NewWorker registers the worker with the metadata service and starts its
 // background maintenance loop.
 func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker, error) {
-	if cfg.AdmitTimeout <= 0 {
-		cfg.AdmitTimeout = 5 * time.Second
-	}
 	if err := meta.RegisterWorker(cfg.ID, cfg.Addr); err != nil {
 		return nil, err
 	}
@@ -279,17 +280,17 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	// would wait out its bound for a rollback this worker never runs.
 	_ = meta.AckWorldLine(cfg.ID, wl)
 	w := &Worker{
-		cfg:       cfg,
-		so:        so,
-		meta:      meta,
-		wl:        core.NewWorldLineTracker(wl),
-		deps:      make(map[core.Version]map[core.Token]struct{}),
-		cut:       make(core.Cut),
-		exec:      epoch.NewTable(),
-		archived:  make(map[uint64]gateRec),
-		dirtyCh:   make(chan struct{}, 1),
-		persistCh: make(chan struct{}, 1),
-		stop:      make(chan struct{}),
+		cfg:          cfg,
+		so:           so,
+		meta:         meta,
+		wl:           core.NewWorldLineTracker(wl),
+		admitTimeout: admitTimeout,
+		deps:         make(map[core.Version]map[core.Token]struct{}),
+		exec:         epoch.NewTable(),
+		archived:     make(map[uint64]gateRec),
+		dirtyCh:      make(chan struct{}, 1),
+		persistCh:    make(chan struct{}, 1),
+		stop:         make(chan struct{}),
 	}
 	moved := make(chan struct{})
 	w.moved.Store(&moved)
@@ -327,7 +328,7 @@ func (w *Worker) registerObs() {
 	if reg == nil {
 		reg = obs.Default
 	}
-	w.trace = obs.NewTrace(w.cfg.TraceSize)
+	w.trace = obs.NewTrace(obs.DefaultTraceSize)
 	w.refreshedAt.Store(time.Now().UnixNano())
 	lbl := obs.L("worker", strconv.FormatUint(uint64(w.cfg.ID), 10))
 	reg.GaugeFunc("dpr_worker_world_line",
@@ -373,12 +374,11 @@ func (w *Worker) registerObs() {
 		"Time from starting a commit to the state object reporting it durable.", lbl)
 }
 
-// cutPositions returns this worker's position in its cached cut and the
+// cutPositions returns this worker's position in its published cut and the
 // maximum position across the cut (the fastest worker).
 func (w *Worker) cutPositions() (self, max core.Version) {
-	w.cutMu.Lock()
-	defer w.cutMu.Unlock()
-	return w.cut.Get(w.cfg.ID), w.cut.Max()
+	cut := w.cutSnap.Load().cut
+	return cut.Get(w.cfg.ID), cut.Max()
 }
 
 func (w *Worker) sessionCount() int {
@@ -396,9 +396,7 @@ func (w *Worker) Trace() *obs.Trace { return w.trace }
 // DebugState assembles the /debug/dpr snapshot for this worker; the serving
 // layer (dfaster/dredis) layers its own fields on top.
 func (w *Worker) DebugState(kind string) obs.DPRState {
-	w.cutMu.Lock()
-	cut := w.cut.Clone()
-	w.cutMu.Unlock()
+	cut := w.cutSnap.Load().cut
 	self, max := cut.Get(w.cfg.ID), cut.Max()
 	cutJSON := make(map[string]uint64, len(cut))
 	for id, v := range cut {
@@ -530,7 +528,7 @@ func (w *Worker) sweepGates(cutoff uint64) {
 // the world-line the batch executes in. It guards nothing: AdmitBatchGuarded
 // is the one way in.
 func (w *Worker) admitBatch(h BatchHeader) (core.WorldLine, error) {
-	if err := w.wl.Admit(h.WorldLine, w.cfg.AdmitTimeout); err != nil {
+	if err := w.wl.Admit(h.WorldLine, w.admitTimeout); err != nil {
 		w.rejectedC.Inc()
 		w.trace.Record(obs.EvBatchRejected, uint64(w.wl.Current()), uint64(h.WorldLine), 0)
 		return w.wl.Current(), fmt.Errorf("%w (worker at %d, batch at %d)",
@@ -543,7 +541,7 @@ func (w *Worker) admitBatch(h BatchHeader) (core.WorldLine, error) {
 		if err := w.beginCommit(h.Vs - 1); err != nil {
 			return w.wl.Current(), err
 		}
-		deadline := time.Now().Add(w.cfg.AdmitTimeout)
+		deadline := time.Now().Add(w.admitTimeout)
 		for w.so.CurrentVersion() < h.Vs {
 			if time.Now().After(deadline) {
 				return w.wl.Current(), fmt.Errorf("libdpr: version fast-forward to %d timed out", h.Vs)
@@ -592,7 +590,7 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 	if err != nil {
 		return wl, err
 	}
-	// Pin the lane, then check the fence. The order matters: Rollback stores
+	// Pin the lane, then check the fence. The order matters: rollback stores
 	// the fence before bumping the era it drains, so (sequentially consistent
 	// atomics) a batch that loads a zero fence entered its slot under the
 	// pre-bump era and the drain waits it out; a batch entering post-bump
@@ -605,7 +603,7 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 		}
 		lane.slot.Exit()
 		if deadline.IsZero() {
-			deadline = time.Now().Add(w.cfg.AdmitTimeout)
+			deadline = time.Now().Add(w.admitTimeout)
 		} else if time.Now().After(deadline) {
 			w.rejectedC.Inc()
 			cur := w.wl.Current()
@@ -726,19 +724,14 @@ func (w *Worker) Reply(versions []core.Version) BatchReply {
 	return r
 }
 
-// CurrentCut returns the worker's cached view of the DPR cut.
-func (w *Worker) CurrentCut() core.Cut {
-	w.cutMu.Lock()
-	defer w.cutMu.Unlock()
-	return w.cut.Clone()
-}
+// CurrentCut returns the worker's published view of the DPR cut.
+func (w *Worker) CurrentCut() core.Cut { return w.cutSnap.Load().cut.Clone() }
 
 // CommittedVersion returns this worker's own position in the last DPR cut it
 // published: every version at or below it is committed, so no rollback or
 // recovery, on this world-line or a later one, restores the state object
-// below it. A kv store holds its log compaction to this version. It reads
-// the piggyback snapshot, which a worker that missed a rollback publishes
-// only after healing, and takes no lock.
+// below it. A kv store holds its log compaction to this version. It takes no
+// lock.
 func (w *Worker) CommittedVersion() core.Version {
 	return w.cutSnap.Load().cut.Get(w.cfg.ID)
 }
@@ -881,15 +874,11 @@ func (w *Worker) WaitCutCovers(v core.Version, timeout time.Duration) error {
 	return nil
 }
 
-// Rollback rolls the StateObject back to the cut position for this worker
-// and advances to the new world-line; the cluster manager invokes it on
-// every surviving worker during failure recovery (§4.1). Idempotent per
-// world-line.
-func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
-	// rbMu serializes concurrent Rollback calls: the cluster manager's
-	// rollback message and the worker's metadata-poll self-heal can race
-	// for the same world-line, and a duplicate Restore would silently erase
-	// operations executed between the two calls.
+// rollback restores the StateObject to this worker's position in cut and
+// advances to world-line wl (§4.1), then acks wl to the finder. refreshState
+// runs it when the finder's world-line is ahead of the worker's; it is
+// idempotent per world-line (see rbMu).
+func (w *Worker) rollback(wl core.WorldLine, cut core.Cut) error {
 	w.rbMu.Lock()
 	defer w.rbMu.Unlock()
 	if wl <= w.wl.Current() {
@@ -1119,7 +1108,10 @@ func (w *Worker) watchLoop() {
 }
 
 // reportPersisted sends every newly persisted version to the finder, in
-// order, with its dependency set.
+// order, with its dependency set. A report that fails — a metadata hiccup, or
+// the finder refusing it because a recovery round is ahead of this worker —
+// keeps its dependencies and is sent again by a later call; the rollback that
+// joins the round drops what it erases.
 func (w *Worker) reportPersisted() {
 	persisted := w.so.PersistedVersion()
 	w.cutMu.Lock()
@@ -1137,10 +1129,9 @@ func (w *Worker) reportPersisted() {
 		for t := range w.deps[v] {
 			deps = append(deps, t)
 		}
-		delete(w.deps, v)
 		w.depsMu.Unlock()
 		if err := w.meta.ReportVersion(w.cfg.ID, v, deps); err != nil {
-			// Metadata hiccup: regress the report pointer so we retry.
+			// Regress the report pointer so we retry.
 			w.cutMu.Lock()
 			if w.reported >= v {
 				w.reported = v - 1
@@ -1148,49 +1139,50 @@ func (w *Worker) reportPersisted() {
 			w.cutMu.Unlock()
 			return
 		}
+		w.depsMu.Lock()
+		delete(w.deps, v)
+		w.depsMu.Unlock()
 	}
 }
 
 // refreshState pulls the cut, Vmax and world-line from the finder. A
-// world-line ahead of ours means a failure was recovered elsewhere and this
-// worker missed the rollback message — self-heal by rolling back BEFORE
-// publishing the cut, so the worker never advertises a cut for a world-line
-// it has not joined.
+// world-line ahead of the worker's means a recovery round has begun: the
+// worker rolls itself back into it (the one rollback path, §4.1) BEFORE it
+// takes in the cut, so it never advertises a cut for a world-line it has not
+// joined. A rollback that fails leaves the worker's view where it was; the
+// next refresh, which the heartbeat bounds, tries again.
 func (w *Worker) refreshState() {
 	cut, vmax, wl, err := w.meta.State()
 	if err != nil {
 		return
 	}
+	if cur := w.wl.Current(); wl > cur {
+		// The worker may have missed more than one round; like a lagging
+		// session, it must survive the whole chain, so the restore position
+		// is the minimum over every skipped recovery's cut.
+		rc, err := composeRecoveredCuts(w.meta, cur, wl)
+		if err != nil || w.rollback(wl, rc) != nil {
+			return
+		}
+	}
 	w.cutMu.Lock()
-	prevSelf := w.cut.Get(w.cfg.ID)
-	w.cut = cut
 	w.vmax, w.vmaxWL = vmax, wl
 	w.cutMu.Unlock()
-	w.wake()
 	w.refreshedAt.Store(time.Now().UnixNano())
-	if self := cut.Get(w.cfg.ID); self > prevSelf {
+	prev := w.cutSnap.Load()
+	if prev.wl == wl && prev.cut.Equal(cut) {
+		w.wake() // Vmax may have moved; the published snapshot, its generation and its encoding stand
+		return
+	}
+	if self := cut.Get(w.cfg.ID); self > prev.cut.Get(w.cfg.ID) {
 		w.trace.Record(obs.EvCutAdvance, uint64(wl), uint64(self), uint64(cut.Max()))
-	}
-	if cur := w.wl.Current(); wl > cur {
-		// The worker may have missed more than one rollback message; like a
-		// lagging session, it must survive the whole chain, so the restore
-		// position is the minimum over every skipped recovery's cut.
-		rc, err := composeRecoveredCuts(w.meta, cur, wl)
-		if err != nil {
-			return
-		}
-		if w.Rollback(wl, rc) != nil {
-			return
-		}
-	}
-	if prev := w.cutSnap.Load(); prev.wl == wl && prev.cut.Equal(cut) {
-		return // the published snapshot, its generation and its encoding stand
 	}
 	snap := &cutSnapshot{wl: wl, cut: cut, gen: cutGens.Add(1)} // State's cut is immutable: no copy
 	if w.cfg.EncodeCut != nil {
 		snap.encoded = w.cfg.EncodeCut(snap.cut)
 	}
 	w.cutSnap.Store(snap)
+	w.wake()
 	if f := w.cutObs.Load(); f != nil {
 		(*f)(snap.wl, snap.encoded)
 	}

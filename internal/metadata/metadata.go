@@ -39,7 +39,10 @@ type Service interface {
 	RegisterWorker(w core.WorkerID, addr string) error
 	// DeregisterWorker removes an (empty) worker.
 	DeregisterWorker(w core.WorkerID) error
-	// ReportVersion records that worker w persisted version v with deps.
+	// ReportVersion records that worker w persisted version v with deps. It
+	// refuses the report while w has not acked the current world-line: what a
+	// worker persists before it rolls back is erased by that rollback, and
+	// must not enter the cut the recovery round resumes.
 	ReportVersion(w core.WorkerID, v core.Version, deps []core.Token) error
 	// State returns the current DPR cut, Vmax (for checkpoint fast-forward),
 	// and the current world-line. The cut is shared with every other caller
@@ -119,10 +122,8 @@ type Config struct {
 	Device storage.Device
 	// Blob names the metadata blob on the device (default "dpr-metadata").
 	Blob string
-	// Obs selects the metrics registry (nil: obs.Default); TraceSize the
-	// recovery trace ring capacity (<= 0: obs.DefaultTraceSize).
-	Obs       *obs.Registry
-	TraceSize int
+	// Obs selects the metrics registry (nil: obs.Default).
+	Obs *obs.Registry
 }
 
 // Stripe counts. Membership is keyed by worker id (sequential small ints, so
@@ -241,7 +242,7 @@ func (s *Store) registerObs() {
 	if reg == nil {
 		reg = obs.Default
 	}
-	s.trace = obs.NewTrace(s.cfg.TraceSize)
+	s.trace = obs.NewTrace(obs.DefaultTraceSize)
 	reg.GaugeFunc("dpr_finder_world_line",
 		"Current world-line assigned by the finder.",
 		func() float64 { return float64(s.WorldLine()) })
@@ -504,6 +505,11 @@ func (s *Store) ReportVersion(w core.WorkerID, v core.Version, deps []core.Token
 		return fmt.Errorf("metadata: unknown worker %d", w)
 	}
 	s.stateMu.Lock()
+	if s.acked[w] < s.worldLine {
+		wl := s.worldLine
+		s.stateMu.Unlock()
+		return fmt.Errorf("metadata: worker %d has not rolled back into world-line %d", w, wl)
+	}
 	s.finder.Report(w, v, deps)
 	s.bumpLocked()
 	s.stateMu.Unlock()

@@ -140,6 +140,12 @@ func TestRecoveryFreezesCut(t *testing.T) {
 	if !s.Frozen() {
 		t.Fatal("store must be frozen during recovery")
 	}
+	// A worker reports on the new world-line only once it has rolled back
+	// into it: what it persisted before that is erased by the rollback.
+	if err := s.ReportVersion(1, 5, nil); err == nil {
+		t.Fatal("a report from a worker that has not acked the new world-line must be refused")
+	}
+	s.AckWorldLine(1, wl)
 	// Reports during recovery do not move the *visible* cut.
 	s.ReportVersion(1, 5, nil)
 	c2, _, wl2, _ := s.State()

@@ -68,7 +68,6 @@ func (tc *testCluster) addWorker(t *testing.T, id core.WorkerID) *dfaster.Worker
 		t.Fatal(err)
 	}
 	tc.workers = append(tc.workers, w)
-	tc.mgr.Attach(w)
 	return w
 }
 

@@ -41,7 +41,6 @@ func newQCluster(t *testing.T, shards int) *qCluster {
 			t.Fatal(err)
 		}
 		c.workers = append(c.workers, w)
-		c.mgr.Attach(w)
 	}
 	for p := 0; p < qParts; p++ {
 		if err := c.workers[p%shards].ClaimPartitions(uint64(p)); err != nil {

@@ -202,7 +202,7 @@ func (p *peer) batch(seq uint64, ops ...wire.Op) (*wire.BatchReply, *wire.ErrorR
 	p.t.Helper()
 	req := &wire.BatchRequest{Header: p.hdr, Ops: ops}
 	req.Header.SeqStart, req.Header.NumOps = seq, uint32(len(ops))
-	if err := wire.WriteFrame(p.bw, wire.FrameBatchRequest, wire.EncodeBatchRequest(req)); err != nil {
+	if err := wire.WriteFrame(p.bw, wire.FrameBatchRequest, wire.AppendBatchRequest(nil, req)); err != nil {
 		p.t.Fatal(err)
 	}
 	if err := p.bw.Flush(); err != nil {
@@ -310,12 +310,10 @@ func runConformance(t *testing.T, newBackend func(*testing.T, metadata.Service) 
 	})
 
 	t.Run("old world-line is rejected with the worker's", func(t *testing.T) {
-		b, _, p := start(t)
+		b, meta, p := start(t)
 		p.ok(1, put("a", "1"))
-		next := p.hdr.WorldLine + 1
-		if err := b.Rollback(next, core.Cut{}); err != nil {
-			t.Fatal(err)
-		}
+		next, _ := meta.BeginRecovery()
+		eventually(t, "the worker rolls back", func() bool { return b.DPR().WorldLine() == next })
 		if er := p.refused(wire.ErrCodeRejected, 2, put("a", "2")); er.WorldLine != next {
 			t.Fatalf("rejection carries world-line %d, worker is on %d", er.WorldLine, next)
 		}
@@ -361,22 +359,22 @@ func runConformance(t *testing.T, newBackend func(*testing.T, metadata.Service) 
 	})
 
 	t.Run("cut rides only on its own world-line", func(t *testing.T) {
-		b, _, p := start(t)
+		b, meta, p := start(t)
 		seq := uint64(1)
 		eventually(t, "a reply carrying the worker's commit", func() bool {
 			seq++
 			return p.ok(seq, put("a", "1")).Cut.Get(b.ID()) > 0
 		})
-		// The worker moves on; its cut view still belongs to the finder's
-		// world-line, where the same numbers name other operations.
-		p.hdr.WorldLine++
-		if err := b.Rollback(p.hdr.WorldLine, core.Cut{}); err != nil {
-			t.Fatal(err)
-		}
+		// A recovery round begins. The worker's replies move to the new
+		// world-line together with its cut, the recovered one: the old
+		// world-line's cut may name versions the rollback erased.
+		next, recovered := meta.BeginRecovery()
+		eventually(t, "the worker rolls back", func() bool { return b.DPR().WorldLine() == next })
+		p.hdr.WorldLine = next
 		for seq := uint64(0); seq < 20; seq++ {
 			reply := p.ok(seq, put("a", "2"))
-			if reply.WorldLine != p.hdr.WorldLine || len(reply.Cut) != 0 {
-				t.Fatalf("reply on world-line %d carries cut %v", reply.WorldLine, reply.Cut)
+			if reply.WorldLine != next || !reply.Cut.Equal(recovered) {
+				t.Fatalf("reply on world-line %d carries cut %v, want the recovered %v", reply.WorldLine, reply.Cut, recovered)
 			}
 			time.Sleep(time.Millisecond) // let commits and cut refreshes happen in between
 		}

@@ -90,7 +90,7 @@ func (c *client) sendBatch(keys ...string) {
 		req.Ops = append(req.Ops, wire.Op{Kind: wire.OpRead, Key: []byte(k)})
 	}
 	req.Header.NumOps = uint32(len(keys))
-	c.send(wire.FrameBatchRequest, wire.EncodeBatchRequest(req))
+	c.send(wire.FrameBatchRequest, wire.AppendBatchRequest(nil, req))
 }
 
 // read returns the next frame, failing the test if none arrives in time.
@@ -143,8 +143,8 @@ func TestReplyAndErrorFrames(t *testing.T) {
 	if tag != wire.FrameBatchReply {
 		t.Fatalf("tag %d, want batch reply", tag)
 	}
-	reply, err := wire.DecodeBatchReply(payload)
-	if err != nil {
+	reply := new(wire.BatchReply)
+	if err := wire.DecodeBatchReplyInto(reply, payload); err != nil {
 		t.Fatal(err)
 	}
 	if len(reply.Results) != 2 || string(reply.Results[0].Value) != "a" || string(reply.Results[1].Value) != "b" {
@@ -186,7 +186,8 @@ func TestLazySubscribe(t *testing.T) {
 	if tag != wire.FrameCutAdvance {
 		t.Fatalf("tag %d, want cut advance", tag)
 	}
-	if adv, err := wire.DecodeCutAdvance(payload); err != nil || adv.WorldLine != 7 || adv.Cut.Get(1) != 5 {
+	adv := new(wire.CutAdvance)
+	if err := wire.DecodeCutAdvanceInto(adv, payload); err != nil || adv.WorldLine != 7 || adv.Cut.Get(1) != 5 {
 		t.Fatalf("bad cut advance %+v: %v", adv, err)
 	}
 	silent.quiet(100 * time.Millisecond)
@@ -320,7 +321,7 @@ func TestServeBatchZeroAlloc(t *testing.T) {
 		req.Ops = append(req.Ops, wire.Op{Kind: wire.OpRead, Key: []byte("alloc-key")})
 	}
 	req.Header.NumOps = 32
-	frame := wire.EncodeBatchRequest(req)
+	frame := wire.AppendBatchRequest(nil, req)
 	c.conn.SetDeadline(time.Now().Add(30 * time.Second))
 	roundTrip := func() {
 		wire.WriteFrame(c.bw, wire.FrameBatchRequest, frame)

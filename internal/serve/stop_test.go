@@ -40,7 +40,7 @@ func stopClosesIdleConnections(t *testing.T, addr string, stop func()) {
 	req := &wire.BatchRequest{Ops: []wire.Op{{Kind: wire.OpRead, Key: []byte("stop-test")}}}
 	req.Header.SessionID, req.Header.NumOps = 7, 1
 	bw := bufio.NewWriter(conn)
-	wire.WriteFrame(bw, wire.FrameBatchRequest, wire.EncodeBatchRequest(req))
+	wire.WriteFrame(bw, wire.FrameBatchRequest, wire.AppendBatchRequest(nil, req))
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}

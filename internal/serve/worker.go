@@ -304,7 +304,7 @@ func (w *Worker) DebugState() obs.DPRState {
 	return st
 }
 
-// ID implements cluster.RollbackTarget.
+// ID returns the worker's id.
 func (w *Worker) ID() core.WorkerID { return w.dpr.ID() }
 
 // Addr returns the listen address ("" if co-located only).
@@ -312,11 +312,6 @@ func (w *Worker) Addr() string { return w.srv.Addr() }
 
 // DPR exposes the libDPR worker.
 func (w *Worker) DPR() *libdpr.Worker { return w.dpr }
-
-// Rollback implements cluster.RollbackTarget.
-func (w *Worker) Rollback(wl core.WorldLine, cut core.Cut) error {
-	return w.dpr.Rollback(wl, cut)
-}
 
 // Stop shuts down the serving frame (listener, live connections and their
 // goroutines), then the libDPR loops. The store is the backend's to close,

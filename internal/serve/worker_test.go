@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dpr/internal/core"
 	"dpr/internal/leakcheck"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
@@ -25,8 +24,8 @@ func TestBatchInstrumentsSampled(t *testing.T) {
 	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after the worker is down
 	reg := obs.NewRegistry()
 	s := &fakeStore{data: make(map[string][]byte), current: 1}
-	w, err := serve.NewWorker("fake", libdpr.WorkerConfig{ID: 1, CheckpointInterval: time.Hour, Obs: reg},
-		s, metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate}))
+	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
+	w, err := serve.NewWorker("fake", libdpr.WorkerConfig{ID: 1, CheckpointInterval: time.Hour, Obs: reg}, s, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +74,8 @@ func TestBatchInstrumentsSampled(t *testing.T) {
 		t.Fatalf("refusing store: %+v", er)
 	}
 	s.refusing.Store(false)
-	next := req.Header.WorldLine + 1
-	if err := w.Rollback(next, core.Cut{}); err != nil {
-		t.Fatal(err)
-	}
+	next, _ := meta.BeginRecovery()
+	eventually(t, "the worker rolls back", func() bool { return w.DPR().WorldLine() == next })
 	if er := execute(); er == nil || er.Code != wire.ErrCodeRejected {
 		t.Fatalf("old world-line: %+v", er)
 	}

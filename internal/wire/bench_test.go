@@ -64,7 +64,7 @@ func BenchmarkEncodeBatch64(b *testing.B) {
 }
 
 func BenchmarkDecodeBatch64(b *testing.B) {
-	payload := EncodeBatchRequest(benchBatch(64))
+	payload := AppendBatchRequest(nil, benchBatch(64))
 	var req BatchRequest
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
@@ -97,7 +97,7 @@ func BenchmarkEncodeReply64PrecodedCut(b *testing.B) {
 }
 
 func BenchmarkDecodeReply64(b *testing.B) {
-	payload := EncodeBatchReply(benchReply(64))
+	payload := AppendBatchReply(nil, benchReply(64))
 	var rep BatchReply
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
@@ -112,7 +112,7 @@ func BenchmarkFrameReadWrite(b *testing.B) {
 	// Frame round trip through an in-memory pipe-backed pair is dominated by
 	// scheduling; measure the encode+decode halves directly instead via a
 	// prebuilt frame in a loop reader.
-	payload := EncodeBatchRequest(benchBatch(64))
+	payload := AppendBatchRequest(nil, benchBatch(64))
 	frame := make([]byte, 0, len(payload)+5)
 	frame = append(frame, byte(len(payload)+1), byte((len(payload)+1)>>8), byte((len(payload)+1)>>16), byte((len(payload)+1)>>24))
 	frame = append(frame, FrameBatchRequest)

@@ -69,14 +69,3 @@ func (m *CutMemo) DecodeCutAdvance(a *CutAdvance, p []byte) error {
 func DecodeCutAdvanceInto(a *CutAdvance, p []byte) error {
 	return (*CutMemo)(nil).DecodeCutAdvance(a, p)
 }
-
-// DecodeCutAdvance parses a cut-advance payload into a fresh value.
-// Transient callers only; connection read loops should hold a CutAdvance and
-// use DecodeCutAdvanceInto.
-func DecodeCutAdvance(p []byte) (*CutAdvance, error) {
-	var a CutAdvance
-	if err := DecodeCutAdvanceInto(&a, p); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}

@@ -17,7 +17,7 @@ import (
 // -fuzz=FuzzDecodeBatchRequest ./internal/wire` explores from there.
 
 func FuzzDecodeBatchRequest(f *testing.F) {
-	f.Add(EncodeBatchRequest(&BatchRequest{
+	f.Add(AppendBatchRequest(nil, &BatchRequest{
 		Header: libdpr.BatchHeader{
 			SessionID: 7, WorldLine: 1, Vs: 3, SeqStart: 9, NumOps: 2,
 			Dep: core.Token{Worker: 2, Version: 5},
@@ -30,14 +30,12 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 48))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		b, err := DecodeBatchRequest(payload)
-		if err != nil {
+		var b, b2 BatchRequest
+		if DecodeBatchRequestInto(&b, payload) != nil {
 			return
 		}
 		// Accepted frames must round-trip: encode and decode again.
-		re := EncodeBatchRequest(b)
-		b2, err := DecodeBatchRequest(re)
-		if err != nil {
+		if err := DecodeBatchRequestInto(&b2, AppendBatchRequest(nil, &b)); err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
 		if b2.Header != b.Header || len(b2.Ops) != len(b.Ops) {
@@ -54,7 +52,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 }
 
 func FuzzDecodeBatchReply(f *testing.F) {
-	f.Add(EncodeBatchReply(&BatchReply{
+	f.Add(AppendBatchReply(nil, &BatchReply{
 		WorldLine: 2,
 		Results: []OpResult{
 			{Status: StatusOK, Version: 4, Value: []byte("v")},
@@ -66,13 +64,11 @@ func FuzzDecodeBatchReply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 48))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		r, err := DecodeBatchReply(payload)
-		if err != nil {
+		var r, r2 BatchReply
+		if DecodeBatchReplyInto(&r, payload) != nil {
 			return
 		}
-		re := EncodeBatchReply(r)
-		r2, err := DecodeBatchReply(re)
-		if err != nil {
+		if err := DecodeBatchReplyInto(&r2, AppendBatchReply(nil, &r)); err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
 		if r2.WorldLine != r.WorldLine || len(r2.Results) != len(r.Results) || !r2.Cut.Equal(r.Cut) {
@@ -94,13 +90,11 @@ func FuzzDecodeCutAdvance(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 24))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		a, err := DecodeCutAdvance(payload)
-		if err != nil {
+		var a, a2, a3 CutAdvance
+		if DecodeCutAdvanceInto(&a, payload) != nil {
 			return
 		}
-		re := AppendCutAdvance(nil, a.WorldLine, a.Cut)
-		a2, err := DecodeCutAdvance(re)
-		if err != nil {
+		if err := DecodeCutAdvanceInto(&a2, AppendCutAdvance(nil, a.WorldLine, a.Cut)); err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
 		if a2.WorldLine != a.WorldLine || !a2.Cut.Equal(a.Cut) {
@@ -110,9 +104,7 @@ func FuzzDecodeCutAdvance(f *testing.F) {
 		// map-serializing path for a single-entry cut (multi-entry cuts
 		// iterate the map in arbitrary order, so compare decoded forms).
 		enc := AppendCut(nil, a.Cut)
-		spliced := AppendCutAdvanceEncoded(nil, a.WorldLine, enc)
-		a3, err := DecodeCutAdvance(spliced)
-		if err != nil {
+		if err := DecodeCutAdvanceInto(&a3, AppendCutAdvanceEncoded(nil, a.WorldLine, enc)); err != nil {
 			t.Fatalf("spliced encoding rejected: %v", err)
 		}
 		if a3.WorldLine != a.WorldLine || !a3.Cut.Equal(a.Cut) {
@@ -122,8 +114,8 @@ func FuzzDecodeCutAdvance(f *testing.F) {
 }
 
 func FuzzDecodeError(f *testing.F) {
-	f.Add(EncodeError(&ErrorReply{Code: ErrCodeRejected, WorldLine: 3, Message: "recover"}))
-	f.Add(EncodeError(&ErrorReply{Code: ErrCodeMoved, WorldLine: 2, NewOwner: 4, Message: "partition moved"}))
+	f.Add(AppendError(nil, &ErrorReply{Code: ErrCodeRejected, WorldLine: 3, Message: "recover"}))
+	f.Add(AppendError(nil, &ErrorReply{Code: ErrCodeMoved, WorldLine: 2, NewOwner: 4, Message: "partition moved"}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 16))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -131,7 +123,7 @@ func FuzzDecodeError(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e2, err := DecodeError(EncodeError(e))
+		e2, err := DecodeError(AppendError(nil, e))
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}

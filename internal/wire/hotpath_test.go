@@ -23,14 +23,14 @@ func TestNumOpsMismatchRejected(t *testing.T) {
 			{Kind: OpRead, Key: []byte("k2")},
 		},
 	}
-	good := EncodeBatchRequest(req)
-	if _, err := DecodeBatchRequest(good); err != nil {
+	good := AppendBatchRequest(nil, req)
+	if err := DecodeBatchRequestInto(new(BatchRequest), good); err != nil {
 		t.Fatalf("matching NumOps must decode: %v", err)
 	}
 	for _, claim := range []uint32{0, 1, 3, 1 << 20} {
 		req.Header.NumOps = claim
-		payload := EncodeBatchRequest(req)
-		if _, err := DecodeBatchRequest(payload); err == nil {
+		payload := AppendBatchRequest(nil, req)
+		if err := DecodeBatchRequestInto(new(BatchRequest), payload); err == nil {
 			t.Fatalf("NumOps=%d with 2 ops must be rejected", claim)
 		}
 	}
@@ -48,8 +48,8 @@ func TestReplyEmptyVsAbsentValue(t *testing.T) {
 		},
 		Cut: core.Cut{1: 2},
 	}
-	got, err := DecodeBatchReply(EncodeBatchReply(rep))
-	if err != nil {
+	got := new(BatchReply)
+	if err := DecodeBatchReplyInto(got, AppendBatchReply(nil, rep)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Results[0].Value == nil || len(got.Results[0].Value) != 0 {
@@ -66,18 +66,18 @@ func TestReplyEmptyVsAbsentValue(t *testing.T) {
 // TestTrailingBytesRejected checks that frames carrying extra bytes beyond
 // the encoded structure are rejected for all three frame types.
 func TestTrailingBytesRejected(t *testing.T) {
-	req := EncodeBatchRequest(&BatchRequest{
+	req := AppendBatchRequest(nil, &BatchRequest{
 		Header: libdpr.BatchHeader{NumOps: 1},
 		Ops:    []Op{{Kind: OpRead, Key: []byte("k")}},
 	})
-	if _, err := DecodeBatchRequest(append(req, 0xAA)); err == nil {
+	if err := DecodeBatchRequestInto(new(BatchRequest), append(req, 0xAA)); err == nil {
 		t.Fatal("request with trailing bytes must be rejected")
 	}
-	rep := EncodeBatchReply(&BatchReply{Results: []OpResult{{Status: StatusOK}}})
-	if _, err := DecodeBatchReply(append(rep, 0xAA)); err == nil {
+	rep := AppendBatchReply(nil, &BatchReply{Results: []OpResult{{Status: StatusOK}}})
+	if err := DecodeBatchReplyInto(new(BatchReply), append(rep, 0xAA)); err == nil {
 		t.Fatal("reply with trailing bytes must be rejected")
 	}
-	er := EncodeError(&ErrorReply{Code: ErrCodeInternal, Message: "m"})
+	er := AppendError(nil, &ErrorReply{Code: ErrCodeInternal, Message: "m"})
 	if _, err := DecodeError(append(er, 0xAA)); err == nil {
 		t.Fatal("error with trailing bytes must be rejected")
 	}
@@ -86,7 +86,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 // TestErrorTruncationRejected extends the truncation coverage to error
 // frames (requests and replies are covered in wire_test.go).
 func TestErrorTruncationRejected(t *testing.T) {
-	full := EncodeError(&ErrorReply{Code: ErrCodeRejected, WorldLine: 4, Message: "client must recover"})
+	full := AppendError(nil, &ErrorReply{Code: ErrCodeRejected, WorldLine: 4, Message: "client must recover"})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeError(full[:cut]); err == nil {
 			t.Fatalf("error truncation at %d not detected", cut)
@@ -100,7 +100,7 @@ func TestErrorTruncationRejected(t *testing.T) {
 // alias-decoding paths.
 func TestDecodeMutatedFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	req := EncodeBatchRequest(&BatchRequest{
+	req := AppendBatchRequest(nil, &BatchRequest{
 		Header: libdpr.BatchHeader{SessionID: 9, NumOps: 3},
 		Ops: []Op{
 			{Kind: OpUpsert, Key: []byte("key-a"), Value: []byte("value-a")},
@@ -108,7 +108,7 @@ func TestDecodeMutatedFrames(t *testing.T) {
 			{Kind: OpRMW, Key: []byte("key-c"), Value: make([]byte, 8)},
 		},
 	})
-	rep := EncodeBatchReply(&BatchReply{
+	rep := AppendBatchReply(nil, &BatchReply{
 		WorldLine: 2,
 		Results: []OpResult{
 			{Status: StatusOK, Version: 5, Value: []byte("v0")},
@@ -116,7 +116,7 @@ func TestDecodeMutatedFrames(t *testing.T) {
 		},
 		Cut: core.Cut{1: 4, 2: 3},
 	})
-	er := EncodeError(&ErrorReply{Code: ErrCodeBadOwner, WorldLine: 1, Message: "not owned"})
+	er := AppendError(nil, &ErrorReply{Code: ErrCodeBadOwner, WorldLine: 1, Message: "not owned"})
 	corpus := [][]byte{req, rep, er}
 	mutated := make([]byte, 0, 256)
 	for iter := 0; iter < 5000; iter++ {
@@ -180,10 +180,10 @@ func TestFrameReaderReuse(t *testing.T) {
 
 func TestEncodeDecodeZeroAlloc(t *testing.T) {
 	req := benchBatch(64)
-	reqPayload := EncodeBatchRequest(req)
+	reqPayload := AppendBatchRequest(nil, req)
 	rep := benchReply(64)
 	rep.EncodedCut = AppendCut(nil, rep.Cut)
-	repPayload := EncodeBatchReply(rep)
+	repPayload := AppendBatchReply(nil, rep)
 
 	var scratch []byte
 	if n := testing.AllocsPerRun(100, func() {
@@ -242,16 +242,16 @@ func TestEncodeDecodeZeroAlloc(t *testing.T) {
 func TestCutAdvanceRejects(t *testing.T) {
 	full := AppendCutAdvance(nil, 4, core.Cut{1: 2, 3: 4})
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeCutAdvance(full[:cut]); err == nil {
+		if err := DecodeCutAdvanceInto(new(CutAdvance), full[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
-	if _, err := DecodeCutAdvance(append(append([]byte{}, full...), 0xAA)); err == nil {
+	if err := DecodeCutAdvanceInto(new(CutAdvance), append(append([]byte{}, full...), 0xAA)); err == nil {
 		t.Fatal("trailing bytes must be rejected")
 	}
 	huge := appendU64(nil, 1)
 	huge = appendU32(huge, 1<<30) // count far beyond the payload
-	if _, err := DecodeCutAdvance(huge); err == nil {
+	if err := DecodeCutAdvanceInto(new(CutAdvance), huge); err == nil {
 		t.Fatal("oversized cut count must be rejected before allocation")
 	}
 	// A failed decode into a reused value must not leave stale entries
@@ -266,7 +266,7 @@ func TestCutAdvanceRejects(t *testing.T) {
 }
 
 func TestFrameIOZeroAlloc(t *testing.T) {
-	payload := EncodeBatchRequest(benchBatch(64))
+	payload := AppendBatchRequest(nil, benchBatch(64))
 	frame := make([]byte, 0, len(payload)+5)
 	n := uint32(len(payload) + 1)
 	frame = append(frame, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), FrameBatchRequest)
@@ -301,17 +301,16 @@ func TestFrameIOZeroAlloc(t *testing.T) {
 func TestCutMemo(t *testing.T) {
 	section := AppendCut(nil, core.Cut{1: 5, 2: 7})
 	reply := func(wl core.WorldLine, encodedCut []byte) []byte {
-		return EncodeBatchReply(&BatchReply{WorldLine: wl, EncodedCut: encodedCut,
+		return AppendBatchReply(nil, &BatchReply{WorldLine: wl, EncodedCut: encodedCut,
 			Results: []OpResult{{Status: StatusOK, Version: 3, Value: []byte("v")}}})
 	}
 	moved := bytes.Clone(section)
 	moved[len(moved)-8]++ // the low byte of the last entry's version
-	var want core.Cut
-	if a, err := DecodeCutAdvance(AppendCutAdvanceEncoded(nil, 0, moved)); err != nil {
+	var adv CutAdvance
+	if err := DecodeCutAdvanceInto(&adv, AppendCutAdvanceEncoded(nil, 0, moved)); err != nil {
 		t.Fatal(err)
-	} else {
-		want = a.Cut
 	}
+	want := adv.Cut
 
 	var memo CutMemo
 	var r BatchReply
@@ -358,9 +357,10 @@ func TestCutMemo(t *testing.T) {
 			t.Fatalf("no memo, decode %d: err %v, cut %v", i, err, r.Cut)
 		}
 	}
+	frame := reply(1, section)
 	if n := testing.AllocsPerRun(100, func() {
-		memo.DecodeBatchReply(&r, reply(1, section))
-	}); n > 1 { // the test's own encode
+		memo.DecodeBatchReply(&r, frame)
+	}); n > 0 {
 		t.Fatalf("a repeated cut section costs %.0f allocations to recognise", n)
 	}
 }

@@ -363,11 +363,6 @@ func AppendBatchRequest(dst []byte, b *BatchRequest) []byte {
 	return dst
 }
 
-// EncodeBatchRequest serializes a batch request payload into a fresh buffer.
-func EncodeBatchRequest(b *BatchRequest) []byte {
-	return AppendBatchRequest(make([]byte, 0, 64+len(b.Ops)*32), b)
-}
-
 // DecodeBatchRequestInto parses a batch request payload into b, reusing
 // b.Ops. Keys and values alias p (zero copy): the caller owns p and must not
 // reuse it until the decoded batch has been fully consumed.
@@ -410,16 +405,6 @@ func DecodeBatchRequestInto(b *BatchRequest, p []byte) error {
 	return nil
 }
 
-// DecodeBatchRequest parses a batch request payload. Keys and values alias p
-// (zero copy); see DecodeBatchRequestInto for the ownership contract.
-func DecodeBatchRequest(p []byte) (*BatchRequest, error) {
-	var b BatchRequest
-	if err := DecodeBatchRequestInto(&b, p); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
 // ---- batch reply ----
 
 // AppendCut appends the cut section encoding (entry count + entries) to dst.
@@ -460,11 +445,6 @@ func AppendBatchReply(dst []byte, r *BatchReply) []byte {
 		return append(dst, r.EncodedCut...)
 	}
 	return AppendCut(dst, r.Cut)
-}
-
-// EncodeBatchReply serializes a reply payload into a fresh buffer.
-func EncodeBatchReply(r *BatchReply) []byte {
-	return AppendBatchReply(make([]byte, 0, 32+len(r.Results)*24), r)
 }
 
 // CutMemo is one connection's memory of the cut section it decoded last,
@@ -569,16 +549,6 @@ func DecodeBatchReplyInto(r *BatchReply, p []byte) error {
 	return (*CutMemo)(nil).DecodeBatchReply(r, p)
 }
 
-// DecodeBatchReply parses a reply payload. Values alias p (zero copy); see
-// DecodeBatchReplyInto for the ownership contract.
-func DecodeBatchReply(p []byte) (*BatchReply, error) {
-	var r BatchReply
-	if err := DecodeBatchReplyInto(&r, p); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
 // ---- error reply ----
 
 // AppendError appends the error encoding to dst.
@@ -590,11 +560,6 @@ func AppendError(dst []byte, e *ErrorReply) []byte {
 	dst = appendU32(dst, uint32(e.NewOwner))
 	dst = appendU32(dst, uint32(len(e.Message)))
 	return append(dst, e.Message...)
-}
-
-// EncodeError serializes an error payload.
-func EncodeError(e *ErrorReply) []byte {
-	return AppendError(make([]byte, 0, 16+len(e.Message)), e)
 }
 
 // DecodeError parses an error payload.

@@ -24,8 +24,8 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 			{Kind: OpRead, Key: []byte("key2")},
 		},
 	}
-	got, err := DecodeBatchRequest(EncodeBatchRequest(req))
-	if err != nil {
+	got := new(BatchRequest)
+	if err := DecodeBatchRequestInto(got, AppendBatchRequest(nil, req)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Header != req.Header {
@@ -46,8 +46,8 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 		},
 		Cut: core.Cut{1: 5, 2: 3},
 	}
-	got, err := DecodeBatchReply(EncodeBatchReply(rep))
-	if err != nil {
+	got := new(BatchReply)
+	if err := DecodeBatchReplyInto(got, AppendBatchReply(nil, rep)); err != nil {
 		t.Fatal(err)
 	}
 	if got.WorldLine != 2 || len(got.Results) != 2 || !got.Cut.Equal(rep.Cut) {
@@ -61,7 +61,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 
 func TestErrorRoundTrip(t *testing.T) {
 	e := &ErrorReply{Code: ErrCodeRejected, WorldLine: 9, NewOwner: 7, Message: "client must recover"}
-	got, err := DecodeError(EncodeError(e))
+	got, err := DecodeError(AppendError(nil, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +76,16 @@ func TestErrorRoundTrip(t *testing.T) {
 func TestTruncatedFramesRejected(t *testing.T) {
 	req := &BatchRequest{Header: libdpr.BatchHeader{SessionID: 1, NumOps: 1},
 		Ops: []Op{{Kind: OpUpsert, Key: []byte("k"), Value: []byte("v")}}}
-	full := EncodeBatchRequest(req)
+	full := AppendBatchRequest(nil, req)
 	for cut := 1; cut < len(full); cut += 7 {
-		if _, err := DecodeBatchRequest(full[:cut]); err == nil {
+		if err := DecodeBatchRequestInto(new(BatchRequest), full[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
 	rep := &BatchReply{Results: []OpResult{{Status: StatusOK}}, Cut: core.Cut{1: 1}}
-	fullRep := EncodeBatchReply(rep)
+	fullRep := AppendBatchReply(nil, rep)
 	for cut := 1; cut < len(fullRep); cut += 5 {
-		if _, err := DecodeBatchReply(fullRep[:cut]); err == nil {
+		if err := DecodeBatchReplyInto(new(BatchReply), fullRep[:cut]); err == nil {
 			t.Fatalf("reply truncation at %d not detected", cut)
 		}
 	}
@@ -144,7 +144,8 @@ func TestBatchRequestRoundTripProperty(t *testing.T) {
 			}
 			req.Ops = append(req.Ops, op)
 		}
-		got, err := DecodeBatchRequest(EncodeBatchRequest(req))
+		got := new(BatchRequest)
+		err := DecodeBatchRequestInto(got, AppendBatchRequest(nil, req))
 		if err != nil || got.Header != req.Header || len(got.Ops) != len(req.Ops) {
 			return false
 		}
