@@ -2,13 +2,18 @@ GO ?= go
 # Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic figures
+.PHONY: check build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic figures
 
 # The full pre-commit gate, in the order CI runs it.
-check: build fmt-check wait-check atomic-check vet dpr-vet test bench-module
+check: build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module
 
 build:
 	$(GO) build ./...
+
+# The files only other systems compile: hrtimer's fallback, and kv's heap
+# slabs (also what -race builds, which CI's race job covers).
+cross:
+	GOOS=darwin $(GO) build ./... && GOOS=windows $(GO) build ./...
 
 # gofmt over every tracked Go file; any name printed is a failure.
 fmt-check:

@@ -247,19 +247,20 @@ func obsView(args []string) error {
 
 // printLogView renders each store's HybridLog: where memory is (resident =
 // head to tail), how much of it is still updated in place, the committed
-// version compaction is held to (nothing above it is garbage yet), and the
-// resident size at which the store's compactor starts its next cycle.
+// version compaction is held to (nothing above it is garbage yet), the
+// resident size at which the store's compactor starts its next cycle, and the
+// slab bytes backed by memory.
 func printLogView(workers []*obs.DPRState) {
 	if len(workers) == 0 {
 		return
 	}
 	fmt.Println()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "LOG\tBEGIN\tHEAD\tREAD-ONLY\tTAIL\tRESIDENT\tMUTABLE\tGARBAGE-BELOW\tNEXT-CYCLE-AT")
+	fmt.Fprintln(tw, "LOG\tBEGIN\tHEAD\tREAD-ONLY\tTAIL\tRESIDENT\tMUTABLE\tGARBAGE-BELOW\tNEXT-CYCLE-AT\tMAPPED")
 	for _, st := range workers {
 		l := st.Log
-		fmt.Fprintf(tw, "worker %d\t%d\t%d\t%d\t%d\t%s\t%s\tv%d\t%s\n", st.Worker,
-			l.Begin, l.Head, l.ReadOnly, l.Tail, mib(l.Tail-l.Head), mib(l.Tail-l.ReadOnly), l.Committed, mib(l.CompactTrigger))
+		fmt.Fprintf(tw, "worker %d\t%d\t%d\t%d\t%d\t%s\t%s\tv%d\t%s\t%s\n", st.Worker,
+			l.Begin, l.Head, l.ReadOnly, l.Tail, mib(l.Tail-l.Head), mib(l.Tail-l.ReadOnly), l.Committed, mib(l.CompactTrigger), mib(l.Mapped))
 	}
 	tw.Flush()
 }

@@ -206,7 +206,7 @@ func Restart(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 // registerLogObs exports the store's log size and what its compactor does.
 func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 	with := func(k, v string) []obs.Label { return append(lbls[:len(lbls):len(lbls)], obs.L(k, v)) }
-	const logHelp = "HybridLog bytes in memory: resident is head to tail, mutable the part still updated in place."
+	const logHelp = "HybridLog bytes in memory: resident is head to tail, mutable the part still updated in place, mapped the slab bytes backed by memory."
 	reg.GaugeFunc("dpr_store_log_bytes", logHelp, func() float64 {
 		ls := w.store.LogState()
 		return float64(ls.Tail - ls.Head)
@@ -215,6 +215,9 @@ func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 		ls := w.store.LogState()
 		return float64(ls.Tail - ls.ReadOnly)
 	}, with("region", "mutable")...)
+	reg.GaugeFunc("dpr_store_log_bytes", logHelp, func() float64 {
+		return float64(w.store.LogState().Mapped)
+	}, with("region", "mapped")...)
 	const bytesHelp = "Log bytes compaction moved the begin address over (scanned), re-appended at the tail (copied), and dropped (reclaimed)."
 	scanned := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "scanned")...)
 	copied := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "copied")...)
@@ -257,7 +260,7 @@ func (w *Worker) DebugState() obs.DPRState {
 	ls := w.store.LogState()
 	st.Log = &obs.LogState{
 		Begin: ls.Begin, Head: ls.Head, ReadOnly: ls.ReadOnly, Tail: ls.Tail,
-		Committed: uint64(ls.Committed), CompactTrigger: ls.CompactTrigger,
+		Committed: uint64(ls.Committed), CompactTrigger: ls.CompactTrigger, Mapped: ls.Mapped,
 	}
 	return st
 }

@@ -107,9 +107,10 @@ func TestObsEndpoints(t *testing.T) {
 		"# TYPE dpr_seal_seconds histogram",
 		`dpr_worker_commit_rounds_total{role="initiated",worker="1"`,
 		`dpr_worker_commit_rounds_total{role="joined",worker="1"`,
-		"# TYPE dpr_store_log_bytes gauge",
+		"mapped the slab bytes backed by memory.\n# TYPE dpr_store_log_bytes gauge",
 		`dpr_store_log_bytes{region="resident"`,
 		`dpr_store_log_bytes{region="mutable"`,
+		`dpr_store_log_bytes{region="mapped"`,
 		`dpr_store_compaction_bytes_total{kind="scanned"`,
 		`dpr_store_compaction_bytes_total{kind="copied"`,
 		`dpr_store_compaction_bytes_total{kind="reclaimed"`,
@@ -163,10 +164,11 @@ func TestObsEndpoints(t *testing.T) {
 		t.Fatalf("worker snapshot: rounds_initiated %d rounds_joined %d after a committed workload",
 			wst.RoundsInitiated, wst.RoundsJoined)
 	}
-	// Why memory is where it is: the log's boundaries, in order, and the
-	// committed version compaction is held to.
+	// Why memory is where it is: the log's boundaries, in order, the
+	// committed version compaction is held to, and at least the slab the
+	// tail is in backed by memory.
 	if l := wst.Log; l == nil || l.Tail == 0 || l.Begin > l.Head || l.Head > l.ReadOnly || l.ReadOnly > l.Tail ||
-		l.Committed == 0 || l.CompactTrigger <= 0 {
+		l.Committed == 0 || l.CompactTrigger <= 0 || l.Mapped <= 0 {
 		t.Fatalf("worker snapshot: log %+v", l)
 	}
 	rst := scrapeDebug(t, dredisObsHTTP)

@@ -370,12 +370,13 @@ func (s *Store) BeginAddress() int64 { return s.log.begin.Load() }
 func (s *Store) LogSize() int64 { return s.log.tail.Load() - s.log.begin.Load() }
 
 // LogState is the HybridLog's shape at one instant, for diagnostics: the four
-// boundaries, the committed version compaction is held to, and the resident
-// size its next cycle starts at.
+// boundaries, the committed version compaction is held to, the resident size
+// its next cycle starts at, and the slab bytes backed by memory.
 type LogState struct {
 	Begin, Head, ReadOnly, Tail int64
 	Committed                   core.Version
 	CompactTrigger              int64
+	Mapped                      int64
 }
 
 // LogState returns the log boundaries and compaction's inputs.
@@ -387,5 +388,6 @@ func (s *Store) LogState() LogState {
 		Tail:           s.log.tail.Load(),
 		Committed:      s.CommittedVersion(),
 		CompactTrigger: s.compactTrigger(),
+		Mapped:         s.log.mapped.Load(),
 	}
 }

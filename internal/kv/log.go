@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -82,12 +83,13 @@ type hlog struct {
 
 	// allocMu serializes slab creation (not record allocation) and guards free.
 	allocMu sync.Mutex
-	// free holds released slabs, already zeroed, for ensureSlab to draw from:
-	// what compaction reclaims at the begin address is what the tail grows
-	// into, so a log of steady size stops costing the garbage collector a
-	// fresh slab per MiB written. At most maxFreeSlabs are kept; the rest are
-	// left to the collector.
+	// free holds the slabs releaseSlabs parked, pages dropped, for ensureSlab
+	// to draw from: what compaction reclaims at the begin address is what the
+	// tail grows into. A parked slab costs address space, not memory, and
+	// reads all zero when it is handed out again.
 	free []*[]byte
+	// mapped is the bytes of the slabs installed in slabs (LogState.Mapped).
+	mapped atomic.Int64
 
 	// flushBuf and flushChunks are copyOut's staging memory, reused by every
 	// seal (seals are single-flight and a device is done with the data once
@@ -96,18 +98,37 @@ type hlog struct {
 	flushChunks []blobWrite
 }
 
-const (
-	// maxFreeSlabs bounds the free list (in slabs, i.e. MiB).
-	maxFreeSlabs = 16
-	// maxFlushBuf is the largest staging buffer copyOut keeps between seals;
-	// a larger flush (a bulk load sealed in one go) gets a one-off buffer.
-	maxFlushBuf = 4 << 20
-)
+// maxFlushBuf is the largest staging buffer copyOut keeps between seals; a
+// larger flush (a bulk load sealed in one go) gets a one-off buffer.
+const maxFlushBuf = 4 << 20
+
+// liveSlabs counts the slabs of every log in the process that are not yet
+// unmapped, parked ones included.
+var liveSlabs atomic.Int64
 
 func newHlog(device storage.Device, blob string) *hlog {
 	l := &hlog{device: device, blob: blob}
+	runtime.SetFinalizer(l, (*hlog).unmapSlabs)
 	l.ensureSlab(0)
 	return l
+}
+
+// unmapSlabs returns the mappings of a log that nothing can reach any more.
+// Nothing reads a slab without holding the log: an operation's deferred epoch
+// exit keeps its session, and through it the store, reachable until it
+// returns, and the store's own goroutines hold it until Close has joined them.
+func (l *hlog) unmapSlabs() {
+	n := int64(len(l.free))
+	for _, b := range l.free {
+		unmapSlab(*b)
+	}
+	for i := range l.slabs {
+		if b := l.slabs[i].Load(); b != nil {
+			unmapSlab(*b)
+			n++
+		}
+	}
+	liveSlabs.Add(-n)
 }
 
 func (l *hlog) ensureSlab(idx int64) *[]byte {
@@ -126,9 +147,11 @@ func (l *hlog) ensureSlab(idx int64) *[]byte {
 	if n := len(l.free); n > 0 {
 		b, l.free = l.free[n-1], l.free[:n-1]
 	} else {
-		nb := make([]byte, slabSize)
+		nb := mapSlab()
 		b = &nb
+		liveSlabs.Add(1)
 	}
+	l.mapped.Add(slabSize)
 	l.slabs[idx].Store(b)
 	return b
 }
@@ -315,21 +338,19 @@ func (l *hlog) advanceHead(addr int64) (old int64) {
 	}
 }
 
-// releaseSlabs frees slabs wholly contained in [from, to): zeroed onto the
-// free list while it has room, to the garbage collector otherwise. Call only
-// after an epoch drain following advanceHead(to) — a recycled slab is written
-// again, so nothing may still hold a view into it.
+// releaseSlabs drops the pages of the slabs wholly contained in [from, to)
+// and parks them on the free list. Call only after an epoch drain following
+// advanceHead(to): nothing may still hold a view into a dropped slab.
 func (l *hlog) releaseSlabs(from, to int64) {
 	for idx := from >> slabBits; idx < to>>slabBits; idx++ {
 		b := l.slabs[idx].Swap(nil)
 		if b == nil {
 			continue
 		}
-		clear(*b)
+		dropSlab(*b)
+		l.mapped.Add(-slabSize)
 		l.allocMu.Lock()
-		if len(l.free) < maxFreeSlabs {
-			l.free = append(l.free, b)
-		}
+		l.free = append(l.free, b)
 		l.allocMu.Unlock()
 	}
 }

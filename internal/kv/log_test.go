@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dpr/internal/storage"
 )
@@ -115,10 +117,82 @@ func TestLogEvictAndRelease(t *testing.T) {
 	if l.slab(2*slabSize) == nil {
 		t.Fatal("live slab must remain")
 	}
+	if live := l.tail.Load()>>slabBits - 1; l.mapped.Load() != live*slabSize {
+		t.Fatalf("mapped = %d bytes, want the %d slabs above the head", l.mapped.Load(), live)
+	}
+	// The next slab the tail enters is a parked one, and it reads all zero
+	// past what was written since: scan takes a zero header for unwritten
+	// space.
+	parked := map[*byte]bool{}
+	for _, b := range l.free {
+		parked[&(*b)[0]] = true
+	}
+	if len(parked) != 2 {
+		t.Fatalf("%d slabs parked, want the 2 released", len(parked))
+	}
+	for idx := l.tail.Load() >> slabBits; l.tail.Load()>>slabBits == idx; {
+		l.writeRecord(nilAddress, 2, false, []byte("z"), []byte("reused"), 0)
+	}
+	tail := l.tail.Load()
+	reused := l.slab(tail)
+	if !parked[&reused[0]] {
+		t.Fatal("the tail's new slab is not a parked one")
+	}
+	if n := bytes.Count(reused[tail&slabMask:], []byte{0}); n != slabSize-int(tail&slabMask) {
+		t.Fatalf("reused slab: %d nonzero bytes past what was written since", slabSize-int(tail&slabMask)-n)
+	}
+	var keys []string
+	if err := l.scan(tail&^slabMask, (tail|slabMask)+1, func(_ int64, r recordView) bool {
+		keys = append(keys, string(r.key())+"="+string(r.value()))
+		return true
+	}); err != nil || len(keys) != 1 || keys[0] != "z=reused" {
+		t.Fatalf("scan of the reused slab: %q, %v; want the one record written since", keys, err)
+	}
 	// advanceHead is clamped to flushedUntil.
 	l.advanceHead(boundary + slabSize)
 	if l.head.Load() > l.flushedUntil.Load() {
 		t.Fatal("head must never pass flushedUntil")
+	}
+}
+
+// TestStoreChurnReturnsMappings: a store's slabs, live and parked, are
+// unmapped once the store is closed and dropped. 200 stores are opened, filled
+// past their first slab, closed and dropped; once the collector has run their
+// finalizers the process holds as many slabs as before. A teardown that leaks
+// mappings fails it.
+func TestStoreChurnReturnsMappings(t *testing.T) {
+	collect := func() {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+	}
+	// What earlier tests dropped is unmapped first, so that it cannot make up
+	// for a leak below.
+	for i := 0; i < 3; i++ {
+		collect()
+	}
+	base := liveSlabs.Load()
+	val := make([]byte, 64<<10)
+	for i := 0; i < 200; i++ {
+		s := NewStore(storage.NewNull(), Config{BucketCount: 64})
+		sess := s.NewSession()
+		for k := 0; k < 20; k++ {
+			if _, err := sess.Upsert([]byte{byte(k)}, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.TailAddress() <= slabSize {
+			t.Fatalf("tail %d: the store never left its first slab", s.TailAddress())
+		}
+		sess.Close()
+		s.Close()
+		if i%50 == 49 {
+			runtime.GC() // keeps what is dropped but not yet unmapped small
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); liveSlabs.Load() > base; collect() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d slabs still mapped after 200 stores were closed and dropped, %d before", liveSlabs.Load(), base)
+		}
 	}
 }
 

@@ -29,6 +29,12 @@ type timedStore struct {
 	// silent makes the next n commits vanish: version shifted, nothing
 	// persisted, nobody told — a storage error as the worker sees it.
 	silent atomic.Int32
+	// hold, when set as a seal lands, keeps that seal's persist notification
+	// back until it is closed: the persisted version has advanced, and the
+	// store takes new commits, but the worker has not been told.
+	hold atomic.Pointer[chan struct{}]
+	// told counts the persist notifications the worker has returned from.
+	told atomic.Int32
 
 	current   atomic.Uint64
 	persisted atomic.Uint64
@@ -71,6 +77,7 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 	s.current.Store(uint64(v) + 1)
 	start := time.Now()
 	finish := func() {
+		hold := s.hold.Load()
 		s.mu.Lock()
 		s.running = false
 		if s.silent.Add(-1) >= 0 {
@@ -80,7 +87,11 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 		s.seals = append(s.seals, sealSpan{v, start, time.Now()})
 		s.persisted.Store(uint64(v))
 		s.mu.Unlock()
+		if hold != nil {
+			<-*hold
+		}
 		(*s.notify.Load())(v)
+		s.told.Add(1)
 		s.landed.Broadcast() // the worker hears first, as from a device
 	}
 	if s.parked {

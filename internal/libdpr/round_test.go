@@ -9,6 +9,7 @@ import (
 	"dpr/internal/core"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
+	"dpr/internal/obs"
 )
 
 // deafMeta is a metadata service that loses every announcement.
@@ -250,5 +251,53 @@ func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 	}
 	if inGap < 3 {
 		t.Fatalf("only %d of the forced seals landed inside the pump's gap: nothing was tested", inGap)
+	}
+}
+
+// TestForcedSealBeforeTheNotificationIsStamped is the red of
+// TestPumpDeadlineFollowsAForcedSeal, forced: a commit forced after a seal has
+// landed, but before that seal's persist notification has run, starts a seal
+// of its own, and that seal is timed from its start. The red's class: when a
+// stamp did not name its version, the late notification cleared the new
+// seal's stamp, the pump's next commit stamped that seal mid-way, and its
+// duration, and with it the pump's gap, came out short.
+func TestForcedSealBeforeTheNotificationIsStamped(t *testing.T) {
+	const commit = 20 * time.Millisecond
+	so := newTimedStore(commit)
+	reg := obs.NewRegistry()
+	r := newPumpRig(t, so, libdpr.WorkerConfig{Obs: reg})
+	r.w.SuppressDirtyWake()
+	held := make(chan struct{})
+	so.hold.Store(&held)
+	if err := r.w.TriggerCommit(); err != nil {
+		t.Fatal(err)
+	}
+	for so.PersistedVersion() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	so.hold.Store(nil)
+	// The first seal has landed and its notification is held: a forced
+	// commit starts the second.
+	if err := r.w.TriggerCommit(); err != nil {
+		t.Fatal(err)
+	}
+	close(held)
+	time.Sleep(commit / 2)
+	// The pump's commit, half-way through the second seal, joins it.
+	if err := r.w.TriggerCommit(); err != nil {
+		t.Fatal(err)
+	}
+	for so.told.Load() < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if seals, _ := so.spans(); len(seals) != 2 {
+		t.Fatalf("%d seals, want the first and the forced one", len(seals))
+	}
+	h := reg.Histogram("dpr_seal_seconds", "", obs.L("worker", "1")).Snapshot()
+	if mean := time.Duration(h.Sum/h.Count) * time.Microsecond; mean < commit {
+		t.Fatalf("dpr_seal_seconds: mean %v over %d samples; want every seal whole, %v", mean, h.Count, commit)
+	}
+	if gap := r.w.DebugState("test").CommitGapMS; gap < float64(libdpr.PumpGapSeals*commit/time.Millisecond) {
+		t.Fatalf("commit gap %.3f ms after the forced seal, want %d seals of %v", gap, libdpr.PumpGapSeals, commit)
 	}
 }

@@ -169,13 +169,14 @@ type Worker struct {
 	dirtyCh   chan struct{}
 	persistCh chan struct{}
 	// Seal tracking, the pump's pacing input and dpr_seal_seconds' source.
-	// sealStart is when the seal in flight began (unix nanos, 0 when none):
-	// beginCommit stamps it; the state object's persist notification clears
-	// it and records the seal's end and duration.
-	sealStart atomic.Int64
-	sealEnd   atomic.Int64
-	sealDur   atomic.Int64
-	sealH     *obs.Histogram
+	// seal stamps the seal in flight (nil when none): beginCommit takes it
+	// for the version it commits up to; the persist notification of that
+	// version or a later one clears it and records the seal's end and
+	// duration.
+	seal    atomic.Pointer[sealStamp]
+	sealEnd atomic.Int64
+	sealDur atomic.Int64
+	sealH   *obs.Histogram
 	// moved is the broadcast await parks on: closed and replaced (see wake)
 	// whenever a seal lands or refreshState installs a cut view.
 	moved atomic.Pointer[chan struct{}]
@@ -303,8 +304,8 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	w.registerObs()
 	// Runs on the store's checkpoint goroutine: stamp the seal, hand off
 	// through the saturating channel, never block or call back into the store.
-	so.OnPersist(func(core.Version) {
-		w.sealDone()
+	so.OnPersist(func(v core.Version) {
+		w.sealDone(v)
 		select {
 		case w.persistCh <- struct{}{}:
 		default:
@@ -538,7 +539,7 @@ func (w *Worker) admitBatch(h BatchHeader) (core.WorldLine, error) {
 	// committing until the version catches up.
 	if h.Vs > w.so.CurrentVersion() {
 		w.fastForwardsC.Inc()
-		if err := w.beginCommit(h.Vs - 1); err != nil {
+		if err := w.beginCommit(h.Vs-1, false, nil); err != nil {
 			return w.wl.Current(), err
 		}
 		deadline := time.Now().Add(w.admitTimeout)
@@ -753,7 +754,11 @@ func (w *Worker) knownVmax(wl core.WorldLine) core.Version {
 // commit round: once the seal is under way the worker announces the version,
 // and every busy peer closes it too (see commitPump). A target at Vmax joins
 // the round of whoever closed it first.
-func (w *Worker) TriggerCommit() error {
+func (w *Worker) TriggerCommit() error { return w.triggerCommit(false, nil) }
+
+// triggerCommit is TriggerCommit, or with pump set the pump's commit, which
+// beginCommit may decline with errSealInFlight.
+func (w *Worker) triggerCommit(pump bool, seen *sealStamp) error {
 	wl := w.wl.Current()
 	vmax := w.knownVmax(wl)
 	target := w.so.CurrentVersion()
@@ -762,8 +767,12 @@ func (w *Worker) TriggerCommit() error {
 	if vmax > target {
 		target = vmax
 	}
+	err := w.beginCommit(target, pump, seen)
+	if err == errSealInFlight {
+		return err
+	}
 	w.trace.Record(obs.EvCheckpointBegin, uint64(wl), uint64(target), 0)
-	if err := w.beginCommit(target); err != nil {
+	if err != nil {
 		return err
 	}
 	if target > vmax {
@@ -775,38 +784,72 @@ func (w *Worker) TriggerCommit() error {
 	return nil
 }
 
-// beginCommit starts a commit up to target on the state object and, unless a
-// seal is already in flight (the state object folds the request into it),
-// stamps the start the next persist notification is measured from. A target
-// that is already durable — a racing commit covered it — starts nothing and
-// will never be announced, so it leaves no stamp; once the stamp is set, any
-// later advance of the persisted version, this seal's or another's, clears it.
-// A seal that fails is never announced either; the heartbeat drops its stamp
-// (see maintenanceLoop).
-func (w *Worker) beginCommit(target core.Version) error {
-	now := time.Now().UnixNano()
-	stamped := w.sealStart.CompareAndSwap(0, now) && w.so.PersistedVersion() < target
+// sealStamp is when a seal began and the version it commits up to.
+type sealStamp struct {
+	start int64 // unix nanos
+	ver   core.Version
+}
+
+// errSealInFlight is the pump's commit declined (see beginCommit).
+var errSealInFlight = errors.New("libdpr: a seal began after the pump's deadline was read")
+
+// beginCommit starts a commit up to target on the state object and stamps
+// the start that target's persist notification is measured from. A commit
+// that joins a seal in flight — a stamp whose version is not durable yet, into
+// which the state object folds the request — leaves no stamp, and neither
+// does one whose target is durable already: a racing commit covered it, so
+// nothing starts and nothing will be announced. A stamp whose version is
+// durable belongs to a seal that has landed, its notification still on the
+// way; a new seal's stamp replaces it, and that notification, of an older
+// version, leaves the new stamp alone. A seal that fails is never announced;
+// the heartbeat drops its stamp (see maintenanceLoop).
+//
+// The pump's commit (pump set) starts only if the stamp is still seen, the
+// one its deadline was read from: a seal somebody forced since, begun or
+// landed, moves that deadline, so the commit is declined with
+// errSealInFlight and nothing is started or announced.
+func (w *Worker) beginCommit(target core.Version, pump bool, seen *sealStamp) error {
+	cur, durable := w.seal.Load(), w.so.PersistedVersion()
+	if pump && cur != seen {
+		return errSealInFlight
+	}
+	var st *sealStamp
+	if durable < target && (pump || cur == nil || cur.ver <= durable) {
+		st = &sealStamp{start: time.Now().UnixNano(), ver: target}
+		if !w.seal.CompareAndSwap(cur, st) {
+			if pump {
+				return errSealInFlight
+			}
+			st = nil // another commit stamped first: this one joins its seal
+		} else if w.so.PersistedVersion() >= target {
+			w.seal.CompareAndSwap(st, nil)
+			st = nil
+		}
+	}
 	err := w.so.BeginCommit(target)
-	if !stamped || err != nil {
-		w.sealStart.CompareAndSwap(now, 0)
+	if err != nil && st != nil {
+		w.seal.CompareAndSwap(st, nil)
 	}
 	return err
 }
 
-// sealDone records that the state object's persisted version advanced: the
-// seal in flight, if this worker started one, is over. It runs on the state
-// object's checkpoint goroutine — one call at a time — so it only touches
-// atomics. The stamp is cleared last: whoever sees no seal in flight also
-// sees this seal's end and duration.
-func (w *Worker) sealDone() {
+// sealDone records that the state object's persisted version advanced to v:
+// the seal stamped at or below v is over. A stamp above v is a later seal's,
+// and stays. It runs on the state object's checkpoint goroutine — one call at
+// a time — so it only touches atomics. The stamp is cleared last: whoever
+// sees no seal in flight also sees this seal's end and duration.
+func (w *Worker) sealDone(v core.Version) {
 	now := time.Now().UnixNano()
-	start := w.sealStart.Load()
-	if start != 0 {
-		w.sealDur.Store(now - start)
-		w.sealH.Observe(time.Duration(now - start))
+	st := w.seal.Load()
+	ends := st != nil && st.ver <= v
+	if ends {
+		w.sealDur.Store(now - st.start)
+		w.sealH.Observe(time.Duration(now - st.start))
 	}
 	w.sealEnd.Store(now)
-	w.sealStart.CompareAndSwap(start, 0)
+	if ends {
+		w.seal.CompareAndSwap(st, nil)
+	}
 	w.wake()
 }
 
@@ -846,7 +889,7 @@ func (w *Worker) await(timeout time.Duration, cond func() bool) bool {
 // the donor side of a migration streams exactly that prefix.
 func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 	boundary := w.so.CurrentVersion()
-	if err := w.beginCommit(boundary); err != nil {
+	if err := w.beginCommit(boundary, false, nil); err != nil {
 		return 0, err
 	}
 	if !w.await(timeout, func() bool {
@@ -954,7 +997,7 @@ func (w *Worker) maintenanceLoop() {
 	heartbeat := time.NewTicker(period)
 	defer heartbeat.Stop()
 	idleTicks := max(1, uint64(gateIdleAge/period))
-	var seen int64 // the seal stamp the previous heartbeat found or left in place
+	var seen *sealStamp // the seal stamp the previous heartbeat found or left in place
 	for {
 		select {
 		case <-w.stop:
@@ -971,15 +1014,15 @@ func (w *Worker) maintenanceLoop() {
 			// seal taken to be in flight, however long it has run: no commit is
 			// started on top of it, because if it did fail that commit would be
 			// its retry, timed from the failure.
-			s := w.sealStart.Load()
-			if s != 0 && s == seen {
-				w.sealStart.CompareAndSwap(s, 0)
-				s = 0
+			s := w.seal.Load()
+			if s != nil && s == seen {
+				w.seal.CompareAndSwap(s, nil)
+				s = nil
 			}
-			if s == 0 && w.cfg.CheckpointInterval > 0 {
+			if s == nil && w.cfg.CheckpointInterval > 0 {
 				_ = w.TriggerCommit() // a failed commit is retried by a later heartbeat
 			}
-			seen = w.sealStart.Load()
+			seen = w.seal.Load()
 			w.reportPersisted()
 			w.refreshState()
 			if era := w.gateEra.Add(1); era%idleTicks == 0 {
@@ -1020,7 +1063,8 @@ func (w *Worker) commitGap() time.Duration {
 }
 
 // pumpDeadline is when (unix nanos) a dirty worker's pump may start its next
-// seal, from what is known now. While a seal is in flight, whoever started
+// seal, from what is known now and st, the seal stamp the pump read (nil when
+// none). While a seal is in flight, whoever started
 // it: when that seal is presumed dead — one that failed never announces
 // itself, the heartbeat drops its stamp within two intervals, and the retry's
 // seal is what paces the pump again. Otherwise, if a peer has closed a version
@@ -1028,9 +1072,9 @@ func (w *Worker) commitGap() time.Duration {
 // round exists and this worker is what it waits for: the deadline is one
 // seal's duration after the last seal ended. Otherwise a seal would open a
 // round, and those are commitGap apart.
-func (w *Worker) pumpDeadline() int64 {
-	if start := w.sealStart.Load(); start != 0 {
-		return start + int64(2*w.cfg.CheckpointInterval)
+func (w *Worker) pumpDeadline(st *sealStamp) int64 {
+	if st != nil {
+		return st.start + int64(2*w.cfg.CheckpointInterval)
 	}
 	rest := w.commitGap()
 	if w.so.CurrentVersion() <= w.knownVmax(w.wl.Current()) {
@@ -1055,22 +1099,25 @@ func (w *Worker) commitPump() {
 		case <-w.dirtyCh:
 		}
 		for {
-			at := w.pumpDeadline()
-			wait := time.Until(time.Unix(0, at))
-			if wait <= 0 {
-				break
+			seen := w.seal.Load()
+			at := w.pumpDeadline(seen)
+			if wait := time.Until(time.Unix(0, at)); wait > 0 {
+				w.await(wait, func() bool { return w.pumpDeadline(w.seal.Load()) != at })
+				select {
+				case <-w.stop:
+					return
+				default:
+				}
+				continue
 			}
-			w.await(wait, func() bool { return w.pumpDeadline() != at })
-			select {
-			case <-w.stop:
-				return
-			default:
+			// Clear dirty before committing: work arriving mid-commit re-arms
+			// the pump for another round instead of being lost.
+			w.dirty.Store(false)
+			if w.triggerCommit(true, seen) != errSealInFlight {
+				break // a failed commit is retried by the heartbeat
 			}
+			w.dirty.Store(true) // declined: nothing was committed
 		}
-		// Clear dirty before committing: work arriving mid-commit re-arms
-		// the pump for another round instead of being lost.
-		w.dirty.Store(false)
-		_ = w.TriggerCommit() // a failed commit is retried by the heartbeat
 	}
 }
 

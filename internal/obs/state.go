@@ -74,8 +74,8 @@ type DPRState struct {
 // LogState answers "why is memory growing": the HybridLog's four boundaries
 // (addresses below Begin are reclaimed, [Head, Tail) is resident, [ReadOnly,
 // Tail) is updated in place), the committed version compaction is held to —
-// nothing above it is garbage yet — and the resident size at which the
-// store's compactor starts its next cycle.
+// nothing above it is garbage yet — the resident size at which the store's
+// compactor starts its next cycle, and the slab bytes backed by memory.
 type LogState struct {
 	Begin          int64  `json:"begin"`
 	Head           int64  `json:"head"`
@@ -83,6 +83,7 @@ type LogState struct {
 	Tail           int64  `json:"tail"`
 	Committed      uint64 `json:"committed"`
 	CompactTrigger int64  `json:"compact_trigger"`
+	Mapped         int64  `json:"mapped"`
 }
 
 // MigrationState is one in-flight migration in the finder's /debug/dpr view.
