@@ -86,15 +86,18 @@ race:
 # The commit path's interleaving- and timing-sensitive tests — kv seals and
 # torn-seal recovery, single-flight group commit and the persist observer, the
 # pinned checkpoint-record layout and the device holding only the log and its
-# two record slots after seals, a failed seal and a rollback; the libdpr
-# commit pump and commit rounds (two workers closing a version together; the
-# finder's announced version), heartbeat backstop, WaitCommit and
-# CommitBoundary; log compaction (its liveness rule, a pass yielding to a
-# commit and to a rollback, the log staying bounded under load: -short runs
-# that one for 3 s instead of 30), the serving frame's (backend conformance,
-# Stop) and the client's batch lifecycle (every transition against scripted
-# workers; operations lost to severed, blackholed, restarted and co-located
-# workers; the fault proxy those use), hrtimer's two legs and the device model's
+# two record slots after seals, a failed seal and a rollback; every store's
+# side of the commit contract (libdpr/statetest: kv, D-Redis, whose persist
+# notification order carries the pump's guarantee, and the two test doubles);
+# the libdpr commit pump and commit rounds (two workers closing a version
+# together; the finder's announced version), heartbeat backstop, WaitCommit and
+# CommitBoundary; D-Redis commits, version fast-forward and a failed BGSAVE;
+# log compaction (its liveness rule, a pass yielding to a commit and to a
+# rollback, the log staying bounded under load: -short runs that one for 3 s
+# instead of 30), the serving frame's (backend conformance, Stop) and the
+# client's batch lifecycle (every transition against scripted workers;
+# operations lost to severed, blackholed, restarted and co-located workers;
+# the fault proxy those use), hrtimer's two legs and the device model's
 # completion path, the epoch table (drains against stragglers, beside busy
 # neighbours and on one processor) and world-line admission waking on Advance
 # (internal/core TestWorldLine*), and the recovery round — an interleaving
@@ -116,13 +119,14 @@ commit-path-stress:
 	run '.' ./internal/epoch; \
 	run 'TestWorldLine' ./internal/core; \
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
-	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves' ./internal/kv; \
+	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves|StateObjectContract' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
-	run 'TestPump|TestFailedSeal|TestSlowSeal|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback' ./internal/libdpr; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback' ./internal/libdpr; \
 	run '.' ./internal/cluster; \
 	run 'TestChaosCheckerCatchesViolation$$' ./internal/chaos; \
 	run 'TestAnnouncement' ./internal/metadata; \
-	run 'TestConformance|TestStop' ./internal/serve; \
+	run 'TestDRedisCommit|TestDRedisVersionFastForward|TestDRedisCutAdvancePush|TestStateObjectContract|TestFailedSaveEndsTheSeal' ./internal/dredis; \
+	run 'TestConformance|TestStop|TestStateObjectContract' ./internal/serve; \
 	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestRestartedWorker' ./internal/dfaster; \
 	run 'TestFaultProxyBlackhole' ./internal/wire
 

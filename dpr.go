@@ -103,16 +103,16 @@ type ClusterConfig struct {
 	Shards int
 	// Partitions is the number of virtual partitions (default 64·Shards).
 	Partitions int
-	// CheckpointInterval is the periodic commit cadence (default 50ms; the
-	// paper's evaluation uses 100ms).
+	// CheckpointInterval is the heartbeat behind each shard's commit pump,
+	// which commits as batches execute (default 50ms).
 	CheckpointInterval time.Duration
 	// Storage selects the durable backend (default StorageNull).
 	Storage StorageKind
 	// Finder selects the cut algorithm (default approximate, as in §7.1).
 	Finder FinderKind
-	// Networked serves shards over TCP loopback (default). If false the
-	// cluster is co-located-only and sessions must be opened with a
-	// LocalShard.
+	// DisableNetwork makes the cluster co-located-only: shards are not
+	// served over TCP loopback (the default), and sessions must be opened
+	// with a LocalShard.
 	DisableNetwork bool
 	// MemoryBudgetPerShard caps each shard's in-memory log; 0 = unbounded.
 	MemoryBudgetPerShard int64
@@ -124,7 +124,6 @@ type Cluster struct {
 	meta    *metadata.Store
 	mgr     *cluster.Manager
 	workers []*dfaster.Worker
-	devices []storage.Device
 }
 
 // NewCluster assembles and starts a cluster.
@@ -165,7 +164,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.workers = append(c.workers, w)
-		c.devices = append(c.devices, dev)
 	}
 	for p := 0; p < cfg.Partitions; p++ {
 		if err := c.workers[p%cfg.Shards].ClaimPartitions(uint64(p)); err != nil {

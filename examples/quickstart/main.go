@@ -17,7 +17,7 @@ import (
 func main() {
 	cluster, err := dpr.NewCluster(dpr.ClusterConfig{
 		Shards:             2,
-		CheckpointInterval: 20 * time.Millisecond, // commit cadence
+		CheckpointInterval: 20 * time.Millisecond, // heartbeat behind the commit pump
 		Storage:            dpr.StorageLocalSSD,
 	})
 	if err != nil {

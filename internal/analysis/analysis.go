@@ -61,10 +61,9 @@ type Package struct {
 // one parse+type-check pass feeds every checker instead of each checker
 // re-deriving its own view of the module.
 type Unit struct {
-	Fset       *token.FileSet
-	ModulePath string
-	ModuleDir  string
-	Packages   []*Package // dependency order (imports before importers)
+	Fset      *token.FileSet
+	ModuleDir string
+	Packages  []*Package // dependency order (imports before importers)
 
 	cache struct {
 		funcs        []funcSpan
@@ -102,15 +101,6 @@ func DefaultCheckers() []Checker {
 		&EpochChecker{},
 		&LockOrderGlobalChecker{},
 	}
-}
-
-// CheckerNames lists the names of the given checkers.
-func CheckerNames(cs []Checker) []string {
-	names := make([]string, len(cs))
-	for i, c := range cs {
-		names[i] = c.Name()
-	}
-	return names
 }
 
 // Run executes the checkers over the unit, applies //dpr:ignore

@@ -55,10 +55,9 @@ func Load(cfg LoadConfig) (*Unit, error) {
 		}
 	}
 	return &Unit{
-		Fset:       l.fset,
-		ModulePath: modPath,
-		ModuleDir:  root,
-		Packages:   l.order,
+		Fset:      l.fset,
+		ModuleDir: root,
+		Packages:  l.order,
 	}, nil
 }
 

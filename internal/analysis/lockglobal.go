@@ -46,9 +46,6 @@ type acquireRef struct {
 type nestEdge struct {
 	pos       token.Pos // witness: the acquisition or the propagating call
 	interproc bool
-	heldPos   token.Pos // where the held lock was acquired
-	acqPos    token.Pos // where the nested lock is acquired (callee side)
-	callee    string    // display name of the callee for interproc edges
 }
 
 func (c *LockOrderGlobalChecker) Run(u *Unit) []Diagnostic {
@@ -114,7 +111,7 @@ func (c *LockOrderGlobalChecker) Run(u *Unit) []Diagnostic {
 			for _, h := range acq.held {
 				if h.keyed && h.typeKey != acq.op.typeKey {
 					addEdge(edgeKey{h.typeKey, acq.op.typeKey},
-						nestEdge{pos: acq.pos, heldPos: h.pos, acqPos: acq.pos})
+						nestEdge{pos: acq.pos})
 				}
 			}
 		}
@@ -136,8 +133,7 @@ func (c *LockOrderGlobalChecker) Run(u *Unit) []Diagnostic {
 							continue
 						}
 						seenPair[k] = true
-						addEdge(k, nestEdge{pos: ch.pos, interproc: true,
-							heldPos: h.pos, acqPos: acq.pos, callee: calleeName})
+						addEdge(k, nestEdge{pos: ch.pos, interproc: true})
 						if declPos, bad := order.mustPrecede(acq.typeKey, h.typeKey); bad {
 							diags = append(diags, Diagnostic{
 								Pos:   u.Position(ch.pos),

@@ -26,13 +26,6 @@ type Finder interface {
 	RemoveWorker(w WorkerID)
 }
 
-// VersionReport is one worker's announcement that a version persisted.
-type VersionReport struct {
-	Worker  WorkerID
-	Version Version
-	Deps    []Token
-}
-
 // ExactFinder implements the exact algorithm of §3.3: it maintains the full
 // precedence graph and advances the cut by finding maximal durable transitive
 // closures. It is precise — the cut includes every token whose closure is

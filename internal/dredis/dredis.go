@@ -44,13 +44,15 @@ type stateObject struct {
 	// persistObs is the registered persist observer (OnPersist): watchSaves
 	// fires it when the persisted version advances, so the libDPR worker
 	// reports in LASTSAVE-poll latency.
-	persistObs atomic.Pointer[func(core.Version)]
+	persistObs atomic.Pointer[func(core.Version, time.Duration)]
 
 	// saves maps version -> redisclone save id, durably mirrored so Restore
 	// can find the right snapshot after a process restart.
 	savesMu sync.Mutex
 	saves   map[core.Version]uint64
-	// watch queue: commits whose BGSAVE has not become durable yet.
+	// watch queue: commits whose BGSAVE has neither become durable nor failed
+	// yet; a seal is under way until it is empty and the watcher has released
+	// the latch.
 	watching []versionSave
 
 	stop     chan struct{}
@@ -61,6 +63,7 @@ type stateObject struct {
 type versionSave struct {
 	version core.Version
 	save    uint64
+	at      time.Time
 }
 
 func newStateObject(device storage.Device, prefix string, aof redisclone.AOFMode) *stateObject {
@@ -90,10 +93,27 @@ func (so *stateObject) PersistedVersion() core.Version { return core.Version(so.
 func (so *stateObject) BeginCommit(v core.Version) error {
 	so.latch.Lock()
 	defer so.latch.Unlock()
+	return so.bgSave(v)
+}
+
+// BeginCommitIdle implements libdpr.StateObject: BeginCommit(v), unless a
+// seal is under way or the persisted version has moved past persisted.
+func (so *stateObject) BeginCommitIdle(v, persisted core.Version) (bool, error) {
+	so.latch.Lock() // excludes every writer of watching
+	defer so.latch.Unlock()
+	if len(so.watching) > 0 || so.PersistedVersion() != persisted {
+		return false, nil
+	}
+	return true, so.bgSave(v)
+}
+
+// bgSave is BeginCommit under the exclusive latch.
+func (so *stateObject) bgSave(v core.Version) error {
 	cur := core.Version(so.current.Load())
 	if cur > v {
 		return nil // a later commit already covers v
 	}
+	at := time.Now() // the request: the seal is timed from here to LASTSAVE
 	id, err := so.srv.BgSave()
 	if err != nil {
 		return err
@@ -106,7 +126,7 @@ func (so *stateObject) BeginCommit(v core.Version) error {
 			so.saves[missing] = id
 		}
 	}
-	so.watching = append(so.watching, versionSave{version: v, save: id})
+	so.watching = append(so.watching, versionSave{version: v, save: id, at: at})
 	so.savesMu.Unlock()
 	so.current.Store(uint64(v + 1))
 	return nil
@@ -124,26 +144,26 @@ func (so *stateObject) watchSaves() {
 			return
 		case <-t.C:
 			so.latch.RLock()
+			// A failed save ends its seal unannounced, and an older one still
+			// in flight with it: if that one lands, the next seal reports it.
 			last := so.srv.LastSave()
-			so.latch.RUnlock()
-			var advanced core.Version
+			ended := max(last, so.srv.LastFailedSave())
+			advanced, took := core.Version(0), time.Duration(0)
 			so.savesMu.Lock()
-			for len(so.watching) > 0 && so.watching[0].save <= last {
-				v := so.watching[0].version
-				if uint64(v) > so.persisted.Load() {
-					so.persisted.Store(uint64(v))
-					advanced = v
+			for len(so.watching) > 0 && so.watching[0].save <= ended {
+				if ws := so.watching[0]; ws.save <= last && uint64(ws.version) > so.persisted.Load() {
+					so.persisted.Store(uint64(ws.version))
+					advanced, took = ws.version, time.Since(ws.at)
 				}
 				so.watching = so.watching[1:]
 			}
 			so.savesMu.Unlock()
-			// Fire outside savesMu: the observer only does a non-blocking
-			// channel send, but the lock has no business being held for it.
-			if advanced != 0 {
-				if f := so.persistObs.Load(); f != nil {
-					(*f)(advanced)
-				}
+			// Fire outside savesMu but inside the latch: the seal is under way
+			// until the observer returns.
+			if f := so.persistObs.Load(); advanced != 0 && f != nil {
+				(*f)(advanced, took)
 			}
+			so.latch.RUnlock()
 		}
 	}
 }
@@ -151,7 +171,7 @@ func (so *stateObject) watchSaves() {
 // OnPersist implements libdpr.StateObject: fn is invoked from the save
 // watcher whenever the persisted version advances. At most one observer; nil
 // unregisters.
-func (so *stateObject) OnPersist(fn func(core.Version)) {
+func (so *stateObject) OnPersist(fn func(core.Version, time.Duration)) {
 	if fn == nil {
 		so.persistObs.Store(nil)
 		return

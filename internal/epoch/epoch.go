@@ -62,9 +62,6 @@ func (t *Table) Unregister(s *Slot) {
 	s.packed.Store(0)
 }
 
-// Global returns the current era.
-func (t *Table) Global() uint64 { return t.global.Load() }
-
 // Bump advances the global era and returns the new value.
 func (t *Table) Bump() uint64 { return t.global.Add(1) }
 

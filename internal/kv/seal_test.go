@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dpr/internal/core"
+	"dpr/internal/libdpr/statetest"
 	"dpr/internal/storage"
 )
 
@@ -342,7 +343,7 @@ func TestSealsDoNotLeakBlobs(t *testing.T) {
 	sess := s.NewSession()
 	defer sess.Close()
 	sealed := make(chan core.Version, 1) // seals are awaited one at a time
-	s.OnPersist(func(v core.Version) { sealed <- v })
+	s.OnPersist(func(v core.Version, _ time.Duration) { sealed <- v })
 	var want []string
 	for i := 0; i < 2000; i++ {
 		sess.Upsert([]byte("k"), []byte(fmt.Sprintf("%d", i)))
@@ -399,7 +400,7 @@ func TestSealLeavesOnlyLogAndSlots(t *testing.T) {
 	sess := s.NewSession()
 	defer sess.Close()
 	sealed := make(chan core.Version, 1) // seals are awaited one at a time
-	s.OnPersist(func(v core.Version) { sealed <- v })
+	s.OnPersist(func(v core.Version, _ time.Duration) { sealed <- v })
 	// seal drives n seals the way the commit pump does: one BeginCommit of the
 	// current version per persist notification.
 	seal := func(n int) {
@@ -607,7 +608,7 @@ func TestOnPersistFires(t *testing.T) {
 
 	var mu sync.Mutex
 	var seen []core.Version
-	s.OnPersist(func(v core.Version) {
+	s.OnPersist(func(v core.Version, _ time.Duration) {
 		mu.Lock()
 		seen = append(seen, v)
 		mu.Unlock()
@@ -635,4 +636,63 @@ func TestOnPersistFires(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("rollback fired a persist notification (%d total)", n)
 	}
+}
+
+// TestOnPersistTimesEachPass: a commit requested while a seal is under way
+// runs as a follow-up pass of the same flight, and the duration OnPersist
+// reports for each seal covers its own pass — at least the device's write
+// latency, and no more than the time since that pass could have started.
+func TestOnPersistTimesEachPass(t *testing.T) {
+	const latency = 5 * time.Millisecond
+	s := NewStore(storage.NewMemDevice("slow", storage.LatencyProfile{WriteLatency: latency}), Config{BucketCount: 1 << 8})
+	defer s.Close()
+	sess := s.NewSession()
+	defer sess.Close()
+	type seal struct {
+		v    core.Version
+		took time.Duration
+		at   time.Time
+	}
+	sealed := make(chan seal, 2)
+	s.OnPersist(func(v core.Version, took time.Duration) { sealed <- seal{v, took, time.Now()} })
+	next := func() seal {
+		select {
+		case sl := <-sealed:
+			return sl
+		case <-time.After(5 * time.Second):
+			t.Fatal("no persist notification within 5s")
+			return seal{}
+		}
+	}
+	sess.Upsert([]byte("k"), []byte("v1"))
+	begin, v := time.Now(), s.CurrentVersion()
+	if err := s.BeginCommit(v); err != nil {
+		t.Fatal(err)
+	}
+	for s.CurrentVersion() == v { // the first pass has shifted the version
+		time.Sleep(100 * time.Microsecond)
+	}
+	sess.Upsert([]byte("k"), []byte("v2"))
+	if err := s.BeginCommit(s.CurrentVersion()); err != nil {
+		t.Fatal(err)
+	}
+	first, second := next(), next()
+	if first.v != v || second.v <= first.v {
+		t.Fatalf("sealed versions %d then %d, want %d then a follow-up above it", first.v, second.v, v)
+	}
+	if first.took < latency || first.took > first.at.Sub(begin) {
+		t.Fatalf("first seal reported %v: want at least %v, at most the %v since its begin", first.took, latency, first.at.Sub(begin))
+	}
+	if second.took < latency || second.took > second.at.Sub(first.at) {
+		t.Fatalf("follow-up reported %v: want at least %v, at most the %v since the first seal's notification",
+			second.took, latency, second.at.Sub(first.at))
+	}
+}
+
+// TestStateObjectContract holds the store, on a memory device, to its side of
+// libdpr's commit contract.
+func TestStateObjectContract(t *testing.T) {
+	s := NewStore(storage.NewNull(), Config{BucketCount: 1 << 8})
+	defer s.Close()
+	statetest.Run(t, s)
 }

@@ -82,9 +82,6 @@ func (sess *Session) Close() {
 	sess.store.epochs.Unregister(sess.slot)
 }
 
-// Store returns the session's store.
-func (sess *Session) Store() *Store { return sess.store }
-
 // Upsert writes key=val, returning the version the write executed in.
 // Upserts always complete synchronously: the write lands in the in-memory
 // mutable region regardless of where older versions of the key live.
@@ -452,11 +449,4 @@ func (sess *Session) CompletePending(wait bool) []Completed {
 	sess.completed = nil
 	sess.mu.Unlock()
 	return out
-}
-
-// PendingCount returns the number of in-flight PENDING operations.
-func (sess *Session) PendingCount() int {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.inflight
 }

@@ -112,7 +112,7 @@ type Store struct {
 	purgeWG sync.WaitGroup
 	// maxRequestedCkpt deduplicates concurrent checkpoint requests.
 	maxRequestedCkpt atomic.Uint64
-	// ckptRunning marks an in-flight checkpoint state machine.
+	// ckptRunning marks a checkpoint under way, until its OnPersist returns.
 	ckptRunning atomic.Bool
 	// ckptSeq is the sequence number of the newest durable checkpoint record
 	// (guarded by smMu); the next seal writes ckptSeq+1 into the other slot.
@@ -138,11 +138,11 @@ type Store struct {
 	// metrics histogram without kv importing the obs package.
 	drainObs atomic.Pointer[func(time.Duration)]
 	// persistObs, when set, observes every advance of the persisted version
-	// the moment a checkpoint seals — the event-driven commit plane's
-	// trigger. The libDPR worker wires it to its persistence-report pump
-	// without kv importing that package. Rollbacks regress the persisted
-	// version without firing it.
-	persistObs atomic.Pointer[func(core.Version)]
+	// the moment a checkpoint seals, with the pass's duration — the
+	// event-driven commit plane's trigger and its pacing input. The libDPR
+	// worker wires it to its persistence-report pump without kv importing
+	// that package. Rollbacks regress the persisted version without firing it.
+	persistObs atomic.Pointer[func(core.Version, time.Duration)]
 
 	// stats
 	checkpointCount atomic.Uint64
@@ -271,11 +271,11 @@ func (s *Store) OnDrain(fn func(time.Duration)) {
 }
 
 // OnPersist installs the observer (libdpr.StateObject's) called with the new
-// persisted version each time a checkpoint seals. Pass nil to remove. The
-// callback runs on the checkpoint goroutine with the state-machine mutex
-// held, so it must not block and must not call back into the store; typical
-// use is a non-blocking channel send that wakes a persistence-report pump.
-func (s *Store) OnPersist(fn func(core.Version)) {
+// persisted version and the pass's duration each time a checkpoint seals. Pass
+// nil to remove. The callback runs on the checkpoint goroutine with the
+// state-machine mutex held, so it must not block and must not call back into
+// the store; typical use is a non-blocking send that wakes a report pump.
+func (s *Store) OnPersist(fn func(core.Version, time.Duration)) {
 	if fn == nil {
 		s.persistObs.Store(nil)
 		return
@@ -283,9 +283,9 @@ func (s *Store) OnPersist(fn func(core.Version)) {
 	s.persistObs.Store(&fn)
 }
 
-func (s *Store) notifyPersist(v core.Version) {
+func (s *Store) notifyPersist(v core.Version, took time.Duration) {
 	if f := s.persistObs.Load(); f != nil {
-		(*f)(v)
+		(*f)(v, took)
 	}
 }
 
@@ -306,45 +306,57 @@ func (s *Store) BeginCommit(v core.Version) error {
 	default:
 	}
 	// Deduplicate: remember the largest requested target.
-	for {
-		cur := s.maxRequestedCkpt.Load()
-		if uint64(v) <= cur {
-			break
-		}
-		if s.maxRequestedCkpt.CompareAndSwap(cur, uint64(v)) {
-			break
-		}
+	for cur := s.maxRequestedCkpt.Load(); uint64(v) > cur && !s.maxRequestedCkpt.CompareAndSwap(cur, uint64(v)); cur = s.maxRequestedCkpt.Load() {
 	}
-	if s.ckptRunning.CompareAndSwap(false, true) {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for {
-				before := s.PersistedVersion()
-				tried := s.runCheckpoint()
-				s.ckptRunning.Store(false)
-				req := core.Version(s.maxRequestedCkpt.Load())
-				if req <= s.PersistedVersion() {
-					return // every requested version is durable
-				}
-				if s.PersistedVersion() == before && req <= tried {
-					// This exact request failed (storage error) and nothing
-					// newer arrived: stop rather than hot-loop; the next
-					// BeginCommit retries.
-					return
-				}
-				if !s.ckptRunning.CompareAndSwap(false, true) {
-					return
-				}
-			}
-		}()
+	if core.Version(s.maxRequestedCkpt.Load()) > s.PersistedVersion() && s.ckptRunning.CompareAndSwap(false, true) {
+		s.fly()
 	}
 	return nil
 }
 
-// runCheckpoint executes one pass of the CPR checkpoint state machine,
-// returning the version it attempted to persist (0 if nothing to do).
+// BeginCommitIdle implements libdpr.StateObject.
+func (s *Store) BeginCommitIdle(v, persisted core.Version) (bool, error) {
+	if !s.ckptRunning.CompareAndSwap(false, true) {
+		return false, nil
+	}
+	if s.PersistedVersion() != persisted {
+		// A seal landed since the caller looked: hand the flag back, and run
+		// what a BeginCommit that found it taken asked for meanwhile.
+		s.ckptRunning.Store(false)
+		return false, s.BeginCommit(0)
+	}
+	if err := s.BeginCommit(v); err != nil {
+		return false, err // closed: no checkpoint runs again
+	}
+	s.fly()
+	return true, nil
+}
+
+// fly runs checkpoint passes on a goroutine of its own, under the caller's
+// ckptRunning, until every requested version is durable, or until this exact
+// request failed (storage error) with nothing newer asked for: it stops rather
+// than hot-loop, and the next BeginCommit retries.
+func (s *Store) fly() {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			before := s.PersistedVersion()
+			tried := s.runCheckpoint()
+			s.ckptRunning.Store(false)
+			req, now := core.Version(s.maxRequestedCkpt.Load()), s.PersistedVersion()
+			if req <= now || now == before && req <= tried || !s.ckptRunning.CompareAndSwap(false, true) {
+				return
+			}
+		}
+	}()
+}
+
+// runCheckpoint executes one pass of the CPR checkpoint state machine, timed
+// from its call, returning the version it attempted to persist (0 if nothing
+// to do).
 func (s *Store) runCheckpoint() core.Version {
+	start := time.Now()
 	s.smWaiting.Add(1) // a compaction step holding the mutex gives way
 	s.smMu.Lock()
 	s.smWaiting.Add(-1)
@@ -374,7 +386,7 @@ func (s *Store) runCheckpoint() core.Version {
 	s.persisted.Store(uint64(target))
 	s.checkpointCount.Add(1)
 	s.st.Store(uint64(makeState(PhaseRest, target+1)))
-	s.notifyPersist(target)
+	s.notifyPersist(target, time.Since(start))
 	s.maybeEvict()
 	// The read-only boundary moved: there is more to compact.
 	select {

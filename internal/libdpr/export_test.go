@@ -18,6 +18,12 @@ const ManualHeartbeat = manualHeartbeat
 // executes.
 func (w *Worker) SuppressDirtyWake() { w.dirty.Store(true) }
 
+// CommitIdle is the commit of the pump and the heartbeat: declined unless the
+// state object is idle and persisted is still its persisted version.
+func (w *Worker) CommitIdle(persisted core.Version) (bool, error) {
+	return w.triggerCommit(true, persisted)
+}
+
 // ProbeTarget is the sequence number the session's outstanding commit-latency
 // probe waits for (0: none).
 func (s *Session) ProbeTarget() uint64 { return s.probeSeq.Load() }

@@ -12,13 +12,15 @@ import (
 	"dpr/internal/core"
 	"dpr/internal/hrtimer"
 	"dpr/internal/libdpr"
+	"dpr/internal/libdpr/statetest"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
 )
 
 // timedStore is a StateObject whose commit takes a configurable time and
-// nothing else: single-flight like kv, it announces each seal through
-// OnPersist and records when every commit started and ended.
+// nothing else: single-flight like kv — a BeginCommit above the version in
+// flight runs one more seal right after it — it announces each seal through
+// OnPersist, timed, and records when every commit started and ended.
 type timedStore struct {
 	commit time.Duration
 	// parked makes a commit a wait the process can go idle in, on hrtimer as a
@@ -30,19 +32,22 @@ type timedStore struct {
 	// persisted, nobody told — a storage error as the worker sees it.
 	silent atomic.Int32
 	// hold, when set as a seal lands, keeps that seal's persist notification
-	// back until it is closed: the persisted version has advanced, and the
-	// store takes new commits, but the worker has not been told.
+	// back until it is closed: the persisted version has advanced, but the
+	// worker has not been told, and the seal is still under way.
 	hold atomic.Pointer[chan struct{}]
 	// told counts the persist notifications the worker has returned from.
 	told atomic.Int32
 
 	current   atomic.Uint64
 	persisted atomic.Uint64
-	notify    atomic.Pointer[func(core.Version)]
+	notify    atomic.Pointer[func(core.Version, time.Duration)]
 
-	mu      sync.Mutex
-	landed  *sync.Cond // on mu: a seal was appended to seals
+	mu     sync.Mutex
+	landed *sync.Cond // on mu: a seal was appended to seals
+	// running is set from a seal's start until its notification has
+	// returned; next is the highest version a BeginCommit asked for meanwhile.
 	running bool
+	next    core.Version
 	folded  int // BeginCommit calls that found a commit in flight
 	seals   []sealSpan
 }
@@ -62,7 +67,7 @@ func newTimedStore(commit time.Duration) *timedStore {
 func (s *timedStore) CurrentVersion() core.Version   { return core.Version(s.current.Load()) }
 func (s *timedStore) PersistedVersion() core.Version { return core.Version(s.persisted.Load()) }
 func (s *timedStore) Restore(core.Version) error     { return nil }
-func (s *timedStore) OnPersist(fn func(core.Version)) {
+func (s *timedStore) OnPersist(fn func(core.Version, time.Duration)) {
 	s.notify.Store(&fn)
 }
 
@@ -71,32 +76,56 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 	defer s.mu.Unlock()
 	if s.running {
 		s.folded++
+		s.next = max(s.next, v)
 		return nil
 	}
+	s.seal(v)
+	return nil
+}
+
+func (s *timedStore) BeginCommitIdle(v, persisted core.Version) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.running || s.PersistedVersion() != persisted {
+		return false, nil
+	}
+	s.seal(v)
+	return true, nil
+}
+
+// seal starts the seal of v, with mu held.
+func (s *timedStore) seal(v core.Version) {
 	s.running = true
 	s.current.Store(uint64(v) + 1)
 	start := time.Now()
 	finish := func() {
 		hold := s.hold.Load()
 		s.mu.Lock()
-		s.running = false
-		if s.silent.Add(-1) >= 0 {
-			s.mu.Unlock()
-			return
+		end, ok := time.Now(), s.silent.Add(-1) < 0
+		if ok {
+			s.seals = append(s.seals, sealSpan{v, start, end})
+			s.persisted.Store(uint64(v))
 		}
-		s.seals = append(s.seals, sealSpan{v, start, time.Now()})
-		s.persisted.Store(uint64(v))
 		s.mu.Unlock()
-		if hold != nil {
-			<-*hold
+		if ok {
+			if hold != nil {
+				<-*hold
+			}
+			(*s.notify.Load())(v, end.Sub(start))
+			s.told.Add(1)
 		}
-		(*s.notify.Load())(v)
-		s.told.Add(1)
+		s.mu.Lock()
+		next := s.next
+		s.running, s.next = false, 0
+		if next > v {
+			s.seal(next)
+		}
+		s.mu.Unlock()
 		s.landed.Broadcast() // the worker hears first, as from a device
 	}
 	if s.parked {
 		hrtimer.AfterFunc(s.commit, finish)
-		return nil
+		return
 	}
 	go func() {
 		for time.Since(start) < s.commit {
@@ -104,7 +133,6 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 		}
 		finish()
 	}()
-	return nil
 }
 
 // sealed is the number of seals that have landed. A loop that yields until
@@ -364,8 +392,9 @@ func TestPumpIdleTricklePeriod(t *testing.T) {
 }
 
 // TestPumpOutlivesSilentSealFailure: a commit that fails never announces
-// itself. The heartbeat declares it dead within two intervals and retries it,
-// and the pump seals again once the store recovers.
+// itself. The store is idle again once it has failed, so the heartbeat, or
+// the pump once it has waited a heartbeat for the landing, retries it, and
+// the pump seals on from there.
 func TestPumpOutlivesSilentSealFailure(t *testing.T) {
 	so := newTimedStore(200 * time.Microsecond)
 	so.silent.Store(1)
@@ -406,12 +435,11 @@ func TestCommitBoundaryWaitsForTheSeal(t *testing.T) {
 	}
 }
 
-// TestFailedSealDoesNotTimeItsRetry: a commit that fails silently leaves its
-// start stamp behind, and only the heartbeat retries it. The retry must be
-// timed from its own start, whoever started the failed attempt — an earlier
-// heartbeat (pump off), or the pump inside the same heartbeat interval:
-// dpr_seal_seconds holds one sample, of about one commit, not of a heartbeat
-// interval and a commit.
+// TestFailedSealDoesNotTimeItsRetry: a commit that fails silently is retried
+// only by the heartbeat here, and the retry is timed from its own start,
+// whoever started the failed attempt — an earlier heartbeat (pump off), or the
+// pump inside the same heartbeat interval: dpr_seal_seconds holds one sample,
+// of about one commit, not of a heartbeat interval and a commit.
 func TestFailedSealDoesNotTimeItsRetry(t *testing.T) {
 	const commit, heartbeat = time.Millisecond, 40 * time.Millisecond
 	for _, pump := range []bool{false, true} {
@@ -440,11 +468,11 @@ func TestFailedSealDoesNotTimeItsRetry(t *testing.T) {
 	}
 }
 
-// TestSlowSealKeepsItsStamp is the other side of the dead-seal rule: a seal
-// that takes most of a heartbeat interval and has a heartbeat land inside it
-// is alive, and dpr_seal_seconds holds its whole duration, not the part after
-// the heartbeat.
-func TestSlowSealKeepsItsStamp(t *testing.T) {
+// TestSlowSealIsTimedWhole: a seal that takes most of a heartbeat interval
+// and has a heartbeat land inside it is under way, not dead: the heartbeat
+// starts nothing on top of it, and dpr_seal_seconds holds its whole duration,
+// not the part after the heartbeat.
+func TestSlowSealIsTimedWhole(t *testing.T) {
 	const commit, heartbeat = 30 * time.Millisecond, 40 * time.Millisecond
 	reg := obs.NewRegistry()
 	r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{CheckpointInterval: heartbeat, Obs: reg})
@@ -465,4 +493,46 @@ func TestSlowSealKeepsItsStamp(t *testing.T) {
 	if mean := time.Duration(h.Sum/h.Count) * time.Microsecond; mean < commit {
 		t.Fatalf("dpr_seal_seconds: mean %v over %d samples; want the whole %v seal", mean, h.Count, commit)
 	}
+}
+
+// TestFollowUpSealIsTimed: a commit asked for while a seal is under way, above
+// the version in flight, runs as one more seal right after it, and
+// dpr_seal_seconds holds one sample per seal, each that seal's own span — at
+// least one commit, and for the follow-up not the first seal's too: it is
+// timed from its own start, which only the store knows.
+func TestFollowUpSealIsTimed(t *testing.T) {
+	const commit = 20 * time.Millisecond
+	so := newTimedStore(commit)
+	reg := obs.NewRegistry()
+	r := newPumpRig(t, so, libdpr.WorkerConfig{Obs: reg})
+	r.w.SuppressDirtyWake()
+	for i := 0; i < 2; i++ {
+		if err := r.w.TriggerCommit(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(commit / 2)
+	}
+	for so.told.Load() < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	seals, _ := so.spans()
+	if len(seals) != 2 {
+		t.Fatalf("%d seals, want the first and its follow-up", len(seals))
+	}
+	// The histogram keeps whole microseconds: the least sample is the sum less
+	// the most, and the spans are compared to within one microsecond each.
+	h := reg.Histogram("dpr_seal_seconds", "", obs.L("worker", "1")).Snapshot()
+	least, most := time.Duration(h.Sum-h.Max)*time.Microsecond, time.Duration(h.Max)*time.Microsecond
+	a, b := seals[0].end.Sub(seals[0].start), seals[1].end.Sub(seals[1].start)
+	near := func(got, want time.Duration) bool { return got <= want && want-got < 2*time.Microsecond }
+	if h.Count != 2 || least < commit || !near(least, min(a, b)) || !near(most, max(a, b)) {
+		t.Fatalf("dpr_seal_seconds: %d samples from %v to %v; want one per seal, at least %v each: %v and %v",
+			h.Count, least, most, commit, a, b)
+	}
+}
+
+// TestStateObjectContract holds timedStore, the double the pump tests run
+// on, to the store's side of the commit contract.
+func TestStateObjectContract(t *testing.T) {
+	statetest.Run(t, newTimedStore(time.Millisecond))
 }

@@ -254,14 +254,14 @@ func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 	}
 }
 
-// TestForcedSealBeforeTheNotificationIsStamped is the red of
+// TestForcedSealBeforeTheNotificationIsTimed is a red of
 // TestPumpDeadlineFollowsAForcedSeal, forced: a commit forced after a seal has
-// landed, but before that seal's persist notification has run, starts a seal
-// of its own, and that seal is timed from its start. The red's class: when a
-// stamp did not name its version, the late notification cleared the new
-// seal's stamp, the pump's next commit stamped that seal mid-way, and its
-// duration, and with it the pump's gap, came out short.
-func TestForcedSealBeforeTheNotificationIsStamped(t *testing.T) {
+// landed, but before that seal's persist notification has run, gets a seal of
+// its own once the notification has returned, and that seal is timed from its
+// start. The red's class: a worker that timed seals itself started the clock
+// where it thought a seal began, and a late notification made it think wrong,
+// so a seal's duration, and with it the pump's gap, came out short.
+func TestForcedSealBeforeTheNotificationIsTimed(t *testing.T) {
 	const commit = 20 * time.Millisecond
 	so := newTimedStore(commit)
 	reg := obs.NewRegistry()
@@ -275,18 +275,24 @@ func TestForcedSealBeforeTheNotificationIsStamped(t *testing.T) {
 	for so.PersistedVersion() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	so.hold.Store(nil)
-	// The first seal has landed and its notification is held: a forced
-	// commit starts the second.
+	// The first seal has landed and its notification is held, so the seal is
+	// still under way: a forced commit asks for the second, whose notification
+	// is held in turn.
+	heldToo := make(chan struct{})
+	so.hold.Store(&heldToo)
 	if err := r.w.TriggerCommit(); err != nil {
 		t.Fatal(err)
 	}
 	close(held)
-	time.Sleep(commit / 2)
-	// The pump's commit, half-way through the second seal, joins it.
-	if err := r.w.TriggerCommit(); err != nil {
-		t.Fatal(err)
+	for so.PersistedVersion() < 2 {
+		time.Sleep(100 * time.Microsecond)
 	}
+	// The pump's commit, while the second seal is under way, is declined.
+	if started, err := r.w.CommitIdle(so.PersistedVersion()); started || err != nil {
+		t.Fatalf("the pump's commit while a seal is under way: started %v, %v", started, err)
+	}
+	so.hold.Store(nil)
+	close(heldToo)
 	for so.told.Load() < 2 {
 		time.Sleep(100 * time.Microsecond)
 	}

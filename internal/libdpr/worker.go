@@ -10,6 +10,7 @@
 package libdpr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -25,18 +26,26 @@ import (
 )
 
 // StateObject extends core.StateObject with what libDPR needs to run the
-// progress protocol and the commit plane: the current version, and a callback
-// when a checkpoint is durable (§6).
+// progress protocol and the commit plane: the current version, a commit that
+// starts only on an idle store, and a callback when a checkpoint is durable
+// (§6). The store owns its seals: a seal is under way from its start until
+// its OnPersist call has returned, and BeginCommit at or below the version in
+// flight starts nothing new.
 type StateObject interface {
 	core.StateObject
 	// CurrentVersion returns the version new operations execute in.
 	CurrentVersion() core.Version
+	// BeginCommitIdle is BeginCommit(v) on an idle store: it starts a seal
+	// only if none is under way and persisted, the version the caller read, is
+	// still the persisted one, and reports whether it did.
+	BeginCommitIdle(v, persisted core.Version) (started bool, err error)
 	// OnPersist registers the function the store invokes every time a
-	// checkpoint seals (its persisted version advances), from its own
-	// checkpoint goroutine, possibly holding internal locks. The worker's
-	// handler therefore only stamps atomics and pokes a saturating channel,
-	// and never blocks or re-enters the store.
-	OnPersist(func(core.Version))
+	// checkpoint seals (its persisted version advances), with how long that
+	// seal took by the store's clock, from its own checkpoint goroutine,
+	// possibly holding internal locks. The worker's handler therefore only
+	// stores atomics and pokes a saturating channel, and never blocks or
+	// re-enters the store.
+	OnPersist(func(v core.Version, took time.Duration))
 }
 
 // BatchHeader is the DPR header prepended to every request batch (§6:
@@ -168,12 +177,8 @@ type Worker struct {
 	dirty     atomic.Bool
 	dirtyCh   chan struct{}
 	persistCh chan struct{}
-	// Seal tracking, the pump's pacing input and dpr_seal_seconds' source.
-	// seal stamps the seal in flight (nil when none): beginCommit takes it
-	// for the version it commits up to; the persist notification of that
-	// version or a later one clears it and records the seal's end and
-	// duration.
-	seal    atomic.Pointer[sealStamp]
+	// The last seal's end (unix nanos) and duration, as the persist
+	// notification reports them: the pump's pacing input.
 	sealEnd atomic.Int64
 	sealDur atomic.Int64
 	sealH   *obs.Histogram
@@ -302,10 +307,10 @@ func NewWorker(cfg WorkerConfig, so StateObject, meta metadata.Service) (*Worker
 	w.cutSnap.Store(snap)
 	w.reported = so.PersistedVersion()
 	w.registerObs()
-	// Runs on the store's checkpoint goroutine: stamp the seal, hand off
+	// Runs on the store's checkpoint goroutine: record the seal, hand off
 	// through the saturating channel, never block or call back into the store.
-	so.OnPersist(func(v core.Version) {
-		w.sealDone(v)
+	so.OnPersist(func(_ core.Version, took time.Duration) {
+		w.sealDone(took)
 		select {
 		case w.persistCh <- struct{}{}:
 		default:
@@ -372,7 +377,7 @@ func (w *Worker) registerObs() {
 	w.rollbackDrainH = reg.Histogram("dpr_worker_rollback_drain_seconds",
 		"Time each rollback fence drain waited for in-flight batches.", lbl)
 	w.sealH = reg.Histogram("dpr_seal_seconds",
-		"Time from starting a commit to the state object reporting it durable.", lbl)
+		"Duration of each seal, timed by the state object from its start to its persist notification.", lbl)
 }
 
 // cutPositions returns this worker's position in its published cut and the
@@ -390,9 +395,6 @@ func (w *Worker) sessionCount() int {
 	w.archMu.Unlock()
 	return n
 }
-
-// Trace exposes the worker's lifecycle trace ring.
-func (w *Worker) Trace() *obs.Trace { return w.trace }
 
 // DebugState assembles the /debug/dpr snapshot for this worker; the serving
 // layer (dfaster/dredis) layers its own fields on top.
@@ -539,7 +541,7 @@ func (w *Worker) admitBatch(h BatchHeader) (core.WorldLine, error) {
 	// committing until the version catches up.
 	if h.Vs > w.so.CurrentVersion() {
 		w.fastForwardsC.Inc()
-		if err := w.beginCommit(h.Vs-1, false, nil); err != nil {
+		if err := w.so.BeginCommit(h.Vs - 1); err != nil {
 			return w.wl.Current(), err
 		}
 		deadline := time.Now().Add(w.admitTimeout)
@@ -754,26 +756,31 @@ func (w *Worker) knownVmax(wl core.WorldLine) core.Version {
 // commit round: once the seal is under way the worker announces the version,
 // and every busy peer closes it too (see commitPump). A target at Vmax joins
 // the round of whoever closed it first.
-func (w *Worker) TriggerCommit() error { return w.triggerCommit(false, nil) }
+func (w *Worker) TriggerCommit() error {
+	_, err := w.triggerCommit(false, 0)
+	return err
+}
 
-// triggerCommit is TriggerCommit, or with pump set the pump's commit, which
-// beginCommit may decline with errSealInFlight.
-func (w *Worker) triggerCommit(pump bool, seen *sealStamp) error {
+// triggerCommit is TriggerCommit, or with idle set the commit of the pump and
+// the heartbeat, which starts only if the store is idle and persisted is still
+// its persisted version (StateObject.BeginCommitIdle).
+func (w *Worker) triggerCommit(idle bool, persisted core.Version) (started bool, err error) {
 	wl := w.wl.Current()
 	vmax := w.knownVmax(wl)
-	target := w.so.CurrentVersion()
 	// Fast-forward to Vmax so a lagging worker catches up in bounded time
 	// (§3.4).
-	if vmax > target {
-		target = vmax
+	target := max(w.so.CurrentVersion(), vmax)
+	if idle {
+		started, err = w.so.BeginCommitIdle(target, persisted)
+	} else {
+		started, err = true, w.so.BeginCommit(target)
 	}
-	err := w.beginCommit(target, pump, seen)
-	if err == errSealInFlight {
-		return err
+	if !started && err == nil {
+		return false, nil
 	}
 	w.trace.Record(obs.EvCheckpointBegin, uint64(wl), uint64(target), 0)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if target > vmax {
 		w.initiatedC.Inc()
@@ -781,75 +788,16 @@ func (w *Worker) triggerCommit(pump bool, seen *sealStamp) error {
 	} else {
 		w.joinedC.Inc()
 	}
-	return nil
+	return true, nil
 }
 
-// sealStamp is when a seal began and the version it commits up to.
-type sealStamp struct {
-	start int64 // unix nanos
-	ver   core.Version
-}
-
-// errSealInFlight is the pump's commit declined (see beginCommit).
-var errSealInFlight = errors.New("libdpr: a seal began after the pump's deadline was read")
-
-// beginCommit starts a commit up to target on the state object and stamps
-// the start that target's persist notification is measured from. A commit
-// that joins a seal in flight — a stamp whose version is not durable yet, into
-// which the state object folds the request — leaves no stamp, and neither
-// does one whose target is durable already: a racing commit covered it, so
-// nothing starts and nothing will be announced. A stamp whose version is
-// durable belongs to a seal that has landed, its notification still on the
-// way; a new seal's stamp replaces it, and that notification, of an older
-// version, leaves the new stamp alone. A seal that fails is never announced;
-// the heartbeat drops its stamp (see maintenanceLoop).
-//
-// The pump's commit (pump set) starts only if the stamp is still seen, the
-// one its deadline was read from: a seal somebody forced since, begun or
-// landed, moves that deadline, so the commit is declined with
-// errSealInFlight and nothing is started or announced.
-func (w *Worker) beginCommit(target core.Version, pump bool, seen *sealStamp) error {
-	cur, durable := w.seal.Load(), w.so.PersistedVersion()
-	if pump && cur != seen {
-		return errSealInFlight
-	}
-	var st *sealStamp
-	if durable < target && (pump || cur == nil || cur.ver <= durable) {
-		st = &sealStamp{start: time.Now().UnixNano(), ver: target}
-		if !w.seal.CompareAndSwap(cur, st) {
-			if pump {
-				return errSealInFlight
-			}
-			st = nil // another commit stamped first: this one joins its seal
-		} else if w.so.PersistedVersion() >= target {
-			w.seal.CompareAndSwap(st, nil)
-			st = nil
-		}
-	}
-	err := w.so.BeginCommit(target)
-	if err != nil && st != nil {
-		w.seal.CompareAndSwap(st, nil)
-	}
-	return err
-}
-
-// sealDone records that the state object's persisted version advanced to v:
-// the seal stamped at or below v is over. A stamp above v is a later seal's,
-// and stays. It runs on the state object's checkpoint goroutine — one call at
-// a time — so it only touches atomics. The stamp is cleared last: whoever
-// sees no seal in flight also sees this seal's end and duration.
-func (w *Worker) sealDone(v core.Version) {
-	now := time.Now().UnixNano()
-	st := w.seal.Load()
-	ends := st != nil && st.ver <= v
-	if ends {
-		w.sealDur.Store(now - st.start)
-		w.sealH.Observe(time.Duration(now - st.start))
-	}
-	w.sealEnd.Store(now)
-	if ends {
-		w.seal.CompareAndSwap(st, nil)
-	}
+// sealDone records that a seal which took took has landed: its end, its
+// duration and the dpr_seal_seconds sample. It runs on the state object's
+// checkpoint goroutine, one call at a time, so it only touches atomics.
+func (w *Worker) sealDone(took time.Duration) {
+	w.sealDur.Store(int64(took))
+	w.sealH.Observe(took)
+	w.sealEnd.Store(time.Now().UnixNano())
 	w.wake()
 }
 
@@ -889,7 +837,7 @@ func (w *Worker) await(timeout time.Duration, cond func() bool) bool {
 // the donor side of a migration streams exactly that prefix.
 func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 	boundary := w.so.CurrentVersion()
-	if err := w.beginCommit(boundary, false, nil); err != nil {
+	if err := w.so.BeginCommit(boundary); err != nil {
 		return 0, err
 	}
 	if !w.await(timeout, func() bool {
@@ -986,8 +934,9 @@ func (w *Worker) Stop() {
 // and the one heartbeat behind the event-driven plane: commits are started by
 // the pump, reports by the persist notification, cut refreshes by the watch
 // loop, and the heartbeat does what those cannot see or may have lost — Vmax
-// catch-up on an idle worker (§3.4), the retry of a failed seal, a dropped
-// notification, a watch loop backing off an error, the session-gate sweep.
+// catch-up on an idle worker (§3.4), the retry of a failed seal (a store that
+// failed a seal is idle again, and tells nobody), a dropped notification, a
+// watch loop backing off an error, the session-gate sweep.
 func (w *Worker) maintenanceLoop() {
 	defer w.wg.Done()
 	period := w.cfg.CheckpointInterval
@@ -997,7 +946,6 @@ func (w *Worker) maintenanceLoop() {
 	heartbeat := time.NewTicker(period)
 	defer heartbeat.Stop()
 	idleTicks := max(1, uint64(gateIdleAge/period))
-	var seen *sealStamp // the seal stamp the previous heartbeat found or left in place
 	for {
 		select {
 		case <-w.stop:
@@ -1007,22 +955,11 @@ func (w *Worker) maintenanceLoop() {
 			// finder generation, which wakes the watch loop.
 			w.reportPersisted()
 		case <-heartbeat.C:
-			// Failures are not announced. This is the one place a seal is
-			// declared dead: its stamp outlived a whole heartbeat interval — two
-			// heartbeats in a row met it. Drop it, so the retry stamps its own
-			// start and is timed from there. A stamp met for the first time is a
-			// seal taken to be in flight, however long it has run: no commit is
-			// started on top of it, because if it did fail that commit would be
-			// its retry, timed from the failure.
-			s := w.seal.Load()
-			if s != nil && s == seen {
-				w.seal.CompareAndSwap(s, nil)
-				s = nil
+			if w.cfg.CheckpointInterval > 0 {
+				// Declined while a seal is under way; a failed commit is
+				// retried by a later heartbeat.
+				_, _ = w.triggerCommit(true, w.so.PersistedVersion())
 			}
-			if s == nil && w.cfg.CheckpointInterval > 0 {
-				_ = w.TriggerCommit() // a failed commit is retried by a later heartbeat
-			}
-			seen = w.seal.Load()
 			w.reportPersisted()
 			w.refreshState()
 			if era := w.gateEra.Add(1); era%idleTicks == 0 {
@@ -1043,17 +980,10 @@ func (w *Worker) maintenanceLoop() {
 // cluster's round rate stays that of its fastest pump. What a join may cost
 // the joiner is bounded by the rest it keeps, one seal's duration — a duty
 // cycle of at most 1/2, and only for a worker whose seals are slower than a
-// peer's whole period. The value trades commit latency for the
-// throughput of a saturated worker, which pays for every commit round — the
-// seal's version shift, a report, a cut fan-out to every session and a fold
-// in each: at 1 (duty cycle 1/2) ycsb_a_batched lost a tenth of its
-// throughput, at 2 and 3 about 4 % (the sweep is in EXPERIMENTS.md and
-// BENCH_16.json). commit_paced read 1.0, 1.4 and 1.4 ms then, because a
-// sub-millisecond runtime timer in a mostly idle process was late by more than
-// the difference between two and three seal durations; with the seal and the
-// deadline on hrtimer it reads 0.64-0.72, 0.81-0.85 and 0.98-0.99 ms
-// (EXPERIMENTS.md "Waits that end on time"): a step of one seal per unit, as
-// the rule says, and the throughput side of the trade has not moved.
+// peer's whole period. The value trades commit latency, one seal per unit,
+// for the throughput of a saturated worker, which pays for every commit
+// round: at 1 ycsb_a_batched lost a tenth of its throughput, at 2 and 3 about
+// 4 % (EXPERIMENTS.md, the sweep and "Waits that end on time").
 const pumpGapSeals = 3
 
 // commitGap is the pause the pump currently leaves after a seal ends before
@@ -1063,19 +993,11 @@ func (w *Worker) commitGap() time.Duration {
 }
 
 // pumpDeadline is when (unix nanos) a dirty worker's pump may start its next
-// seal, from what is known now and st, the seal stamp the pump read (nil when
-// none). While a seal is in flight, whoever started
-// it: when that seal is presumed dead — one that failed never announces
-// itself, the heartbeat drops its stamp within two intervals, and the retry's
-// seal is what paces the pump again. Otherwise, if a peer has closed a version
-// this worker has not (Vmax is at or above the version still open here), the
-// round exists and this worker is what it waits for: the deadline is one
-// seal's duration after the last seal ended. Otherwise a seal would open a
-// round, and those are commitGap apart.
-func (w *Worker) pumpDeadline(st *sealStamp) int64 {
-	if st != nil {
-		return st.start + int64(2*w.cfg.CheckpointInterval)
-	}
+// seal. If a peer has closed a version this worker has not (Vmax is at or
+// above the version still open here), the round exists and this worker is
+// what it waits for: the deadline is one seal's duration after the last seal
+// ended. Otherwise a seal would open a round, and those are commitGap apart.
+func (w *Worker) pumpDeadline() int64 {
 	rest := w.commitGap()
 	if w.so.CurrentVersion() <= w.knownVmax(w.wl.Current()) {
 		rest = time.Duration(w.sealDur.Load())
@@ -1085,11 +1007,14 @@ func (w *Worker) pumpDeadline(st *sealStamp) int64 {
 
 // commitPump converts dirty marks into group commits: at once when the
 // worker has been idle, otherwise at pumpDeadline — which moves whenever a
-// seal starts or lands (the pump's own, or one forced by a version
-// fast-forward, the heartbeat or CommitBoundary) and whenever a refresh brings
-// a Vmax this worker has not closed, all of which wake await.
-// TriggerCommit folds into the state object's single-flight commit, so a
-// commit landing in between costs no second device write.
+// seal lands (the pump's own, or one forced by a version fast-forward or
+// CommitBoundary) and whenever a refresh brings a Vmax this worker has not
+// closed, all of which wake await. The commit starts only on an idle store
+// whose persisted version is the one read before the deadline, and the pump
+// parks until it lands, or for a heartbeat, which retries a failed seal.
+// Declined, it waits for the landing, looking again after the last seal's
+// duration (the seal may have failed, or its OnPersist call not returned), or
+// after a heartbeat while no seal has landed and there is no call to wait out.
 func (w *Worker) commitPump() {
 	defer w.wg.Done()
 	for {
@@ -1099,24 +1024,30 @@ func (w *Worker) commitPump() {
 		case <-w.dirtyCh:
 		}
 		for {
-			seen := w.seal.Load()
-			at := w.pumpDeadline(seen)
-			if wait := time.Until(time.Unix(0, at)); wait > 0 {
-				w.await(wait, func() bool { return w.pumpDeadline(w.seal.Load()) != at })
-				select {
-				case <-w.stop:
-					return
-				default:
+			persisted := w.so.PersistedVersion() // before the deadline: a landing in between declines the commit
+			at := w.pumpDeadline()
+			wait := time.Until(time.Unix(0, at))
+			if wait <= 0 {
+				// Clear dirty before committing: work arriving mid-commit re-arms
+				// the pump for another round instead of being lost.
+				w.dirty.Store(false)
+				end := w.sealEnd.Load()
+				started, err := w.triggerCommit(true, persisted)
+				if started {
+					w.await(w.cfg.CheckpointInterval, func() bool { return w.sealEnd.Load() != end })
 				}
-				continue
+				if started || err != nil {
+					break // a failed commit is retried by the heartbeat
+				}
+				w.dirty.Store(true) // declined: nothing was committed
+				wait = cmp.Or(time.Duration(w.sealDur.Load()), w.cfg.CheckpointInterval)
 			}
-			// Clear dirty before committing: work arriving mid-commit re-arms
-			// the pump for another round instead of being lost.
-			w.dirty.Store(false)
-			if w.triggerCommit(true, seen) != errSealInFlight {
-				break // a failed commit is retried by the heartbeat
+			w.await(wait, func() bool { return w.pumpDeadline() != at })
+			select {
+			case <-w.stop:
+				return
+			default:
 			}
-			w.dirty.Store(true) // declined: nothing was committed
 		}
 	}
 }

@@ -80,12 +80,12 @@ type Server struct {
 	cmds chan command
 
 	lastSave   atomic.Uint64 // id of the newest durable snapshot
+	failedSave atomic.Uint64 // id of the newest snapshot whose write failed
 	saveSeq    atomic.Uint64
 	aofLen     atomic.Int64
 	wg         sync.WaitGroup
 	stopOnce   sync.Once
 	stop       chan struct{}
-	stoppedErr atomic.Value
 }
 
 // New starts a fresh empty server.
@@ -248,6 +248,10 @@ func (s *Server) BgSave() (uint64, error) {
 // LastSave returns the id of the newest durable snapshot (like LASTSAVE).
 func (s *Server) LastSave() uint64 { return s.lastSave.Load() }
 
+// LastFailedSave returns the id of the newest snapshot whose write failed
+// (INFO's rdb_last_bgsave_status:err), 0 if none has.
+func (s *Server) LastFailedSave() uint64 { return s.failedSave.Load() }
+
 // Stop halts the event loop. The server cannot be restarted; build a new
 // one with Restart to simulate a process restart.
 func (s *Server) Stop() {
@@ -272,16 +276,12 @@ func (s *Server) persistSnapshot(snap map[string][]byte, id uint64) {
 		buf.Write(v)
 	}
 	s.cfg.Device.WriteAsync(snapBlob(s.cfg.Prefix, id), 0, buf.Bytes(), func(err error) {
+		to := &s.lastSave
 		if err != nil {
-			s.stoppedErr.Store(err)
-			return
+			to = &s.failedSave
 		}
 		// Publish monotonically: a slow older save must not regress it.
-		for {
-			cur := s.lastSave.Load()
-			if id <= cur || s.lastSave.CompareAndSwap(cur, id) {
-				break
-			}
+		for cur := to.Load(); id > cur && !to.CompareAndSwap(cur, id); cur = to.Load() {
 		}
 	})
 }

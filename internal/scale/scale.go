@@ -135,9 +135,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 	return h, nil
 }
 
-// Store exposes the metadata store under test.
-func (h *Harness) Store() *metadata.Store { return h.store }
-
 // Step drives one commit cycle: activate this round's sessions (rehydrate,
 // issue operations against their shard's current version), checkpoint every
 // worker (report persisted versions to the finder), publish the cut, fold it

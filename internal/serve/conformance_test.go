@@ -14,6 +14,7 @@ import (
 	"dpr/internal/kv"
 	"dpr/internal/leakcheck"
 	"dpr/internal/libdpr"
+	"dpr/internal/libdpr/statetest"
 	"dpr/internal/metadata"
 	"dpr/internal/serve"
 	"dpr/internal/storage"
@@ -96,6 +97,12 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestStateObjectContract holds fakeStore to the store's side of libdpr's
+// commit contract.
+func TestStateObjectContract(t *testing.T) {
+	statetest.Run(t, &fakeStore{data: make(map[string][]byte), current: 1})
+}
+
 // fakeStore is the least a store behind the frame has to be: a map, a version
 // counter that a commit moves on, and an apply step.
 type fakeStore struct {
@@ -104,7 +111,7 @@ type fakeStore struct {
 	mu                 sync.Mutex
 	data               map[string][]byte
 	current, persisted core.Version
-	onPersist          func(core.Version)
+	onPersist          func(core.Version, time.Duration)
 }
 
 func (s *fakeStore) locked(f func()) {
@@ -114,16 +121,30 @@ func (s *fakeStore) locked(f func()) {
 }
 func (s *fakeStore) CurrentVersion() (v core.Version)   { s.locked(func() { v = s.current }); return }
 func (s *fakeStore) PersistedVersion() (v core.Version) { s.locked(func() { v = s.persisted }); return }
-func (s *fakeStore) OnPersist(fn func(core.Version))    { s.locked(func() { s.onPersist = fn }) }
-func (s *fakeStore) Restore(core.Version) error         { s.locked(func() { s.current++ }); return nil }
+func (s *fakeStore) OnPersist(fn func(core.Version, time.Duration)) {
+	s.locked(func() { s.onPersist = fn })
+}
+func (s *fakeStore) Restore(core.Version) error { s.locked(func() { s.current++ }); return nil }
+
+// BeginCommit seals at once, under mu: a seal is under way for as long as the
+// call holds it, and BeginCommitIdle waits it out.
 func (s *fakeStore) BeginCommit(v core.Version) error {
+	s.locked(func() { s.seal(v) })
+	return nil
+}
+func (s *fakeStore) BeginCommitIdle(v, persisted core.Version) (started bool, err error) {
 	s.locked(func() {
-		if v >= s.current {
-			s.current, s.persisted = v+1, v
-			s.onPersist(v)
+		if started = s.persisted == persisted; started {
+			s.seal(v)
 		}
 	})
-	return nil
+	return started, nil
+}
+func (s *fakeStore) seal(v core.Version) {
+	if start := time.Now(); v >= s.current {
+		s.current, s.persisted = v+1, v
+		s.onPersist(v, time.Since(start))
+	}
 }
 
 func (s *fakeStore) Apply(req *wire.BatchRequest, results []wire.OpResult, _ *[]byte) *wire.ErrorReply {

@@ -78,9 +78,6 @@ func (p *FaultProxy) SetBackend(addr string) { p.backend.Store(&addr) }
 // SetDelay sets the per-direction forwarding delay (0 disables).
 func (p *FaultProxy) SetDelay(d time.Duration) { p.delayNs.Store(int64(d)) }
 
-// Delay returns the current per-direction forwarding delay.
-func (p *FaultProxy) Delay() time.Duration { return time.Duration(p.delayNs.Load()) }
-
 // SetBlackhole toggles traffic discarding. A connection that lost bytes to
 // the window does not outlive it (see the type comment).
 func (p *FaultProxy) SetBlackhole(on bool) { p.blackhole.Store(on) }
