@@ -49,10 +49,11 @@ atomic-check:
 vet:
 	$(GO) vet ./...
 
-# The repo's own static-analysis suite, six checkers: mutex-discipline
-# (release and order, per function), hotpath-noalloc (//dpr:noalloc escape
-# gating), cut-worldline, decode-bounds, epoch-discipline (Enter/Exit pairing,
-# no blocking while entered) and lock-order-global (whole program).
+# The repo's own static-analysis suite, five checkers: mutex-discipline
+# (release and order, per function), cut-worldline, decode-bounds,
+# epoch-discipline (Enter/Exit pairing, no blocking while entered) and
+# lock-order-global (whole program). The //dpr:noalloc functions are held by
+# the Test…ZeroAlloc pins, whose coverage TestNoAllocPinsCover gates in `test`.
 dpr-vet:
 	$(GO) run ./cmd/dpr-vet ./...
 

@@ -1,11 +1,11 @@
 // Command dpr-vet runs the DPR static-analysis suite (internal/analysis)
-// over the module, six checkers: mutex-discipline (release and order within a
-// function), hotpath-noalloc (//dpr:noalloc escape gating), cut-worldline
-// (a cut travels with its world-line), decode-bounds (alias decoders),
-// epoch-discipline (Enter/Exit pairing, no blocking while entered) and
-// lock-order-global (lock ordering across the call graph). It exits non-zero
-// when any diagnostic survives the //dpr:ignore suppressions, so it can gate
-// CI exactly like the compiler.
+// over the module, five checkers: mutex-discipline (release and order within
+// a function), cut-worldline (a cut travels with its world-line),
+// decode-bounds (alias decoders), epoch-discipline (Enter/Exit pairing, no
+// blocking while entered) and lock-order-global (lock ordering across the
+// call graph). It exits non-zero when any diagnostic survives the
+// //dpr:ignore suppressions, or a suppression is stale, so it can gate CI
+// exactly like the compiler.
 //
 // Usage:
 //

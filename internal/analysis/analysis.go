@@ -1,12 +1,12 @@
 // Package analysis is a from-scratch static-analysis driver for the DPR
 // codebase, built on the standard library's go/parser + go/ast + go/types
-// only (no x/tools). It type-checks the whole module and runs a suite of
+// only (no x/tools). It type-checks the whole module and runs five
 // DPR-specific checkers that turn the repo's hand-enforced invariants —
 // mutex release and ordering, epoch-slot pairing and no blocking while
-// entered, allocation-free hot paths, world-line-tagged cuts, bounds-checked
-// alias decoders — into a mechanical gate (cmd/dpr-vet). An invariant that a
-// type, `go vet`, a grep or a test at teardown can state is not checked here
-// (DESIGN.md "Static analysis" has the table).
+// entered, world-line-tagged cuts, bounds-checked alias decoders — into a
+// mechanical gate (cmd/dpr-vet). An invariant that a type, `go vet`, a grep
+// or a test can state is not checked here (DESIGN.md "Static analysis" has
+// the table).
 //
 // Checkers report Diagnostics; suppressions are written in the source as
 //
@@ -67,7 +67,6 @@ type Unit struct {
 
 	cache struct {
 		funcs        []funcSpan
-		funcsBuilt   bool
 		graph        *callGraph
 		summaries    *lockSummaries
 		drainCoupled map[string]token.Pos
@@ -95,7 +94,6 @@ func (u *Unit) EachFile(fn func(p *Package, f *ast.File)) {
 func DefaultCheckers() []Checker {
 	return []Checker{
 		&MutexChecker{},
-		&NoAllocChecker{},
 		&CutWorldLineChecker{},
 		&DecodeBoundsChecker{},
 		&EpochChecker{},
@@ -105,16 +103,23 @@ func DefaultCheckers() []Checker {
 
 // Run executes the checkers over the unit, applies //dpr:ignore
 // suppressions, and returns the surviving diagnostics sorted by position.
-// Malformed suppressions (no justification, unknown syntax) are returned as
-// diagnostics of check "dpr-ignore".
+// Malformed suppressions (no justification, unknown syntax) and stale ones (an
+// unknown check name, or nothing suppressed of a checker that ran) are
+// returned as diagnostics of check "dpr-ignore".
 func Run(u *Unit, checkers []Checker) []Diagnostic {
 	var diags []Diagnostic
+	registered, ran := map[string]bool{}, map[string]bool{}
+	for _, c := range DefaultCheckers() {
+		registered[c.Name()] = true
+	}
 	for _, c := range checkers {
+		ran[c.Name()] = true
 		diags = append(diags, c.Run(u)...)
 	}
 	ign, ignDiags := collectIgnores(u)
 	diags = ign.filter(diags)
 	diags = append(diags, ignDiags...)
+	diags = append(diags, ign.stale(registered, ran)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -126,7 +131,7 @@ func Run(u *Unit, checkers []Checker) []Diagnostic {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return diags[i].Check < diags[j].Check
+		return diags[i].String() < diags[j].String() // check, then message
 	})
 	return diags
 }
@@ -186,21 +191,18 @@ func pkgShortName(p *types.Package) string {
 // exprString renders an expression compactly (types.ExprString).
 func exprString(e ast.Expr) string { return types.ExprString(e) }
 
-// funcSpan describes a declared function's extent in a file.
+// funcSpan is a declared function with its package.
 type funcSpan struct {
-	pkg       *Package
-	decl      *ast.FuncDecl
-	name      string // receiver-qualified, e.g. (*Worker).Reply
-	file      string
-	startLine int
-	endLine   int
+	pkg  *Package
+	decl *ast.FuncDecl
+	name string // receiver-qualified, e.g. (*Worker).Reply
 }
 
 // declaredFuncs lists every FuncDecl with a body across the unit. The list
 // is built once and cached on the unit: every checker iterates it, and the
 // call graph indexes into it.
 func declaredFuncs(u *Unit) []funcSpan {
-	if u.cache.funcsBuilt {
+	if u.cache.funcs != nil {
 		return u.cache.funcs
 	}
 	var out []funcSpan
@@ -210,20 +212,10 @@ func declaredFuncs(u *Unit) []funcSpan {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			start := u.Position(fd.Pos())
-			end := u.Position(fd.Body.Rbrace)
-			out = append(out, funcSpan{
-				pkg:       p,
-				decl:      fd,
-				name:      funcDisplayName(fd),
-				file:      start.Filename,
-				startLine: start.Line,
-				endLine:   end.Line,
-			})
+			out = append(out, funcSpan{pkg: p, decl: fd, name: funcDisplayName(fd)})
 		}
 	})
 	u.cache.funcs = out
-	u.cache.funcsBuilt = true
 	return out
 }
 

@@ -143,7 +143,6 @@ func TestCheckerFixtures(t *testing.T) {
 		check, bad, ok string
 	}{
 		{"mutex-discipline", "mutexbad", "mutexok"},
-		{"hotpath-noalloc", "noallocbad", "noallocok"},
 		{"cut-worldline", "cutwlbad", "cutwlok"},
 		{"decode-bounds", "boundsbad", "boundsok"},
 		{"epoch-discipline", "epochbad", "epochok"},
@@ -253,7 +252,8 @@ func TestAtomicGrepRules(t *testing.T) {
 
 // TestIgnoreRequiresJustification: a bare //dpr:ignore and one without a
 // justification are diagnostics themselves, and the malformed directive
-// must not suppress the finding it sits on.
+// must not suppress the finding it sits on. A stale suppression is one too:
+// it names no registered checker, or it suppresses nothing.
 func TestIgnoreRequiresJustification(t *testing.T) {
 	_, diags := fixture(t)
 	bad := pkgDiags(t, diags, "ignorebad")
@@ -270,11 +270,13 @@ func TestIgnoreRequiresJustification(t *testing.T) {
 	assertHas("dpr-ignore", `needs a check name and a justification`)
 	assertHas("dpr-ignore", `//dpr:ignore cut-worldline needs a justification`)
 	assertHas("cut-worldline", `struct Unjustified carries a core\.Cut`)
-	if len(bad) != 3 {
+	assertHas("dpr-ignore", `//dpr:ignore names no checker [a-z-]+$`)
+	assertHas("dpr-ignore", `//dpr:ignore cut-worldline suppresses nothing`)
+	if len(bad) != 5 {
 		for _, d := range bad {
 			t.Logf("got: %s", d.String())
 		}
-		t.Errorf("ignorebad: got %d diagnostics, want 3", len(bad))
+		t.Errorf("ignorebad: got %d diagnostics, want 5", len(bad))
 	}
 }
 
@@ -292,7 +294,7 @@ func TestJustifiedIgnoreSuppresses(t *testing.T) {
 func TestFixtureCleanPackagesSilent(t *testing.T) {
 	_, diags := fixture(t)
 	failing := map[string]bool{
-		"mutexbad": true, "noallocbad": true,
+		"mutexbad": true,
 		"cutwlbad": true, "boundsbad": true, "ignorebad": true,
 		"epochbad": true, "lockglobalbad": true,
 	}

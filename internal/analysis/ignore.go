@@ -15,7 +15,8 @@ import (
 // standalone comment (nothing but whitespace before it on the line)
 // suppresses the line below it. The justification is mandatory: a bare
 // //dpr:ignore is itself a diagnostic, so every suppression documents why
-// the invariant does not apply at that site.
+// the invariant does not apply at that site. So is a stale one: a check name
+// no checker has, or a suppression that a checker which ran left unused.
 const ignorePrefix = "dpr:ignore"
 
 type ignoreKey struct {
@@ -24,17 +25,40 @@ type ignoreKey struct {
 	check string
 }
 
-type ignoreSet map[ignoreKey]bool
+// ignoreSet maps each suppressed (line, check) to the directive that wrote it.
+type ignoreSet map[ignoreKey]*suppression
+
+type suppression struct {
+	pos  token.Position
+	used bool
+}
 
 func (s ignoreSet) filter(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for _, d := range diags {
-		if s[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Check}] {
+		if sup := s[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Check}]; sup != nil {
+			sup.used = true
 			continue
 		}
 		out = append(out, d)
 	}
 	return out
+}
+
+// stale reports, after filter, the suppressions that name no registered
+// checker and those that suppressed nothing of a checker that ran.
+func (s ignoreSet) stale(registered, ran map[string]bool) []Diagnostic {
+	var diags []Diagnostic
+	for k, sup := range s {
+		msg := k.check + " suppresses nothing"
+		if !registered[k.check] {
+			msg = "names no checker " + k.check
+		} else if !ran[k.check] || sup.used {
+			continue
+		}
+		diags = append(diags, Diagnostic{Pos: sup.pos, Check: "dpr-ignore", Message: "//dpr:ignore " + msg})
+	}
+	return diags
 }
 
 // collectIgnores scans every comment in the unit for //dpr:ignore
@@ -70,7 +94,7 @@ func collectIgnores(u *Unit) (ignoreSet, []Diagnostic) {
 				}
 				for _, check := range strings.Split(fields[0], ",") {
 					if check = strings.TrimSpace(check); check != "" {
-						set[ignoreKey{pos.Filename, line, check}] = true
+						set[ignoreKey{pos.Filename, line, check}] = &suppression{pos: pos}
 					}
 				}
 			}
@@ -99,19 +123,15 @@ func standaloneComment(cache map[string][]byte, file string, line, col int) bool
 
 // directiveComments returns every comment in the unit whose text begins with
 // the given //dpr:<name> directive, paired with its position and the text
-// after the directive. Shared by the lock-order and noalloc annotations.
+// after the directive. The lock-order annotations are read through it.
 func directiveComments(u *Unit, directive string) []directiveAt {
 	var out []directiveAt
-	u.EachFile(func(p *Package, f *ast.File) {
+	u.EachFile(func(_ *Package, f *ast.File) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if rest, ok := strings.CutPrefix(c.Text, "//"+directive); ok {
 					if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-						out = append(out, directiveAt{
-							pkg:  p,
-							pos:  c.Pos(),
-							text: strings.TrimSpace(rest),
-						})
+						out = append(out, directiveAt{pos: c.Pos(), text: strings.TrimSpace(rest)})
 					}
 				}
 			}
@@ -121,7 +141,6 @@ func directiveComments(u *Unit, directive string) []directiveAt {
 }
 
 type directiveAt struct {
-	pkg  *Package
 	pos  token.Pos
 	text string
 }

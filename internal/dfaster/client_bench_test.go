@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/allocpin"
 	"dpr/internal/core"
 	"dpr/internal/kv"
 	"dpr/internal/leakcheck"
@@ -137,9 +138,7 @@ func TestColocatedClientZeroAlloc(t *testing.T) {
 	for j := 0; j < 2000; j++ {
 		step()
 	}
-	if n := testing.AllocsPerRun(2000, step); n != 0 {
-		t.Fatalf("a co-located read and upsert allocate %.2f/op, want 0", n)
-	}
+	allocpin.Zero(t, "a co-located read and upsert", 2000, step)
 	if failed != 0 {
 		t.Fatalf("%d co-located operations failed", failed)
 	}
@@ -251,7 +250,5 @@ func TestRemoteBatchZeroAlloc(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		step()
 	}
-	if n := testing.AllocsPerRun(2000, step); n != 0 {
-		t.Fatalf("a remote batch allocates %.2f/op in the client, want 0", n)
-	}
+	allocpin.Zero(t, "a remote batch, in the client,", 2000, step)
 }

@@ -112,7 +112,7 @@ func (w *Worker) refusalAdmit(sess, seqStart uint64, ops []wire.Op) bool {
 	defer w.refusalMu.Unlock()
 	// First pass: verify order, counting per-partition pops this batch would
 	// perform. ops are in ascending sequence order by construction.
-	pops := make(map[refusalKey]int) //dpr:ignore hotpath-noalloc only reached while refused batches are outstanding
+	pops := make(map[refusalKey]int)
 	admit := true
 	for i := range ops {
 		seq := seqStart + uint64(i)

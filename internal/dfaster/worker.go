@@ -237,7 +237,7 @@ func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 // corresponding FASTER session"). A connection that opens with
 // FrameMigrateBegin is a migration stream, not a session.
 func (w *Worker) openConn() serve.Conn {
-	a := &kvApply{w: w, sess: w.store.NewSession(), pendingIdx: make(map[uint64]int)}
+	a := &kvApply{w: w, sess: w.store.NewSession()}
 	return serve.Conn{
 		Apply: a,
 		Takeover: func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer) {
@@ -355,11 +355,10 @@ func (w *Worker) Stop() {
 }
 
 // kvApply is the D-FASTER backend of the frame's pipeline: one caller's kv
-// session and its pending-read index. Not safe for concurrent use.
+// session. Not safe for concurrent use.
 type kvApply struct {
-	w          *Worker
-	sess       *kv.Session
-	pendingIdx map[uint64]int // serial -> op index; has entries only while a batch with PENDING operations runs
+	w    *Worker
+	sess *kv.Session
 }
 
 // BatchScratch is what a co-located caller holds between batches: the frame's
@@ -373,9 +372,7 @@ type BatchScratch struct {
 
 // NewBatchScratch returns an empty scratch; it grows to fit the largest
 // batch it serves and stays there.
-func NewBatchScratch() *BatchScratch {
-	return &BatchScratch{apply: kvApply{pendingIdx: make(map[uint64]int)}}
-}
+func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
 // ExecuteLocalScratch is the co-located execution path (§5.2): application
 // threads on the same machine call straight into the worker's pipeline,
@@ -393,31 +390,45 @@ func (w *Worker) refuse(code uint8, newOwner core.WorkerID, format string, args 
 	return &wire.ErrorReply{Code: code, NewOwner: newOwner, Message: fmt.Sprintf(format, args...)}
 }
 
-// Apply implements serve.Applier: ownership validation and refused-batch
-// ordering, which refuse the batch before anything is touched, then the kv
-// operations with PENDING resolution.
+// ownershipMiss refuses a batch whose op i is in partition part, not owned
+// here: a donated partition redirects to its new owner (no metadata round
+// trip); any other miss is recorded, so later batches cannot overtake it.
+func (w *Worker) ownershipMiss(req *wire.BatchRequest, i int, part uint64) *wire.ErrorReply {
+	if to := (*w.movedSnap.Load())[part]; to != 0 {
+		return w.refuse(wire.ErrCodeMoved, core.WorkerID(to-1), "partition %d moved to worker %d", part, to-1)
+	}
+	w.recordRefusal(req.Header.SessionID, req.Header.SeqStart, req.Ops)
+	return w.refuse(wire.ErrCodeBadOwner, 0, "key %q not owned by worker %d", req.Ops[i].Key, w.cfg.ID)
+}
+
+// Apply implements serve.Applier: the in-memory pass, then the operations that
+// went PENDING, settled before the reply (the batch is the wire's unit). The
+// device path allocates in kv, so it is outside the zero-allocation pass.
+func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
+	if refusal := a.applyInMemory(req, results, arena); refusal != nil {
+		return refusal
+	}
+	for _, c := range a.sess.CompletePending(true) {
+		if c.Serial < uint64(len(results)) { // the serial is the op's index
+			results[c.Serial] = resolved(c.Status, c.Version, c.Value)
+		}
+	}
+	return nil
+}
+
+// applyInMemory is ownership validation and refused-batch ordering, which
+// refuse the batch before anything is touched, then the kv operations. An
+// operation whose record lies on the device goes PENDING and is left zero.
 //
 //dpr:noalloc
-func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
+func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
 	w, sess := a.w, a.sess
 	// Ownership validation against the local view (§5.3). The snapshot is
 	// immutable, so no lock is taken.
 	owned := *w.ownedSnap.Load()
 	for i := range req.Ops {
-		part := PartitionOf(req.Ops[i].Key, w.cfg.Partitions)
-		if !hasBit(owned, part) {
-			// A donated partition redirects with the new owner, so the
-			// session re-routes on its next transmit without a metadata
-			// round trip; anything else is a plain ownership miss.
-			if to := (*w.movedSnap.Load())[part]; to != 0 {
-				newOwner := core.WorkerID(to - 1)
-				return w.refuse(wire.ErrCodeMoved, newOwner, "partition %d moved to worker %d", part, newOwner) //dpr:ignore hotpath-noalloc cold reject path: ownership misses only happen around migrations
-			}
-			// Record the refusal so later pipelined batches from this
-			// session cannot overtake this one if the partition becomes
-			// servable again (refusal.go).
-			w.recordRefusal(req.Header.SessionID, req.Header.SeqStart, req.Ops)
-			return w.refuse(wire.ErrCodeBadOwner, 0, "key %q not owned by worker %d", req.Ops[i].Key, w.cfg.ID) //dpr:ignore hotpath-noalloc cold reject path: ownership misses only happen around migrations
+		if part := PartitionOf(req.Ops[i].Key, w.cfg.Partitions); !hasBit(owned, part) {
+			return w.ownershipMiss(req, i, part)
 		}
 	}
 	// Session replay ordering: while earlier-refused sequence numbers are
@@ -425,7 +436,7 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 	// minimum refused sequence may execute (refusal.go). One atomic load in
 	// steady state.
 	if w.refusalOn.Load() != 0 && !w.refusalAdmit(req.Header.SessionID, req.Header.SeqStart, req.Ops) {
-		return w.refuse(wire.ErrCodeBadOwner, 0, "held for session replay ordering") //dpr:ignore hotpath-noalloc cold reject path: only while refused batches are being re-driven
+		return w.refuse(wire.ErrCodeBadOwner, 0, "held for session replay ordering")
 	}
 
 	for i := range req.Ops {
@@ -439,9 +450,6 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 			results[i] = written(v, err)
 		case wire.OpRead:
 			val, status, v := sess.ReadAppend(arena, op.Key, uint64(i))
-			if status == kv.StatusPending {
-				a.pendingIdx[uint64(i)] = i
-			}
 			results[i] = resolved(status, v, val)
 		case wire.OpRMW:
 			var delta uint64
@@ -449,30 +457,15 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 				delta = binary.LittleEndian.Uint64(op.Value)
 			}
 			status, v, newVal := sess.RMW(op.Key, delta, uint64(i))
-			switch status {
-			case kv.StatusOK:
+			var val []byte
+			if status == kv.StatusOK {
 				start := len(*arena)
 				*arena = binary.LittleEndian.AppendUint64(*arena, newVal)
-				results[i] = wire.OpResult{Status: wire.StatusOK, Version: v,
-					Value: (*arena)[start:len(*arena):len(*arena)]}
-			case kv.StatusPending:
-				results[i] = wire.OpResult{}
-				a.pendingIdx[uint64(i)] = i
-			default:
-				results[i] = wire.OpResult{Status: wire.StatusError, Version: v}
+				val = (*arena)[start:len(*arena):len(*arena)]
 			}
+			results[i] = resolved(status, v, val)
 		default:
 			results[i] = wire.OpResult{Status: wire.StatusError}
-		}
-	}
-	// Resolve PENDING operations before replying: the batch is the unit of
-	// response on the wire. (Relaxed DPR still applies within the session:
-	// the client may have many batches outstanding.)
-	if len(a.pendingIdx) > 0 {
-		for _, c := range sess.CompletePending(true) {
-			if i, ok := a.pendingIdx[c.Serial]; ok {
-				results[i] = resolved(c.Status, c.Version, c.Value)
-			}
 		}
 	}
 	return nil
@@ -486,8 +479,8 @@ func written(v core.Version, err error) wire.OpResult {
 	return wire.OpResult{Status: wire.StatusOK, Version: v}
 }
 
-// resolved maps a kv read outcome onto the wire; a PENDING read is left
-// zero until CompletePending delivers it.
+// resolved maps a kv read or RMW outcome onto the wire; a PENDING operation
+// is left zero until CompletePending delivers it.
 func resolved(status kv.Status, v core.Version, val []byte) wire.OpResult {
 	switch status {
 	case kv.StatusOK:

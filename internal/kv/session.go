@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"dpr/internal/core"
 	"dpr/internal/epoch"
@@ -66,6 +67,7 @@ type Session struct {
 	completed []Completed
 	inflight  int
 	done      chan struct{} // closed & replaced when inflight drops to 0
+	unclaimed atomic.Int64  // went PENDING, not yet returned by CompletePending
 }
 
 // NewSession registers a new session with the store.
@@ -412,6 +414,7 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 }
 
 func (sess *Session) beginPending() {
+	sess.unclaimed.Add(1)
 	sess.mu.Lock()
 	sess.inflight++
 	sess.mu.Unlock()
@@ -430,8 +433,12 @@ func (sess *Session) deliver(c Completed) {
 
 // CompletePending returns all completions delivered so far. If wait is true
 // it first blocks until no operation remains in flight — the paper's
-// CompletePending() dependency-resolution point (§5.4).
+// CompletePending() dependency-resolution point (§5.4). A session with no
+// operation pending returns at once, without taking the lock.
 func (sess *Session) CompletePending(wait bool) []Completed {
+	if sess.unclaimed.Load() == 0 {
+		return nil
+	}
 	if wait {
 		for {
 			sess.mu.Lock()
@@ -448,5 +455,6 @@ func (sess *Session) CompletePending(wait bool) []Completed {
 	out := sess.completed
 	sess.completed = nil
 	sess.mu.Unlock()
+	sess.unclaimed.Add(-int64(len(out)))
 	return out
 }

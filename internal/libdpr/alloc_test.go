@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/allocpin"
 	"dpr/internal/core"
 	"dpr/internal/kv"
 	"dpr/internal/libdpr"
@@ -31,18 +32,14 @@ func TestWorkerHotPathZeroAlloc(t *testing.T) {
 
 	versions := make([]core.Version, 64)
 	var sink libdpr.BatchReply
-	if n := testing.AllocsPerRun(100, func() {
+	allocpin.Zero(t, "Reply", 100, func() {
 		sink = w.Reply(versions)
-	}); n != 0 {
-		t.Fatalf("Reply allocates %.1f/op, want 0", n)
-	}
+	})
 	_ = sink
 
 	dep := core.Token{Worker: 2, Version: 3}
 	w.RecordDependency(5, dep) // warm the duplicate cache
-	if n := testing.AllocsPerRun(100, func() {
+	allocpin.Zero(t, "RecordDependency (repeated dep)", 100, func() {
 		w.RecordDependency(5, dep)
-	}); n != 0 {
-		t.Fatalf("RecordDependency (repeated dep) allocates %.1f/op, want 0", n)
-	}
+	})
 }

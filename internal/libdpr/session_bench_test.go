@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dpr/internal/allocpin"
 	"dpr/internal/core"
 	"dpr/internal/libdpr"
 )
@@ -71,8 +72,6 @@ func TestSessionBatchZeroAlloc(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			step()
 		}
-		if n := testing.AllocsPerRun(2000, step); n != 0 {
-			t.Fatalf("colocated=%v: a session batch allocates %.2f/op, want 0", colocated, n)
-		}
+		allocpin.Zero(t, fmt.Sprintf("colocated=%v: a session batch", colocated), 2000, step)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dpr/internal/allocpin"
 	"dpr/internal/core"
 	"dpr/internal/wire"
 )
@@ -187,7 +188,7 @@ func TestLazySubscribe(t *testing.T) {
 		t.Fatalf("tag %d, want cut advance", tag)
 	}
 	adv := new(wire.CutAdvance)
-	if err := wire.DecodeCutAdvanceInto(adv, payload); err != nil || adv.WorldLine != 7 || adv.Cut.Get(1) != 5 {
+	if err := (*wire.CutMemo)(nil).DecodeCutAdvance(adv, payload); err != nil || adv.WorldLine != 7 || adv.Cut.Get(1) != 5 {
 		t.Fatalf("bad cut advance %+v: %v", adv, err)
 	}
 	silent.quiet(100 * time.Millisecond)
@@ -333,7 +334,5 @@ func TestServeBatchZeroAlloc(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		roundTrip()
 	}
-	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
-		t.Fatalf("served batch allocates %.2f allocs/op, want 0", n)
-	}
+	allocpin.Zero(t, "a served batch", 200, roundTrip)
 }

@@ -243,19 +243,11 @@ func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane 
 		start = time.Since(clockBase)
 	}
 	if _, err := w.dpr.AdmitBatchGuarded(req.Header, lane.exec); err != nil {
-		code := wire.ErrCodeRejected
-		if errors.Is(err, libdpr.ErrStaleBatch) {
-			code = wire.ErrCodeStale
-		}
-		return nil, &wire.ErrorReply{ //dpr:ignore hotpath-noalloc cold reject path: admission failures are rare and already off the steady-state path
-			Code:      code,
-			WorldLine: w.dpr.WorldLine(),
-			Message:   err.Error(),
-		}
+		return nil, w.admissionRefusal(err)
 	}
 	n := len(req.Ops)
-	sc.results = slices.Grow(sc.results[:0], n)[:n]   //dpr:ignore hotpath-noalloc grows once to the batch high-water mark; steady state reuses the scratch
-	sc.versions = slices.Grow(sc.versions[:0], n)[:n] //dpr:ignore hotpath-noalloc grows once to the batch high-water mark; steady state reuses the scratch
+	sc.results = slices.Grow(sc.results[:0], n)[:n]
+	sc.versions = slices.Grow(sc.versions[:0], n)[:n]
 	sc.arena = sc.arena[:0]
 	if refusal := app.Apply(req, sc.results, &sc.arena); refusal != nil {
 		refusal.WorldLine = w.dpr.WorldLine()
@@ -294,6 +286,15 @@ func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane 
 	lane.executed++
 	w.dpr.ReleaseBatch(req.Header, lane.exec, true)
 	return &sc.reply, nil
+}
+
+// admissionRefusal answers a batch that libDPR did not admit.
+func (w *Worker) admissionRefusal(err error) *wire.ErrorReply {
+	code := wire.ErrCodeRejected
+	if errors.Is(err, libdpr.ErrStaleBatch) {
+		code = wire.ErrCodeStale
+	}
+	return &wire.ErrorReply{Code: code, WorldLine: w.dpr.WorldLine(), Message: err.Error()}
 }
 
 // DebugState assembles the /debug/dpr snapshot, layering the serving-layer

@@ -6,11 +6,9 @@
 // changes (libdpr.Worker.OnCutAdvance), so idle sessions see commit progress
 // in push latency rather than poll cadence.
 //
-// The frame follows the batch-path discipline: Append* into a caller-owned
-// scratch buffer (//dpr:noalloc — the push fan-out runs once per cut change
-// per connection, but cut changes arrive every couple of milliseconds with
-// the commit pump on), an alias-decoding DecodeCutAdvanceInto with
-// count-validation before any allocation, and trailing-byte rejection.
+// The frame follows the batch-path discipline (the fan-out runs per cut change
+// per connection, every couple of milliseconds with the pump on): appends into
+// a caller-owned buffer, a decoder that validates the count before allocating.
 package wire
 
 import "dpr/internal/core"
@@ -29,19 +27,10 @@ type CutAdvance struct {
 	Cut       core.Cut
 }
 
-// AppendCutAdvance appends the cut-advance encoding to dst.
-//
-//dpr:noalloc
-func AppendCutAdvance(dst []byte, wl core.WorldLine, c core.Cut) []byte {
-	dst = appendU64(dst, uint64(wl))
-	return AppendCut(dst, c)
-}
-
 // AppendCutAdvanceEncoded appends a cut-advance frame built from a
-// pre-encoded cut section (AppendCut output, as published by
-// libdpr.Worker.OnCutAdvance): the per-connection fan-out splices the
-// snapshot's bytes instead of re-serializing the cut map for every
-// subscriber.
+// pre-encoded cut section (AppendCut output, as libdpr.Worker.OnCutAdvance
+// publishes it): the fan-out splices the snapshot's bytes instead of
+// re-serializing the cut map for every subscriber.
 //
 //dpr:noalloc
 func AppendCutAdvanceEncoded(dst []byte, wl core.WorldLine, encodedCut []byte) []byte {
@@ -49,23 +38,14 @@ func AppendCutAdvanceEncoded(dst []byte, wl core.WorldLine, encodedCut []byte) [
 	return append(dst, encodedCut...)
 }
 
-// DecodeCutAdvance is DecodeCutAdvanceInto through the connection's memo:
-// a.Cut is nil when the pushed cut repeats the last cut section decoded on this
-// connection, reply or push, and the memo's map when it does not.
+// DecodeCutAdvance parses a cut-advance payload into a, reusing a.Cut; nothing
+// aliases p, and the count is checked against p's size before any allocation.
+// Through a connection's memo, a.Cut is nil when the cut repeats the last cut
+// section decoded on it (reply or push); a nil memo decodes every frame.
 //
 //dpr:noalloc
 func (m *CutMemo) DecodeCutAdvance(a *CutAdvance, p []byte) error {
 	d := &decoder{buf: p}
 	a.WorldLine = core.WorldLine(d.u64())
 	return m.decodeCut(d, a.WorldLine, &a.Cut)
-}
-
-// DecodeCutAdvanceInto parses a cut-advance payload into a, reusing a.Cut.
-// Nothing in the decoded form aliases p (cuts are small and copied into the
-// map), but the count is still validated against the payload size before any
-// allocation so a corrupt frame cannot drive a gigantic pre-allocation.
-//
-//dpr:noalloc
-func DecodeCutAdvanceInto(a *CutAdvance, p []byte) error {
-	return (*CutMemo)(nil).DecodeCutAdvance(a, p)
 }

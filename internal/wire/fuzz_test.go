@@ -85,16 +85,16 @@ func FuzzDecodeBatchReply(f *testing.F) {
 }
 
 func FuzzDecodeCutAdvance(f *testing.F) {
-	f.Add(AppendCutAdvance(nil, 3, core.Cut{1: 5, 2: 9}))
-	f.Add(AppendCutAdvance(nil, 0, core.Cut{}))
+	f.Add(AppendCutAdvanceEncoded(nil, 3, AppendCut(nil, core.Cut{1: 5, 2: 9})))
+	f.Add(AppendCutAdvanceEncoded(nil, 0, AppendCut(nil, core.Cut{})))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 24))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var a, a2, a3 CutAdvance
-		if DecodeCutAdvanceInto(&a, payload) != nil {
+		if decodeCutAdvance(&a, payload) != nil {
 			return
 		}
-		if err := DecodeCutAdvanceInto(&a2, AppendCutAdvance(nil, a.WorldLine, a.Cut)); err != nil {
+		if err := decodeCutAdvance(&a2, AppendCutAdvanceEncoded(nil, a.WorldLine, AppendCut(nil, a.Cut))); err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
 		if a2.WorldLine != a.WorldLine || !a2.Cut.Equal(a.Cut) {
@@ -104,7 +104,7 @@ func FuzzDecodeCutAdvance(f *testing.F) {
 		// map-serializing path for a single-entry cut (multi-entry cuts
 		// iterate the map in arbitrary order, so compare decoded forms).
 		enc := AppendCut(nil, a.Cut)
-		if err := DecodeCutAdvanceInto(&a3, AppendCutAdvanceEncoded(nil, a.WorldLine, enc)); err != nil {
+		if err := decodeCutAdvance(&a3, AppendCutAdvanceEncoded(nil, a.WorldLine, enc)); err != nil {
 			t.Fatalf("spliced encoding rejected: %v", err)
 		}
 		if a3.WorldLine != a.WorldLine || !a3.Cut.Equal(a.Cut) {

@@ -281,21 +281,19 @@ func (fr *FrameReader) Read() (byte, []byte, error) {
 	hdr, err := fr.r.Peek(4)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
+			return 0, nil, io.ErrUnexpectedEOF
 		}
 		return 0, nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr))
 	fr.r.Discard(4)
 	if n == 0 || n > MaxFrameSize {
-		return 0, nil, fmt.Errorf("wire: bad frame size %d", n) //dpr:ignore hotpath-noalloc cold reject path: only corrupt length prefixes reach the formatter
+		return 0, nil, fmt.Errorf("wire: bad frame size %d", n)
 	}
-	buf := *fr.buf
-	if cap(buf) < n {
-		buf = make([]byte, n) //dpr:ignore hotpath-noalloc grows once to the connection frame high-water mark; steady state reuses the pooled buffer
-		*fr.buf = buf
+	if cap(*fr.buf) < n {
+		*fr.buf = make([]byte, n)
 	}
-	buf = buf[:n]
+	buf := (*fr.buf)[:n]
 	if _, err := io.ReadFull(fr.r, buf); err != nil {
 		return 0, nil, err
 	}
@@ -385,7 +383,7 @@ func DecodeBatchRequestInto(b *BatchRequest, p []byte) error {
 			return errOpCount
 		}
 		if cap(b.Ops) < n {
-			b.Ops = make([]Op, n) //dpr:ignore hotpath-noalloc grows once to the batch high-water mark; steady state reuses b.Ops
+			b.Ops = make([]Op, n)
 		}
 		b.Ops = b.Ops[:n]
 		for i := 0; i < n; i++ {
@@ -400,7 +398,7 @@ func DecodeBatchRequestInto(b *BatchRequest, p []byte) error {
 	}
 	if b.Header.NumOps != uint32(n) {
 		b.Ops = b.Ops[:0]
-		return fmt.Errorf("wire: header claims %d ops, frame carries %d", b.Header.NumOps, n) //dpr:ignore hotpath-noalloc cold reject path: only malformed frames reach the formatter
+		return fmt.Errorf("wire: header claims %d ops, frame carries %d", b.Header.NumOps, n)
 	}
 	return nil
 }
@@ -481,7 +479,7 @@ func (m *CutMemo) decodeCut(d *decoder, wl core.WorldLine, cut *core.Cut) error 
 		return errCutCount
 	}
 	if *cut == nil {
-		*cut = make(core.Cut, n) //dpr:ignore hotpath-noalloc first decode only; later decodes clear and refill the map
+		*cut = make(core.Cut, n)
 	} else {
 		clear(*cut)
 	}
@@ -498,7 +496,7 @@ func (m *CutMemo) decodeCut(d *decoder, wl core.WorldLine, cut *core.Cut) error 
 	}
 	if m != nil {
 		m.wl, m.cut = wl, *cut
-		m.section = append(m.section[:0], section...) //dpr:ignore hotpath-noalloc grows once to the cut's size; a section is a few entries
+		m.section = append(m.section[:0], section...)
 	}
 	return nil
 }
@@ -519,7 +517,7 @@ func (m *CutMemo) DecodeBatchReply(r *BatchReply, p []byte) error {
 			return errResultCount
 		}
 		if cap(r.Results) < n {
-			r.Results = make([]OpResult, n) //dpr:ignore hotpath-noalloc grows once to the batch high-water mark; steady state reuses r.Results
+			r.Results = make([]OpResult, n)
 		}
 		r.Results = r.Results[:n]
 		for i := 0; i < n; i++ {
@@ -532,11 +530,11 @@ func (m *CutMemo) DecodeBatchReply(r *BatchReply, p []byte) error {
 			}
 		}
 	}
-	err := m.decodeCut(d, r.WorldLine, &r.Cut)
-	if err != nil {
+	if err := m.decodeCut(d, r.WorldLine, &r.Cut); err != nil {
 		r.Results = r.Results[:0]
+		return err
 	}
-	return err
+	return nil
 }
 
 // DecodeBatchReplyInto parses a reply payload into r, reusing r.Results and
