@@ -162,10 +162,13 @@ bench-scaling:
 # callback), the session's bookkeeping (NextBatch + CompleteBatch at b = 1
 # and 64, the cut moving every 1 000 batches), and the client's remote path
 # (enqueue, transmit, settle against an in-process worker that only
-# answers). Every line must report 0 allocs/op.
+# answers), and the kv operation at the end-to-end benchmark's load
+# (ReadLoaded, UpsertLoaded: 131 072 keys in 1<<16 buckets; records/op is
+# the chain walk's length). Every line must report 0 allocs/op.
 bench-serve-path:
 	$(GO) test -bench 'ExecuteLocal$$|ClientLocal$$|ClientEnqueueSettle$$' -benchmem -run '^$$' ./internal/dfaster
 	$(GO) test -bench 'SessionBatch$$' -benchmem -run '^$$' ./internal/libdpr
+	$(GO) test -bench 'ReadLoaded$$|UpsertLoaded$$' -benchmem -run '^$$' ./internal/kv
 
 # Metadata-plane scale curve: one commit cycle (activation burst, checkpoint
 # reports, cut publication, fold, evict) at 10k, 100k, and 1M sessions with

@@ -248,19 +248,20 @@ func obsView(args []string) error {
 // printLogView renders each store's HybridLog: where memory is (resident =
 // head to tail), how much of it is still updated in place, the committed
 // version compaction is held to (nothing above it is garbage yet), the
-// resident size at which the store's compactor starts its next cycle, and the
-// slab bytes backed by memory.
+// resident size at which the store's compactor starts its next cycle, the
+// slab bytes backed by memory, and the index's chains in use and full buckets.
 func printLogView(workers []*obs.DPRState) {
 	if len(workers) == 0 {
 		return
 	}
 	fmt.Println()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "LOG\tBEGIN\tHEAD\tREAD-ONLY\tTAIL\tRESIDENT\tMUTABLE\tGARBAGE-BELOW\tNEXT-CYCLE-AT\tMAPPED")
+	fmt.Fprintln(tw, "LOG\tBEGIN\tHEAD\tREAD-ONLY\tTAIL\tRESIDENT\tMUTABLE\tGARBAGE-BELOW\tNEXT-CYCLE-AT\tMAPPED\tCHAINS\tFULL-LINES")
 	for _, st := range workers {
 		l := st.Log
-		fmt.Fprintf(tw, "worker %d\t%d\t%d\t%d\t%d\t%s\t%s\tv%d\t%s\t%s\n", st.Worker,
-			l.Begin, l.Head, l.ReadOnly, l.Tail, mib(l.Tail-l.Head), mib(l.Tail-l.ReadOnly), l.Committed, mib(l.CompactTrigger), mib(l.Mapped))
+		fmt.Fprintf(tw, "worker %d\t%d\t%d\t%d\t%d\t%s\t%s\tv%d\t%s\t%s\t%d\t%d\n", st.Worker,
+			l.Begin, l.Head, l.ReadOnly, l.Tail, mib(l.Tail-l.Head), mib(l.Tail-l.ReadOnly), l.Committed, mib(l.CompactTrigger), mib(l.Mapped),
+			l.IndexChains, l.IndexFullLines)
 	}
 	tw.Flush()
 }

@@ -77,7 +77,7 @@ func main() {
 		CheckpointInterval: *ckpt,
 		Partitions:         *partitions,
 		Device:             device,
-		KV:                 kv.Config{BucketCount: 1 << 18, MemoryBudget: *memBudget},
+		KV:                 kv.Config{BucketCount: 1 << 16, MemoryBudget: *memBudget},
 	}
 	// A fresh shard claims -own; the restart path (§4.1) recovers the shard at
 	// its position in the cut the finder's recovery round froze, and takes

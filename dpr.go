@@ -155,7 +155,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Partitions:         cfg.Partitions,
 			Device:             dev,
 			KV: kv.Config{
-				BucketCount:  1 << 16,
+				// 512 KiB of buckets, 65 536 chains: under the 1 MiB the
+				// index took when a bucket was one untagged head.
+				BucketCount:  1 << 13,
 				MemoryBudget: cfg.MemoryBudgetPerShard,
 			},
 		}, c.meta)
@@ -375,7 +377,8 @@ func (s *Session) Flush() error { return s.client.Flush() }
 func (s *Session) Drain() error { return s.client.Drain() }
 
 // Committed returns the committed prefix point (sequence number) and the
-// exception list (relaxed DPR).
+// exception list (relaxed DPR). The list is shared with later calls until it
+// changes: it must not be modified.
 func (s *Session) Committed() (uint64, []uint64) { return s.client.Committed() }
 
 // WaitAllCommitted blocks until everything issued so far is durable. A write

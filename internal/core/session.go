@@ -43,6 +43,7 @@ type SessionTracker struct {
 
 	committed  uint64   // committed prefix point
 	exceptions []uint64 // seqs <= committed that are NOT committed (relaxed); refilled in place
+	shared     []uint64 // what Committed last handed out: an immutable copy of exceptions
 
 	// latestSeq/latestTok track the most recently completed operation so the
 	// next batch's dependency is O(1).
@@ -523,10 +524,16 @@ func (s *SessionTracker) extendUntracked(x uint64) uint64 {
 }
 
 // Committed returns the last computed committed prefix point and exceptions.
+// The exception slice is shared by every call until the exceptions change, so
+// that a caller polling a quiet session allocates nothing: it must not be
+// modified.
 func (s *SessionTracker) Committed() (uint64, []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.committed, append([]uint64(nil), s.exceptions...)
+	if !slices.Equal(s.shared, s.exceptions) {
+		s.shared = append([]uint64(nil), s.exceptions...)
+	}
+	return s.committed, s.shared
 }
 
 // CommitStatus is what a wait for seq's commit needs, under one lock: the

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dpr/internal/allocpin"
 )
 
 func TestSessionStrictCommitPrefix(t *testing.T) {
@@ -371,5 +373,26 @@ func TestSessionPrefixMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommittedZeroAlloc: a session polled for its commit state with nothing
+// advancing in between hands out the same exception list, not a fresh copy
+// per call; a change of the list is seen by the next call.
+func TestCommittedZeroAlloc(t *testing.T) {
+	s := NewSessionTracker(0, true)
+	s1, s2, s3 := s.Begin(), s.Begin(), s.Begin()
+	s.Complete(s1, tok(1, 1))
+	s.Complete(s3, tok(1, 1))
+	s.AdvanceCommitted(0, Cut{1: 1})
+	p, exc := s.Committed()
+	if p != 3 || !slices.Equal(exc, []uint64{s2}) {
+		t.Fatalf("Committed() = %d %v, want 3 [%d]", p, exc, s2)
+	}
+	allocpin.Zero(t, "SessionTracker.Committed", 1000, func() { p, exc = s.Committed() })
+	s.Complete(s2, tok(2, 1))
+	s.AdvanceCommitted(0, Cut{1: 1, 2: 1})
+	if p, exc := s.Committed(); p != 3 || len(exc) != 0 {
+		t.Fatalf("after the exception resolved: Committed() = %d %v, want 3 []", p, exc)
 	}
 }

@@ -322,7 +322,8 @@ func (c *Client) Drain() error {
 // current world-line (a rollback takes back those beyond the surviving prefix).
 func (c *Client) LastSeq() uint64 { return c.session.Tracker().NextSeq() - 1 }
 
-// Committed returns the session's committed prefix and exceptions.
+// Committed returns the session's committed prefix and exceptions, shared
+// until they change (core.SessionTracker.Committed): it must not be modified.
 func (c *Client) Committed() (uint64, []uint64) { return c.session.Committed() }
 
 // WaitCommitAll flushes, drains, and waits until everything issued so far is

@@ -203,7 +203,8 @@ func Restart(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 	return w, nil
 }
 
-// registerLogObs exports the store's log size and what its compactor does.
+// registerLogObs exports the store's log size, its index's occupancy and what
+// its compactor does.
 func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 	with := func(k, v string) []obs.Label { return append(lbls[:len(lbls):len(lbls)], obs.L(k, v)) }
 	const logHelp = "HybridLog bytes in memory: resident is head to tail, mutable the part still updated in place, mapped the slab bytes backed by memory."
@@ -218,6 +219,16 @@ func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 	reg.GaugeFunc("dpr_store_log_bytes", logHelp, func() float64 {
 		return float64(w.store.LogState().Mapped)
 	}, with("region", "mapped")...)
+	reg.GaugeFunc("dpr_store_index_chains", "Hash index entries in use: one chain each.", func() float64 {
+		chains, _ := w.store.IndexOccupancy()
+		return float64(chains)
+	}, lbls...)
+	reg.GaugeFunc("dpr_store_index_full_lines",
+		"Hash index buckets (one cache line each) with all eight entries in use: a new key tag there shares another tag's chain.",
+		func() float64 {
+			_, full := w.store.IndexOccupancy()
+			return float64(full)
+		}, lbls...)
 	const bytesHelp = "Log bytes compaction moved the begin address over (scanned), re-appended at the tail (copied), and dropped (reclaimed)."
 	scanned := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "scanned")...)
 	copied := reg.Counter("dpr_store_compaction_bytes_total", bytesHelp, with("kind", "copied")...)
@@ -252,15 +263,17 @@ func (w *Worker) openConn() serve.Conn {
 // Lane is the frame's execution lane; each co-located caller holds one.
 type Lane = serve.Lane
 
-// DebugState adds the ownership count and the store's log to the frame's
-// /debug/dpr snapshot.
+// DebugState adds the ownership count and the store's log and index to the
+// frame's /debug/dpr snapshot.
 func (w *Worker) DebugState() obs.DPRState {
 	st := w.Worker.DebugState()
 	st.OwnedPartitions = len(w.OwnedPartitions())
 	ls := w.store.LogState()
+	chains, full := w.store.IndexOccupancy()
 	st.Log = &obs.LogState{
 		Begin: ls.Begin, Head: ls.Head, ReadOnly: ls.ReadOnly, Tail: ls.Tail,
 		Committed: uint64(ls.Committed), CompactTrigger: ls.CompactTrigger, Mapped: ls.Mapped,
+		IndexChains: chains, IndexFullLines: full,
 	}
 	return st
 }

@@ -111,6 +111,8 @@ func TestObsEndpoints(t *testing.T) {
 		`dpr_store_log_bytes{region="resident"`,
 		`dpr_store_log_bytes{region="mutable"`,
 		`dpr_store_log_bytes{region="mapped"`,
+		"# TYPE dpr_store_index_chains gauge",
+		"# TYPE dpr_store_index_full_lines gauge",
 		`dpr_store_compaction_bytes_total{kind="scanned"`,
 		`dpr_store_compaction_bytes_total{kind="copied"`,
 		`dpr_store_compaction_bytes_total{kind="reclaimed"`,
@@ -166,10 +168,14 @@ func TestObsEndpoints(t *testing.T) {
 	}
 	// Why memory is where it is: the log's boundaries, in order, the
 	// committed version compaction is held to, and at least the slab the
-	// tail is in backed by memory.
+	// tail is in backed by memory. The workload's keys hold index chains, and
+	// so few keys fill no 8-entry bucket of dpr-server's 1<<16.
 	if l := wst.Log; l == nil || l.Tail == 0 || l.Begin > l.Head || l.Head > l.ReadOnly || l.ReadOnly > l.Tail ||
-		l.Committed == 0 || l.CompactTrigger <= 0 || l.Mapped <= 0 {
+		l.Committed == 0 || l.CompactTrigger <= 0 || l.Mapped <= 0 || l.IndexChains <= 0 || l.IndexFullLines != 0 {
 		t.Fatalf("worker snapshot: log %+v", l)
+	}
+	if v, ok := findMetric(after, "dpr_store_index_chains"); !ok || v <= 0 {
+		t.Fatalf("dpr_store_index_chains = %v after workload", v)
 	}
 	rst := scrapeDebug(t, dredisObsHTTP)
 	if rst.Kind != "dredis" || rst.Worker != 2 {

@@ -282,12 +282,13 @@ func recoverFrom(device storage.Device, cfg Config, m *checkpointMeta, v core.Ve
 			if ver > v || rangesContain(ranges, ver) || r.invalid() {
 				return true
 			}
-			b := s.index.bucketFor(r.key())
-			if int(b>>48) != si {
+			h := keyHash(r.key())
+			if s.index.shardOf(h) != si {
 				return true
 			}
-			r.setPrev(s.index.head(b))
-			s.index.setHead(b, addr)
+			e := s.index.chain(h)
+			r.setPrev(e.head())
+			e.link(addr)
 			return true
 		})
 	})

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -160,12 +161,12 @@ func (s *Store) compactStep(upTo int64) (more bool, st CompactStep, err error) {
 	pos, stopped := begin, false
 	err = s.log.scan(begin, end, func(addr int64, r recordView) bool {
 		if m := r.meta(); m&metaInvalid == 0 && !rangesContain(pass.ranges, core.Version(m&metaVersionMask)) {
-			b := s.index.bucketFor(r.key())
-			keep := s.index.keep(b)
+			h := keyHash(r.key())
+			keep := s.index.keep(h)
 			if addr >= *keep {
-				// Not known to be droppable: judge its chain (again, if it
-				// was pinned when last looked at — S may have moved).
-				if !s.judgeBucket(b, keep, &pass) {
+				// Not known to be droppable: judge its bucket's chains (again,
+				// if it was pinned when last looked at — S may have moved).
+				if !s.judgeBucket(h, keep, &pass) {
 					more, stopped = true, true // asked to yield mid-chain
 					return false
 				}
@@ -249,63 +250,65 @@ type chainKey struct {
 	pinned bool   // a visible record above S has been met
 }
 
-// judgeBucket walks bucket b's resident chain once, newest first, under its
-// lock: per key, records above S stay, the first one at or below S is the
-// floor, and everything after it is droppable. A floor below pass.upTo is
-// re-appended at the tail (version stamp preserved) if nothing newer of its
-// key is in the way, and stays pinned otherwise; a tombstone floor is just
-// dropped. *keep is left at the lowest address of the chain still needed in
-// place — every record of the bucket below it is droppable, now and later
-// (S only grows, and what was rolled back stays so; records yet to be
-// written land above it). It reports false, with *keep untouched, if a
-// commit or rollback asked for the state machine mid-walk; copies made by
-// then merely shadow their originals.
-func (s *Store) judgeBucket(b uint64, keep *int64, pass *compactPass) bool {
-	mu := s.index.lock(b)
+// judgeBucket walks the resident chains of h's bucket once each, newest
+// first, under the bucket's lock: per key, records above S stay, the first
+// one at or below S is the floor, and everything after it is droppable. A
+// floor below pass.upTo is re-appended at the tail of its own chain (version
+// stamp preserved) if nothing newer of its key is in the way, and stays
+// pinned otherwise; a tombstone floor is just dropped. *keep is left at the
+// lowest address of the bucket's chains still needed in place — every record
+// of the bucket below it is droppable, now and later (S only grows, and what
+// was rolled back stays so; records yet to be written land above it). It
+// reports false, with *keep untouched, if a commit or rollback asked for the
+// state machine mid-walk; copies made by then merely shadow their originals.
+func (s *Store) judgeBucket(h uint64, keep *int64, pass *compactPass) bool {
+	mu := s.index.lock(h)
 	mu.Lock()
 	defer mu.Unlock()
-	needed := int64(-1) // lowest address needed in place, -1 when none so far
-	pass.seen = pass.seen[:0]
-	for cur := s.index.head(b); cur != nilAddress && cur >= pass.begin; {
-		if s.smWaiting.Load() != 0 {
-			return false
-		}
-		r, ok := s.log.view(cur)
-		if !ok {
-			break
-		}
-		next := r.prev()
-		m := r.meta()
-		ver := core.Version(m & metaVersionMask)
-		if m&metaInvalid != 0 || rangesContain(pass.ranges, ver) {
-			cur = next
-			continue
-		}
-		k := pass.chainKey(r.key())
-		switch {
-		case k.floor:
-			// Shadowed at or below S: droppable.
-		case ver > pass.committed:
-			k.pinned = true
-			needed = cur
-		default:
-			k.floor = true
+	needed := int64(math.MaxInt64) // lowest address needed in place so far
+	chains := s.index.bucket(h).chains()
+	for i := range chains {
+		e := &chains[i]
+		pass.seen = pass.seen[:0] // a key's records are all in one chain
+		for cur := e.head(); cur != nilAddress && cur >= pass.begin; {
+			if s.smWaiting.Load() != 0 {
+				return false
+			}
+			r, ok := s.log.view(cur)
+			if !ok {
+				break
+			}
+			next := r.prev()
+			m := r.meta()
+			ver := core.Version(m & metaVersionMask)
+			if m&metaInvalid != 0 || rangesContain(pass.ranges, ver) {
+				cur = next
+				continue
+			}
+			k := pass.chainKey(r.key())
 			switch {
-			case cur >= pass.upTo || (k.pinned && m&metaTombstone == 0):
-				needed = cur // out of this pass's range, or pinned under a newer record
-			case m&metaTombstone == 0:
-				rec := s.log.writeRecord(s.index.head(b), uint64(ver), false, r.key(), r.value(), r.valLen())
-				s.index.setHead(b, rec.addr)
-				pass.did.Moved++
-				pass.did.Copied += int64(rec.totalSize())
-				if needed < 0 {
-					needed = rec.addr
+			case k.floor:
+				// Shadowed at or below S: droppable.
+			case ver > pass.committed:
+				k.pinned = true
+				needed = min(needed, cur)
+			default:
+				k.floor = true
+				switch {
+				case cur >= pass.upTo || (k.pinned && m&metaTombstone == 0):
+					needed = min(needed, cur) // out of this pass's range, or pinned under a newer record
+				case m&metaTombstone == 0:
+					rec := s.log.writeRecord(e.head(), uint64(ver), false, r.key(), r.value(), r.valLen())
+					e.link(rec.addr)
+					pass.did.Moved++
+					pass.did.Copied += int64(rec.totalSize())
+					needed = min(needed, rec.addr)
 				}
 			}
+			cur = next
 		}
-		cur = next
 	}
-	if needed < 0 {
+	if needed == math.MaxInt64 {
 		// Nothing here must stay. Whatever is written to this bucket from now
 		// on lands at or above the tail.
 		needed = s.log.tail.Load()
@@ -378,6 +381,12 @@ type LogState struct {
 	CompactTrigger              int64
 	Mapped                      int64
 }
+
+// IndexOccupancy returns the hash index's claimed entries — the chains in
+// use — and its full buckets, whose eight entries are all claimed: a key with
+// a new tag there shares another tag's chain. Many full buckets say that
+// BucketCount is too small for the key count.
+func (s *Store) IndexOccupancy() (chains, fullBuckets int64) { return s.index.occupancy() }
 
 // LogState returns the log boundaries and compaction's inputs.
 func (s *Store) LogState() LogState {

@@ -571,16 +571,20 @@ func TestCompactionBoundsLogUnderLoad(t *testing.T) {
 	for si := range s.index.shards {
 		for b := range s.index.shards[si].buckets {
 			slot.Enter()
-			head, n := s.log.head.Load(), 0
-			for addr := s.index.head(s.index.handle(si, b)); addr != nilAddress && addr >= head; n++ {
-				r, ok := s.log.view(addr)
-				if !ok {
-					t.Fatalf("chain of bucket %d/%d reaches a released slab at %d (head %d)", si, b, addr, head)
+			head := s.log.head.Load()
+			chains := s.index.shards[si].buckets[b].chains()
+			for i := range chains {
+				n := 0
+				for addr := chains[i].head(); addr != nilAddress && addr >= head; n++ {
+					r, ok := s.log.view(addr)
+					if !ok {
+						t.Fatalf("chain %d of bucket %d/%d reaches a released slab at %d (head %d)", i, si, b, addr, head)
+					}
+					addr = r.prev()
 				}
-				addr = r.prev()
+				longest = max(longest, n)
 			}
 			slot.Exit()
-			longest = max(longest, n)
 		}
 	}
 	if int64(longest)*recSize > limit {

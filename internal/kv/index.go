@@ -4,44 +4,105 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// index is the sharded, latch-striped hash index. The bucket space is split
-// into independent shards — each with its own bucket array and stripe-lock
-// array — selected by disjoint hash bits, so concurrent execution lanes
-// contend only within a shard and whole-index passes (rollback PURGE,
-// recovery rebuild, migration scans) parallelize shard-by-shard.
+// index is FASTER's hash index: an array of 64-byte buckets, one cache line
+// each, of eight tagged entries. An entry heads one chain; a key's records all
+// live in the chain of the entry carrying its tag, so a lookup loads one line
+// and walks only its own key's records. The bucket space is split into
+// independent shards — each with its own buckets and stripe-lock array —
+// selected by hash bits disjoint from the bucket and tag bits, so concurrent
+// execution lanes contend only within a shard and whole-index passes
+// (rollback PURGE, recovery rebuild, migration scans) parallelize
+// shard-by-shard.
 //
-// Each bucket holds the log address of the newest record in its chain (-1
-// when empty). Chain mutations happen under the bucket's stripe lock; chain
-// heads and record headers (prev, meta) are atomic, so epoch-protected
-// readers may traverse chains lock-free and copy values below the frozen
-// boundary without ever touching a lock (FASTER's latch-free reads, kept
-// data-race-free under the Go memory model — see session.ReadAppend).
+// Placement: a key's chain is the entry of its bucket carrying its tag. When
+// its first record is linked and the bucket has no such entry, the first free
+// entry is claimed for the tag; in a full bucket the key shares the chain of
+// entry tag mod 8. Entries are claimed under the bucket's stripe lock, lowest
+// free first, and never freed while the store serves, so a bucket only fills
+// up. A lock-free reader therefore applies the writers' rule to whatever it
+// loads: the tag's entry, else entry tag mod 8 if all eight are claimed, else
+// absent (DESIGN.md "Tagged hash index"). Chain heads and record headers (prev,
+// meta) are atomic, so epoch-protected readers may traverse chains lock-free
+// and copy values below the frozen boundary without touching a lock
+// (FASTER's latch-free reads, kept data-race-free under the Go memory model —
+// see session.ReadAppend).
+//
+// The buckets are mapped memory outside the collector's heap, like the log's
+// slabs (slab_mapped.go): page-aligned, so a bucket is exactly a cache line.
 type index struct {
 	shards    []indexShard
 	shardMask uint64
+	mem       []byte // every shard's buckets; unmapped when the index is unreachable
 }
 
 // indexShard is one independent partition of the hash index.
 type indexShard struct {
-	buckets  []atomic.Int64
+	buckets  []bucket
 	locks    []sync.Mutex
 	mask     uint64
 	lockMask uint64
 
-	// keep[b] is compaction's memo for bucket b: every record of the bucket
-	// at a lower address is droppable (see judgeBucket). Zero knows nothing.
-	// Only compaction steps touch it, one at a time under the store's
+	// keep[b] is compaction's memo for bucket b: every record of the bucket's
+	// chains at a lower address is droppable (see judgeBucket). Zero knows
+	// nothing. Only compaction steps touch it, one at a time under the store's
 	// state-machine mutex.
 	keep []int64
+
+	// chains counts the claimed entries, full the buckets with all eight
+	// claimed (a new tag there shares another tag's chain). Both move only
+	// when an entry is claimed, under its stripe lock. They sit on a cache
+	// line of their own, so that a claim does not evict the fields above from
+	// the processors serving the neighbouring shards.
+	_            [64]byte
+	chains, full atomic.Int64
+	_            [64]byte
+}
+
+// bucket is one cache line of entries. Claimed entries are a prefix: the
+// first free one ends the bucket.
+type bucket [bucketEntries]entry
+
+const bucketEntries = 8
+
+// entry is one chain's head:
+//
+//	bit 63      claimed
+//	bits 48-62  tag
+//	bits 0-47   address of the chain's newest record, plus one
+//
+// A free entry is zero; a claimed entry whose record is not yet linked
+// carries address bits zero. Both read as nilAddress.
+type entry struct{ w atomic.Uint64 }
+
+const (
+	entryClaimed  = 1 << 63
+	entryAddrMask = 1<<48 - 1
+)
+
+// head returns the chain's newest record, nilAddress for none. The load is
+// atomic: lock-free readers use it as their acquire point for the chain's
+// record contents.
+func (e *entry) head() int64 { return int64(e.w.Load()&entryAddrMask) - 1 }
+
+// link publishes addr as the chain's newest record, keeping the entry's tag.
+// Callers hold the stripe lock.
+func (e *entry) link(addr int64) {
+	e.w.Store(e.w.Load()&^entryAddrMask | uint64(addr+1))
 }
 
 const nilAddress = int64(-1)
 
-// Bucket handles pack (shard, bucket) into one uint64: shard in the top 16
-// bits, bucket index in the low 48.
-const handleBucketMask = (1 << 48) - 1
+// A key's hash picks its bucket from the low bits, its shard from bits 40-47
+// and its tag from bits 48-62, so the three are independent.
+const (
+	shardShift     = 40
+	maxIndexShards = 1 << 8
+	tagShift       = 48
+	tagMask        = 1<<15 - 1
+)
 
 // maxStripesPerShard caps each shard's stripe-lock array.
 const maxStripesPerShard = 1 << 12
@@ -70,7 +131,9 @@ func ceilPow2(n int) int {
 }
 
 // newIndex builds an index of about bucketCount total buckets split across
-// shardCount shards (both rounded up to powers of two).
+// shardCount shards (both rounded up to powers of two, shards capped at 256).
+// Mapped memory is zero-filled: every entry starts free. It is populated up
+// front (slab_mapped.go).
 func newIndex(bucketCount, shardCount int) *index {
 	if bucketCount <= 0 {
 		bucketCount = 1 << 16
@@ -78,33 +141,33 @@ func newIndex(bucketCount, shardCount int) *index {
 	if shardCount <= 0 {
 		shardCount = defaultIndexShards()
 	}
-	shardCount = ceilPow2(shardCount)
+	shardCount = min(ceilPow2(shardCount), maxIndexShards)
 	bucketCount = ceilPow2(bucketCount)
-	perShard := bucketCount / shardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	nlocks := perShard
-	if nlocks > maxStripesPerShard {
-		nlocks = maxStripesPerShard
-	}
+	perShard := max(bucketCount/shardCount, 1)
+	nlocks := min(perShard, maxStripesPerShard)
+	mem := mapMemory(shardCount*perShard*int(unsafe.Sizeof(bucket{})), true)
+	all := unsafe.Slice((*bucket)(unsafe.Pointer(&mem[0])), shardCount*perShard)
 	ix := &index{
 		shards:    make([]indexShard, shardCount),
 		shardMask: uint64(shardCount - 1),
+		mem:       mem,
 	}
+	runtime.SetFinalizer(ix, (*index).unmap)
 	for si := range ix.shards {
 		sh := &ix.shards[si]
-		sh.buckets = make([]atomic.Int64, perShard)
+		sh.buckets = all[si*perShard : (si+1)*perShard : (si+1)*perShard]
 		sh.locks = make([]sync.Mutex, nlocks)
 		sh.mask = uint64(perShard - 1)
 		sh.lockMask = uint64(nlocks - 1)
 		sh.keep = make([]int64, perShard)
-		for i := range sh.buckets {
-			sh.buckets[i].Store(nilAddress)
-		}
 	}
 	return ix
 }
+
+// unmap returns the buckets' memory once nothing can reach the index. As
+// with the log's slabs (hlog.unmapSlabs), nothing touches a bucket without
+// holding the store.
+func (ix *index) unmap() { unmapMemory(ix.mem) }
 
 // fnv1a computes the 64-bit FNV-1a hash of key.
 func fnv1a(key []byte) uint64 {
@@ -120,47 +183,115 @@ func fnv1a(key []byte) uint64 {
 	return h
 }
 
-// bucketFor maps a key to its bucket handle. The shard comes from high hash
-// bits and the bucket from low bits, so the two choices are independent.
-func (ix *index) bucketFor(key []byte) uint64 {
+// keyHash is the index's hash of key: FNV-1a, finished with MurmurHash3's
+// fmix64 so that its high bits (shard, tag) are as well mixed as its low
+// ones (bucket). Keys placed by an FNV-based partition function then still
+// spread evenly over one store's buckets and tags.
+func keyHash(key []byte) uint64 {
 	h := fnv1a(key)
-	shard := (h >> 40) & ix.shardMask
-	b := h & ix.shards[shard].mask
-	return shard<<48 | b
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
-func (ix *index) shard(handle uint64) *indexShard { return &ix.shards[handle>>48] }
+func (ix *index) shard(h uint64) *indexShard { return &ix.shards[(h>>shardShift)&ix.shardMask] }
 
-func (ix *index) lock(handle uint64) *sync.Mutex {
-	sh := ix.shard(handle)
-	return &sh.locks[(handle&handleBucketMask)&sh.lockMask]
+func (ix *index) bucket(h uint64) *bucket {
+	sh := ix.shard(h)
+	return &sh.buckets[h&sh.mask]
 }
 
-// head returns the chain head address for a bucket. The load is atomic:
-// lock-free readers use it as their acquire point for the chain's record
-// contents; mutators additionally hold the stripe lock for a consistent
-// read-modify-write of the chain.
-func (ix *index) head(handle uint64) int64 {
-	return ix.shard(handle).buckets[handle&handleBucketMask].Load()
+// lock returns the stripe lock of h's bucket: one lock covers a bucket's
+// eight entries.
+func (ix *index) lock(h uint64) *sync.Mutex {
+	sh := ix.shard(h)
+	return &sh.locks[h&sh.mask&sh.lockMask]
 }
 
-// setHead publishes a new chain head. Callers must hold the stripe lock.
-func (ix *index) setHead(handle uint64, addr int64) {
-	ix.shard(handle).buckets[handle&handleBucketMask].Store(addr)
+// keep returns compaction's memo slot for h's bucket.
+func (ix *index) keep(h uint64) *int64 {
+	sh := ix.shard(h)
+	return &sh.keep[h&sh.mask]
 }
 
-// keep returns compaction's memo slot for a bucket.
-func (ix *index) keep(handle uint64) *int64 {
-	return &ix.shard(handle).keep[handle&handleBucketMask]
+// tagged is the claimed, tagged entry word of h with no address.
+func tagged(h uint64) uint64 { return entryClaimed | h&(tagMask<<tagShift) }
+
+// find returns the head of the chain h's key lives in, nilAddress when the
+// key has none. It takes no lock; see index for why a lock-free reader and
+// the writers agree.
+func (ix *index) find(h uint64) int64 {
+	b := ix.bucket(h)
+	want := tagged(h)
+	for i := range b {
+		w := b[i].w.Load()
+		if w&^entryAddrMask == want {
+			return int64(w&entryAddrMask) - 1
+		}
+		if w == 0 {
+			return nilAddress
+		}
+	}
+	return b[(h>>tagShift)%bucketEntries].head()
 }
+
+// chain returns the entry h's key is linked into, claiming the first free
+// entry of the bucket for the key's tag if it has none (the entry then heads
+// an empty chain until the caller links a record). The caller holds the
+// stripe lock.
+func (ix *index) chain(h uint64) *entry {
+	sh := ix.shard(h)
+	b := &sh.buckets[h&sh.mask]
+	want := tagged(h)
+	for i := range b {
+		w := b[i].w.Load()
+		if w&^entryAddrMask == want {
+			return &b[i]
+		}
+		if w == 0 {
+			b[i].w.Store(want)
+			sh.chains.Add(1)
+			if i == bucketEntries-1 {
+				sh.full.Add(1)
+			}
+			return &b[i]
+		}
+	}
+	return &b[(h>>tagShift)%bucketEntries]
+}
+
+// chains returns the claimed entries of b, each heading one chain.
+func (b *bucket) chains() []entry {
+	n := 0
+	for n < bucketEntries && b[n].w.Load() != 0 {
+		n++
+	}
+	return b[:n]
+}
+
+// handle rebuilds a hash that selects the given shard and bucket, for the
+// whole-index passes that iterate buckets (tag bits zero: only the bucket,
+// its lock and its memo are meant).
+func (ix *index) handle(shard, b int) uint64 {
+	return uint64(shard)<<shardShift | uint64(b)
+}
+
+// shardOf returns the index of h's shard.
+func (ix *index) shardOf(h uint64) int { return int((h >> shardShift) & ix.shardMask) }
 
 // shardCount returns the number of index shards.
 func (ix *index) shardCount() int { return len(ix.shards) }
 
-// handle rebuilds a bucket handle from explicit shard/bucket indexes
-// (whole-index passes iterate this way).
-func (ix *index) handle(shard, bucket int) uint64 {
-	return uint64(shard)<<48 | uint64(bucket)
+// occupancy sums the claimed entries and the full buckets over all shards.
+func (ix *index) occupancy() (chains, full int64) {
+	for si := range ix.shards {
+		chains += ix.shards[si].chains.Load()
+		full += ix.shards[si].full.Load()
+	}
+	return chains, full
 }
 
 // forEachShard runs fn(shard index) for every shard, concurrently when the

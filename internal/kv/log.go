@@ -120,11 +120,11 @@ func newHlog(device storage.Device, blob string) *hlog {
 func (l *hlog) unmapSlabs() {
 	n := int64(len(l.free))
 	for _, b := range l.free {
-		unmapSlab(*b)
+		unmapMemory(*b)
 	}
 	for i := range l.slabs {
 		if b := l.slabs[i].Load(); b != nil {
-			unmapSlab(*b)
+			unmapMemory(*b)
 			n++
 		}
 	}
@@ -147,7 +147,7 @@ func (l *hlog) ensureSlab(idx int64) *[]byte {
 	if n := len(l.free); n > 0 {
 		b, l.free = l.free[n-1], l.free[:n-1]
 	} else {
-		nb := mapSlab()
+		nb := mapMemory(slabSize, false)
 		b = &nb
 		liveSlabs.Add(1)
 	}
@@ -347,7 +347,7 @@ func (l *hlog) releaseSlabs(from, to int64) {
 		if b == nil {
 			continue
 		}
-		dropSlab(*b)
+		dropMemory(*b)
 		l.mapped.Add(-slabSize)
 		l.allocMu.Lock()
 		l.free = append(l.free, b)

@@ -34,29 +34,31 @@ func (s *Store) ScanFrozen(boundary core.Version, pred func(key []byte) bool, em
 		slot := s.epochs.Register()
 		defer s.epochs.Unregister(slot)
 		sh := &s.index.shards[si]
+		seen := map[string]bool{}
 		for b := range sh.buckets {
-			h := s.index.handle(si, b)
-			mu := s.index.lock(h)
+			mu := s.index.lock(s.index.handle(si, b))
 			slot.Enter()
 			mu.Lock()
-			head := s.index.head(h)
-			seen := map[string]bool{}
 			memHead := s.log.head.Load()
-			for addr := head; addr != nilAddress && addr >= memHead; {
-				r, ok := s.log.view(addr)
-				if !ok {
-					break
-				}
-				key := r.key()
-				ver := core.Version(r.version())
-				if !seen[string(key)] && ver <= boundary &&
-					!rangesContain(ranges, ver) && !r.invalid() && pred(key) {
-					seen[string(key)] = true
-					if !r.tombstone() {
-						emit(key, r.value(), ver)
+			chains := sh.buckets[b].chains()
+			for i := range chains {
+				clear(seen) // a key's records are all in one chain
+				for addr := chains[i].head(); addr != nilAddress && addr >= memHead; {
+					r, ok := s.log.view(addr)
+					if !ok {
+						break
 					}
+					key := r.key()
+					ver := core.Version(r.version())
+					if !seen[string(key)] && ver <= boundary &&
+						!rangesContain(ranges, ver) && !r.invalid() && pred(key) {
+						seen[string(key)] = true
+						if !r.tombstone() {
+							emit(key, r.value(), ver)
+						}
+					}
+					addr = r.prev()
 				}
-				addr = r.prev()
 			}
 			mu.Unlock()
 			slot.Exit()
@@ -79,11 +81,12 @@ func (sess *Session) Ingest(key, val []byte) (core.Version, error) {
 	st := sess.store.loadState()
 	ver := st.version()
 	s := sess.store
-	b := s.index.bucketFor(key)
-	mu := s.index.lock(b)
+	h := keyHash(key)
+	mu := s.index.lock(h)
 	mu.Lock()
 	defer mu.Unlock()
-	rec := s.log.writeRecord(s.index.head(b), uint64(ver), false, key, val, len(val))
-	s.index.setHead(b, rec.addr)
+	e := s.index.chain(h)
+	rec := s.log.writeRecord(e.head(), uint64(ver), false, key, val, len(val))
+	e.link(rec.addr)
 	return ver, nil
 }

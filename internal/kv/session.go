@@ -96,15 +96,16 @@ func (sess *Session) Upsert(key, val []byte) (core.Version, error) {
 	st := sess.store.loadState()
 	ver := st.version()
 	s := sess.store
-	b := s.index.bucketFor(key)
-	mu := s.index.lock(b)
+	h := keyHash(key)
+	mu := s.index.lock(h)
 	mu.Lock()
 	defer mu.Unlock()
+	e := s.index.chain(h)
 
 	readOnly := s.log.readOnly.Load()
 	head := s.log.head.Load()
 	// Walk the in-memory chain looking for the newest record for this key.
-	for addr := s.index.head(b); addr != nilAddress && addr >= head; {
+	for addr := e.head(); addr != nilAddress && addr >= head; {
 		r, ok := s.log.view(addr)
 		if !ok {
 			break
@@ -124,8 +125,8 @@ func (sess *Session) Upsert(key, val []byte) (core.Version, error) {
 		addr = r.prev()
 	}
 	// Read-copy-update: append a fresh record at the tail.
-	rec := s.log.writeRecord(s.index.head(b), uint64(ver), false, key, val, len(val))
-	s.index.setHead(b, rec.addr)
+	rec := s.log.writeRecord(e.head(), uint64(ver), false, key, val, len(val))
+	e.link(rec.addr)
 	return ver, nil
 }
 
@@ -139,12 +140,13 @@ func (sess *Session) Delete(key []byte) (core.Version, error) {
 	st := sess.store.loadState()
 	ver := st.version()
 	s := sess.store
-	b := s.index.bucketFor(key)
-	mu := s.index.lock(b)
+	h := keyHash(key)
+	mu := s.index.lock(h)
 	mu.Lock()
 	defer mu.Unlock()
-	rec := s.log.writeRecord(s.index.head(b), uint64(ver), true, key, nil, 0)
-	s.index.setHead(b, rec.addr)
+	e := s.index.chain(h)
+	rec := s.log.writeRecord(e.head(), uint64(ver), true, key, nil, 0)
+	e.link(rec.addr)
 	return ver, nil
 }
 
@@ -171,19 +173,19 @@ func (sess *Session) ReadAppend(arena *[]byte, key []byte, serial uint64) ([]byt
 	st := s.loadState()
 	ver := st.version()
 	ranges := *s.rolledBack.Load()
-	b := s.index.bucketFor(key)
+	h := keyHash(key)
 
 	// Epoch-protected lock-free fast path: most reads resolve from the
 	// frozen log region without ever touching the stripe lock.
-	if out, status, handled := sess.readLockFree(arena, key, b, ranges); handled {
+	if out, status, handled := sess.readLockFree(arena, key, h, ranges); handled {
 		return out, status, ver
 	}
 
-	mu := s.index.lock(b)
+	mu := s.index.lock(h)
 	mu.Lock()
 
 	head := s.log.head.Load()
-	addr := s.index.head(b)
+	addr := s.index.find(h)
 	for addr != nilAddress && addr >= head {
 		r, ok := s.log.view(addr)
 		if !ok {
@@ -236,8 +238,8 @@ func (sess *Session) ReadAppend(arena *[]byte, key []byte, serial uint64) ([]byt
 }
 
 // readLockFree is the lock-free read fast path. It runs inside the caller's
-// epoch-protected section and traverses the bucket chain using only atomic
-// loads: the chain head, and each record's prev/meta words. Keys are
+// epoch-protected section and traverses the key's chain using only atomic
+// loads: the bucket's entries, and each record's prev/meta words. Keys are
 // immutable after publication, and value bytes below the frozen boundary can
 // never be touched by an in-place update again (see hlog.frozen), so a
 // visible frozen match is copied out with no lock at all. handled=false
@@ -245,14 +247,14 @@ func (sess *Session) ReadAppend(arena *[]byte, key []byte, serial uint64) ([]byt
 // value may change in place under the stripe lock), a concurrently evicted
 // slab, a chain descending below the in-memory head (PENDING hand-off), or a
 // store that has not yet published a frozen boundary.
-func (sess *Session) readLockFree(arena *[]byte, key []byte, b uint64, ranges []versionRange) ([]byte, Status, bool) {
+func (sess *Session) readLockFree(arena *[]byte, key []byte, h uint64, ranges []versionRange) ([]byte, Status, bool) {
 	s := sess.store
 	frozen := s.log.frozen.Load()
 	if frozen == 0 {
 		return nil, StatusNotFound, false
 	}
 	head := s.log.head.Load()
-	addr := s.index.head(b)
+	addr := s.index.find(h)
 	for addr != nilAddress && addr >= head {
 		r, ok := s.log.view(addr)
 		if !ok {
@@ -329,13 +331,14 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 	st := s.loadState()
 	ver := st.version()
 	ranges := *s.rolledBack.Load()
-	b := s.index.bucketFor(key)
-	mu := s.index.lock(b)
+	h := keyHash(key)
+	mu := s.index.lock(h)
 	mu.Lock()
+	e := s.index.chain(h)
 
 	readOnly := s.log.readOnly.Load()
 	head := s.log.head.Load()
-	addr := s.index.head(b)
+	addr := e.head()
 	for addr != nilAddress && addr >= head {
 		r, ok := s.log.view(addr)
 		if !ok {
@@ -355,8 +358,8 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 				copy(r.valueCapSlice(), buf[:])
 				r.setValLen(8)
 			} else {
-				rec := s.log.writeRecord(s.index.head(b), uint64(ver), false, key, buf[:], 8)
-				s.index.setHead(b, rec.addr)
+				rec := s.log.writeRecord(e.head(), uint64(ver), false, key, buf[:], 8)
+				e.link(rec.addr)
 			}
 			mu.Unlock()
 			return StatusOK, ver, newVal
@@ -368,8 +371,8 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 		// initialize to delta.
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], delta)
-		rec := s.log.writeRecord(s.index.head(b), uint64(ver), false, key, buf[:], 8)
-		s.index.setHead(b, rec.addr)
+		rec := s.log.writeRecord(e.head(), uint64(ver), false, key, buf[:], 8)
+		e.link(rec.addr)
 		mu.Unlock()
 		return StatusOK, ver, delta
 	}
@@ -395,10 +398,10 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 		sess.slot.Enter()
 		applySt := s.loadState()
 		applyVer := applySt.version()
-		mu := s.index.lock(b)
+		mu := s.index.lock(h)
 		mu.Lock()
-		rec := s.log.writeRecord(s.index.head(b), uint64(applyVer), false, k, buf[:], 8)
-		s.index.setHead(b, rec.addr)
+		rec := s.log.writeRecord(e.head(), uint64(applyVer), false, k, buf[:], 8)
+		e.link(rec.addr)
 		mu.Unlock()
 		sess.slot.Exit()
 		out := make([]byte, 8)

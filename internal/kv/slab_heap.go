@@ -2,13 +2,14 @@
 
 package kv
 
-// Under the race detector slabs are Go heap memory: the detector does not see
-// memory outside the heap, and the log's lock-free reads are what -race is run
-// to check. Elsewhere than Linux MADV_DONTNEED does not promise zero-filled
-// pages, so a dropped slab is cleared by hand.
+// Under the race detector slabs and index buckets are Go heap memory: the
+// detector does not see memory outside the heap, and the log's and the
+// index's lock-free reads are what -race is run to check. Elsewhere than
+// Linux MADV_DONTNEED does not promise zero-filled pages, so a dropped slab is
+// cleared by hand.
 
-func mapSlab() []byte { return make([]byte, slabSize) }
+func mapMemory(n int, _ bool) []byte { return make([]byte, n) }
 
-func dropSlab(b []byte) { clear(b) }
+func dropMemory(b []byte) { clear(b) }
 
-func unmapSlab([]byte) {}
+func unmapMemory([]byte) {}

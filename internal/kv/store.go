@@ -66,10 +66,13 @@ func rangesContain(ranges []versionRange, v core.Version) bool {
 
 // Config parameterizes a Store.
 type Config struct {
-	// BucketCount sizes the hash index (rounded up to a power of two).
+	// BucketCount sizes the hash index in buckets (rounded up to a power of
+	// two; 0 means 1<<16). A bucket is one 64-byte cache line of eight chain
+	// entries, as in FASTER, so 1<<16 buckets are 4 MiB of mapped memory and
+	// 524 288 chains; compaction's memo adds 8 bytes a bucket on the heap.
 	BucketCount int
 	// IndexShards splits the hash index into independent partitions (rounded
-	// up to a power of two) so concurrent execution lanes contend only within
+	// up to a power of two, at most 256) so concurrent execution lanes contend only within
 	// a shard and whole-index passes (PURGE, recovery rebuild) parallelize
 	// shard-by-shard. 0 selects a default sized to runtime.GOMAXPROCS,
 	// capped at 16.
@@ -475,29 +478,30 @@ func (s *Store) Restore(v core.Version) error {
 	return nil
 }
 
-// purge walks every bucket chain and sets the invalid bit on records whose
-// version lies in (lo, hi]. Runs under bucket locks, a stripe at a time, and
-// in parallel across index shards (each goroutine confines itself to one
-// shard's buckets; the invalid-bit writes are atomic meta stores).
+// purge walks every chain and sets the invalid bit on records whose version
+// lies in (lo, hi]. Runs under bucket locks, a bucket at a time, and in
+// parallel across index shards (each goroutine confines itself to one shard's
+// buckets; the invalid-bit writes are atomic meta stores).
 func (s *Store) purge(lo, hi core.Version) {
 	head := s.log.head.Load()
 	s.index.forEachShard(func(si int) {
 		sh := &s.index.shards[si]
 		for b := range sh.buckets {
-			h := s.index.handle(si, b)
-			mu := s.index.lock(h)
+			mu := s.index.lock(s.index.handle(si, b))
 			mu.Lock()
-			addr := s.index.head(h)
-			for addr != nilAddress && addr >= head {
-				r, ok := s.log.view(addr)
-				if !ok {
-					break
+			chains := sh.buckets[b].chains()
+			for i := range chains {
+				for addr := chains[i].head(); addr != nilAddress && addr >= head; {
+					r, ok := s.log.view(addr)
+					if !ok {
+						break
+					}
+					ver := core.Version(r.version())
+					if ver > lo && ver <= hi && !r.invalid() {
+						r.setMeta(r.meta() | metaInvalid)
+					}
+					addr = r.prev()
 				}
-				ver := core.Version(r.version())
-				if ver > lo && ver <= hi && !r.invalid() {
-					r.setMeta(r.meta() | metaInvalid)
-				}
-				addr = r.prev()
 			}
 			mu.Unlock()
 		}

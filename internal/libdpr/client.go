@@ -308,7 +308,8 @@ func (s *Session) Acknowledge() *core.SurvivalError {
 	return f
 }
 
-// Committed returns the committed prefix point and exception list.
+// Committed returns the committed prefix point and exception list, shared
+// until it changes (SessionTracker.Committed): it must not be modified.
 func (s *Session) Committed() (uint64, []uint64) { return s.tracker.Committed() }
 
 // RefreshCommit polls the finder once and folds the latest cut into the

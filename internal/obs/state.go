@@ -75,7 +75,10 @@ type DPRState struct {
 // (addresses below Begin are reclaimed, [Head, Tail) is resident, [ReadOnly,
 // Tail) is updated in place), the committed version compaction is held to —
 // nothing above it is garbage yet — the resident size at which the store's
-// compactor starts its next cycle, and the slab bytes backed by memory.
+// compactor starts its next cycle, and the slab bytes backed by memory. The
+// hash index's chains in use and its full buckets (IndexFullLines: all eight
+// entries of the cache line in use) say whether the index is sized for the
+// keys it holds.
 type LogState struct {
 	Begin          int64  `json:"begin"`
 	Head           int64  `json:"head"`
@@ -84,6 +87,8 @@ type LogState struct {
 	Committed      uint64 `json:"committed"`
 	CompactTrigger int64  `json:"compact_trigger"`
 	Mapped         int64  `json:"mapped"`
+	IndexChains    int64  `json:"index_chains"`
+	IndexFullLines int64  `json:"index_full_lines"`
 }
 
 // MigrationState is one in-flight migration in the finder's /debug/dpr view.
