@@ -1,8 +1,8 @@
 GO ?= go
-# Seeds per chaos sweep (chaos, chaos-elastic); CI's PR job uses 5.
+# Seeds per chaos sweep; CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos chaos-elastic figures
+.PHONY: check build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos figures
 
 # The full pre-commit gate, in the order CI runs it.
 check: build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module
@@ -187,16 +187,6 @@ bench-scale:
 #   CHAOS_SEED=<seed> go test ./internal/chaos -race -run 'TestChaos$'
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
-		-run 'TestChaos$$' -timeout 40m -v
-
-# Elastic chaos sweep: the nightly fault schedules extended with live
-# membership events (join, drain-and-leave, targeted migrations) injected
-# mid-round, under the race detector. A crash can land while a migration
-# source is mid-stream; the §4.3 checker must stay green throughout.
-# Reproduce one seed with: CHAOS_ELASTIC=1 CHAOS_SEED=<seed> \
-#   go test ./internal/chaos -race -run Chaos
-chaos-elastic:
-	CHAOS_ELASTIC=1 CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
 		-run 'TestChaos$$' -timeout 40m -v
 
 # The 100k-session harness under the race detector — the PR-triggered CI

@@ -240,7 +240,7 @@ func obsView(args []string) error {
 	}
 	printLogView(logs)
 	if finder != nil {
-		printElasticView(finder)
+		printMembership(finder)
 	}
 	return nil
 }
@@ -281,10 +281,9 @@ func pumpColumn(st *obs.DPRState) string {
 	return fmt.Sprintf("%s %.3gms %d/%d", st.CommitPump, st.CommitGapMS, st.RoundsInitiated, st.RoundsJoined)
 }
 
-// printElasticView renders the finder's membership table, the per-worker
-// partition ownership (compressed to ranges), and any in-flight migrations —
-// the live view of an elastic cluster mid-rebalance.
-func printElasticView(st *obs.DPRState) {
+// printMembership renders the finder's membership table and the per-worker
+// partition ownership (compressed to ranges).
+func printMembership(st *obs.DPRState) {
 	if len(st.Members) > 0 {
 		fmt.Printf("\nmembership (%d workers):\n", len(st.Members))
 		byWorker := make(map[uint64][]uint64)
@@ -309,13 +308,6 @@ func printElasticView(st *obs.DPRState) {
 			parts := byWorker[w]
 			fmt.Printf("  worker %s @ %s\towns %d partition(s) %s\n",
 				id, st.Members[id], len(parts), partitionRanges(parts))
-		}
-	}
-	if len(st.Migrations) > 0 {
-		fmt.Printf("\nin-flight migrations (%d):\n", len(st.Migrations))
-		for _, m := range st.Migrations {
-			fmt.Printf("  #%d  worker %d -> worker %d\tpartitions %s\t(world-line %d)\n",
-				m.ID, m.From, m.To, partitionRanges(m.Partitions), m.WorldLine)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CutWorldLineChecker enforces the world-line tagging discipline from the
@@ -27,15 +26,6 @@ import (
 //     are exempt, as are function *types* (signatures stored in config
 //     fields are checked where a concrete function is declared).
 //
-// Migration boundaries are cut positions and follow the same rule: a
-// core.Version-typed struct field, parameter, or named result whose name
-// contains "boundary" (or a core.Version result of a function whose own
-// name contains "Boundary") is only meaningful on the world-line it was
-// sealed on — the donor freezes at it, the stream carries it, and the
-// target pins it under the cut. Moving one without a world-line in the
-// same scope reproduces the numeric-collision bug across a rollback that
-// lands mid-migration.
-//
 // The core types are matched by name within any package named "core", so
 // the checker's fixtures can declare a miniature core package.
 type CutWorldLineChecker struct{}
@@ -45,7 +35,6 @@ func (*CutWorldLineChecker) Name() string { return "cut-worldline" }
 const corePkgPath = "dpr/internal/core"
 
 func isCut(t types.Type) bool       { return isPkgType(t, corePkgPath, "Cut", true) }
-func isVersion(t types.Type) bool   { return isPkgType(t, corePkgPath, "Version", true) }
 func isWorldLine(t types.Type) bool { return isPkgType(t, corePkgPath, "WorldLine", true) }
 func isWorldLineTracker(t types.Type) bool {
 	return isPkgType(t, corePkgPath, "WorldLineTracker", true)
@@ -77,31 +66,6 @@ func carriesUntaggedCut(t types.Type) bool {
 	return false
 }
 
-// isBoundaryName matches identifiers that name a migration boundary.
-func isBoundaryName(name string) bool {
-	return strings.Contains(strings.ToLower(name), "boundary")
-}
-
-// carriesVersion reports whether t is core.Version or a pointer/slice/array
-// of it — the carrier shapes a migration boundary travels in.
-func carriesVersion(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if isVersion(t) {
-		return true
-	}
-	switch tt := types.Unalias(t).(type) {
-	case *types.Pointer:
-		return carriesVersion(tt.Elem())
-	case *types.Slice:
-		return carriesVersion(tt.Elem())
-	case *types.Array:
-		return carriesVersion(tt.Elem())
-	}
-	return false
-}
-
 // carriesWorldLine reports whether t provides a world-line tag. Containers
 // of world-lines count (a []WorldLine running parallel to a []Cut is a tag),
 // mirroring carriesUntaggedCut's container handling.
@@ -124,18 +88,17 @@ func carriesWorldLine(t types.Type) bool {
 }
 
 // structCarries reports, for a struct type, whether it has untagged cut
-// fields, untagged migration-boundary fields (core.Version fields named
-// *boundary*), and whether it has a world-line tag. A field whose own struct
-// type is internally tagged (carries both) neutralizes its cut.
+// fields and whether it has a world-line tag. A field whose own struct type
+// is internally tagged (carries both) neutralizes its cut.
 // atomic.Pointer[T] fields look through to T.
-func structCarries(t types.Type, seen map[types.Type]bool) (hasCut, hasBoundary, hasWL bool) {
+func structCarries(t types.Type, seen map[types.Type]bool) (hasCut, hasWL bool) {
 	if t == nil || seen[t] {
-		return false, false, false
+		return false, false
 	}
 	seen[t] = true
 	st, ok := deref(types.Unalias(t)).Underlying().(*types.Struct)
 	if !ok {
-		return false, false, false
+		return false, false
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		ft := st.Field(i).Type()
@@ -148,29 +111,22 @@ func structCarries(t types.Type, seen map[types.Type]bool) (hasCut, hasBoundary,
 			hasCut = true
 			continue
 		}
-		if isBoundaryName(st.Field(i).Name()) && carriesVersion(ft) {
-			hasBoundary = true // a migration boundary is a cut position
-			continue
-		}
 		// Nested struct field: internally tagged pairs are fine; a nested
 		// struct with an untagged cut propagates the cut upward.
 		if _, isFunc := ft.Underlying().(*types.Signature); isFunc {
 			continue
 		}
 		if nested := namedType(ft); nested != nil {
-			nc, nb, nw := structCarries(nested, seen)
+			nc, nw := structCarries(nested, seen)
 			if nc && !nw {
 				hasCut = true
 			}
-			if nb && !nw {
-				hasBoundary = true
-			}
-			if nw && !nc && !nb {
+			if nw && !nc {
 				hasWL = true
 			}
 		}
 	}
-	return hasCut, hasBoundary, hasWL
+	return hasCut, hasWL
 }
 
 // lookThroughAtomicPointer unwraps atomic.Pointer[T] to *T so the snapshot
@@ -210,19 +166,11 @@ func (c *CutWorldLineChecker) Run(u *Unit) []Diagnostic {
 				if _, isStruct := obj.Type().Underlying().(*types.Struct); !isStruct {
 					continue
 				}
-				hasCut, hasBoundary, hasWL := structCarries(obj.Type(), map[types.Type]bool{})
-				if hasCut && !hasWL {
+				if hasCut, hasWL := structCarries(obj.Type(), map[types.Type]bool{}); hasCut && !hasWL {
 					diags = append(diags, Diagnostic{
 						Pos:   u.Position(ts.Pos()),
 						Check: c.Name(),
 						Message: fmt.Sprintf("struct %s carries a core.Cut but no world-line tag (core.WorldLine or WorldLineTracker field); cuts must travel with the world-line they were observed on",
-							ts.Name.Name),
-					})
-				} else if hasBoundary && !hasWL {
-					diags = append(diags, Diagnostic{
-						Pos:   u.Position(ts.Pos()),
-						Check: c.Name(),
-						Message: fmt.Sprintf("struct %s carries a migration boundary (core.Version field named *boundary*) but no world-line tag; boundaries are cut positions and must travel with the world-line they were sealed on",
 							ts.Name.Name),
 					})
 				}
@@ -245,12 +193,12 @@ func (c *CutWorldLineChecker) checkSignature(u *Unit, p *Package, fd *ast.FuncDe
 		return nil
 	}
 	sig := obj.Type().(*types.Signature)
-	if v, ok := signatureViolation(sig, fd.Name.Name); ok {
+	if verb, ok := signatureViolation(sig); ok {
 		return &Diagnostic{
 			Pos:   u.Position(fd.Pos()),
 			Check: c.Name(),
-			Message: fmt.Sprintf("%s %s %s but no world-line appears in the signature or receiver scope",
-				name, v.verb, v.what),
+			Message: fmt.Sprintf("%s %s a core.Cut but no world-line appears in the signature or receiver scope",
+				name, verb),
 		}
 	}
 	return nil
@@ -273,12 +221,12 @@ func (c *CutWorldLineChecker) checkInterfaces(u *Unit) []Diagnostic {
 				if !ok || len(m.Names) == 0 {
 					continue
 				}
-				if v, bad := signatureViolation(ft, m.Names[0].Name); bad {
+				if verb, bad := signatureViolation(ft); bad {
 					diags = append(diags, Diagnostic{
 						Pos:   u.Position(m.Pos()),
 						Check: c.Name(),
-						Message: fmt.Sprintf("interface method %s.%s %s %s but no world-line appears in the signature",
-							ts.Name.Name, m.Names[0].Name, v.verb, v.what),
+						Message: fmt.Sprintf("interface method %s.%s %s a core.Cut but no world-line appears in the signature",
+							ts.Name.Name, m.Names[0].Name, verb),
 					})
 				}
 			}
@@ -288,40 +236,23 @@ func (c *CutWorldLineChecker) checkInterfaces(u *Unit) []Diagnostic {
 	return diags
 }
 
-// sigViolation describes an untagged carrier moving through a signature:
-// the verb ("takes", "returns", "passes and returns") and what moved
-// ("a core.Cut" or "a migration boundary (core.Version)").
-type sigViolation struct {
-	verb string
-	what string
-}
-
-// signatureViolation reports whether sig moves an untagged cut position: it
-// names a Cut — or a migration boundary, a core.Version parameter/result
-// named *boundary* or any core.Version result of a *Boundary*-named function
-// — without a WorldLine in params, results, or the receiver's struct.
-// Methods on the Cut and Version types themselves are exempt.
-func signatureViolation(sig *types.Signature, fnName string) (sigViolation, bool) {
-	cutIn, cutOut, bIn, bOut, hasWL := false, false, false, false, false
-	boundaryFn := isBoundaryName(fnName)
-	scan := func(tp *types.Tuple, in bool) {
+// signatureViolation reports whether sig moves an untagged cut — names a Cut
+// without a WorldLine in params, results, or the receiver's struct — and how:
+// "takes", "returns" or "passes and returns". Methods on the Cut type itself
+// are exempt.
+func signatureViolation(sig *types.Signature) (string, bool) {
+	in, out, hasWL := false, false, false
+	scan := func(tp *types.Tuple, isIn bool) {
 		for i := 0; i < tp.Len(); i++ {
 			t := tp.At(i).Type()
 			if carriesWorldLine(t) {
 				hasWL = true
 			}
 			if carriesUntaggedCut(t) {
-				if in {
-					cutIn = true
+				if isIn {
+					in = true
 				} else {
-					cutOut = true
-				}
-			}
-			if carriesVersion(t) && (isBoundaryName(tp.At(i).Name()) || (!in && boundaryFn)) {
-				if in {
-					bIn = true
-				} else {
-					bOut = true
+					out = true
 				}
 			}
 		}
@@ -330,30 +261,24 @@ func signatureViolation(sig *types.Signature, fnName string) (sigViolation, bool
 	scan(sig.Results(), false)
 	if recv := sig.Recv(); recv != nil {
 		rt := recv.Type()
-		if isCut(rt) || isVersion(deref(rt)) {
-			return sigViolation{}, false // Cut's / Version's own algebra
+		if isCut(rt) {
+			return "", false // Cut's own algebra
 		}
 		if carriesWorldLine(rt) {
 			hasWL = true
 		}
-		if _, _, rw := structCarries(rt, map[types.Type]bool{}); rw {
+		if _, rw := structCarries(rt, map[types.Type]bool{}); rw {
 			hasWL = true
 		}
 	}
-	in, out := cutIn || bIn, cutOut || bOut
-	if (!in && !out) || hasWL {
-		return sigViolation{}, false
-	}
-	what := "a core.Cut"
-	if !cutIn && !cutOut {
-		what = "a migration boundary (core.Version)"
-	}
 	switch {
+	case hasWL || (!in && !out):
+		return "", false
 	case in && out:
-		return sigViolation{"passes and returns", what}, true
+		return "passes and returns", true
 	case in:
-		return sigViolation{"takes", what}, true
+		return "takes", true
 	default:
-		return sigViolation{"returns", what}, true
+		return "returns", true
 	}
 }

@@ -57,12 +57,9 @@ const repoSuiteBudget = 60 * time.Second
 // any decode-bounds finding demands a new seed) and the suite's runtime
 // budget.
 //
-// Two invariants it states directly instead of by checker. A migration record
-// is registered at exactly one place, migration.Migrate, whose deferred
-// resolver is what retires it on every path (TestMigrateLeavesNoRecord). A
-// second caller of BeginMigrate would need a resolver of its own. And a
-// recovery round is run in one place, cluster.Manager.OnFailure, with its one
-// resume rule: outside the metadata package only it may call BeginRecovery or
+// One invariant it states directly instead of by checker: a recovery round is
+// run in one place, cluster.Manager.OnFailure, with its one resume rule:
+// outside the metadata package only it may call BeginRecovery or
 // CompleteRecoveryFor.
 func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
@@ -80,7 +77,6 @@ func TestRepoTreeClean(t *testing.T) {
 			t.Errorf("decode-bounds fired: add a truncated-frame seed under internal/wire/testdata/fuzz/ reproducing the unguarded access, then guard or justify it")
 		}
 	}
-	var begins []string
 	const round = "dpr/internal/cluster.(*Manager).OnFailure"
 	for _, fs := range declaredFuncs(u) {
 		if fs.pkg.Name == "metadata" {
@@ -96,21 +92,11 @@ func TestRepoTreeClean(t *testing.T) {
 			if !ok {
 				return true
 			}
-			switch sel.Sel.Name {
-			case "BeginMigrate":
-				if fs.decl.Name.Name != "BeginMigrate" { // not a forwarder that wraps the store
-					begins = append(begins, caller)
-				}
-			case "BeginRecovery", "CompleteRecoveryFor":
-				if caller != round {
-					t.Errorf("%s calls %s: a recovery round is cluster.Manager.OnFailure's", caller, sel.Sel.Name)
-				}
+			if name := sel.Sel.Name; (name == "BeginRecovery" || name == "CompleteRecoveryFor") && caller != round {
+				t.Errorf("%s calls %s: a recovery round is cluster.Manager.OnFailure's", caller, name)
 			}
 			return true
 		})
-	}
-	if len(begins) != 1 || begins[0] != "dpr/internal/migration.Migrate" {
-		t.Errorf("BeginMigrate is called from %v; its one caller is migration.Migrate, which defers the record's resolver", begins)
 	}
 	for _, target := range wireFuzzTargets {
 		dir := filepath.Join(u.ModuleDir, "internal", "wire", "testdata", "fuzz", target)

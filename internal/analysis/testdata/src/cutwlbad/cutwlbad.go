@@ -20,25 +20,6 @@ type Source interface {
 	Snapshot() core.Cut // want "interface method Source.Snapshot returns a core.Cut but no world-line appears in the signature"
 }
 
-// Migration boundaries are cut positions: a boundary-named core.Version
-// moving without its world-line reproduces the same collision bug.
-
-type Handover struct { // want "struct Handover carries a migration boundary \(core.Version field named \*boundary\*\) but no world-line tag"
-	Boundary core.Version
-}
-
-func SealBoundary() core.Version { // want "SealBoundary returns a migration boundary \(core.Version\) but no world-line appears in the signature"
-	return 0
-}
-
-func Pin(boundary core.Version) { // want "Pin takes a migration boundary \(core.Version\) but no world-line appears in the signature"
-	_ = boundary
-}
-
-type Sealer interface {
-	MigrationBoundary() core.Version // want "interface method Sealer.MigrationBoundary returns a migration boundary \(core.Version\) but no world-line appears in the signature"
-}
-
 // AppendCutPush mirrors a push-frame encoder that drops the world-line: the
 // pushed cut would be foldable into a session on any world, reproducing the
 // numeric-collision bug for idle sessions.

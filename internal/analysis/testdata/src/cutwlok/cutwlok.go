@@ -35,35 +35,6 @@ type Source interface {
 	CurrentCut() (core.Cut, core.WorldLine)
 }
 
-// SealedHandover pairs the migration boundary with the world-line it was
-// sealed on.
-type SealedHandover struct {
-	Boundary  core.Version
-	WorldLine core.WorldLine
-}
-
-// SealBoundary returns the boundary together with its world-line.
-func SealBoundary() (core.Version, core.WorldLine) {
-	return 0, 0
-}
-
-// Migrator owns its boundary; the tracker field tags every method through
-// the receiver scope.
-type Migrator struct {
-	wl       core.WorldLineTracker
-	boundary core.Version
-}
-
-// Boundary is exempt through the receiver's tag.
-func (m *Migrator) Boundary() core.Version {
-	return m.boundary
-}
-
-// Bump shows that versions without boundary naming are not cut positions.
-func Bump(v core.Version) core.Version {
-	return v + 1
-}
-
 // PushedAdvance mirrors the decoded cut-advance push frame: the cut is
 // tagged by the world-line field beside it.
 type PushedAdvance struct {

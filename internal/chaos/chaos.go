@@ -19,7 +19,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dpr/internal/cluster"
@@ -52,11 +51,6 @@ type Config struct {
 	// sharded epoch-protected index, per-shard checkpoint scans, and
 	// parallel recovery rebuild — all under fault injection.
 	IndexShards int
-	// RetryBadOwner bounds a session's ownership-miss retries (0 = client
-	// default). Elastic scenarios raise it: during a live handover the
-	// moving partitions answer BadOwner until the target claims, and
-	// sessions must ride the freeze window out rather than fail through it.
-	RetryBadOwner int
 }
 
 // workerSlot is one cluster seat: a stable identity (worker ID, proxy,
@@ -83,25 +77,6 @@ type Harness struct {
 	svc   *serviceHook
 	mgr   *cluster.Manager
 	slots []*workerSlot
-
-	// slotMu guards the df pointer of every slot: CrashRestart swaps it on
-	// the schedule goroutine while elastic operations (join/leave/migrate,
-	// which run asynchronously so faults land mid-handover) pick donors from
-	// the same slots.
-	slotMu sync.Mutex
-
-	// Elastic membership state (elastic.go): one spare seat joins and leaves
-	// the cluster mid-schedule. Single-flight — at most one elastic operation
-	// runs at a time — but asynchronous with respect to the fault schedule,
-	// so crashes and severs land mid-migration. elasticErrs records failures
-	// that would wedge the cluster (a drained member that could not leave);
-	// aborted handovers are chaos-normal and only logged.
-	elasticMu   sync.Mutex
-	elasticBusy bool
-	elasticWG   sync.WaitGroup
-	spare       *workerSlot
-	spareUp     bool
-	elasticErrs []string
 
 	// logf, when set (Execute wires it to the test log), narrates recovery
 	// rounds: recovered world-lines, cuts, and restore positions — the facts
@@ -199,12 +174,7 @@ func (h *Harness) attachProxy(slot *workerSlot, backend string) error {
 
 // Close tears the cluster down.
 func (h *Harness) Close() {
-	h.elasticWG.Wait()
-	slots := h.slots
-	if h.spare != nil {
-		slots = append(append([]*workerSlot(nil), slots...), h.spare)
-	}
-	for _, slot := range slots {
+	for _, slot := range h.slots {
 		if slot.proxy != nil {
 			slot.proxy.Close()
 		}
@@ -223,21 +193,10 @@ func (h *Harness) Close() {
 // a red run carries the cluster's protocol state, not just the symptom.
 func (h *Harness) ObsDump() []obs.DPRState {
 	out := []obs.DPRState{h.store.DebugState()}
-	h.slotMu.Lock()
-	live := make([]*workerSlot, len(h.slots))
-	copy(live, h.slots)
-	if h.spare != nil {
-		live = append(live, h.spare)
-	}
-	dfs := make([]*dfaster.Worker, len(live))
-	for i, slot := range live {
-		dfs[i] = slot.df
-	}
-	h.slotMu.Unlock()
-	for i, slot := range live {
+	for _, slot := range h.slots {
 		switch {
-		case dfs[i] != nil:
-			out = append(out, dfs[i].DebugState())
+		case slot.df != nil:
+			out = append(out, slot.df.DebugState())
 		case slot.dr != nil:
 			out = append(out, slot.dr.DebugState())
 		}
@@ -260,10 +219,8 @@ func (h *Harness) Store() *metadata.Store { return h.store }
 // modeling a recovery racing a sick disk.
 func (h *Harness) CrashRestart(slotIdx int) error {
 	slot := h.slots[slotIdx]
-	h.slotMu.Lock()
 	w := slot.df
 	slot.df = nil
-	h.slotMu.Unlock()
 	if !slot.dfaster() || w == nil {
 		return fmt.Errorf("chaos: slot %d not a running dfaster worker", slotIdx)
 	}
@@ -302,9 +259,7 @@ func (h *Harness) CrashRestart(slotIdx int) error {
 	}
 	slot.proxy.SetBackend(w2.Addr())
 	h.mgr.Attach(w2)
-	h.slotMu.Lock()
 	slot.df = w2
-	h.slotMu.Unlock()
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dpr/internal/core"
 	"dpr/internal/kv"
 	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
@@ -110,10 +109,6 @@ func TestChaos(t *testing.T) {
 }
 
 func runChaosScenario(t *testing.T, seed int64) {
-	// CHAOS_ELASTIC weaves elastic-membership events (spare-seat join/leave,
-	// live migrations) into the fault schedule, and raises the sessions'
-	// BadOwner budget so they ride out handover freeze windows.
-	elastic := os.Getenv("CHAOS_ELASTIC") != ""
 	cfg := Config{
 		DFaster:     3,
 		DRedis:      1,
@@ -122,17 +117,11 @@ func runChaosScenario(t *testing.T, seed int64) {
 		Finder:      FinderFor(seed),
 		IndexShards: chaosShards(t),
 	}
-	if elastic {
-		cfg.RetryBadOwner = 256
-	}
 	events := 16
 	if testing.Short() {
 		events = 10
 	}
 	sch := Generate(seed, events, cfg.DFaster, cfg.DFaster+cfg.DRedis)
-	if elastic {
-		sch = GenerateElastic(seed, events, cfg.DFaster, cfg.DFaster+cfg.DRedis)
-	}
 
 	h, err := NewHarness(cfg)
 	if err != nil {
@@ -140,7 +129,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 	}
 	// Deferred first, so it runs last: after the sessions and the harness
 	// have closed, nothing the schedule started — workers killed and
-	// restarted, severed connections, migrations — may still be running.
+	// restarted, severed connections — may still be running.
 	defer leakcheck.Check(t)
 	defer h.Close()
 	monitor := newCutMonitor(h.Store())
@@ -186,112 +175,6 @@ func runChaosScenario(t *testing.T, seed int64) {
 			fmt.Sprintf("invariant violations: %s", strings.Join(violations, "; ")))
 		t.Fatalf("invariant violations:\n  %s\nschedule:\n%s",
 			strings.Join(violations, "\n  "), sch)
-	}
-}
-
-// TestChaosElasticLifecycle is the deterministic elastic-membership demo:
-// a three-worker cluster under YCSB-style session load grows to four — the
-// new seat joins live and receives partitions from every member — survives a
-// crash of a migration donor mid-handover, and then shrinks back down by
-// draining one of the ORIGINAL members out of the cluster. Throughout, the
-// §4.3 checkers must stay green: no committed op lost, cut positions
-// monotone, no rolled-back state observed, post-rollback reads consistent.
-// (The seed-driven CHAOS_ELASTIC sweep covers the randomized interleavings;
-// this test pins the canonical join → crash-mid-migration → drain story so
-// plain `go test` exercises it.)
-func TestChaosElasticLifecycle(t *testing.T) {
-	cfg := Config{
-		DFaster:       3,
-		DRedis:        0,
-		Partitions:    32,
-		Checkpoint:    5 * time.Millisecond,
-		Finder:        metadata.FinderHybrid,
-		RetryBadOwner: 512,
-	}
-	h, err := NewHarness(cfg)
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-	defer leakcheck.Check(t) // runs last, after the sessions and the harness closed
-	defer h.Close()
-	h.logf = t.Logf
-	monitor := newCutMonitor(h.Store())
-
-	const sessions = 3
-	runners := make([]*sessionRunner, 0, sessions)
-	for sid := 0; sid < sessions; sid++ {
-		r, err := newSessionRunner(sid, h, 7)
-		if err != nil {
-			t.Fatalf("session %d: %v", sid, err)
-		}
-		defer r.close()
-		runners = append(runners, r)
-		r.start()
-	}
-
-	// A fourth worker joins the live cluster and receives an even share of
-	// every member's partitions, mid-traffic.
-	h.joinSpare()
-	sp, up := h.spareSeat()
-	if !up {
-		t.Fatalf("spare seat did not join: %v", h.takeElasticErrs())
-	}
-	if got := len(h.currentParts(sp.id)); got == 0 {
-		t.Fatal("joined seat received no partitions")
-	} else {
-		t.Logf("worker %d joined and received %d partitions", sp.id, got)
-	}
-
-	// Crash the migration donor mid-handover: stretch the stream with
-	// forwarding delay on the spare's proxy (the migration stream flows
-	// through it), start an async migration from slot 0 into the spare, and
-	// kill slot 0 while the handover is in flight. The recovery round
-	// invalidates the migration record, the coordinator's abort path
-	// restores whatever did not flip, and the restarted worker reclaims
-	// exactly what the metadata stripes still assign it.
-	sp.proxy.SetDelay(2 * time.Millisecond)
-	h.MigrateSlot(0)
-	time.Sleep(10 * time.Millisecond)
-	if err := h.CrashRestart(0); err != nil {
-		t.Fatalf("crash-restart of migration donor: %v", err)
-	}
-	h.WaitElastic()
-	sp.proxy.SetDelay(0)
-
-	// One original member drains and leaves: everything it owns migrates to
-	// the survivors (including the new seat), then the member row goes away.
-	if !h.drainSeat(h.slots[2], 30*time.Second) {
-		t.Fatalf("draining worker %d failed: %v", h.slots[2].id, h.takeElasticErrs())
-	}
-	if errs := h.takeElasticErrs(); len(errs) > 0 {
-		t.Fatalf("elastic failures: %s", strings.Join(errs, "; "))
-	}
-
-	// Quiesce on the new topology: final recovery round resolves anything
-	// the crash stranded, then every session settles and reads back.
-	h.clearFaults()
-	if _, _, err := h.mgr.OnFailure(); err != nil {
-		t.Fatalf("final recovery round: %v", err)
-	}
-	for _, r := range runners {
-		r.halt()
-	}
-	for _, r := range runners {
-		if err := r.settle(20 * time.Second); err != nil {
-			dumpObsArtifact(t, h, 7, "elastic lifecycle", fmt.Sprintf("settle: %v", err))
-			t.Fatal(err)
-		}
-		r.readback()
-	}
-	var violations []string
-	for _, r := range runners {
-		violations = append(violations, r.violations()...)
-	}
-	violations = append(violations, monitor.Stop()...)
-	if len(violations) > 0 {
-		dumpObsArtifact(t, h, 7, "elastic lifecycle",
-			fmt.Sprintf("invariant violations: %s", strings.Join(violations, "; ")))
-		t.Fatalf("invariant violations:\n  %s", strings.Join(violations, "\n  "))
 	}
 }
 
@@ -387,18 +270,6 @@ func TestChaosCheckerCatchesViolation(t *testing.T) {
 		t.Fatalf("checker missed a rollback below the committed frontier (good cut %v, applied %v)", good, bad)
 	}
 	t.Logf("checker caught the injected violation:\n  %s", strings.Join(violations, "\n  "))
-}
-
-// currentParts lists the partitions the metadata ownership stripes assign to
-// worker id right now.
-func (h *Harness) currentParts(id core.WorkerID) []uint64 {
-	var parts []uint64
-	for p := uint64(0); p < uint64(h.cfg.Partitions); p++ {
-		if owner, err := h.store.OwnerOf(p); err == nil && owner == id {
-			parts = append(parts, p)
-		}
-	}
-	return parts
 }
 
 // erasedCommitted counts the keys of r's session whose newest committed

@@ -150,44 +150,4 @@ func (h *serviceHook) WaitStateChange(since uint64, timeout time.Duration) (uint
 	return h.inner.WaitStateChange(since, timeout)
 }
 
-// elastic exposes the inner store's membership/migration extension. The
-// chaos harness always wraps a *metadata.Store, which implements it; the
-// hook forwards so migration coordination (and the target worker's
-// CompleteMigrate commit point) also pays injected metadata latency, and so
-// Members() keeps routing migration streams through the fault proxies.
-func (h *serviceHook) elastic() metadata.ElasticService {
-	return h.inner.(metadata.ElasticService)
-}
-
-func (h *serviceHook) Join(w core.WorkerID, addr string) error {
-	h.pause()
-	return h.elastic().Join(w, addr)
-}
-
-func (h *serviceHook) Leave(w core.WorkerID) error {
-	h.pause()
-	return h.elastic().Leave(w)
-}
-
-func (h *serviceHook) BeginMigrate(partitions []uint64, from, to core.WorkerID) (uint64, error) {
-	h.pause()
-	return h.elastic().BeginMigrate(partitions, from, to)
-}
-
-func (h *serviceHook) CompleteMigrate(id uint64) error {
-	h.pause()
-	return h.elastic().CompleteMigrate(id)
-}
-
-func (h *serviceHook) AbortMigrate(id uint64) (bool, error) {
-	h.pause()
-	return h.elastic().AbortMigrate(id)
-}
-
-func (h *serviceHook) Migrations() ([]metadata.Migration, error) {
-	h.pause()
-	return h.elastic().Migrations()
-}
-
 var _ metadata.Service = (*serviceHook)(nil)
-var _ metadata.ElasticService = (*serviceHook)(nil)

@@ -36,18 +36,6 @@ const (
 	EvWriteFaults
 	// EvMetaLatency adds latency to every metadata access for the Window.
 	EvMetaLatency
-	// EvJoin activates the spare seat: a fresh worker joins the live cluster
-	// and every permanent member donates an even share of its partitions.
-	// Asynchronous, so later faults land mid-handover.
-	EvJoin
-	// EvLeave drains the spare seat — everything it owns migrates back to
-	// the permanent members — then stops the worker and removes the member.
-	EvLeave
-	// EvMigrate moves half of one permanent member's partitions to another
-	// live member (the spare when it is up), mid-traffic. Asynchronous: a
-	// following EvCrashRestart on the same slot is the
-	// crash-the-donor-mid-stream scenario.
-	EvMigrate
 	// EvCompact runs log compaction on one D-FASTER worker's store, up to its
 	// read-only boundary and as far as the committed cut allows, so crashes
 	// and rollbacks land on stores whose log prefix has been rewritten — the
@@ -75,12 +63,6 @@ func (k EventKind) String() string {
 		return "storage-write-faults"
 	case EvMetaLatency:
 		return "metadata-latency"
-	case EvJoin:
-		return "join-rebalance"
-	case EvLeave:
-		return "drain-leave"
-	case EvMigrate:
-		return "migrate"
 	case EvCompact:
 		return "compact"
 	}
@@ -105,7 +87,7 @@ type Event struct {
 func (e Event) String() string {
 	s := fmt.Sprintf("+%-5s %-26s", e.Gap.Round(time.Millisecond), e.Kind)
 	switch e.Kind {
-	case EvRollback, EvMetaLatency, EvJoin, EvLeave:
+	case EvRollback, EvMetaLatency:
 	default:
 		s += fmt.Sprintf(" slot=%d", e.Slot)
 	}
@@ -155,19 +137,6 @@ func FinderFor(seed int64) metadata.FinderKind {
 // Generate derives a fault schedule from a seed. dfasterSlots worker slots
 // are kill/restart candidates; totalSlots slots take network faults.
 func Generate(seed int64, events, dfasterSlots, totalSlots int) Schedule {
-	return generate(seed, events, dfasterSlots, totalSlots, false)
-}
-
-// GenerateElastic derives a schedule that interleaves elastic membership —
-// spare-seat join/leave and live migrations — with the same fault kinds, so
-// crashes, severs, and metadata latency land mid-handover. The first event
-// is always a join: the membership machinery engages even in short runs.
-// Reproduce a red seed with CHAOS_ELASTIC=1 CHAOS_SEED=<seed>.
-func GenerateElastic(seed int64, events, dfasterSlots, totalSlots int) Schedule {
-	return generate(seed, events, dfasterSlots, totalSlots, true)
-}
-
-func generate(seed int64, events, dfasterSlots, totalSlots int, elastic bool) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	compactions := rand.New(rand.NewSource(seed ^ 0x636f6d70616374)) // "compact"
 	sch := Schedule{Seed: seed, Finder: FinderFor(seed)}
@@ -186,20 +155,10 @@ func generate(seed int64, events, dfasterSlots, totalSlots int, elastic bool) Sc
 		EvWriteFaults, EvWriteFaults,
 		EvMetaLatency, EvMetaLatency,
 	}
-	if elastic {
-		weighted = append(weighted,
-			EvJoin, EvJoin,
-			EvLeave,
-			EvMigrate, EvMigrate, EvMigrate,
-		)
-	}
 	for i := 0; i < events; i++ {
 		ev := Event{
 			Kind: weighted[rng.Intn(len(weighted))],
 			Gap:  ms(20, 60),
-		}
-		if elastic && i == 0 {
-			ev.Kind = EvJoin
 		}
 		switch ev.Kind {
 		case EvCrashRestart:
@@ -222,8 +181,6 @@ func generate(seed int64, events, dfasterSlots, totalSlots int, elastic bool) Sc
 		case EvMetaLatency:
 			ev.Amount = ms(1, 3)
 			ev.Window = ms(15, 40)
-		case EvMigrate:
-			ev.Slot = rng.Intn(dfasterSlots)
 		}
 		sch.Events = append(sch.Events, ev)
 		// Compactions come from a generator of their own, so the faults above
@@ -289,16 +246,8 @@ func (h *Harness) Execute(sch Schedule, logf func(format string, args ...any)) e
 			h.svc.setLatency(ev.Amount)
 			time.Sleep(ev.Window)
 			h.svc.setLatency(0)
-		case EvJoin:
-			h.JoinSpare()
-		case EvLeave:
-			h.LeaveSpare()
-		case EvMigrate:
-			h.MigrateSlot(ev.Slot)
 		case EvCompact:
-			h.slotMu.Lock()
 			df := slot.df
-			h.slotMu.Unlock()
 			if df == nil {
 				continue
 			}
@@ -308,14 +257,6 @@ func (h *Harness) Execute(sch Schedule, logf func(format string, args ...any)) e
 		}
 	}
 	h.clearFaults()
-	// Elastic operations converge fault-free; wait them out before the final
-	// recovery round so the round runs over settled membership. Handover
-	// aborts along the way were chaos-normal; only cluster-wedging failures
-	// (a drained seat that could not leave) surface here.
-	h.WaitElastic()
-	if errs := h.takeElasticErrs(); len(errs) > 0 {
-		return fmt.Errorf("elastic membership: %s", strings.Join(errs, "; "))
-	}
 	wl, cut, err := h.mgr.OnFailure()
 	if err != nil {
 		return fmt.Errorf("final recovery round: %w", err)

@@ -52,11 +52,10 @@ func newSessionRunner(sid int, h *Harness, seed int64) (*sessionRunner, error) {
 		done: make(chan struct{}),
 	}
 	client, err := dfaster.NewClient(dfaster.ClientConfig{
-		Partitions:    h.cfg.Partitions,
-		BatchSize:     1, // one seq per send: the OnSend hook maps ops to seqs
-		Window:        32,
-		Relaxed:       true,
-		RetryBadOwner: h.cfg.RetryBadOwner,
+		Partitions: h.cfg.Partitions,
+		BatchSize:  1, // one seq per send: the OnSend hook maps ops to seqs
+		Window:     32,
+		Relaxed:    true,
 		OnSend: func(seqStart uint64, n int) {
 			if r.pending != nil && n == 1 {
 				r.chk.assignSeq(r.pending, seqStart)

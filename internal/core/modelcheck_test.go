@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -101,6 +102,58 @@ func (st *mcState) clone() *mcState {
 		}
 	}
 	return n
+}
+
+// mcKey names a state by the fields clone rebuilds it from — clone rebuilds
+// the finder from durable and deps, so they are the whole state — one byte per
+// version, count and budget: the search explores two paths that reach the same
+// state once.
+type mcKey [80]byte
+
+// key encodes st; the slices and the dependency pairs (sorted) are
+// length-prefixed, so no two states share an encoding.
+func (st *mcState) key() mcKey {
+	var k mcKey
+	n := 0
+	put := func(vs ...int) {
+		for _, v := range vs {
+			if v < 0 || v > 255 || n == len(k) {
+				panic(fmt.Sprintf("model state outgrew its key: %d at byte %d", v, n))
+			}
+			k[n] = byte(v)
+			n++
+		}
+	}
+	tok := func(t Token) { put(int(t.Worker), int(t.Version)) }
+	put(int(st.current[0]), int(st.current[1]), int(st.durable[0]), int(st.durable[1]), int(st.vs),
+		st.opsLeft, st.commitsLeft, st.crashesLeft,
+		int(st.lastCut.Get(1)), int(st.lastCut.Get(2)))
+	for w := 0; w < 2; w++ {
+		put(len(st.inflight[w]))
+		for _, v := range st.inflight[w] {
+			put(int(v))
+		}
+	}
+	put(len(st.ops))
+	for _, t := range st.ops {
+		tok(t)
+	}
+	var deps [][2]Token
+	for t, ds := range st.deps {
+		for _, d := range ds {
+			deps = append(deps, [2]Token{t, d})
+		}
+	}
+	slices.SortFunc(deps, func(a, b [2]Token) int {
+		return cmp.Or(cmp.Compare(a[0].Worker, b[0].Worker), cmp.Compare(a[0].Version, b[0].Version),
+			cmp.Compare(a[1].Worker, b[1].Worker), cmp.Compare(a[1].Version, b[1].Version))
+	})
+	put(len(deps))
+	for _, d := range deps {
+		tok(d[0])
+		tok(d[1])
+	}
+	return k
 }
 
 func newMCState(newFinder func() Finder, ops, commits, crashes int) *mcState {
@@ -278,8 +331,11 @@ func (st *mcState) apply(a mcAction) error {
 	return nil
 }
 
-// explore walks every interleaving depth-first.
-func explore(t *testing.T, st *mcState, depth int, trace []mcAction, visited map[string]bool, stats *int) {
+// explore walks every interleaving of up to depth actions depth-first, and
+// checks every transition out of every state it expands. visited holds the
+// depth each state was expanded with: a state reached again is expanded again
+// only with more depth left, as only then can it reach a state not yet seen.
+func explore(t *testing.T, st *mcState, depth int, trace []mcAction, visited map[mcKey]int, transitions *int) {
 	t.Helper()
 	if depth == 0 {
 		return
@@ -292,29 +348,37 @@ func explore(t *testing.T, st *mcState, depth int, trace []mcAction, visited map
 		if err := next.apply(a); err != nil {
 			t.Fatalf("invariant violation after %v + action %d: %v", trace, a, err)
 		}
-		*stats++
-		explore(t, next, depth-1, append(trace, a), visited, stats)
+		*transitions++
+		k := next.key()
+		if d, ok := visited[k]; ok && d >= depth-1 {
+			continue
+		}
+		visited[k] = depth - 1
+		explore(t, next, depth-1, append(trace, a), visited, transitions)
 	}
 }
 
 // TestModelCheckDPRInvariants exhaustively explores every interleaving of a
 // bounded DPR execution (4 ops, 3 commit boundaries, 1 crash) and asserts
-// the three §4.3 invariants at every state, once per finder algorithm.
+// the three §4.3 invariants at every state, once per finder algorithm. The
+// distinct states reached are pinned per finder: a count that moves means the
+// model or the finder changed, and a shrinking one would hide interleavings.
 func TestModelCheckDPRInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model checking is exponential; skipped with -short")
 	}
+	states := map[string]int{"exact": 72633, "approximate": 47305, "hybrid": 72633}
 	for _, f := range mcFinders {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
-			states := 0
-			st := newMCState(f.make, 4, 3, 1)
-			explore(t, st, 11, nil, map[string]bool{}, &states)
-			if states < 100000 {
-				t.Fatalf("state space suspiciously small: %d states", states)
+			transitions := 0
+			visited := map[mcKey]int{}
+			explore(t, newMCState(f.make, 4, 3, 1), 11, nil, visited, &transitions)
+			if len(visited) != states[f.name] {
+				t.Fatalf("explored %d distinct states, want %d", len(visited), states[f.name])
 			}
-			t.Logf("explored %d states without invariant violations", states)
+			t.Logf("explored %d distinct states in %d transitions without invariant violations", len(visited), transitions)
 		})
 	}
 }
@@ -336,12 +400,19 @@ func TestModelCheckNoCrash(t *testing.T) {
 
 func testModelCheckNoCrash(t *testing.T, newFinder func() Finder) {
 	// Drive to completion along every interleaving, then drain remaining
-	// checkpoints deterministically and check full commitment.
+	// checkpoints deterministically and check full commitment. Like explore,
+	// a state is expanded again only with more depth left, and a terminal
+	// state is checked once.
 	var drive func(st *mcState, depth int)
-	checked := 0
+	visited, checked := map[mcKey]int{}, map[mcKey]bool{}
 	drive = func(st *mcState, depth int) {
+		k := st.key()
 		progressed := false
 		if depth > 0 {
+			if d, ok := visited[k]; ok && d >= depth {
+				return
+			}
+			visited[k] = depth
 			for a := mcAction(0); a < mcActionCount; a++ {
 				if a == mcCrash || !st.enabled(a) {
 					continue
@@ -354,7 +425,8 @@ func testModelCheckNoCrash(t *testing.T, newFinder func() Finder) {
 				drive(next, depth-1)
 			}
 		}
-		if !progressed {
+		if !progressed && !checked[k] {
+			checked[k] = true
 			// Drain: draw commit boundaries and drain durability on both
 			// workers until the cut covers every op. The exact finder
 			// converges in one round; the approximate cut is Vmin across
@@ -398,14 +470,13 @@ func testModelCheckNoCrash(t *testing.T, newFinder func() Finder) {
 				t.Fatalf("progress violation: op %v never committed (cut %v)",
 					tok, final.finder.CurrentCut())
 			}
-			checked++
 		}
 	}
 	drive(newMCState(newFinder, 3, 2, 0), 9)
-	if checked == 0 {
+	if len(checked) == 0 {
 		t.Fatal("no terminal states checked")
 	}
-	t.Logf("checked full commitment in %d terminal states", checked)
+	t.Logf("checked full commitment in %d terminal states", len(checked))
 }
 
 // The session half of the model: the interval-based SessionTracker against the

@@ -444,11 +444,12 @@ func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 //   - parked: in retryQ, in sequence order — refused, a read stranded by a
 //     dead connection, or an undeliverable frame. An older write landing
 //     after a newer one to the same key silently loses the newer value, so
-//     it is re-driven alone and fresh sends wait (refusal.go: workers hold
-//     back what was already in the pipe).
-//   - re-driving: the queue's head, with its redrive goroutine, forwarded as
-//     runs — batches of their own, counted in the head's unsettled until they
-//     settle or park again. The next head starts when the count reaches zero.
+//     it is re-driven alone and fresh sends wait; a worker never admits what
+//     was in the pipe behind a batch it refused, as it owns its partitions
+//     before it accepts (AdoptWorker).
+//   - re-driving: the queue's head, with its redrive goroutine, forwarded
+//     whole to the owner metadata names now. The next head starts when it
+//     settles or parks again.
 
 type batchState uint8
 
@@ -475,13 +476,9 @@ type batch struct {
 	ops    []wire.Op
 	cbs    []OpCallback
 
-	// Guarded by Client.mu. retries counts the times the batch has parked;
-	// head is the re-driving batch this run was split from, and unsettled, on
-	// a head, the operations its runs still carry.
-	state     batchState
-	retries   int
-	head      *batch
-	unsettled int
+	// Guarded by Client.mu. retries counts the times the batch has parked.
+	state   batchState
+	retries int
 }
 
 // move is the only writer of a batch's state. The caller holds c.mu, or owns a
@@ -613,12 +610,12 @@ func (c *Client) settle(b *batch, out outcome) error {
 
 // recycleLocked puts a batch that has just settled on the free list, still
 // settled — letting go of it twice stays an illegal move — and without the
-// caller's keys, values and callbacks. A batch that was ever parked (its runs
-// share its arrays) and the co-located operation's (part of the client) are
-// not recycled. The list never outgrows what was once out together,
-// Window/BatchSize in flight and one filling per owner. The caller holds c.mu.
+// caller's keys, values and callbacks. The co-located operation's (part of
+// the client) is not recycled. The list never outgrows what was once out
+// together, Window/BatchSize in flight and one filling per owner. The caller
+// holds c.mu.
 func (c *Client) recycleLocked(b *batch) {
-	if b.retries == 0 && b != &c.localBatch {
+	if b != &c.localBatch {
 		clear(b.ops)
 		clear(b.cbs)
 		c.free = append(c.free, b)
@@ -647,60 +644,39 @@ func (c *Client) parkOrSettle(b *batch, why cause) {
 	c.mu.Unlock()
 }
 
-// leaveHeadLocked takes b, which has just settled or parked, out of the
-// re-driving head's count if it was one of its runs, and starts re-driving
-// the next parked batch if nothing is being re-driven now. The caller holds
-// c.mu.
+// leaveHeadLocked ends the re-drive of b, which has just settled or parked,
+// if it was the head, and starts re-driving the next parked batch if nothing
+// is being re-driven now. The caller holds c.mu.
 func (c *Client) leaveHeadLocked(b *batch) {
-	if h := b.head; h != nil {
-		b.head = nil
-		if h.unsettled -= len(b.ops); h.unsettled == 0 {
-			c.move(h, stSettled)
-			c.head = nil
-		}
+	if b == c.head {
+		c.head = nil
 	}
 	if c.head == nil && len(c.retryQ) > 0 {
 		c.head, c.retryQ = c.retryQ[0], c.retryQ[1:]
 		c.move(c.head, stRedriving)
-		c.head.unsettled = len(c.head.ops)
 		go c.redrive(c.head)
 	}
 }
 
-// redrive forwards the retry queue's head, after a pause that lets an
-// ownership transfer or a restarting worker's registration land. Migration
-// moves partitions independently, so a batch built for one owner may now span
-// several: it goes out as maximal runs of consecutive operations with the same
-// owner, each carrying its slice of the sequence range (the session tracker
-// resolves sequence numbers individually). Every run is marked Redirected —
-// its range was refused, or never delivered, wherever it was sent — which
-// admits it below the session fence of a new owner that has already executed
-// later batches.
+// redrive forwards the retry queue's head whole to the owner metadata names
+// now, after a pause that lets a restarting worker's registration land. It is
+// marked Redirected, which admits it below the session fence of a worker that
+// has executed later batches of the session: a stranded read arrives again
+// at the worker that executed it.
 func (c *Client) redrive(h *batch) {
 	select {
-	case <-c.closed.Done(): // every run below fails to connect and settles as closed
+	case <-c.closed.Done(): // the send below fails to connect and settles as closed
 	case <-time.After(time.Millisecond):
 	}
 	c.forgetOwners() // re-route through metadata
-	for start, end := 0, 0; start < len(h.ops); start = end {
-		owner, err := c.ownerOf(h.ops[start].Key)
-		for end = start + 1; end < len(h.ops); end++ {
-			o, oerr := c.ownerOf(h.ops[end].Key)
-			if o != owner || (oerr == nil) != (err == nil) {
-				break
-			}
-		}
-		run := &batch{owner: owner, header: h.header, ops: h.ops[start:end], cbs: h.cbs[start:end],
-			state: stRedriving, retries: h.retries, head: h}
-		run.header.SeqStart += uint64(start)
-		run.header.NumOps = uint32(end - start)
-		run.header.Redirected = true
-		if err != nil {
-			c.settle(run, outcome{cause: causeRefused})
-		} else {
-			c.transmit(run)
-		}
+	owner, err := c.ownerOf(h.ops[0].Key)
+	if err != nil {
+		c.settle(h, outcome{cause: causeRefused})
+		return
 	}
+	h.owner = owner
+	h.header.Redirected = true
+	c.transmit(h)
 }
 
 // sendBatch assigns a queued batch its sequence numbers and transmits it; the
@@ -846,9 +822,9 @@ func (c *Client) handleErrorReply(b *batch, payload []byte) {
 	switch {
 	case err != nil:
 		c.settle(b, outcome{cause: causeDecode})
-	case er.Code == wire.ErrCodeBadOwner || er.Code == wire.ErrCodeMoved:
-		// An ownership miss during a migration freeze, or a partition that has
-		// migrated away: the same sequence numbers travel to the new owner.
+	case er.Code == wire.ErrCodeBadOwner:
+		// An ownership miss: the same sequence numbers travel to the owner
+		// metadata names now.
 		c.parkOrSettle(b, causeRefused)
 	case er.Code == wire.ErrCodeRejected:
 		c.settle(b, outcome{cause: causeRejected, err: c.session.NotifyWorldLine(er.WorldLine)})

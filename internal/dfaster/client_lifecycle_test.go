@@ -28,7 +28,6 @@ type act uint8
 const (
 	actReply act = iota
 	actBadOwner
-	actMoved
 	actRejected
 	actInternal
 	actRetryable
@@ -41,7 +40,7 @@ const (
 )
 
 var actCodes = map[act]byte{
-	actBadOwner: wire.ErrCodeBadOwner, actMoved: wire.ErrCodeMoved, actRejected: wire.ErrCodeRejected,
+	actBadOwner: wire.ErrCodeBadOwner, actRejected: wire.ErrCodeRejected,
 	actInternal: wire.ErrCodeInternal, actRetryable: wire.ErrCodeRetryable, actStale: wire.ErrCodeStale,
 }
 
@@ -53,19 +52,20 @@ type step struct {
 }
 
 type executed struct {
-	worker     core.WorkerID
-	wl         core.WorldLine
-	seq        uint64
-	n          int
-	redirected bool
+	worker core.WorkerID
+	wl     core.WorldLine
+	seq    uint64
+	n      int
 }
 
 // scriptedWorker answers each batch request by the script for its first
 // sequence number, one step per arrival; the last step repeats, and a batch
 // with no script is executed. Like a real worker it rejects a batch from a
-// world-line the cluster has left, and refuses a batch that would overtake
-// one it has refused on the same partition (refusal.go) — the client's half
-// of session order is to bring the refused ones back first, and in order.
+// world-line the cluster has left, and never executes a batch that would
+// overtake one it has refused on the same partition — a real worker never
+// comes to own a partition it has refused a session's batch on (AdoptWorker)
+// — so the client's half of session order is to bring the refused ones back
+// first, and in order.
 type scriptedWorker struct {
 	id   core.WorkerID
 	env  *lifecycleEnv
@@ -141,7 +141,7 @@ func (w *scriptedWorker) handle(conn net.Conn) {
 		switch i := slices.Index(held, h.SeqStart); {
 		case st.act == actReply && i >= 0:
 			w.refused[part] = slices.Delete(held, i, i+1)
-		case (st.act == actBadOwner || st.act == actMoved) && i < 0:
+		case st.act == actBadOwner && i < 0:
 			w.refused[part] = append(held, h.SeqStart)
 		}
 		w.mu.Unlock()
@@ -152,7 +152,7 @@ func (w *scriptedWorker) handle(conn net.Conn) {
 			for range req.Ops {
 				reply.Results = append(reply.Results, wire.OpResult{Status: wire.StatusOK, Version: 1})
 			}
-			w.env.log(executed{w.id, h.WorldLine, h.SeqStart, len(req.Ops), h.Redirected})
+			w.env.log(executed{w.id, h.WorldLine, h.SeqStart, len(req.Ops)})
 			out, frame = wire.AppendBatchReply(nil, &reply), wire.FrameBatchReply
 		case actGarbageReply:
 			out, frame = []byte{0xff}, wire.FrameBatchReply
@@ -459,7 +459,7 @@ func TestBatchLifecycle(t *testing.T) {
 			}
 		}},
 		{"refused, re-driven, refused again, answered", 1, func(e *lifecycleEnv) {
-			e.script(1, 2, steps(actBadOwner, actMoved, actReply)...)
+			e.script(1, 2, steps(actBadOwner, actBadOwner, actReply)...)
 			e.upsert(0)
 			e.upsert(0)
 			e.upsert(0)
@@ -475,19 +475,6 @@ func TestBatchLifecycle(t *testing.T) {
 			e.settled(wantErr, wantOK)
 			if n := e.workers[1].seen(1); n != 4 {
 				e.t.Errorf("seq 1 reached the worker %d times, want 1 + RetryBadOwner", n)
-			}
-		}},
-		{"a refused batch splits across its new owners", 2, func(e *lifecycleEnv) {
-			e.script(1, 1, step{act: actMoved, then: func() { e.meta.SetOwner(1, 2) }}, step{})
-			e.upsert(0)
-			e.upsert(1)
-			e.settled(wantOK, wantOK)
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			slices.SortFunc(e.ran, func(a, b executed) int { return int(a.seq) - int(b.seq) })
-			want := []executed{{1, 0, 1, 1, true}, {2, 0, 2, 1, true}}
-			if !slices.Equal(e.ran, want) {
-				e.t.Errorf("executed %+v, want %+v", e.ran, want)
 			}
 		}},
 		{"session order across a re-drive", 1, func(e *lifecycleEnv) {

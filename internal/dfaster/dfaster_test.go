@@ -3,6 +3,7 @@ package dfaster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,7 +11,9 @@ import (
 	"dpr/internal/cluster"
 	"dpr/internal/core"
 	"dpr/internal/kv"
+	"dpr/internal/leakcheck"
 	"dpr/internal/metadata"
+	"dpr/internal/obs"
 	"dpr/internal/storage"
 	"dpr/internal/wire"
 )
@@ -348,5 +351,70 @@ func TestCutAdvancePushReachesIdleSession(t *testing.T) {
 			t.Fatalf("idle session never saw commit: prefix %d < %d (exc %v)", p, want, exc)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// probedMeta runs probe once, on the first OwnerOf call through it.
+type probedMeta struct {
+	*metadata.Store
+	once  sync.Once
+	probe func()
+}
+
+func (m *probedMeta) OwnerOf(p uint64) (core.WorkerID, error) {
+	m.once.Do(m.probe)
+	return m.Store.OwnerOf(p)
+}
+
+// TestRestartedWorkerOwnsItsStripesBeforeItAccepts: a restarted worker never
+// refuses a partition the stripes assign it. A session's batch sent to it as
+// soon as it has registered its address, while it reads the stripes, must be
+// served once the worker accepts it — never answered BadOwner, which a later
+// batch of the same session could overtake once the ownership lands.
+func TestRestartedWorkerOwnsItsStripesBeforeItAccepts(t *testing.T) {
+	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
+	tc := newTestCluster(t, 2, 5*time.Millisecond)
+	cfg := tc.workers[0].cfg
+	cfg.Obs = obs.NewRegistry() // counts this incarnation's refusals alone
+	tc.workers[0].Stop()
+	tc.workers = tc.workers[1:]
+	if _, _, err := tc.mgr.OnFailure(cfg.ID); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t, tc, 1, 8)
+	status, done := new(atomic.Int32), make(chan struct{})
+	meta := &probedMeta{Store: tc.meta, probe: func() {
+		// The worker has registered its new address: the client dials it and
+		// sends at once. Wait for the answer while the worker reads the
+		// stripes, or until it could not come before the worker accepts.
+		if err := c.Upsert(keyIn(0), []byte("v"), func(r wire.OpResult) {
+			status.Store(int32(r.Status))
+			close(done)
+		}); err != nil {
+			t.Error(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(100 * time.Millisecond):
+		}
+	}}
+	w, err := Restart(cfg, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.workers = append(tc.workers, w)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the batch sent to the restarted worker never settled")
+	}
+	if got := status.Load(); got != int32(wire.StatusOK) {
+		t.Errorf("batch sent to the restarted worker: status %d, want OK", got)
+	}
+	if n := w.badOwnerC.Value(); n != 0 {
+		t.Errorf("the restarted worker refused %d batches as not owned, want 0", n)
+	}
+	if got := len(w.OwnedPartitions()); got != testPartitions/2 {
+		t.Errorf("restarted worker owns %d partitions, want the %d its stripes name", got, testPartitions/2)
 	}
 }

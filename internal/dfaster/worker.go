@@ -7,7 +7,6 @@
 package dfaster
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,8 +66,8 @@ var _ libdpr.StateObject = (*kv.Store)(nil)
 
 // Worker is one D-FASTER shard server: the DPR worker frame (listener,
 // admission, dependency recording, replies, instruments — package serve) over
-// a FasterKV store, plus what is D-FASTER's own: partition ownership,
-// refused-batch ordering, migration and the kv apply step.
+// a FasterKV store, plus what is D-FASTER's own: partition ownership and the
+// kv apply step.
 type Worker struct {
 	*serve.Worker
 	cfg   WorkerConfig
@@ -77,22 +76,10 @@ type Worker struct {
 
 	// ownedSnap is the ownership set, one bit per virtual partition. The batch
 	// hot path loads it and tests a bit per operation; it is immutable once
-	// published, and the (rare) membership operations — claim, renounce —
-	// copy, edit and swap it under ownedMu (editOwnership).
+	// published, and the (rare) edits — claim, renounce — copy, edit and swap
+	// it under ownedMu (editOwnership).
 	ownedMu   sync.Mutex
 	ownedSnap atomic.Pointer[[]uint64]
-	// movedSnap records, per partition, one plus the worker this one donated
-	// it to (zero: not donated), so ownership misses from sessions still
-	// routed here turn into ErrCodeMoved redirects (carrying the new owner)
-	// instead of blind BadOwner retries. Published like ownedSnap; the hot
-	// path reads it only on an ownership miss.
-	movedSnap atomic.Pointer[[]uint64]
-
-	// Refused-batch ordering (refusal.go): refusalOn counts live ledgers so
-	// the hot path pays one atomic load when no refusals are outstanding.
-	refusalOn atomic.Int32
-	refusalMu sync.Mutex
-	refusals  map[refusalKey]*refusalLedger
 
 	badOwnerC *obs.Counter
 }
@@ -107,7 +94,11 @@ func NewWorker(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 
 // AdoptWorker builds a worker around an existing FasterKV instance — the
 // restart path, where the store was reconstructed with kv.Recover before the
-// worker rejoins the cluster.
+// worker rejoins the cluster. The worker owns what the ownership stripes
+// assign it before its listener accepts (a fresh store's worker: nothing,
+// until it claims), so a session that metadata routes here is never refused
+// for a partition the stripes name: a refused batch could otherwise be
+// overtaken by a later batch of its session, admitted once the claim landed.
 func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Worker, error) {
 	if cfg.Partitions <= 0 {
 		return nil, errors.New("dfaster: Partitions must be positive")
@@ -122,16 +113,14 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 		store.Close()
 		return nil, err
 	}
-	w := &Worker{
-		Worker:   frame,
-		cfg:      cfg,
-		store:    store,
-		meta:     meta,
-		refusals: make(map[refusalKey]*refusalLedger),
+	w := &Worker{Worker: frame, cfg: cfg, store: store, meta: meta}
+	owned := make([]uint64, (cfg.Partitions+63)/64)
+	for p := uint64(0); p < uint64(cfg.Partitions); p++ {
+		if owner, err := meta.OwnerOf(p); err == nil && owner == cfg.ID {
+			owned[p/64] |= 1 << (p % 64)
+		}
 	}
-	owned, moved := make([]uint64, (cfg.Partitions+63)/64), make([]uint64, cfg.Partitions)
 	w.ownedSnap.Store(&owned)
-	w.movedSnap.Store(&moved)
 	reg, lbls := frame.Instruments()
 	w.badOwnerC = reg.Counter("dpr_server_batches_not_owned_total",
 		"Batches refused because a key's partition is not owned here.", lbls...)
@@ -152,9 +141,8 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 
 // Restart brings a failed worker back (paper §4.1), the one restart every
 // deployment uses: it recovers the store from cfg.Device at the worker's
-// position in the cut the current world-line was recovered to, adopts it,
-// and claims what the ownership stripes assign the worker now, renouncing any
-// partition that has meanwhile moved elsewhere. The worker acks the
+// position in the cut the current world-line was recovered to and adopts it,
+// serving what the ownership stripes assign the worker. The worker acks the
 // world-line it starts on as it registers. A device that cannot be read is an
 // error, so the caller may retry; nothing is left running then. Call it once
 // the recovery round for the worker's failure has begun: before that, the
@@ -172,35 +160,7 @@ func Restart(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfaster: restart worker %d at %d: %w", cfg.ID, cut.Get(cfg.ID), err)
 	}
-	w, err := AdoptWorker(cfg, store, meta)
-	if err != nil {
-		return nil, err
-	}
-	// The stripes, not a launch-time list, name what this seat serves now: a
-	// completed migration may have moved partitions away (stealing them back
-	// would strand the new owner's committed writes) or handed this seat more.
-	// Partitions frozen mid-donation still stripe here: the recovery round
-	// invalidated the migration record, so the restarted donor serves them.
-	var parts []uint64
-	for p := uint64(0); p < uint64(cfg.Partitions); p++ {
-		if owner, err := meta.OwnerOf(p); err == nil && owner == cfg.ID {
-			parts = append(parts, p)
-		}
-	}
-	if err := w.ClaimPartitions(parts...); err != nil {
-		w.Stop()
-		return nil, err
-	}
-	// A migration target that won its record just before the recovery round
-	// may still be flipping stripes: renounce what moved during the claim so
-	// two workers never both serve a partition. (A stripe write landing after
-	// this pass is the μs-scale gap DESIGN.md documents.)
-	for _, p := range parts {
-		if owner, err := meta.OwnerOf(p); err == nil && owner != cfg.ID {
-			w.Renounce(p)
-		}
-	}
-	return w, nil
+	return AdoptWorker(cfg, store, meta)
 }
 
 // registerLogObs exports the store's log size, its index's occupancy and what
@@ -245,19 +205,10 @@ func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 
 // openConn builds one connection's backend state: its own FasterKV session
 // (§5.2: "when a session operates on a worker, the worker creates a
-// corresponding FASTER session"). A connection that opens with
-// FrameMigrateBegin is a migration stream, not a session.
+// corresponding FASTER session").
 func (w *Worker) openConn() serve.Conn {
 	a := &kvApply{w: w, sess: w.store.NewSession()}
-	return serve.Conn{
-		Apply: a,
-		Takeover: func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer) {
-			if tag == wire.FrameMigrateBegin {
-				w.receiveMigration(fr, bw, a.sess, payload)
-			}
-		},
-		Close: a.sess.Close,
-	}
+	return serve.Conn{Apply: a, Close: a.sess.Close}
 }
 
 // Lane is the frame's execution lane; each co-located caller holds one.
@@ -286,31 +237,14 @@ func hasBit(bits []uint64, p uint64) bool {
 	return p/64 < uint64(len(bits)) && bits[p/64]&(1<<(p%64)) != 0
 }
 
-// editOwnership publishes the ownership bitmap and the donated-partition
-// table as fn leaves its private copies of them.
-func (w *Worker) editOwnership(fn func(owned, moved []uint64)) {
+// editOwnership publishes the ownership bitmap as fn leaves its private copy
+// of it.
+func (w *Worker) editOwnership(fn func(owned []uint64)) {
 	w.ownedMu.Lock()
 	defer w.ownedMu.Unlock()
-	owned, moved := slices.Clone(*w.ownedSnap.Load()), slices.Clone(*w.movedSnap.Load())
-	fn(owned, moved)
+	owned := slices.Clone(*w.ownedSnap.Load())
+	fn(owned)
 	w.ownedSnap.Store(&owned)
-	w.movedSnap.Store(&moved)
-}
-
-// MarkMoved records that partitions were donated to another worker, turning
-// subsequent ownership misses into ErrCodeMoved redirects. It claims and
-// renounces nothing locally: the migration coordinator also uses it when a
-// handover completed on the target side but the donor missed the ack, so
-// stale sessions still get redirected.
-func (w *Worker) MarkMoved(ps []uint64, to core.WorkerID) {
-	w.editOwnership(func(_, moved []uint64) {
-		for _, p := range ps {
-			if p < uint64(len(moved)) {
-				moved[p] = uint64(to) + 1
-			}
-		}
-	})
-	w.dropRefusals(ps)
 }
 
 // OwnedPartitions lists the partitions this worker currently owns.
@@ -325,32 +259,31 @@ func (w *Worker) OwnedPartitions() []uint64 {
 }
 
 // ClaimPartitions registers this worker as the owner of the given virtual
-// partitions, both locally and in the metadata store.
+// partitions: locally first, then in the metadata store, so a session that
+// metadata routes here finds them owned (see AdoptWorker).
 func (w *Worker) ClaimPartitions(ps ...uint64) error {
 	for _, p := range ps {
 		if p >= uint64(w.cfg.Partitions) {
 			return fmt.Errorf("dfaster: partition %d out of range (%d partitions)", p, w.cfg.Partitions)
 		}
+	}
+	w.editOwnership(func(owned []uint64) {
+		for _, p := range ps {
+			owned[p/64] |= 1 << (p % 64)
+		}
+	})
+	for _, p := range ps {
 		if err := w.meta.SetOwner(p, w.cfg.ID); err != nil {
 			return err
 		}
 	}
-	w.editOwnership(func(owned, moved []uint64) {
-		for _, p := range ps {
-			owned[p/64] |= 1 << (p % 64)
-			// A partition that migrated away and back is owned here again; stale
-			// redirects would bounce sessions to a worker that no longer owns it.
-			moved[p] = 0
-		}
-	})
 	return nil
 }
 
-// Renounce drops local ownership of a partition immediately (the first step
-// of an ownership transfer: the key is briefly unowned and clients retry,
-// §5.3).
+// Renounce drops local ownership of a partition immediately: its batches are
+// refused from then on, and the clients re-drive them through metadata.
 func (w *Worker) Renounce(p uint64) {
-	w.editOwnership(func(owned, _ []uint64) {
+	w.editOwnership(func(owned []uint64) {
 		if p/64 < uint64(len(owned)) {
 			owned[p/64] &^= 1 << (p % 64)
 		}
@@ -397,21 +330,12 @@ func (w *Worker) ExecuteLocalScratch(sess *kv.Session, req *wire.BatchRequest, s
 	return w.Execute(req, &sc.apply, &sc.frame, lane)
 }
 
-// refuse answers an ownership refusal; the frame stamps the world-line.
-func (w *Worker) refuse(code uint8, newOwner core.WorkerID, format string, args ...any) *wire.ErrorReply {
+// ownershipMiss refuses a batch whose op i is in a partition not owned here;
+// the frame stamps the world-line.
+func (w *Worker) ownershipMiss(req *wire.BatchRequest, i int) *wire.ErrorReply {
 	w.badOwnerC.Inc()
-	return &wire.ErrorReply{Code: code, NewOwner: newOwner, Message: fmt.Sprintf(format, args...)}
-}
-
-// ownershipMiss refuses a batch whose op i is in partition part, not owned
-// here: a donated partition redirects to its new owner (no metadata round
-// trip); any other miss is recorded, so later batches cannot overtake it.
-func (w *Worker) ownershipMiss(req *wire.BatchRequest, i int, part uint64) *wire.ErrorReply {
-	if to := (*w.movedSnap.Load())[part]; to != 0 {
-		return w.refuse(wire.ErrCodeMoved, core.WorkerID(to-1), "partition %d moved to worker %d", part, to-1)
-	}
-	w.recordRefusal(req.Header.SessionID, req.Header.SeqStart, req.Ops)
-	return w.refuse(wire.ErrCodeBadOwner, 0, "key %q not owned by worker %d", req.Ops[i].Key, w.cfg.ID)
+	return &wire.ErrorReply{Code: wire.ErrCodeBadOwner,
+		Message: fmt.Sprintf("key %q not owned by worker %d", req.Ops[i].Key, w.cfg.ID)}
 }
 
 // Apply implements serve.Applier: the in-memory pass, then the operations that
@@ -429,9 +353,9 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 	return nil
 }
 
-// applyInMemory is ownership validation and refused-batch ordering, which
-// refuse the batch before anything is touched, then the kv operations. An
-// operation whose record lies on the device goes PENDING and is left zero.
+// applyInMemory is ownership validation, which refuses the batch before
+// anything is touched, then the kv operations. An operation whose record lies
+// on the device goes PENDING and is left zero.
 //
 //dpr:noalloc
 func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
@@ -440,16 +364,9 @@ func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult,
 	// immutable, so no lock is taken.
 	owned := *w.ownedSnap.Load()
 	for i := range req.Ops {
-		if part := PartitionOf(req.Ops[i].Key, w.cfg.Partitions); !hasBit(owned, part) {
-			return w.ownershipMiss(req, i, part)
+		if !hasBit(owned, PartitionOf(req.Ops[i].Key, w.cfg.Partitions)) {
+			return w.ownershipMiss(req, i)
 		}
-	}
-	// Session replay ordering: while earlier-refused sequence numbers are
-	// pending for any of this batch's (session, partition) pairs, only the
-	// minimum refused sequence may execute (refusal.go). One atomic load in
-	// steady state.
-	if w.refusalOn.Load() != 0 && !w.refusalAdmit(req.Header.SessionID, req.Header.SeqStart, req.Ops) {
-		return w.refuse(wire.ErrCodeBadOwner, 0, "held for session replay ordering")
 	}
 
 	for i := range req.Ops {

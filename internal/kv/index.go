@@ -14,7 +14,7 @@ import (
 // independent shards — each with its own buckets and stripe-lock array —
 // selected by hash bits disjoint from the bucket and tag bits, so concurrent
 // execution lanes contend only within a shard and whole-index passes
-// (rollback PURGE, recovery rebuild, migration scans) parallelize
+// (rollback PURGE, checkpoint scans, recovery rebuild) parallelize
 // shard-by-shard.
 //
 // Placement: a key's chain is the entry of its bucket carrying its tag. When
@@ -297,7 +297,7 @@ func (ix *index) occupancy() (chains, full int64) {
 // forEachShard runs fn(shard index) for every shard, concurrently when the
 // index has more than one shard. fn must confine itself to its shard's
 // buckets; the log is append-only shared state. Used by the whole-index
-// maintenance passes (PURGE, migration scans, recovery rebuild) so their cost
+// maintenance passes (PURGE, checkpoint scans, recovery rebuild) so their cost
 // divides across cores instead of stalling serving behind one linear walk.
 func (ix *index) forEachShard(fn func(shard int)) {
 	if len(ix.shards) == 1 {

@@ -63,8 +63,8 @@ func expect(t *testing.T, sess *Session, keys [][]byte, want map[string]uint64, 
 
 // TestBucketSharing runs keys that share chains — by tag, and by the
 // full-bucket rule — through every path that walks a chain: read, RMW,
-// delete, compaction's judgeBucket, ScanFrozen, Restore and its PURGE pass,
-// and Recover's rebuild.
+// delete, compaction's judgeBucket, Restore and its PURGE pass, and Recover's
+// rebuild.
 func TestBucketSharing(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -123,17 +123,6 @@ func TestBucketSharing(t *testing.T) {
 				t.Fatal(err)
 			}
 			expect(t, sess, keys, gen2, "compacted at v1")
-
-			scanned := map[string]uint64{}
-			var mu sync.Mutex
-			s.ScanFrozen(v1, func([]byte) bool { return true }, func(k, v []byte, _ core.Version) {
-				mu.Lock()
-				scanned[string(k)] = binary.LittleEndian.Uint64(v)
-				mu.Unlock()
-			})
-			if fmt.Sprint(scanned) != fmt.Sprint(gen1) {
-				t.Fatalf("ScanFrozen(v1) = %v, want %v", scanned, gen1)
-			}
 
 			if err := s.Restore(v1); err != nil {
 				t.Fatal(err)

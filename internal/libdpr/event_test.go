@@ -182,7 +182,7 @@ func TestOnCutAdvanceStreams(t *testing.T) {
 	}
 }
 
-// TestWaitCutCoversGivesUpOnStop: a worker that is stopped while a migration
+// TestWaitCutCoversGivesUpOnStop: a worker that is stopped while a caller
 // waits for its cut position releases the waiter at once, with an error, and
 // does not sleep out the timeout.
 func TestWaitCutCoversGivesUpOnStop(t *testing.T) {

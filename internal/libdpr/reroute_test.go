@@ -11,28 +11,26 @@ import (
 	"dpr/internal/metadata"
 )
 
-// rerouteStep is one transmission attempt of (a slice of) an issued batch at
-// a worker: the migration redirect protocol replayed by hand. A step either
-// executes (refused=false) and advances the worker's session fence, or is
-// refused after admission (ownership miss: released unexecuted so the same
-// sequence numbers can be retransmitted elsewhere), or is expected to bounce
-// off the session fence with ErrStaleBatch.
+// rerouteStep is one transmission of an issued batch to the session's one
+// worker. Batch 0 is a read whose reply is lost with its connection; the
+// client re-drives it through metadata to the same worker, which has executed
+// later batches of the session by then. A step either executes and advances
+// the worker's session fence, with its reply lost or delivered, or is
+// expected to bounce off the fence with ErrStaleBatch.
 type rerouteStep struct {
 	batch      int // index into the issued batches
-	off, n     int // sub-range of the batch (n == 0 means the whole batch)
-	worker     int // harness worker index
 	redirected bool
-	refused    bool // admit, then release unexecuted (simulated ownership miss)
+	lost       bool // executed, but the reply never reaches the session
 	wantStale  bool
 }
 
-// TestSessionRerouteAcrossOwnershipFlip drives a session whose sequence
-// space is striped across workers through an ownership flip: batches refused
-// at the old owner are retransmitted to the new owner with the Redirected
-// header flag, below a fence the new owner already advanced by executing its
-// natively-owned (higher) sequence numbers. The FIFO frontier must survive —
-// redirected ranges are admitted below the fence without regressing it — and
-// the commit floor must keep rising: every sequence number commits with no
+// TestSessionRerouteAcrossOwnershipFlip drives the client's re-drive of a
+// stranded read: the read executed, its reply was lost with the connection,
+// and the session's later batches executed at the same worker behind it. The
+// re-drive carries the Redirected header flag and arrives below the worker's
+// session fence. The fence must survive — the flagged read is admitted below
+// it without regressing it, an unflagged replay stays fenced out — and the
+// commit floor must keep rising: every sequence number commits with no
 // exceptions.
 func TestSessionRerouteAcrossOwnershipFlip(t *testing.T) {
 	const batchSize = 2
@@ -40,86 +38,57 @@ func TestSessionRerouteAcrossOwnershipFlip(t *testing.T) {
 		name    string
 		batches int
 		steps   []rerouteStep
-		// lastSeq of the issued batches commits with no exceptions.
-		wantCommit bool
 	}{
 		{
-			// The new owner executed its native range (batch 2) first; the
-			// old owner refuses batches 0 and 1, which replay at the new
-			// owner below its fence. Flagged, they must be admitted, and the
-			// fence must not regress: an unflagged replay of batch 0 still
-			// bounces.
+			// The worker executed batch 1 behind the stranded read; the
+			// flagged re-drive is admitted, and the fence has not regressed:
+			// an unflagged replay of the read still bounces.
 			name:    "redirect_below_fence_admits",
-			batches: 3,
+			batches: 2,
 			steps: []rerouteStep{
-				{batch: 2, worker: 1},
-				{batch: 0, worker: 0, refused: true},
-				{batch: 1, worker: 0, refused: true},
-				{batch: 0, worker: 1, redirected: true},
-				{batch: 1, worker: 1, redirected: true},
-				{batch: 0, worker: 1, wantStale: true},
+				{batch: 0, lost: true},
+				{batch: 1},
+				{batch: 0, redirected: true},
+				{batch: 0, wantStale: true},
 			},
-			wantCommit: true,
 		},
 		{
-			// A legacy retransmission without the flag is indistinguishable
-			// from a stale replay and must stay fenced out; the flagged
-			// retransmission of the same range then goes through.
+			// A retransmission without the flag is indistinguishable from a
+			// stale replay and must stay fenced out; the flagged re-drive of
+			// the same range then goes through.
 			name:    "unflagged_below_fence_stays_fenced",
 			batches: 2,
 			steps: []rerouteStep{
-				{batch: 1, worker: 1},
-				{batch: 0, worker: 0, refused: true},
-				{batch: 0, worker: 1, wantStale: true},
-				{batch: 0, worker: 1, redirected: true},
+				{batch: 0, lost: true},
+				{batch: 1},
+				{batch: 0, wantStale: true},
+				{batch: 0, redirected: true},
 			},
-			wantCommit: true,
 		},
 		{
-			// A partial migration splits a refused batch across owners: each
-			// sub-range carries its slice of the sequence numbers and the
-			// session's tracker composes the sub-completions into one
-			// gapless committed prefix.
-			name:    "split_subranges_compose",
-			batches: 2,
-			steps: []rerouteStep{
-				{batch: 0, worker: 0, refused: true},
-				{batch: 1, worker: 0},
-				{batch: 0, off: 0, n: 1, worker: 1, redirected: true},
-				{batch: 0, off: 1, n: 1, worker: 2, redirected: true},
-			},
-			wantCommit: true,
-		},
-		{
-			// Redirected admission is not a blank check: once the new owner
-			// has executed a redirected range, a duplicate unflagged replay
-			// of it is stale, and later native batches keep executing in
-			// order.
+			// Redirected admission is not a blank check: once the worker has
+			// executed the re-driven read, a duplicate unflagged replay of it
+			// is stale, and later batches keep executing in order.
 			name:    "fence_intact_after_redirects",
 			batches: 3,
 			steps: []rerouteStep{
-				{batch: 0, worker: 0, refused: true},
-				{batch: 0, worker: 1, redirected: true},
-				{batch: 1, worker: 1},
-				{batch: 0, worker: 1, wantStale: true},
-				{batch: 2, worker: 1},
+				{batch: 0, lost: true},
+				{batch: 0, redirected: true},
+				{batch: 1},
+				{batch: 0, wantStale: true},
+				{batch: 2},
 			},
-			wantCommit: true,
 		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, 3, metadata.FinderApproximate, 5*time.Millisecond)
+			h := newHarness(t, 1, metadata.FinderApproximate, 5*time.Millisecond)
 			s, err := libdpr.NewSession(h.meta, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lanes := make([]*libdpr.ExecLane, len(h.workers))
-			for i, w := range h.workers {
-				lanes[i] = w.NewLane()
-				defer lanes[i].Close()
-			}
+			w, lane, kvSess := h.workers[0], h.lanes[0], h.kvSess[0]
 
 			headers := make([]libdpr.BatchHeader, tc.batches)
 			for i := range headers {
@@ -138,12 +107,7 @@ func TestSessionRerouteAcrossOwnershipFlip(t *testing.T) {
 
 			for si, st := range tc.steps {
 				hdr := headers[st.batch]
-				if st.n > 0 {
-					hdr.SeqStart += uint64(st.off)
-					hdr.NumOps = uint32(st.n)
-				}
 				hdr.Redirected = st.redirected
-				w, lane := h.workers[st.worker], lanes[st.worker]
 				_, err := w.AdmitBatchGuarded(hdr, lane)
 				if st.wantStale {
 					if !errors.Is(err, libdpr.ErrStaleBatch) {
@@ -154,17 +118,15 @@ func TestSessionRerouteAcrossOwnershipFlip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: admit: %v", si, err)
 				}
-				if st.refused {
-					w.ReleaseBatch(hdr, lane, false)
-					continue
-				}
 				versions := make([]core.Version, hdr.NumOps)
 				var maxVer core.Version
 				for i := range versions {
-					key := fmt.Sprintf("k-%d", hdr.SeqStart+uint64(i))
-					ver, uerr := h.kvSess[st.worker].Upsert([]byte(key), []byte("v"))
-					if uerr != nil {
-						t.Fatal(uerr)
+					key := []byte(fmt.Sprintf("k-%d", hdr.SeqStart+uint64(i)))
+					var ver core.Version
+					if st.batch == 0 {
+						_, _, ver = kvSess.Read(key, 0)
+					} else if ver, err = kvSess.Upsert(key, []byte("v")); err != nil {
+						t.Fatal(err)
 					}
 					versions[i] = ver
 					if ver > maxVer {
@@ -173,19 +135,20 @@ func TestSessionRerouteAcrossOwnershipFlip(t *testing.T) {
 				}
 				w.RecordDependency(maxVer, hdr.Dep)
 				w.ReleaseBatch(hdr, lane, true)
+				if st.lost {
+					continue
+				}
 				if cerr := s.CompleteBatch(w.ID(), hdr, w.Reply(versions)); cerr != nil {
 					t.Fatalf("step %d: complete: %v", si, cerr)
 				}
 			}
 
-			if tc.wantCommit {
-				if err := s.WaitCommit(lastSeq, 5*time.Second); err != nil {
-					t.Fatalf("commit floor stalled across the flip: %v", err)
-				}
-				p, exc := s.Committed()
-				if p < lastSeq || len(exc) != 0 {
-					t.Fatalf("prefix %d (exceptions %v), want >= %d with none", p, exc, lastSeq)
-				}
+			if err := s.WaitCommit(lastSeq, 5*time.Second); err != nil {
+				t.Fatalf("commit floor stalled across the re-drive: %v", err)
+			}
+			p, exc := s.Committed()
+			if p < lastSeq || len(exc) != 0 {
+				t.Fatalf("prefix %d (exceptions %v), want >= %d with none", p, exc, lastSeq)
 			}
 		})
 	}

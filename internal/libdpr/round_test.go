@@ -210,7 +210,7 @@ func TestLostAnnouncementStillAligns(t *testing.T) {
 }
 
 // TestPumpDeadlineFollowsAForcedSeal: a seal somebody else forces while the
-// pump waits out its gap — here CommitBoundary, as a migration would — is a
+// pump waits out its gap — here CommitBoundary — is a
 // seal like any other: the pump's next one keeps the whole gap after it,
 // instead of firing on the deadline computed before it.
 func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {

@@ -65,14 +65,13 @@ type BatchHeader struct {
 	// the cross-shard dependency this batch introduces (zero Version means
 	// no dependency).
 	Dep core.Token
-	// Redirected marks a retransmission after an ownership redirect
-	// (BadOwner/Moved): every worker that answered this sequence range
-	// refused it without executing, so the range has never executed
-	// anywhere. The receiving worker's session gate admits it even below
-	// the fence — pre-migration the session legitimately striped lower
-	// sequence numbers across other owners, so a redirected range routinely
-	// arrives below the fence of a worker that has already executed later
-	// batches.
+	// Redirected marks a client's re-drive of a range that did not settle: a
+	// batch a worker refused without executing it, a frame that never reached
+	// a worker, or a read whose reply was lost with its connection (a read
+	// that executes twice changes nothing). The worker's session gate admits
+	// it even below the fence: a stranded read arrives again at the worker
+	// that executed it, which has executed the session's later batches by
+	// then.
 	Redirected bool
 }
 
@@ -829,12 +828,11 @@ func (w *Worker) await(timeout time.Duration, cond func() bool) bool {
 	}
 }
 
-// CommitBoundary seals a commit boundary for a partition handover: it
-// commits everything up to the current version, waits until the store has
-// moved past the boundary (so no new operation can land at or below it) and
-// the boundary is durably persisted, then reports the persisted prefix to
-// the finder. Every record at a version ≤ the returned boundary is frozen:
-// the donor side of a migration streams exactly that prefix.
+// CommitBoundary forces a commit boundary: it commits everything up to the
+// current version, waits until the store has moved past the boundary (so no
+// new operation can land at or below it) and the boundary is durably
+// persisted, then reports the persisted prefix to the finder. Every record at
+// a version ≤ the returned boundary is frozen.
 func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 	boundary := w.so.CurrentVersion()
 	if err := w.so.BeginCommit(boundary); err != nil {
@@ -852,11 +850,9 @@ func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
 
 // WaitCutCovers blocks until the finder's published DPR cut covers version v
 // for this worker — i.e. until (w, v) is committed and can no longer be
-// rolled back on this world-line. The receive side of a migration calls this
-// before claiming ownership, so a post-handover crash of the target cannot
-// erase the imported state. It waits on the worker's own cut view, which the
-// watch loop refreshes on every finder generation and the heartbeat behind
-// it; a stopped worker gives up at once.
+// rolled back on this world-line. It waits on the worker's own cut view,
+// which the watch loop refreshes on every finder generation and the heartbeat
+// behind it; a stopped worker gives up at once.
 func (w *Worker) WaitCutCovers(v core.Version, timeout time.Duration) error {
 	w.reportPersisted()
 	if !w.await(timeout, func() bool { self, _ := w.cutPositions(); return self >= v }) {
@@ -911,17 +907,6 @@ func (w *Worker) rollback(wl core.WorldLine, cut core.Cut) error {
 	_ = w.meta.AckWorldLine(w.cfg.ID, wl)
 	return nil
 }
-
-// QuiesceExecution blocks until every batch execution in flight at the time
-// of the call has completed (released its lane slot). The migration donor
-// calls it between renouncing the moving partitions and sealing the
-// migration boundary: a batch that passed the serving layer's ownership
-// check against the pre-freeze snapshot may still be executing, and its
-// writes must land below the boundary — otherwise the handover stream would
-// silently leave a committed, acknowledged write behind. Unlike the rollback
-// path no fence is raised: new batches keep executing freely (they observe
-// the renounced ownership snapshot and are refused before touching state).
-func (w *Worker) QuiesceExecution() { w.exec.Drain() }
 
 // Stop halts background maintenance and deregisters nothing (membership is
 // durable; workers that leave for good call Deregister separately).

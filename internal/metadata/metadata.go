@@ -73,6 +73,12 @@ type Service interface {
 	StateWatcher
 }
 
+// ElasticService is Service under the name the benchmark module's metadata
+// decorator still embeds; membership changes only through RegisterWorker and
+// DeregisterWorker. The alias goes when the benchmark drives the cluster
+// through what the product exports (ROADMAP item 4).
+type ElasticService = Service
+
 // FinderKind selects the cut-finding algorithm (§3.3-3.4).
 type FinderKind uint8
 
@@ -156,7 +162,6 @@ type stateView struct {
 	vmax    core.Version // highest version any worker has closed or persisted
 	closing core.Version // highest announced version (0: none on this world-line)
 	frozen  bool
-	migs    []Migration // in-flight migrations; never mutated after publish
 }
 
 // Store is the in-process metadata service.
@@ -176,16 +181,11 @@ type Store struct {
 	recovered map[core.WorldLine]core.Cut
 	// acked maps each worker to the newest world-line it confirmed.
 	acked map[core.WorkerID]core.WorldLine
-	// migrations holds the in-flight partition handovers (see elastic.go);
-	// migSeq hands out their ids. Cleared by BeginRecovery: a migration's
-	// boundary belongs to the world-line it was taken on.
-	migrations map[uint64]Migration
-	migSeq     uint64
 	// closing is the highest version a worker has announced closing on the
 	// current world-line (AnnounceCommit); Vmax is the larger of it and the
 	// finder's persisted maximum. It may name a version nobody has persisted
-	// yet. Like the migrations it belongs to a world-line: BeginRecovery
-	// clears it, and it is never written into the snapshot.
+	// yet. It belongs to a world-line: BeginRecovery clears it, and it is
+	// never written into the snapshot.
 	closing core.Version
 
 	// gen counts cut-affecting mutations (bumped under stateMu); state is
@@ -301,29 +301,18 @@ func (s *Store) DebugState() obs.DPRState {
 		}
 		st.mu.Unlock()
 	}
-	var migs []obs.MigrationState
-	for _, m := range v.migs {
-		migs = append(migs, obs.MigrationState{
-			ID:         m.ID,
-			From:       uint64(m.From),
-			To:         uint64(m.To),
-			Partitions: append([]uint64(nil), m.Partitions...),
-			WorldLine:  uint64(m.WorldLine),
-		})
-	}
 	return obs.DPRState{
-		Kind:       "finder",
-		WorldLine:  uint64(v.wl),
-		CutMax:     uint64(max),
-		Cut:        cutJSON,
-		Vmax:       uint64(v.vmax),
-		Closing:    uint64(v.closing),
-		Frozen:     v.frozen,
-		Members:    members,
-		Owners:     owners,
-		Migrations: migs,
-		Rollbacks:  s.recoveriesC.Value(),
-		Trace:      s.trace.Snapshot(),
+		Kind:      "finder",
+		WorldLine: uint64(v.wl),
+		CutMax:    uint64(max),
+		Cut:       cutJSON,
+		Vmax:      uint64(v.vmax),
+		Closing:   uint64(v.closing),
+		Frozen:    v.frozen,
+		Members:   members,
+		Owners:    owners,
+		Rollbacks: s.recoveriesC.Value(),
+		Trace:     s.trace.Snapshot(),
 	}
 }
 
@@ -440,15 +429,8 @@ func (s *Store) publishLocked() *stateView {
 	if s.frozen {
 		cut = s.frozenCut.Clone()
 	}
-	var migs []Migration
-	if len(s.migrations) > 0 {
-		migs = make([]Migration, 0, len(s.migrations))
-		for _, m := range s.migrations {
-			migs = append(migs, m)
-		}
-	}
 	v := &stateView{gen: gen, wl: s.worldLine, cut: cut, vmax: max(s.finder.MaxVersion(), s.closing),
-		closing: s.closing, frozen: s.frozen, migs: migs}
+		closing: s.closing, frozen: s.frozen}
 	s.state.Store(v)
 	return v
 }
@@ -476,12 +458,12 @@ func (s *Store) RegisterWorker(w core.WorkerID, addr string) error {
 // let a racing OwnerOf resolve a partition to a worker that no longer
 // exists, and the session would route a batch into the void. The check and
 // the member-row drop are not one atomic step, but ownership moves only
-// toward live members (SetOwner during migration), so once the stripes are
-// clear of w they stay clear.
+// toward live members (SetOwner), so once the stripes are clear of w they
+// stay clear.
 func (s *Store) DeregisterWorker(w core.WorkerID) error {
 	s.simulateLatency()
 	if p, owned := s.ownedPartition(w); owned {
-		return fmt.Errorf("metadata: worker %d still owns partition %d; migrate ownership before leaving", w, p)
+		return fmt.Errorf("metadata: worker %d still owns partition %d; reassign it before leaving", w, p)
 	}
 	st := s.memberStripe(w)
 	st.mu.Lock()
@@ -496,6 +478,23 @@ func (s *Store) DeregisterWorker(w core.WorkerID) error {
 	s.stateMu.Unlock()
 	s.persist()
 	return nil
+}
+
+// ownedPartition scans the ownership stripes for a partition still pointing
+// at w, returning the first hit.
+func (s *Store) ownedPartition(w core.WorkerID) (uint64, bool) {
+	for i := range s.owners {
+		st := &s.owners[i]
+		st.mu.Lock()
+		for p, owner := range st.m {
+			if owner == w {
+				st.mu.Unlock()
+				return p, true
+			}
+		}
+		st.mu.Unlock()
+	}
+	return 0, false
 }
 
 // ReportVersion implements Service.
@@ -683,12 +682,8 @@ func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 	}
 	s.worldLine++
 	s.recovered[s.worldLine] = s.frozenCut.Clone()
-	// In-flight migrations were cut on the previous world-line; the rollback
-	// may erase part of their streamed state, so they cannot complete.
-	// Dropping them here makes CompleteMigrate fail and the coordinator
-	// abort (the donor keeps ownership — SetOwner never flipped).
-	clear(s.migrations)
-	// So was every announced version: a worker that rolls back never closes it.
+	// Every announced version was on the previous world-line: a worker that
+	// rolls back never closes it.
 	s.closing = 0
 	s.bumpLocked()
 	s.publishLocked()

@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,5 +304,73 @@ func TestRecoveredCutNamesEveryMember(t *testing.T) {
 	rc.Lower(core.Cut{1: 5, 2: 5})
 	if rc.Get(2) != 0 {
 		t.Fatalf("composed cut %v: member 2 committed nothing, so it must stay at 0", rc)
+	}
+}
+
+// TestOwnerOfNeverReturnsDeparted is the regression for the DeregisterWorker
+// ordering bug: the member row must only drop after every ownership stripe has
+// been re-pointed, so a racing OwnerOf can never resolve to a departed worker.
+// With the check removed, the halfway DeregisterWorker below succeeds and the
+// reader goroutine observes partition owners that are no longer members.
+func TestOwnerOfNeverReturnsDeparted(t *testing.T) {
+	s := NewStore(Config{})
+	if err := s.RegisterWorker(1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterWorker(2, "b"); err != nil {
+		t.Fatal(err)
+	}
+	const parts = 64
+	for p := uint64(0); p < parts; p++ {
+		if err := s.SetOwner(p, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stop, left, violated atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			for p := uint64(0); p < parts; p++ {
+				w, err := s.OwnerOf(p)
+				if err == nil && w == 2 && left.Load() {
+					violated.Store(true)
+					return
+				}
+			}
+		}
+	}()
+
+	// Re-point half the stripes; DeregisterWorker must still refuse.
+	for p := uint64(0); p < parts; p += 2 {
+		if err := s.SetOwner(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.DeregisterWorker(2); err == nil {
+		t.Fatal("DeregisterWorker must fail while worker 2 still owns partitions")
+	}
+	for p := uint64(1); p < parts; p += 2 {
+		if err := s.SetOwner(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.DeregisterWorker(2); err != nil {
+		t.Fatal(err)
+	}
+	left.Store(true)
+	// Give the reader a few full sweeps after the departure.
+	for i := 0; i < 4; i++ {
+		for p := uint64(0); p < parts; p++ {
+			if w, err := s.OwnerOf(p); err != nil || w != 1 {
+				t.Fatalf("partition %d: owner %d err %v after deregistering", p, w, err)
+			}
+		}
+	}
+	stop.Store(true)
+	<-done
+	if violated.Load() {
+		t.Fatal("OwnerOf returned a departed worker")
 	}
 }

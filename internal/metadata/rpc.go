@@ -72,20 +72,6 @@ type (
 	}
 	// HeartbeatArgs signals liveness.
 	HeartbeatArgs struct{ Worker core.WorkerID }
-	// MigrateArgs registers an in-flight migration.
-	MigrateArgs struct {
-		Partitions []uint64
-		From       core.WorkerID
-		To         core.WorkerID
-	}
-	// MigrateReply returns the migration id.
-	MigrateReply struct{ ID uint64 }
-	// MigrateIDArgs names a migration.
-	MigrateIDArgs struct{ ID uint64 }
-	// AbortReply reports whether AbortMigrate removed the record.
-	AbortReply struct{ Removed bool }
-	// MigrationsReply lists the in-flight migrations.
-	MigrationsReply struct{ Migrations []Migration }
 	// WaitStateArgs long-polls for a cut-state change past SinceGen.
 	WaitStateArgs struct {
 		SinceGen  uint64
@@ -214,51 +200,6 @@ func (s *RPCService) AckWorldLine(args *AckArgs, _ *Empty) error {
 // AnnounceCommit is the RPC for Service.AnnounceCommit.
 func (s *RPCService) AnnounceCommit(args *AnnounceArgs, _ *Empty) error {
 	s.store.AnnounceCommit(args.Worker, args.WorldLine, args.Version)
-	return nil
-}
-
-// Join is the RPC for ElasticService.Join.
-func (s *RPCService) Join(args *RegisterArgs, _ *Empty) error {
-	return s.store.Join(args.Worker, args.Addr)
-}
-
-// Leave is the RPC for ElasticService.Leave.
-func (s *RPCService) Leave(args *RegisterArgs, _ *Empty) error {
-	return s.store.Leave(args.Worker)
-}
-
-// BeginMigrate is the RPC for ElasticService.BeginMigrate.
-func (s *RPCService) BeginMigrate(args *MigrateArgs, reply *MigrateReply) error {
-	id, err := s.store.BeginMigrate(args.Partitions, args.From, args.To)
-	if err != nil {
-		return err
-	}
-	reply.ID = id
-	return nil
-}
-
-// CompleteMigrate is the RPC for ElasticService.CompleteMigrate.
-func (s *RPCService) CompleteMigrate(args *MigrateIDArgs, _ *Empty) error {
-	return s.store.CompleteMigrate(args.ID)
-}
-
-// AbortMigrate is the RPC for ElasticService.AbortMigrate.
-func (s *RPCService) AbortMigrate(args *MigrateIDArgs, reply *AbortReply) error {
-	removed, err := s.store.AbortMigrate(args.ID)
-	if err != nil {
-		return err
-	}
-	reply.Removed = removed
-	return nil
-}
-
-// Migrations is the RPC for ElasticService.Migrations.
-func (s *RPCService) Migrations(_ *Empty, reply *MigrationsReply) error {
-	migs, err := s.store.Migrations()
-	if err != nil {
-		return err
-	}
-	reply.Migrations = migs
 	return nil
 }
 
@@ -462,48 +403,4 @@ func (c *RPCClient) Heartbeat(w core.WorkerID) error {
 	return c.call("Metadata.Heartbeat", &HeartbeatArgs{Worker: w}, &Empty{})
 }
 
-// Join implements ElasticService.
-func (c *RPCClient) Join(w core.WorkerID, addr string) error {
-	return c.call("Metadata.Join", &RegisterArgs{Worker: w, Addr: addr}, &Empty{})
-}
-
-// Leave implements ElasticService.
-func (c *RPCClient) Leave(w core.WorkerID) error {
-	return c.call("Metadata.Leave", &RegisterArgs{Worker: w}, &Empty{})
-}
-
-// BeginMigrate implements ElasticService.
-func (c *RPCClient) BeginMigrate(partitions []uint64, from, to core.WorkerID) (uint64, error) {
-	var reply MigrateReply
-	if err := c.call("Metadata.BeginMigrate",
-		&MigrateArgs{Partitions: partitions, From: from, To: to}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.ID, nil
-}
-
-// CompleteMigrate implements ElasticService.
-func (c *RPCClient) CompleteMigrate(id uint64) error {
-	return c.call("Metadata.CompleteMigrate", &MigrateIDArgs{ID: id}, &Empty{})
-}
-
-// AbortMigrate implements ElasticService.
-func (c *RPCClient) AbortMigrate(id uint64) (bool, error) {
-	var reply AbortReply
-	if err := c.call("Metadata.AbortMigrate", &MigrateIDArgs{ID: id}, &reply); err != nil {
-		return false, err
-	}
-	return reply.Removed, nil
-}
-
-// Migrations implements ElasticService.
-func (c *RPCClient) Migrations() ([]Migration, error) {
-	var reply MigrationsReply
-	if err := c.call("Metadata.Migrations", &Empty{}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Migrations, nil
-}
-
 var _ Service = (*RPCClient)(nil)
-var _ ElasticService = (*RPCClient)(nil)

@@ -34,8 +34,6 @@ type DPRState struct {
 	// Owners is the ownership table, partition (decimal) → worker id
 	// (finder only).
 	Owners map[string]uint64 `json:"owners,omitempty"`
-	// Migrations lists the in-flight partition handovers (finder only).
-	Migrations []MigrationState `json:"migrations,omitempty"`
 
 	// CheckpointIntervalMS is the worker's heartbeat behind the commit pump
 	// and CommitPump is "adaptive" — seal when dirty and idle, otherwise
@@ -89,13 +87,4 @@ type LogState struct {
 	Mapped         int64  `json:"mapped"`
 	IndexChains    int64  `json:"index_chains"`
 	IndexFullLines int64  `json:"index_full_lines"`
-}
-
-// MigrationState is one in-flight migration in the finder's /debug/dpr view.
-type MigrationState struct {
-	ID         uint64   `json:"id"`
-	From       uint64   `json:"from"`
-	To         uint64   `json:"to"`
-	Partitions []uint64 `json:"partitions"`
-	WorldLine  uint64   `json:"world_line"`
 }

@@ -2,8 +2,7 @@
 // tree sits on (D-FASTER, D-Redis, the plain-Redis baseline): the listener and
 // its tracked connections (package listen), the per-connection frame loop,
 // and the cut-advance push fan-out. A backend supplies only what differs per
-// store — an Execute step over its state object, and optionally a Takeover
-// for connections that turn out not to be sessions (migration streams).
+// store: an Execute step over its state object.
 package serve
 
 import (
@@ -33,11 +32,6 @@ type Handler struct {
 	// read buffer and the reply may alias per-connection scratch; both are
 	// consumed before the next call.
 	Execute func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply)
-	// Takeover, when set, is handed the first frame that is not a batch
-	// request together with the connection's reader and writer. The
-	// connection is detached from pushes first and closes when Takeover
-	// returns. When nil, such a frame just closes the connection.
-	Takeover func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer)
 	// Close releases the connection's backend state (may be nil).
 	Close func()
 }
@@ -55,15 +49,11 @@ type Server struct {
 }
 
 // conn is the writer half of a served connection, shared between the frame
-// loop (replies) and PushCutAdvance under wmu. detached (guarded by wmu) marks
-// a connection whose writer was handed to Takeover: unsubscribing alone cannot
-// stop a fan-out that already snapshotted the set, so pushes re-check it under
-// the lock.
+// loop (replies) and PushCutAdvance under wmu.
 type conn struct {
-	nc       net.Conn
-	wmu      sync.Mutex
-	bw       *bufio.Writer
-	detached bool
+	nc  net.Conn
+	wmu sync.Mutex
+	bw  *bufio.Writer
 }
 
 // Listen binds addr; nothing is accepted until Start. An empty addr yields a
@@ -111,9 +101,10 @@ func (s *Server) unsubscribe(c *conn) {
 }
 
 // serveConn is the frame loop: batch requests are executed in order and
-// answered with a reply or an error frame. Frames land in a pooled read
-// buffer, the request aliases it, and the reply is encoded into a pooled
-// output buffer, so the loop is allocation-free in steady state.
+// answered with a reply or an error frame; any other frame closes the
+// connection. Frames land in a pooled read buffer, the request aliases it,
+// and the reply is encoded into a pooled output buffer, so the loop is
+// allocation-free in steady state.
 func (s *Server) serveConn(nc net.Conn) {
 	h := s.open()
 	if h.Close != nil {
@@ -127,23 +118,11 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer wire.PutBuffer(out)
 	var req wire.BatchRequest
 	// Cut-advance subscription is lazy: only connections that send a batch
-	// request are sessions. A migration stream's peer reads its ack with a
-	// plain frame reader that expects no interleaved push.
+	// request are sessions.
 	subscribed := false
 	for {
 		tag, payload, err := fr.Read()
-		if err != nil {
-			return
-		}
-		if tag != wire.FrameBatchRequest {
-			if h.Takeover != nil {
-				s.unsubscribe(c)
-				c.wmu.Lock()
-				c.detached = true
-				nc.SetWriteDeadline(time.Time{})
-				c.wmu.Unlock()
-				h.Takeover(tag, payload, fr, c.bw)
-			}
+		if err != nil || tag != wire.FrameBatchRequest {
 			return
 		}
 		if !subscribed {
@@ -208,14 +187,10 @@ func (s *Server) PushCutAdvance(wl core.WorldLine, encoded []byte) {
 	wire.PutBuffer(out)
 }
 
-// push writes and flushes one cut-advance payload, unless the connection was
-// detached after the fan-out snapshotted it.
+// push writes and flushes one cut-advance payload.
 func (c *conn) push(payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.detached {
-		return nil
-	}
 	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := wire.WriteFrame(c.bw, wire.FrameCutAdvance, payload); err != nil {
 		return err

@@ -17,8 +17,7 @@ import (
 // answered with an error reply. opened counts connections whose frame loop
 // has started.
 type fakeBackend struct {
-	opened   atomic.Int64
-	takeover func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer)
+	opened atomic.Int64
 }
 
 func (f *fakeBackend) open() Handler {
@@ -37,7 +36,6 @@ func (f *fakeBackend) open() Handler {
 			reply = wire.BatchReply{WorldLine: 1, Results: results}
 			return &reply, nil
 		},
-		Takeover: f.takeover,
 	}
 }
 
@@ -194,54 +192,8 @@ func TestLazySubscribe(t *testing.T) {
 	silent.quiet(100 * time.Millisecond)
 }
 
-// TestTakeoverDetachesFromInFlightFanOut: once a connection is taken over,
-// its writer belongs to the takeover alone — even a fan-out that snapshotted
-// the subscriber set before the takeover must not write to it.
-func TestTakeoverDetachesFromInFlightFanOut(t *testing.T) {
-	const tagStream, tagAck = 200, 201
-	entered, release := make(chan struct{}), make(chan struct{})
-	f := &fakeBackend{takeover: func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer) {
-		if tag != tagStream || string(payload) != "begin" {
-			t.Errorf("takeover got tag %d payload %q", tag, payload)
-		}
-		close(entered)
-		<-release
-		wire.WriteFrame(bw, tagAck, []byte("ack"))
-		bw.Flush()
-	}}
-	s := startServer(t, f)
-	c := dial(t, s)
-	c.sendBatch("k")
-	c.read()
-
-	inFlight := s.subscribers() // what a fan-out racing the takeover holds
-	if len(inFlight) != 1 {
-		t.Fatalf("%d subscribers, want 1", len(inFlight))
-	}
-	c.send(tagStream, []byte("begin"))
-	<-entered
-	if len(s.subscribers()) != 0 {
-		t.Fatal("taken-over connection still subscribed")
-	}
-	if err := inFlight[0].push([]byte{0}); err != nil {
-		t.Fatal(err)
-	}
-	s.PushCutAdvance(1, []byte{0})
-	close(release)
-
-	tag, payload := c.read()
-	if tag != tagAck || string(payload) != "ack" {
-		t.Fatalf("first frame after takeover: tag %d %q, want the takeover's ack", tag, payload)
-	}
-	// The connection ends when the takeover returns.
-	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := c.fr.Read(); err == nil {
-		t.Fatal("connection still open after the takeover returned")
-	}
-}
-
-// TestUnknownFrameWithoutTakeoverCloses: a backend with no takeover drops a
-// connection that sends anything but batch requests.
+// TestUnknownFrameWithoutTakeoverCloses: the frame loop drops a connection
+// that sends anything but batch requests.
 func TestUnknownFrameWithoutTakeoverCloses(t *testing.T) {
 	s := startServer(t, &fakeBackend{})
 	c := dial(t, s)

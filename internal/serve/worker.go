@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"runtime"
 	"slices"
@@ -40,10 +39,9 @@ type Applier interface {
 // the connection is accepted.
 type Conn struct {
 	Apply Applier
-	// Takeover and Close are Handler's: a connection that turns out not to be
-	// a session, and the release of the connection's backend state. Optional.
-	Takeover func(tag byte, payload []byte, fr *wire.FrameReader, bw *bufio.Writer)
-	Close    func()
+	// Close is Handler's: the release of the connection's backend state.
+	// Optional.
+	Close func()
 }
 
 // Worker is the DPR worker frame: a Server, the libdpr.Worker wrapped around
@@ -175,7 +173,6 @@ func (w *Worker) Start(open func() Conn) {
 			Execute: func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
 				return w.Execute(req, c.Apply, sc, lane)
 			},
-			Takeover: c.Takeover,
 			Close: func() {
 				lane.Close()
 				if c.Close != nil {

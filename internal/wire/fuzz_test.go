@@ -115,7 +115,7 @@ func FuzzDecodeCutAdvance(f *testing.F) {
 
 func FuzzDecodeError(f *testing.F) {
 	f.Add(AppendError(nil, &ErrorReply{Code: ErrCodeRejected, WorldLine: 3, Message: "recover"}))
-	f.Add(AppendError(nil, &ErrorReply{Code: ErrCodeMoved, WorldLine: 2, NewOwner: 4, Message: "partition moved"}))
+	f.Add(AppendError(nil, &ErrorReply{Code: ErrCodeBadOwner, WorldLine: 2, Message: "key not owned"}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 16))
 	f.Fuzz(func(t *testing.T, payload []byte) {

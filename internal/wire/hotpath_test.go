@@ -197,7 +197,7 @@ func TestEncodeDecodeZeroAlloc(t *testing.T) {
 	rep.EncodedCut = AppendCut(nil, rep.Cut)
 	repPayload := AppendBatchReply(nil, rep)
 	cutPayload := AppendCutAdvanceEncoded(nil, rep.WorldLine, rep.EncodedCut)
-	refusal := &ErrorReply{Code: ErrCodeBadOwner, WorldLine: 3, NewOwner: 2, Message: "key not owned"}
+	refusal := &ErrorReply{Code: ErrCodeBadOwner, WorldLine: 3, Message: "key not owned"}
 
 	var scratch []byte
 	allocpin.Zero(t, "AppendBatchRequest", 100, func() {

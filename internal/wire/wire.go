@@ -66,7 +66,6 @@ const (
 	ErrCodeInternal  byte = 3
 	ErrCodeRetryable byte = 4
 	ErrCodeStale     byte = 5 // batch seq range superseded within its session
-	ErrCodeMoved     byte = 6 // partition migrated away; ErrorReply.NewOwner is the new owner
 )
 
 // MaxFrameSize bounds a single frame (16 MiB).
@@ -110,13 +109,10 @@ type BatchReply struct {
 	CutGen uint64
 }
 
-// ErrorReply is a worker→client error frame. NewOwner is meaningful only for
-// ErrCodeMoved: the worker that now owns the batch's partition, so the client
-// can re-route a redirected batch without a metadata round trip.
+// ErrorReply is a worker→client error frame.
 type ErrorReply struct {
 	Code      byte
 	WorldLine core.WorldLine
-	NewOwner  core.WorkerID
 	Message   string
 }
 
@@ -555,7 +551,6 @@ func DecodeBatchReplyInto(r *BatchReply, p []byte) error {
 func AppendError(dst []byte, e *ErrorReply) []byte {
 	dst = append(dst, e.Code)
 	dst = appendU64(dst, uint64(e.WorldLine))
-	dst = appendU32(dst, uint32(e.NewOwner))
 	dst = appendU32(dst, uint32(len(e.Message)))
 	return append(dst, e.Message...)
 }
@@ -566,7 +561,6 @@ func DecodeError(p []byte) (*ErrorReply, error) {
 	var e ErrorReply
 	e.Code = d.u8()
 	e.WorldLine = core.WorldLine(d.u64())
-	e.NewOwner = core.WorkerID(d.u32())
 	e.Message = string(d.bytes())
 	if err := d.finish(); err != nil {
 		return nil, err

@@ -60,7 +60,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	e := &ErrorReply{Code: ErrCodeRejected, WorldLine: 9, NewOwner: 7, Message: "client must recover"}
+	e := &ErrorReply{Code: ErrCodeRejected, WorldLine: 9, Message: "client must recover"}
 	got, err := DecodeError(AppendError(nil, e))
 	if err != nil {
 		t.Fatal(err)
