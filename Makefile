@@ -2,7 +2,7 @@ GO ?= go
 # Seeds per chaos sweep; CI's PR job uses 5.
 CHAOS_SEEDS ?= 20
 
-.PHONY: check build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path bench-scale scale-smoke chaos figures
+.PHONY: check build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module loc race commit-path-stress fuzz bench bench-scaling bench-serve-path chaos figures
 
 # The full pre-commit gate, in the order CI runs it.
 check: build cross fmt-check wait-check atomic-check vet dpr-vet test bench-module
@@ -24,11 +24,11 @@ fmt-check:
 # short fires at the runtime's next unrelated wake-up, up to a millisecond
 # late in an idle process (DESIGN.md "Commit rounds", Waits). A grep, not a
 # dpr-vet checker: it looks for a Microsecond or Nanosecond constant handed to
-# package time's waits, outside tests, the fault harnesses (chaos, integration,
-# scale), the baselines and dpr-vet's fixtures.
+# package time's waits, outside tests, the fault harnesses (chaos,
+# integration), the baselines and dpr-vet's fixtures.
 wait-check:
 	@out=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' \
-			-e '^internal/\(analysis\|chaos\|integration\|scale\|baseline\)/' \
+			-e '^internal/\(analysis\|chaos\|integration\|baseline\)/' \
 		| xargs grep -nE 'time\.(Sleep|After|AfterFunc|NewTimer)\(.*(Microsecond|Nanosecond)'); \
 		if [ -n "$$out" ]; then echo "sub-millisecond wait on package time (use internal/hrtimer):"; echo "$$out"; exit 1; fi
 
@@ -91,8 +91,8 @@ race:
 # side of the commit contract (libdpr/statetest: kv, D-Redis, whose persist
 # notification order carries the pump's guarantee, and the two test doubles);
 # the libdpr commit pump and commit rounds (two workers closing a version
-# together; the finder's announced version), heartbeat backstop, WaitCommit and
-# CommitBoundary; D-Redis commits, version fast-forward and a failed BGSAVE;
+# together; the finder's announced version), heartbeat backstop and WaitCommit;
+# D-Redis commits, version fast-forward and a failed BGSAVE;
 # log compaction (its liveness rule, a pass yielding to a commit and to a
 # rollback, the log staying bounded under load: -short runs that one for 3 s
 # instead of 30), the serving frame's (backend conformance, Stop) and the
@@ -122,7 +122,7 @@ commit-path-stress:
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves|StateObjectContract' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
-	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestCommitBoundary|TestWaitCommit|TestWaitCutCovers|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback' ./internal/libdpr; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestWaitCommit|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback' ./internal/libdpr; \
 	run '.' ./internal/cluster; \
 	run 'TestChaosCheckerCatchesViolation$$' ./internal/chaos; \
 	run 'TestAnnouncement' ./internal/metadata; \
@@ -170,15 +170,6 @@ bench-serve-path:
 	$(GO) test -bench 'SessionBatch$$' -benchmem -run '^$$' ./internal/libdpr
 	$(GO) test -bench 'ReadLoaded$$|UpsertLoaded$$' -benchmem -run '^$$' ./internal/kv
 
-# Metadata-plane scale curve: one commit cycle (activation burst, checkpoint
-# reports, cut publication, fold, evict) at 10k, 100k, and 1M sessions with
-# a constant active set, plus the single-session rehydrate round trip. The
-# scale criterion (pinned in EXPERIMENTS.md): 1M within 10x of 10k, and
-# allocs/round identical across population sizes.
-bench-scale:
-	$(GO) test -bench 'CutRound|RehydrateEvict' -benchtime 30x -run '^$$' \
-		-timeout 20m ./internal/scale
-
 # Default chaos sweep: the seed-derived fault schedules (worker kill/restart,
 # connection and storage faults, metadata latency) under the race detector.
 # On the Null device the commit pump seals every few hundred microseconds, so
@@ -188,9 +179,3 @@ bench-scale:
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test ./internal/chaos -race \
 		-run 'TestChaos$$' -timeout 40m -v
-
-# The 100k-session harness under the race detector — the PR-triggered CI
-# smoke for changes touching the metadata plane.
-scale-smoke:
-	SCALE_SESSIONS=100000 $(GO) test -race -run 'TestScale|TestIdleFootprint|TestRehydrate' \
-		-v -timeout 15m ./internal/scale

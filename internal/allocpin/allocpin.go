@@ -1,5 +1,4 @@
-// Package allocpin holds the //dpr:noalloc functions at zero allocations: the
-// Test…ZeroAlloc tests measure through Zero (analysis.TestNoAllocPinsCover).
+// Package allocpin is what the Test…ZeroAlloc pins measure through (Zero).
 package allocpin
 
 import (
@@ -18,6 +17,7 @@ func Zero(t *testing.T, what string, runs int, f func()) {
 			t.Skip(skip)
 		}
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.Gosched() // the parent test parks in t.Run, taking a sudog, before the count
 		f()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

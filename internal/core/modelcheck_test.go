@@ -664,11 +664,6 @@ func (p *trackerPair) check() {
 			p.fatalf("CommitStatus(%d) = %d %d %d, want %d %d %d", seq, gp, gopen, ghole, wp, wopen, whole)
 		}
 	}
-	gotA, gotQuiet := p.got.Archive()
-	wantA, wantQuiet := p.want.Archive()
-	if gotQuiet != wantQuiet || gotA != wantA {
-		p.fatalf("Archive() = %+v %v, want %+v %v", gotA, gotQuiet, wantA, wantQuiet)
-	}
 	// The interval invariants: each set sorted, disjoint and non-adjacent, no
 	// sequence number in two of them, inFlight the size of pending.
 	var spans []tokenRun

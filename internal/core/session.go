@@ -145,64 +145,12 @@ func (s *seqSet) cut(start, end uint64) (lo, hi uint64, ok bool) {
 // NewSessionTracker returns a tracker starting at world-line wl.
 // relaxed selects relaxed DPR semantics (the FASTER default).
 // Its slices are allocated on first use, so a tracker that has not issued an
-// operation (or has been rehydrated from an archive and not yet used) costs
-// only the struct itself.
+// operation costs only the struct itself.
 func NewSessionTracker(wl WorldLine, relaxed bool) *SessionTracker {
 	return &SessionTracker{
 		relaxed:   relaxed,
 		worldLine: wl,
 		nextSeq:   1,
-	}
-}
-
-// SessionArchive is the dehydrated form of a quiescent SessionTracker: a
-// session with no in-flight operations and no completed-but-uncommitted
-// state collapses to a few words. At million-session scale the dormant
-// majority is held in this form (O(few words) per idle session) and
-// rehydrated on the session's next operation; see Archive.
-type SessionArchive struct {
-	WorldLine WorldLine
-	Vs        Version
-	NextSeq   uint64
-	Committed uint64
-	LatestSeq uint64
-	LatestTok Token
-	Relaxed   bool
-}
-
-// Archive returns the compact form of the tracker if it is quiescent: no
-// pending operations, no completed-but-uncommitted runs, and no unresolved
-// exceptions. The committed prefix point, version clock, world-line, and
-// latest-token dependency survive the round trip exactly, so a session
-// rehydrated with NewSessionTrackerFromArchive observes the same committed
-// floor and issues the same dependency headers it would have live.
-func (s *SessionTracker) Archive() (SessionArchive, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inFlight != 0 || len(s.runs) != 0 || len(s.exceptions) != 0 || len(s.abandoned) != 0 {
-		return SessionArchive{}, false
-	}
-	return SessionArchive{
-		WorldLine: s.worldLine,
-		Vs:        s.vs,
-		NextSeq:   s.nextSeq,
-		Committed: s.committed,
-		LatestSeq: s.latestSeq,
-		LatestTok: s.latestTok,
-		Relaxed:   s.relaxed,
-	}, true
-}
-
-// NewSessionTrackerFromArchive rehydrates a tracker from its compact form.
-func NewSessionTrackerFromArchive(a SessionArchive) *SessionTracker {
-	return &SessionTracker{
-		relaxed:   a.Relaxed,
-		worldLine: a.WorldLine,
-		vs:        a.Vs,
-		nextSeq:   a.NextSeq,
-		committed: a.Committed,
-		latestSeq: a.LatestSeq,
-		latestTok: a.LatestTok,
 	}
 }
 
@@ -583,9 +531,11 @@ func (s *SessionTracker) NextSeq() uint64 {
 //
 // A lossless transition returns nil: when the session had nothing in flight
 // and every completed operation lies inside the recovered cut — the common
-// case for a session that was dormant (or evicted) across the recovery —
-// nothing was erased, so there is no survival outcome for the application to
-// handle. The session still adopts the new world-line.
+// case for a session that issued nothing after its last commit, or whose
+// completed operations all made the recovered cut — nothing was erased, so
+// there is no survival outcome for the application to handle, and a
+// SurvivalError would make it acknowledge a rollback that cost it nothing.
+// The session still adopts the new world-line.
 func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 	s.mu.Lock()
 	defer s.mu.Unlock()

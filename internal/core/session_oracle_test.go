@@ -66,49 +66,12 @@ type oracleRun struct {
 // newOracleTracker returns a tracker starting at world-line wl.
 // relaxed selects relaxed DPR semantics (the FASTER default).
 // The pending map is allocated lazily on the first Begin, so a tracker that
-// has not issued an operation (or has been rehydrated from an archive and
-// not yet used) costs only the struct itself.
+// has not issued an operation costs only the struct itself.
 func newOracleTracker(wl WorldLine, relaxed bool) *oracleTracker {
 	return &oracleTracker{
 		relaxed:   relaxed,
 		worldLine: wl,
 		nextSeq:   1,
-	}
-}
-
-// Archive returns the compact form of the tracker if it is quiescent: no
-// pending operations, no completed-but-uncommitted runs, and no unresolved
-// exceptions. The committed prefix point, version clock, world-line, and
-// latest-token dependency survive the round trip exactly, so a session
-// rehydrated with newOracleTrackerFromArchive observes the same committed
-// floor and issues the same dependency headers it would have live.
-func (s *oracleTracker) Archive() (SessionArchive, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pending) != 0 || len(s.runs) != 0 || len(s.exceptions) != 0 || len(s.abandoned) != 0 {
-		return SessionArchive{}, false
-	}
-	return SessionArchive{
-		WorldLine: s.worldLine,
-		Vs:        s.vs,
-		NextSeq:   s.nextSeq,
-		Committed: s.committed,
-		LatestSeq: s.latestSeq,
-		LatestTok: s.latestTok,
-		Relaxed:   s.relaxed,
-	}, true
-}
-
-// newOracleTrackerFromArchive rehydrates a tracker from its compact form.
-func newOracleTrackerFromArchive(a SessionArchive) *oracleTracker {
-	return &oracleTracker{
-		relaxed:   a.Relaxed,
-		worldLine: a.WorldLine,
-		vs:        a.Vs,
-		nextSeq:   a.NextSeq,
-		committed: a.Committed,
-		latestSeq: a.LatestSeq,
-		latestTok: a.LatestTok,
 	}
 }
 
@@ -489,9 +452,9 @@ func (s *oracleTracker) NextSeq() uint64 {
 //
 // A lossless transition returns nil: when the session had nothing in flight
 // and every completed operation lies inside the recovered cut — the common
-// case for a session that was dormant (or evicted) across the recovery —
-// nothing was erased, so there is no survival outcome for the application to
-// handle. The session still adopts the new world-line.
+// case for a session that issued nothing after its last commit — nothing was
+// erased, so there is no survival outcome for the application to handle. The
+// session still adopts the new world-line.
 func (s *oracleTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -106,9 +106,6 @@ func TestSessionAbandonRelaxed(t *testing.T) {
 		if _, exc := s.AdvanceCommitted(0, Cut{1: 9}); len(exc) != 1 || exc[0] != lost {
 			t.Fatalf("lost=%d: exceptions %v after a later cut, want [%d]", lost, exc, lost)
 		}
-		if _, ok := s.Archive(); ok {
-			t.Fatalf("lost=%d: a session with an abandoned operation archived, dropping the exception", lost)
-		}
 	}
 }
 

@@ -45,9 +45,6 @@ type ClientConfig struct {
 	// LocalWorker, if set, enables co-located execution: operations on keys
 	// the local worker owns run synchronously on the calling thread (§5.2).
 	LocalWorker *Worker
-	// RetryBadOwner bounds how often a batch is re-driven after a worker
-	// refused it or its frame could not be delivered (default 8).
-	RetryBadOwner int
 	// OnSend, if set, is invoked on the enqueueing goroutine after sequence
 	// numbers are assigned to a batch and before it is transmitted (BadOwner
 	// retransmits reuse the original numbers and do not re-fire). History
@@ -120,9 +117,6 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 16 * cfg.BatchSize
-	}
-	if cfg.RetryBadOwner <= 0 {
-		cfg.RetryBadOwner = 8
 	}
 	sess, err := libdpr.NewSession(meta, cfg.Relaxed)
 	if err != nil {
@@ -500,7 +494,7 @@ type cause string
 
 const (
 	causeStranded cause = "stranded" // reply lost with its connection, or the frame could not be delivered
-	causeRefused  cause = "refused"  // no worker took ownership within RetryBadOwner attempts, or an error reply
+	causeRefused  cause = "refused"  // no worker took ownership within retryBadOwner attempts, or an error reply
 	causeRejected cause = "rejected" // issued on a world-line a rollback has ended
 	causeDecode   cause = "decode"   // the reply did not parse
 	causeClosed   cause = "closed"   // the client was closed first
@@ -622,11 +616,15 @@ func (c *Client) recycleLocked(b *batch) {
 	}
 }
 
+// retryBadOwner bounds how often a batch is re-driven after a worker refused
+// it or its frame could not be delivered.
+const retryBadOwner = 8
+
 // parkOrSettle parks b, which the caller owns, for an ordered re-drive, or
 // settles it for why if its retries are spent or the client is closed.
 func (c *Client) parkOrSettle(b *batch, why cause) {
 	c.mu.Lock()
-	if b.retries >= c.cfg.RetryBadOwner || c.closed.Err() != nil {
+	if b.retries >= retryBadOwner || c.closed.Err() != nil {
 		c.mu.Unlock()
 		c.settle(b, outcome{cause: why})
 		return

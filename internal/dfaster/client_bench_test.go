@@ -2,8 +2,10 @@ package dfaster
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,7 +21,8 @@ import (
 // localWorker is a worker owning every partition, with 1 024 keys written, for
 // the co-located path. With the pump on it seals every few hundred
 // microseconds under load, as it would under a client; off (a manual worker),
-// nothing runs beside the caller.
+// nothing runs beside the caller, and the worker's loops have parked when it
+// returns.
 func localWorker(tb testing.TB, pump bool) (*Worker, metadata.Service, [][]byte) {
 	cfg := WorkerConfig{ID: 1, Partitions: testPartitions, Device: storage.NewNull(),
 		KV: kv.Config{BucketCount: 1 << 12, IndexShards: 8}}
@@ -46,7 +49,24 @@ func localWorker(tb testing.TB, pump bool) (*Worker, metadata.Service, [][]byte)
 			tb.Fatal(err)
 		}
 	}
+	parked()
 	return w, meta, keys
+}
+
+// parked waits, for up to a second, until no goroutine but the caller is
+// running or runnable. A goroutine a constructor started may not have run yet
+// on a loaded host, and its start-up allocates — the process's first timer
+// registers the runtime's GODEBUG metrics (~70 objects), a first blocking
+// select takes new sudogs — inside whatever the caller measures next. Parked,
+// it has paid that; what it does when it wakes is steady state.
+func parked() {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		_, others, _ := bytes.Cut(buf[:runtime.Stack(buf, true)], []byte("\n\n")) // the caller's comes first
+		if !bytes.Contains(others, []byte(" [running")) && !bytes.Contains(others, []byte(" [runnable")) {
+			return
+		}
+	}
 }
 
 // BenchmarkExecuteLocal is the server half of a co-located operation alone: no

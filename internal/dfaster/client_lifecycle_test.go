@@ -266,7 +266,7 @@ func newLifecycleEnv(t *testing.T, batch int) *lifecycleEnv {
 		}
 	}
 	var err error
-	e.c, err = NewClient(ClientConfig{Partitions: testPartitions, BatchSize: batch, Window: 8, RetryBadOwner: 3, Relaxed: true}, e.meta)
+	e.c, err = NewClient(ClientConfig{Partitions: testPartitions, BatchSize: batch, Window: 8, Relaxed: true}, e.meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +473,8 @@ func TestBatchLifecycle(t *testing.T) {
 			e.await(e.upsert(0))
 			e.upsert(1) // the worker still holds partition 0 for the seq it refused
 			e.settled(wantErr, wantOK)
-			if n := e.workers[1].seen(1); n != 4 {
-				e.t.Errorf("seq 1 reached the worker %d times, want 1 + RetryBadOwner", n)
+			if n := e.workers[1].seen(1); n != 1+retryBadOwner {
+				e.t.Errorf("seq 1 reached the worker %d times, want 1 + retryBadOwner", n)
 			}
 		}},
 		{"session order across a re-drive", 1, func(e *lifecycleEnv) {

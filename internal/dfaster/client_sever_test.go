@@ -70,7 +70,7 @@ func TestStrandedReadsSettleOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := NewClient(ClientConfig{Partitions: testPartitions, BatchSize: 1, Window: 8, RetryBadOwner: 2, Relaxed: true}, meta)
+	c, err := NewClient(ClientConfig{Partitions: testPartitions, BatchSize: 1, Window: 8, Relaxed: true}, meta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,51 +79,10 @@ func NewSession(meta metadata.Service, relaxed bool) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSession(sessionIDs.Add(1), core.NewSessionTracker(wl, relaxed), meta), nil
-}
-
-func newSession(id uint64, tracker *core.SessionTracker, meta metadata.Service) *Session {
 	registerClientObs()
-	s := &Session{id: id, tracker: tracker, meta: meta}
-	s.issueWL.Store(uint64(tracker.WorldLine()))
-	return s
-}
-
-// SessionState is the compact evicted form of a Session: the id plus the
-// tracker's archive, a few words in total. At million-session scale the
-// dormant majority of sessions is held in this form and rehydrated with
-// ResumeSession on the next operation.
-type SessionState struct {
-	ID      uint64
-	Archive core.SessionArchive
-}
-
-// Evict dehydrates a quiescent session into its compact state. It fails
-// (returning false) if the session has in-flight or uncommitted operations,
-// or an unacknowledged survival error — evicting those would lose state the
-// application still needs. An outstanding commit-latency probe is dropped
-// (it is a metric sample, not session state). After a successful Evict the
-// Session must not be used again; keep only the returned state.
-func (s *Session) Evict() (SessionState, bool) {
-	if s.pending() != nil {
-		return SessionState{}, false
-	}
-	a, ok := s.tracker.Archive()
-	if !ok {
-		return SessionState{}, false
-	}
-	s.probeSeq.Store(0)
-	return SessionState{ID: s.id, Archive: a}, true
-}
-
-// ResumeSession rehydrates an evicted session. The committed prefix point,
-// version clock, world-line, and latest-token dependency are exactly those
-// at eviction time; if the cluster crossed recoveries while the session was
-// dormant, the next operation (or RefreshCommit) detects the world-line
-// change and runs the ordinary failure path — with no uncommitted state, the
-// surviving prefix equals the committed floor, so nothing is lost.
-func ResumeSession(meta metadata.Service, st SessionState) *Session {
-	return newSession(st.ID, core.NewSessionTrackerFromArchive(st.Archive), meta)
+	s := &Session{id: sessionIDs.Add(1), tracker: core.NewSessionTracker(wl, relaxed), meta: meta}
+	s.issueWL.Store(uint64(wl))
+	return s, nil
 }
 
 // ID returns the globally unique session id.

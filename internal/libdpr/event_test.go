@@ -181,22 +181,3 @@ func TestOnCutAdvanceStreams(t *testing.T) {
 		t.Fatal("OnCutAdvance never fired after an executed batch")
 	}
 }
-
-// TestWaitCutCoversGivesUpOnStop: a worker that is stopped while a caller
-// waits for its cut position releases the waiter at once, with an error, and
-// does not sleep out the timeout.
-func TestWaitCutCoversGivesUpOnStop(t *testing.T) {
-	w, _ := newEventWorker(t, metadata.NewStore(metadata.Config{}), libdpr.WorkerConfig{})
-	done := make(chan error, 1)
-	go func() { done <- w.WaitCutCovers(1000, time.Minute) }()
-	time.Sleep(20 * time.Millisecond) // let it park
-	w.Stop()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("WaitCutCovers reported version 1000 covered on a worker that never committed")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitCutCovers still waiting 5s after Stop")
-	}
-}

@@ -266,6 +266,51 @@ func TestFailureRollbackAndSurvival(t *testing.T) {
 	}
 }
 
+// TestCommittedSessionCrossesRecovery: a session whose every operation is
+// committed loses nothing to a recovery round, so the failure path that
+// RefreshCommit runs on the new world-line surfaces no SurvivalError, keeps
+// the committed floor, and lets the session issue without an Acknowledge.
+func TestCommittedSessionCrossesRecovery(t *testing.T) {
+	store := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
+	if err := store.RegisterWorker(1, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := libdpr.NewSession(store, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.NextBatch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompleteBatch(1, h, libdpr.BatchReply{Versions: []core.Version{3, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.ReportVersion(1, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := s.RefreshCommit(); err != nil || p != 2 {
+		t.Fatalf("RefreshCommit = %d, %v; want floor 2", p, err)
+	}
+
+	wl, _ := store.BeginRecovery()
+	store.CompleteRecoveryFor(wl)
+	p, err := s.RefreshCommit()
+	if err != nil {
+		t.Fatalf("a fully committed session must cross the recovery cleanly: %v", err)
+	}
+	if p != 2 {
+		t.Fatalf("floor = %d after the recovery, want 2", p)
+	}
+	hdr, err := s.NextBatch(1)
+	if err != nil {
+		t.Fatalf("session must issue on the new world-line without an Acknowledge: %v", err)
+	}
+	if hdr.WorldLine != wl {
+		t.Fatalf("next batch on world-line %d, want %d", hdr.WorldLine, wl)
+	}
+}
+
 func TestStaleClientRejected(t *testing.T) {
 	h := newHarness(t, 1, metadata.FinderApproximate, 5*time.Millisecond)
 	s, err := libdpr.NewSession(h.meta, true)

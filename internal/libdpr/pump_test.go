@@ -154,6 +154,16 @@ func (s *timedStore) awaitSeal(n int) {
 	}
 }
 
+// awaitPersisted parks until version v has landed and the worker has been
+// told.
+func (s *timedStore) awaitPersisted(v core.Version) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.PersistedVersion() < v {
+		s.landed.Wait()
+	}
+}
+
 func (s *timedStore) spans() (seals []sealSpan, folded int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -402,36 +412,6 @@ func TestPumpOutlivesSilentSealFailure(t *testing.T) {
 	r.keepDirty(t, 250*time.Millisecond)
 	if seals, _ := so.spans(); len(seals) < 2 {
 		t.Fatalf("%d seals in 250 ms after one silent failure: the pump is wedged", len(seals))
-	}
-}
-
-// TestCommitBoundaryWaitsForTheSeal: CommitBoundary returns once the boundary
-// is sealed — woken by the seal, not by a poll — and a seal that never lands
-// costs the caller its timeout, no more.
-func TestCommitBoundaryWaitsForTheSeal(t *testing.T) {
-	const commit = 5 * time.Millisecond
-	so := newTimedStore(commit)
-	r := newPumpRig(t, so, libdpr.WorkerConfig{})
-	start := time.Now()
-	boundary, err := r.w.CommitBoundary(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < commit {
-		t.Fatalf("CommitBoundary returned after %v, before a %v commit could finish", took, commit)
-	}
-	if so.PersistedVersion() < boundary || so.CurrentVersion() <= boundary {
-		t.Fatalf("boundary %d returned with persisted %d, current %d", boundary, so.PersistedVersion(), so.CurrentVersion())
-	}
-
-	const timeout = 30 * time.Millisecond
-	so.silent.Store(1)
-	start = time.Now()
-	if _, err := r.w.CommitBoundary(timeout); err == nil {
-		t.Fatal("CommitBoundary succeeded although its seal never landed")
-	}
-	if took := time.Since(start); took < timeout || took > time.Second {
-		t.Fatalf("CommitBoundary gave up after %v, want its %v timeout", took, timeout)
 	}
 }
 

@@ -210,9 +210,9 @@ func TestLostAnnouncementStillAligns(t *testing.T) {
 }
 
 // TestPumpDeadlineFollowsAForcedSeal: a seal somebody else forces while the
-// pump waits out its gap — here CommitBoundary — is a
-// seal like any other: the pump's next one keeps the whole gap after it,
-// instead of firing on the deadline computed before it.
+// pump waits out its gap — here TriggerCommit — is a seal like any other: the
+// pump's next one keeps the whole gap after it, instead of firing on the
+// deadline computed before it.
 func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 	const commit = 3 * time.Millisecond
 	r := newPumpRig(t, newTimedStore(commit), libdpr.WorkerConfig{})
@@ -226,10 +226,11 @@ func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 		// 7 ms into a 12 ms cycle, and drifting: the forced seals land all over
 		// the pump's gap.
 		time.Sleep(7*time.Millisecond + time.Duration(i)*time.Millisecond)
-		boundary, err := r.w.CommitBoundary(5 * time.Second)
-		if err != nil {
+		boundary := r.so.CurrentVersion()
+		if err := r.w.TriggerCommit(); err != nil {
 			t.Fatal(err)
 		}
+		r.so.awaitPersisted(boundary)
 		forced[boundary] = true
 	}
 	<-done

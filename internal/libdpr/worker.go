@@ -157,13 +157,13 @@ type Worker struct {
 	reported core.Version
 	// cutSnap is the worker's one view of the DPR cut, an immutable snapshot
 	// published atomically so the per-operation Reply path is allocation-free;
-	// every reader (Reply, CommittedVersion, WaitCutCovers, the gauges and
-	// DebugState) loads it. The snapshot is tagged with the world-line it was
-	// observed on: version numbers restart across world-lines, so a reply must
-	// never pair one world-line with another world-line's cut — a client
-	// session could commit erased operations whose tokens merely collide
-	// numerically. A refresh publishes a world-line's cut only once this
-	// worker has rolled back into that world-line.
+	// every reader (Reply, CommittedVersion, the gauges and DebugState) loads
+	// it. The snapshot is tagged with the world-line it was observed on:
+	// version numbers restart across world-lines, so a reply must never pair
+	// one world-line with another world-line's cut — a client session could
+	// commit erased operations whose tokens merely collide numerically. A
+	// refresh publishes a world-line's cut only once this worker has rolled
+	// back into that world-line.
 	cutSnap atomic.Pointer[cutSnapshot]
 
 	// dirty + dirtyCh drive the commit pump: ReleaseBatch marks the worker
@@ -182,7 +182,8 @@ type Worker struct {
 	sealDur atomic.Int64
 	sealH   *obs.Histogram
 	// moved is the broadcast await parks on: closed and replaced (see wake)
-	// whenever a seal lands or refreshState installs a cut view.
+	// whenever a seal lands or a refresh moves Vmax or its world-line, the
+	// inputs of pumpDeadline.
 	moved atomic.Pointer[chan struct{}]
 
 	// cutObs, when set, is invoked from refreshState whenever the
@@ -828,39 +829,6 @@ func (w *Worker) await(timeout time.Duration, cond func() bool) bool {
 	}
 }
 
-// CommitBoundary forces a commit boundary: it commits everything up to the
-// current version, waits until the store has moved past the boundary (so no
-// new operation can land at or below it) and the boundary is durably
-// persisted, then reports the persisted prefix to the finder. Every record at
-// a version ≤ the returned boundary is frozen.
-func (w *Worker) CommitBoundary(timeout time.Duration) (core.Version, error) {
-	boundary := w.so.CurrentVersion()
-	if err := w.so.BeginCommit(boundary); err != nil {
-		return 0, err
-	}
-	if !w.await(timeout, func() bool {
-		return w.so.CurrentVersion() > boundary && w.so.PersistedVersion() >= boundary
-	}) {
-		return 0, fmt.Errorf("libdpr: boundary %d not sealed within %v (current %d, persisted %d)",
-			boundary, timeout, w.so.CurrentVersion(), w.so.PersistedVersion())
-	}
-	w.reportPersisted()
-	return boundary, nil
-}
-
-// WaitCutCovers blocks until the finder's published DPR cut covers version v
-// for this worker — i.e. until (w, v) is committed and can no longer be
-// rolled back on this world-line. It waits on the worker's own cut view,
-// which the watch loop refreshes on every finder generation and the heartbeat
-// behind it; a stopped worker gives up at once.
-func (w *Worker) WaitCutCovers(v core.Version, timeout time.Duration) error {
-	w.reportPersisted()
-	if !w.await(timeout, func() bool { self, _ := w.cutPositions(); return self >= v }) {
-		return fmt.Errorf("libdpr: DPR cut did not cover version %d within %v (or the worker stopped)", v, timeout)
-	}
-	return nil
-}
-
 // rollback restores the StateObject to this worker's position in cut and
 // advances to world-line wl (§4.1), then acks wl to the finder. refreshState
 // runs it when the finder's world-line is ahead of the worker's; it is
@@ -993,7 +961,7 @@ func (w *Worker) pumpDeadline() int64 {
 // commitPump converts dirty marks into group commits: at once when the
 // worker has been idle, otherwise at pumpDeadline — which moves whenever a
 // seal lands (the pump's own, or one forced by a version fast-forward or
-// CommitBoundary) and whenever a refresh brings a Vmax this worker has not
+// TriggerCommit) and whenever a refresh brings a Vmax this worker has not
 // closed, all of which wake await. The commit starts only on an idle store
 // whose persisted version is the one read before the deadline, and the pump
 // parks until it lands, or for a heartbeat, which retries a failed seal.
@@ -1129,13 +1097,16 @@ func (w *Worker) refreshState() {
 		}
 	}
 	w.cutMu.Lock()
+	moved := vmax != w.vmax || wl != w.vmaxWL
 	w.vmax, w.vmaxWL = vmax, wl
 	w.cutMu.Unlock()
+	if moved {
+		w.wake() // the pump's deadline is the one waiter that reads Vmax
+	}
 	w.refreshedAt.Store(time.Now().UnixNano())
 	prev := w.cutSnap.Load()
 	if prev.wl == wl && prev.cut.Equal(cut) {
-		w.wake() // Vmax may have moved; the published snapshot, its generation and its encoding stand
-		return
+		return // the published snapshot, its generation and its encoding stand
 	}
 	if self := cut.Get(w.cfg.ID); self > prev.cut.Get(w.cfg.ID) {
 		w.trace.Record(obs.EvCutAdvance, uint64(wl), uint64(self), uint64(cut.Max()))
@@ -1145,7 +1116,6 @@ func (w *Worker) refreshState() {
 		snap.encoded = w.cfg.EncodeCut(snap.cut)
 	}
 	w.cutSnap.Store(snap)
-	w.wake()
 	if f := w.cutObs.Load(); f != nil {
 		(*f)(snap.wl, snap.encoded)
 	}

@@ -196,6 +196,11 @@ type Store struct {
 	// watch is closed and replaced under stateMu whenever gen advances,
 	// waking WaitStateChange long-polls.
 	watch chan struct{}
+	// legs is the free list of the long-poll legs' runtime timers (a leg lasts
+	// up to a quarter second: not hrtimer's business), stopped and drained. A
+	// channel, not a sync.Pool, which empties at every collection; 64 slots,
+	// more than the workers polling one store here.
+	legs chan *time.Timer
 
 	members     [memberStripes]memberStripe
 	memberCount atomic.Int64
@@ -224,6 +229,7 @@ func NewStore(cfg Config) *Store {
 		recovered: make(map[core.WorldLine]core.Cut),
 		acked:     make(map[core.WorkerID]core.WorldLine),
 		watch:     make(chan struct{}),
+		legs:      make(chan *time.Timer, 64),
 	}
 	for i := range s.members {
 		s.members[i].m = make(map[core.WorkerID]string)
@@ -268,9 +274,6 @@ func (s *Store) registerObs() {
 	s.reportsC = reg.Counter("dpr_finder_version_reports_total",
 		"Persisted-version reports received from workers.")
 }
-
-// Trace exposes the finder's recovery trace ring.
-func (s *Store) Trace() *obs.Trace { return s.trace }
 
 // DebugState assembles the finder's /debug/dpr snapshot.
 func (s *Store) DebugState() obs.DPRState {
@@ -373,8 +376,13 @@ func (s *Store) WaitStateChange(since uint64, timeout time.Duration) (uint64, er
 		<-ch
 		return s.gen.Load(), nil
 	}
-	t := legTimers.Get().(*time.Timer) // recycled: a leg allocates no timer
-	t.Reset(timeout)
+	var t *time.Timer
+	select {
+	case t = <-s.legs: // recycled: a leg allocates no timer
+		t.Reset(timeout)
+	default:
+		t = time.NewTimer(timeout)
+	}
 	select {
 	case <-ch:
 		if !t.Stop() {
@@ -382,20 +390,12 @@ func (s *Store) WaitStateChange(since uint64, timeout time.Duration) (uint64, er
 		}
 	case <-t.C:
 	}
-	legTimers.Put(t)
+	select {
+	case s.legs <- t:
+	default: // more legs in flight than the list holds
+	}
 	return s.gen.Load(), nil
 }
-
-// legTimers holds the long-poll legs' timeouts, stopped and drained. A leg
-// ends with every state change — thousands of times a second on a busy finder
-// — and lasts a quarter of a second if nothing changes: a runtime timer's
-// business, not hrtimer's, whose descriptor every far deadline would have to
-// be set to and set back from.
-var legTimers = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
 
 // StateWatcher is the push half of a Service: WaitStateChange wakes a worker
 // when the cut-bearing state changes, so its watch loop long-polls instead of
