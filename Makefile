@@ -106,7 +106,11 @@ race:
 # is the only thing that rolls a worker back: internal/cluster's round tests
 # (one resumes at its ack bound past a worker that cannot restore), libdpr's
 # heal tests (a restore that fails, a second rollback into one world-line) and
-# the chaos checker's injected skipped rollback — twenty times each
+# the chaos checker's injected skipped rollback, and the session's and the
+# gate's owners beside the goroutines that hand them work (libdpr's
+# TestOwnerSession*, TestGateMoves*, TestGateSweep*, TestDrainWaitsOneBatch,
+# TestNextBatchNever*; TestTimersUnderSynchronousChannels runs the waits under
+# Go 1.23's timer channels) — twenty times each
 # under the race detector, on one processor and on two. A -run list that
 # matches nothing (a renamed test) fails the target instead of passing
 # vacuously.
@@ -122,7 +126,7 @@ commit-path-stress:
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves|StateObjectContract' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
-	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestWaitCommit|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback' ./internal/libdpr; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestWaitCommit|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback|TestOwnerSession|TestGateMoves|TestGateSweep|TestDrainWaitsOneBatch|TestNextBatchNever|TestTimersUnderSynchronousChannels' ./internal/libdpr; \
 	run '.' ./internal/cluster; \
 	run 'TestChaosCheckerCatchesViolation$$' ./internal/chaos; \
 	run 'TestAnnouncement' ./internal/metadata; \

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // SessionTracker maintains one client session's SessionOrder (§3): the
@@ -18,11 +17,11 @@ import (
 // a committed prefix may carry an exception list of unresolved or lost
 // operations inside it.
 //
-// SessionTracker is safe for concurrent use; a session is a logical thread
-// but completions can arrive from background network threads.
+// A SessionTracker has one owner and takes no lock: a session is a logical
+// thread, and what other goroutines learn for it (replies off a connection,
+// pushed cuts, failure notices) reaches the tracker through its owner
+// (libdpr.Session's hand-off, DESIGN.md "Session bookkeeping").
 type SessionTracker struct {
-	mu sync.Mutex
-
 	relaxed   bool
 	worldLine WorldLine
 	vs        Version // largest version observed (the Lamport clock of §3.2)
@@ -113,6 +112,8 @@ func (s *seqSet) add(start, end uint64, t Token) {
 		set[i-1].end = end
 	case right:
 		set[i].start = start
+	case i == len(set): // the common case, a batch after the last: no shift
+		*s = append(set, tokenRun{start, end, t})
 	default:
 		*s = slices.Insert(set, i, tokenRun{start, end, t})
 	}
@@ -129,6 +130,8 @@ func (s *seqSet) cut(start, end uint64) (lo, hi uint64, ok bool) {
 	r := set[i]
 	lo, hi = max(r.start, start), min(r.end, end)
 	switch {
+	case lo == r.start && hi == r.end && i == len(set)-1: // the last: no shift
+		*s = set[:i]
 	case lo == r.start && hi == r.end:
 		*s = slices.Delete(set, i, i+1)
 	case lo == r.start:
@@ -159,15 +162,11 @@ func (s *SessionTracker) Relaxed() bool { return s.relaxed }
 
 // WorldLine returns the session's current world-line.
 func (s *SessionTracker) WorldLine() WorldLine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.worldLine
 }
 
 // VersionClock returns Vs, to be appended to outgoing requests (§3.2).
 func (s *SessionTracker) VersionClock() Version {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.vs
 }
 
@@ -177,12 +176,10 @@ func (s *SessionTracker) Begin() uint64 { return s.BeginBatch(1) }
 
 // BeginBatch assigns n consecutive sequence numbers, returning the first.
 func (s *SessionTracker) BeginBatch(n int) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.beginLocked(n)
+	return s.begin(n)
 }
 
-func (s *SessionTracker) beginLocked(n int) uint64 {
+func (s *SessionTracker) begin(n int) uint64 {
 	first := s.nextSeq
 	if n > 0 {
 		s.nextSeq += uint64(n)
@@ -193,35 +190,31 @@ func (s *SessionTracker) beginLocked(n int) uint64 {
 }
 
 // StartBatch is everything a new batch's header takes from the session, under
-// one lock: n sequence numbers (the first is returned), the version clock and
+// one call: n sequence numbers (the first is returned), the version clock and
 // the dependency — the token of the most recently completed operation, zero
 // when there is none. wl is the world-line the caller issues on; ok is false,
 // and nothing is assigned, if the session has left it (OnFailure reissues
 // sequence numbers, and a batch must not be handed the new world-line's
 // before its issuer has heard of the rollback).
 func (s *SessionTracker) StartBatch(wl WorldLine, n int) (first uint64, vs Version, dep Token, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if wl != s.worldLine {
 		return 0, 0, Token{}, false
 	}
-	return s.beginLocked(n), s.vs, s.latestTok, true
+	return s.begin(n), s.vs, s.latestTok, true
 }
 
 // Complete records that operation seq was executed and captured by token t,
 // and advances Vs. Returns false if the operation was already resolved
 // (e.g. discarded by a rollback that raced the response).
 func (s *SessionTracker) Complete(seq uint64, t Token) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completeLocked(seq, t.Worker, []Version{t.Version}) == 1
+	return s.complete(seq, t.Worker, []Version{t.Version}) == 1
 }
 
-// completeLocked resolves the still-pending operations among seqStart+i as
+// complete resolves the still-pending operations among seqStart+i as
 // captured on worker w in versions[i] and returns how many there were: one
 // search for the range, one run per stretch of equal versions (the range was
 // pending, so it lies between two runs).
-func (s *SessionTracker) completeLocked(seqStart uint64, w WorkerID, versions []Version) (completed int) {
+func (s *SessionTracker) complete(seqStart uint64, w WorkerID, versions []Version) (completed int) {
 	end := seqStart + uint64(len(versions)) - 1
 	for from := seqStart; from <= end; {
 		lo, hi, ok := s.pending.cut(from, end)
@@ -248,17 +241,17 @@ func (s *SessionTracker) completeLocked(seqStart uint64, w WorkerID, versions []
 }
 
 // CompleteBatch records n consecutive completions — operations seqStart+i
-// captured on worker w in versions[i] — under a single lock acquisition.
+// captured on worker w in versions[i].
 // It is the batched form of Complete for the per-batch hot path; versions is
 // not retained. wl is the world-line the reply was produced on: a reply from
 // an older world-line describes executions a rollback has since erased, and
 // recording it here could resolve a reused sequence number with a dead token,
-// so it is dropped under the same lock that OnFailure reuses seqs under.
+// so it is dropped.
 func (s *SessionTracker) CompleteBatch(wl WorldLine, seqStart uint64, w WorkerID, versions []Version) {
 	s.CompleteAndFold(wl, seqStart, w, versions, nil, 0)
 }
 
-// CompleteAndFold is CompleteBatch and then, under the same lock,
+// CompleteAndFold is CompleteBatch and then
 // AdvanceCommitted to the cut the reply carried (none if empty) — unless that
 // is the cut the prefix was advanced to last, which a worker's cut usually is;
 // folded reports whether it advanced. gen, when non-zero, names the sender's
@@ -267,18 +260,19 @@ func (s *SessionTracker) CompleteBatch(wl WorldLine, seqStart uint64, w WorkerID
 // with a zero generation the entries are compared. cut is not retained.
 // Without versions it folds a cut that came on its own (a push).
 func (s *SessionTracker) CompleteAndFold(wl WorldLine, seqStart uint64, w WorkerID, versions []Version, cut Cut, gen uint64) (prefix uint64, folded bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if wl != s.worldLine {
 		return s.committed, false
 	}
 	if len(versions) > 0 {
-		s.completeLocked(seqStart, w, versions)
+		s.complete(seqStart, w, versions)
+	}
+	if gen != 0 && gen == s.foldedGen && s.foldedWL == s.worldLine {
+		return s.committed, false // the cut folded last, known by its generation without reading it
 	}
 	if len(cut) == 0 || s.isFolded(cut, gen) {
 		return s.committed, false
 	}
-	s.advanceLocked(cut)
+	s.advance(cut)
 	return s.committed, true
 }
 
@@ -294,8 +288,6 @@ func (s *SessionTracker) CompleteAndFold(wl WorldLine, seqStart uint64, w Worker
 // in CompleteBatch: OnFailure reissues sequence numbers, and an error that
 // raced it must not abandon the new ones.
 func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) (abandoned int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if wl != s.worldLine || n <= 0 {
 		return 0
 	}
@@ -316,16 +308,12 @@ func (s *SessionTracker) Abandon(wl WorldLine, seqStart uint64, n int) (abandone
 // ObserveVersion folds a worker-reported version into Vs
 // (Vs = max(Vs, v), §3.2).
 func (s *SessionTracker) ObserveVersion(v Version) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.vs = max(s.vs, v)
 }
 
 // LatestToken returns the token of the most recently completed operation;
 // it is the dependency the next request carries to a different worker.
 func (s *SessionTracker) LatestToken() (Token, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.latestTok, s.latestSeq != 0
 }
 
@@ -337,8 +325,8 @@ func (s *SessionTracker) LatestToken() (Token, bool) {
 // prefix is next advanced.
 //
 // The cut is applied only if wl matches the session's current world-line,
-// checked under the same lock: version numbers restart across world-lines, so
-// a cut from world-line n applied after a concurrent OnFailure moved the
+// checked first: version numbers restart across world-lines, so
+// a cut from world-line n applied after an OnFailure moved the
 // session to n+1 would commit erased operations whose tokens merely collide
 // numerically with the new world-line's cut.
 //
@@ -349,18 +337,15 @@ func (s *SessionTracker) LatestToken() (Token, bool) {
 // operation at or below it has its token inside the cut; operations still
 // pending are skipped and reported as exceptions until they resolve.
 func (s *SessionTracker) AdvanceCommitted(wl WorldLine, cut Cut) (uint64, []uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if wl == s.worldLine {
 		s.isFolded(cut, 0) // remembers it
-		s.advanceLocked(cut)
+		s.advance(cut)
 	}
 	return s.committed, s.exceptions
 }
 
 // isFolded reports whether cut, observed on the session's world-line, is the
-// one the prefix was last advanced to, and remembers it if not. Caller holds
-// s.mu.
+// one the prefix was last advanced to, and remembers it if not.
 func (s *SessionTracker) isFolded(cut Cut, gen uint64) bool {
 	same := s.foldedWL == s.worldLine
 	if same && (gen == 0 || gen != s.foldedGen) {
@@ -380,9 +365,9 @@ func (s *SessionTracker) isFolded(cut Cut, gen uint64) bool {
 	return same
 }
 
-// advanceLocked advances the committed prefix to cut. Caller holds s.mu and
-// has checked the world-line.
-func (s *SessionTracker) advanceLocked(cut Cut) {
+// advance advances the committed prefix to cut. The caller has
+// checked the world-line.
+func (s *SessionTracker) advance(cut Cut) {
 	p := s.committed
 	if s.relaxed {
 		// The relaxed prefix point is the highest completed operation whose
@@ -433,7 +418,7 @@ func (s *SessionTracker) advanceLocked(cut Cut) {
 
 // exceptionsBelow appends to dst, ascending, the operations at or below p that
 // are not inside cut — pending, abandoned, or completed with a token beyond it
-// — merging the three sorted sets. Caller holds s.mu.
+// — merging the three sorted sets.
 func (s *SessionTracker) exceptionsBelow(dst []uint64, p uint64, cut Cut) []uint64 {
 	var pi, ai, ri int
 	for {
@@ -462,7 +447,7 @@ func (s *SessionTracker) exceptionsBelow(dst []uint64, p uint64, cut Cut) []uint
 
 // extendUntracked advances x over the seqs directly after it that are neither
 // pending nor tracked in a run — operations already committed, abandoned, or
-// resolved as rolled back. Caller holds s.mu.
+// resolved as rolled back.
 func (s *SessionTracker) extendUntracked(x uint64) uint64 {
 	stop := s.pending.next(x, s.nextSeq)
 	if i := s.runs.search(x + 1); i < len(s.runs) {
@@ -476,22 +461,18 @@ func (s *SessionTracker) extendUntracked(x uint64) uint64 {
 // that a caller polling a quiet session allocates nothing: it must not be
 // modified.
 func (s *SessionTracker) Committed() (uint64, []uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !slices.Equal(s.shared, s.exceptions) {
 		s.shared = append([]uint64(nil), s.exceptions...)
 	}
 	return s.committed, s.shared
 }
 
-// CommitStatus is what a wait for seq's commit needs, under one lock: the
+// CommitStatus is what a wait for seq's commit needs, in one call: the
 // committed prefix; how many exceptions at or below seq can still resolve
 // (abandoned ones cannot, and are not counted); and, under strict DPR, the
 // first abandoned operation at or below seq (0 if none), which the prefix
 // will never pass.
 func (s *SessionTracker) CommitStatus(seq uint64) (prefix uint64, open int, hole uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, e := range s.exceptions {
 		if e > seq {
 			break
@@ -508,15 +489,11 @@ func (s *SessionTracker) CommitStatus(seq uint64) (prefix uint64, open int, hole
 
 // InFlight returns the number of started but uncompleted operations.
 func (s *SessionTracker) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.inFlight
 }
 
 // NextSeq returns the sequence number the next Begin will assign.
 func (s *SessionTracker) NextSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.nextSeq
 }
 
@@ -537,8 +514,6 @@ func (s *SessionTracker) NextSeq() uint64 {
 // SurvivalError would make it acknowledge a rollback that cost it nothing.
 // The session still adopts the new world-line.
 func (s *SessionTracker) OnFailure(wl WorldLine, cut Cut) *SurvivalError {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if wl <= s.worldLine {
 		return nil // stale notification
 	}

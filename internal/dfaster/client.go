@@ -57,7 +57,8 @@ type ClientConfig struct {
 // worker, pipelines up to Window outstanding operations, tracks commit
 // progress, and surfaces failures as SurvivalErrors. A Client is a session —
 // a sequential logical thread — so operations must be enqueued from one
-// goroutine; completion runs on background reader goroutines.
+// goroutine, the session's owner (libdpr.Session); completion runs on
+// background reader goroutines, which hand what they learn to the owner.
 type Client struct {
 	cfg     ClientConfig
 	meta    metadata.Service
@@ -77,9 +78,14 @@ type Client struct {
 	localScratch  *BatchScratch
 	localLane     *Lane
 	localReq      wire.BatchRequest
-	localVersions []core.Version
+	localVersions [1]core.Version
 	localCbs      [1]OpCallback
 	localBatch    batch
+	localParts    [1]uint64
+
+	// failed is set with failure and cleared with it: the co-located path's
+	// whole check, with no lock.
+	failed atomic.Bool
 
 	// mu guards everything below and every batch's lifecycle fields (see the
 	// batch lifecycle section); a connection's sendMu is taken before it,
@@ -97,10 +103,9 @@ type Client struct {
 	retryQ []*batch
 	head   *batch
 	// abandoned counts operations settled as errors, recent keeps the last few
-	// such batches, lost is the lowest seq WaitCommitAll has yet to report.
+	// such batches.
 	abandoned uint64
 	recent    []abandonedOps
-	lost      uint64
 
 	// closed is cancelled by Close.
 	closed context.Context
@@ -135,7 +140,7 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 	if cfg.LocalWorker != nil {
 		c.localSess = cfg.LocalWorker.Store().NewSession()
 		c.localScratch = NewBatchScratch()
-		c.localLane = cfg.LocalWorker.NewLane()
+		c.localLane = cfg.LocalWorker.NewSessionLane(c.localSess)
 	}
 	return c, nil
 }
@@ -180,11 +185,39 @@ func (c *Client) Acknowledge() *core.SurvivalError {
 	ack := c.session.Acknowledge()
 	c.mu.Lock()
 	c.failure = nil
-	if ack != nil {
-		c.lost = 0
-	}
+	c.failed.Store(false)
 	c.mu.Unlock()
 	return ack
+}
+
+// latchLocked records err, if any, as the client's failure unless one is
+// pending. The caller holds c.mu.
+func (c *Client) latchLocked(err error) {
+	if err != nil && c.failure == nil {
+		c.failure = err
+		c.failed.Store(true)
+	}
+}
+
+// latched returns the client's failure, taking c.mu only when there is one.
+func (c *Client) latched() error {
+	if !c.failed.Load() {
+		return nil
+	}
+	return c.Err()
+}
+
+// poll has the owner take in what the connections handed the session: a
+// rollback they announced surfaces here as the failure.
+func (c *Client) poll() error {
+	if err := c.latched(); err != nil {
+		return err
+	}
+	err := c.session.Poll()
+	if _, ok := err.(*core.SurvivalError); ok {
+		return c.fail(err)
+	}
+	return err
 }
 
 // ---- operation enqueueing ----
@@ -210,24 +243,25 @@ func (c *Client) RMW(key []byte, delta uint64, cb OpCallback) error {
 }
 
 func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
-	owner, err := c.ownerOf(op.Key)
+	p := PartitionOf(op.Key, c.cfg.Partitions)
+	owner, err := c.ownerOfPartition(p)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	for c.failure == nil && c.outstanding >= c.cfg.Window {
-		c.cond.Wait()
-	}
-	if f := c.failure; f != nil {
-		c.mu.Unlock()
-		return f
-	}
 	// Co-located fast path: execute immediately on the calling thread. Settled
 	// before this call returns, the operation holds no window slot, and unless
-	// it fails this is the one time it takes c.mu.
+	// it fails it takes no lock: the failure check is the one load, and the
+	// session's hand-off is taken in by NextBatch.
 	if c.cfg.LocalWorker != nil && owner == c.cfg.LocalWorker.ID() {
+		if err := c.latched(); err != nil {
+			return err
+		}
+		return c.executeLocal(op, p, cb)
+	}
+	c.mu.Lock()
+	if err := c.waitLocked(func() bool { return c.outstanding < c.cfg.Window }); err != nil {
 		c.mu.Unlock()
-		return c.executeLocal(op, cb)
+		return err
 	}
 	b := c.buffers[owner]
 	if b == nil {
@@ -254,29 +288,73 @@ func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
 	return nil
 }
 
-func (c *Client) executeLocal(op wire.Op, cb OpCallback) error {
+// executeLocal runs op, whose key is in partition p, on the co-located
+// worker.
+//
+//dpr:noalloc
+func (c *Client) executeLocal(op wire.Op, p uint64, cb OpCallback) error {
 	c.localReq.Ops = append(c.localReq.Ops[:0], op)
-	c.localCbs[0] = cb
-	b := &c.localBatch
-	*b = batch{ops: c.localReq.Ops, cbs: c.localCbs[:]}
 	h, err := c.session.NextBatch(1)
 	if err != nil {
-		return c.settle(b, outcome{cause: causeRejected, err: err})
+		return c.settle(c.localBatchOf(h, cb), outcome{cause: causeRejected, err: err})
 	}
-	b.header = h
 	if c.cfg.OnSend != nil {
 		c.cfg.OnSend(h.SeqStart, 1)
 	}
 	c.localReq.Header = h
+	c.localParts[0] = p
+	c.localScratch.apply.parts = c.localParts[:] // the key is hashed once
 	reply, errReply := c.cfg.LocalWorker.ExecuteLocalScratch(c.localSess, &c.localReq, c.localScratch, c.localLane)
+	c.localScratch.apply.parts = nil
 	if errReply != nil {
-		out := outcome{cause: causeRefused}
-		if errReply.Code == wire.ErrCodeRejected {
-			out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
-		}
-		return cmp.Or(c.settle(b, out), error(errReply))
+		return c.refusedLocal(h, cb, errReply)
 	}
-	return c.settle(b, outcome{worker: c.cfg.LocalWorker.ID(), reply: reply, versions: &c.localVersions})
+	// Executed: started and settled on this goroutine, never shared and
+	// holding no window slot, the operation's settlement is the session's
+	// completion and the callback.
+	c.localVersions[0] = reply.Results[0].Version
+	err = c.session.CompleteBatch(c.cfg.LocalWorker.ID(), h, libdpr.BatchReply{
+		WorldLine: reply.WorldLine,
+		Versions:  c.localVersions[:],
+		Cut:       reply.Cut,
+		CutGen:    reply.CutGen,
+	})
+	if cb != nil {
+		cb(reply.Results[0])
+	}
+	if err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// fail latches err as the client's failure and returns it.
+func (c *Client) fail(err error) error {
+	c.mu.Lock()
+	c.latchLocked(err)
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return err
+}
+
+// refusedLocal settles the co-located operation the worker refused with
+// errReply and returns the error: the survival error of the rollback it
+// announced, or the refusal.
+func (c *Client) refusedLocal(h libdpr.BatchHeader, cb OpCallback, errReply *wire.ErrorReply) error {
+	out := outcome{cause: causeRefused}
+	if errReply.Code == wire.ErrCodeRejected {
+		out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
+	}
+	return cmp.Or(c.settle(c.localBatchOf(h, cb), out), error(errReply))
+}
+
+// localBatchOf is the co-located operation as a batch, for settle: the one
+// in localReq, issued with header h (zero if it got none) and callback cb.
+func (c *Client) localBatchOf(h libdpr.BatchHeader, cb OpCallback) *batch {
+	c.localCbs[0] = cb
+	b := &c.localBatch
+	*b = batch{header: h, ops: c.localReq.Ops, cbs: c.localCbs[:]}
+	return b
 }
 
 // Flush sends all partially filled batches.
@@ -298,18 +376,43 @@ func (c *Client) Flush() error {
 	return firstErr
 }
 
-// Drain flushes and blocks until no operations are outstanding.
+// Drain flushes and blocks until no operations are outstanding, or a
+// rollback surfaces.
 func (c *Client) Drain() error {
 	if err := c.Flush(); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	for c.outstanding > 0 && c.failure == nil {
+	err := c.waitLocked(func() bool { return c.outstanding == 0 })
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return c.poll()
+}
+
+// waitLocked blocks the owner, which holds c.mu, until done holds or a
+// failure surfaces: one latched, or a rollback a connection announced, which
+// the owner takes in from the session's hand-off to learn what it erased.
+func (c *Client) waitLocked(done func() bool) error {
+	for c.failure == nil && !done() {
+		if c.session.Announced() {
+			if err := c.pollLocked(); err != nil {
+				return err
+			}
+			continue
+		}
 		c.cond.Wait()
 	}
-	err := c.failure
+	return c.failure
+}
+
+// pollLocked is poll for an owner that holds c.mu, which it lets go
+// meanwhile: poll takes it, and the session's failure path asks metadata.
+func (c *Client) pollLocked() error {
 	c.mu.Unlock()
-	return err
+	defer c.mu.Lock()
+	return c.poll()
 }
 
 // LastSeq returns the highest sequence number assigned on the session's
@@ -332,10 +435,7 @@ func (c *Client) WaitCommitAll(timeout time.Duration) error {
 	if err := c.session.WaitCommit(c.LastSeq(), timeout); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if seq := c.lost; seq != 0 {
-		c.lost = 0
+	if seq := c.session.TakeLost(); seq != 0 {
 		return &core.AbandonedError{Seq: seq}
 	}
 	return nil
@@ -344,7 +444,10 @@ func (c *Client) WaitCommitAll(timeout time.Duration) error {
 // ---- routing and connections ----
 
 func (c *Client) ownerOf(key []byte) (core.WorkerID, error) {
-	p := PartitionOf(key, c.cfg.Partitions)
+	return c.ownerOfPartition(PartitionOf(key, c.cfg.Partitions))
+}
+
+func (c *Client) ownerOfPartition(p uint64) (core.WorkerID, error) {
 	slot := &(*c.owners.Load())[p]
 	if o := slot.Load(); o != 0 {
 		return core.WorkerID(o - 1), nil
@@ -530,10 +633,12 @@ type outcome struct {
 }
 
 // settle ends the lifecycle of b, which the caller owns, and is the only code
-// that does: it tells the session what became of b's sequence numbers, fires
-// the callbacks, releases the window slots, and lets the next parked batch or
-// the fresh sends go. Returns the survival error the outcome surfaced, which
-// is also latched as the client's failure.
+// that does (but for an executed co-located operation, see executeLocal): it
+// tells the session what became of b's sequence numbers, through its hand-off
+// (the caller may be a connection's read loop), fires the callbacks, releases
+// the window slots, and lets the next parked batch or the fresh sends go.
+// Returns the survival error the outcome carries, which is also latched as
+// the client's failure.
 func (c *Client) settle(b *batch, out outcome) error {
 	// b is the caller's alone, so its state is the caller's to read: settled
 	// twice, it tells the session and the callbacks nothing a second time.
@@ -541,7 +646,7 @@ func (c *Client) settle(b *batch, out outcome) error {
 		lifecycleViolations.Inc()
 		return nil
 	}
-	lost := false // operations of b became abandoned on the session's world-line
+	local := b == &c.localBatch
 	if out.reply != nil {
 		results := out.reply.Results
 		versions := slices.Grow((*out.versions)[:0], len(results))[:len(results)]
@@ -549,7 +654,7 @@ func (c *Client) settle(b *batch, out outcome) error {
 			versions[i] = results[i].Version
 		}
 		*out.versions = versions
-		out.err = c.session.CompleteBatch(out.worker, b.header, libdpr.BatchReply{
+		c.session.Deliver(out.worker, b.header, libdpr.BatchReply{
 			WorldLine: out.reply.WorldLine,
 			Versions:  versions,
 			Cut:       out.reply.Cut,
@@ -564,7 +669,7 @@ func (c *Client) settle(b *batch, out outcome) error {
 		if c.closed.Err() != nil {
 			out.cause = causeClosed
 		}
-		lost = c.session.AbandonBatch(b.header) > 0
+		c.session.AbandonBatch(b.header)
 		obs.Default.Counter("dpr_client_abandoned_ops_total",
 			"Operations whose callback received StatusError and whose fate the session records as unknown.",
 			obs.L("cause", string(out.cause))).Add(uint64(len(b.ops)))
@@ -574,13 +679,6 @@ func (c *Client) settle(b *batch, out outcome) error {
 			}
 		}
 	}
-	local := b == &c.localBatch
-	if local && out.reply != nil && out.err == nil {
-		// Started and settled on this goroutine, never shared, holding no
-		// window slot: the transition is all there is, and nobody to tell.
-		c.move(b, stSettled)
-		return nil
-	}
 	c.mu.Lock()
 	if c.move(b, stSettled) {
 		if !local {
@@ -589,14 +687,11 @@ func (c *Client) settle(b *batch, out outcome) error {
 		if out.reply == nil {
 			c.abandoned += uint64(len(b.ops))
 			c.recent = append(c.recent[max(0, len(c.recent)-7):], abandonedOps{b.header.SeqStart, uint64(len(b.ops)), out.cause})
-			if lost && (c.lost == 0 || b.header.SeqStart < c.lost) {
-				c.lost = b.header.SeqStart
-			}
 		}
 		c.leaveHeadLocked(b)
 		c.recycleLocked(b)
 	}
-	c.failure = cmp.Or(c.failure, out.err)
+	c.latchLocked(out.err)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return out.err
@@ -773,8 +868,9 @@ func (c *Client) readLoop(wc *workerConn) {
 		// real reply is still in the pipe.
 		if tag == wire.FrameCutAdvance {
 			if memo.DecodeCutAdvance(&adv, payload) == nil && adv.Cut != nil {
-				if err := c.session.ObserveCut(adv.WorldLine, adv.Cut); err != nil {
-					c.recordFailure(err)
+				c.session.ObserveCut(adv.WorldLine, adv.Cut)
+				if c.session.Announced() {
+					c.wakeOwner()
 				}
 			}
 			continue
@@ -825,15 +921,17 @@ func (c *Client) handleErrorReply(b *batch, payload []byte) {
 		// metadata names now.
 		c.parkOrSettle(b, causeRefused)
 	case er.Code == wire.ErrCodeRejected:
-		c.settle(b, outcome{cause: causeRejected, err: c.session.NotifyWorldLine(er.WorldLine)})
+		c.session.AnnounceWorldLine(er.WorldLine)
+		c.settle(b, outcome{cause: causeRejected})
 	default:
 		c.settle(b, outcome{cause: causeRefused})
 	}
 }
 
-func (c *Client) recordFailure(err error) {
+// wakeOwner wakes the owner wherever it waits on c.cond, to take in what the
+// session's hand-off holds.
+func (c *Client) wakeOwner() {
 	c.mu.Lock()
-	c.failure = cmp.Or(c.failure, err)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }

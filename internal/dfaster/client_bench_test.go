@@ -136,6 +136,8 @@ func TestColocatedClientZeroAlloc(t *testing.T) {
 	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after the client and the worker are down
 	w, meta, keys := localWorker(t, false)
 	c := localClient(t, w, meta)
+	sent := 0
+	c.cfg.OnSend = func(uint64, int) { sent++ } // as a history checker's
 	value := []byte("colocated-value")
 	failed := 0
 	cb := func(r wire.OpResult) {
@@ -161,6 +163,9 @@ func TestColocatedClientZeroAlloc(t *testing.T) {
 	allocpin.Zero(t, "a co-located read and upsert", 2000, step)
 	if failed != 0 {
 		t.Fatalf("%d co-located operations failed", failed)
+	}
+	if sent != 2*i {
+		t.Fatalf("OnSend saw %d operations, want %d", sent, 2*i)
 	}
 }
 

@@ -214,6 +214,13 @@ func (w *Worker) openConn() serve.Conn {
 // Lane is the frame's execution lane; each co-located caller holds one.
 type Lane = serve.Lane
 
+// NewSessionLane returns a lane for the co-located caller that executes its
+// batches on sess: the lane holds sess's epoch slot from a batch's admission
+// to its release, and the kv operations inside enter nothing more.
+func (w *Worker) NewSessionLane(sess *kv.Session) *Lane {
+	return w.NewLaneOn(w.store.Epochs(), sess.Slot())
+}
+
 // DebugState adds the ownership count and the store's log and index to the
 // frame's /debug/dpr snapshot.
 func (w *Worker) DebugState() obs.DPRState {
@@ -305,6 +312,9 @@ func (w *Worker) Stop() {
 type kvApply struct {
 	w    *Worker
 	sess *kv.Session
+	// parts, when its length is the batch's, holds the partition of each of
+	// its keys, as the caller that routed them computed it.
+	parts []uint64
 }
 
 // BatchScratch is what a co-located caller holds between batches: the frame's
@@ -363,9 +373,17 @@ func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult,
 	// Ownership validation against the local view (§5.3). The snapshot is
 	// immutable, so no lock is taken.
 	owned := *w.ownedSnap.Load()
-	for i := range req.Ops {
-		if !hasBit(owned, PartitionOf(req.Ops[i].Key, w.cfg.Partitions)) {
-			return w.ownershipMiss(req, i)
+	if len(a.parts) == len(req.Ops) {
+		for i, p := range a.parts {
+			if !hasBit(owned, p) {
+				return w.ownershipMiss(req, i)
+			}
+		}
+	} else {
+		for i := range req.Ops {
+			if !hasBit(owned, PartitionOf(req.Ops[i].Key, w.cfg.Partitions)) {
+				return w.ownershipMiss(req, i)
+			}
 		}
 	}
 

@@ -94,6 +94,11 @@ func (s *Slot) Era() uint64 {
 // Exit marks the slot inactive.
 func (s *Slot) Exit() { s.packed.Store(0) }
 
+// Held reports whether the slot is entered. Its owner asks it to nest an
+// operation inside a section that spans several (a batch): the operation
+// enters only if no caller has.
+func (s *Slot) Held() bool { return s.packed.Load()&1 == 1 }
+
 // Drain is the quiesce primitive shared by the CPR state machines and the
 // per-lane rollback fence: it bumps the global era and blocks until every
 // operation that entered under an older era has exited, then returns the
@@ -120,11 +125,20 @@ func (t *Table) Drain() uint64 {
 // where the straggler runs only once the waiter yields — it yields, then
 // sleeps in short steps so a straggler that was preempted does not burn a core.
 func (t *Table) WaitObserved(target uint64) {
-	if hrtimer.Spin(func() bool { return t.AllObserved(target) }) {
+	t.waitUntil(func() bool { return t.AllObserved(target) })
+}
+
+// WaitPassed is WaitObserved for one slot: it blocks until s.Passed(target).
+func (t *Table) WaitPassed(s *Slot, target uint64) {
+	t.waitUntil(func() bool { return s.Passed(target) })
+}
+
+func (t *Table) waitUntil(done func() bool) {
+	if hrtimer.Spin(done) {
 		return
 	}
 	t.yields.Add(1)
-	for spin := 0; !t.AllObserved(target); spin++ {
+	for spin := 0; !done(); spin++ {
 		if spin < 64 {
 			runtime.Gosched()
 			continue
@@ -143,15 +157,22 @@ func (t *Table) Yields() uint64 { return t.yields.Load() }
 // Enter they will observe the current (>= target) era.
 func (t *Table) AllObserved(target uint64) bool {
 	for s := t.head.Load(); s != nil; s = s.next {
-		if s.dead.Load() {
-			continue
-		}
-		p := s.packed.Load()
-		if p&1 == 1 && p>>1 < target {
+		if !s.Passed(target) {
 			return false
 		}
 	}
 	return true
+}
+
+// Passed reports whether the slot holds no operation that entered under an
+// era before target: it is inactive, unregistered, or entered at target or
+// later.
+func (s *Slot) Passed(target uint64) bool {
+	if s.dead.Load() {
+		return true
+	}
+	p := s.packed.Load()
+	return p&1 == 0 || p>>1 >= target
 }
 
 // ActiveCount returns the number of currently active slots (diagnostics).

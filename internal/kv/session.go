@@ -84,6 +84,34 @@ func (sess *Session) Close() {
 	sess.store.epochs.Unregister(sess.slot)
 }
 
+// Slot returns the session's epoch slot, in the store's table (Store.Epochs).
+// A caller that enters it around several of the session's operations — an
+// execution lane holding it for a batch — makes each of them enter nothing:
+// an operation enters the slot only if it is not entered already. The caller
+// is the session's owner and, like an operation, must not block while it
+// holds the slot.
+func (sess *Session) Slot() *epoch.Slot { return sess.slot }
+
+// taskSlot returns a slot for a background task to enter, a spare one or a
+// new registration.
+func (s *Store) taskSlot() *epoch.Slot {
+	select {
+	case slot := <-s.taskSlots:
+		return slot
+	default:
+		return s.epochs.Register()
+	}
+}
+
+// putTaskSlot keeps a task's slot for the next, or unregisters it.
+func (s *Store) putTaskSlot(slot *epoch.Slot) {
+	select {
+	case s.taskSlots <- slot:
+	default:
+		s.epochs.Unregister(slot)
+	}
+}
+
 // Upsert writes key=val, returning the version the write executed in.
 // Upserts always complete synchronously: the write lands in the in-memory
 // mutable region regardless of where older versions of the key live.
@@ -91,8 +119,10 @@ func (sess *Session) Upsert(key, val []byte) (core.Version, error) {
 	if len(key) == 0 {
 		return 0, errors.New("kv: empty key")
 	}
-	sess.slot.Enter()
-	defer sess.slot.Exit()
+	if !sess.slot.Held() { // entered already when the session's slot is a lane's (Slot)
+		sess.slot.Enter()
+		defer sess.slot.Exit()
+	}
 	st := sess.store.loadState()
 	ver := st.version()
 	s := sess.store
@@ -135,8 +165,10 @@ func (sess *Session) Delete(key []byte) (core.Version, error) {
 	if len(key) == 0 {
 		return 0, errors.New("kv: empty key")
 	}
-	sess.slot.Enter()
-	defer sess.slot.Exit()
+	if !sess.slot.Held() { // entered already when the session's slot is a lane's (Slot)
+		sess.slot.Enter()
+		defer sess.slot.Exit()
+	}
 	st := sess.store.loadState()
 	ver := st.version()
 	s := sess.store
@@ -167,8 +199,10 @@ func (sess *Session) Read(key []byte, serial uint64) ([]byte, Status, core.Versi
 // remain valid until the caller reuses the arena, even if later appends grow
 // it. PENDING completions deliver caller-owned heap copies as before.
 func (sess *Session) ReadAppend(arena *[]byte, key []byte, serial uint64) ([]byte, Status, core.Version) {
-	sess.slot.Enter()
-	defer sess.slot.Exit()
+	if !sess.slot.Held() { // entered already when the session's slot is a lane's (Slot)
+		sess.slot.Enter()
+		defer sess.slot.Exit()
+	}
 	s := sess.store
 	st := s.loadState()
 	ver := st.version()
@@ -325,8 +359,10 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 	if len(key) == 0 {
 		return StatusError, 0, 0
 	}
-	sess.slot.Enter()
-	defer sess.slot.Exit()
+	if !sess.slot.Held() { // entered already when the session's slot is a lane's (Slot)
+		sess.slot.Enter()
+		defer sess.slot.Exit()
+	}
 	s := sess.store
 	st := s.loadState()
 	ver := st.version()
@@ -394,8 +430,11 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 		newVal := base + delta
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], newVal)
-		// Apply under the bucket lock in the version current now.
-		sess.slot.Enter()
+		// Apply under the bucket lock in the version current now, on a slot of
+		// the task's own: the session's belongs to its owner, which may be
+		// inside another operation, or holding it for a batch.
+		slot := s.taskSlot()
+		slot.Enter()
 		applySt := s.loadState()
 		applyVer := applySt.version()
 		mu := s.index.lock(h)
@@ -403,7 +442,8 @@ func (sess *Session) RMW(key []byte, delta uint64, serial uint64) (Status, core.
 		rec := s.log.writeRecord(e.head(), uint64(applyVer), false, k, buf[:], 8)
 		e.link(rec.addr)
 		mu.Unlock()
-		sess.slot.Exit()
+		slot.Exit()
+		s.putTaskSlot(slot)
 		out := make([]byte, 8)
 		copy(out, buf[:])
 		sess.deliver(Completed{Serial: serial, Status: StatusOK, Version: applyVer, Value: out})

@@ -122,6 +122,9 @@ type Store struct {
 	ckptSeq uint64
 
 	pendingCh chan func()
+	// taskSlots keeps the epoch slots background tasks have used
+	// (taskSlot).
+	taskSlots chan *epoch.Slot
 	closeOnce sync.Once
 	closed    chan struct{}
 	wg        sync.WaitGroup
@@ -180,6 +183,7 @@ func newStore(device storage.Device, cfg Config) *Store {
 		index:     newIndex(cfg.BucketCount, cfg.IndexShards),
 		epochs:    epoch.NewTable(),
 		pendingCh: make(chan func(), 1024),
+		taskSlots: make(chan *epoch.Slot, 2*pendingWorkers),
 		closed:    make(chan struct{}),
 
 		compactKick: make(chan struct{}, 1),
@@ -257,6 +261,10 @@ func (s *Store) waitDrain() {
 		(*f)(time.Since(start))
 	}
 }
+
+// Epochs returns the table the store's operations are protected by: a
+// session's slot (Session.Slot) is registered there.
+func (s *Store) Epochs() *epoch.Table { return s.epochs }
 
 // DrainYields returns how many epoch drains outlasted their spin and yielded
 // the processor (epoch.Table.Yields).

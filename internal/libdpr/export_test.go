@@ -25,8 +25,11 @@ func (w *Worker) CommitIdle(persisted core.Version) (bool, error) {
 }
 
 // ProbeTarget is the sequence number the session's outstanding commit-latency
-// probe waits for (0: none).
-func (s *Session) ProbeTarget() uint64 { return s.probeSeq.Load() }
+// probe waits for (0: none), once the owner has taken in its hand-off.
+func (s *Session) ProbeTarget() uint64 {
+	_ = s.Poll()
+	return s.probeSeq
+}
 
 // SetAdmitTimeout shortens the admission bound for a test. Call it before any
 // batch is admitted.

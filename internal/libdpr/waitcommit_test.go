@@ -240,9 +240,7 @@ func TestWaitCommitWakesOnFold(t *testing.T) {
 		case <-time.After(parked):
 		}
 		folded := time.Now()
-		if err := s.ObserveCut(0, core.Cut{1: 1}); err != nil {
-			t.Fatal(err)
-		}
+		s.ObserveCut(0, core.Cut{1: 1})
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -273,13 +271,14 @@ func TestWaitCommitWakesOnFold(t *testing.T) {
 	})
 }
 
-// TestNextBatchNeverCrossesUnacknowledgedFailure: a failure digested on a
-// completion thread while the issuing thread is inside NextBatch must not
-// hand that batch a header of the new world-line. Until the application
-// acknowledges the SurvivalError, every successful NextBatch belongs to the
-// world-line the application knows about; sequence numbers of the new one
-// are reissued ones, and using them early makes two live operations share a
-// number.
+// TestNextBatchNeverCrossesUnacknowledgedFailure: a failure a completion
+// thread announces while the issuing thread is inside NextBatch must not hand
+// that batch a header of the new world-line. The issuing thread digests the
+// announcement at its next call and gets the SurvivalError; until the
+// application acknowledges it, every NextBatch fails, and every successful one
+// before belongs to the world-line the application knows about: sequence
+// numbers of the new one are reissued ones, and using them early makes two
+// live operations share a number.
 func TestNextBatchNeverCrossesUnacknowledgedFailure(t *testing.T) {
 	meta := metadata.NewStore(metadata.Config{})
 	if err := meta.RegisterWorker(1, "inproc-1"); err != nil {
@@ -296,11 +295,18 @@ func TestNextBatchNeverCrossesUnacknowledgedFailure(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		issued := make(chan error, 1)
-		go func() {
+		go func() { // the session's owner from here until it reports
 			for {
 				h, err := s.NextBatch(1)
 				if err != nil {
-					issued <- nil
+					var surv *core.SurvivalError
+					if !errors.As(err, &surv) {
+						issued <- fmt.Errorf("round %d: NextBatch = %v, want a SurvivalError", round, err)
+					} else if _, again := s.NextBatch(1); again == nil {
+						issued <- fmt.Errorf("round %d: NextBatch succeeded with the failure unacknowledged", round)
+					} else {
+						issued <- nil
+					}
 					return
 				}
 				if h.WorldLine != before {
@@ -312,10 +318,7 @@ func TestNextBatchNeverCrossesUnacknowledgedFailure(t *testing.T) {
 		}()
 		wl, _ := meta.BeginRecovery()
 		meta.CompleteRecoveryFor(wl)
-		var surv *core.SurvivalError
-		if err := s.NotifyWorldLine(wl); !errors.As(err, &surv) {
-			t.Fatalf("round %d: NotifyWorldLine(%d) = %v, want a SurvivalError", round, wl, err)
-		}
+		s.AnnounceWorldLine(wl) // as a connection's read loop does
 		if err := <-issued; err != nil {
 			t.Fatal(err)
 		}

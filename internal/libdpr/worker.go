@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -196,9 +197,11 @@ type Worker struct {
 
 	// exec + rbFence + rbMu fence rollbacks against in-flight batch
 	// execution without a shared mutex on the hot path. Every execution lane
-	// (one per serving connection/core) owns an epoch slot in exec; a batch
-	// pins its lane's slot from guarded admission to release. rollback
-	// publishes the target world-line in rbFence and then drains exec:
+	// (one per serving connection/core) owns an epoch slot in exec, or is
+	// lent one in a store's table (NewLaneOn, listed in lent); a batch pins
+	// its lane's slot from guarded admission to release. rollback publishes
+	// the target world-line in rbFence and then drains exec and the lent
+	// tables:
 	// because the fence store precedes the drain's era bump and a batch
 	// loads rbFence after entering its slot, any batch that misses the fence
 	// necessarily entered under the pre-bump era and is waited out by the
@@ -214,8 +217,8 @@ type Worker struct {
 	// duplicate Restore would silently erase operations executed between the
 	// two calls. rbMu is the outermost worker lock —
 	// the bookkeeping locks are only ever taken under it during rollback,
-	// never the other way around. The session gate is never held together
-	// with rbMu; admission pins a lane slot (not a lock) around it.
+	// never the other way around. A session gate's mu is never held together
+	// with rbMu; admission pins a lane slot (not a lock) around the gate.
 	//
 	// rollback also calls so.Restore while holding rbMu, so the state
 	// object's internal locks nest under it too (the store never calls
@@ -228,6 +231,10 @@ type Worker struct {
 	exec    *epoch.Table
 	rbFence atomic.Uint64
 	rbMu    sync.Mutex
+	// lent holds the other tables lanes have slots in (NewLaneOn): the
+	// rollback drains them with exec.
+	lentMu sync.Mutex
+	lent   []*epoch.Table
 	// rollbackDrainH observes how long each rollback fence drain waited for
 	// in-flight batches.
 	rollbackDrainH *obs.Histogram
@@ -236,7 +243,9 @@ type Worker struct {
 	// BatchHeader.SessionID): batches of one session are serialized and
 	// sequence-fenced so a stale batch — delivered late over a connection
 	// the client already abandoned — cannot execute after newer operations
-	// of the same session already ran and reorder the session's history.
+	// of the same session already ran and reorder the session's history. A
+	// gate is held by one lane at a time (sessionGate), which uses it with no
+	// lock.
 	//
 	// Gates of sessions idle for gateIdleAge are aged out of the sync.Map
 	// into archived, a plain map of two-word fence records, and rehydrated on
@@ -454,8 +463,26 @@ var ErrBatchRejected = errors.New("libdpr: batch rejected, client must recover")
 var ErrStaleBatch = errors.New("libdpr: stale batch, sequence range superseded")
 
 // sessionGate serializes and sequence-fences one session's batch executions
-// on this worker.
+// on this worker. It has at most one holder, the lane that admitted the
+// session's last batch there: the holder reads and writes the fence with no
+// lock, and keeps the gate until another lane needs it or the sweep ages it
+// out. Either takes it under mu (revokeLocked): it raises want, bumps the
+// execution era and waits for the holder's slot to pass it. A holder checks
+// want, then holder, after entering its slot for a batch; both sides' stores
+// are sequentially consistent, so either the holder sees the take and comes to
+// mu for the gate, or the taker sees the holder's batch in its slot and waits
+// it out — a batch of the session never runs on two lanes at once, and the
+// taker reads the fence the holder's last batch left (DESIGN.md "Per-session
+// state on the server").
 type sessionGate struct {
+	holder atomic.Pointer[ExecLane]
+	want   atomic.Bool
+	// era is the gateEra tick of the last admission; the sweep ages gates
+	// whose era is at or below its cutoff. The holder stores it only when
+	// the tick has moved.
+	era atomic.Uint64
+	// mu serializes the takes of the gate and guards the fence and dead
+	// while no lane holds it.
 	mu sync.Mutex
 	// wl is the world-line of the last admitted batch; sequence numbers
 	// restart when the session moves to a new world-line (the tracker
@@ -464,12 +491,9 @@ type sessionGate struct {
 	// next is the lowest sequence number still acceptable (one past the
 	// highest executed batch).
 	next uint64
-	// era is the gateEra tick of the last admission; the sweep ages gates
-	// whose era is at or below its cutoff.
-	era uint64
-	// dead marks a gate the sweep has archived and removed from the map;
-	// a goroutine that locked a dead gate must re-lookup (rehydrating from
-	// the archive) instead of using it.
+	// dead marks a gate the sweep has archived and removed from the map; a
+	// lane that finds it dead must re-look-up (rehydrating from the archive)
+	// instead of using it.
 	dead bool
 }
 
@@ -488,7 +512,8 @@ func (w *Worker) gate(session uint64) *sessionGate {
 	// map insert happen under archMu, the same lock the sweep holds while
 	// moving a gate the other way, so a rehydration can never insert a
 	// fence record the sweep has since superseded.
-	g := &sessionGate{era: w.gateEra.Load()}
+	g := &sessionGate{}
+	g.era.Store(w.gateEra.Load())
 	w.archMu.Lock()
 	if rec, had := w.archived[session]; had {
 		g.wl, g.next = rec.wl, rec.next
@@ -501,20 +526,80 @@ func (w *Worker) gate(session uint64) *sessionGate {
 	return actual.(*sessionGate)
 }
 
+// takeGate makes lane the holder of session's gate, waiting out a batch its
+// holder is executing, and lets go of the gate the lane held before. The lane
+// holds no slot.
+func (w *Worker) takeGate(lane *ExecLane, session uint64) {
+	if lane.gate != nil && lane.session != session {
+		w.dropGate(lane)
+	}
+	for {
+		g := w.gate(session)
+		g.mu.Lock()
+		if g.dead { // archived since the lookup: the archive holds the fence
+			g.mu.Unlock()
+			continue
+		}
+		if g.holder.Load() != lane {
+			w.revokeLocked(g, true)
+			g.holder.Store(lane)
+		}
+		g.mu.Unlock()
+		lane.gate, lane.session = g, session
+		return
+	}
+}
+
+// dropGate lets go of the gate the lane holds, if it still does. The lane
+// holds no slot.
+func (w *Worker) dropGate(lane *ExecLane) {
+	g := lane.gate
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	if g.holder.Load() == lane {
+		g.holder.Store(nil)
+	}
+	g.mu.Unlock()
+	lane.gate = nil
+}
+
+// revokeLocked takes g from its holder, if it has one, and reports whether it
+// did. A batch the holder admitted before the take is waited out, or, without
+// wait, fails the take. The caller holds g.mu.
+func (w *Worker) revokeLocked(g *sessionGate, wait bool) bool {
+	h := g.holder.Load()
+	if h == nil {
+		return true
+	}
+	g.want.Store(true)
+	if target := h.table.Bump(); !h.slot.Passed(target) {
+		if !wait {
+			g.want.Store(false)
+			return false
+		}
+		h.table.WaitPassed(h.slot, target)
+	}
+	g.holder.Store(nil) // before want drops: a holder that misses want sees this
+	g.want.Store(false)
+	return true
+}
+
 // sweepGates archives every gate not used since era tick cutoff: the fence
 // record moves into the compact archive table and the live gate is removed
 // from the map, atomically with respect to gate() under archMu. Runs on the
-// maintenance goroutine, off the batch path; busy gates (TryLock failure) are
-// skipped and revisited on the next sweep.
+// maintenance goroutine, off the batch path; a gate whose holder is executing
+// a batch, or whose mu is taken, is skipped and revisited on the next sweep.
 //
 //dpr:lockorder libdpr.sessionGate.mu < libdpr.Worker.archMu
 func (w *Worker) sweepGates(cutoff uint64) {
 	w.gates.Range(func(k, v any) bool {
 		g := v.(*sessionGate)
-		if !g.mu.TryLock() {
+		if g.era.Load() > cutoff || !g.mu.TryLock() {
 			return true
 		}
-		if !g.dead && g.era <= cutoff {
+		if !g.dead && w.revokeLocked(g, false) && g.era.Load() <= cutoff {
 			g.dead = true
 			w.archMu.Lock()
 			w.archived[k.(uint64)] = gateRec{wl: g.wl, next: g.next}
@@ -562,22 +647,47 @@ func (w *Worker) admitBatch(h BatchHeader) (core.WorldLine, error) {
 // unlike the former shared RWMutex reader count. A lane must not be used by
 // two batches concurrently (connections are already sequential).
 type ExecLane struct {
-	w    *Worker
-	slot *epoch.Slot
-	// gate is the gate of session, the lane's last: locked from a successful
-	// AdmitBatchGuarded to its ReleaseBatch, and where the session's next batch
-	// finds it without the worker's map (unless the sweep has aged it out).
+	w     *Worker
+	table *epoch.Table
+	slot  *epoch.Slot
+	// lent marks a slot the lane was given (NewLaneOn): its owner
+	// unregisters it.
+	lent bool
+	// gate is the gate of session, the lane's last, which the lane holds
+	// until another lane or the sweep takes it: where the session's next batch
+	// finds it without the worker's map or a lock.
 	gate    *sessionGate
 	session uint64
 }
 
 // NewLane registers an execution lane. Close it when the connection ends.
 func (w *Worker) NewLane() *ExecLane {
-	return &ExecLane{w: w, slot: w.exec.Register()}
+	return &ExecLane{w: w, table: w.exec, slot: w.exec.Register()}
 }
 
-// Close unregisters the lane from rollback-fence accounting.
-func (l *ExecLane) Close() { l.w.exec.Unregister(l.slot) }
+// NewLaneOn registers an execution lane on slot, of table t, which the
+// caller owns and keeps registered while the lane lives: a store session's
+// (kv.Session.Slot). A batch the lane executes then holds that slot from
+// admission to release, and the session's operations inside it enter
+// nothing — one epoch entry per batch, not one per operation and one for the
+// batch. The rollback fence drains t too.
+func (w *Worker) NewLaneOn(t *epoch.Table, slot *epoch.Slot) *ExecLane {
+	w.lentMu.Lock()
+	if !slices.Contains(w.lent, t) && t != w.exec {
+		w.lent = append(w.lent, t)
+	}
+	w.lentMu.Unlock()
+	return &ExecLane{w: w, table: t, slot: slot, lent: true}
+}
+
+// Close lets go of the lane's gate and unregisters the lane from
+// rollback-fence accounting.
+func (l *ExecLane) Close() {
+	l.w.dropGate(l)
+	if !l.lent {
+		l.table.Unregister(l.slot)
+	}
+}
 
 // AdmitBatchGuarded is admitBatch plus the execution guard: on success the
 // admission is pinned until ReleaseBatch — rollbacks are held off (the
@@ -599,60 +709,55 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 	// pre-bump era and the drain waits it out; a batch entering post-bump
 	// sees the fence and backs off here.
 	var deadline time.Time
+	var g *sessionGate
 	for {
 		lane.slot.Enter()
-		if w.rbFence.Load() == 0 {
+		if w.rbFence.Load() != 0 {
+			lane.slot.Exit()
+			if deadline.IsZero() {
+				deadline = time.Now().Add(w.admitTimeout)
+			} else if time.Now().After(deadline) {
+				w.rejectedC.Inc()
+				cur := w.wl.Current()
+				w.trace.Record(obs.EvBatchRejected, uint64(cur), uint64(h.WorldLine), 0)
+				return cur, fmt.Errorf("%w (rollback fence held past admit timeout)", ErrBatchRejected)
+			}
+			hrtimer.Sleep(20 * time.Microsecond)
+			continue
+		}
+		// Recheck under the guard: a rollback may have completed between
+		// admission and the slot entry, and this batch would execute against
+		// post-rollback state.
+		if cur := w.wl.Current(); cur > h.WorldLine {
+			lane.slot.Exit()
+			w.rejectedC.Inc()
+			w.trace.Record(obs.EvBatchRejected, uint64(cur), uint64(h.WorldLine), 0)
+			return cur, fmt.Errorf("%w (worker at %d, batch at %d)", ErrBatchRejected, cur, h.WorldLine)
+		}
+		// The lane's own gate, unless a take has begun (want) or ended
+		// (holder), in that order: see sessionGate.
+		if g = lane.gate; g != nil && lane.session == h.SessionID && !g.want.Load() && g.holder.Load() == lane {
 			break
 		}
 		lane.slot.Exit()
-		if deadline.IsZero() {
-			deadline = time.Now().Add(w.admitTimeout)
-		} else if time.Now().After(deadline) {
-			w.rejectedC.Inc()
-			cur := w.wl.Current()
-			w.trace.Record(obs.EvBatchRejected, uint64(cur), uint64(h.WorldLine), 0)
-			return cur, fmt.Errorf("%w (rollback fence held past admit timeout)", ErrBatchRejected)
-		}
-		hrtimer.Sleep(20 * time.Microsecond)
+		w.takeGate(lane, h.SessionID)
 	}
-	// Recheck under the guard: a rollback may have completed between
-	// admission and the slot entry, and this batch would execute against
-	// post-rollback state.
-	if cur := w.wl.Current(); cur > h.WorldLine {
-		lane.slot.Exit()
-		w.rejectedC.Inc()
-		w.trace.Record(obs.EvBatchRejected, uint64(cur), uint64(h.WorldLine), 0)
-		return cur, fmt.Errorf("%w (worker at %d, batch at %d)", ErrBatchRejected, cur, h.WorldLine)
+	if era := w.gateEra.Load(); g.era.Load() != era {
+		g.era.Store(era)
 	}
-	g := lane.gate
-	if g == nil || lane.session != h.SessionID {
-		g = w.gate(h.SessionID)
-	}
-	g.mu.Lock()
-	for g.dead {
-		// The sweep archived this gate since it was looked up; its fence now
-		// lives in the archive table. Re-look-up: gate() rehydrates from the
-		// record the sweep wrote.
-		g.mu.Unlock()
-		g = w.gate(h.SessionID)
-		g.mu.Lock()
-	}
-	lane.gate, lane.session = g, h.SessionID
-	g.era = w.gateEra.Load()
 	if h.WorldLine > g.wl {
 		// The session crossed a rollback; its sequence space restarted.
 		g.wl, g.next = h.WorldLine, 0
 	}
 	if h.SeqStart < g.next && !h.Redirected {
 		fence := g.next
-		g.mu.Unlock()
 		lane.slot.Exit()
 		w.staleC.Inc()
 		w.trace.Record(obs.EvBatchStale, h.SessionID, fence, h.SeqStart)
 		return wl, fmt.Errorf("%w (session %d fenced at seq %d, batch starts at %d)",
 			ErrStaleBatch, h.SessionID, fence, h.SeqStart)
 	}
-	return wl, nil //dpr:ignore mutex-discipline,epoch-discipline guarded admission: success deliberately returns holding the lane's epoch slot and the session gate; ReleaseBatch is the paired release
+	return wl, nil //dpr:ignore epoch-discipline guarded admission: success deliberately returns holding the lane's epoch slot; ReleaseBatch is the paired release
 }
 
 // ReleaseBatch ends the execution pinned by a successful AdmitBatchGuarded.
@@ -660,13 +765,12 @@ func (w *Worker) AdmitBatchGuarded(h BatchHeader, lane *ExecLane) (core.WorldLin
 // group commit starts as soon as the pump's pacing allows, not on the next
 // heartbeat. (A manual worker has no pump to wake; the mark is harmless.)
 func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
-	g := lane.gate // locked by the admission this call pairs with
+	g := lane.gate // held, and used by this batch only, since the admission this call pairs with
 	if executed {
 		if end := h.SeqStart + uint64(h.NumOps); end > g.next {
 			g.next = end
 		}
 	}
-	g.mu.Unlock()
 	lane.slot.Exit()
 	if executed && !w.dirty.Load() && !w.dirty.Swap(true) {
 		// False→true edge: wake the pump. The channel saturates at one
@@ -848,6 +952,12 @@ func (w *Worker) rollback(wl core.WorldLine, cut core.Cut) error {
 	defer w.rbFence.Store(0)
 	drainStart := time.Now()
 	w.exec.Drain()
+	w.lentMu.Lock()
+	lent := slices.Clone(w.lent)
+	w.lentMu.Unlock()
+	for _, t := range lent {
+		t.Drain()
+	}
 	w.rollbackDrainH.Observe(time.Since(drainStart))
 	w.trace.Record(obs.EvRollbackBegin, uint64(wl), uint64(cut.Get(w.cfg.ID)), 0)
 	if err := w.so.Restore(cut.Get(w.cfg.ID)); err != nil {

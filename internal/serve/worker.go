@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"dpr/internal/core"
+	"dpr/internal/epoch"
 	"dpr/internal/libdpr"
 	"dpr/internal/metadata"
 	"dpr/internal/obs"
@@ -57,15 +59,19 @@ type Worker struct {
 	lbls      []obs.Label
 	batchLatH *obs.Histogram
 	batchOpsH *obs.Histogram
-	// Connections and co-located callers are assigned lanes round-robin and
-	// bump their lane's counters on the hot path, so load attribution needs
-	// no per-connection label cardinality; the worker's totals are their sums,
-	// taken at scrape.
-	lanes   []laneCounters
+	// Connections and co-located callers each own a Lane and count into its
+	// words, which only they write. For attribution with no per-connection
+	// label cardinality a lane carries one of ids round-robin ids; a scrape
+	// sums the live lanes and what closed ones left in retired, per id.
 	laneSeq atomic.Uint64
+	ids     int
+	lanesMu sync.Mutex
+	live    map[*Lane]struct{}
+	retired []laneCount
 }
 
-type laneCounters struct{ batches, ops *obs.Counter }
+// laneCount is a lane's count of executed batches and operations.
+type laneCount struct{ batches, ops uint64 }
 
 // time.Since(clockBase) is one monotonic clock read; time.Now is that and a
 // wall-clock one.
@@ -128,37 +134,51 @@ func (w *Worker) registerObs() {
 	w.batchOpsH = reg.ValueHistogram("dpr_server_batch_ops",
 		"Operations per executed batch, sampled: one batch in 64 per lane.", lbls...)
 	// Sized to the machine, like the kv index's default shard count.
-	w.lanes = make([]laneCounters, min(max(runtime.GOMAXPROCS(0), 1), 16))
-	for i := range w.lanes {
+	w.ids = min(max(runtime.GOMAXPROCS(0), 1), 16)
+	w.live = make(map[*Lane]struct{})
+	w.retired = make([]laneCount, w.ids)
+	for i := 0; i < w.ids; i++ {
 		laneLbls := append(slices.Clone(lbls), obs.L("lane", strconv.Itoa(i)))
-		w.lanes[i] = laneCounters{
-			batches: reg.Counter("dpr_server_lane_batches_total",
-				"Batches executed, attributed to serving lanes.", laneLbls...),
-			ops: reg.Counter("dpr_server_lane_ops_total",
-				"Operations executed, attributed to serving lanes.", laneLbls...),
-		}
+		reg.CounterFunc("dpr_server_lane_batches_total",
+			"Batches executed, attributed to serving lanes.", func() uint64 { return w.laneCounts()[i].batches }, laneLbls...)
+		reg.CounterFunc("dpr_server_lane_ops_total",
+			"Operations executed, attributed to serving lanes.", func() uint64 { return w.laneCounts()[i].ops }, laneLbls...)
 	}
 	reg.GaugeFunc("dpr_server_lane_imbalance",
 		"Max over mean of per-lane batch counts (1.0 = perfectly balanced).",
 		func() float64 {
 			var most, sum uint64
-			for i := range w.lanes {
-				n := w.lanes[i].batches.Value()
-				sum += n
-				most = max(most, n)
+			counts := w.laneCounts()
+			for _, c := range counts {
+				sum += c.batches
+				most = max(most, c.batches)
 			}
 			if sum == 0 {
 				return 1
 			}
-			return float64(most) * float64(len(w.lanes)) / float64(sum)
+			return float64(most) * float64(len(counts)) / float64(sum)
 		}, lbls...)
+}
+
+// laneCounts sums, per lane id, what the live lanes and the closed ones
+// counted.
+func (w *Worker) laneCounts() []laneCount {
+	w.lanesMu.Lock()
+	defer w.lanesMu.Unlock()
+	counts := slices.Clone(w.retired)
+	for l := range w.live {
+		c := l.count()
+		counts[l.id].batches += c.batches
+		counts[l.id].ops += c.ops
+	}
+	return counts
 }
 
 // totals sums the lane counters.
 func (w *Worker) totals() (batches, ops uint64) {
-	for i := range w.lanes {
-		batches += w.lanes[i].batches.Value()
-		ops += w.lanes[i].ops.Value()
+	for _, c := range w.laneCounts() {
+		batches += c.batches
+		ops += c.ops
 	}
 	return batches, ops
 }
@@ -184,12 +204,13 @@ func (w *Worker) Start(open func() Conn) {
 }
 
 // Lane couples a libDPR execution lane (the epoch slot a batch pins against
-// the rollback fence) with the lane counters it reports into. Each connection
-// — and each co-located caller — owns one; a Lane must not be used by two
+// the rollback fence) with the counters it reports into. Each connection —
+// and each co-located caller — owns one; a Lane must not be used by two
 // batches concurrently.
 type Lane struct {
+	w    *Worker
+	id   int
 	exec *libdpr.ExecLane
-	laneCounters
 	// The dependency the lane recorded last and where; a session repeats it
 	// until its other worker's version moves, so most batches skip the call.
 	// The world-line is part of the key: a rollback forgets what was recorded
@@ -197,20 +218,55 @@ type Lane struct {
 	depWL  core.WorldLine
 	depVer core.Version
 	dep    core.Token
-	// executed counts the batches the lane has executed; the batch histograms
-	// sample those it numbers 0 mod sampleEvery.
-	executed uint64
+	// batches counts the batches the lane has executed, and extra the
+	// operations beyond one in each: a b = 1 batch moves one word. The lane is
+	// their only writer; the batch histograms sample the batches it numbers 0
+	// mod sampleEvery. On a line of their own.
+	_       [64]byte
+	batches atomic.Uint64
+	extra   atomic.Uint64
+	_       [48]byte
+}
+
+// count reads the lane's counters.
+func (l *Lane) count() laneCount {
+	b := l.batches.Load()
+	return laneCount{batches: b, ops: b + l.extra.Load()}
 }
 
 // NewLane registers an execution lane under the next lane id (round-robin).
 // Close it when the connection or co-located caller is done.
-func (w *Worker) NewLane() *Lane {
-	id := int(w.laneSeq.Add(1)-1) % len(w.lanes)
-	return &Lane{exec: w.dpr.NewLane(), laneCounters: w.lanes[id]}
+func (w *Worker) NewLane() *Lane { return w.newLane(w.dpr.NewLane()) }
+
+// NewLaneOn is NewLane on an epoch slot the caller owns, of table t: the
+// slot of the store session the caller's batches execute on, held once per
+// batch (libdpr.Worker.NewLaneOn).
+func (w *Worker) NewLaneOn(t *epoch.Table, slot *epoch.Slot) *Lane {
+	return w.newLane(w.dpr.NewLaneOn(t, slot))
 }
 
-// Close unregisters the lane from rollback-fence accounting.
-func (l *Lane) Close() { l.exec.Close() }
+func (w *Worker) newLane(exec *libdpr.ExecLane) *Lane {
+	l := &Lane{w: w, id: int(w.laneSeq.Add(1)-1) % w.ids, exec: exec}
+	w.lanesMu.Lock()
+	w.live[l] = struct{}{}
+	w.lanesMu.Unlock()
+	return l
+}
+
+// Close unregisters the lane from rollback-fence accounting and leaves its
+// counts to its id.
+func (l *Lane) Close() {
+	l.exec.Close()
+	w := l.w
+	w.lanesMu.Lock()
+	if _, ok := w.live[l]; ok {
+		c := l.count()
+		w.retired[l.id].batches += c.batches
+		w.retired[l.id].ops += c.ops
+		delete(w.live, l)
+	}
+	w.lanesMu.Unlock()
+}
 
 // Scratch is the reusable state of one caller's batch executions: results,
 // their versions, the arena read values are copied into, and the reply shell.
@@ -234,7 +290,8 @@ type Scratch struct {
 //
 //dpr:noalloc
 func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane *Lane) (*wire.BatchReply, *wire.ErrorReply) {
-	sampled := lane.executed%sampleEvery == 0
+	executed := lane.batches.Load() // the lane is the only writer
+	sampled := executed%sampleEvery == 0
 	var start time.Duration
 	if sampled {
 		start = time.Since(clockBase)
@@ -274,13 +331,14 @@ func (w *Worker) Execute(req *wire.BatchRequest, app Applier, sc *Scratch, lane 
 		// skipping per-batch map serialization.
 		EncodedCut: dprReply.EncodedCut,
 	}
-	lane.batches.Inc()
-	lane.ops.Add(uint64(n))
+	lane.batches.Store(executed + 1)
+	if n > 1 {
+		lane.extra.Add(uint64(n - 1))
+	}
 	if sampled {
 		w.batchOpsH.ObserveValue(uint64(n))
 		w.batchLatH.Observe(time.Since(clockBase) - start)
 	}
-	lane.executed++
 	w.dpr.ReleaseBatch(req.Header, lane.exec, true)
 	return &sc.reply, nil
 }
