@@ -387,7 +387,8 @@ func (s *Session) WaitAllCommitted(timeout time.Duration) error {
 	return s.client.WaitCommitAll(timeout)
 }
 
-// Err returns the pending *SurvivalError after a failure, or nil.
+// Err returns the pending *SurvivalError after a failure, or nil. Like the
+// operations, it is called from the goroutine that issues them.
 func (s *Session) Err() error { return s.client.Err() }
 
 // Acknowledge consumes a pending SurvivalError; the session then continues

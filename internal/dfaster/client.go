@@ -79,8 +79,6 @@ type Client struct {
 	localLane     *Lane
 	localReq      wire.BatchRequest
 	localVersions [1]core.Version
-	localCbs      [1]OpCallback
-	localBatch    batch
 	localParts    [1]uint64
 
 	// failed is set with failure and cleared with it: the co-located path's
@@ -171,12 +169,12 @@ func (c *Client) Close() {
 	}
 }
 
-// Err returns the pending failure (a *core.SurvivalError after a rollback).
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failure
-}
+// Err returns the pending failure (a *core.SurvivalError after a rollback),
+// taking in first what the connections handed the session: a rollback one
+// of them announced — a batch rejected with a newer world-line, whose
+// callback has seen StatusError — is this call's SurvivalError. Like the
+// operations, it is the session's owner's to call.
+func (c *Client) Err() error { return c.poll() }
 
 // Acknowledge clears a pending SurvivalError so the session can continue on
 // the new world-line. The error accounts for every operation issued before it,
@@ -204,7 +202,9 @@ func (c *Client) latched() error {
 	if !c.failed.Load() {
 		return nil
 	}
-	return c.Err()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failure
 }
 
 // poll has the owner take in what the connections handed the session: a
@@ -296,7 +296,7 @@ func (c *Client) executeLocal(op wire.Op, p uint64, cb OpCallback) error {
 	c.localReq.Ops = append(c.localReq.Ops[:0], op)
 	h, err := c.session.NextBatch(1)
 	if err != nil {
-		return c.settle(c.localBatchOf(h, cb), outcome{cause: causeRejected, err: err})
+		return c.settleLocal(h, cb, nil, outcome{cause: causeRejected, err: err})
 	}
 	if c.cfg.OnSend != nil {
 		c.cfg.OnSend(h.SeqStart, 1)
@@ -309,21 +309,49 @@ func (c *Client) executeLocal(op wire.Op, p uint64, cb OpCallback) error {
 	if errReply != nil {
 		return c.refusedLocal(h, cb, errReply)
 	}
-	// Executed: started and settled on this goroutine, never shared and
-	// holding no window slot, the operation's settlement is the session's
-	// completion and the callback.
-	c.localVersions[0] = reply.Results[0].Version
-	err = c.session.CompleteBatch(c.cfg.LocalWorker.ID(), h, libdpr.BatchReply{
-		WorldLine: reply.WorldLine,
-		Versions:  c.localVersions[:],
-		Cut:       reply.Cut,
-		CutGen:    reply.CutGen,
-	})
-	if cb != nil {
-		cb(reply.Results[0])
+	return c.settleLocal(h, cb, reply, outcome{})
+}
+
+// refusedLocal settles the co-located operation the worker refused with
+// errReply and returns the error: the survival error of the rollback it
+// announced, or the refusal.
+func (c *Client) refusedLocal(h libdpr.BatchHeader, cb OpCallback, errReply *wire.ErrorReply) error {
+	out := outcome{cause: causeRefused}
+	if errReply.Code == wire.ErrCodeRejected {
+		out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
 	}
-	if err != nil {
-		return c.fail(err)
+	return cmp.Or(c.settleLocal(h, cb, nil, out), error(errReply))
+}
+
+// settleLocal is settle for the co-located operation, issued with header h
+// (zero if it got none) and callback cb: started and settled on the owner,
+// never shared and holding no window slot, it is the session's completion
+// and the callback when it executed (reply non-nil), or an abandon as settle
+// makes one. Returns the survival error the outcome carries, or the
+// completion's, latched as the client's failure.
+func (c *Client) settleLocal(h libdpr.BatchHeader, cb OpCallback, reply *wire.BatchReply, out outcome) error {
+	if reply != nil {
+		c.localVersions[0] = reply.Results[0].Version
+		out.err = c.session.CompleteBatch(c.cfg.LocalWorker.ID(), h, libdpr.BatchReply{
+			WorldLine: reply.WorldLine,
+			Versions:  c.localVersions[:],
+			Cut:       reply.Cut,
+			CutGen:    reply.CutGen,
+		})
+		if cb != nil {
+			cb(reply.Results[0])
+		}
+	} else {
+		why := c.abandonOps(h, 1, out.cause)
+		if cb != nil {
+			cb(wire.OpResult{Status: wire.StatusError})
+		}
+		c.mu.Lock()
+		c.noteAbandonedLocked(h.SeqStart, 1, why)
+		c.mu.Unlock()
+	}
+	if out.err != nil {
+		return c.fail(out.err)
 	}
 	return nil
 }
@@ -335,26 +363,6 @@ func (c *Client) fail(err error) error {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return err
-}
-
-// refusedLocal settles the co-located operation the worker refused with
-// errReply and returns the error: the survival error of the rollback it
-// announced, or the refusal.
-func (c *Client) refusedLocal(h libdpr.BatchHeader, cb OpCallback, errReply *wire.ErrorReply) error {
-	out := outcome{cause: causeRefused}
-	if errReply.Code == wire.ErrCodeRejected {
-		out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
-	}
-	return cmp.Or(c.settle(c.localBatchOf(h, cb), out), error(errReply))
-}
-
-// localBatchOf is the co-located operation as a batch, for settle: the one
-// in localReq, issued with header h (zero if it got none) and callback cb.
-func (c *Client) localBatchOf(h libdpr.BatchHeader, cb OpCallback) *batch {
-	c.localCbs[0] = cb
-	b := &c.localBatch
-	*b = batch{header: h, ops: c.localReq.Ops, cbs: c.localCbs[:]}
-	return b
 }
 
 // Flush sends all partially filled batches.
@@ -578,8 +586,7 @@ type batch struct {
 	retries int
 }
 
-// move is the only writer of a batch's state. The caller holds c.mu, or owns a
-// batch no other goroutine has seen (the co-located operation's).
+// move is the only writer of a batch's state. The caller holds c.mu.
 func (c *Client) move(b *batch, to batchState) bool {
 	if legalMoves[b.state]&(1<<to) == 0 {
 		lifecycleViolations.Inc()
@@ -633,7 +640,7 @@ type outcome struct {
 }
 
 // settle ends the lifecycle of b, which the caller owns, and is the only code
-// that does (but for an executed co-located operation, see executeLocal): it
+// that does (the co-located operation, never a batch, is settleLocal's): it
 // tells the session what became of b's sequence numbers, through its hand-off
 // (the caller may be a connection's read loop), fires the callbacks, releases
 // the window slots, and lets the next parked batch or the fresh sends go.
@@ -646,7 +653,6 @@ func (c *Client) settle(b *batch, out outcome) error {
 		lifecycleViolations.Inc()
 		return nil
 	}
-	local := b == &c.localBatch
 	if out.reply != nil {
 		results := out.reply.Results
 		versions := slices.Grow((*out.versions)[:0], len(results))[:len(results)]
@@ -666,13 +672,7 @@ func (c *Client) settle(b *batch, out outcome) error {
 			}
 		}
 	} else {
-		if c.closed.Err() != nil {
-			out.cause = causeClosed
-		}
-		c.session.AbandonBatch(b.header)
-		obs.Default.Counter("dpr_client_abandoned_ops_total",
-			"Operations whose callback received StatusError and whose fate the session records as unknown.",
-			obs.L("cause", string(out.cause))).Add(uint64(len(b.ops)))
+		out.cause = c.abandonOps(b.header, len(b.ops), out.cause)
 		for _, cb := range b.cbs {
 			if cb != nil {
 				cb(wire.OpResult{Status: wire.StatusError})
@@ -681,12 +681,9 @@ func (c *Client) settle(b *batch, out outcome) error {
 	}
 	c.mu.Lock()
 	if c.move(b, stSettled) {
-		if !local {
-			c.outstanding -= len(b.ops)
-		}
+		c.outstanding -= len(b.ops)
 		if out.reply == nil {
-			c.abandoned += uint64(len(b.ops))
-			c.recent = append(c.recent[max(0, len(c.recent)-7):], abandonedOps{b.header.SeqStart, uint64(len(b.ops)), out.cause})
+			c.noteAbandonedLocked(b.header.SeqStart, len(b.ops), out.cause)
 		}
 		c.leaveHeadLocked(b)
 		c.recycleLocked(b)
@@ -697,18 +694,36 @@ func (c *Client) settle(b *batch, out outcome) error {
 	return out.err
 }
 
+// abandonOps tells the session the n operations issued with h are abandoned
+// for why, counts them, and returns the cause they count under: closed once
+// the client is.
+func (c *Client) abandonOps(h libdpr.BatchHeader, n int, why cause) cause {
+	if c.closed.Err() != nil {
+		why = causeClosed
+	}
+	c.session.AbandonBatch(h)
+	obs.Default.Counter("dpr_client_abandoned_ops_total",
+		"Operations whose callback received StatusError and whose fate the session records as unknown.",
+		obs.L("cause", string(why))).Add(uint64(n))
+	return why
+}
+
+// noteAbandonedLocked adds n operations from seqStart, abandoned for why, to
+// what Abandoned reports. The caller holds c.mu.
+func (c *Client) noteAbandonedLocked(seqStart uint64, n int, why cause) {
+	c.abandoned += uint64(n)
+	c.recent = append(c.recent[max(0, len(c.recent)-7):], abandonedOps{seqStart, uint64(n), why})
+}
+
 // recycleLocked puts a batch that has just settled on the free list, still
 // settled — letting go of it twice stays an illegal move — and without the
-// caller's keys, values and callbacks. The co-located operation's (part of
-// the client) is not recycled. The list never outgrows what was once out
+// caller's keys, values and callbacks. The list never outgrows what was once out
 // together, Window/BatchSize in flight and one filling per owner. The caller
 // holds c.mu.
 func (c *Client) recycleLocked(b *batch) {
-	if b != &c.localBatch {
-		clear(b.ops)
-		clear(b.cbs)
-		c.free = append(c.free, b)
-	}
+	clear(b.ops)
+	clear(b.cbs)
+	c.free = append(c.free, b)
 }
 
 // retryBadOwner bounds how often a batch is re-driven after a worker refused

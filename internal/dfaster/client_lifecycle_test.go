@@ -529,6 +529,27 @@ func TestBatchLifecycle(t *testing.T) {
 			close(open)
 			e.settled(wantOK, wantErr)
 		}},
+		{"Err after a rejection", 1, func(e *lifecycleEnv) {
+			// The cluster recovers before seq 2 executes, erasing seq 1. Once
+			// seq 2's callback has seen StatusError, the owner's Err is the
+			// SurvivalError, as FetchAdd and the queue read it there.
+			e.script(1, 2, step{then: func() {
+				wl, _ := e.meta.BeginRecovery()
+				e.meta.CompleteRecoveryFor(wl)
+			}, act: actRejected})
+			e.upsert(0)
+			e.upsert(0)
+			e.await(1)
+			var surv *core.SurvivalError
+			if err := e.c.Err(); !errors.As(err, &surv) {
+				e.t.Fatalf("Err after the rejected batch's callback = %v, want the SurvivalError", err)
+			}
+			e.c.Acknowledge()
+			if err := e.c.Err(); err != nil {
+				e.t.Fatalf("Err after Acknowledge = %v, want nil", err)
+			}
+			e.settled(wantOK, wantErr)
+		}},
 		{"a failure surfacing mid-window", 1, func(e *lifecycleEnv) {
 			// Six batches in flight; the cluster recovers before the third
 			// executes, so it and everything behind it is rejected.

@@ -312,9 +312,13 @@ func (w *Worker) Stop() {
 type kvApply struct {
 	w    *Worker
 	sess *kv.Session
-	// parts, when its length is the batch's, holds the partition of each of
-	// its keys, as the caller that routed them computed it.
+	// parts holds the partitions of the batch's first len(parts) keys, as
+	// the caller that routed them computed them.
 	parts []uint64
+	// lane is the co-located caller's, which holds sess's epoch slot for the
+	// batch (NewSessionLane): the batch moves off it before it waits on the
+	// device. Nil on a connection's.
+	lane *Lane
 }
 
 // BatchScratch is what a co-located caller holds between batches: the frame's
@@ -336,7 +340,7 @@ func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 // The reply aliases sc and is valid until the next execution with the same
 // scratch.
 func (w *Worker) ExecuteLocalScratch(sess *kv.Session, req *wire.BatchRequest, sc *BatchScratch, lane *Lane) (*wire.BatchReply, *wire.ErrorReply) {
-	sc.apply.w, sc.apply.sess = w, sess
+	sc.apply.w, sc.apply.sess, sc.apply.lane = w, sess, lane
 	return w.Execute(req, &sc.apply, &sc.frame, lane)
 }
 
@@ -349,11 +353,16 @@ func (w *Worker) ownershipMiss(req *wire.BatchRequest, i int) *wire.ErrorReply {
 }
 
 // Apply implements serve.Applier: the in-memory pass, then the operations that
-// went PENDING, settled before the reply (the batch is the wire's unit). The
-// device path allocates in kv, so it is outside the zero-allocation pass.
+// went PENDING, settled before the reply (the batch is the wire's unit). A
+// co-located batch waits for them off its kv session's slot, which the
+// store's drains would otherwise wait on too (Lane.Park). The device path
+// allocates in kv, so it is outside the zero-allocation pass.
 func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
 	if refusal := a.applyInMemory(req, results, arena); refusal != nil {
 		return refusal
+	}
+	if a.lane != nil && a.sess.Pending() {
+		a.lane.Park()
 	}
 	for _, c := range a.sess.CompletePending(true) {
 		if c.Serial < uint64(len(results)) { // the serial is the op's index
@@ -373,17 +382,15 @@ func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult,
 	// Ownership validation against the local view (§5.3). The snapshot is
 	// immutable, so no lock is taken.
 	owned := *w.ownedSnap.Load()
-	if len(a.parts) == len(req.Ops) {
-		for i, p := range a.parts {
-			if !hasBit(owned, p) {
-				return w.ownershipMiss(req, i)
-			}
+	for i := range req.Ops {
+		var p uint64
+		if i < len(a.parts) {
+			p = a.parts[i]
+		} else {
+			p = PartitionOf(req.Ops[i].Key, w.cfg.Partitions)
 		}
-	} else {
-		for i := range req.Ops {
-			if !hasBit(owned, PartitionOf(req.Ops[i].Key, w.cfg.Partitions)) {
-				return w.ownershipMiss(req, i)
-			}
+		if !hasBit(owned, p) {
+			return w.ownershipMiss(req, i)
 		}
 	}
 

@@ -474,6 +474,10 @@ func (sess *Session) deliver(c Completed) {
 	sess.mu.Unlock()
 }
 
+// Pending reports whether an operation of the session went PENDING and
+// CompletePending has not returned it yet.
+func (sess *Session) Pending() bool { return sess.unclaimed.Load() != 0 }
+
 // CompletePending returns all completions delivered so far. If wait is true
 // it first blocks until no operation remains in flight — the paper's
 // CompletePending() dependency-resolution point (§5.4). A session with no

@@ -97,8 +97,9 @@ type inbox struct {
 }
 
 // handoff is what waits for the owner: replies and abandons in arrival order
-// (their versions in one array), the newest pushed or piggybacked cut that
-// came with no generation, and the highest world-line announced.
+// (their versions in one array), the pushed and piggybacked cuts of the
+// newest world-line merged into one (keepCutLocked), and the highest
+// world-line announced.
 type handoff struct {
 	posts    []post
 	versions []core.Version
@@ -278,10 +279,13 @@ func (s *Session) Deliver(worker core.WorkerID, h BatchHeader, r BatchReply) {
 	s.in.mu.Unlock()
 }
 
-// keepCutLocked makes cut, observed on wl, the one the owner folds next,
-// unless it is empty or one from a later world-line waits: the finder's cut
-// only grows within a world-line, so the newest is all the owner needs. The
-// caller holds in.mu.
+// keepCutLocked adds cut, observed on wl, to the one the owner folds next,
+// unless it is empty or one from a later world-line waits; one from an
+// earlier world-line is dropped. On one world-line the two merge by
+// per-worker maximum: replies off different connections carry their
+// workers' views of the finder's cut, which lag by different amounts, so the
+// last posted need not be the newest, and the union of two cuts the finder
+// committed on one world-line is committed. The caller holds in.mu.
 func (s *Session) keepCutLocked(wl core.WorldLine, cut core.Cut) {
 	b := &s.in.buf
 	if len(cut) == 0 || b.hasCut && wl < b.cutWL {
@@ -290,10 +294,10 @@ func (s *Session) keepCutLocked(wl core.WorldLine, cut core.Cut) {
 	if b.cut == nil {
 		b.cut = make(core.Cut, len(cut))
 	}
-	clear(b.cut)
-	for w, v := range cut {
-		b.cut[w] = v
+	if !b.hasCut || wl > b.cutWL {
+		clear(b.cut)
 	}
+	b.cut.Merge(cut)
 	b.cutWL, b.hasCut = wl, true
 }
 

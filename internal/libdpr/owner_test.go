@@ -255,3 +255,72 @@ func TestDrainWaitsOneBatch(t *testing.T) {
 		t.Fatal("the slot is still entered after the batch's release")
 	}
 }
+
+// TestParkedBatchHoldsOffRollbackAndTake: a co-located batch that parks
+// before a device wait lets the store's drains through, while the rollback
+// fence's drain and a take of its session's gate by another lane still wait
+// for its release. Under a raised fence the batch stays on the store's slot,
+// whose table the rollback drains too.
+func TestParkedBatchHoldsOffRollbackAndTake(t *testing.T) {
+	c := newColocated(t, time.Hour)
+	h := BatchHeader{SessionID: c.s.ID(), WorldLine: c.w.WorldLine(), SeqStart: 1, NumOps: 1}
+	if _, err := c.w.AdmitBatchGuarded(h, c.lane); err != nil {
+		t.Fatal(err)
+	}
+	c.lane.Park()
+	if c.kvs.Slot().Held() {
+		t.Fatal("the parked batch still holds the kv session's slot")
+	}
+	within := func(done <-chan struct{}, d time.Duration) bool {
+		t.Helper()
+		select {
+		case <-done:
+			return true
+		case <-time.After(d):
+			return false
+		}
+	}
+	storeDrained := make(chan struct{})
+	go func() { c.store.Epochs().Drain(); close(storeDrained) }()
+	if !within(storeDrained, 5*time.Second) {
+		t.Fatal("a drain of the store's table waits on a parked batch")
+	}
+	execDrained, taken := make(chan struct{}), make(chan struct{})
+	go func() { c.w.exec.Drain(); close(execDrained) }()
+	other := c.w.NewLane()
+	defer other.Close()
+	next := BatchHeader{SessionID: c.s.ID(), WorldLine: h.WorldLine, SeqStart: 2, NumOps: 1}
+	go func() {
+		if _, err := c.w.AdmitBatchGuarded(next, other); err != nil {
+			t.Error(err)
+		}
+		close(taken)
+	}()
+	if within(execDrained, 30*time.Millisecond) {
+		t.Fatal("the rollback fence's drain ended while a parked batch executed")
+	}
+	if within(taken, 0) {
+		t.Fatal("another lane took the gate while a parked batch executed")
+	}
+	c.w.ReleaseBatch(h, c.lane, true)
+	if !within(execDrained, 5*time.Second) || !within(taken, 5*time.Second) {
+		t.Fatal("the drain or the take still waits after the parked batch's release")
+	}
+	c.w.ReleaseBatch(next, other, true)
+
+	// Under a raised fence the batch stays where the fence's drains find it.
+	third := BatchHeader{SessionID: c.s.ID(), WorldLine: h.WorldLine, SeqStart: 3, NumOps: 1}
+	if _, err := c.w.AdmitBatchGuarded(third, c.lane); err != nil {
+		t.Fatal(err)
+	}
+	c.w.rbFence.Store(uint64(h.WorldLine) + 1)
+	c.lane.Park()
+	c.w.rbFence.Store(0)
+	if !c.kvs.Slot().Held() || c.lane.parked {
+		t.Fatal("a batch parked under the rollback fence left the kv session's slot")
+	}
+	c.w.ReleaseBatch(third, c.lane, true)
+	if c.kvs.Slot().Held() {
+		t.Fatal("the slot is still entered after the batch's release")
+	}
+}

@@ -325,3 +325,25 @@ func TestNextBatchNeverCrossesUnacknowledgedFailure(t *testing.T) {
 		s.Acknowledge()
 	}
 }
+
+// TestHandOffMergesLaggingCuts: cuts that reach the hand-off on one
+// world-line between two of the owner's calls merge by per-worker maximum.
+// Replies from different workers carry cut views that lag by different
+// amounts, so one that posts last may be older than one before it; the
+// owner folds what both said.
+func TestHandOffMergesLaggingCuts(t *testing.T) {
+	s, err := libdpr.NewSession(&cutOnlyMeta{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := s.Tracker()
+	first := tr.BeginBatch(1)
+	tr.CompleteBatch(0, first, 1, []core.Version{3})
+	second := tr.BeginBatch(1)
+	tr.CompleteBatch(0, second, 2, []core.Version{5})
+	s.ObserveCut(0, core.Cut{1: 3, 2: 4}) // a fresh view of worker 1
+	s.ObserveCut(0, core.Cut{1: 2, 2: 5}) // a lagging one, fresh on worker 2
+	if p, exc := s.Committed(); p != second || len(exc) != 0 {
+		t.Fatalf("committed prefix %d, exceptions %v after the two cuts, want %d and none: what the first said of worker 1 was lost", p, exc, second)
+	}
+}

@@ -199,7 +199,8 @@ type Worker struct {
 	// execution without a shared mutex on the hot path. Every execution lane
 	// (one per serving connection/core) owns an epoch slot in exec, or is
 	// lent one in a store's table (NewLaneOn, listed in lent); a batch pins
-	// its lane's slot from guarded admission to release. rollback publishes
+	// its lane's slot from guarded admission to release, or moves to a slot
+	// of its lane's own in exec before a device wait (ExecLane.Park). rollback publishes
 	// the target world-line in rbFence and then drains exec and the lent
 	// tables:
 	// because the fence store precedes the drain's era bump and a batch
@@ -574,12 +575,20 @@ func (w *Worker) revokeLocked(g *sessionGate, wait bool) bool {
 		return true
 	}
 	g.want.Store(true)
-	if target := h.table.Bump(); !h.slot.Passed(target) {
+	target := h.table.Bump()
+	var ownTarget uint64
+	if h.own != nil { // a parked batch holds it instead (ExecLane.Park)
+		ownTarget = w.exec.Bump()
+	}
+	if !h.slot.Passed(target) || h.own != nil && !h.own.Passed(ownTarget) {
 		if !wait {
 			g.want.Store(false)
 			return false
 		}
 		h.table.WaitPassed(h.slot, target)
+		if h.own != nil {
+			w.exec.WaitPassed(h.own, ownTarget)
+		}
 	}
 	g.holder.Store(nil) // before want drops: a holder that misses want sees this
 	g.want.Store(false)
@@ -650,9 +659,11 @@ type ExecLane struct {
 	w     *Worker
 	table *epoch.Table
 	slot  *epoch.Slot
-	// lent marks a slot the lane was given (NewLaneOn): its owner
-	// unregisters it.
-	lent bool
+	// own is, on a lane lent its slot (NewLaneOn), the lane's own slot in the
+	// worker's table, where a batch waits out a device read (Park); parked
+	// says the batch in flight holds own, not slot.
+	own    *epoch.Slot
+	parked bool
 	// gate is the gate of session, the lane's last, which the lane holds
 	// until another lane or the sweep takes it: where the session's next batch
 	// finds it without the worker's map or a lock.
@@ -670,23 +681,51 @@ func (w *Worker) NewLane() *ExecLane {
 // (kv.Session.Slot). A batch the lane executes then holds that slot from
 // admission to release, and the session's operations inside it enter
 // nothing — one epoch entry per batch, not one per operation and one for the
-// batch. The rollback fence drains t too.
+// batch. The rollback fence drains t too. A batch that must wait for the
+// device moves to a slot of the lane's own first (Park).
 func (w *Worker) NewLaneOn(t *epoch.Table, slot *epoch.Slot) *ExecLane {
 	w.lentMu.Lock()
 	if !slices.Contains(w.lent, t) && t != w.exec {
 		w.lent = append(w.lent, t)
 	}
 	w.lentMu.Unlock()
-	return &ExecLane{w: w, table: t, slot: slot, lent: true}
+	return &ExecLane{w: w, table: t, slot: slot, own: w.exec.Register()}
 }
 
 // Close lets go of the lane's gate and unregisters the lane from
-// rollback-fence accounting.
+// rollback-fence accounting; a lent slot stays its owner's to unregister.
 func (l *ExecLane) Close() {
 	l.w.dropGate(l)
-	if !l.lent {
+	if l.own != nil {
+		l.w.exec.Unregister(l.own)
+	} else {
 		l.table.Unregister(l.slot)
 	}
+}
+
+// Park moves the batch in flight on a lane lent its slot (NewLaneOn) off that
+// slot and onto the lane's own, in the worker's table, before the batch waits
+// on the device (a PENDING read): the rollback fence and a take of the
+// session's gate still wait for the batch, and the lent slot's table — the
+// store's, whose drains seal versions and evict — no longer does. The own
+// slot is entered before the fence and the take are checked, both sides'
+// stores sequentially consistent, so a rollback or a take that this check
+// misses bumps the worker's table after the entry and waits for it
+// (rollback, revokeLocked); one it sees leaves the batch on the lent slot,
+// whose table they drain too. A no-op on other lanes and on a parked batch.
+// ReleaseBatch exits whichever slot holds the batch.
+func (l *ExecLane) Park() {
+	if l.own == nil || l.parked {
+		return
+	}
+	l.own.Enter()
+	if l.w.rbFence.Load() != 0 || l.gate.want.Load() {
+		l.own.Exit()
+		return
+	}
+	l.slot.Exit()
+	l.parked = true
+	return //dpr:ignore epoch-discipline the batch's pin moves from the lent slot to the lane's own; ReleaseBatch is the paired release
 }
 
 // AdmitBatchGuarded is admitBatch plus the execution guard: on success the
@@ -771,7 +810,12 @@ func (w *Worker) ReleaseBatch(h BatchHeader, lane *ExecLane, executed bool) {
 			g.next = end
 		}
 	}
-	lane.slot.Exit()
+	if lane.parked {
+		lane.own.Exit()
+		lane.parked = false
+	} else {
+		lane.slot.Exit()
+	}
 	if executed && !w.dirty.Load() && !w.dirty.Swap(true) {
 		// False→true edge: wake the pump. The channel saturates at one
 		// token, so the steady-state hot-path cost is the Load alone.

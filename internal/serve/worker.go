@@ -253,6 +253,10 @@ func (w *Worker) newLane(exec *libdpr.ExecLane) *Lane {
 	return l
 }
 
+// Park moves the batch in flight off a lent slot before it waits on the
+// device (libdpr.ExecLane.Park).
+func (l *Lane) Park() { l.exec.Park() }
+
 // Close unregisters the lane from rollback-fence accounting and leaves its
 // counts to its id.
 func (l *Lane) Close() {
