@@ -106,7 +106,10 @@ race:
 # is the only thing that rolls a worker back: internal/cluster's round tests
 # (one resumes at its ack bound past a worker that cannot restore), libdpr's
 # heal tests (a restore that fails, a second rollback into one world-line) and
-# the chaos checker's injected skipped rollback, and the session's and the
+# the chaos checker's injected skipped rollback; the metadata store's
+# recovery, ack and watch tests and its snapshots (members, owners and acks
+# read under one lock: TestRecoveryFreezesCut, TestRecoveredCutNamesEveryMember,
+# TestWaitState*, TestSnapshot*); and the session's and the
 # gate's owners beside the goroutines that hand them work (libdpr's
 # TestOwnerSession*, TestGateMoves*, TestGateSweep*, TestDrainWaitsOneBatch,
 # TestNextBatchNever*; TestTimersUnderSynchronousChannels runs the waits under
@@ -129,7 +132,7 @@ commit-path-stress:
 	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestWaitCommit|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback|TestOwnerSession|TestGateMoves|TestGateSweep|TestDrainWaitsOneBatch|TestParkedBatch|TestHandOffMerges|TestNextBatchNever|TestTimersUnderSynchronousChannels' ./internal/libdpr; \
 	run '.' ./internal/cluster; \
 	run 'TestChaosCheckerCatchesViolation$$' ./internal/chaos; \
-	run 'TestAnnouncement' ./internal/metadata; \
+	run 'TestAnnouncement|TestRecoveryFreezesCut|TestRecoveredCutNamesEveryMember|TestWaitState|TestSnapshot' ./internal/metadata; \
 	run 'TestDRedisCommit|TestDRedisVersionFastForward|TestDRedisCutAdvancePush|TestStateObjectContract|TestFailedSaveEndsTheSeal' ./internal/dredis; \
 	run 'TestConformance|TestStop|TestStateObjectContract' ./internal/serve; \
 	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestColocatedPendingRead|TestRestartedWorker' ./internal/dfaster; \

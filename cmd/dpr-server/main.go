@@ -81,7 +81,7 @@ func main() {
 	}
 	// A fresh shard claims -own; the restart path (§4.1) recovers the shard at
 	// its position in the cut the finder's recovery round froze, and takes
-	// back what the ownership stripes still assign it.
+	// back what the ownership table still assigns it.
 	var w *dfaster.Worker
 	if *recover {
 		w, err = dfaster.Restart(cfg, meta)

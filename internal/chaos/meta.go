@@ -80,11 +80,6 @@ func (h *serviceHook) RegisterWorker(w core.WorkerID, addr string) error {
 	return h.inner.RegisterWorker(w, addr)
 }
 
-func (h *serviceHook) DeregisterWorker(w core.WorkerID) error {
-	h.pause()
-	return h.inner.DeregisterWorker(w)
-}
-
 func (h *serviceHook) ReportVersion(w core.WorkerID, v core.Version, deps []core.Token) error {
 	h.pause()
 	return h.inner.ReportVersion(w, v, deps)

@@ -23,18 +23,9 @@ type ApproximateFinder struct {
 	// minimum and atMin counts the workers sitting exactly at it. A report
 	// that lifts a non-minimal worker is O(1); one that lifts the last
 	// worker off the minimum rescans once — amortized O(1) per report
-	// instead of the former O(workers) table scan, which dominated cut
-	// latency once the cluster grew to thousands of shards.
+	// instead of a table scan per report.
 	vmin  Version
 	atMin int
-	// departed maps a removed worker to its final persisted version. A
-	// worker is only deregistered once empty (its persisted prefix may
-	// still be depended on, its unpersisted suffix may not), so after
-	// removal the remaining cluster can commit tokens that depend on that
-	// prefix. The departed worker's cut position therefore keeps tracking
-	// Vmin up to this cap — otherwise the cut stops being dependency-closed
-	// the moment Vmin overtakes a departed laggard.
-	departed map[WorkerID]Version
 }
 
 // NewApproximateFinder returns an empty ApproximateFinder.
@@ -42,7 +33,6 @@ func NewApproximateFinder() *ApproximateFinder {
 	return &ApproximateFinder{
 		persisted: make(map[WorkerID]Version),
 		cut:       make(Cut),
-		departed:  make(map[WorkerID]Version),
 	}
 }
 
@@ -53,37 +43,7 @@ func (f *ApproximateFinder) AddWorker(w WorkerID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.persisted[w]; !ok {
-		// A departed cap, if any, stays: the first incarnation's persisted
-		// prefix may still be depended on, and this incarnation's row
-		// restarts at 0 — it gates Vmin again independently of the cap.
 		f.setPersistedLocked(w, 0)
-	}
-}
-
-// RemoveWorker drops w's row. With the laggard gone, Vmin — and with it
-// every remaining worker's cut position — may advance; w's own cut position
-// keeps following Vmin up to its final persisted version (see departed).
-func (f *ApproximateFinder) RemoveWorker(w WorkerID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	old, ok := f.persisted[w]
-	if !ok {
-		return
-	}
-	delete(f.persisted, w)
-	if old > f.cut[w] {
-		// Never lower an existing cap: a re-added incarnation's row restarts
-		// at 0, so a quick remove could otherwise shrink the first
-		// incarnation's still-outstanding obligation.
-		if cur, capped := f.departed[w]; !capped || old > cur {
-			f.departed[w] = old
-		}
-	}
-	if old == f.vmin {
-		f.atMin--
-		if f.atMin == 0 {
-			f.rescanMinLocked()
-		}
 	}
 }
 
@@ -132,10 +92,6 @@ func (f *ApproximateFinder) setPersistedLocked(w WorkerID, v Version) {
 // rescanMinLocked recomputes vmin/atMin with a full scan (only when the last
 // worker left the old minimum) and folds the new minimum into the cut.
 func (f *ApproximateFinder) rescanMinLocked() {
-	if len(f.persisted) == 0 {
-		f.vmin, f.atMin = 0, 0
-		return
-	}
 	vmin := Version(1<<63 - 1)
 	for _, v := range f.persisted {
 		if v < vmin {
@@ -164,18 +120,6 @@ func (f *ApproximateFinder) applyMinLocked() {
 	for w := range f.persisted {
 		if f.vmin > f.cut[w] {
 			f.cut[w] = f.vmin
-		}
-	}
-	for w, cap := range f.departed {
-		pos := f.vmin
-		if pos >= cap {
-			// The whole persisted prefix of the departed worker is now in
-			// the cut; its position is final.
-			pos = cap
-			delete(f.departed, w)
-		}
-		if pos > f.cut[w] {
-			f.cut[w] = pos
 		}
 	}
 }

@@ -18,12 +18,9 @@ type Finder interface {
 	// in §3.4), which lagging workers use to fast-forward their checkpoints.
 	MaxVersion() Version
 	// AddWorker registers a worker so the cut accounts for it. A cut never
-	// advances past a registered worker that has not reported.
+	// advances past a registered worker that has not reported. It is
+	// idempotent: a restarted worker registers its id again.
 	AddWorker(w WorkerID)
-	// RemoveWorker deregisters a worker (cluster membership change, §5.3);
-	// its reported versions remain in the cut but it no longer gates
-	// advancement.
-	RemoveWorker(w WorkerID)
 }
 
 // ExactFinder implements the exact algorithm of §3.3: it maintains the full
@@ -33,11 +30,10 @@ type Finder interface {
 //
 //dpr:ignore cut-worldline finders are world-line-local by design; metadata.Store owns the (world-line, cut) pairing and resets finders across recoveries
 type ExactFinder struct {
-	mu      sync.Mutex
-	graph   *PrecedenceGraph
-	cut     Cut
-	workers map[WorkerID]bool
-	maxV    Version
+	mu    sync.Mutex
+	graph *PrecedenceGraph
+	cut   Cut
+	maxV  Version
 	// frontier holds durable tokens not yet in the cut, per worker, in
 	// version order; the finder repeatedly tries to extend each worker's
 	// prefix. A worker with no unfolded tokens has NO entry — the advance
@@ -54,34 +50,18 @@ func NewExactFinder() *ExactFinder {
 	return &ExactFinder{
 		graph:    NewPrecedenceGraph(),
 		cut:      make(Cut),
-		workers:  make(map[WorkerID]bool),
 		frontier: make(map[WorkerID][]Token),
 		advanced: make(map[WorkerID]struct{}),
 	}
 }
 
-// AddWorker registers w.
+// AddWorker registers w at cut position 0 unless it already has one.
 func (f *ExactFinder) AddWorker(w WorkerID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.workers[w] {
-		f.workers[w] = true
-		if _, ok := f.cut[w]; !ok {
-			f.cut[w] = 0
-		}
+	if _, ok := f.cut[w]; !ok {
+		f.cut[w] = 0
 	}
-}
-
-// RemoveWorker deregisters w. The worker's reported versions remain in the
-// cut and in the graph (other workers' closures may still depend on them),
-// but its unfolded frontier is dropped: a departed worker no longer extends
-// its own prefix, and a later incarnation re-adding the same id must not be
-// blocked behind stale tokens whose dependencies will never resolve.
-func (f *ExactFinder) RemoveWorker(w WorkerID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.workers, w)
-	delete(f.frontier, w)
 }
 
 // Report records a persisted version and immediately attempts to advance the
@@ -91,7 +71,6 @@ func (f *ExactFinder) RemoveWorker(w WorkerID) {
 func (f *ExactFinder) Report(w WorkerID, v Version, deps []Token) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.workers[w] = true
 	t := Token{Worker: w, Version: v}
 	f.graph.Add(t, deps)
 	f.frontier[w] = append(f.frontier[w], t)

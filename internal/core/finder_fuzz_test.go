@@ -29,7 +29,7 @@ type finderModel struct {
 	registered map[WorkerID]bool
 	nextV      map[WorkerID]Version
 	lastV      map[WorkerID]Version // last reported (0 = none yet)
-	persisted  map[WorkerID]Version // max reported, survives remove/re-add
+	persisted  map[WorkerID]Version // max reported
 	deps       map[Token][]Token
 	crashed    bool
 
@@ -37,9 +37,9 @@ type finderModel struct {
 }
 
 // fuzzWorkers is the initial membership; maxFuzzWorkers bounds the worker
-// space so scripts can also join members 4 and 5 mid-round (elastic
-// membership: the finder must keep every invariant while AddWorker,
-// RemoveWorker, and migration handovers interleave with reports).
+// space so scripts can also join members 4 and 5 mid-round, or register a
+// member again as a restarted worker does: the finder must keep every
+// invariant while AddWorker interleaves with reports.
 const (
 	fuzzWorkers    = 3
 	maxFuzzWorkers = 5
@@ -66,27 +66,16 @@ func newFinderModel(t *testing.T) *finderModel {
 	return m
 }
 
+// addWorker registers w with every finder, again if w is a member already,
+// as a restarted worker does.
 func (m *finderModel) addWorker(w WorkerID) {
-	if m.registered[w] {
-		return
-	}
-	m.registered[w] = true
-	if m.nextV[w] == 0 {
+	if !m.registered[w] {
+		m.registered[w] = true
 		m.nextV[w] = 1
 	}
 	m.exact.AddWorker(w)
 	m.approx.AddWorker(w)
 	m.hybrid.AddWorker(w)
-}
-
-func (m *finderModel) removeWorker(w WorkerID) {
-	if !m.registered[w] {
-		return
-	}
-	m.registered[w] = false
-	m.exact.RemoveWorker(w)
-	m.approx.RemoveWorker(w)
-	m.hybrid.RemoveWorker(w)
 }
 
 // report issues the next version of w, depending on the last reported
@@ -179,11 +168,9 @@ func runFinderScript(t *testing.T, data []byte) {
 		op, arg := data[i], data[i+1]
 		w := WorkerID(arg%maxFuzzWorkers) + 1
 		switch op % 10 {
-		case 0, 1, 2, 3: // report with dep mask from the high bits
+		case 0, 1, 2, 3, 4: // report with dep mask from the high bits
 			m.report(w, arg>>3)
-		case 4: // leave
-			m.removeWorker(w)
-		case 5: // join (or re-join)
+		case 5: // join (or register again after a restart)
 			m.addWorker(w)
 		case 6:
 			m.crashExact()
@@ -191,13 +178,13 @@ func runFinderScript(t *testing.T, data []byte) {
 			for rw := WorkerID(1); rw <= maxFuzzWorkers; rw++ {
 				m.report(rw, 0)
 			}
-		case 8: // migration handover: the donor seals a boundary version and
-			// the target's import depends on it, so the moved state's
-			// recoverability hinges on both ends entering the cut.
-			donor, target := w, WorkerID((arg>>3)%maxFuzzWorkers)+1
-			if donor != target && m.registered[donor] && m.registered[target] {
-				m.report(donor, 0)
-				m.report(target, 1<<(donor-1))
+		case 8: // cross-worker edge: w reports, then dependent reports a
+			// version that depends on it, so both must enter the cut
+			// together.
+			dependent := WorkerID((arg>>3)%maxFuzzWorkers) + 1
+			if w != dependent && m.registered[w] && m.registered[dependent] {
+				m.report(w, 0)
+				m.report(dependent, 1<<(w-1))
 			}
 		case 9: // join a fresh member and let it report immediately, the
 			// dfaster join path (NewWorker registers, maintenance reports).
@@ -208,16 +195,17 @@ func runFinderScript(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzFinderCutProperties is the satellite property test: arbitrary
-// interleavings of reports, membership changes, and exact-graph crashes must
+// FuzzFinderCutProperties is the finder property test: arbitrary
+// interleavings of reports, registrations, and exact-graph crashes must
 // never produce a cut that is unsafe (non-dependency-closed or beyond
 // durability) or non-monotonic, for any of the three finders. Failing inputs
 // land in testdata/fuzz/FuzzFinderCutProperties as the regression corpus.
 func FuzzFinderCutProperties(f *testing.F) {
-	// Seeds: plain progress; cross-worker dependency chains; remove then
-	// re-add a laggard; crash mid-stream; remove a worker others depend on;
-	// join a fresh member and migrate into it; drain a member out after a
-	// handover (leave while others still depend on its boundary).
+	// Seeds: plain progress; cross-worker dependency chains; re-register a
+	// laggard; crash mid-stream; re-register a worker others depend on; join
+	// a fresh member and give it a cross-worker edge; chains of edges between
+	// members old and new. Op numbers are fixed so that these seeds and the
+	// checked-in corpus keep their meaning.
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 7, 0})
 	f.Add([]byte{0, 0, 1, 0x0A, 2, 0x31, 0, 0x19, 7, 0})
 	f.Add([]byte{0, 0, 0, 1, 4, 2, 0, 0, 0, 1, 5, 2, 0, 2, 7, 0})
@@ -230,7 +218,7 @@ func FuzzFinderCutProperties(f *testing.F) {
 
 // TestFinderScriptedRegressions replays the fuzz seeds deterministically (so
 // `go test` exercises them even without -fuzz) plus hand-written scripts for
-// the remove/re-add and crash interleavings that motivated the property
+// the re-registration and crash interleavings that motivated the property
 // test.
 func TestFinderScriptedRegressions(t *testing.T) {
 	scripts := [][]byte{
@@ -241,13 +229,11 @@ func TestFinderScriptedRegressions(t *testing.T) {
 		{0, 0, 0, 0x09, 1, 0x1A, 4, 0, 0, 0x19, 5, 0, 7, 0},
 		// Every op against every worker, twice around.
 		{0, 0, 1, 1, 2, 2, 4, 0, 5, 0, 6, 0, 7, 0, 0, 0, 1, 1, 2, 2, 4, 1, 5, 1, 7, 0},
-		// Elastic membership: worker 4 joins mid-round and receives a
-		// handover from worker 1 (target's import depends on the donor's
-		// sealed boundary).
+		// Worker 4 joins mid-round and reports a version that depends on
+		// worker 1's.
 		{9, 3, 0, 0, 8, 25, 7, 0, 0, 3},
-		// Drain: 1 hands over to 2 and leaves while 2's import still
-		// depends on 1's boundary; later 5 joins, receives from 2, and 2
-		// leaves too.
+		// 2 depends on 1, 5 joins and depends on 2, with reports (op 4)
+		// between.
 		{0, 0, 8, 10, 4, 0, 7, 0, 9, 4, 8, 36, 4, 1, 7, 0},
 	}
 	for i, s := range scripts {

@@ -210,20 +210,6 @@ func TestApproximateFinderMin(t *testing.T) {
 	}
 }
 
-func TestApproximateRemoveWorkerUnblocks(t *testing.T) {
-	f := NewApproximateFinder()
-	f.AddWorker(1)
-	f.AddWorker(2)
-	f.Report(1, 7, nil)
-	if f.CurrentCut().Get(1) != 0 {
-		t.Fatal("worker 2 should pin the cut")
-	}
-	f.RemoveWorker(2)
-	if f.CurrentCut().Get(1) != 7 {
-		t.Fatalf("removing the lagging worker should unblock: %v", f.CurrentCut())
-	}
-}
-
 func TestHybridFinderCrashRecovery(t *testing.T) {
 	const A, B = 1, 2
 	f := NewHybridFinder()
@@ -381,6 +367,122 @@ func TestApproximateConservativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// finderUnderTest adapts the three finders to one test table.
+type finderUnderTest struct {
+	name string
+	mk   func() Finder
+}
+
+func findersUnderTest() []finderUnderTest {
+	return []finderUnderTest{
+		{"exact", func() Finder { return NewExactFinder() }},
+		{"approximate", func() Finder { return NewApproximateFinder() }},
+		{"hybrid", func() Finder { return NewHybridFinder() }},
+	}
+}
+
+// TestReAddGatesCut: a restarted worker registers its id again. That second
+// AddWorker changes nothing: the worker keeps gating the cut at its persisted
+// prefix until it reports again, and then the cut advances.
+func TestReAddGatesCut(t *testing.T) {
+	for _, fut := range findersUnderTest() {
+		t.Run(fut.name, func(t *testing.T) {
+			f := fut.mk()
+			f.AddWorker(1)
+			f.AddWorker(2)
+			f.Report(1, 3, nil)
+			f.Report(2, 3, nil)
+			f.AddWorker(2) // restarted, nothing reported yet
+			f.Report(1, 9, nil)
+			cut := f.CurrentCut()
+			if got := cut.Get(2); got != 3 {
+				t.Fatalf("cut %v: re-registered silent worker at %d, want its persisted prefix 3", cut, got)
+			}
+			f.Report(2, 9, nil)
+			f.Report(1, 10, nil)
+			f.Report(2, 10, nil)
+			cut = f.CurrentCut()
+			if cut.Get(1) < 9 || cut.Get(2) < 9 {
+				t.Fatalf("cut %v stuck after the re-registered worker resumed reporting", cut)
+			}
+		})
+	}
+}
+
+// TestReAddBlockedPrefixResolves: re-registering a worker must not drop the
+// exact finder's graph state for it. Worker 2 persists (2,4) depending on the
+// not-yet-persisted (3,4); after it registers again, its (2,5) stays gated
+// (its prefix includes (2,4), whose dependency is unresolved) without stalling
+// anyone else, and folds the moment (3,4) lands.
+func TestReAddBlockedPrefixResolves(t *testing.T) {
+	f := NewExactFinder()
+	for w := WorkerID(1); w <= 3; w++ {
+		f.AddWorker(w)
+	}
+	f.Report(1, 1, nil)
+	f.Report(2, 1, nil)
+	f.Report(3, 1, nil)
+	// (2,4) depends on (3,4), which has not been reported yet.
+	f.Report(2, 4, []Token{{Worker: 3, Version: 4}})
+	f.AddWorker(2)
+	f.Report(2, 5, nil)
+	cut := f.CurrentCut()
+	if got := cut.Get(2); got != 1 {
+		t.Fatalf("cut[2]=%d, want 1: (2,5)'s prefix contains (2,4), whose dependency (3,4) is not durable", got)
+	}
+	// The blocked worker must not gate anyone else.
+	f.Report(1, 2, nil)
+	if got := f.CurrentCut().Get(1); got != 2 {
+		t.Fatalf("cut[1]=%d, want 2: blocked worker stalled an unrelated worker", got)
+	}
+	// Once the missing dependency persists, the whole chain folds.
+	f.Report(3, 4, nil)
+	cut = f.CurrentCut()
+	if got := cut.Get(2); got != 5 {
+		t.Fatalf("cut[2]=%d, want 5 after (3,4) persisted", got)
+	}
+	if got := cut.Get(3); got != 4 {
+		t.Fatalf("cut[3]=%d, want 4", got)
+	}
+}
+
+// TestExactGraphSizeBounded: under steady reporting with cross-worker
+// dependencies the precedence graph must stay bounded by the uncommitted
+// frontier — incremental pruning reclaims every token the advancing cut
+// covers. Without it the graph grows O(total history) and cut computation
+// with it.
+func TestExactGraphSizeBounded(t *testing.T) {
+	const workers = 8
+	f := NewExactFinder()
+	for w := WorkerID(1); w <= workers; w++ {
+		f.AddWorker(w)
+	}
+	maxSize := 0
+	for v := Version(1); v <= 2000; v++ {
+		for w := WorkerID(1); w <= workers; w++ {
+			var deps []Token
+			if v > 1 {
+				// One cross-worker edge per version.
+				next := w%workers + 1
+				deps = []Token{{Worker: next, Version: v - 1}}
+			}
+			f.Report(w, v, deps)
+		}
+		if s := f.GraphSize(); s > maxSize {
+			maxSize = s
+		}
+	}
+	// The frontier is at most ~one version per worker plus the in-flight
+	// round; 4 versions per worker of slack is generous.
+	if limit := workers * 4; maxSize > limit {
+		t.Fatalf("graph peaked at %d tokens over 2000 rounds, want <= %d (O(frontier), not O(history))",
+			maxSize, limit)
+	}
+	if got := f.CurrentCut().Get(1); got < 1999 {
+		t.Fatalf("cut stalled at %d; boundedness must not come from refusing to fold", got)
 	}
 }
 

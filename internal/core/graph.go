@@ -70,8 +70,9 @@ func (g *PrecedenceGraph) Add(t Token, ds []Token) {
 		g.maxSeen[t.Worker] = t.Version
 		g.byWorker[t.Worker] = append(g.byWorker[t.Worker], t.Version)
 	} else {
-		// Out-of-order insert (violates the Finder contract, but tests and
-		// re-added workers may replay old versions): keep the list sorted.
+		// Out-of-order insert: a worker that rolled back reports versions
+		// at or below ones it reported before the failure (the chaos
+		// sweep's exact-finder seeds reach this). Keep the list sorted.
 		vs := g.byWorker[t.Worker]
 		i := sort.Search(len(vs), func(i int) bool { return vs[i] >= t.Version })
 		if i == len(vs) || vs[i] != t.Version {

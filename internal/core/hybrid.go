@@ -20,9 +20,8 @@ type HybridFinder struct {
 	mu     sync.Mutex
 	exact  *ExactFinder
 	approx *ApproximateFinder
-	// lostBelow is nonzero after a crash: exact reports for versions whose
-	// dependencies may reach below this version are unusable until the
-	// approximate cut passes it.
+	// cut is the merge of both components' cuts, refreshed in place on every
+	// report.
 	cut Cut
 }
 
@@ -44,18 +43,6 @@ func (f *HybridFinder) AddWorker(w WorkerID) {
 	if _, ok := f.cut[w]; !ok {
 		f.cut[w] = 0
 	}
-}
-
-// RemoveWorker deregisters w from both components. Removing a laggard can
-// advance the approximate component's Vmin, so the merged cut is refreshed
-// immediately rather than waiting for the next report.
-func (f *HybridFinder) RemoveWorker(w WorkerID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.exact.RemoveWorker(w)
-	f.approx.RemoveWorker(w)
-	f.exact.MergeCutInto(f.cut)
-	f.approx.MergeCutInto(f.cut)
 }
 
 // Report feeds both components and refreshes the merged cut. The components

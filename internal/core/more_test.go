@@ -13,11 +13,10 @@ func TestHybridFinderWorkers(t *testing.T) {
 	if f.MaxVersion() != 1 {
 		t.Fatalf("vmax %d", f.MaxVersion())
 	}
-	f.RemoveWorker(2)
+	f.Report(2, 1, nil)
 	f.Report(1, 2, nil)
-	deadlineCut := f.CurrentCut()
-	if deadlineCut.Get(1) != 2 {
-		t.Fatalf("cut after removal: %v", deadlineCut)
+	if cut := f.CurrentCut(); cut.Get(1) != 2 || cut.Get(2) != 1 {
+		t.Fatalf("cut after both workers reported: %v", cut)
 	}
 	if f.ExactGraphSize() != 0 {
 		t.Fatalf("graph should be pruned to cut, size %d", f.ExactGraphSize())

@@ -367,10 +367,10 @@ func (m *probedMeta) OwnerOf(p uint64) (core.WorkerID, error) {
 }
 
 // TestRestartedWorkerOwnsItsStripesBeforeItAccepts: a restarted worker never
-// refuses a partition the stripes assign it. A session's batch sent to it as
-// soon as it has registered its address, while it reads the stripes, must be
-// served once the worker accepts it — never answered BadOwner, which a later
-// batch of the same session could overtake once the ownership lands.
+// refuses a partition the ownership table assigns it. A session's batch sent
+// to it as soon as it has registered its address, while it reads the table,
+// must be served once the worker accepts it — never answered BadOwner, which a
+// later batch of the same session could overtake once the ownership lands.
 func TestRestartedWorkerOwnsItsStripesBeforeItAccepts(t *testing.T) {
 	t.Cleanup(func() { leakcheck.Check(t) }) // registered first: runs after every other teardown
 	tc := newTestCluster(t, 2, 5*time.Millisecond)
@@ -386,7 +386,7 @@ func TestRestartedWorkerOwnsItsStripesBeforeItAccepts(t *testing.T) {
 	meta := &probedMeta{Store: tc.meta, probe: func() {
 		// The worker has registered its new address: the client dials it and
 		// sends at once. Wait for the answer while the worker reads the
-		// stripes, or until it could not come before the worker accepts.
+		// ownership table, or until it could not come before the worker accepts.
 		if err := c.Upsert(keyIn(0), []byte("v"), func(r wire.OpResult) {
 			status.Store(int32(r.Status))
 			close(done)
@@ -415,6 +415,6 @@ func TestRestartedWorkerOwnsItsStripesBeforeItAccepts(t *testing.T) {
 		t.Errorf("the restarted worker refused %d batches as not owned, want 0", n)
 	}
 	if got := len(w.OwnedPartitions()); got != testPartitions/2 {
-		t.Errorf("restarted worker owns %d partitions, want the %d its stripes name", got, testPartitions/2)
+		t.Errorf("restarted worker owns %d partitions, want the %d the table names", got, testPartitions/2)
 	}
 }

@@ -94,10 +94,10 @@ func NewWorker(cfg WorkerConfig, meta metadata.Service) (*Worker, error) {
 
 // AdoptWorker builds a worker around an existing FasterKV instance — the
 // restart path, where the store was reconstructed with kv.Recover before the
-// worker rejoins the cluster. The worker owns what the ownership stripes
-// assign it before its listener accepts (a fresh store's worker: nothing,
+// worker rejoins the cluster. The worker owns what the ownership table
+// assigns it before its listener accepts (a fresh store's worker: nothing,
 // until it claims), so a session that metadata routes here is never refused
-// for a partition the stripes name: a refused batch could otherwise be
+// for a partition the table names: a refused batch could otherwise be
 // overtaken by a later batch of its session, admitted once the claim landed.
 func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Worker, error) {
 	if cfg.Partitions <= 0 {
@@ -142,7 +142,7 @@ func AdoptWorker(cfg WorkerConfig, store *kv.Store, meta metadata.Service) (*Wor
 // Restart brings a failed worker back (paper §4.1), the one restart every
 // deployment uses: it recovers the store from cfg.Device at the worker's
 // position in the cut the current world-line was recovered to and adopts it,
-// serving what the ownership stripes assign the worker. The worker acks the
+// serving what the ownership table assigns the worker. The worker acks the
 // world-line it starts on as it registers. A device that cannot be read is an
 // error, so the caller may retry; nothing is left running then. Call it once
 // the recovery round for the worker's failure has begun: before that, the

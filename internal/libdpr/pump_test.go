@@ -55,6 +55,9 @@ type timedStore struct {
 type sealSpan struct {
 	v          core.Version
 	start, end time.Time
+	// forced: a BeginCommit started the seal, itself or as the follow-up of
+	// one that found a seal running; otherwise the pump's BeginCommitIdle did.
+	forced bool
 }
 
 func newTimedStore(commit time.Duration) *timedStore {
@@ -79,7 +82,7 @@ func (s *timedStore) BeginCommit(v core.Version) error {
 		s.next = max(s.next, v)
 		return nil
 	}
-	s.seal(v)
+	s.seal(v, true)
 	return nil
 }
 
@@ -89,12 +92,12 @@ func (s *timedStore) BeginCommitIdle(v, persisted core.Version) (bool, error) {
 	if s.running || s.PersistedVersion() != persisted {
 		return false, nil
 	}
-	s.seal(v)
+	s.seal(v, false)
 	return true, nil
 }
 
 // seal starts the seal of v, with mu held.
-func (s *timedStore) seal(v core.Version) {
+func (s *timedStore) seal(v core.Version, forced bool) {
 	s.running = true
 	s.current.Store(uint64(v) + 1)
 	start := time.Now()
@@ -103,7 +106,7 @@ func (s *timedStore) seal(v core.Version) {
 		s.mu.Lock()
 		end, ok := time.Now(), s.silent.Add(-1) < 0
 		if ok {
-			s.seals = append(s.seals, sealSpan{v, start, end})
+			s.seals = append(s.seals, sealSpan{v, start, end, forced})
 			s.persisted.Store(uint64(v))
 		}
 		s.mu.Unlock()
@@ -118,7 +121,7 @@ func (s *timedStore) seal(v core.Version) {
 		next := s.next
 		s.running, s.next = false, 0
 		if next > v {
-			s.seal(next)
+			s.seal(next, true)
 		}
 		s.mu.Unlock()
 		s.landed.Broadcast() // the worker hears first, as from a device

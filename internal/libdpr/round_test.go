@@ -221,7 +221,6 @@ func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 		defer close(done)
 		r.keepDirty(t, 450*time.Millisecond)
 	}()
-	forced := make(map[core.Version]bool)
 	for i := 0; i < 12; i++ {
 		// 7 ms into a 12 ms cycle, and drifting: the forced seals land all over
 		// the pump's gap.
@@ -231,15 +230,18 @@ func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.so.awaitPersisted(boundary)
-		forced[boundary] = true
 	}
 	<-done
+	// The store tags each seal with what started it; boundary does not say.
+	// The pump may seal boundary between the read above and TriggerCommit,
+	// whose seal is then boundary+1, right behind it. The red's class: the
+	// test named the pump's seal forced and the forced one the pump's.
 	seals, _ := r.so.spans()
 	inGap := 0
 	for i := 1; i < len(seals); i++ {
 		took := seals[i-1].end.Sub(seals[i-1].start)
 		gap := seals[i].start.Sub(seals[i-1].end)
-		if forced[seals[i].v] {
+		if seals[i].forced {
 			if gap < libdpr.PumpGapSeals*took {
 				inGap++
 			}
@@ -247,7 +249,7 @@ func TestPumpDeadlineFollowsAForcedSeal(t *testing.T) {
 		}
 		if gap < libdpr.PumpGapSeals*took {
 			t.Fatalf("the pump sealed version %d only %v after a seal that took %v (forced: %v), want %d times that",
-				seals[i].v, gap, took, forced[seals[i-1].v], libdpr.PumpGapSeals)
+				seals[i].v, gap, took, seals[i-1].forced, libdpr.PumpGapSeals)
 		}
 	}
 	if inGap < 3 {

@@ -1030,8 +1030,8 @@ func (w *Worker) rollback(wl core.WorldLine, cut core.Cut) error {
 	return nil
 }
 
-// Stop halts background maintenance and deregisters nothing (membership is
-// durable; workers that leave for good call Deregister separately).
+// Stop halts background maintenance and leaves the worker's membership as it
+// is: membership is durable, and a restarted worker registers its id again.
 func (w *Worker) Stop() {
 	w.stopOnce.Do(func() { close(w.stop) })
 	w.wg.Wait()

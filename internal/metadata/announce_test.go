@@ -97,7 +97,7 @@ func TestAnnouncementDoesNotCrossWorldLines(t *testing.T) {
 	s.CompleteRecoveryFor(wl)
 
 	s.Sync()
-	_, snapCut, _, _, err := LoadSnapshot(dev, "")
+	_, snapCut, _, _, err := LoadSnapshot(dev)
 	if err != nil {
 		t.Fatal(err)
 	}

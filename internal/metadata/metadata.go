@@ -10,10 +10,9 @@
 // report checkpoints and poll the cut from background threads, exactly as in
 // the paper.
 //
-// Internally the store is sharded so the tables do not serialize on one
-// lock: membership and ownership live in independent lock stripes, finder
-// mutation is serialized by a dedicated state mutex, and State() readers
-// consume an immutable published snapshot without taking any mutating lock.
+// One mutex guards the tables — finder, world-lines, acks, membership and
+// ownership — so a snapshot is one consistent state; State() readers consume
+// an immutable published view without taking it.
 package metadata
 
 import (
@@ -21,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,13 +32,12 @@ import (
 )
 
 // Service is the interface workers and clients use to talk to the metadata
-// store; it is implemented in-process by *Store and over the network by the
-// finder client in package wire.
+// store; it is implemented in-process by *Store and over the network by
+// *RPCClient.
 type Service interface {
-	// RegisterWorker adds a worker to the cluster (a row in the DPR table).
+	// RegisterWorker adds a worker to the cluster (a row in the DPR table). A
+	// restarted worker registers its id again, at its new address.
 	RegisterWorker(w core.WorkerID, addr string) error
-	// DeregisterWorker removes an (empty) worker.
-	DeregisterWorker(w core.WorkerID) error
 	// ReportVersion records that worker w persisted version v with deps. It
 	// refuses the report while w has not acked the current world-line: what a
 	// worker persists before it rolls back is erased by that rollback, and
@@ -74,9 +73,9 @@ type Service interface {
 }
 
 // ElasticService is Service under the name the benchmark module's metadata
-// decorator still embeds; membership changes only through RegisterWorker and
-// DeregisterWorker. The alias goes when the benchmark drives the cluster
-// through what the product exports (ROADMAP item 4).
+// decorator still embeds; membership changes only through RegisterWorker. The
+// alias goes when the benchmark drives the cluster through what the product
+// exports (ROADMAP item 4).
 type ElasticService = Service
 
 // FinderKind selects the cut-finding algorithm (§3.3-3.4).
@@ -124,31 +123,15 @@ type Config struct {
 	// AccessLatency is injected into every call, simulating the round trip
 	// to a remote metadata database. 0 disables injection.
 	AccessLatency time.Duration
-	// Device, if set, receives durable snapshots of the metadata tables.
+	// Device, if set, receives durable snapshots of the metadata tables, in
+	// the blob snapshotBlob.
 	Device storage.Device
-	// Blob names the metadata blob on the device (default "dpr-metadata").
-	Blob string
 	// Obs selects the metrics registry (nil: obs.Default).
 	Obs *obs.Registry
 }
 
-// Stripe counts. Membership is keyed by worker id (sequential small ints, so
-// modulo spreads them round-robin); ownership by virtual partition, of which
-// there are typically thousands.
-const (
-	memberStripes = 16
-	ownerStripes  = 64
-)
-
-type memberStripe struct {
-	mu sync.Mutex
-	m  map[core.WorkerID]string
-}
-
-type ownerStripe struct {
-	mu sync.Mutex
-	m  map[uint64]core.WorkerID
-}
+// snapshotBlob names the metadata snapshot on the device.
+const snapshotBlob = "dpr-metadata"
 
 // stateView is an immutable snapshot of the cut-bearing state. It is built
 // under stateMu and published whole through an atomic pointer, so State()
@@ -169,8 +152,8 @@ type Store struct {
 	cfg    Config
 	finder core.Finder
 
-	// stateMu serializes finder mutation and the recovery registry. It is
-	// never held across device I/O and never nested with stripe locks.
+	// stateMu guards the finder and the tables from worldLine to owners. It
+	// is never held across device I/O.
 	stateMu   sync.Mutex
 	worldLine core.WorldLine
 	// frozen pins the cut during failure recovery (§4.1: the cluster
@@ -187,6 +170,10 @@ type Store struct {
 	// yet. It belongs to a world-line: BeginRecovery clears it, and it is
 	// never written into the snapshot.
 	closing core.Version
+	// members maps each registered worker to its address; owners maps each
+	// virtual partition to its worker.
+	members map[core.WorkerID]string
+	owners  map[uint64]core.WorkerID
 
 	// gen counts cut-affecting mutations (bumped under stateMu); state is
 	// the latest published view. Readers that observe view.gen == gen are
@@ -202,10 +189,6 @@ type Store struct {
 	// more than the workers polling one store here.
 	legs chan *time.Timer
 
-	members     [memberStripes]memberStripe
-	memberCount atomic.Int64
-	owners      [ownerStripes]ownerStripe
-
 	// Snapshot persistence is serialized by a single flusher so snapshots
 	// land on the device in order; persist only marks dirty.
 	flushMu  sync.Mutex
@@ -216,26 +199,20 @@ type Store struct {
 	trace       *obs.Trace
 	recoveriesC *obs.Counter
 	reportsC    *obs.Counter
+	snapErrorsC *obs.Counter
 }
 
 // NewStore builds a metadata store.
 func NewStore(cfg Config) *Store {
-	if cfg.Blob == "" {
-		cfg.Blob = "dpr-metadata"
-	}
 	s := &Store{
 		cfg:       cfg,
 		finder:    NewFinder(cfg.Finder),
 		recovered: make(map[core.WorldLine]core.Cut),
 		acked:     make(map[core.WorkerID]core.WorldLine),
+		members:   make(map[core.WorkerID]string),
+		owners:    make(map[uint64]core.WorkerID),
 		watch:     make(chan struct{}),
 		legs:      make(chan *time.Timer, 64),
-	}
-	for i := range s.members {
-		s.members[i].m = make(map[core.WorkerID]string)
-	}
-	for i := range s.owners {
-		s.owners[i].m = make(map[uint64]core.WorkerID)
 	}
 	s.registerObs()
 	return s
@@ -268,25 +245,32 @@ func (s *Store) registerObs() {
 		})
 	reg.GaugeFunc("dpr_finder_workers",
 		"Registered cluster members.",
-		func() float64 { return float64(s.memberCount.Load()) })
+		func() float64 {
+			s.stateMu.Lock()
+			defer s.stateMu.Unlock()
+			return float64(len(s.members))
+		})
 	s.recoveriesC = reg.Counter("dpr_finder_recoveries_total",
 		"Recovery rounds begun (world-line bumps).")
 	s.reportsC = reg.Counter("dpr_finder_version_reports_total",
 		"Persisted-version reports received from workers.")
+	s.snapErrorsC = reg.Counter("dpr_finder_snapshot_write_errors_total",
+		"Metadata snapshot writes the device failed.")
 }
 
 // DebugState assembles the finder's /debug/dpr snapshot.
 func (s *Store) DebugState() obs.DPRState {
 	v := s.view()
-	members := make(map[string]string, s.memberCount.Load())
-	for i := range s.members {
-		st := &s.members[i]
-		st.mu.Lock()
-		for w, a := range st.m {
-			members[strconv.FormatUint(uint64(w), 10)] = a
-		}
-		st.mu.Unlock()
+	s.stateMu.Lock()
+	members := make(map[string]string, len(s.members))
+	for w, a := range s.members {
+		members[strconv.FormatUint(uint64(w), 10)] = a
 	}
+	owners := make(map[string]uint64, len(s.owners))
+	for p, w := range s.owners {
+		owners[strconv.FormatUint(p, 10)] = uint64(w)
+	}
+	s.stateMu.Unlock()
 	var max core.Version
 	cutJSON := make(map[string]uint64, len(v.cut))
 	for w, ver := range v.cut {
@@ -294,15 +278,6 @@ func (s *Store) DebugState() obs.DPRState {
 			max = ver
 		}
 		cutJSON[strconv.FormatUint(uint64(w), 10)] = uint64(ver)
-	}
-	owners := make(map[string]uint64)
-	for i := range s.owners {
-		st := &s.owners[i]
-		st.mu.Lock()
-		for p, w := range st.m {
-			owners[strconv.FormatUint(p, 10)] = uint64(w)
-		}
-		st.mu.Unlock()
 	}
 	return obs.DPRState{
 		Kind:      "finder",
@@ -323,22 +298,6 @@ func (s *Store) simulateLatency() {
 	if s.cfg.AccessLatency > 0 {
 		time.Sleep(s.cfg.AccessLatency)
 	}
-}
-
-func (s *Store) memberStripe(w core.WorkerID) *memberStripe {
-	return &s.members[uint64(w)%memberStripes]
-}
-
-func (s *Store) ownerStripe(p uint64) *ownerStripe {
-	return &s.owners[p%ownerStripes]
-}
-
-func (s *Store) hasMember(w core.WorkerID) bool {
-	st := s.memberStripe(w)
-	st.mu.Lock()
-	_, ok := st.m[w]
-	st.mu.Unlock()
-	return ok
 }
 
 // bumpLocked advances the mutation generation and wakes every parked
@@ -438,14 +397,8 @@ func (s *Store) publishLocked() *stateView {
 // RegisterWorker implements Service.
 func (s *Store) RegisterWorker(w core.WorkerID, addr string) error {
 	s.simulateLatency()
-	st := s.memberStripe(w)
-	st.mu.Lock()
-	if _, ok := st.m[w]; !ok {
-		s.memberCount.Add(1)
-	}
-	st.m[w] = addr
-	st.mu.Unlock()
 	s.stateMu.Lock()
+	s.members[w] = addr
 	s.finder.AddWorker(w)
 	s.bumpLocked()
 	s.stateMu.Unlock()
@@ -453,57 +406,14 @@ func (s *Store) RegisterWorker(w core.WorkerID, addr string) error {
 	return nil
 }
 
-// DeregisterWorker implements Service. A worker may only leave once every
-// ownership stripe has been re-pointed: dropping the member row first would
-// let a racing OwnerOf resolve a partition to a worker that no longer
-// exists, and the session would route a batch into the void. The check and
-// the member-row drop are not one atomic step, but ownership moves only
-// toward live members (SetOwner), so once the stripes are clear of w they
-// stay clear.
-func (s *Store) DeregisterWorker(w core.WorkerID) error {
-	s.simulateLatency()
-	if p, owned := s.ownedPartition(w); owned {
-		return fmt.Errorf("metadata: worker %d still owns partition %d; reassign it before leaving", w, p)
-	}
-	st := s.memberStripe(w)
-	st.mu.Lock()
-	if _, ok := st.m[w]; ok {
-		s.memberCount.Add(-1)
-	}
-	delete(st.m, w)
-	st.mu.Unlock()
-	s.stateMu.Lock()
-	s.finder.RemoveWorker(w)
-	s.bumpLocked()
-	s.stateMu.Unlock()
-	s.persist()
-	return nil
-}
-
-// ownedPartition scans the ownership stripes for a partition still pointing
-// at w, returning the first hit.
-func (s *Store) ownedPartition(w core.WorkerID) (uint64, bool) {
-	for i := range s.owners {
-		st := &s.owners[i]
-		st.mu.Lock()
-		for p, owner := range st.m {
-			if owner == w {
-				st.mu.Unlock()
-				return p, true
-			}
-		}
-		st.mu.Unlock()
-	}
-	return 0, false
-}
-
 // ReportVersion implements Service.
 func (s *Store) ReportVersion(w core.WorkerID, v core.Version, deps []core.Token) error {
 	s.simulateLatency()
-	if !s.hasMember(w) {
+	s.stateMu.Lock()
+	if _, ok := s.members[w]; !ok {
+		s.stateMu.Unlock()
 		return fmt.Errorf("metadata: unknown worker %d", w)
 	}
-	s.stateMu.Lock()
 	if s.acked[w] < s.worldLine {
 		wl := s.worldLine
 		s.stateMu.Unlock()
@@ -530,39 +440,17 @@ func (s *Store) State() (core.Cut, core.Version, core.WorldLine, error) {
 // Members implements Service.
 func (s *Store) Members() (map[core.WorkerID]string, error) {
 	s.simulateLatency()
-	out := make(map[core.WorkerID]string, s.memberCount.Load())
-	for i := range s.members {
-		st := &s.members[i]
-		st.mu.Lock()
-		for w, a := range st.m {
-			out[w] = a
-		}
-		st.mu.Unlock()
-	}
-	return out, nil
-}
-
-// memberIDs gathers the registered worker ids across stripes.
-func (s *Store) memberIDs() []core.WorkerID {
-	ids := make([]core.WorkerID, 0, s.memberCount.Load())
-	for i := range s.members {
-		st := &s.members[i]
-		st.mu.Lock()
-		for w := range st.m {
-			ids = append(ids, w)
-		}
-		st.mu.Unlock()
-	}
-	return ids
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	return maps.Clone(s.members), nil
 }
 
 // OwnerOf implements Service.
 func (s *Store) OwnerOf(partition uint64) (core.WorkerID, error) {
 	s.simulateLatency()
-	st := s.ownerStripe(partition)
-	st.mu.Lock()
-	w, ok := st.m[partition]
-	st.mu.Unlock()
+	s.stateMu.Lock()
+	w, ok := s.owners[partition]
+	s.stateMu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("metadata: partition %d unowned", partition)
 	}
@@ -572,10 +460,9 @@ func (s *Store) OwnerOf(partition uint64) (core.WorkerID, error) {
 // SetOwner implements Service.
 func (s *Store) SetOwner(partition uint64, w core.WorkerID) error {
 	s.simulateLatency()
-	st := s.ownerStripe(partition)
-	st.mu.Lock()
-	st.m[partition] = w
-	st.mu.Unlock()
+	s.stateMu.Lock()
+	s.owners[partition] = w
+	s.stateMu.Unlock()
 	s.persist()
 	return nil
 }
@@ -609,12 +496,9 @@ func (s *Store) AckWorldLine(w core.WorkerID, wl core.WorldLine) error {
 // bumps the generation: the second worker to close a version wakes nobody.
 func (s *Store) AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Version) {
 	s.simulateLatency()
-	if !s.hasMember(w) {
-		return
-	}
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	if wl != s.worldLine || v <= s.closing || v <= s.finder.MaxVersion() {
+	if _, ok := s.members[w]; !ok || wl != s.worldLine || v <= s.closing || v <= s.finder.MaxVersion() {
 		return
 	}
 	s.closing = v
@@ -624,7 +508,7 @@ func (s *Store) AnnounceCommit(w core.WorkerID, wl core.WorldLine, v core.Versio
 // AwaitAcks parks until every registered member outside down has confirmed
 // its rollback into world-line wl, or a newer round has taken over (its own
 // wait governs then), and reports false if timeout ran out first. It waits on
-// the generation: acks, departures and new rounds all advance it.
+// the generation: acks, registrations and new rounds all advance it.
 func (s *Store) AwaitAcks(wl core.WorldLine, down map[core.WorkerID]bool, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -641,13 +525,12 @@ func (s *Store) AwaitAcks(wl core.WorldLine, down map[core.WorkerID]bool, timeou
 }
 
 func (s *Store) ackedAll(wl core.WorldLine, down map[core.WorkerID]bool) bool {
-	ids := s.memberIDs()
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if s.worldLine != wl {
 		return true
 	}
-	for _, w := range ids {
+	for w := range s.members {
 		if !down[w] && s.acked[w] < wl {
 			return false
 		}
@@ -663,7 +546,6 @@ func (s *Store) ackedAll(wl core.WorldLine, down map[core.WorkerID]bool) bool {
 // recovery cut (no operations committed in between).
 func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 	s.simulateLatency()
-	members := s.memberIDs()
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if !s.frozen {
@@ -674,7 +556,7 @@ func (s *Store) BeginRecovery() (core.WorldLine, core.Cut) {
 		// later ones (core.Cut.Lower), which reads an absent worker as one that
 		// did not exist then, and a later cut would re-cover what this round
 		// erased on it.
-		for _, w := range members {
+		for w := range s.members {
 			if _, ok := s.frozenCut[w]; !ok {
 				s.frozenCut[w] = 0
 			}
@@ -757,7 +639,12 @@ func (s *Store) flushLoop() {
 		s.flushMu.Unlock()
 		data := s.encodeSnapshot()
 		ch := make(chan struct{})
-		s.cfg.Device.WriteAsync(s.cfg.Blob, 0, data, func(error) { close(ch) })
+		s.cfg.Device.WriteAsync(snapshotBlob, 0, data, func(err error) {
+			if err != nil {
+				s.snapErrorsC.Inc()
+			}
+			close(ch)
+		})
 		<-ch
 	}
 }
@@ -766,35 +653,27 @@ func (s *Store) flushLoop() {
 // orderly shutdown).
 func (s *Store) Sync() { s.flushWG.Wait() }
 
-// encodeSnapshot serializes the tables. Each table is internally consistent
-// (gathered under its own lock); the snapshot as a whole is fuzzy across
-// tables, which is safe because a racing mutation re-marks dirty and the
-// flusher writes again.
+// encodeSnapshot serializes the tables. They are copied in one critical
+// section, so the snapshot is one state of the store: an owner or cut position
+// set after its worker registered never lands beside a member table without
+// that worker. The bytes are encoded after unlocking.
 func (s *Store) encodeSnapshot() []byte {
+	s.stateMu.Lock()
+	wl := s.worldLine
+	cut := s.finder.CurrentCut()
+	members, owners := maps.Clone(s.members), maps.Clone(s.owners)
+	s.stateMu.Unlock()
 	var buf bytes.Buffer
 	put := func(x uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], x)
 		buf.Write(b[:])
 	}
-	s.stateMu.Lock()
-	wl := s.worldLine
-	cut := s.finder.CurrentCut()
-	s.stateMu.Unlock()
 	put(uint64(wl))
 	put(uint64(len(cut)))
 	for w, v := range cut {
 		put(uint64(w))
 		put(uint64(v))
-	}
-	members := make(map[core.WorkerID]string, s.memberCount.Load())
-	for i := range s.members {
-		st := &s.members[i]
-		st.mu.Lock()
-		for w, a := range st.m {
-			members[w] = a
-		}
-		st.mu.Unlock()
 	}
 	put(uint64(len(members)))
 	for w, addr := range members {
@@ -802,39 +681,22 @@ func (s *Store) encodeSnapshot() []byte {
 		put(uint64(len(addr)))
 		buf.WriteString(addr)
 	}
-	var parts int
-	for i := range s.owners {
-		st := &s.owners[i]
-		st.mu.Lock()
-		parts += len(st.m)
-		st.mu.Unlock()
+	put(uint64(len(owners)))
+	for p, w := range owners {
+		put(p)
+		put(uint64(w))
 	}
-	put(uint64(parts))
-	for i := range s.owners {
-		st := &s.owners[i]
-		st.mu.Lock()
-		for p, w := range st.m {
-			put(p)
-			put(uint64(w))
-		}
-		st.mu.Unlock()
-	}
-	data := make([]byte, buf.Len())
-	copy(data, buf.Bytes())
-	return data
+	return buf.Bytes()
 }
 
 // LoadSnapshot reads back a persisted metadata snapshot (restart path).
 // Returns the world-line, last durable cut, members, and ownership table.
-func LoadSnapshot(dev storage.Device, blob string) (core.WorldLine, core.Cut, map[core.WorkerID]string, map[uint64]core.WorkerID, error) {
-	if blob == "" {
-		blob = "dpr-metadata"
-	}
-	size := dev.BlobSize(blob)
+func LoadSnapshot(dev storage.Device) (core.WorldLine, core.Cut, map[core.WorkerID]string, map[uint64]core.WorkerID, error) {
+	size := dev.BlobSize(snapshotBlob)
 	if size == 0 {
 		return 0, nil, nil, nil, errors.New("metadata: no snapshot")
 	}
-	raw, err := dev.Read(blob, 0, int(size))
+	raw, err := dev.Read(snapshotBlob, 0, int(size))
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
@@ -873,7 +735,7 @@ func LoadSnapshot(dev storage.Device, blob string) (core.WorldLine, core.Cut, ma
 		ownership[p] = core.WorkerID(get())
 	}
 	if short {
-		return 0, nil, nil, nil, fmt.Errorf("metadata: snapshot %q truncated at byte %d of %d", blob, off, len(raw))
+		return 0, nil, nil, nil, fmt.Errorf("metadata: snapshot %q truncated at byte %d of %d", snapshotBlob, off, len(raw))
 	}
 	return wl, cut, members, ownership, nil
 }

@@ -2,7 +2,6 @@ package metadata
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,23 +109,14 @@ func TestMembersAndOwnership(t *testing.T) {
 	if err != nil || w != 2 {
 		t.Fatalf("owner %d %v", w, err)
 	}
-	// A worker that still owns a partition must be refused: a racing
-	// OwnerOf would otherwise resolve to a departed worker.
-	if err := s.DeregisterWorker(2); err == nil {
-		t.Fatal("deregister must fail while worker 2 owns partition 5")
+	// A restarted worker registers again at its new address and keeps its
+	// partitions.
+	s.RegisterWorker(2, "b2")
+	if m, _ = s.Members(); len(m) != 2 || m[2] != "b2" {
+		t.Fatalf("members after worker 2 registered again: %v", m)
 	}
-	if m, _ = s.Members(); len(m) != 2 {
-		t.Fatalf("refused deregister must keep the member row: %v", m)
-	}
-	if err := s.SetOwner(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeregisterWorker(2); err != nil {
-		t.Fatal(err)
-	}
-	m, _ = s.Members()
-	if len(m) != 1 {
-		t.Fatalf("members after deregister: %v", m)
+	if w, err = s.OwnerOf(5); err != nil || w != 2 {
+		t.Fatalf("owner after worker 2 registered again: %d %v", w, err)
 	}
 }
 
@@ -197,7 +187,7 @@ func TestPersistAndLoadSnapshot(t *testing.T) {
 	rwl, _ := s.BeginRecovery()
 	s.CompleteRecoveryFor(rwl)
 	s.Sync() // wait for the serialized flusher to land the final snapshot
-	wl, cut, members, ownership, err := LoadSnapshot(dev, "")
+	wl, cut, members, ownership, err := LoadSnapshot(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,18 +240,18 @@ func TestLoadSnapshotRejectsDamage(t *testing.T) {
 			if err := d.Write("dpr-metadata", 0, tc.blob); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, _, err := LoadSnapshot(d, ""); err == nil {
+			if _, _, _, _, err := LoadSnapshot(d); err == nil {
 				t.Fatalf("loaded a damaged snapshot (%d bytes)", len(tc.blob))
 			}
 		})
 	}
-	if _, _, _, _, err := LoadSnapshot(dev, ""); err != nil {
+	if _, _, _, _, err := LoadSnapshot(dev); err != nil {
 		t.Fatalf("the undamaged snapshot: %v", err)
 	}
 }
 
 func TestLoadSnapshotMissing(t *testing.T) {
-	if _, _, _, _, err := LoadSnapshot(storage.NewNull(), ""); err == nil {
+	if _, _, _, _, err := LoadSnapshot(storage.NewNull()); err == nil {
 		t.Fatal("missing snapshot must error")
 	}
 }
@@ -304,73 +294,5 @@ func TestRecoveredCutNamesEveryMember(t *testing.T) {
 	rc.Lower(core.Cut{1: 5, 2: 5})
 	if rc.Get(2) != 0 {
 		t.Fatalf("composed cut %v: member 2 committed nothing, so it must stay at 0", rc)
-	}
-}
-
-// TestOwnerOfNeverReturnsDeparted is the regression for the DeregisterWorker
-// ordering bug: the member row must only drop after every ownership stripe has
-// been re-pointed, so a racing OwnerOf can never resolve to a departed worker.
-// With the check removed, the halfway DeregisterWorker below succeeds and the
-// reader goroutine observes partition owners that are no longer members.
-func TestOwnerOfNeverReturnsDeparted(t *testing.T) {
-	s := NewStore(Config{})
-	if err := s.RegisterWorker(1, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RegisterWorker(2, "b"); err != nil {
-		t.Fatal(err)
-	}
-	const parts = 64
-	for p := uint64(0); p < parts; p++ {
-		if err := s.SetOwner(p, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var stop, left, violated atomic.Bool
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for !stop.Load() {
-			for p := uint64(0); p < parts; p++ {
-				w, err := s.OwnerOf(p)
-				if err == nil && w == 2 && left.Load() {
-					violated.Store(true)
-					return
-				}
-			}
-		}
-	}()
-
-	// Re-point half the stripes; DeregisterWorker must still refuse.
-	for p := uint64(0); p < parts; p += 2 {
-		if err := s.SetOwner(p, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.DeregisterWorker(2); err == nil {
-		t.Fatal("DeregisterWorker must fail while worker 2 still owns partitions")
-	}
-	for p := uint64(1); p < parts; p += 2 {
-		if err := s.SetOwner(p, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.DeregisterWorker(2); err != nil {
-		t.Fatal(err)
-	}
-	left.Store(true)
-	// Give the reader a few full sweeps after the departure.
-	for i := 0; i < 4; i++ {
-		for p := uint64(0); p < parts; p++ {
-			if w, err := s.OwnerOf(p); err != nil || w != 1 {
-				t.Fatalf("partition %d: owner %d err %v after deregistering", p, w, err)
-			}
-		}
-	}
-	stop.Store(true)
-	<-done
-	if violated.Load() {
-		t.Fatal("OwnerOf returned a departed worker")
 	}
 }

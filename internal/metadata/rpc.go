@@ -121,11 +121,6 @@ func (s *RPCService) RegisterWorker(args *RegisterArgs, _ *Empty) error {
 	return s.store.RegisterWorker(args.Worker, args.Addr)
 }
 
-// DeregisterWorker is the RPC for Service.DeregisterWorker.
-func (s *RPCService) DeregisterWorker(args *RegisterArgs, _ *Empty) error {
-	return s.store.DeregisterWorker(args.Worker)
-}
-
 // ReportVersion is the RPC for Service.ReportVersion.
 func (s *RPCService) ReportVersion(args *ReportArgs, _ *Empty) error {
 	return s.store.ReportVersion(args.Worker, args.Version, args.Deps)
@@ -304,11 +299,6 @@ func (c *RPCClient) call(method string, args, reply any) error {
 // RegisterWorker implements Service.
 func (c *RPCClient) RegisterWorker(w core.WorkerID, addr string) error {
 	return c.call("Metadata.RegisterWorker", &RegisterArgs{Worker: w, Addr: addr}, &Empty{})
-}
-
-// DeregisterWorker implements Service.
-func (c *RPCClient) DeregisterWorker(w core.WorkerID) error {
-	return c.call("Metadata.DeregisterWorker", &RegisterArgs{Worker: w}, &Empty{})
 }
 
 // ReportVersion implements Service.

@@ -82,21 +82,6 @@ func TestRPCRoundTrip(t *testing.T) {
 	if silent := svc.Silent(time.Millisecond); len(silent) != 1 || silent[0] != 1 {
 		t.Fatalf("stale heartbeat not detected: %v", silent)
 	}
-	// Deregistering an owner must be refused over RPC until its stripes are
-	// re-pointed.
-	if err := client.DeregisterWorker(2); err == nil {
-		t.Fatal("deregister must fail while worker 2 owns partition 7")
-	}
-	if err := client.SetOwner(7, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.DeregisterWorker(2); err != nil {
-		t.Fatal(err)
-	}
-	members, _ = client.Members()
-	if len(members) != 1 {
-		t.Fatalf("members after deregister: %v", members)
-	}
 }
 
 func TestRPCWorkerThroughService(t *testing.T) {
