@@ -98,6 +98,8 @@ race:
 # instead of 30), the serving frame's (backend conformance, Stop) and the
 # client's batch lifecycle (every transition against scripted workers;
 # operations lost to severed, blackholed, restarted and co-located workers;
+# a device read that leaves the store's drains, from a co-located caller and
+# over a connection, and a rollback that waits out a connection's batch;
 # the fault proxy those use), hrtimer's two legs and the device model's
 # completion path, the epoch table (drains against stragglers, beside busy
 # neighbours and on one processor) and world-line admission waking on Advance
@@ -135,7 +137,7 @@ commit-path-stress:
 	run 'TestAnnouncement|TestRecoveryFreezesCut|TestRecoveredCutNamesEveryMember|TestWaitState|TestSnapshot' ./internal/metadata; \
 	run 'TestDRedisCommit|TestDRedisVersionFastForward|TestDRedisCutAdvancePush|TestStateObjectContract|TestFailedSaveEndsTheSeal' ./internal/dredis; \
 	run 'TestConformance|TestStop|TestStateObjectContract' ./internal/serve; \
-	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestColocatedPendingRead|TestRestartedWorker' ./internal/dfaster; \
+	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestColocatedPendingRead|TestConnectionPendingRead|TestRollbackWaitsConnectionBatch|TestRestartedWorker' ./internal/dfaster; \
 	run 'TestFaultProxyBlackhole' ./internal/wire
 
 # The decoders of bytes a worker takes from outside: the wire frames and the
@@ -171,11 +173,13 @@ bench-scaling:
 # (enqueue, transmit, settle against an in-process worker that only
 # answers), and the kv operation at the end-to-end benchmark's load
 # (ReadLoaded, UpsertLoaded: 131 072 keys in 1<<16 buckets; records/op is
-# the chain walk's length). Every line must report 0 allocs/op.
+# the chain walk's length), and a serving lane's 64-operation YCSB-A batch
+# over that store, plain and with the locate pass first (BatchLoaded). Every
+# line must report 0 allocs/op.
 bench-serve-path:
 	$(GO) test -bench 'ExecuteLocal$$|ClientLocal$$|ClientEnqueueSettle$$' -benchmem -run '^$$' ./internal/dfaster
 	$(GO) test -bench 'SessionBatch$$' -benchmem -run '^$$' ./internal/libdpr
-	$(GO) test -bench 'ReadLoaded$$|UpsertLoaded$$' -benchmem -run '^$$' ./internal/kv
+	$(GO) test -bench 'ReadLoaded$$|UpsertLoaded$$|BatchLoaded' -benchmem -run '^$$' ./internal/kv
 
 # Default chaos sweep: the seed-derived fault schedules (worker kill/restart,
 # connection and storage faults, metadata latency) under the race detector.

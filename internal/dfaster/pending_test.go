@@ -1,9 +1,11 @@
 package dfaster_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,15 +27,16 @@ func pendingValue(i int) []byte {
 	return append([]byte(fmt.Sprintf("key-%05d:", i)), make([]byte, 1024)...)
 }
 
-// newEvictedWorker starts a worker on dev, owning the one partition, whose
-// memory budget has evicted the first of the keys it loaded: "ctr-old"
-// (counter 5) and the first key-%05d records lie on the device, "ctr-new"
-// (counter 40), written last, in memory.
-func newEvictedWorker(t *testing.T, dev storage.Device) (*dfaster.Worker, *metadata.Store) {
+// newEvictedWorker starts a worker on dev, listening on listen ("" for none)
+// and owning the one partition, whose memory budget has evicted the first of
+// the keys it loaded: "ctr-old" (counter 5) and the first key-%05d records lie
+// on the device, "ctr-new" (counter 40), written last, in memory.
+func newEvictedWorker(t *testing.T, dev storage.Device, listen string) (*dfaster.Worker, *metadata.Store) {
 	t.Helper()
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	w, err := dfaster.NewWorker(dfaster.WorkerConfig{
 		ID:                 1,
+		ListenAddr:         listen,
 		CheckpointInterval: 10 * time.Millisecond,
 		Partitions:         1,
 		Device:             dev,
@@ -79,7 +82,7 @@ func newEvictedWorker(t *testing.T, dev storage.Device) (*dfaster.Worker, *metad
 // Every result carries its own operation's value, and nothing is left pending
 // on the connection's kv session for the next batch to settle.
 func TestPendingSettlesInBatch(t *testing.T) {
-	w, meta := newEvictedWorker(t, storage.NewNull())
+	w, meta := newEvictedWorker(t, storage.NewNull(), "")
 	sess, err := libdpr.NewSession(meta, true)
 	if err != nil {
 		t.Fatal(err)
@@ -161,19 +164,93 @@ func (d *slowReads) Read(blob string, offset int64, size int) ([]byte, error) {
 // ends while the read is still outstanding, and the read then settles in its
 // batch with its value.
 func TestColocatedPendingReadLeavesStoreDrains(t *testing.T) {
+	pendingReadLeavesStoreDrains(t, "", func(w *dfaster.Worker) executeFunc {
+		kvSess := w.Store().NewSession()
+		lane := w.NewSessionLane(kvSess)
+		t.Cleanup(func() {
+			lane.Close()
+			kvSess.Close()
+		})
+		return func(req *wire.BatchRequest) (wire.OpResult, *wire.ErrorReply, error) {
+			reply, refusal := w.ExecuteLocalScratch(kvSess, req, dfaster.NewBatchScratch(), lane)
+			if refusal != nil {
+				return wire.OpResult{}, refusal, nil
+			}
+			return reply.Results[0], nil, nil
+		}
+	})
+}
+
+// TestConnectionPendingReadLeavesStoreDrains is the same over a real
+// connection, whose lane holds its kv session's slot for a batch as a
+// co-located caller's does: the batch parks before its read waits on the
+// device, and the store's drains pass it.
+func TestConnectionPendingReadLeavesStoreDrains(t *testing.T) {
+	pendingReadLeavesStoreDrains(t, "127.0.0.1:0", func(w *dfaster.Worker) executeFunc {
+		conn, err := net.Dial("tcp", w.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := wire.NewFrameReader(bufio.NewReader(conn))
+		t.Cleanup(func() {
+			conn.Close()
+			fr.Close()
+		})
+		return func(req *wire.BatchRequest) (wire.OpResult, *wire.ErrorReply, error) {
+			bw := bufio.NewWriter(conn)
+			if err := wire.WriteFrame(bw, wire.FrameBatchRequest, wire.AppendBatchRequest(nil, req)); err != nil {
+				return wire.OpResult{}, nil, err
+			}
+			if err := bw.Flush(); err != nil {
+				return wire.OpResult{}, nil, err
+			}
+			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+			for {
+				tag, payload, err := fr.Read()
+				if err != nil {
+					return wire.OpResult{}, nil, err
+				}
+				switch tag {
+				case wire.FrameCutAdvance:
+				case wire.FrameBatchReply:
+					var reply wire.BatchReply
+					if err := wire.DecodeBatchReplyInto(&reply, payload); err != nil {
+						return wire.OpResult{}, nil, err
+					}
+					r := reply.Results[0]
+					r.Value = bytes.Clone(r.Value) // it aliases the reader's buffer
+					return r, nil, nil
+				case wire.FrameError:
+					refusal, err := wire.DecodeError(payload)
+					return wire.OpResult{}, refusal, err
+				default:
+					return wire.OpResult{}, nil, fmt.Errorf("unexpected frame tag %d", tag)
+				}
+			}
+		}
+	})
+}
+
+// executeFunc runs a one-operation batch on a worker and returns the
+// operation's result, or the worker's refusal, or what kept the batch from
+// being answered.
+type executeFunc func(req *wire.BatchRequest) (wire.OpResult, *wire.ErrorReply, error)
+
+// pendingReadLeavesStoreDrains runs a batch that reads an evicted key through
+// the execute that open builds, on a worker whose device holds the read: a
+// drain of the store's epoch table must end while the read waits, and the
+// read must then settle in its batch with its value.
+func pendingReadLeavesStoreDrains(t *testing.T, listen string, open func(w *dfaster.Worker) executeFunc) {
 	dev := &slowReads{Device: storage.NewNull(), reading: make(chan struct{}, 1), release: make(chan struct{})}
 	var once sync.Once
 	release := func() { once.Do(func() { close(dev.release) }) }
 	defer release()
-	w, meta := newEvictedWorker(t, dev)
+	w, meta := newEvictedWorker(t, dev, listen)
 	sess, err := libdpr.NewSession(meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kvSess := w.Store().NewSession()
-	defer kvSess.Close()
-	lane := w.NewSessionLane(kvSess)
-	defer lane.Close()
+	execute := open(w)
 	h, err := sess.NextBatch(1)
 	if err != nil {
 		t.Fatal(err)
@@ -182,16 +259,13 @@ func TestColocatedPendingReadLeavesStoreDrains(t *testing.T) {
 	type result struct {
 		r       wire.OpResult
 		refusal *wire.ErrorReply
+		err     error
 	}
 	done := make(chan result, 1)
 	go func() {
 		req := &wire.BatchRequest{Header: h, Ops: []wire.Op{{Kind: wire.OpRead, Key: []byte("key-00000")}}}
-		reply, refusal := w.ExecuteLocalScratch(kvSess, req, dfaster.NewBatchScratch(), lane)
-		if refusal != nil {
-			done <- result{refusal: refusal}
-			return
-		}
-		done <- result{r: reply.Results[0]}
+		r, refusal, err := execute(req)
+		done <- result{r, refusal, err}
 	}()
 	select {
 	case <-dev.reading:
@@ -208,7 +282,7 @@ func TestColocatedPendingReadLeavesStoreDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		release()
 		<-done
-		t.Fatal("a drain of the store's epoch table waited on a co-located read held on the device")
+		t.Fatal("a drain of the store's epoch table waited on a read held on the device")
 	}
 	select {
 	case r := <-done:
@@ -218,6 +292,9 @@ func TestColocatedPendingReadLeavesStoreDrains(t *testing.T) {
 	dev.armed.Store(false)
 	release()
 	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
 	if r.refusal != nil {
 		t.Fatalf("batch refused: %+v", r.refusal)
 	}

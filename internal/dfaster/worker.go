@@ -205,10 +205,13 @@ func (w *Worker) registerLogObs(reg *obs.Registry, lbls []obs.Label) {
 
 // openConn builds one connection's backend state: its own FasterKV session
 // (§5.2: "when a session operates on a worker, the worker creates a
-// corresponding FASTER session").
+// corresponding FASTER session") and a lane on that session's epoch slot, as
+// a co-located caller's (NewSessionLane). The frame closes the lane before
+// the session.
 func (w *Worker) openConn() serve.Conn {
 	a := &kvApply{w: w, sess: w.store.NewSession()}
-	return serve.Conn{Apply: a, Close: a.sess.Close}
+	a.lane = w.NewSessionLane(a.sess)
+	return serve.Conn{Apply: a, Lane: a.lane, Close: a.sess.Close}
 }
 
 // Lane is the frame's execution lane; each co-located caller holds one.
@@ -315,10 +318,12 @@ type kvApply struct {
 	// parts holds the partitions of the batch's first len(parts) keys, as
 	// the caller that routed them computed them.
 	parts []uint64
-	// lane is the co-located caller's, which holds sess's epoch slot for the
-	// batch (NewSessionLane): the batch moves off it before it waits on the
-	// device. Nil on a connection's.
+	// lane is the connection's or co-located caller's, which holds sess's
+	// epoch slot for the batch (NewSessionLane): the batch moves off it before
+	// it waits on the device.
 	lane *Lane
+	// hashes is the locate pass's scratch: one kv.LocateHash per operation.
+	hashes []uint64
 }
 
 // BatchScratch is what a co-located caller holds between batches: the frame's
@@ -354,14 +359,14 @@ func (w *Worker) ownershipMiss(req *wire.BatchRequest, i int) *wire.ErrorReply {
 
 // Apply implements serve.Applier: the in-memory pass, then the operations that
 // went PENDING, settled before the reply (the batch is the wire's unit). A
-// co-located batch waits for them off its kv session's slot, which the
-// store's drains would otherwise wait on too (Lane.Park). The device path
-// allocates in kv, so it is outside the zero-allocation pass.
+// batch waits for them off its kv session's slot, which the store's drains
+// would otherwise wait on too (Lane.Park). The device path allocates in kv, so
+// it is outside the zero-allocation pass.
 func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
 	if refusal := a.applyInMemory(req, results, arena); refusal != nil {
 		return refusal
 	}
-	if a.lane != nil && a.sess.Pending() {
+	if a.sess.Pending() {
 		a.lane.Park()
 	}
 	for _, c := range a.sess.CompletePending(true) {
@@ -373,8 +378,10 @@ func (a *kvApply) Apply(req *wire.BatchRequest, results []wire.OpResult, arena *
 }
 
 // applyInMemory is ownership validation, which refuses the batch before
-// anything is touched, then the kv operations. An operation whose record lies
-// on the device goes PENDING and is left zero.
+// anything is touched, then the kv operations: a batch of more than one
+// locates its keys first (kv.Session.Locate), so the operations find their
+// index lines and records in cache. An operation whose record lies on the
+// device goes PENDING and is left zero.
 //
 //dpr:noalloc
 func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult, arena *[]byte) *wire.ErrorReply {
@@ -394,6 +401,14 @@ func (a *kvApply) applyInMemory(req *wire.BatchRequest, results []wire.OpResult,
 		}
 	}
 
+	if n := len(req.Ops); n > 1 {
+		a.hashes = slices.Grow(a.hashes[:0], n)[:n]
+		for i := range req.Ops {
+			kind := req.Ops[i].Kind
+			a.hashes[i] = kv.LocateHash(req.Ops[i].Key, kind == wire.OpUpsert || kind == wire.OpDelete)
+		}
+		sess.Locate(a.hashes)
+	}
 	for i := range req.Ops {
 		op := &req.Ops[i]
 		switch op.Kind {

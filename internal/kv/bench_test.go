@@ -153,6 +153,49 @@ func BenchmarkUpsertLoaded(b *testing.B) {
 	b.ReportMetric(walk, "records/op")
 }
 
+// BenchmarkBatchLoaded runs 64-operation batches over the loaded store, half
+// reads and half upserts as in YCSB-A, as a serving lane does: plain, each
+// operation meeting its own cache misses, and located, a Locate pass first.
+// ns/op is per operation.
+func BenchmarkBatchLoaded(b *testing.B) {
+	const batch = 64
+	for _, located := range []bool{false, true} {
+		name := "plain"
+		if located {
+			name = "located"
+		}
+		b.Run(name, func(b *testing.B) {
+			_, sess, keys, order := loadedStore(b)
+			val := []byte("value-yy")
+			hashes := make([]uint64, batch)
+			var arena []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				sess.Slot().Enter() // held per batch, as a lane holds it
+				if located {
+					for j := range hashes {
+						hashes[j] = LocateHash(keys[order[(i+j)&(len(order)-1)]], j%2 == 1)
+					}
+					sess.Locate(hashes)
+				}
+				arena = arena[:0]
+				for j := 0; j < batch; j++ {
+					key := keys[order[(i+j)&(len(order)-1)]]
+					if j%2 == 1 {
+						if _, err := sess.Upsert(key, val); err != nil {
+							b.Fatal(err)
+						}
+					} else if _, status, _ := sess.ReadAppend(&arena, key, 0); status != StatusOK {
+						b.Fatal(status)
+					}
+				}
+				sess.Slot().Exit()
+			}
+		})
+	}
+}
+
 func BenchmarkRMW(b *testing.B) {
 	_, sess := benchStore(b)
 	key := []byte("counter")

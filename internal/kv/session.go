@@ -132,18 +132,20 @@ func (sess *Session) Upsert(key, val []byte) (core.Version, error) {
 	defer mu.Unlock()
 	e := s.index.chain(h)
 
+	// Walk the mutable region of the chain looking for the newest record for
+	// this key: only there is a record updated in place, so a newest record
+	// below the read-only address, like none at all, means a copy, and the
+	// walk reads no record beyond it (FASTER's InternalUpsert bound).
 	readOnly := s.log.readOnly.Load()
-	head := s.log.head.Load()
-	// Walk the in-memory chain looking for the newest record for this key.
-	for addr := e.head(); addr != nilAddress && addr >= head; {
+	for addr := e.head(); addr != nilAddress && addr >= readOnly; {
 		r, ok := s.log.view(addr)
 		if !ok {
 			break
 		}
 		if string(r.key()) == string(key) {
-			// In-place update: allowed only in the mutable region, for
-			// records of the current version, with enough capacity.
-			if addr >= readOnly && core.Version(r.version()) == ver &&
+			// In-place update: for records of the current version, with
+			// enough capacity.
+			if core.Version(r.version()) == ver &&
 				!r.invalid() && len(val) <= r.valCap() {
 				copy(r.valueCapSlice(), val)
 				r.setValLen(len(val))
@@ -180,6 +182,53 @@ func (sess *Session) Delete(key []byte) (core.Version, error) {
 	rec := s.log.writeRecord(e.head(), uint64(ver), true, key, nil, 0)
 	e.link(rec.addr)
 	return ver, nil
+}
+
+// locateWrite is the top bit of a Locate hash, one the index does not use
+// (bucket, shard and tag bits end at 62): set, the key's operation only writes.
+const locateWrite = 1 << 63
+
+// LocateHash is key's entry in a Locate batch: the index's hash of key, marked
+// when the operation only writes the key (an upsert or a delete), whose walk
+// reads no record below the read-only address.
+func LocateHash(key []byte, write bool) uint64 {
+	h := keyHash(key) &^ locateWrite
+	if write {
+		h |= locateWrite
+	}
+	return h
+}
+
+// Locate brings into cache what the operations of a batch on the keys of
+// hashes (LocateHash) will load first, before they run: each key's bucket
+// line, then the header of each chain's newest record that the operation
+// will read. Each of the two passes is a loop of loads none of which waits
+// for another, so the batch's cache misses overlap instead of running one
+// after the other; one loop that loaded each key's bucket and then its chain
+// head would wait on every bucket before its head, keeping the misses in
+// series. The loads are the lock-free read's atomic ones (entry words, record
+// meta words), and nothing is written.
+func (sess *Session) Locate(hashes []uint64) {
+	if !sess.slot.Held() { // entered already when the session's slot is a lane's (Slot)
+		sess.slot.Enter()
+		defer sess.slot.Exit()
+	}
+	s := sess.store
+	for _, h := range hashes {
+		s.index.bucket(h)[0].w.Load()
+	}
+	head, readOnly := s.log.head.Load(), s.log.readOnly.Load()
+	for _, h := range hashes {
+		bound := head
+		if h&locateWrite != 0 {
+			bound = readOnly
+		}
+		if addr := s.index.find(h); addr != nilAddress && addr >= bound {
+			if r, ok := s.log.view(addr); ok {
+				r.meta()
+			}
+		}
+	}
 }
 
 // Read returns the value for key. If the record has been evicted to the

@@ -156,15 +156,27 @@ func TestOwnerSessionBesideForeignWork(t *testing.T) {
 		t.Fatal("no recovery round ran beside the session")
 	}
 	t.Logf("%d recovery rounds, %d survival errors", rounds.Load(), survived)
-	if err := c.upsert("last"); err != nil {
-		var surv *core.SurvivalError
-		if !errors.As(err, &surv) {
-			t.Fatal(err)
+	// The last round may have ended in the metadata store while the worker,
+	// which rolls back in its own refresh, has not adopted it yet: an upsert
+	// executed before that would be rolled back under the wait below. So the
+	// worker adopts the store's world-line first, and the session the
+	// worker's.
+	_, _, metaWL, _ := c.meta.State()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.w.WorldLine() < metaWL {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker never adopted world-line %d (at %d)", metaWL, c.w.WorldLine())
 		}
+		time.Sleep(time.Millisecond)
+	}
+	var surv *core.SurvivalError
+	if err := c.s.NotifyWorldLine(c.w.WorldLine()); errors.As(err, &surv) {
 		c.s.Acknowledge()
-		if err := c.upsert("last"); err != nil {
-			t.Fatal(err)
-		}
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.upsert("last"); err != nil {
+		t.Fatal(err)
 	}
 	last := c.s.Tracker().NextSeq() - 1
 	if err := c.s.WaitCommit(last, 5*time.Second); err != nil {

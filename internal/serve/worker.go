@@ -41,6 +41,11 @@ type Applier interface {
 // the connection is accepted.
 type Conn struct {
 	Apply Applier
+	// Lane is the connection's execution lane, when the backend builds it:
+	// one lent the epoch slot of the store session Apply executes on
+	// (NewLaneOn), so that a batch enters one slot once. Nil: the frame
+	// registers one of its own (NewLane). The frame closes it either way.
+	Lane *Lane
 	// Close is Handler's: the release of the connection's backend state.
 	// Optional.
 	Close func()
@@ -184,11 +189,15 @@ func (w *Worker) totals() (batches, ops uint64) {
 }
 
 // Start begins accepting; open builds each connection's backend state. The
-// frame adds the connection's scratch and lane, so batches execute
-// allocation-free.
+// frame adds the connection's scratch, and its lane unless the backend built
+// one, so batches execute allocation-free.
 func (w *Worker) Start(open func() Conn) {
 	w.srv.Start(func() Handler {
-		c, sc, lane := open(), new(Scratch), w.NewLane()
+		c, sc := open(), new(Scratch)
+		lane := c.Lane
+		if lane == nil {
+			lane = w.NewLane()
+		}
 		return Handler{
 			Execute: func(req *wire.BatchRequest) (*wire.BatchReply, *wire.ErrorReply) {
 				return w.Execute(req, c.Apply, sc, lane)
