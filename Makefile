@@ -111,11 +111,16 @@ race:
 # the chaos checker's injected skipped rollback; the metadata store's
 # recovery, ack and watch tests and its snapshots (members, owners and acks
 # read under one lock: TestRecoveryFreezesCut, TestRecoveredCutNamesEveryMember,
-# TestWaitState*, TestSnapshot*); and the session's and the
-# gate's owners beside the goroutines that hand them work (libdpr's
-# TestOwnerSession*, TestGateMoves*, TestGateSweep*, TestDrainWaitsOneBatch,
-# TestNextBatchNever*; TestTimersUnderSynchronousChannels runs the waits under
-# Go 1.23's timer channels) — twenty times each
+# TestWaitState*, TestSnapshot*); the session's and the gate's owners beside
+# the goroutines that hand them work (libdpr's TestOwnerSession*,
+# TestGateMoves*, TestGateSweep*, TestDrainWaitsOneBatch;
+# TestTimersUnderSynchronousChannels runs the waits under Go 1.23's timer
+# channels); and the client's one hand-off, read loops settling and announcing
+# under its lock beside the owner's calls (dfaster's TestWaitCommit*,
+# TestNextBatchNever*, TestHandOffMerges*, TestOwnerClient*, a commit wait
+# right after a read's callback and queue's durable consumer, which does the
+# same, a window wait, a push to an idle session, a transient world-line
+# error) — twenty times each
 # under the race detector, on one processor and on two. A -run list that
 # matches nothing (a renamed test) fails the target instead of passing
 # vacuously.
@@ -131,13 +136,14 @@ commit-path-stress:
 	run 'TestWriteAfterClose|TestLocalSSDCompletesOnTime|TestMemDeviceAsyncCompletion|TestSinkDeviceLatency' ./internal/storage; \
 	run 'Seal|TornSeal|SingleSlot|RecordSurvives|OlderIncarnation|RecoverUnderReadFaults|RecoverReadFault|StorageFailure|GroupCommit|OnPersist|CheckpointRecord|SealLeaves|StateObjectContract' ./internal/kv; \
 	run 'Compact' ./internal/kv -short; \
-	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestWaitCommit|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback|TestOwnerSession|TestGateMoves|TestGateSweep|TestDrainWaitsOneBatch|TestParkedBatch|TestHandOffMerges|TestNextBatchNever|TestTimersUnderSynchronousChannels' ./internal/libdpr; \
+	run 'TestPump|TestFailedSeal|TestSlowSeal|TestForcedSeal|TestFollowUpSeal|TestStateObjectContract|TestCommitPump|TestHeartbeatBackstop|TestWaitCommit|TestWorkerEffectiveIntervals|TestRound|TestIdleWorkerDoesNotJoin|TestSlowPeer|TestLostAnnouncement|TestPumpDeadline|TestCutView|TestWorkerRollback|TestOwnerSession|TestGateMoves|TestGateSweep|TestDrainWaitsOneBatch|TestParkedBatch|TestTimersUnderSynchronousChannels' ./internal/libdpr; \
 	run '.' ./internal/cluster; \
 	run 'TestChaosCheckerCatchesViolation$$' ./internal/chaos; \
 	run 'TestAnnouncement|TestRecoveryFreezesCut|TestRecoveredCutNamesEveryMember|TestWaitState|TestSnapshot' ./internal/metadata; \
 	run 'TestDRedisCommit|TestDRedisVersionFastForward|TestDRedisCutAdvancePush|TestStateObjectContract|TestFailedSaveEndsTheSeal' ./internal/dredis; \
 	run 'TestConformance|TestStop|TestStateObjectContract' ./internal/serve; \
-	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestColocatedPendingRead|TestConnectionPendingRead|TestRollbackWaitsConnectionBatch|TestRestartedWorker' ./internal/dfaster; \
+	run 'TestBatchLifecycle|TestSettledBatch|TestStrandedReads|TestLostOp|TestUnreachableWorker|TestColocatedReject|TestColocatedPendingRead|TestConnectionPendingRead|TestRollbackWaitsConnectionBatch|TestRestartedWorker|TestWaitCommit|TestNextBatchNever|TestHandOffMerges|TestOwnerClient|TestCommitWaitRightAfterRead|TestWindowBackpressure|TestCutAdvancePushReachesIdleSession|TestTransientWorldLine' ./internal/dfaster; \
+	run 'TestDurableConsumption' ./internal/queue; \
 	run 'TestFaultProxyBlackhole' ./internal/wire
 
 # The decoders of bytes a worker takes from outside: the wire frames and the

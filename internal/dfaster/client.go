@@ -25,6 +25,15 @@ import (
 // OpCallback receives an operation's result when its batch completes. A nil
 // callback discards the result (fire-and-forget writes).
 //
+// A remote operation's callback fires on the goroutine that settles its batch
+// — the connection's read loop, or the one that gave the batch up — before
+// the session's owner takes the batch in; a co-located one fires on the owner,
+// inside the enqueueing call. A callback must not call the client, whose
+// methods are the owner's, but may hand the result to the owner, which may
+// then ask Err or WaitCommit at once: both take in what the connections handed
+// it, and a world-line an error reply named is handed over before that
+// batch's callbacks fire.
+//
 // The result's Value is only valid for the duration of the callback: it
 // aliases a reusable receive buffer. Parse it or copy it inside the callback;
 // never retain the slice.
@@ -56,9 +65,11 @@ type ClientConfig struct {
 // Client is one D-FASTER client session: it batches operations per owner
 // worker, pipelines up to Window outstanding operations, tracks commit
 // progress, and surfaces failures as SurvivalErrors. A Client is a session —
-// a sequential logical thread — so operations must be enqueued from one
-// goroutine, the session's owner (libdpr.Session); completion runs on
-// background reader goroutines, which hand what they learn to the owner.
+// a sequential logical thread — so every method is its owner's, the one
+// goroutine that issues its operations (libdpr.Session). Replies are read and
+// settled on background goroutines, one per connection, which hand the
+// settled batches to the owner under c.mu; the owner takes them in at its next
+// call (DESIGN.md "Client batch lifecycle").
 type Client struct {
 	cfg     ClientConfig
 	meta    metadata.Service
@@ -68,42 +79,56 @@ type Client struct {
 	// metadata). A re-drive drops it whole by publishing an empty one.
 	owners atomic.Pointer[[]atomic.Uint64]
 
-	connsMu sync.Mutex
-	conns   map[core.WorkerID]*workerConn
-
-	// Local-path scratch: the co-located fast path runs on the session's
-	// single enqueueing goroutine, so one reusable request, scratch, batch and
-	// callback slot make it allocation-free.
+	// The owner's alone, below: the co-located path's scratch (one reusable
+	// request, scratch, batch, callback slot and RMW delta make it
+	// allocation-free), the batches being filled, the free list, what
+	// Abandoned reports, and its halves of the hand-off's double buffers.
 	localSess     *kv.Session
 	localScratch  *BatchScratch
 	localLane     *Lane
 	localReq      wire.BatchRequest
 	localVersions [1]core.Version
 	localParts    [1]uint64
+	localDelta    [8]byte
+	buffers       map[core.WorkerID]*batch // the batch being filled for each owner
+	// free holds settled batches the owner has taken in, for reuse with their
+	// arrays (recycle).
+	free []*batch
+	// abandoned counts operations settled as errors, recent keeps the last few
+	// such batches.
+	abandoned uint64
+	recent    []abandonedOps
+	spare     []*batch
+	spareCut  core.Cut
 
-	// failed is set with failure and cleared with it: the co-located path's
-	// whole check, with no lock.
-	failed atomic.Bool
+	// posted is set with anything left in the hand-off and cleared when the
+	// owner takes it in: the owner's whole check when nothing waits, with no
+	// lock.
+	posted atomic.Bool
 
 	// mu guards everything below and every batch's lifecycle fields (see the
 	// batch lifecycle section); a connection's sendMu is taken before it,
 	// never after.
 	mu          sync.Mutex
-	cond        *sync.Cond
+	conns       map[core.WorkerID]*workerConn
 	outstanding int // window slots held: operations sent and not settled
-	failure     error
-	buffers     map[core.WorkerID]*batch // the batch being filled for each owner
-	// free holds settled batches for reuse, with their ops and cbs arrays
-	// (recycleLocked).
-	free []*batch
 	// retryQ holds parked batches in ascending sequence order; head is the
 	// one being re-driven, and fresh sends wait while there is one.
 	retryQ []*batch
 	head   *batch
-	// abandoned counts operations settled as errors, recent keeps the last few
-	// such batches.
-	abandoned uint64
-	recent    []abandonedOps
+	// The hand-off to the owner (takeIn): batches settled since it last
+	// looked, in the order they settled; the cuts replies and pushes carried,
+	// merged into one (keepCutLocked); the newest world-line a push or an
+	// error reply named.
+	settled []*batch
+	cut     core.Cut
+	cutWL   core.WorldLine
+	hasCut  bool
+	notice  core.WorldLine
+	// parked is set while the owner sleeps on wake, which holds at most one
+	// signal: the next hand-off sends it.
+	parked bool
+	wake   chan struct{}
 
 	// closed is cancelled by Close.
 	closed context.Context
@@ -131,10 +156,10 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 		session: sess,
 		conns:   make(map[core.WorkerID]*workerConn),
 		buffers: make(map[core.WorkerID]*batch),
+		wake:    make(chan struct{}, 1),
 	}
 	c.forgetOwners()
 	c.closed, c.close = context.WithCancel(context.Background())
-	c.cond = sync.NewCond(&c.mu)
 	if cfg.LocalWorker != nil {
 		c.localSess = cfg.LocalWorker.Store().NewSession()
 		c.localScratch = NewBatchScratch()
@@ -143,12 +168,15 @@ func NewClient(cfg ClientConfig, meta metadata.Service) (*Client, error) {
 	return c, nil
 }
 
-// Session exposes the libDPR session (commit tracking, diagnostics).
+// Session exposes the libDPR session (commit tracking, diagnostics). Its
+// calls are the owner's; what the connections handed the client reaches it at
+// the client's next call.
 func (c *Client) Session() *libdpr.Session { return c.session }
 
-// Close tears down connections and the local session. Parked batches settle
-// as errors here; in-flight and re-driving ones as their connections die and
-// their next step finds the client closed.
+// Close tears down connections and the local session; like the operations, it
+// is the owner's to call. Parked batches settle as errors here; in-flight and
+// re-driving ones as their connections die and their next step finds the
+// client closed.
 func (c *Client) Close() {
 	c.close()
 	c.mu.Lock()
@@ -158,11 +186,11 @@ func (c *Client) Close() {
 	for _, b := range parked {
 		c.settle(b, outcome{cause: causeClosed})
 	}
-	c.connsMu.Lock()
+	c.mu.Lock()
 	for _, wc := range c.conns {
 		wc.close()
 	}
-	c.connsMu.Unlock()
+	c.mu.Unlock()
 	if c.cfg.LocalWorker != nil {
 		c.localSess.Close()
 		c.localLane.Close()
@@ -170,133 +198,146 @@ func (c *Client) Close() {
 }
 
 // Err returns the pending failure (a *core.SurvivalError after a rollback),
-// taking in first what the connections handed the session: a rollback one
-// of them announced — a batch rejected with a newer world-line, whose
-// callback has seen StatusError — is this call's SurvivalError. Like the
-// operations, it is the session's owner's to call.
-func (c *Client) Err() error { return c.poll() }
+// taking in first what the connections handed the owner: a rollback one of
+// them announced — a batch rejected with a newer world-line, whose callback
+// has seen StatusError — is this call's SurvivalError.
+func (c *Client) Err() error { return c.take() }
 
 // Acknowledge clears a pending SurvivalError so the session can continue on
 // the new world-line. The error accounts for every operation issued before it,
 // so abandoned ones among them are not reported again.
-func (c *Client) Acknowledge() *core.SurvivalError {
-	ack := c.session.Acknowledge()
+func (c *Client) Acknowledge() *core.SurvivalError { return c.session.Acknowledge() }
+
+// take has the owner take in the hand-off, if anything waits there, and
+// returns the session's failure (libdpr.Session.Poll).
+func (c *Client) take() error {
+	if c.posted.Load() {
+		return c.takeIn()
+	}
+	return c.session.Poll()
+}
+
+// takeIn digests the hand-off on the owner: the settled batches in the order
+// they settled — a reply on the session's world-line completes its operations,
+// an abandon is recorded for Abandoned — then the newest world-line one of
+// them or a push named (the failure path, with its metadata calls), then the
+// merged cut. The batches go on the free list. Returns take's error.
+func (c *Client) takeIn() error {
 	c.mu.Lock()
-	c.failure = nil
-	c.failed.Store(false)
+	settled, cut, cutWL, hasCut, notice := c.settled, c.cut, c.cutWL, c.hasCut, c.notice
+	c.settled, c.cut, c.hasCut, c.notice = c.spare, c.spareCut, false, 0
+	c.posted.Store(false)
 	c.mu.Unlock()
-	return ack
-}
-
-// latchLocked records err, if any, as the client's failure unless one is
-// pending. The caller holds c.mu.
-func (c *Client) latchLocked(err error) {
-	if err != nil && c.failure == nil {
-		c.failure = err
-		c.failed.Store(true)
+	wl := c.session.Tracker().WorldLine()
+	for _, b := range settled {
+		switch {
+		case b.cause != "":
+			c.session.Abandon(b.header)
+			c.noteAbandoned(b.header.SeqStart, len(b.ops), b.cause)
+		case b.wl == wl: // a reply from another world-line describes erased executions, or announces a rollback
+			_ = c.session.CompleteBatch(b.worker, b.header, libdpr.BatchReply{WorldLine: b.wl, Versions: b.versions})
+		}
+		notice = max(notice, b.wl)
+		c.recycle(b)
 	}
-}
-
-// latched returns the client's failure, taking c.mu only when there is one.
-func (c *Client) latched() error {
-	if !c.failed.Load() {
-		return nil
+	clear(settled)
+	c.spare = settled[:0]
+	err := c.session.NotifyWorldLine(notice)
+	if hasCut && err == nil {
+		err = c.session.FoldCut(cutWL, cut)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failure
-}
-
-// poll has the owner take in what the connections handed the session: a
-// rollback they announced surfaces here as the failure.
-func (c *Client) poll() error {
-	if err := c.latched(); err != nil {
+	clear(cut)
+	c.spareCut = cut
+	if err != nil {
 		return err
 	}
-	err := c.session.Poll()
-	if _, ok := err.(*core.SurvivalError); ok {
-		return c.fail(err)
-	}
-	return err
+	return c.session.Poll()
 }
 
 // ---- operation enqueueing ----
 
 // Upsert enqueues a write.
 func (c *Client) Upsert(key, val []byte, cb OpCallback) error {
-	return c.enqueue(wire.Op{Kind: wire.OpUpsert, Key: key, Value: val}, cb)
+	return c.enqueue(wire.Op{Kind: wire.OpUpsert, Key: key, Value: val}, 0, cb)
 }
 
 // Read enqueues a read.
 func (c *Client) Read(key []byte, cb OpCallback) error {
-	return c.enqueue(wire.Op{Kind: wire.OpRead, Key: key}, cb)
+	return c.enqueue(wire.Op{Kind: wire.OpRead, Key: key}, 0, cb)
 }
 
 // Delete enqueues a delete.
 func (c *Client) Delete(key []byte, cb OpCallback) error {
-	return c.enqueue(wire.Op{Kind: wire.OpDelete, Key: key}, cb)
+	return c.enqueue(wire.Op{Kind: wire.OpDelete, Key: key}, 0, cb)
 }
 
 // RMW enqueues a read-modify-write (little-endian uint64 addition).
 func (c *Client) RMW(key []byte, delta uint64, cb OpCallback) error {
-	return c.enqueue(wire.Op{Kind: wire.OpRMW, Key: key, Value: binary.LittleEndian.AppendUint64(nil, delta)}, cb)
+	return c.enqueue(wire.Op{Kind: wire.OpRMW, Key: key}, delta, cb)
 }
 
-func (c *Client) enqueue(op wire.Op, cb OpCallback) error {
+// enqueue adds op to its owner's batch, or runs it co-located. An RMW's
+// delta is encoded into bytes the batch owns, or the co-located scratch.
+func (c *Client) enqueue(op wire.Op, delta uint64, cb OpCallback) error {
 	p := PartitionOf(op.Key, c.cfg.Partitions)
 	owner, err := c.ownerOfPartition(p)
 	if err != nil {
 		return err
 	}
+	if err := c.take(); err != nil {
+		return err
+	}
 	// Co-located fast path: execute immediately on the calling thread. Settled
-	// before this call returns, the operation holds no window slot, and unless
-	// it fails it takes no lock: the failure check is the one load, and the
-	// session's hand-off is taken in by NextBatch.
+	// before this call returns, the operation holds no window slot and takes
+	// no lock.
 	if c.cfg.LocalWorker != nil && owner == c.cfg.LocalWorker.ID() {
-		if err := c.latched(); err != nil {
-			return err
+		if op.Kind == wire.OpRMW {
+			op.Value = binary.LittleEndian.AppendUint64(c.localDelta[:0], delta)
 		}
 		return c.executeLocal(op, p, cb)
 	}
 	c.mu.Lock()
-	if err := c.waitLocked(func() bool { return c.outstanding < c.cfg.Window }); err != nil {
-		c.mu.Unlock()
+	err = c.waitLocked(func() bool { return c.outstanding < c.cfg.Window })
+	c.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	b := c.buffers[owner]
 	if b == nil {
 		if n := len(c.free); n > 0 {
 			b, c.free = c.free[n-1], c.free[:n-1]
-			*b = batch{ops: b.ops[:0], cbs: b.cbs[:0]} // a new lifecycle, from stQueued
+			*b = batch{ops: b.ops[:0], cbs: b.cbs[:0], deltas: b.deltas[:0], versions: b.versions} // a new lifecycle, from stQueued
 		} else {
 			b = &batch{ops: make([]wire.Op, 0, c.cfg.BatchSize), cbs: make([]OpCallback, 0, c.cfg.BatchSize)}
 		}
 		b.owner = owner
 		c.buffers[owner] = b
 	}
+	if op.Kind == wire.OpRMW {
+		n := len(b.deltas)
+		b.deltas = binary.LittleEndian.AppendUint64(b.deltas, delta)
+		op.Value = b.deltas[n:]
+	}
 	b.ops = append(b.ops, op)
 	b.cbs = append(b.cbs, cb)
-	full := len(b.ops) >= c.cfg.BatchSize
-	if full { // taken out to be sent: from here on its operations hold window slots
-		delete(c.buffers, owner)
-		c.outstanding += len(b.ops)
+	if len(b.ops) < c.cfg.BatchSize {
+		return nil
 	}
-	c.mu.Unlock()
-	if full {
-		return c.sendBatch(b)
-	}
-	return nil
+	delete(c.buffers, owner)
+	return c.sendBatch(b)
 }
 
 // executeLocal runs op, whose key is in partition p, on the co-located
-// worker.
+// worker, and settles it on the owner: the session's completion and the
+// callback, or an abandon (abandonLocal).
 //
 //dpr:noalloc
 func (c *Client) executeLocal(op wire.Op, p uint64, cb OpCallback) error {
 	c.localReq.Ops = append(c.localReq.Ops[:0], op)
 	h, err := c.session.NextBatch(1)
 	if err != nil {
-		return c.settleLocal(h, cb, nil, outcome{cause: causeRejected, err: err})
+		c.abandonLocal(h, cb, causeRejected)
+		return err
 	}
 	if c.cfg.OnSend != nil {
 		c.cfg.OnSend(h.SeqStart, 1)
@@ -309,74 +350,49 @@ func (c *Client) executeLocal(op wire.Op, p uint64, cb OpCallback) error {
 	if errReply != nil {
 		return c.refusedLocal(h, cb, errReply)
 	}
-	return c.settleLocal(h, cb, reply, outcome{})
+	c.localVersions[0] = reply.Results[0].Version
+	err = c.session.CompleteBatch(c.cfg.LocalWorker.ID(), h, libdpr.BatchReply{
+		WorldLine: reply.WorldLine,
+		Versions:  c.localVersions[:],
+		Cut:       reply.Cut,
+		CutGen:    reply.CutGen,
+	})
+	if cb != nil {
+		cb(reply.Results[0])
+	}
+	return err
 }
 
 // refusedLocal settles the co-located operation the worker refused with
 // errReply and returns the error: the survival error of the rollback it
 // announced, or the refusal.
 func (c *Client) refusedLocal(h libdpr.BatchHeader, cb OpCallback, errReply *wire.ErrorReply) error {
-	out := outcome{cause: causeRefused}
+	why := causeRefused
+	var err error
 	if errReply.Code == wire.ErrCodeRejected {
-		out = outcome{cause: causeRejected, err: c.session.NotifyWorldLine(errReply.WorldLine)}
+		why, err = causeRejected, c.session.NotifyWorldLine(errReply.WorldLine)
 	}
-	return cmp.Or(c.settleLocal(h, cb, nil, out), error(errReply))
+	c.abandonLocal(h, cb, why)
+	return cmp.Or(err, error(errReply))
 }
 
-// settleLocal is settle for the co-located operation, issued with header h
-// (zero if it got none) and callback cb: started and settled on the owner,
-// never shared and holding no window slot, it is the session's completion
-// and the callback when it executed (reply non-nil), or an abandon as settle
-// makes one. Returns the survival error the outcome carries, or the
-// completion's, latched as the client's failure.
-func (c *Client) settleLocal(h libdpr.BatchHeader, cb OpCallback, reply *wire.BatchReply, out outcome) error {
-	if reply != nil {
-		c.localVersions[0] = reply.Results[0].Version
-		out.err = c.session.CompleteBatch(c.cfg.LocalWorker.ID(), h, libdpr.BatchReply{
-			WorldLine: reply.WorldLine,
-			Versions:  c.localVersions[:],
-			Cut:       reply.Cut,
-			CutGen:    reply.CutGen,
-		})
-		if cb != nil {
-			cb(reply.Results[0])
-		}
-	} else {
-		why := c.abandonOps(h, 1, out.cause)
-		if cb != nil {
-			cb(wire.OpResult{Status: wire.StatusError})
-		}
-		c.mu.Lock()
-		c.noteAbandonedLocked(h.SeqStart, 1, why)
-		c.mu.Unlock()
+// abandonLocal settles the co-located operation issued with header h (zero
+// if it got none) as abandoned for why, on the owner: the session hears of it
+// at once, and the callback sees StatusError.
+func (c *Client) abandonLocal(h libdpr.BatchHeader, cb OpCallback, why cause) {
+	why = c.countAbandoned(1, why)
+	c.session.Abandon(h)
+	if cb != nil {
+		cb(wire.OpResult{Status: wire.StatusError})
 	}
-	if out.err != nil {
-		return c.fail(out.err)
-	}
-	return nil
-}
-
-// fail latches err as the client's failure and returns it.
-func (c *Client) fail(err error) error {
-	c.mu.Lock()
-	c.latchLocked(err)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	return err
+	c.noteAbandoned(h.SeqStart, 1, why)
 }
 
 // Flush sends all partially filled batches.
 func (c *Client) Flush() error {
-	var toSend []*batch
-	c.mu.Lock()
-	for _, b := range c.buffers {
-		toSend = append(toSend, b)
-		c.outstanding += len(b.ops)
-	}
-	clear(c.buffers)
-	c.mu.Unlock()
 	var firstErr error
-	for _, b := range toSend {
+	for owner, b := range c.buffers {
+		delete(c.buffers, owner)
 		if err := c.sendBatch(b); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -396,31 +412,52 @@ func (c *Client) Drain() error {
 	if err != nil {
 		return err
 	}
-	return c.poll()
+	return c.take()
 }
 
-// waitLocked blocks the owner, which holds c.mu, until done holds or a
-// failure surfaces: one latched, or a rollback a connection announced, which
-// the owner takes in from the session's hand-off to learn what it erased.
+// waitLocked blocks the owner, which holds c.mu, until done holds or the
+// session fails: a rollback a connection announced surfaces as the owner
+// takes in the hand-off, each time it wakes.
 func (c *Client) waitLocked(done func() bool) error {
-	for c.failure == nil && !done() {
-		if c.session.Announced() {
-			if err := c.pollLocked(); err != nil {
-				return err
-			}
-			continue
+	for !done() {
+		if err := c.sleepLocked(); err != nil {
+			return err
 		}
-		c.cond.Wait()
 	}
-	return c.failure
+	return nil
 }
 
-// pollLocked is poll for an owner that holds c.mu, which it lets go
-// meanwhile: poll takes it, and the session's failure path asks metadata.
-func (c *Client) pollLocked() error {
+// sleepLocked has the owner, which holds c.mu, sleep until the next hand-off
+// and take it in, with c.mu let go meanwhile.
+func (c *Client) sleepLocked() error {
+	c.parked = true
 	c.mu.Unlock()
 	defer c.mu.Lock()
-	return c.poll()
+	<-c.wake
+	return c.take()
+}
+
+// park readies the owner to sleep on the next hand-off, takes in what waits
+// already, and returns the channel the next hand-off signals: WaitCommit's
+// transport.
+func (c *Client) park() (<-chan struct{}, error) {
+	c.mu.Lock()
+	c.parked = true
+	c.mu.Unlock()
+	return c.wake, c.take()
+}
+
+// postLocked marks the hand-off ready and wakes the owner if it sleeps on it.
+// The caller holds c.mu.
+func (c *Client) postLocked() {
+	c.posted.Store(true)
+	if c.parked {
+		c.parked = false
+		select {
+		case c.wake <- struct{}{}:
+		default: // a signal the owner did not wait for is still there
+		}
+	}
 }
 
 // LastSeq returns the highest sequence number assigned on the session's
@@ -429,7 +466,20 @@ func (c *Client) LastSeq() uint64 { return c.session.Tracker().NextSeq() - 1 }
 
 // Committed returns the session's committed prefix and exceptions, shared
 // until they change (core.SessionTracker.Committed): it must not be modified.
-func (c *Client) Committed() (uint64, []uint64) { return c.session.Committed() }
+// It takes in the hand-off first; a failure found there is returned by the
+// next call that returns errors.
+func (c *Client) Committed() (uint64, []uint64) {
+	_ = c.take()
+	return c.session.Committed()
+}
+
+// WaitCommit blocks until every operation at or below seq is committed or
+// abandoned, a failure intervenes, or the timeout expires
+// (libdpr.Session.WaitCommit), waking for what the connections hand the owner
+// — a reply, a pushed cut, an abandon — and asking the finder behind them.
+func (c *Client) WaitCommit(seq uint64, timeout time.Duration) error {
+	return c.session.WaitCommit(seq, timeout, c.park)
+}
 
 // WaitCommitAll flushes, drains, and waits until everything issued so far is
 // committed or abandoned. A send never returns a delivery failure — the batch
@@ -440,7 +490,7 @@ func (c *Client) WaitCommitAll(timeout time.Duration) error {
 	if err := c.Drain(); err != nil {
 		return err
 	}
-	if err := c.session.WaitCommit(c.LastSeq(), timeout); err != nil {
+	if err := c.WaitCommit(c.LastSeq(), timeout); err != nil {
 		return err
 	}
 	if seq := c.session.TakeLost(); seq != 0 {
@@ -494,16 +544,19 @@ func (wc *workerConn) close() {
 	})
 }
 
+// connTo returns the live connection to worker w, dialling one if there is
+// none; the dial runs with no lock held, and of two racing ones the first
+// kept wins.
 func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
-	c.connsMu.Lock()
-	defer c.connsMu.Unlock()
+	c.mu.Lock()
+	wc := c.conns[w]
+	c.mu.Unlock()
 	if err := c.closed.Err(); err != nil {
 		return nil, err
 	}
-	if wc, ok := c.conns[w]; ok {
+	if wc != nil {
 		select {
 		case <-wc.closed:
-			delete(c.conns, w)
 		default:
 			return wc, nil
 		}
@@ -524,7 +577,17 @@ func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	wc := &workerConn{
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.closed.Err(); err != nil { // Close has swept the connections
+		conn.Close()
+		return nil, err
+	}
+	if cur := c.conns[w]; cur != wc { // another sender dialled first
+		conn.Close()
+		return cur, nil
+	}
+	wc = &workerConn{
 		id:     w,
 		conn:   conn,
 		bw:     bufio.NewWriterSize(conn, 1<<16),
@@ -555,6 +618,8 @@ func (c *Client) connTo(w core.WorkerID) (*workerConn, error) {
 //   - re-driving: the queue's head, with its redrive goroutine, forwarded
 //     whole to the owner metadata names now. The next head starts when it
 //     settles or parks again.
+//   - settled: in the hand-off, then the owner's, which takes it in and puts
+//     it on the free list.
 
 type batchState uint8
 
@@ -580,6 +645,15 @@ type batch struct {
 	header libdpr.BatchHeader
 	ops    []wire.Op
 	cbs    []OpCallback
+	deltas []byte // the RMW operations' values
+
+	// What settle found, for the owner: the cause the operations were
+	// abandoned for (empty: answered), or the replying worker, the reply's
+	// world-line and its versions.
+	cause    cause
+	worker   core.WorkerID
+	wl       core.WorldLine
+	versions []core.Version
 
 	// Guarded by Client.mu. retries counts the times the batch has parked.
 	state   batchState
@@ -617,10 +691,10 @@ type abandonedOps struct {
 }
 
 // Abandoned returns how many operations this session has settled as errors
-// and the last few such batches ("seq 11+1 stranded"), oldest first.
+// and the last few such batches ("seq 11+1 stranded"), oldest first, once the
+// owner has taken in the hand-off.
 func (c *Client) Abandoned() (uint64, []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	_ = c.take()
 	last := make([]string, len(c.recent))
 	for i, r := range c.recent {
 		last[i] = fmt.Sprintf("seq %d+%d %s", r.seqStart, r.n, r.why)
@@ -628,51 +702,42 @@ func (c *Client) Abandoned() (uint64, []string) {
 	return c.abandoned, last
 }
 
-// outcome is what became of a batch: a reply from worker (versions is the
-// caller's scratch for the results' versions), or the cause its operations
-// are abandoned for and the survival error that cause surfaced, if any.
+// outcome is what became of a batch: a reply from worker, or the cause its
+// operations are abandoned for.
 type outcome struct {
-	cause    cause
-	err      error
-	worker   core.WorkerID
-	reply    *wire.BatchReply
-	versions *[]core.Version
+	cause  cause
+	worker core.WorkerID
+	reply  *wire.BatchReply
 }
 
 // settle ends the lifecycle of b, which the caller owns, and is the only code
-// that does (the co-located operation, never a batch, is settleLocal's): it
-// tells the session what became of b's sequence numbers, through its hand-off
-// (the caller may be a connection's read loop), fires the callbacks, releases
-// the window slots, and lets the next parked batch or the fresh sends go.
-// Returns the survival error the outcome carries, which is also latched as
-// the client's failure.
-func (c *Client) settle(b *batch, out outcome) error {
+// that does (the co-located operation, never a batch, settles on the owner:
+// executeLocal): it fires the callbacks, then, under c.mu, releases the window
+// slots, lets the next parked batch or the fresh sends go, and hands b — its
+// cause, or its reply's versions, world-line and cut — to the owner, which
+// tells the session what became of b's sequence numbers at its next call
+// (takeIn). Any goroutine may settle.
+func (c *Client) settle(b *batch, out outcome) {
 	// b is the caller's alone, so its state is the caller's to read: settled
-	// twice, it tells the session and the callbacks nothing a second time.
+	// twice, it tells the callbacks and the owner nothing a second time.
 	if b.state == stSettled {
 		lifecycleViolations.Inc()
-		return nil
+		return
 	}
-	if out.reply != nil {
-		results := out.reply.Results
-		versions := slices.Grow((*out.versions)[:0], len(results))[:len(results)]
-		for i := range results {
-			versions[i] = results[i].Version
+	var cut core.Cut
+	if r := out.reply; r != nil {
+		b.versions = slices.Grow(b.versions[:0], len(r.Results))[:len(r.Results)]
+		for i := range r.Results {
+			b.versions[i] = r.Results[i].Version
 		}
-		*out.versions = versions
-		c.session.Deliver(out.worker, b.header, libdpr.BatchReply{
-			WorldLine: out.reply.WorldLine,
-			Versions:  versions,
-			Cut:       out.reply.Cut,
-			CutGen:    out.reply.CutGen,
-		})
+		b.worker, b.wl, cut = out.worker, r.WorldLine, r.Cut
 		for i, cb := range b.cbs {
-			if cb != nil && i < len(results) {
-				cb(results[i])
+			if cb != nil && i < len(r.Results) {
+				cb(r.Results[i])
 			}
 		}
 	} else {
-		out.cause = c.abandonOps(b.header, len(b.ops), out.cause)
+		b.cause = c.countAbandoned(len(b.ops), out.cause)
 		for _, cb := range b.cbs {
 			if cb != nil {
 				cb(wire.OpResult{Status: wire.StatusError})
@@ -682,45 +747,71 @@ func (c *Client) settle(b *batch, out outcome) error {
 	c.mu.Lock()
 	if c.move(b, stSettled) {
 		c.outstanding -= len(b.ops)
-		if out.reply == nil {
-			c.noteAbandonedLocked(b.header.SeqStart, len(b.ops), out.cause)
-		}
 		c.leaveHeadLocked(b)
-		c.recycleLocked(b)
+		c.settled = append(c.settled, b)
+		c.keepCutLocked(b.wl, cut)
+		c.postLocked()
 	}
-	c.latchLocked(out.err)
-	c.cond.Broadcast()
 	c.mu.Unlock()
-	return out.err
 }
 
-// abandonOps tells the session the n operations issued with h are abandoned
-// for why, counts them, and returns the cause they count under: closed once
-// the client is.
-func (c *Client) abandonOps(h libdpr.BatchHeader, n int, why cause) cause {
+// announce hands the owner a world-line a connection heard of — a pushed cut's
+// (wire.FrameCutAdvance), or one an error reply named, ahead of its batch's
+// callbacks — and merges cut, if any, into the one waiting. cut is copied, not
+// retained: read loops decode pushes into a held wire.CutAdvance.
+func (c *Client) announce(wl core.WorldLine, cut core.Cut) {
+	c.mu.Lock()
+	c.keepCutLocked(wl, cut)
+	c.notice = max(c.notice, wl)
+	c.postLocked()
+	c.mu.Unlock()
+}
+
+// keepCutLocked adds cut, observed on wl, to the one the owner folds next,
+// unless it is empty or one from a later world-line waits; one from an
+// earlier world-line is dropped. On one world-line the two merge by
+// per-worker maximum: replies off different connections carry their
+// workers' views of the finder's cut, which lag by different amounts, so the
+// last handed over need not be the newest, and the union of two cuts the
+// finder committed on one world-line is committed. The caller holds c.mu.
+func (c *Client) keepCutLocked(wl core.WorldLine, cut core.Cut) {
+	if len(cut) == 0 || c.hasCut && wl < c.cutWL {
+		return
+	}
+	if c.cut == nil {
+		c.cut = make(core.Cut, len(cut))
+	}
+	if !c.hasCut || wl > c.cutWL {
+		clear(c.cut)
+	}
+	c.cut.Merge(cut)
+	c.cutWL, c.hasCut = wl, true
+}
+
+// countAbandoned counts n operations abandoned for why and returns the cause
+// they count under: closed once the client is.
+func (c *Client) countAbandoned(n int, why cause) cause {
 	if c.closed.Err() != nil {
 		why = causeClosed
 	}
-	c.session.AbandonBatch(h)
 	obs.Default.Counter("dpr_client_abandoned_ops_total",
 		"Operations whose callback received StatusError and whose fate the session records as unknown.",
 		obs.L("cause", string(why))).Add(uint64(n))
 	return why
 }
 
-// noteAbandonedLocked adds n operations from seqStart, abandoned for why, to
-// what Abandoned reports. The caller holds c.mu.
-func (c *Client) noteAbandonedLocked(seqStart uint64, n int, why cause) {
+// noteAbandoned adds n operations from seqStart, abandoned for why, to what
+// Abandoned reports. The owner's.
+func (c *Client) noteAbandoned(seqStart uint64, n int, why cause) {
 	c.abandoned += uint64(n)
 	c.recent = append(c.recent[max(0, len(c.recent)-7):], abandonedOps{seqStart, uint64(n), why})
 }
 
-// recycleLocked puts a batch that has just settled on the free list, still
-// settled — letting go of it twice stays an illegal move — and without the
-// caller's keys, values and callbacks. The list never outgrows what was once out
-// together, Window/BatchSize in flight and one filling per owner. The caller
-// holds c.mu.
-func (c *Client) recycleLocked(b *batch) {
+// recycle puts a batch the owner has taken in on the free list, still settled
+// — letting go of it twice stays an illegal move — and without the caller's
+// keys, values and callbacks. The list never outgrows what was once out
+// together, Window/BatchSize in flight and one filling per owner. The owner's.
+func (c *Client) recycle(b *batch) {
 	clear(b.ops)
 	clear(b.cbs)
 	c.free = append(c.free, b)
@@ -788,26 +879,29 @@ func (c *Client) redrive(h *batch) {
 }
 
 // sendBatch assigns a queued batch its sequence numbers and transmits it; the
-// connection's read loop settles it.
+// connection's read loop settles it. The owner's.
 func (c *Client) sendBatch(b *batch) error {
-	h, err := c.session.NextBatch(len(b.ops))
-	if err != nil {
-		return c.settle(b, outcome{cause: causeRejected, err: err})
-	}
-	b.header = h
-	if c.cfg.OnSend != nil {
-		c.cfg.OnSend(h.SeqStart, len(b.ops))
+	var err error
+	b.header, err = c.nextBatch(len(b.ops))
+	if err == nil && c.cfg.OnSend != nil {
+		c.cfg.OnSend(b.header.SeqStart, len(b.ops))
 	}
 	// While a batch is parked or re-driving, hold fresh transmissions back — a
 	// fresh (higher-sequence) batch that reached a worker first would execute
 	// ahead of the parked tail, breaking session order — and re-resolve the
-	// owner afterwards: the re-drive has updated the routing table.
+	// owner afterwards: the re-drive has updated the routing table. A failure
+	// ends the wait, and the batch is given up instead.
 	c.mu.Lock()
+	c.outstanding += len(b.ops) // from here on its operations hold window slots
 	waited := c.head != nil
-	for c.head != nil && c.failure == nil {
-		c.cond.Wait()
+	if err == nil {
+		err = c.waitLocked(func() bool { return c.head == nil })
 	}
 	c.mu.Unlock()
+	if err != nil {
+		c.settle(b, outcome{cause: causeRejected})
+		return err
+	}
 	if waited {
 		if owner, oerr := c.ownerOf(b.ops[0].Key); oerr == nil {
 			b.owner = owner
@@ -815,6 +909,16 @@ func (c *Client) sendBatch(b *batch) error {
 	}
 	c.transmit(b)
 	return nil
+}
+
+// nextBatch reserves n sequence numbers (libdpr.Session.NextBatch) once the
+// owner has taken in the hand-off: a rollback a connection announced fails it
+// instead of handing the batch a header.
+func (c *Client) nextBatch(n int) (libdpr.BatchHeader, error) {
+	if err := c.take(); err != nil {
+		return libdpr.BatchHeader{}, err
+	}
+	return c.session.NextBatch(n)
 }
 
 // transmit hands b to its owner's connection and writes its frame. A frame
@@ -867,7 +971,6 @@ func (c *Client) readLoop(wc *workerConn) {
 	fr := wire.NewFrameReader(bufio.NewReaderSize(wc.conn, 1<<16))
 	defer fr.Close()
 	var reply wire.BatchReply
-	var versions []core.Version
 	var adv wire.CutAdvance
 	// A worker sends the cut it pre-encoded last with every frame: the memo
 	// lets one through to the session when its bytes change (nil otherwise).
@@ -883,10 +986,7 @@ func (c *Client) readLoop(wc *workerConn) {
 		// real reply is still in the pipe.
 		if tag == wire.FrameCutAdvance {
 			if memo.DecodeCutAdvance(&adv, payload) == nil && adv.Cut != nil {
-				c.session.ObserveCut(adv.WorldLine, adv.Cut)
-				if c.session.Announced() {
-					c.wakeOwner()
-				}
+				c.announce(adv.WorldLine, adv.Cut)
 			}
 			continue
 		}
@@ -901,7 +1001,7 @@ func (c *Client) readLoop(wc *workerConn) {
 
 		switch {
 		case tag == wire.FrameBatchReply && memo.DecodeBatchReply(&reply, payload) == nil:
-			c.settle(b, outcome{worker: wc.id, reply: &reply, versions: &versions})
+			c.settle(b, outcome{worker: wc.id, reply: &reply})
 		case tag == wire.FrameError:
 			c.handleErrorReply(b, payload)
 		default:
@@ -936,17 +1036,9 @@ func (c *Client) handleErrorReply(b *batch, payload []byte) {
 		// metadata names now.
 		c.parkOrSettle(b, causeRefused)
 	case er.Code == wire.ErrCodeRejected:
-		c.session.AnnounceWorldLine(er.WorldLine)
+		c.announce(er.WorldLine, nil)
 		c.settle(b, outcome{cause: causeRejected})
 	default:
 		c.settle(b, outcome{cause: causeRefused})
 	}
-}
-
-// wakeOwner wakes the owner wherever it waits on c.cond, to take in what the
-// session's hand-off holds.
-func (c *Client) wakeOwner() {
-	c.mu.Lock()
-	c.cond.Broadcast()
-	c.mu.Unlock()
 }

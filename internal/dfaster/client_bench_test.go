@@ -214,10 +214,9 @@ func echoWorker(tb testing.TB, cut *core.Cut) (addr string) {
 	return ln.Addr().String()
 }
 
-// remoteBatches returns one step of a client's remote path — a batch of 64
-// enqueued, transmitted, answered and settled, callbacks fired — against an
-// echoWorker.
-func remoteBatches(tb testing.TB) func() {
+// remoteClient is a client session whose every partition an echoWorker owns,
+// batching 64 operations, with 64 keys to write and a callback that counts.
+func remoteClient(tb testing.TB) (*Client, [][]byte, OpCallback) {
 	const batch = 64
 	meta := metadata.NewStore(metadata.Config{Finder: metadata.FinderApproximate})
 	if err := meta.RegisterWorker(1, echoWorker(tb, &core.Cut{})); err != nil {
@@ -238,7 +237,14 @@ func remoteBatches(tb testing.TB) func() {
 		keys[i] = []byte(fmt.Sprintf("remote-key-%02d", i))
 	}
 	done := 0
-	cb := func(wire.OpResult) { done++ }
+	return c, keys, func(wire.OpResult) { done++ }
+}
+
+// remoteBatches returns one step of a client's remote path — a batch of 64
+// enqueued, transmitted, answered and settled, callbacks fired — against an
+// echoWorker.
+func remoteBatches(tb testing.TB) func() {
+	c, keys, cb := remoteClient(tb)
 	return func() {
 		for _, k := range keys {
 			if err := c.Upsert(k, k, cb); err != nil {
@@ -269,9 +275,31 @@ func BenchmarkClientEnqueueSettle(b *testing.B) {
 // TestRemoteBatchZeroAlloc pins the client's remote path at no allocation per
 // steady-state batch: batches come off the free list with their arrays, the
 // routing table is read in place, the in-flight FIFO does not creep, and the
-// 2 000 batches cross two moves of the cut.
+// 6 000 batches cross six moves of the cut. Each step sends a full batch, a
+// partial one that Drain's Flush sends, and a batch of RMWs, whose deltas the
+// batch holds.
 func TestRemoteBatchZeroAlloc(t *testing.T) {
-	step := remoteBatches(t)
+	full := remoteBatches(t)
+	c, keys, cb := remoteClient(t)
+	step := func() {
+		full()
+		for _, k := range keys[:5] {
+			if err := c.Upsert(k, k, cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if err := c.RMW(k, uint64(i), cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 1200; i++ {
 		step()
 	}

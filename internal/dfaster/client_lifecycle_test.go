@@ -386,7 +386,6 @@ func checkQuiescent(t *testing.T, c *Client) {
 		defer c.mu.Unlock()
 		return c.outstanding == 0 && c.head == nil
 	})
-	c.connsMu.Lock()
 	c.mu.Lock()
 	if c.outstanding != 0 || c.head != nil || len(c.retryQ) != 0 {
 		t.Errorf("outstanding %d, head %v, %d parked; want 0, nil, 0", c.outstanding, c.head, len(c.retryQ))
@@ -397,7 +396,7 @@ func checkQuiescent(t *testing.T, c *Client) {
 		}
 	}
 	c.mu.Unlock()
-	c.connsMu.Unlock()
+	_ = c.Err() // the owner takes in what settled: the session's state is its
 	if n := c.Session().Tracker().InFlight(); n != 0 {
 		t.Errorf("session has %d sequence numbers in flight, want 0", n)
 	}

@@ -36,14 +36,13 @@ func registerClientObs() {
 // and surfaces SurvivalErrors when a failure erased part of the session.
 //
 // A session has one owner, the goroutine that issues its operations — a
-// session is a logical thread — and the owner's calls take no lock: NextBatch,
-// CompleteBatch, NotifyWorldLine, Poll, Committed, RefreshCommit, WaitCommit,
-// Acknowledge, TakeLost and the tracker's. What other goroutines learn for the
-// session — a reply off a connection (Deliver), a pushed cut (ObserveCut), an
-// error naming a newer world-line (AnnounceWorldLine), a batch the transport
-// gave up on (AbandonBatch) — they hand off to the owner, which takes it in at
-// its next call (DESIGN.md "Session bookkeeping"). Those four are safe from
-// any goroutine.
+// session is a logical thread — and every call is the owner's: none takes a
+// lock, and none is safe from another goroutine. What a transport learns for
+// the session on other goroutines (replies off a connection, pushed cuts,
+// world-lines an error named, batches it gave up on) it keeps until the owner
+// takes it in and digests it here, with CompleteBatch, Abandon,
+// NotifyWorldLine and FoldCut (dfaster.Client; DESIGN.md "Session
+// bookkeeping").
 type Session struct {
 	id      uint64
 	tracker *core.SessionTracker
@@ -73,50 +72,6 @@ type Session struct {
 	// probed batch's last sequence number (0 = idle); probeAt its issue time.
 	probeSeq uint64
 	probeAt  int64
-
-	in inbox
-	// spare is the owner's half of the inbox's double buffer.
-	spare handoff
-}
-
-// inbox is the hand-off from other goroutines to the session's owner. A
-// poster appends under mu; the owner's cost on a call that finds nothing is
-// the one load of ready, and when something waits it swaps the buffer for its
-// spare under mu, so what it applies it applies with no lock held.
-type inbox struct {
-	ready atomic.Bool
-	// announced is the highest world-line posted; the owner stores what it has
-	// taken in to known. A transport waiting on the session's progress asks
-	// Announced, which is both loads.
-	announced, known atomic.Uint64
-	mu               sync.Mutex
-	buf              handoff
-	// wake is non-nil while the owner is parked in WaitCommit: the next post
-	// closes it.
-	wake chan struct{}
-}
-
-// handoff is what waits for the owner: replies and abandons in arrival order
-// (their versions in one array), the pushed and piggybacked cuts of the
-// newest world-line merged into one (keepCutLocked), and the highest
-// world-line announced.
-type handoff struct {
-	posts    []post
-	versions []core.Version
-	cut      core.Cut
-	cutWL    core.WorldLine
-	hasCut   bool
-	notice   core.WorldLine
-}
-
-// post is one reply (versions[from:to] of its handoff) or abandon.
-type post struct {
-	worker   core.WorkerID
-	wl       core.WorldLine
-	seqStart uint64
-	n        uint32
-	from, to int
-	abandon  bool
 }
 
 // NewSession creates a session at the metadata service's current world-line.
@@ -127,25 +82,17 @@ func NewSession(meta metadata.Service, relaxed bool) (*Session, error) {
 		return nil, err
 	}
 	registerClientObs()
-	s := &Session{id: sessionIDs.Add(1), tracker: core.NewSessionTracker(wl, relaxed), meta: meta, issueWL: wl}
-	s.in.known.Store(uint64(wl))
-	return s, nil
+	return &Session{id: sessionIDs.Add(1), tracker: core.NewSessionTracker(wl, relaxed), meta: meta, issueWL: wl}, nil
 }
 
 // ID returns the globally unique session id.
 func (s *Session) ID() uint64 { return s.id }
 
-// Tracker exposes the underlying session tracker to the owner, with the
-// hand-off taken in (Poll; a failure found there is returned by the next call
-// that returns errors).
-func (s *Session) Tracker() *core.SessionTracker {
-	_ = s.Poll()
-	return s.tracker
-}
+// Tracker exposes the underlying session tracker to the owner.
+func (s *Session) Tracker() *core.SessionTracker { return s.tracker }
 
 // NextBatch reserves n sequence numbers and builds the batch header to send
-// with them. Returns an error if an unacknowledged failure is pending, or
-// one the hand-off brought is.
+// with them. Returns Poll's error, if any.
 //
 //dpr:noalloc
 func (s *Session) NextBatch(n int) (BatchHeader, error) {
@@ -163,15 +110,12 @@ func (s *Session) NextBatch(n int) (BatchHeader, error) {
 	return BatchHeader{SessionID: s.id, WorldLine: s.issueWL, Vs: vs, SeqStart: first, NumOps: uint32(n), Dep: dep}, nil
 }
 
-// Poll takes in what other goroutines handed the session since its owner last
-// looked and returns the unacknowledged SurvivalError, if any — or the
-// transient error of a world-line announced before metadata can say what it
-// recovered, which the next Poll retries.
+// Poll returns the unacknowledged SurvivalError, if any — or the transient
+// error of a world-line announced before metadata could say what it
+// recovered, which Poll asks metadata again first.
 func (s *Session) Poll() error {
-	if s.in.ready.Load() || s.retryWL != 0 {
-		if err := s.take(); err != nil {
-			return err
-		}
+	if s.retryWL != 0 {
+		return s.retry()
 	}
 	if s.failure != nil {
 		return s.failure
@@ -179,59 +123,32 @@ func (s *Session) Poll() error {
 	return nil
 }
 
-// take applies the hand-off: the replies and abandons in the order they were
-// posted, then the world-lines announced, then the newest cut.
-func (s *Session) take() error {
-	s.in.mu.Lock()
-	b := s.in.buf
-	s.in.buf = s.spare
-	s.in.ready.Store(false)
-	s.in.mu.Unlock()
-	notice := max(b.notice, s.retryWL)
+// retry asks metadata again about the world-line it could not resolve, then
+// polls; kept out of Poll so that Poll, on every owner call, inlines.
+func (s *Session) retry() error {
+	wl := s.retryWL
 	s.retryWL = 0
-	var err error
-	for _, p := range b.posts {
-		switch {
-		case p.abandon:
-			s.abandon(p)
-		case p.wl == s.issueWL: // a reply from a newer world-line announced it, and describes executions it may have erased
-			if q, folded := s.tracker.CompleteAndFold(p.wl, p.seqStart, p.worker, b.versions[p.from:p.to], nil, 0); folded {
-				s.resolveProbe(q)
-			}
-		}
+	if err := s.NotifyWorldLine(wl); err != nil {
+		return err
 	}
-	if notice > s.tracker.WorldLine() {
-		err = s.NotifyWorldLine(notice)
-	}
-	if b.hasCut && err == nil {
-		err = s.observe(b.cutWL, b.cut)
-	}
-	b.posts, b.versions, b.hasCut, b.notice = b.posts[:0], b.versions[:0], false, 0
-	s.spare = b
-	return err
+	return s.Poll()
 }
 
-// abandon resolves an abandon the hand-off brought
-// (core.SessionTracker.Abandon), remembers the lowest abandoned operation for
-// TakeLost and drops a commit-latency probe aimed at one of them — it would
-// never resolve under strict DPR, and under relaxed DPR would time an
-// operation that never committed.
-func (s *Session) abandon(p post) {
-	if s.tracker.Abandon(p.wl, p.seqStart, int(p.n)) > 0 && (s.lost == 0 || p.seqStart < s.lost) {
-		s.lost = p.seqStart
+// Abandon tells the session the transport has given up on h's operations
+// (core.SessionTracker.Abandon: what that means for Committed and
+// WaitCommit), remembers the lowest of them for TakeLost and drops a
+// commit-latency probe aimed at one of them — it would never resolve under
+// strict DPR, and under relaxed DPR would time an operation that never
+// committed.
+func (s *Session) Abandon(h BatchHeader) {
+	if h.NumOps == 0 {
+		return
 	}
-	if s.probeSeq >= p.seqStart && s.probeSeq-p.seqStart < uint64(p.n) {
+	if s.tracker.Abandon(h.WorldLine, h.SeqStart, int(h.NumOps)) > 0 && (s.lost == 0 || h.SeqStart < s.lost) {
+		s.lost = h.SeqStart
+	}
+	if s.probeSeq >= h.SeqStart && s.probeSeq-h.SeqStart < uint64(h.NumOps) {
 		s.probeSeq = 0
-	}
-}
-
-// postLocked marks the hand-off ready and wakes a parked WaitCommit; the
-// caller holds in.mu.
-func (s *Session) postLocked() {
-	s.in.ready.Store(true)
-	if s.in.wake != nil {
-		close(s.in.wake)
-		s.in.wake = nil
 	}
 }
 
@@ -245,12 +162,12 @@ func (s *Session) resolveProbe(p uint64) {
 	commitLatency.Observe(time.Duration(time.Now().UnixNano() - s.probeAt))
 }
 
-// CompleteBatch digests a batch reply on the owner: it resolves each
-// operation to its token, folds the piggybacked cut into the committed prefix
-// if it is not the one folded last, and checks for world-line changes. The
-// returned error, if any, is a *core.SurvivalError the application must handle
-// (the next NextBatch also returns it until Acknowledge is called). A reply
-// that came off a connection, on another goroutine, is Deliver's.
+// CompleteBatch digests a batch reply: it resolves each operation to its
+// token, folds the piggybacked cut into the committed prefix if it is not the
+// one folded last, and checks for world-line changes. The returned error, if
+// any, is a *core.SurvivalError the application must handle (the next
+// NextBatch also returns it until Acknowledge is called). versions and cut are
+// not retained.
 //
 //dpr:noalloc
 func (s *Session) CompleteBatch(worker core.WorkerID, h BatchHeader, r BatchReply) error {
@@ -264,71 +181,6 @@ func (s *Session) CompleteBatch(worker core.WorkerID, h BatchHeader, r BatchRepl
 	return nil
 }
 
-// Deliver hands a batch reply that arrived on another goroutine to the
-// owner, which digests it as CompleteBatch does at its next call. r's
-// versions and cut are copied, not retained. Safe from any goroutine.
-func (s *Session) Deliver(worker core.WorkerID, h BatchHeader, r BatchReply) {
-	s.in.mu.Lock()
-	b := &s.in.buf
-	from := len(b.versions)
-	b.versions = append(b.versions, r.Versions...)
-	b.posts = append(b.posts, post{worker: worker, wl: r.WorldLine, seqStart: h.SeqStart, n: h.NumOps, from: from, to: len(b.versions)})
-	s.keepCutLocked(r.WorldLine, r.Cut)
-	s.announceLocked(r.WorldLine)
-	s.postLocked()
-	s.in.mu.Unlock()
-}
-
-// keepCutLocked adds cut, observed on wl, to the one the owner folds next,
-// unless it is empty or one from a later world-line waits; one from an
-// earlier world-line is dropped. On one world-line the two merge by
-// per-worker maximum: replies off different connections carry their
-// workers' views of the finder's cut, which lag by different amounts, so the
-// last posted need not be the newest, and the union of two cuts the finder
-// committed on one world-line is committed. The caller holds in.mu.
-func (s *Session) keepCutLocked(wl core.WorldLine, cut core.Cut) {
-	b := &s.in.buf
-	if len(cut) == 0 || b.hasCut && wl < b.cutWL {
-		return
-	}
-	if b.cut == nil {
-		b.cut = make(core.Cut, len(cut))
-	}
-	if !b.hasCut || wl > b.cutWL {
-		clear(b.cut)
-	}
-	b.cut.Merge(cut)
-	b.cutWL, b.hasCut = wl, true
-}
-
-// announceLocked records that a post named world-line wl. The caller holds
-// in.mu.
-func (s *Session) announceLocked(wl core.WorldLine) {
-	if uint64(wl) > s.in.announced.Load() {
-		s.in.announced.Store(uint64(wl))
-	}
-	s.in.buf.notice = max(s.in.buf.notice, wl)
-}
-
-// Announced reports whether a post named a world-line the owner has not yet
-// taken in: its next Poll digests a rollback. Safe from any goroutine.
-func (s *Session) Announced() bool { return s.in.announced.Load() > s.in.known.Load() }
-
-// AbandonBatch tells the session the transport has given up on h's
-// operations (core.SessionTracker.Abandon: what that means for Committed and
-// WaitCommit). The owner takes it in at its next call, where it also drops a
-// commit-latency probe aimed at one of them and wakes a parked WaitCommit.
-// Safe from any goroutine.
-func (s *Session) AbandonBatch(h BatchHeader) {
-	if h.NumOps == 0 {
-		return
-	}
-	s.in.mu.Lock()
-	s.in.buf.posts = append(s.in.buf.posts, post{wl: h.WorldLine, seqStart: h.SeqStart, n: h.NumOps, abandon: true})
-	s.postLocked()
-	s.in.mu.Unlock()
-}
-
 // TakeLost returns the lowest sequence number abandoned on the session's
 // world-line since it was last asked (0: none) and forgets it.
 func (s *Session) TakeLost() uint64 {
@@ -337,23 +189,13 @@ func (s *Session) TakeLost() uint64 {
 	return lost
 }
 
-// NotifyWorldLine digests a world-line observation on the owner (e.g. from
-// an error response). Triggers failure handling if it is ahead of ours.
+// NotifyWorldLine digests a world-line observation (e.g. from an error
+// response). Triggers failure handling if it is ahead of ours.
 func (s *Session) NotifyWorldLine(wl core.WorldLine) error {
 	if wl > s.tracker.WorldLine() {
 		return s.handleFailure(wl)
 	}
 	return nil
-}
-
-// AnnounceWorldLine hands a world-line observation made on another goroutine
-// to the owner, which digests it as NotifyWorldLine at its next call. Safe
-// from any goroutine.
-func (s *Session) AnnounceWorldLine(wl core.WorldLine) {
-	s.in.mu.Lock()
-	s.announceLocked(wl)
-	s.postLocked()
-	s.in.mu.Unlock()
 }
 
 func (s *Session) handleFailure(wl core.WorldLine) error {
@@ -378,7 +220,6 @@ func (s *Session) handleFailure(wl core.WorldLine) error {
 		// acknowledge and issues on the tracker's world-line.
 		s.issueWL = s.tracker.WorldLine()
 	}
-	s.in.known.Store(uint64(s.tracker.WorldLine()))
 	// Drop any outstanding probe: the rollback may have erased the probed
 	// batch, in which case its target seq would never be covered.
 	s.probeSeq = 0
@@ -427,13 +268,8 @@ func (s *Session) Acknowledge() *core.SurvivalError {
 }
 
 // Committed returns the committed prefix point and exception list, shared
-// until it changes (SessionTracker.Committed): it must not be modified. It
-// takes in the hand-off first; a failure found there is returned by the next
-// call that returns errors, and the prefix stays where it was until then.
-func (s *Session) Committed() (uint64, []uint64) {
-	_ = s.Poll()
-	return s.tracker.Committed()
-}
+// until it changes (SessionTracker.Committed): it must not be modified.
+func (s *Session) Committed() (uint64, []uint64) { return s.tracker.Committed() }
 
 // RefreshCommit polls the finder once and folds the latest cut into the
 // committed prefix; returns the new prefix. Also detects world-line changes.
@@ -460,24 +296,12 @@ func (s *Session) RefreshCommit() (uint64, error) {
 	return p, nil
 }
 
-// ObserveCut hands an unsolicited cut observation — a pushed
-// wire.FrameCutAdvance, delivered to an idle session without a batch reply to
-// piggyback on — to the owner, which folds it into the committed prefix at its
-// next call exactly as CompleteBatch folds a piggybacked one; a world-line
-// change runs the failure path there. cut is copied, not retained; callers may
-// reuse the map (connection read loops decode pushes into a held
-// wire.CutAdvance). Safe from any goroutine.
-func (s *Session) ObserveCut(wl core.WorldLine, cut core.Cut) {
-	s.in.mu.Lock()
-	s.keepCutLocked(wl, cut)
-	s.announceLocked(wl)
-	s.postLocked()
-	s.in.mu.Unlock()
-}
-
-// observe folds a cut the hand-off brought: a world-line change runs the
-// failure path, and an unacknowledged SurvivalError is returned.
-func (s *Session) observe(wl core.WorldLine, cut core.Cut) error {
+// FoldCut folds a cut observed on world-line wl without a reply of the
+// session's — a pushed wire.FrameCutAdvance, or the piggybacked cuts of
+// replies a transport merged — into the committed prefix, as CompleteBatch
+// folds a piggybacked one: a world-line change runs the failure path, and an
+// unacknowledged SurvivalError is returned. cut is not retained.
+func (s *Session) FoldCut(wl core.WorldLine, cut core.Cut) error {
 	if wl != s.issueWL {
 		if err := s.NotifyWorldLine(wl); err != nil {
 			return err
@@ -500,16 +324,27 @@ func (s *Session) observe(wl core.WorldLine, cut core.Cut) error {
 // expires; under strict DPR, where the prefix cannot pass an abandoned
 // operation, one at or below seq fails the wait at once with a
 // *core.AbandonedError. This is the paper's "sessions may wait for commit at
-// any time" group-commit affordance (§2). It waits on what the transport
-// hands off (replies, pushed cuts, abandons); behind them it asks the finder
-// itself, for a session with no transport (co-located only) or a lost push:
-// on entry, then at an interval doubling from 1 ms up to manualHeartbeat.
-func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
+// any time" group-commit affordance (§2).
+//
+// park, if not nil, is the session's transport (dfaster.Client.WaitCommit):
+// each call digests what the transport holds for the owner and returns a
+// channel signalled when it next has something, which the wait sleeps on.
+// Behind it, or with no transport (a session whose batches run co-located),
+// WaitCommit asks the finder itself: on entry, then at an interval doubling
+// from 1 ms up to manualHeartbeat.
+func (s *Session) WaitCommit(seq uint64, timeout time.Duration, park func() (<-chan struct{}, error)) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	backstop, every := time.NewTimer(0), time.Millisecond
 	defer backstop.Stop()
+	var news <-chan struct{} // nil without a transport: never ready
 	for {
+		if park != nil {
+			var err error
+			if news, err = park(); err != nil {
+				return err
+			}
+		}
 		if err := s.Poll(); err != nil {
 			return err
 		}
@@ -521,7 +356,7 @@ func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
 			return nil
 		}
 		select {
-		case <-s.park():
+		case <-news:
 		case <-backstop.C:
 			if _, err := s.RefreshCommit(); err != nil {
 				return err
@@ -533,23 +368,3 @@ func (s *Session) WaitCommit(seq uint64, timeout time.Duration) error {
 		}
 	}
 }
-
-// park returns the channel the next post closes: a closed one if a post is
-// already waiting.
-func (s *Session) park() <-chan struct{} {
-	s.in.mu.Lock()
-	defer s.in.mu.Unlock()
-	if s.in.ready.Load() {
-		return closedChan
-	}
-	if s.in.wake == nil {
-		s.in.wake = make(chan struct{})
-	}
-	return s.in.wake
-}
-
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()

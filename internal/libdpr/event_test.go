@@ -112,7 +112,7 @@ func TestCommitPumpBeatsCheckpointTimer(t *testing.T) {
 	}
 	start := time.Now()
 	seq := execOne(t, w, st, s, "k", "v")
-	if err := s.WaitCommit(seq, heartbeat); err != nil {
+	if err := s.WaitCommit(seq, heartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed >= heartbeat/4 {
@@ -136,7 +136,7 @@ func TestHeartbeatBackstopCommits(t *testing.T) {
 	}
 	start := time.Now()
 	seq := execOne(t, w, st, s, "k", "v")
-	if err := s.WaitCommit(seq, 2*heartbeat-time.Since(start)); err != nil {
+	if err := s.WaitCommit(seq, 2*heartbeat-time.Since(start), nil); err != nil {
 		t.Fatalf("not committed within two heartbeats of %v: %v", heartbeat, err)
 	}
 	if elapsed := time.Since(start); elapsed < heartbeat/2 {

@@ -95,7 +95,7 @@ func TestEndToEndCommitFlow(t *testing.T) {
 	h.do(t, s, 1, "y", "2")
 	h.do(t, s, 0, "x", "3")
 	last := h.do(t, s, 1, "y", "4")
-	if err := s.WaitCommit(last, 5*time.Second); err != nil {
+	if err := s.WaitCommit(last, 5*time.Second, nil); err != nil {
 		t.Fatalf("commit never arrived: %v", err)
 	}
 	p, exc := s.Committed()
@@ -219,7 +219,7 @@ func TestFailureRollbackAndSurvival(t *testing.T) {
 	// Committed prefix: two ops, then wait for durability.
 	h.do(t, s, 0, "k", "committed")
 	seq2 := h.do(t, s, 1, "m", "committed")
-	if err := s.WaitCommit(seq2, 5*time.Second); err != nil {
+	if err := s.WaitCommit(seq2, 5*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Stop auto-checkpointing so the next writes stay uncommitted: simulate
@@ -344,7 +344,7 @@ func TestNestedFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := h.do(t, s, 0, "k", "v")
-	if err := s.WaitCommit(seq, 5*time.Second); err != nil {
+	if err := s.WaitCommit(seq, 5*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Two failures in short succession (§7.4): the second arrives while
@@ -375,7 +375,7 @@ func TestNestedFailures(t *testing.T) {
 	}
 	// System still serves and commits after both recoveries.
 	seq2 := h.do(t, s, 1, "n", "after")
-	if err := s.WaitCommit(seq2, 5*time.Second); err != nil {
+	if err := s.WaitCommit(seq2, 5*time.Second, nil); err != nil {
 		t.Fatalf("commits must resume after nested recovery: %v", err)
 	}
 	if h.mgr.Recoveries() != 2 {

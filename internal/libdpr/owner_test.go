@@ -58,7 +58,7 @@ func (c *colocated) upsert(key string) error {
 		return err
 	}
 	if _, err := c.w.AdmitBatchGuarded(h, c.lane); err != nil {
-		c.s.AbandonBatch(h)
+		c.s.Abandon(h)
 		if errors.Is(err, ErrBatchRejected) {
 			return c.s.NotifyWorldLine(c.w.WorldLine())
 		}
@@ -75,9 +75,10 @@ func (c *colocated) upsert(key string) error {
 }
 
 // TestOwnerSessionBesideForeignWork: a co-located session issues while other
-// goroutines push it cuts, age its gate out of the worker and run recovery
-// rounds, under -race the proof that the session's and the gate's owners are
-// the only writers of their state. What the owner reads agrees with the
+// goroutines age its gate out of the worker and run recovery rounds, under
+// -race the proof that the session's and the gate's owners are the only
+// writers of their state (pushed cuts reach a session through its client:
+// dfaster's TestOwnerClientBesideForeignPushes). What the owner reads agrees with the
 // locked tracker's contract: the committed prefix never moves back on a
 // world-line, exceptions lie at or below it in order, a SurvivalError keeps
 // every operation that was reported committed, no in-order batch is fenced as
@@ -100,8 +101,6 @@ func TestOwnerSessionBesideForeignWork(t *testing.T) {
 			}
 		}()
 	}
-	// Pushes, as a connection's read loop delivers them.
-	foreign(100*time.Microsecond, func() { c.s.ObserveCut(c.w.WorldLine(), c.w.CurrentCut()) })
 	// The sweep, at a cutoff every gate qualifies for.
 	foreign(50*time.Microsecond, func() { c.w.sweepGates(c.w.gateEra.Add(1)) })
 	// Recovery rounds; the worker rolls back from its own refresh.
@@ -179,7 +178,7 @@ func TestOwnerSessionBesideForeignWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := c.s.Tracker().NextSeq() - 1
-	if err := c.s.WaitCommit(last, 5*time.Second); err != nil {
+	if err := c.s.WaitCommit(last, 5*time.Second, nil); err != nil {
 		t.Fatalf("WaitCommit(%d) once the foreign work stopped: %v", last, err)
 	}
 }

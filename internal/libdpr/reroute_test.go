@@ -143,7 +143,7 @@ func TestSessionRerouteAcrossOwnershipFlip(t *testing.T) {
 				}
 			}
 
-			if err := s.WaitCommit(lastSeq, 5*time.Second); err != nil {
+			if err := s.WaitCommit(lastSeq, 5*time.Second, nil); err != nil {
 				t.Fatalf("commit floor stalled across the re-drive: %v", err)
 			}
 			p, exc := s.Committed()

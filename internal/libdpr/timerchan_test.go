@@ -68,7 +68,7 @@ func TestTimersUnderSynchronousChannels(t *testing.T) {
 	start := tr.BeginBatch(4)
 	tr.CompleteBatch(0, start, 1, []core.Version{1, 1, 1, 1})
 	began := time.Now()
-	if err := s.WaitCommit(start+3, 20*time.Millisecond); err == nil {
+	if err := s.WaitCommit(start+3, 20*time.Millisecond, nil); err == nil {
 		t.Fatal("WaitCommit returned nil with no cut covering the batch")
 	}
 	if took := time.Since(began); took < 20*time.Millisecond || took > 2*time.Second {
@@ -78,7 +78,7 @@ func TestTimersUnderSynchronousChannels(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		meta2.setCut(core.Cut{1: 1})
 	}()
-	if err := s.WaitCommit(start+3, 5*time.Second); err != nil {
+	if err := s.WaitCommit(start+3, 5*time.Second, nil); err != nil {
 		t.Fatalf("WaitCommit with the cut published by the finder: %v", err)
 	}
 }

@@ -199,7 +199,7 @@ func (c *Consumer) Poll(timeout time.Duration) ([]byte, uint64, error) {
 				if c.Durable {
 					// Commit of our own read implies (same worker, >=
 					// version) that the enqueue is inside the DPR cut.
-					if err := c.client.Session().WaitCommit(c.client.LastSeq(),
+					if err := c.client.WaitCommit(c.client.LastSeq(),
 						time.Until(deadline)); err != nil {
 						return nil, 0, fmt.Errorf("queue: durable wait: %w", err)
 					}
